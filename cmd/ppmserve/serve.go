@@ -299,6 +299,9 @@ func printServeReport(z server.Statsz, withBudget bool) {
 		fmt.Printf("ingested %d events — %.0f events/s over %s\n",
 			tot.EventsIn, z.EventsPerSec, z.Runtime.Uptime.Round(time.Millisecond))
 	}
+	if st.Flushes > 0 {
+		fmt.Printf("answers delivered in %d socket writes — %.1f answers per flush\n", st.Flushes, z.AnswersPerFlush)
+	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	if withBudget {
 		fmt.Fprintln(tw, "tenant\tstreams\tevents\tanswers\tdropped\tresumes\treplayed\tgaps\twr-timeouts\tspent eps\tmax stream\texhausted")

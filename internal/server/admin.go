@@ -152,6 +152,9 @@ type Statsz struct {
 	// Server is the serving-layer snapshot with per-tenant counters and ε
 	// spend (nil without a network server).
 	Server *Stats `json:"server,omitempty"`
+	// AnswersPerFlush is the delivery path's coalescing factor: answers sent
+	// ÷ answer-writer socket writes (Server.Flushes); 0 before the first.
+	AnswersPerFlush float64 `json:"answers_per_flush"`
 	// Latencies summarizes every histogram series with at least one
 	// observation, sorted by metric identity.
 	Latencies []LatencySummary `json:"latencies,omitempty"`
@@ -170,6 +173,13 @@ func CollectStatsz(reg *metrics.Registry, rt *runtime.Runtime, srv *Server, upti
 	if srv != nil {
 		st := srv.Stats()
 		z.Server = &st
+		if st.Flushes > 0 {
+			var sent int64
+			for _, ts := range st.Tenants {
+				sent += ts.AnswersSent
+			}
+			z.AnswersPerFlush = float64(sent) / float64(st.Flushes)
+		}
 	}
 	for _, s := range reg.Gather() {
 		if s.Kind != metrics.KindHistogram || s.Hist == nil || s.Hist.Count == 0 {

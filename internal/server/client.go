@@ -279,8 +279,13 @@ func (c *Client) readLoop(r *wire.Reader, conn net.Conn, gen uint64) {
 	var err error
 	defer func() { c.detach(gen, conn, err) }()
 	for {
-		if h := c.heartbeatInterval(); h > 0 {
-			conn.SetReadDeadline(time.Now().Add(2 * h))
+		// Only a Next that must read the transport can block on the server,
+		// and every one that does gets a fresh deadline: delivering the
+		// frames buffered behind the last read may have outlasted the old one.
+		if !r.Ready() {
+			if h := c.heartbeatInterval(); h > 0 {
+				conn.SetReadDeadline(time.Now().Add(2 * h))
+			}
 		}
 		var f wire.Frame
 		f, err = r.Next()

@@ -272,15 +272,14 @@ func (c *sessionCore) hasSub(id uint64) bool {
 	return ok
 }
 
-// snapshot returns the live rings for a writer sweep.
-func (c *sessionCore) snapshot() []*subState {
+// snapshot appends the live rings to dst for a writer sweep.
+func (c *sessionCore) snapshot(dst []*subState) []*subState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*subState, 0, len(c.subs))
 	for _, st := range c.subs {
-		out = append(out, st)
+		dst = append(dst, st)
 	}
-	return out
+	return dst
 }
 
 // resume rewinds the listed subscriptions to their client-reported positions
@@ -325,42 +324,57 @@ func (c *sessionCore) notify() {
 
 // bridge moves one runtime subscription's answers into its replay ring. It
 // never blocks: ring overflow evicts (and is counted against the tenant), so
-// a slow connection only ever costs itself. Answers from other tenants'
-// streams are filtered here — this is the isolation boundary for shared and
-// subscribe-all queries — and namespace prefixes are stripped before the
-// wire.
+// a slow connection only ever costs itself. Everything the subscription
+// already holds is moved before the writer is woken, so a burst published
+// together is swept — and written — together.
 func (c *sessionCore) bridge(st *subState) {
 	defer c.bridges.Done()
-	for a := range st.sub.C() {
-		stream, ok := strings.CutPrefix(a.Stream, c.prefix)
-		if !ok {
-			continue
-		}
-		query := a.Query
-		if cut, ok := strings.CutPrefix(query, c.prefix); ok {
-			query = cut
-		} else if strings.ContainsRune(query, namespaceDelim) {
-			// Another tenant's registered query, evaluated over this
-			// tenant's stream by the shared runtime: neither side may see
-			// the cross product, so it is filtered on both bridges.
-			continue
-		}
-		wa := wire.Answer{
-			Stream:           stream,
-			Query:            query,
-			Epoch:            uint64(a.Epoch),
-			WindowIndex:      uint64(a.WindowIndex),
-			Start:            int64(a.Window.Start),
-			End:              int64(a.Window.End),
-			Detected:         a.Detected,
-			Suppressed:       a.Suppressed,
-			SpentEpsilon:     float64(a.SpentEpsilon),
-			RemainingEpsilon: float64(a.RemainingEpsilon),
-			TraceNanos:       a.TraceNanos,
-		}
-		if st.push(wa) {
-			c.tenant.answersDropped.Inc()
+	ch := st.sub.C()
+	for a := range ch {
+		c.forward(st, a)
+		// This goroutine is ch's only receiver, so the len(ch) answers
+		// buffered right now can be received without blocking.
+		for n := len(ch); n > 0; n-- {
+			if a, ok := <-ch; ok {
+				c.forward(st, a)
+			}
 		}
 		c.notify()
+	}
+}
+
+// forward pushes one runtime answer into the ring in its wire form. Answers
+// from other tenants' streams are filtered here — this is the isolation
+// boundary for shared and subscribe-all queries — and namespace prefixes are
+// stripped before the wire.
+func (c *sessionCore) forward(st *subState, a runtime.Answer) {
+	stream, ok := strings.CutPrefix(a.Stream, c.prefix)
+	if !ok {
+		return
+	}
+	query := a.Query
+	if cut, ok := strings.CutPrefix(query, c.prefix); ok {
+		query = cut
+	} else if strings.ContainsRune(query, namespaceDelim) {
+		// Another tenant's registered query, evaluated over this tenant's
+		// stream by the shared runtime: neither side may see the cross
+		// product, so it is filtered on both bridges.
+		return
+	}
+	wa := wire.Answer{
+		Stream:           stream,
+		Query:            query,
+		Epoch:            uint64(a.Epoch),
+		WindowIndex:      uint64(a.WindowIndex),
+		Start:            int64(a.Window.Start),
+		End:              int64(a.Window.End),
+		Detected:         a.Detected,
+		Suppressed:       a.Suppressed,
+		SpentEpsilon:     float64(a.SpentEpsilon),
+		RemainingEpsilon: float64(a.RemainingEpsilon),
+		TraceNanos:       a.TraceNanos,
+	}
+	if st.push(wa) {
+		c.tenant.answersDropped.Inc()
 	}
 }

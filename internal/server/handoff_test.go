@@ -383,10 +383,12 @@ func TestHandoffCrashPoints(t *testing.T) {
 
 // TestHandoffTransferFaults drives handoffs through a fault-injecting
 // transport that resets connections mid-chunk. Whatever the injected fate of
-// each trial, the world stays unambiguous: a failed transfer leaves the
-// target without durable state and the source directory recoverable; a
-// completed transfer leaves the target adoptable. At least one trial must
-// actually have been cut by a reset for the test to count.
+// each trial, the world stays unambiguous: a transfer the target refused
+// leaves it without durable state and the source directory recoverable; a
+// transfer the target committed leaves it adoptable, and the source may have
+// failed such a transfer only at its very last step, reading the ack. At
+// least one trial must actually have been cut by a reset for the test to
+// count.
 func TestHandoffTransferFaults(t *testing.T) {
 	dirA := t.TempDir()
 	rtA := newDurableTestRuntime(t, dirA, 10_000)
@@ -404,7 +406,7 @@ func TestHandoffTransferFaults(t *testing.T) {
 	}
 	frozen := frozenSpend(rtA)
 
-	var cut, completed int
+	var cut, completed, lostAcks int
 	for trial := 0; trial < 12; trial++ {
 		dirB := filepath.Join(t.TempDir(), "b")
 		mem := NewMemListener()
@@ -427,20 +429,36 @@ func TestHandoffTransferFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, sendErr := SendHandoff(conn, dirA, "", fmt.Sprintf("trial-%d", trial), 0, frozen, HandoffCrashNone)
+		sent, sendErr := SendHandoff(conn, dirA, "", fmt.Sprintf("trial-%d", trial), 0, frozen, HandoffCrashNone)
 		conn.Close()
 		recv := <-recvDone
 		fl.Close()
 
-		if sendErr != nil || recv.err != nil {
+		if recv.err != nil {
 			cut++
+			if sendErr == nil {
+				t.Fatalf("trial %d: source saw an ack the target never sent (recv %v)", trial, recv.err)
+			}
 			if files := durableFiles(t, dirB); len(files) != 0 {
 				t.Fatalf("trial %d: failed transfer left files %v in target", trial, files)
 			}
 			continue
 		}
+		// The target committed. The one way the source may still have failed
+		// is a reset that tore the ack on its way back: it had sent everything
+		// and was reading the ack, the target's set is complete, and the
+		// source keeping its directory is the documented, harmless outcome.
+		if sendErr != nil {
+			lostAcks++
+			if !strings.Contains(sendErr.Error(), "handoff ack") {
+				t.Fatalf("trial %d: target committed a transfer the source abandoned early: %v", trial, sendErr)
+			}
+			if files := durableFiles(t, dirB); len(files) != sent.Files {
+				t.Fatalf("trial %d: ack lost with %d of %d files in target: %v", trial, len(files), sent.Files, files)
+			}
+		}
 		completed++
-		// A clean transfer must be adoptable.
+		// A committed transfer must be adoptable.
 		rtB := newDurableTestRuntime(t, dirB, 10_000)
 		if got := recoveredSpend(rtB); got+1e-9 < frozen {
 			t.Fatalf("trial %d: recovered spend %g < frozen %g", trial, got, frozen)
@@ -456,5 +474,5 @@ func TestHandoffTransferFaults(t *testing.T) {
 	if got := recoveredSpend(rt2); got+1e-9 < frozen {
 		t.Fatalf("source recovered spend %g < frozen %g after %d cut transfers", got, frozen, cut)
 	}
-	t.Logf("transfer faults: %d trials cut, %d completed", cut, completed)
+	t.Logf("transfer faults: %d trials cut, %d completed (%d with the ack lost)", cut, completed, lostAcks)
 }

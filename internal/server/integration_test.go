@@ -191,6 +191,10 @@ func TestIntegrationMultiTenant(t *testing.T) {
 // receiving everything. The slow tenant ingests over a second connection —
 // a stalled subscriber connection backpressures its own control traffic by
 // design, so producer and consumer are split as a real deployment would.
+// The fast tenant runs closed-loop — it takes window w's answer before it
+// ingests window w+2 — so its own ring, as shallow as the slow tenant's,
+// never holds more than one answer and any Gap it saw would be the slow
+// tenant's doing.
 func TestSlowSubscriberIsolation(t *testing.T) {
 	rt := newTestRuntime(t, 0)
 	defer rt.Close()
@@ -210,6 +214,7 @@ func TestSlowSubscriberIsolation(t *testing.T) {
 	}
 
 	const windows = 30
+	deadline := time.After(10 * time.Second)
 	for w := int64(0); w < windows; w++ {
 		if _, err := slowFeed.Ingest(windowEvents("s1", w)); err != nil {
 			t.Fatal(err)
@@ -217,19 +222,25 @@ func TestSlowSubscriberIsolation(t *testing.T) {
 		if _, err := fast.Ingest(windowEvents("s1", w)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The fast tenant must see every closed window of its own stream,
-	// regardless of the slow tenant's stalled connection.
-	deadline := time.After(10 * time.Second)
-	for got := 0; got < windows-1; got++ {
+		if w == 0 {
+			continue
+		}
+		// Window w's events closed window w-1: the fast tenant must see
+		// every closed window of its own stream exactly once and in order,
+		// regardless of the slow tenant's stalled connection.
 		select {
 		case a := <-subFast.C:
-			if a.Stream != "s1" {
-				t.Fatalf("fast saw stream %q", a.Stream)
+			if a.Gap || a.Stream != "s1" || a.Seq != uint64(w) || a.WindowIndex != uint64(w-1) {
+				t.Fatalf("fast tenant, closing window %d: got %+v", w-1, a)
 			}
 		case <-deadline:
-			t.Fatalf("fast tenant stalled by slow tenant: %d answers of %d", got, windows-1)
+			t.Fatalf("fast tenant stalled by slow tenant: %d answers of %d", w-1, windows-1)
 		}
+	}
+	select {
+	case a := <-subFast.C:
+		t.Fatalf("fast tenant got an answer nothing owed it: %+v", a)
+	default:
 	}
 	// And the slow tenant's overflow was counted against it alone.
 	dropDeadline := time.Now().Add(5 * time.Second)

@@ -18,7 +18,7 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 	s.decodeH = reg.Histogram("ppm_wire_decode_seconds",
 		"Ingest frame payload decode latency (wire bytes to event batch).")
 	s.encodeH = reg.Histogram("ppm_wire_encode_seconds",
-		"Answer frame encode latency (replay-ring entry to wire bytes).")
+		"Answer encode latency per flush (first replay-ring pop to the coalesced frames' socket write).")
 	s.deliverH = reg.Histogram("ppm_e2e_ingest_deliver_seconds",
 		"Traced batches: end-to-end latency from ingest admission to the answer's session delivery write.")
 	reg.GaugeFunc("ppm_server_conns_open", "Live tenant connections.",
@@ -44,6 +44,8 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 		"Parked sessions evicted by the MaxParkedSessions / MaxParkedPerTenant caps.", counterFn(&s.coresEvicted))
 	reg.CounterFunc("ppm_server_sessions_imported_total",
 		"Sessions adopted from a handoff spill, available for Resume.", counterFn(&s.coresImported))
+	reg.CounterFunc("ppm_wire_flushes_total",
+		"Answer-writer socket writes, each carrying every answer and gap frame ready at the time.", counterFn(&s.flushes))
 }
 
 // registerTenantMetrics exposes one tenant's serving counters under a
@@ -74,7 +76,7 @@ func registerTenantMetrics(reg *metrics.Registry, ts *tenantState) {
 	reg.CounterFunc("ppm_tenant_gaps_sent_total",
 		"Explicit Gap marker answers delivered.", counterFn(&ts.gapsSent), l)
 	reg.CounterFunc("ppm_tenant_write_timeouts_total",
-		"Frame writes abandoned at the write deadline.", counterFn(&ts.writeTimeouts), l)
+		"Socket writes abandoned at the write deadline.", counterFn(&ts.writeTimeouts), l)
 	reg.CounterFunc("ppm_tenant_throttled_total",
 		"Ingest batches refused by the tenant's events/s rate limit.", counterFn(&ts.throttled), l)
 	reg.CounterFunc("ppm_tenant_sessions_evicted_total",

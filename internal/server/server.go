@@ -14,8 +14,10 @@
 //
 // Backpressure is per subscription. Each subscription owns a bounded replay
 // ring of sequence-numbered answers, swept onto the wire by the session's
-// single writer goroutine; bridge goroutines moving answers from runtime
-// subscriptions into the rings never block — an answer that overflows the
+// single writer goroutine — every frame ready at a sweep leaves in one socket
+// write, flushed when the rings run dry or the pending bytes pass
+// wire.BufferSize, never on a timer; bridge goroutines moving answers from
+// runtime subscriptions into the rings never block — an answer that overflows the
 // ring evicts the oldest entry, and the eviction surfaces to the subscriber
 // as an explicit Gap marker answer. A slow or stalled subscriber therefore
 // costs itself answers but never stalls the runtime's publish path or any
@@ -24,7 +26,7 @@
 // thereby backpressures — only the connection that issued the request.
 //
 // Resilience: sessions carry liveness deadlines (a peer silent for two
-// heartbeat intervals is reaped; every frame write is bounded by a write
+// heartbeat intervals is reaped; every write is bounded by a write
 // deadline) and survive disconnects — the session's durable half (replay
 // rings, subscriptions) lingers for a resume window, and a reconnecting
 // client re-attaches with a Resume handshake that replays the missed tail
@@ -91,9 +93,11 @@ type Config struct {
 	// peer stays silent for two intervals is presumed dead and its
 	// connection reaped. 0 = 10s; negative disables liveness deadlines.
 	Heartbeat time.Duration
-	// WriteTimeout bounds every frame write so a wedged peer cannot hold the
-	// write path (and with it heartbeats and answers) for the whole session.
-	// 0 = the heartbeat interval; negative disables.
+	// WriteTimeout bounds every socket write — one control frame, or one
+	// flush of coalesced answer frames (at most wire.BufferSize plus one
+	// frame) — so a wedged peer cannot hold the write path (and with it
+	// heartbeats and answers) for the whole session. 0 = the heartbeat
+	// interval; negative disables.
 	WriteTimeout time.Duration
 	// ResumeWindow is how long a disconnected session's replay state lingers
 	// for a Resume before it is reaped. 0 = 30s; negative disables resume.
@@ -145,6 +149,7 @@ type Server struct {
 	coresExpired  metrics.Counter
 	coresEvicted  metrics.Counter
 	coresImported metrics.Counter
+	flushes       metrics.Counter // successful answer-writer flushes
 
 	// Wire-path histograms, nil without Config.Metrics (sessions gate on
 	// that, so an unobserved server reads no clocks on the frame paths).
@@ -156,7 +161,7 @@ type Server struct {
 // heartbeat is the resolved liveness interval (0 = disabled).
 func (s *Server) heartbeat() time.Duration { return max(s.cfg.Heartbeat, 0) }
 
-// writeTimeout is the resolved per-frame write deadline (0 = disabled).
+// writeTimeout is the resolved per-write deadline (0 = disabled).
 func (s *Server) writeTimeout() time.Duration { return max(s.cfg.WriteTimeout, 0) }
 
 // resumeWindow is the resolved post-disconnect grace period (0 = disabled).
@@ -566,8 +571,8 @@ type TenantStats struct {
 	Resumes int64
 	// GapsSent counts explicit Gap marker answers delivered.
 	GapsSent int64
-	// WriteTimeouts counts frame writes abandoned at the write deadline
-	// (each closes its session: the frame may be torn on the wire).
+	// WriteTimeouts counts writes abandoned at the write deadline (each
+	// closes its session: a frame may be torn on the wire).
 	WriteTimeouts int64
 	// Throttled counts ingest batches refused by the tenant's events/s
 	// rate limit (CodeThrottled).
@@ -599,6 +604,10 @@ type Stats struct {
 	// SessionsImported counts sessions adopted from a handoff spill
 	// (ImportSessions), available for Resume against this process.
 	SessionsImported int64
+	// Flushes counts the answer writers' socket writes. Each carries every
+	// answer and gap frame that was ready when it was issued, so
+	// answers sent ÷ Flushes is the delivery path's coalescing factor.
+	Flushes int64
 	// Tenants holds one entry per tenant seen, sorted by id.
 	Tenants []TenantStats
 }
@@ -617,6 +626,7 @@ func (s *Server) Stats() Stats {
 		SessionsExpired:  s.coresExpired.Load(),
 		SessionsEvicted:  s.coresEvicted.Load(),
 		SessionsImported: s.coresImported.Load(),
+		Flushes:          s.flushes.Load(),
 	}
 	for _, c := range s.coreList() {
 		c.mu.Lock()

@@ -15,11 +15,12 @@ import (
 	"patterndp/internal/wire"
 )
 
-// session is one tenant connection: a request loop reading frames under an
-// idle deadline, and a single writer goroutine sweeping the session core's
-// replay rings onto the wire under per-frame write deadlines. The durable
-// state — subscriptions, replay rings, bridges — lives in the sessionCore,
-// which survives this connection if the peer disconnects and resumes.
+// session is one tenant connection: a request loop reading frames through a
+// read-ahead buffer under an idle deadline, and a single writer goroutine
+// sweeping the session core's replay rings onto the wire, every ready frame
+// coalesced into one write under one write deadline. The durable state —
+// subscriptions, replay rings, bridges — lives in the sessionCore, which
+// survives this connection if the peer disconnects and resumes.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -27,8 +28,9 @@ type session struct {
 	tenant *tenantState
 	prefix string // "tenant/" once authenticated
 
-	// wmu serializes frame writes; each frame is one Write call, so frames
-	// never interleave on the wire.
+	// wmu serializes writes; each Write call carries whole frames only (one
+	// control frame, or one flush of answer frames), so frames never
+	// interleave on the wire.
 	wmu sync.Mutex
 
 	wake chan struct{} // cap 1; bridges kick it when rings have data
@@ -44,15 +46,26 @@ type session struct {
 
 	wg sync.WaitGroup // writer goroutine
 
-	scratch []event.Event // ingest decode buffer, reused per request
+	// Ingest scratch, touched only by the read loop and reused per request:
+	// the decode buffer, the batch's distinct stream keys, and the intern
+	// table from a raw event source to its namespaced stream key.
+	scratch []event.Event
+	keys    map[string]struct{}
+	streams map[string]string
 }
+
+// maxInternedStreams bounds a session's stream-key intern table: a client
+// cycling through fresh source names resets it instead of growing it.
+const maxInternedStreams = 4096
 
 func newSession(s *Server, conn net.Conn) *session {
 	return &session{
-		srv:  s,
-		conn: conn,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		srv:     s,
+		conn:    conn,
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		keys:    make(map[string]struct{}),
+		streams: make(map[string]string),
 	}
 }
 
@@ -119,7 +132,13 @@ func (ss *session) run() {
 	ss.wg.Add(1)
 	go ss.writeLoop()
 	for {
-		ss.refreshReadDeadline()
+		// Only a Next that must read the transport can block on the peer, and
+		// every one that does gets a fresh deadline: dispatching the frames
+		// buffered behind the last read (an ingest held up by backpressure)
+		// may have outlasted the old one.
+		if !r.Ready() {
+			ss.refreshReadDeadline()
+		}
 		f, err := r.Next()
 		if err != nil {
 			return
@@ -293,12 +312,13 @@ func (ss *session) handleIngest(payload []byte) bool {
 	}
 	// Namespace every event's stream key under the tenant before the batch
 	// reaches the shared runtime.
-	keys := make(map[string]struct{})
+	clear(ss.keys)
 	for i := range in.Events {
-		in.Events[i].Source = ss.prefix + in.Events[i].Source
-		keys[in.Events[i].Source] = struct{}{}
+		key := ss.streamKey(in.Events[i].Source)
+		in.Events[i].Source = key
+		ss.keys[key] = struct{}{}
 	}
-	if err := ss.tenant.admitStreams(keys); err != nil {
+	if err := ss.tenant.admitStreams(ss.keys); err != nil {
 		ss.sendError(in.Req, wire.CodeQuota, err.Error())
 		return true
 	}
@@ -312,6 +332,21 @@ func (ss *session) handleIngest(payload []byte) bool {
 	}
 	ss.tenant.eventsIn.Add(int64(len(in.Events)))
 	return ss.sendAck(in.Req, uint64(len(in.Events)))
+}
+
+// streamKey namespaces a raw event source under the tenant, interning the
+// result so a stream costs one string for the life of the session instead of
+// one per event.
+func (ss *session) streamKey(source string) string {
+	if key, ok := ss.streams[source]; ok {
+		return key
+	}
+	if len(ss.streams) >= maxInternedStreams {
+		clear(ss.streams)
+	}
+	key := ss.prefix + source
+	ss.streams[source] = key
+	return key
 }
 
 func (ss *session) handleSubscribe(payload []byte) bool {
@@ -435,55 +470,63 @@ func (ss *session) handleRegisterPrivate(payload []byte) bool {
 	return ss.sendAck(req.Req, uint64(epoch))
 }
 
-// writeLoop is the session's single answer writer: it sweeps the core's
-// replay rings onto the connection, reusing one encode buffer, and sleeps
-// until a bridge kicks it. A pop lost to a failed write is not lost data —
-// the client's next Resume rewinds the cursor to the truth.
+// outbox is the answer writer's pending flush: encoded frames not yet on the
+// wire, and what to credit once they are.
+type outbox struct {
+	buf           []byte
+	answers, gaps int64
+	traces        []int64   // TraceNanos of the traced answers in buf
+	since         time.Time // when buf stopped being empty (encode histogram)
+}
+
+// writeLoop is the session's single answer writer. A sweep pops every ready
+// answer and gap marker from the core's replay rings and encodes them back to
+// back into one reused buffer, which goes out as a single write when the
+// rings run dry or it passes wire.BufferSize — never on a timer, so a lone
+// answer on an idle connection leaves at once. Then it sleeps until a bridge
+// kicks it. A pop lost to a failed write is not lost data — the client's next
+// Resume rewinds the cursor to the truth.
 func (ss *session) writeLoop() {
 	defer ss.wg.Done()
-	var buf []byte
+	var out outbox
+	var subs []*subState
 	for {
-		for {
-			wrote := false
+		for popped := true; popped; {
+			popped = false
 			c := ss.coreRef()
 			if c == nil {
 				return
 			}
-			for _, st := range c.snapshot() {
+			subs = c.snapshot(subs[:0])
+			for _, st := range subs {
 				for {
 					wa, ok := st.next()
 					if !ok {
 						break
 					}
-					var encStart time.Time
-					if ss.srv.encodeH != nil {
-						encStart = time.Now()
+					popped = true
+					if len(out.buf) == 0 && ss.srv.encodeH != nil {
+						out.since = time.Now()
 					}
-					buf = wire.AppendFrame(buf[:0], wire.TAnswer, wire.AppendAnswer(nil, wa))
-					if ss.srv.encodeH != nil {
-						ss.srv.encodeH.ObserveSince(encStart)
-					}
-					if ss.writeBytes(buf) != nil {
-						return
+					out.buf = wire.AppendAnswerFrame(out.buf, wa)
+					if wa.Gap {
+						out.gaps++
+					} else {
+						out.answers++
 					}
 					if wa.TraceNanos != 0 && ss.srv.deliverH != nil {
-						// The trace's final stage: the answer from a sampled
-						// ingest batch has left this process for its
-						// subscriber.
-						ss.srv.deliverH.Observe(time.Duration(time.Now().UnixNano() - wa.TraceNanos))
+						out.traces = append(out.traces, wa.TraceNanos)
 					}
-					if wa.Gap {
-						ss.tenant.gapsSent.Inc()
-					} else {
-						ss.tenant.answersSent.Inc()
+					if len(out.buf) >= wire.BufferSize && !ss.flush(&out) {
+						return
 					}
-					wrote = true
 				}
 			}
-			if !wrote {
-				break
-			}
 		}
+		if !ss.flush(&out) {
+			return
+		}
+		clear(subs) // a parked writer must not pin cancelled subscriptions
 		select {
 		case <-ss.wake:
 		case <-ss.done:
@@ -492,9 +535,35 @@ func (ss *session) writeLoop() {
 	}
 }
 
-// writeBytes writes one pre-framed buffer under the per-frame write deadline.
-// A failed write — timeout or otherwise — closes the session: the frame may
-// be torn on the wire, so the connection is unusable.
+// flush writes the outbox as one write and, only once that succeeded,
+// credits what it carried: the tenant's sent counters and the traced answers'
+// final stage — an answer from a sampled ingest batch has left this process
+// for its subscriber. It reports false when the session is dead.
+func (ss *session) flush(out *outbox) bool {
+	if len(out.buf) == 0 {
+		return true
+	}
+	ss.srv.encodeH.ObserveSince(out.since)
+	if ss.writeBytes(out.buf) != nil {
+		return false
+	}
+	ss.srv.flushes.Inc()
+	ss.tenant.answersSent.Add(out.answers)
+	ss.tenant.gapsSent.Add(out.gaps)
+	if len(out.traces) > 0 {
+		now := time.Now().UnixNano()
+		for _, t := range out.traces {
+			ss.srv.deliverH.Observe(time.Duration(now - t))
+		}
+	}
+	*out = outbox{buf: out.buf[:0], traces: out.traces[:0]}
+	return true
+}
+
+// writeBytes writes whole frames — one control frame or one answer flush — as
+// a single Write under the write deadline. A failed write — timeout or
+// otherwise — closes the session: a frame may be torn on the wire, so the
+// connection is unusable.
 func (ss *session) writeBytes(buf []byte) error {
 	ss.wmu.Lock()
 	if wt := ss.srv.writeTimeout(); wt > 0 {

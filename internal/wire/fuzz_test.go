@@ -7,15 +7,36 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"patterndp/internal/event"
 )
 
+// chunkedReader serves data in runs whose lengths are taken from the data
+// itself (1 to 64 bytes), so the fuzzer's input decides how the stream is cut
+// up as well as what it holds.
+type chunkedReader struct {
+	data []byte
+	off  int
+}
+
+func (c *chunkedReader) Read(p []byte) (int, error) {
+	if c.off == len(c.data) {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), 1+int(c.data[c.off]%64))], c.data[c.off:])
+	c.off += n
+	return n, nil
+}
+
 // FuzzFrameDecode feeds arbitrary bytes to the frame decoder (mirroring the
 // WAL's FuzzSegmentDecode): it must never panic, every frame it accepts must
-// sit in a CRC-valid header at offset 0 and re-encode to the bytes it
-// consumed, and the streaming Reader must agree with the slice decoder on
-// the same input.
+// sit in a CRC-valid header and re-encode to the bytes it consumed, and the
+// streaming Reader — fed the same bytes whole, one at a time, and in
+// arbitrary runs — must return exactly the frames repeated DecodeFrame calls
+// return and then fail the way the slice decoder did: a clean io.EOF at a
+// frame boundary, io.ErrUnexpectedEOF inside a frame, a protocol error on the
+// same bad header or payload.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, THello, AppendHello(nil, Hello{Proto: Version, Token: "tenant-a"})))
@@ -31,43 +52,62 @@ func FuzzFrameDecode(f *testing.F) {
 	whole := AppendFrame(nil, TAnswer, AppendAnswer(nil, Answer{Sub: 1, Seq: 3, Stream: "s", Query: "q"}))
 	f.Add(whole[:len(whole)-2]) // torn tail
 	f.Add(bytes.Repeat([]byte{0xff}, HeaderSize+4))
+	f.Add(AppendFrame(AppendAnswerFrame(bytes.Clone(whole), Answer{Sub: 2, Seq: 1, Gap: true, GapFrom: 1}), TAck, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := DecodeFrame(data)
-		r := NewReader(bytes.NewReader(data))
-		sf, serr := r.Next()
-		if err != nil {
-			// The streaming reader must reject the same prefix: a short
-			// buffer surfaces as an EOF flavor, anything else as an error.
+		var want []Frame
+		var wantErr error
+		for rest := data; ; {
+			fr, n, err := DecodeFrame(rest)
 			if err == io.ErrShortBuffer {
-				if serr == nil && len(data) >= HeaderSize {
-					// A short slice can still be a whole frame for the
-					// streaming reader only if DecodeFrame could parse it,
-					// which it couldn't — so Next must have failed too.
-					t.Fatalf("reader accepted prefix DecodeFrame rejected: %v", sf.Type)
+				wantErr = io.EOF
+				if len(rest) > 0 {
+					wantErr = io.ErrUnexpectedEOF
 				}
-			} else if serr == nil {
-				t.Fatalf("reader accepted frame DecodeFrame rejected (%v)", err)
+				break
 			}
-			return
+			if err != nil {
+				wantErr = err
+				break
+			}
+			if n < HeaderSize || n > len(rest) {
+				t.Fatalf("consumed %d of %d bytes", n, len(rest))
+			}
+			// The accepted frame must re-encode to exactly the consumed bytes.
+			if again := AppendFrame(nil, fr.Type, fr.Payload); !bytes.Equal(again, rest[:n]) {
+				t.Fatalf("frame does not re-encode canonically:\n %x\n %x", again, rest[:n])
+			}
+			// And its CRC must genuinely cover the payload.
+			if crc32.ChecksumIEEE(fr.Payload) != binary.LittleEndian.Uint32(rest[8:]) {
+				t.Fatal("accepted frame with mismatched CRC")
+			}
+			want = append(want, fr)
+			rest = rest[n:]
 		}
-		if n < HeaderSize || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		// The accepted frame must re-encode to exactly the consumed bytes.
-		if again := AppendFrame(nil, fr.Type, fr.Payload); !bytes.Equal(again, data[:n]) {
-			t.Fatalf("frame does not re-encode canonically:\n %x\n %x", again, data[:n])
-		}
-		// And its CRC must genuinely cover the payload.
-		if crc32.ChecksumIEEE(fr.Payload) != binary.LittleEndian.Uint32(data[8:]) {
-			t.Fatal("accepted frame with mismatched CRC")
-		}
-		// Streaming reader agreement on the accepted frame.
-		if serr != nil {
-			t.Fatalf("reader rejected frame DecodeFrame accepted: %v", serr)
-		}
-		if sf.Type != fr.Type || !bytes.Equal(sf.Payload, fr.Payload) {
-			t.Fatal("reader and slice decoder disagree")
+		for name, transport := range map[string]io.Reader{
+			"whole":    bytes.NewReader(data),
+			"one-byte": iotest.OneByteReader(bytes.NewReader(data)),
+			"chunked":  &chunkedReader{data: data},
+		} {
+			r := NewReader(transport)
+			for i, fr := range want {
+				sf, err := r.Next()
+				if err != nil {
+					t.Fatalf("%s: reader rejected frame %d DecodeFrame accepted: %v", name, i, err)
+				}
+				if sf.Type != fr.Type || !bytes.Equal(sf.Payload, fr.Payload) {
+					t.Fatalf("%s: reader and slice decoder disagree on frame %d", name, i)
+				}
+			}
+			_, err := r.Next()
+			if err == nil {
+				t.Fatalf("%s: reader accepted a frame DecodeFrame rejected (%v)", name, wantErr)
+			}
+			if streamEnd := wantErr == io.EOF || wantErr == io.ErrUnexpectedEOF; streamEnd && err != wantErr {
+				t.Fatalf("%s: reader ended with %v, want %v", name, err, wantErr)
+			} else if !streamEnd && err.Error() != wantErr.Error() {
+				t.Fatalf("%s: reader failed with %v, slice decoder with %v", name, err, wantErr)
+			}
 		}
 	})
 }

@@ -154,16 +154,40 @@ type Frame struct {
 	Payload []byte
 }
 
+// BufferSize is the unit of socket I/O on both sides of a connection: a
+// Reader asks the transport for up to this many bytes per read, and the
+// server's answer writer flushes its coalesced frames once they pass it.
+const BufferSize = 64 << 10
+
+// appendHeader appends a frame header whose length and CRC fields are still
+// zero; sealFrame patches them once the payload has been appended behind it.
+func appendHeader(dst []byte, t Type) []byte {
+	return append(dst, Version, byte(t), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// sealFrame completes the frame whose header starts at dst[start]: everything
+// after the header is its payload.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+HeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start+4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+8:], crc32.ChecksumIEEE(payload))
+	return dst
+}
+
 // AppendFrame appends a complete frame (header + payload) to dst and
 // returns the extended slice.
 func AppendFrame(dst []byte, t Type, payload []byte) []byte {
-	var hdr [HeaderSize]byte
-	hdr[0] = Version
-	hdr[1] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	return sealFrame(append(appendHeader(dst, t), payload...), start)
+}
+
+// AppendAnswerFrame appends a complete Answer frame to dst, encoding the
+// payload in place behind its header — byte-identical to
+// AppendFrame(dst, TAnswer, AppendAnswer(nil, a)) without the intermediate
+// payload slice.
+func AppendAnswerFrame(dst []byte, a Answer) []byte {
+	start := len(dst)
+	return sealFrame(AppendAnswer(appendHeader(dst, TAnswer), a), start)
 }
 
 // WriteFrame writes one frame to w. The caller serializes concurrent
@@ -175,6 +199,27 @@ func WriteFrame(w io.Writer, t Type, payload []byte) error {
 	return err
 }
 
+// decodeHeader validates the frame header at the front of b (at least
+// HeaderSize bytes) and returns the frame type and payload length. It is the
+// one place a header is trusted or rejected.
+func decodeHeader(b []byte) (Type, int, error) {
+	if b[0] != Version {
+		return 0, 0, fmt.Errorf("wire: protocol version %d, want %d", b[0], Version)
+	}
+	t := Type(b[1])
+	if !t.valid() {
+		return 0, 0, fmt.Errorf("wire: unknown frame type %d", b[1])
+	}
+	if flags := binary.LittleEndian.Uint16(b[2:]); flags != 0 {
+		return 0, 0, fmt.Errorf("wire: reserved flags %#x set", flags)
+	}
+	length := binary.LittleEndian.Uint32(b[4:])
+	if length > MaxPayload {
+		return 0, 0, fmt.Errorf("wire: frame length %d exceeds max %d", length, MaxPayload)
+	}
+	return t, int(length), nil
+}
+
 // DecodeFrame decodes one frame from the front of b, returning the frame
 // and the bytes consumed. The returned payload aliases b. io.ErrShortBuffer
 // means b holds a valid prefix of a frame and more bytes are needed; any
@@ -183,78 +228,116 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < HeaderSize {
 		return Frame{}, 0, io.ErrShortBuffer
 	}
-	if b[0] != Version {
-		return Frame{}, 0, fmt.Errorf("wire: protocol version %d, want %d", b[0], Version)
+	t, length, err := decodeHeader(b)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	t := Type(b[1])
-	if !t.valid() {
-		return Frame{}, 0, fmt.Errorf("wire: unknown frame type %d", b[1])
-	}
-	if flags := binary.LittleEndian.Uint16(b[2:]); flags != 0 {
-		return Frame{}, 0, fmt.Errorf("wire: reserved flags %#x set", flags)
-	}
-	length := binary.LittleEndian.Uint32(b[4:])
-	if length > MaxPayload {
-		return Frame{}, 0, fmt.Errorf("wire: frame length %d exceeds max %d", length, MaxPayload)
-	}
-	if uint32(len(b)-HeaderSize) < length {
+	if len(b)-HeaderSize < length {
 		return Frame{}, 0, io.ErrShortBuffer
 	}
-	payload := b[HeaderSize : HeaderSize+int(length)]
+	payload := b[HeaderSize : HeaderSize+length]
 	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(b[8:]) {
 		return Frame{}, 0, fmt.Errorf("wire: %s frame payload CRC mismatch", t)
 	}
-	return Frame{Type: t, Payload: payload}, HeaderSize + int(length), nil
+	return Frame{Type: t, Payload: payload}, HeaderSize + length, nil
 }
 
-// Reader decodes a frame stream from an io.Reader, reusing one payload
-// buffer across frames.
+// Reader decodes a frame stream from an io.Reader through a read-ahead
+// buffer: one Read of the transport fetches however many frames the peer has
+// already sent (up to BufferSize bytes), and Next parses them in place with
+// DecodeFrame. The buffer starts small — most connections only ever carry
+// requests and acks — becomes BufferSize the first time a read fills it, and
+// beyond that grows only for a single frame that needs it, never past
+// HeaderSize+MaxPayload.
 type Reader struct {
-	r   io.Reader
-	hdr [HeaderSize]byte
-	buf []byte
+	r        io.Reader
+	buf      []byte
+	pos, end int   // buf[pos:end] is read but not yet returned
+	full     bool  // the last read filled buf: the transport may hold more
+	err      error // transport error to report once buf[pos:end] runs short
 }
 
-// NewReader wraps r. The reader issues exactly two reads per frame (header,
-// payload), so r should be buffered if the underlying transport benefits.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+// initialBuffer is a Reader's buffer before any read has filled it.
+const initialBuffer = 4 << 10
 
-// Next reads the next frame. The returned payload is valid until the
-// following Next call. io.EOF is returned only at a clean frame boundary; a
-// connection cut mid-frame surfaces as io.ErrUnexpectedEOF.
+// NewReader wraps r. The reader does its own buffering — r should be the raw
+// transport — and may read past the frame it returns, so one connection must
+// be read through one Reader for its whole life.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: r, buf: make([]byte, initialBuffer)}
+}
+
+// Buffered returns how many bytes have been read from the transport but not
+// yet returned as frames. They usually end in a partial frame, so a non-zero
+// count does not mean Next can return without reading; Ready answers that.
+func (r *Reader) Buffered() int { return r.end - r.pos }
+
+// Ready reports whether the next call to Next returns without reading the
+// transport: the buffer already holds a whole frame, a header Next will
+// reject, or the transport's final error. When it is false Next reads and may
+// block on the peer — the moment to re-arm a read deadline, since one armed
+// before the previous read has been running while the buffered frames were
+// handled.
+func (r *Reader) Ready() bool {
+	b := r.buf[r.pos:r.end]
+	if r.err != nil {
+		return true
+	}
+	if len(b) < HeaderSize {
+		return false
+	}
+	_, length, err := decodeHeader(b)
+	return err != nil || len(b)-HeaderSize >= length
+}
+
+// Next returns the next frame, reading from the transport only when the
+// buffer does not already hold a whole one. The returned payload aliases the
+// buffer and is valid until the following Next call. io.EOF is returned only
+// at a clean frame boundary; a connection cut mid-frame surfaces as
+// io.ErrUnexpectedEOF.
 func (r *Reader) Next() (Frame, error) {
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return Frame{}, io.ErrUnexpectedEOF
+	for {
+		f, n, err := DecodeFrame(r.buf[r.pos:r.end])
+		if err == nil {
+			r.pos += n
+			return f, nil
 		}
-		return Frame{}, err
-	}
-	if r.hdr[0] != Version {
-		return Frame{}, fmt.Errorf("wire: protocol version %d, want %d", r.hdr[0], Version)
-	}
-	t := Type(r.hdr[1])
-	if !t.valid() {
-		return Frame{}, fmt.Errorf("wire: unknown frame type %d", r.hdr[1])
-	}
-	if flags := binary.LittleEndian.Uint16(r.hdr[2:]); flags != 0 {
-		return Frame{}, fmt.Errorf("wire: reserved flags %#x set", flags)
-	}
-	length := binary.LittleEndian.Uint32(r.hdr[4:])
-	if length > MaxPayload {
-		return Frame{}, fmt.Errorf("wire: frame length %d exceeds max %d", length, MaxPayload)
-	}
-	if uint32(cap(r.buf)) < length {
-		r.buf = make([]byte, length)
-	}
-	payload := r.buf[:length]
-	if _, err := io.ReadFull(r.r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+		if err != io.ErrShortBuffer {
+			return Frame{}, err
 		}
-		return Frame{}, err
+		if r.err != nil {
+			err, r.err = r.err, nil
+			if err == io.EOF && r.pos < r.end {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, err
+		}
+		r.fill()
 	}
-	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(r.hdr[8:]) {
-		return Frame{}, fmt.Errorf("wire: %s frame payload CRC mismatch", t)
+}
+
+// fill moves the partial frame at buf[pos:end] to the front of the buffer,
+// grows the buffer if that frame cannot fit or the last read filled it, and
+// reads once.
+func (r *Reader) fill() {
+	if r.pos > 0 {
+		r.end = copy(r.buf, r.buf[r.pos:r.end])
+		r.pos = 0
 	}
-	return Frame{Type: t, Payload: payload}, nil
+	size := len(r.buf)
+	if r.full {
+		size = max(size, BufferSize)
+	}
+	if r.end >= HeaderSize {
+		// DecodeFrame came up short on the payload, so the header is valid.
+		_, length, _ := decodeHeader(r.buf)
+		size = max(size, HeaderSize+length)
+	}
+	if size > len(r.buf) {
+		r.buf = append(make([]byte, 0, size), r.buf[:r.end]...)[:size]
+	}
+	n, err := r.r.Read(r.buf[r.end:])
+	r.end += n
+	r.full = r.end == len(r.buf)
+	r.err = err
 }

@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"patterndp/internal/event"
 )
@@ -39,11 +41,188 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReaderMidFrameCut(t *testing.T) {
-	whole := AppendFrame(nil, TIngest, []byte("abc"))
-	r := NewReader(bytes.NewReader(whole[:len(whole)-1]))
-	if _, err := r.Next(); err != io.ErrUnexpectedEOF {
-		t.Errorf("want ErrUnexpectedEOF, got %v", err)
+// countingReader counts the Read calls that reach the transport.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReaderStreams feeds the same frame sequence — empty, small, exactly
+// the read-ahead, and larger than it — to the Reader through transports that
+// chunk it differently. However the bytes arrive, Next must return exactly
+// the frames that were sent — each payload intact when it is returned, no
+// matter how the buffer was compacted or grown to assemble it — then a clean
+// io.EOF.
+func TestReaderStreams(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), (BufferSize+4096)/16)
+	type sent struct {
+		t       Type
+		payload []byte
+	}
+	frames := []sent{
+		{THello, []byte("hello")},
+		{TAck, nil},
+		{TIngest, big}, // larger than the read-ahead: the buffer must grow
+		{TAnswer, []byte("after the big one")},
+		{THandoffChunk, big[:BufferSize-HeaderSize]}, // fills the read-ahead exactly
+		{TGoodbye, []byte("bye")},
+	}
+	for i := 0; i < 200; i++ {
+		frames = append(frames, sent{TAnswer, big[i : i+40+i%7]})
+	}
+	var stream []byte
+	for _, f := range frames {
+		stream = AppendFrame(stream, f.t, f.payload)
+	}
+	transports := map[string]func() io.Reader{
+		"whole":        func() io.Reader { return bytes.NewReader(stream) },
+		"one-byte":     func() io.Reader { return iotest.OneByteReader(bytes.NewReader(stream)) },
+		"half-reads":   func() io.Reader { return iotest.HalfReader(bytes.NewReader(stream)) },
+		"data-and-eof": func() io.Reader { return iotest.DataErrReader(bytes.NewReader(stream)) },
+	}
+	for name, open := range transports {
+		t.Run(name, func(t *testing.T) {
+			r := NewReader(open())
+			for i, want := range frames {
+				f, err := r.Next()
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if f.Type != want.t || !bytes.Equal(f.Payload, want.payload) {
+					t.Fatalf("frame %d: got %v with %d payload bytes, want %v with %d",
+						i, f.Type, len(f.Payload), want.t, len(want.payload))
+				}
+			}
+			if _, err := r.Next(); err != io.EOF {
+				t.Fatalf("after the last frame: %v, want io.EOF", err)
+			}
+			if r.Buffered() != 0 {
+				t.Errorf("%d bytes buffered at EOF", r.Buffered())
+			}
+		})
+	}
+}
+
+// TestReaderCoalescesReads is the point of the read-ahead: frames the peer
+// has already sent cost one transport read between them, not two each.
+func TestReaderCoalescesReads(t *testing.T) {
+	const n = 5000
+	var stream []byte
+	var first int
+	for i := 0; i < n; i++ {
+		stream = AppendFrame(stream, TAnswer, AppendAnswer(nil, Answer{Sub: 1, Seq: uint64(i + 1), Stream: "s", Query: "q"}))
+		if i == 0 {
+			first = len(stream)
+		}
+	}
+	cr := &countingReader{r: bytes.NewReader(stream)}
+	r := NewReader(cr)
+	for i := 0; i < n; i++ {
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if i == 0 && r.Buffered() != initialBuffer-first {
+			t.Errorf("after the first frame %d bytes are buffered, want the rest of the first read, %d", r.Buffered(), initialBuffer-first)
+		}
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("want io.EOF, got %v", err)
+	}
+	// One small read before the buffer has grown, then one per BufferSize
+	// of stream, plus the one that finds EOF.
+	if max := len(stream)/BufferSize + 3; cr.reads > max {
+		t.Errorf("%d frames (%d bytes) took %d reads, want at most %d", n, len(stream), cr.reads, max)
+	}
+}
+
+// TestReaderEOFOnlyAtFrameBoundary cuts a two-frame stream at every offset:
+// the cut is clean (io.EOF) only at a frame boundary and io.ErrUnexpectedEOF
+// anywhere inside a frame, after every whole frame before it was returned.
+func TestReaderEOFOnlyAtFrameBoundary(t *testing.T) {
+	first := AppendFrame(nil, TIngest, []byte("abc"))
+	stream := AppendFrame(bytes.Clone(first), TAck, AppendAck(nil, Ack{Req: 1, N: 3}))
+	for cut := 0; cut <= len(stream); cut++ {
+		r := NewReader(iotest.OneByteReader(bytes.NewReader(stream[:cut])))
+		whole := 0
+		var err error
+		for err == nil {
+			if _, err = r.Next(); err == nil {
+				whole++
+			}
+		}
+		wantWhole, wantErr := 0, io.ErrUnexpectedEOF
+		if cut >= len(first) {
+			wantWhole = 1
+		}
+		if cut == len(stream) {
+			wantWhole = 2
+		}
+		if cut == 0 || cut == len(first) || cut == len(stream) {
+			wantErr = io.EOF
+		}
+		if whole != wantWhole || err != wantErr {
+			t.Errorf("cut at %d: %d frames then %v, want %d then %v", cut, whole, err, wantWhole, wantErr)
+		}
+	}
+}
+
+// TestReaderTransportError checks a transport failure is neither swallowed
+// nor allowed to cost the frames already buffered: it is reported once they
+// run out.
+func TestReaderTransportError(t *testing.T) {
+	frame := AppendFrame(nil, TPing, AppendPing(nil, Ping{Nonce: 1}))
+	r := NewReader(iotest.TimeoutReader(bytes.NewReader(append(bytes.Clone(frame), frame[:5]...))))
+	if _, err := r.Next(); err != nil {
+		t.Fatalf("buffered frame lost to a later transport error: %v", err)
+	}
+	if _, err := r.Next(); !errors.Is(err, iotest.ErrTimeout) {
+		t.Errorf("want the transport's timeout, got %v", err)
+	}
+}
+
+// chunkReader hands out its chunks one per Read, then io.EOF.
+type chunkReader struct{ chunks [][]byte }
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestReaderReady pins what the read loops arm their idle deadline on: Ready
+// is true exactly when the following Next does not touch the transport. A
+// three-frame stream (the last with a header Next rejects) arrives split in
+// two at every offset, so the buffer is left empty, mid-header, mid-payload
+// and on a frame boundary.
+func TestReaderReady(t *testing.T) {
+	stream := AppendFrame(nil, TIngest, []byte("abc"))
+	stream = AppendFrame(stream, TAck, AppendAck(nil, Ack{Req: 1, N: 3}))
+	bad := AppendFrame(nil, TPing, nil)
+	bad[2] = 1 // reserved flags
+	stream = append(stream, bad...)
+	for cut := 0; cut <= len(stream); cut++ {
+		cr := &countingReader{r: &chunkReader{chunks: [][]byte{stream[:cut], stream[cut:]}}}
+		r := NewReader(cr)
+		for i := 0; ; i++ {
+			ready, before := r.Ready(), cr.reads
+			_, err := r.Next()
+			if read := cr.reads > before; ready == read {
+				t.Errorf("cut at %d, call %d: Ready() = %v but Next read the transport: %v", cut, i, ready, read)
+			}
+			if err != nil {
+				break
+			}
+		}
 	}
 }
 
