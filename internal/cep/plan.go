@@ -1,6 +1,7 @@
 package cep
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -75,13 +76,13 @@ type Plan struct {
 // planInstr is one postfix instruction of the indicator program.
 type planInstr struct {
 	op  planOp
-	arg int32 // type-table index for opPresent; child count for opAll/opAny
+	arg int32 // operand index for opPresent; child count for opAll/opAny
 }
 
 type planOp uint8
 
 const (
-	opPresent planOp = iota // push present[types[arg]]
+	opPresent planOp = iota // push the operand at index arg
 	opAll                   // pop arg values, push their conjunction
 	opAny                   // pop arg values, push their disjunction
 	opNot                   // negate the top of stack
@@ -169,14 +170,27 @@ func (p *Plan) EvalIndicators(present map[event.Type]bool) bool {
 		return true
 	}
 	var scratch [16]bool
-	st := scratch[:0]
-	if p.stackCap > len(scratch) {
-		st = make([]bool, 0, p.stackCap)
+	row := scratch[:]
+	if len(p.types) > len(scratch) {
+		row = make([]bool, len(p.types))
 	}
-	for _, in := range p.prog {
+	for i, t := range p.types {
+		row[i] = present[t]
+	}
+	return runProg(p.prog, p.stackCap, row)
+}
+
+// runProg evaluates a postfix program whose opPresent operands index row.
+func runProg(prog []planInstr, stackCap int, row []bool) bool {
+	var scratch [16]bool
+	st := scratch[:0]
+	if stackCap > len(scratch) {
+		st = make([]bool, 0, stackCap)
+	}
+	for _, in := range prog {
 		switch in.op {
 		case opPresent:
-			st = append(st, present[p.types[in.arg]])
+			st = append(st, row[in.arg])
 		case opAll:
 			n := len(st) - int(in.arg)
 			v := true
@@ -200,6 +214,66 @@ func (p *Plan) EvalIndicators(present map[event.Type]bool) bool {
 		}
 	}
 	return st[0]
+}
+
+// BoundPlan is a Plan's indicator evaluator bound to a type table: a caller
+// that keeps each window's released indicators as a flat row of bits, one
+// per table entry, answers the query by position instead of by
+// map[event.Type] lookup. Immutable and safe for concurrent use.
+type BoundPlan struct {
+	constVal    int8
+	conjunctive bool
+	// required and the opPresent operands of prog are row positions.
+	required []int32
+	prog     []planInstr
+	stackCap int
+}
+
+// Bind resolves the plan's required and operand types to their positions in
+// table. A type missing from the table reads as absent in every row.
+func (p *Plan) Bind(table []event.Type) *BoundPlan {
+	b := &BoundPlan{constVal: p.constVal, conjunctive: p.conjunctive, stackCap: p.stackCap}
+	if b.constVal != 0 {
+		return b
+	}
+	for _, t := range p.required {
+		pos := slices.Index(table, t)
+		if pos < 0 {
+			// A required type that is never present: never detected.
+			return &BoundPlan{constVal: -1}
+		}
+		b.required = append(b.required, int32(pos))
+	}
+	b.prog = make([]planInstr, len(p.prog))
+	for i, in := range p.prog {
+		if in.op == opPresent {
+			if pos := slices.Index(table, p.types[in.arg]); pos >= 0 {
+				in.arg = int32(pos)
+			} else {
+				in = planInstr{op: opFalse}
+			}
+		}
+		b.prog[i] = in
+	}
+	return b
+}
+
+// Eval answers the query over one row of released indicators laid out by the
+// table the plan was bound to — EvalIndicators by position. It allocates
+// nothing.
+func (b *BoundPlan) Eval(row []bool) bool {
+	if b.constVal != 0 {
+		return b.constVal > 0
+	}
+	for _, pos := range b.required {
+		if !row[pos] {
+			return false
+		}
+	}
+	if b.conjunctive {
+		return true
+	}
+	return runProg(b.prog, b.stackCap, row)
 }
 
 // missingRequired reports whether a required type is absent from the window,
@@ -592,38 +666,11 @@ func (c *winCompiler) emit(e Expr) bool {
 // evalWindowBits runs the window atom program over a bitset of per-leaf
 // match bits (bit i set iff some window event matches winAtoms[i]).
 func (p *Plan) evalWindowBits(bits uint64) bool {
-	var scratch [16]bool
-	st := scratch[:0]
-	if p.winStackCap > len(scratch) {
-		st = make([]bool, 0, p.winStackCap)
+	var row [64]bool
+	for i := range p.winAtoms {
+		row[i] = bits&(1<<uint(i)) != 0
 	}
-	for _, in := range p.winProg {
-		switch in.op {
-		case opPresent:
-			st = append(st, bits&(1<<uint(in.arg)) != 0)
-		case opAll:
-			n := len(st) - int(in.arg)
-			v := true
-			for _, b := range st[n:] {
-				v = v && b
-			}
-			st = append(st[:n], v)
-		case opAny:
-			n := len(st) - int(in.arg)
-			v := false
-			for _, b := range st[n:] {
-				v = v || b
-			}
-			st = append(st[:n], v)
-		case opNot:
-			st[len(st)-1] = !st[len(st)-1]
-		case opTrue:
-			st = append(st, true)
-		case opFalse:
-			st = append(st, false)
-		}
-	}
-	return st[0]
+	return runProg(p.winProg, p.winStackCap, row[:])
 }
 
 func (c *planCompiler) emit(n *pnode) {

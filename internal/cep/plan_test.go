@@ -51,9 +51,12 @@ func mustPlan(t *testing.T, e Expr) *Plan {
 // TestPropertyPlanIndicators asserts the tentpole equivalence: over any
 // presence map, the compiled plan's indicator answer equals the
 // EvalIndicators interpreter's, for randomized expressions over the full
-// operator set.
+// operator set — and so does the plan bound to a type table, evaluated over
+// the row of bits that table lays out. The table is a random subset of the
+// alphabet plus a type no pattern uses: a type missing from it reads as
+// absent.
 func TestPropertyPlanIndicators(t *testing.T) {
-	f := func(shape uint32, depth uint8, pa, pb, pc, pd bool) bool {
+	f := func(shape uint32, depth uint8, pa, pb, pc, pd bool, inTable uint8) bool {
 		rng := rand.New(rand.NewSource(int64(shape)))
 		e := randomExprTimes(rng, int(depth%4))
 		present := map[event.Type]bool{"a": pa, "b": pb, "c": pc, "d": pd}
@@ -61,7 +64,22 @@ func TestPropertyPlanIndicators(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return p.EvalIndicators(present) == EvalIndicators(e, present)
+		if p.EvalIndicators(present) != EvalIndicators(e, present) {
+			return false
+		}
+		table := []event.Type{"unused"}
+		visible := make(map[event.Type]bool)
+		for i, typ := range []event.Type{"a", "b", "c", "d"} {
+			if inTable&(1<<i) != 0 {
+				table = append(table, typ)
+				visible[typ] = present[typ]
+			}
+		}
+		row := make([]bool, len(table))
+		for pos, typ := range table {
+			row[pos] = visible[typ]
+		}
+		return p.Bind(table).Eval(row) == EvalIndicators(e, visible)
 	}
 	cfg := &quick.Config{MaxCount: 400}
 	if err := quick.Check(f, cfg); err != nil {

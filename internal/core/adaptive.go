@@ -6,7 +6,6 @@ import (
 
 	"patterndp/internal/cep"
 	"patterndp/internal/dp"
-	"patterndp/internal/event"
 )
 
 // AdaptiveConfig parameterizes the adaptive PPM (Algorithm 1).
@@ -73,10 +72,10 @@ func (c AdaptiveConfig) validate() error {
 // turn while the other types' perturbations are held fixed (coordinate
 // descent over pattern types).
 type AdaptivePPM struct {
+	flipTable
 	cfg     AdaptiveConfig
 	private []PatternType
 	dists   []*dp.Distribution
-	flips   map[event.Type][]float64
 	fitQ    float64
 	iters   int
 }
@@ -171,19 +170,9 @@ func (a *AdaptivePPM) fitPattern(k int, pt PatternType, history []IndicatorWindo
 	return bestQ, iters
 }
 
-// rebuildFlips recomputes the per-type flip lists from the per-pattern
-// element allocations. Duplicate element types within or across patterns
-// contribute one independent flip each.
-func (a *AdaptivePPM) rebuildFlips() {
-	flips := make(map[event.Type][]float64)
-	for k, pt := range a.private {
-		probs := a.dists[k].FlipProbs()
-		for i, t := range pt.Elements {
-			flips[t] = append(flips[t], probs[i])
-		}
-	}
-	a.flips = flips
-}
+// rebuildFlips recomputes the flip table from the per-pattern element
+// allocations.
+func (a *AdaptivePPM) rebuildFlips() { a.flipTable = newFlipTable(a.private, a.dists) }
 
 // Name implements Mechanism.
 func (a *AdaptivePPM) Name() string { return "adaptive" }
@@ -203,47 +192,3 @@ func (a *AdaptivePPM) FittedQuality() float64 { return a.fitQ }
 
 // Iterations returns the number of committed optimization steps.
 func (a *AdaptivePPM) Iterations() int { return a.iters }
-
-// FlipProb returns the effective flip probability for one event type (the
-// composition of all flips claiming it).
-func (a *AdaptivePPM) FlipProb(t event.Type) float64 {
-	eff := 0.0
-	for _, p := range a.flips[t] {
-		eff = eff*(1-p) + p*(1-eff)
-	}
-	return eff
-}
-
-// FlipProbs returns the effective per-type flip probabilities.
-func (a *AdaptivePPM) FlipProbs() map[event.Type]float64 {
-	out := make(map[event.Type]float64, len(a.flips))
-	for t := range a.flips {
-		out[t] = a.FlipProb(t)
-	}
-	return out
-}
-
-// PerturbWindow perturbs one window's indicators. Types are processed in
-// sorted order so a seeded rng yields reproducible releases.
-func (a *AdaptivePPM) PerturbWindow(rng *rand.Rand, present map[event.Type]bool) map[event.Type]bool {
-	out := make(map[event.Type]bool, len(present))
-	for _, t := range SortedTypes(present) {
-		bit := present[t]
-		for _, p := range a.flips[t] {
-			if rng.Float64() < p {
-				bit = !bit
-			}
-		}
-		out[t] = bit
-	}
-	return out
-}
-
-// Run implements Mechanism.
-func (a *AdaptivePPM) Run(rng *rand.Rand, wins []IndicatorWindow) []map[event.Type]bool {
-	out := make([]map[event.Type]bool, len(wins))
-	for i, w := range wins {
-		out[i] = a.PerturbWindow(rng, w.Present)
-	}
-	return out
-}

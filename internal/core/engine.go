@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,45 +62,82 @@ type PrivateEngine struct {
 
 // planSet is one immutable epoch of the engine's serving state: the sorted
 // target queries, the compiled plan of each (parallel to targets), and the
-// union of private-pattern element types and target-query types that
-// indicators must cover. Compiled once per registration change, shared by
-// every in-flight service call.
+// type table — the sorted union of private-pattern element types and
+// target-query types that indicators must cover. Compiled once per
+// registration change, shared by every in-flight service call.
+//
+// The planSet is the single owner of the type table. When the mechanism
+// exposes its flip lists (the pattern-level PPMs do), the epoch also carries
+// the dense serving form: a window's indicators are a flat row of bits
+// indexed by table position, flips[pos] is the flip list of types[pos], and
+// bound[j] is plans[j] with its operands resolved to positions.
 type planSet struct {
 	targets []cep.Query
 	plans   []*cep.Plan
 	types   []event.Type
+
+	// dense selects the row path; flips and bound are set only with it.
+	dense bool
+	pos   map[event.Type]int32
+	flips [][]float64
+	bound []*cep.BoundPlan
 }
 
 // buildPlanSet compiles the serving state for a sorted target snapshot.
-// Queries are validated at registration, so compilation cannot fail; a
-// defensive nil plan falls back to the tree interpreter in the answer loop.
-func buildPlanSet(private []PatternType, targets []cep.Query, plans []*cep.Plan) *planSet {
+// Queries are validated at registration, so compilation cannot fail.
+func buildPlanSet(m Mechanism, private []PatternType, targets []cep.Query, plans []*cep.Plan) *planSet {
 	ps := &planSet{targets: targets, plans: plans}
 	if ps.plans == nil {
 		ps.plans = make([]*cep.Plan, len(targets))
 		for i, q := range targets {
-			if p, err := cep.Compile(q); err == nil {
-				ps.plans[i] = p
-			}
-		}
-	}
-	seen := make(map[event.Type]bool)
-	add := func(ts []event.Type) {
-		for _, t := range ts {
-			if !seen[t] {
-				seen[t] = true
-				ps.types = append(ps.types, t)
-			}
+			ps.plans[i] = cep.MustCompile(q)
 		}
 	}
 	for _, pt := range private {
-		add(pt.Elements)
+		ps.types = append(ps.types, pt.Elements...)
 	}
 	for _, q := range targets {
-		add(q.Pattern.Types())
+		ps.types = append(ps.types, q.Pattern.Types()...)
 	}
-	sort.Slice(ps.types, func(i, j int) bool { return ps.types[i] < ps.types[j] })
+	slices.Sort(ps.types)
+	ps.types = slices.Compact(ps.types)
+	if fl, ok := m.(flipLister); ok {
+		lists := fl.flipLists()
+		ps.dense = true
+		ps.flips = make([][]float64, len(ps.types))
+		ps.pos = make(map[event.Type]int32, len(ps.types))
+		for pos, t := range ps.types {
+			ps.flips[pos] = lists[t]
+			ps.pos[t] = int32(pos)
+		}
+		ps.bound = make([]*cep.BoundPlan, len(ps.plans))
+		for j, p := range ps.plans {
+			ps.bound[j] = p.Bind(ps.types)
+		}
+	}
 	return ps
+}
+
+// fillRow writes the window's true existence indicators into row, which is
+// laid out by the type table: one pass over the window's tally (or, for a
+// window that carries none, over its events).
+func (ps *planSet) fillRow(row []bool, w *stream.Window) {
+	clear(row)
+	if w.TypeCounts != nil {
+		for _, c := range w.TypeCounts {
+			if c.N > 0 {
+				if pos, ok := ps.pos[c.Type]; ok {
+					row[pos] = true
+				}
+			}
+		}
+		return
+	}
+	for _, e := range w.Events {
+		if pos, ok := ps.pos[e.Type]; ok {
+			row[pos] = true
+		}
+	}
 }
 
 // NewPrivateEngine builds an engine around the given mechanism and the
@@ -117,7 +155,7 @@ func NewPrivateEngine(m Mechanism, private []PatternType, seed int64) (*PrivateE
 		targets:   make(map[string]cep.Query),
 		seed:      seed,
 	}
-	pe.snap = buildPlanSet(private, nil, nil)
+	pe.snap = buildPlanSet(m, private, nil, nil)
 	return pe, nil
 }
 
@@ -243,7 +281,7 @@ func (pe *PrivateEngine) rebuildSnapshot() {
 		out = append(out, q)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	pe.snap = buildPlanSet(pe.private, out, nil)
+	pe.snap = buildPlanSet(pe.mechanism, pe.private, out, nil)
 }
 
 // snapshot returns the current serving snapshot. The returned set and its
@@ -286,7 +324,7 @@ func (pe *PrivateEngine) SetTargetPlans(plans []*cep.Plan) error {
 	for _, q := range targets {
 		pe.targets[q.Name] = q
 	}
-	pe.snap = buildPlanSet(pe.private, targets, plans)
+	pe.snap = buildPlanSet(pe.mechanism, pe.private, targets, plans)
 	return nil
 }
 
@@ -296,91 +334,37 @@ func (pe *PrivateEngine) SetTargetPlans(plans []*cep.Plan) error {
 func (pe *PrivateEngine) RunsDropped() uint64 {
 	var total uint64
 	for _, p := range pe.snapshot().plans {
-		if p != nil {
-			total += p.Dropped()
-		}
+		total += p.Dropped()
 	}
 	return total
 }
 
-// indicatorScratch is the reusable buffer of one ProcessWindows call: the
-// indicator-window slice and its per-window maps are cleared and refilled
-// instead of reallocated. Safe because Mechanism.Run must not retain its
-// input windows (see the interface contract).
+// indicatorScratch is the reusable input buffer of one generic-path service
+// call: the indicator-window slice and its per-window maps are cleared and
+// refilled instead of reallocated. Safe because Mechanism.Run must not retain
+// its input windows (see the interface contract).
 type indicatorScratch struct {
 	wins []IndicatorWindow
-	// counts holds the scratch-owned Counts maps, parallel to wins,
-	// cleared and refilled instead of reallocated.
-	counts []map[event.Type]int
-	// released holds the scratch-owned release maps handed to a
-	// ReleaseReuser mechanism, parallel to wins; prepared only when
-	// requested.
-	released []map[event.Type]bool
-	// lastTypes remembers the type slice of the previous fill and fresh
-	// how many leading wins entries that fill wrote: when the same
-	// plan-set epoch fills again (the steady serving state), those
-	// entries' Present maps already hold exactly these keys and are
-	// overwritten in place instead of cleared and rebuilt.
-	lastTypes []event.Type
-	fresh     int
-}
-
-// sameTypes reports whether two type slices are the identical slice.
-func sameTypes(a, b []event.Type) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 var indicatorPool = sync.Pool{New: func() any { return new(indicatorScratch) }}
 
-// fill rebuilds the scratch to mirror ws over the given types. When
-// wantReleased is set it also prepares one release map per window for a
-// ReleaseReuser mechanism.
-func (sc *indicatorScratch) fill(ws []stream.Window, types []event.Type, wantReleased bool) []IndicatorWindow {
-	// Grow each slice against its own capacity: append can round the
-	// backing arrays up to different size classes, so one guard for all
-	// three would leave the smaller ones behind and panic on reslice.
+// fill rebuilds the scratch to mirror ws over the given types.
+func (sc *indicatorScratch) fill(ws []stream.Window, types []event.Type) []IndicatorWindow {
 	if n := len(ws); cap(sc.wins) < n {
 		sc.wins = append(sc.wins[:cap(sc.wins)], make([]IndicatorWindow, n-cap(sc.wins))...)
 	}
-	if n := len(ws); cap(sc.counts) < n {
-		sc.counts = append(sc.counts[:cap(sc.counts)], make([]map[event.Type]int, n-cap(sc.counts))...)
-	}
-	if n := len(ws); cap(sc.released) < n {
-		sc.released = append(sc.released[:cap(sc.released)], make([]map[event.Type]bool, n-cap(sc.released))...)
-	}
 	sc.wins = sc.wins[:len(ws)]
-	sc.counts = sc.counts[:len(ws)]
-	sc.released = sc.released[:len(ws)]
-	reuseKeys := sameTypes(types, sc.lastTypes)
-	fresh := sc.fresh
-	sc.lastTypes = types
-	if len(ws) > fresh || !reuseKeys {
-		sc.fresh = len(ws)
-	}
 	for i := range sc.wins {
 		iw := &sc.wins[i]
 		iw.Index = i
-		refill := !reuseKeys || i >= fresh
 		if iw.Present == nil {
 			iw.Present = make(map[event.Type]bool, len(types))
-		} else if refill {
+			iw.Counts = make(map[event.Type]int, len(types))
+		} else {
 			clear(iw.Present)
+			clear(iw.Counts)
 		}
-		if sc.counts[i] == nil {
-			sc.counts[i] = make(map[event.Type]int, len(types))
-		} else if refill {
-			clear(sc.counts[i])
-		}
-		iw.Counts = sc.counts[i]
-		if wantReleased {
-			if sc.released[i] == nil {
-				sc.released[i] = make(map[event.Type]bool, len(types))
-			} else if refill {
-				clear(sc.released[i])
-			}
-		}
-		// Window.Count reads the windower's tally when present, so
-		// indexing a served window never rescans its events.
 		for _, t := range types {
 			c := ws[i].Count(t)
 			iw.Counts[t] = c
@@ -401,49 +385,86 @@ func (pe *PrivateEngine) ProcessWindows(ws []stream.Window) ([]Answer, error) {
 // caller can reuse one answer buffer across calls: answers are valid until
 // the caller reuses the buffer. Windows that carry TypeCounts (cut by the
 // streaming Windower) are indexed without rescanning their events.
+//
+// There are two paths, chosen per epoch from the mechanism. A mechanism that
+// exposes flip lists is served over dense indicator rows: no map, no sort
+// and no allocation per window. Any other mechanism — the stateful
+// w-event/landmark baselines need the whole window sequence, Identity has
+// nothing to flip — goes through Mechanism.Run over indicator maps. Both
+// consume the call's RNG in the same order, so for a PPM they release the
+// same bits; the generic path is the differential oracle of the dense one.
 func (pe *PrivateEngine) ProcessWindowsInto(dst []Answer, ws []stream.Window) ([]Answer, error) {
 	ps := pe.snapshot()
 	if len(ps.targets) == 0 {
 		return nil, fmt.Errorf("core: no target queries registered")
 	}
-	reuser, reuse := pe.mechanism.(ReleaseReuser)
-	scratch := indicatorPool.Get().(*indicatorScratch)
-	iws := scratch.fill(ws, ps.types, reuse)
+	if ps.dense {
+		return pe.processDense(ps, dst, ws), nil
+	}
+	return pe.processGeneric(ps, dst, ws)
+}
+
+// denseStackTypes is the largest type table whose indicator row lives on the
+// service call's stack; a larger table costs one allocation per call.
+const denseStackTypes = 64
+
+// processDense perturbs and answers each window as one row of bits over the
+// type table. Randomness is drawn exactly as flipTable.Run draws it over the
+// generic path's indicator maps — window-major, types in sorted order, each
+// type's flips in registration order — so released bits are identical for
+// the same seed.
+func (pe *PrivateEngine) processDense(ps *planSet, dst []Answer, ws []stream.Window) []Answer {
+	var buf [denseStackTypes]bool
+	row := buf[:]
+	if len(ps.types) > len(buf) {
+		row = make([]bool, len(ps.types))
+	}
+	row = row[:len(ps.types)]
+	dst = slices.Grow(dst, len(ws)*len(ps.targets))
 	rng := pe.callRNG()
-	var released []map[event.Type]bool
-	if reuse {
-		released = reuser.RunInto(rng.r, iws, scratch.released)
-	} else {
-		released = pe.mechanism.Run(rng.r, iws)
+	for i := range ws {
+		w := &ws[i]
+		ps.fillRow(row, w)
+		for pos, probs := range ps.flips {
+			for _, p := range probs {
+				if rng.r.Float64() < p {
+					row[pos] = !row[pos]
+				}
+			}
+		}
+		for j, b := range ps.bound {
+			dst = append(dst, Answer{
+				Query:       ps.targets[j].Name,
+				WindowIndex: i,
+				Window:      *w,
+				Detected:    b.Eval(row),
+			})
+		}
 	}
 	putRNG(rng)
+	return dst
+}
+
+// processGeneric presents the whole window sequence to Mechanism.Run as
+// indicator maps and answers from the released maps.
+func (pe *PrivateEngine) processGeneric(ps *planSet, dst []Answer, ws []stream.Window) ([]Answer, error) {
+	scratch := indicatorPool.Get().(*indicatorScratch)
+	defer indicatorPool.Put(scratch)
+	rng := pe.callRNG()
+	released := pe.mechanism.Run(rng.r, scratch.fill(ws, ps.types))
+	putRNG(rng)
 	if len(released) != len(ws) {
-		indicatorPool.Put(scratch)
 		return nil, fmt.Errorf("core: mechanism %q returned %d windows for %d inputs",
 			pe.mechanism.Name(), len(released), len(ws))
 	}
-	// The scratch (including pooled release maps) stays out of the pool
-	// until the answers below have been computed from it.
-	defer indicatorPool.Put(scratch)
-	if need := len(dst) + len(ws)*len(ps.targets); cap(dst) < need {
-		grown := make([]Answer, len(dst), need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, len(ws)*len(ps.targets))
 	for i, w := range ws {
-		rel := released[i]
-		for j, q := range ps.targets {
-			detected := false
-			if p := ps.plans[j]; p != nil {
-				detected = p.EvalIndicators(rel)
-			} else {
-				detected = cep.EvalIndicators(q.Pattern, rel)
-			}
+		for j, p := range ps.plans {
 			dst = append(dst, Answer{
-				Query:       q.Name,
+				Query:       ps.targets[j].Name,
 				WindowIndex: i,
 				Window:      w,
-				Detected:    detected,
+				Detected:    p.EvalIndicators(released[i]),
 			})
 		}
 	}

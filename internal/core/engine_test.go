@@ -190,10 +190,10 @@ func TestRelevantTypesUnion(t *testing.T) {
 	}
 }
 
-// TestIndicatorScratchStaleKeys pins the fill fast path: when the relevant
-// type set changes between fills of different batch lengths, no Present map
-// may retain keys from an older type set (mechanisms iterate Present, so a
-// stale key would change the released indicator set).
+// TestIndicatorScratchStaleKeys pins the pooled fill: when the relevant type
+// set changes between fills of different batch lengths, no Present map may
+// retain keys from an older type set (mechanisms iterate Present, so a stale
+// key would change the released indicator set).
 func TestIndicatorScratchStaleKeys(t *testing.T) {
 	mk := func(n int) []stream.Window {
 		ws := make([]stream.Window, n)
@@ -205,9 +205,9 @@ func TestIndicatorScratchStaleKeys(t *testing.T) {
 	sc := new(indicatorScratch)
 	t1 := []event.Type{"a", "b", "c"}
 	t2 := []event.Type{"x"}
-	sc.fill(mk(5), t1, true)
-	sc.fill(mk(2), t2, true)
-	wins := sc.fill(mk(5), t2, true) // entries 2..4 were last written under t1
+	sc.fill(mk(5), t1)
+	sc.fill(mk(2), t2)
+	wins := sc.fill(mk(5), t2) // entries 2..4 were last written under t1
 	for i, iw := range wins {
 		if len(iw.Present) != len(t2) {
 			t.Fatalf("window %d: Present has %d keys %v, want exactly %v", i, len(iw.Present), iw.Present, t2)
@@ -217,32 +217,10 @@ func TestIndicatorScratchStaleKeys(t *testing.T) {
 		}
 	}
 	// Steady state: same types, same length — keys overwritten in place.
-	wins = sc.fill(mk(5), t2, true)
+	wins = sc.fill(mk(5), t2)
 	for i, iw := range wins {
 		if len(iw.Present) != 1 {
 			t.Fatalf("steady window %d: Present = %v", i, iw.Present)
-		}
-	}
-}
-
-// TestIndicatorScratchGrowth pins the independent-capacity growth of the
-// scratch slices: Go's append can round the parallel backing arrays to
-// different size classes, so growing batch sizes (5, 6, 8 reproduces the
-// original panic) must not reslice a smaller sibling out of range.
-func TestIndicatorScratchGrowth(t *testing.T) {
-	mk := func(n int) []stream.Window {
-		ws := make([]stream.Window, n)
-		for i := range ws {
-			ws[i] = stream.Window{Start: event.Timestamp(i * 10), End: event.Timestamp(i*10 + 10)}
-		}
-		return ws
-	}
-	sc := new(indicatorScratch)
-	types := []event.Type{"a"}
-	for _, n := range []int{5, 6, 8, 3, 17, 1} {
-		wins := sc.fill(mk(n), types, true)
-		if len(wins) != n || len(sc.counts) != n || len(sc.released) != n {
-			t.Fatalf("fill(%d): wins=%d counts=%d released=%d", n, len(wins), len(sc.counts), len(sc.released))
 		}
 	}
 }

@@ -18,9 +18,8 @@ type IndicatorWindow struct {
 	// Present maps each relevant event type to its existence indicator.
 	Present map[event.Type]bool
 	// Counts maps each relevant event type to its occurrence count.
-	// Mechanisms must treat it (like Present) as read-only: on the
-	// serving hot path both maps are pooled buffers recycled between
-	// service calls.
+	// Mechanisms must treat it (like Present) as read-only: the serving
+	// engine hands Run pooled maps that it recycles between service calls.
 	Counts map[event.Type]int
 }
 
@@ -97,14 +96,14 @@ type Mechanism interface {
 	Run(rng *rand.Rand, wins []IndicatorWindow) []map[event.Type]bool
 }
 
-// ReleaseReuser is an optional Mechanism extension for the serving hot
-// path: RunInto behaves exactly like Run — same semantics, same randomness
-// consumption — but writes each window's released indicators into the
-// corresponding pre-cleared map of released (guaranteed to have
-// len(released) == len(wins)) instead of allocating fresh maps. The engine
-// recycles those maps between calls, so implementations must not retain
-// them after returning; mechanisms whose releases escape the call (e.g.
-// into republication state) should not implement the extension.
+// ReleaseReuser is an optional Mechanism extension: RunInto behaves exactly
+// like Run — same semantics, same randomness consumption — but writes each
+// window's released indicators into the corresponding pre-cleared map of
+// released (guaranteed to have len(released) == len(wins)) instead of
+// allocating fresh maps. The serving engine does not use it — a PPM is served
+// over dense rows, everything else through Run — so its only caller is the
+// bench ladder's core.perturb rung; once that rung is re-pointed, the
+// extension and UniformPPM.RunInto can be deleted.
 type ReleaseReuser interface {
 	RunInto(rng *rand.Rand, wins []IndicatorWindow, released []map[event.Type]bool) []map[event.Type]bool
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"patterndp/internal/dp"
 	"patterndp/internal/event"
@@ -22,11 +23,9 @@ import (
 // (overlapping patterns), the randomized responses compose independently,
 // which only strengthens the protection (Section V-A, last paragraph).
 type UniformPPM struct {
+	flipTable
 	private []PatternType
 	eps     dp.Epsilon
-	// flips lists, per event type, the flip probabilities of each private
-	// pattern that claims it. Responses compose in order.
-	flips map[event.Type][]float64
 }
 
 // NewUniformPPM configures the mechanism with a total per-pattern budget eps
@@ -38,8 +37,8 @@ func NewUniformPPM(eps dp.Epsilon, private ...PatternType) (*UniformPPM, error) 
 	if len(private) == 0 {
 		return nil, fmt.Errorf("core: uniform PPM needs at least one private pattern type")
 	}
-	u := &UniformPPM{eps: eps, flips: make(map[event.Type][]float64)}
-	for _, pt := range private {
+	dists := make([]*dp.Distribution, len(private))
+	for k, pt := range private {
 		if pt.Len() == 0 {
 			return nil, fmt.Errorf("core: private pattern type %q has no elements", pt.Name)
 		}
@@ -47,13 +46,9 @@ func NewUniformPPM(eps dp.Epsilon, private ...PatternType) (*UniformPPM, error) 
 		if err != nil {
 			return nil, err
 		}
-		probs := dist.FlipProbs()
-		for i, t := range pt.Elements {
-			u.flips[t] = append(u.flips[t], probs[i])
-		}
-		u.private = append(u.private, pt)
+		dists[k] = dist
 	}
-	return u, nil
+	return &UniformPPM{flipTable: newFlipTable(private, dists), private: slices.Clone(private), eps: eps}, nil
 }
 
 // Name implements Mechanism.
@@ -66,57 +61,12 @@ func (u *UniformPPM) TotalEpsilon() dp.Epsilon { return u.eps }
 // Private returns the configured private pattern types.
 func (u *UniformPPM) Private() []PatternType { return u.private }
 
-// FlipProb returns the effective flip probability applied to one event
-// type's indicator: the composition of the independent randomized responses
-// of every private pattern claiming the type. Composing two flips with
-// probabilities p and q flips the bit with probability p(1−q) + q(1−p).
-func (u *UniformPPM) FlipProb(t event.Type) float64 {
-	ps, ok := u.flips[t]
-	if !ok {
-		return 0
-	}
-	eff := 0.0
-	for _, p := range ps {
-		eff = eff*(1-p) + p*(1-eff)
-	}
-	return eff
-}
-
-// FlipProbs returns the effective per-type flip probabilities for all
-// perturbed types.
-func (u *UniformPPM) FlipProbs() map[event.Type]float64 {
-	out := make(map[event.Type]float64, len(u.flips))
-	for t := range u.flips {
-		out[t] = u.FlipProb(t)
-	}
-	return out
-}
-
-// PerturbWindow perturbs one window's indicators. Types are processed in
-// sorted order so a seeded rng yields reproducible releases.
-func (u *UniformPPM) PerturbWindow(rng *rand.Rand, present map[event.Type]bool) map[event.Type]bool {
-	out := make(map[event.Type]bool, len(present))
-	for _, t := range SortedTypes(present) {
-		bit := present[t]
-		for _, p := range u.flips[t] {
-			if rng.Float64() < p {
-				bit = !bit
-			}
-		}
-		out[t] = bit
-	}
-	return out
-}
-
-// Run implements Mechanism: windows are perturbed independently.
-func (u *UniformPPM) Run(rng *rand.Rand, wins []IndicatorWindow) []map[event.Type]bool {
-	return u.RunInto(rng, wins, make([]map[event.Type]bool, len(wins)))
-}
-
 // RunInto implements ReleaseReuser, reusing the caller's release maps. The
 // sort scratch is shared across the batch, but each window's types are
 // sorted individually, so randomness is consumed in exactly PerturbWindow's
-// order and seeded releases are unchanged.
+// order and seeded releases are unchanged. Only the bench ladder's
+// core.perturb rung calls it: the serving engine perturbs dense rows from
+// the flip lists instead.
 func (u *UniformPPM) RunInto(rng *rand.Rand, wins []IndicatorWindow, released []map[event.Type]bool) []map[event.Type]bool {
 	var types []event.Type
 	if len(wins) > 0 {

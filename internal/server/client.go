@@ -47,8 +47,9 @@ type ClientConfig struct {
 type Client struct {
 	cfg ClientConfig
 
-	wmu sync.Mutex // serializes frame writes
-	req reqCounter
+	wmu  sync.Mutex // serializes frame writes
+	wbuf []byte     // the frame being written; guarded by wmu
+	req  reqCounter
 
 	mu        sync.Mutex
 	conn      net.Conn
@@ -408,10 +409,27 @@ func (c *Client) heartbeatLoop(conn net.Conn, gen uint64, h time.Duration) {
 func (c *Client) writeFrame(conn net.Conn, t wire.Type, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	c.wbuf = wire.AppendFrame(c.wbuf[:0], t, payload)
+	return c.writeLocked(conn)
+}
+
+// writeIngest is writeFrame for an Ingest, encoded straight into the write
+// buffer: a steady ingest loop allocates nothing per batch to send it.
+func (c *Client) writeIngest(conn net.Conn, in wire.Ingest) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = wire.AppendIngestFrame(c.wbuf[:0], in)
+	return c.writeLocked(conn)
+}
+
+// writeLocked writes the frame held in wbuf as a single Write; the caller
+// holds wmu.
+func (c *Client) writeLocked(conn net.Conn) error {
 	if wt := c.requestTimeout(); wt > 0 {
 		conn.SetWriteDeadline(time.Now().Add(wt))
 	}
-	return wire.WriteFrame(conn, t, payload)
+	_, err := conn.Write(c.wbuf)
+	return err
 }
 
 func (c *Client) reply(req uint64, res result) {
@@ -642,6 +660,12 @@ func (c *Client) Close() error {
 // call sends one request frame (payload only; framing happens here) and
 // waits for its Ack or Error under the request timeout.
 func (c *Client) call(t wire.Type, req uint64, payload []byte) (wire.Ack, error) {
+	return c.roundTrip(req, func(conn net.Conn) error { return c.writeFrame(conn, t, payload) })
+}
+
+// roundTrip registers request req, sends it with write, and waits for its
+// reply under the request timeout.
+func (c *Client) roundTrip(req uint64, write func(net.Conn) error) (wire.Ack, error) {
 	ch := make(chan result, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -652,7 +676,7 @@ func (c *Client) call(t wire.Type, req uint64, payload []byte) (wire.Ack, error)
 	conn := c.conn
 	c.pending[req] = ch
 	c.mu.Unlock()
-	if err := c.writeFrame(conn, t, payload); err != nil {
+	if err := write(conn); err != nil {
 		c.mu.Lock()
 		delete(c.pending, req)
 		c.mu.Unlock()
@@ -685,8 +709,9 @@ func (c *Client) call(t wire.Type, req uint64, payload []byte) (wire.Ack, error)
 // sources are tenant-relative stream keys; the server namespaces them.
 func (c *Client) Ingest(evs []event.Event) (int, error) {
 	req := c.req.next()
-	ack, err := c.call(wire.TIngest, req,
-		wire.AppendIngest(nil, wire.Ingest{Req: req, Events: evs}))
+	ack, err := c.roundTrip(req, func(conn net.Conn) error {
+		return c.writeIngest(conn, wire.Ingest{Req: req, Events: evs})
+	})
 	if err != nil {
 		return 0, err
 	}

@@ -190,6 +190,15 @@ func AppendAnswerFrame(dst []byte, a Answer) []byte {
 	return sealFrame(AppendAnswer(appendHeader(dst, TAnswer), a), start)
 }
 
+// AppendIngestFrame appends a complete Ingest frame to dst, encoding the
+// payload in place behind its header — byte-identical to
+// AppendFrame(dst, TIngest, AppendIngest(nil, in)) without the intermediate
+// payload slice.
+func AppendIngestFrame(dst []byte, in Ingest) []byte {
+	start := len(dst)
+	return sealFrame(AppendIngest(appendHeader(dst, TIngest), in), start)
+}
+
 // WriteFrame writes one frame to w. The caller serializes concurrent
 // writers; a frame is a single Write call, so writes that are serialized
 // never interleave on the wire.

@@ -41,6 +41,25 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendIngestFrameMatchesAppendFrame pins the in-place Ingest encoder to
+// the two-step form it replaces: identical bytes on the wire, appended behind
+// whatever dst already holds.
+func TestAppendIngestFrameMatchesAppendFrame(t *testing.T) {
+	full := Ingest{Req: 300, Events: []event.Event{
+		event.New("a", 1).WithSource("s1"),
+		event.New("a longer type name", 1<<40).WithSource("s2"),
+		event.New("", -5),
+	}}
+	for _, prefix := range [][]byte{nil, []byte("earlier frame")} {
+		for _, in := range []Ingest{full, {Req: 1}} {
+			want := AppendFrame(bytes.Clone(prefix), TIngest, AppendIngest(nil, in))
+			if got := AppendIngestFrame(bytes.Clone(prefix), in); !bytes.Equal(got, want) {
+				t.Errorf("AppendIngestFrame(%d events) = %x, want %x", len(in.Events), got, want)
+			}
+		}
+	}
+}
+
 // countingReader counts the Read calls that reach the transport.
 type countingReader struct {
 	r     io.Reader
