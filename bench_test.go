@@ -473,8 +473,7 @@ func hotPathQueries(selective bool, width event.Timestamp) []cep.Query {
 // original tumbling benchmark, so every configuration serves one window per
 // 32 ingested events per stream — and the width grows with the overlap
 // factor: overlap=1 is the original tumbling configuration (Slide unset),
-// overlap=k serves sliding windows of width 32k. naive selects the
-// brute-force per-window re-evaluation baseline instead of pane assembly.
+// overlap=k serves sliding windows of width 32k.
 // budget enables privacy-budget accounting with an effectively unlimited
 // grant, so every window is admitted and the rows measure pure ledger
 // overhead on the publish path (which must stay 0 allocs/op).
@@ -488,7 +487,7 @@ func hotPathQueries(selective bool, width event.Timestamp) []cep.Query {
 // the obs=on rows measure the scrape-ready serving path against the
 // unobserved rows of the same shape (which must also stay 0 allocs/op: the
 // instruments are preallocated atomics).
-func benchServeWindow(b *testing.B, mode string, shards, overlap int, naive, budget bool, fsync string, obs bool) {
+func benchServeWindow(b *testing.B, mode string, shards, overlap int, budget bool, fsync string, obs bool) {
 	private, err := core.NewPatternType("p", "c0", "c1", "c2")
 	if err != nil {
 		b.Fatal(err)
@@ -506,10 +505,9 @@ func benchServeWindow(b *testing.B, mode string, shards, overlap int, naive, bud
 		Mechanism: func(int) (core.Mechanism, error) {
 			return core.NewUniformPPM(1, private)
 		},
-		Private:      []core.PatternType{private},
-		Targets:      hotPathQueries(mode == "selective", width),
-		Seed:         42,
-		NaiveSliding: naive,
+		Private: []core.PatternType{private},
+		Targets: hotPathQueries(mode == "selective", width),
+		Seed:    42,
 	}
 	if overlap > 1 {
 		cfg.Slide = slide
@@ -584,9 +582,8 @@ func benchServeWindow(b *testing.B, mode string, shards, overlap int, naive, bud
 // overlap factors 1 (tumbling), 4, and 8 (sliding windows pane-assembled at
 // a fixed one-window-per-32-events cadence; see benchServeWindow). allocs/op
 // is the allocation-discipline signal; events/s the throughput signal.
-// Compare the overlap>1 rows against BenchmarkServeWindowNaiveSliding for
-// the pane-sharing speedup, and the budget=on rows against budget=off for
-// the privacy-ledger overhead (accounting must keep the path 0 allocs/op).
+// Compare the budget=on rows against budget=off for the privacy-ledger
+// overhead (accounting must keep the path 0 allocs/op).
 // The wal= rows add the durable-state subsystem at each fsync policy on the
 // budgeted configuration — wal=off (a WAL that syncs only at checkpoints)
 // vs wal=interval (background sync cadence) vs wal=always (sync per
@@ -604,7 +601,7 @@ func BenchmarkServeWindowHotPath(b *testing.B) {
 					name := fmt.Sprintf("%s/shards=%d/overlap=%d/budget=%s",
 						mode, shards, overlap, map[bool]string{false: "off", true: "on"}[budget])
 					b.Run(name, func(b *testing.B) {
-						benchServeWindow(b, mode, shards, overlap, false, budget, "", false)
+						benchServeWindow(b, mode, shards, overlap, budget, "", false)
 					})
 				}
 			}
@@ -617,7 +614,7 @@ func BenchmarkServeWindowHotPath(b *testing.B) {
 					name := fmt.Sprintf("%s/shards=%d/overlap=%d/budget=on/wal=%s",
 						mode, shards, overlap, fsync)
 					b.Run(name, func(b *testing.B) {
-						benchServeWindow(b, mode, shards, overlap, false, true, fsync, false)
+						benchServeWindow(b, mode, shards, overlap, true, fsync, false)
 					})
 				}
 			}
@@ -633,27 +630,9 @@ func BenchmarkServeWindowHotPath(b *testing.B) {
 					name := fmt.Sprintf("%s/shards=%d/overlap=%d/budget=on/obs=%s",
 						mode, shards, overlap, map[bool]string{false: "off", true: "on"}[obs])
 					b.Run(name, func(b *testing.B) {
-						benchServeWindow(b, mode, shards, overlap, false, true, "", obs)
+						benchServeWindow(b, mode, shards, overlap, true, "", obs)
 					})
 				}
-			}
-		}
-	}
-}
-
-// BenchmarkServeWindowNaiveSliding is the brute-force comparison baseline
-// for the sliding rows of BenchmarkServeWindowHotPath: identical workload
-// and window cadence, but every window is re-buffered (copied, sorted) and
-// re-evaluated from scratch (no pane tallies — indicator extraction rescans
-// each window's events per type), the cost a naive sliding port pays
-// width/slide times per event.
-func BenchmarkServeWindowNaiveSliding(b *testing.B) {
-	for _, mode := range []string{"selective", "dense"} {
-		for _, shards := range []int{1, 8} {
-			for _, overlap := range []int{4, 8} {
-				b.Run(fmt.Sprintf("%s/shards=%d/overlap=%d", mode, shards, overlap), func(b *testing.B) {
-					benchServeWindow(b, mode, shards, overlap, true, false, "", false)
-				})
 			}
 		}
 	}

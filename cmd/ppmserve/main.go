@@ -17,10 +17,9 @@
 //	ppmserve -listen :7070 -wal-dir /var/lib/ppm/a -handoff-to host:7071 -handoff-token s3cr3t
 //
 // With -slide less than the window width the runtime serves sliding windows
-// assembled from panes of the slide width (see README "Sliding windows");
-// -naive switches to the brute-force per-window re-evaluation baseline for
-// comparison. -snap prints a periodic serving snapshot line — events,
-// windows, panes, overlap, answers — while traffic flows.
+// assembled from panes of the slide width (see README "Sliding windows").
+// -snap prints a periodic serving snapshot line — events, windows, panes,
+// overlap, answers — while traffic flows.
 //
 // With -budget the runtime runs the privacy-budget ledger (see README
 // "Privacy accounting"): each stream is granted that much pattern-level ε
@@ -82,168 +81,222 @@ import (
 	"patterndp/internal/synth"
 )
 
-func main() {
-	var (
-		shards    = flag.Int("shards", 8, "serving shards")
-		streams   = flag.Int("streams", 32, "concurrent event streams")
-		windows   = flag.Int("windows", 500, "windows generated per stream")
-		eps       = flag.Float64("eps", 1.0, "pattern-level privacy budget")
-		seed      = flag.Int64("seed", 1, "random seed")
-		buffer    = flag.Int("buffer", 256, "per-shard ingest buffer")
-		bp        = flag.String("backpressure", "block", "backpressure policy: block | drop-oldest")
-		lateness  = flag.Int64("lateness", 0, "allowed lateness (>0 enables the reorder buffer)")
-		horizon   = flag.Int64("horizon", 0, "max forward timestamp jump per stream (0 = unbounded)")
-		churn     = flag.Float64("churn", 0, "control-plane churn: probe-query (un)registrations per second")
-		batch     = flag.Int("batch", 1, "events per IngestBatch call (1 = per-event Ingest)")
-		slide     = flag.Int64("slide", 0, "window slide in logical time (0 = window width, i.e. tumbling; must divide the width)")
-		naive     = flag.Bool("naive", false, "serve sliding windows by brute-force per-window re-evaluation (comparison baseline)")
-		snap      = flag.Duration("snap", 0, "print a periodic serving snapshot at this interval (0 = off)")
-		budget    = flag.Float64("budget", 0, "per-stream privacy-budget grant per epoch (0 = accounting off)")
-		budgetPol = flag.String("budget-policy", "deny", "budget exhaustion policy: deny | suppress | throttle | rotate-epoch")
-		walDir    = flag.String("wal-dir", "", "durable-state directory: WAL + checkpoints; recovers on start if non-empty (empty = durability off)")
-		fsync     = flag.String("fsync", "interval", "WAL sync policy under -wal-dir: interval | always | off")
-		ckptEvery = flag.Duration("checkpoint-every", 5*time.Second, "background checkpoint cadence under -wal-dir (0 = only on drain)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the serving run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-
-		adminAddr   = flag.String("admin", "", "serve the admin HTTP endpoint (/metrics /healthz /readyz /statsz /debug/pprof) on this address (e.g. :9090)")
-		traceSample = flag.Float64("trace-sample", 0, "fraction of ingest batches lifecycle-traced end to end (0 = off, 1 = every batch); traced batches emit ppm.trace slog records and feed the ppm_trace_* histograms")
-
-		listen       = flag.String("listen", "", "serve tenants over TCP on this address instead of replaying locally (e.g. :7070)")
-		connect      = flag.String("connect", "", "run as a tenant client against a -listen server at this address")
-		tenantName   = flag.String("tenant", "tenant-a", "tenant token presented by -connect")
-		maxStreams   = flag.Int("max-streams", 0, "per-tenant distinct-stream quota under -listen (0 = unlimited)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound under -listen: in-flight flush and session wind-down")
-		heartbeat    = flag.Duration("heartbeat", 10*time.Second, "liveness heartbeat interval under -listen; silent peers are reaped after 2x this (negative = off)")
-		resumeWindow = flag.Duration("resume-window", 30*time.Second, "how long a disconnected session's replay state is kept for resume under -listen (negative = off)")
-		replayBuffer = flag.Int("replay-buffer", 256, "per-subscription replay ring capacity under -listen; overflow surfaces as explicit gap markers")
-		reconnect    = flag.Bool("reconnect", false, "under -connect: auto-reconnect with backoff and resume the session after transport failures")
-		rateLimit    = flag.Float64("rate-limit", 0, "per-tenant ingest rate limit in events/s under -listen (0 = unlimited)")
-		maxParked    = flag.Int("max-parked", 0, "server-wide cap on parked (disconnected, resumable) sessions under -listen; oldest evicted (0 = unlimited)")
-		handoffTo    = flag.String("handoff-to", "", "under -listen with -wal-dir: on the first signal, freeze and hand the partition off to a -takeover peer at this address, then exit 0")
-		takeover     = flag.String("takeover", "", "under -listen with -wal-dir: before serving, accept one partition handoff on this address into -wal-dir and adopt it")
-		handoffToken = flag.String("handoff-token", "", "shared secret authenticating -handoff-to against -takeover (empty = unauthenticated)")
-	)
-	flag.Parse()
-	if *listen != "" && *connect != "" {
-		fmt.Fprintln(os.Stderr, "ppmserve: -listen and -connect are mutually exclusive")
-		os.Exit(1)
-	}
-	if (*handoffTo != "" || *takeover != "") && (*listen == "" || *walDir == "") {
-		fmt.Fprintln(os.Stderr, "ppmserve: -handoff-to/-takeover require -listen and -wal-dir")
-		os.Exit(1)
-	}
-	// profiledRun keeps the profile defers on a frame that returns before
-	// os.Exit, so a serving error still flushes a complete CPU profile.
-	profiledRun := func() error {
-		if *cpuProf != "" {
-			f, err := os.Create(*cpuProf)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := pprof.StartCPUProfile(f); err != nil {
-				return err
-			}
-			defer pprof.StopCPUProfile()
-		}
-		switch {
-		case *listen != "":
-			ho := handoffOpts{To: *handoffTo, Takeover: *takeover, Token: *handoffToken}
-			return runServer(*listen, *maxStreams, *drainTimeout, *heartbeat, *resumeWindow, *replayBuffer, *rateLimit, *maxParked, ho, *adminAddr, *traceSample, *shards, *eps, *seed, *buffer, *bp, *lateness, *horizon, *slide, *naive, *windows, *budget, *budgetPol, *walDir, *fsync, *ckptEvery)
-		case *connect != "":
-			return runClient(*connect, *tenantName, *streams, *windows, *batch, *seed, *reconnect)
-		}
-		return run(*shards, *streams, *windows, *eps, *seed, *buffer, *bp, *lateness, *horizon, *churn, *batch, *slide, *naive, *snap, *budget, *budgetPol, *walDir, *fsync, *ckptEvery, *adminAddr, *traceSample)
-	}
-	if err := profiledRun(); err != nil {
-		fmt.Fprintln(os.Stderr, "ppmserve:", err)
-		os.Exit(1)
-	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ppmserve:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		goruntime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ppmserve:", err)
-			os.Exit(1)
-		}
-	}
+// options is every ppmserve flag, filled once by parseFlags.
+type options struct {
+	// Replay shape and reporting.
+	streams, windows, batch int
+	seed                    int64
+	churn                   float64
+	snap                    time.Duration
+	cpuProf, memProf        string
+	// Runtime configuration; see runtimeConfig.
+	shards, buffer             int
+	eps, budget, traceSample   float64
+	lateness, horizon, slide   int64
+	backpressure, budgetPolicy string
+	walDir, fsync              string
+	ckptEvery                  time.Duration
+	// Network modes.
+	adminAddr, listen, connect, tenant    string
+	maxStreams, replayBuffer, maxParked   int
+	rateLimit                             float64
+	drainTimeout, heartbeat, resumeWindow time.Duration
+	reconnect                             bool
+	// Rolling restart: the draining side ships to handoffTo, the adopting
+	// side accepts on takeover, handoffToken is their shared secret.
+	handoffTo, takeover, handoffToken string
 }
 
-// buildRuntime assembles the runtime configuration shared by the replay and
-// -listen modes: the synthetic dataset supplies the window width, private
-// types, and (shared) target queries; the flags supply everything else. reg
-// (which may be nil) receives the runtime's metrics and traceSample enables
-// the sampled event-lifecycle trace.
-func buildRuntime(shards int, eps float64, seed int64, buffer int, bp string, lateness, horizon int64, slide int64, naive bool, windows int, budget float64, budgetPol, walDir, fsync string, ckptEvery time.Duration, reg *metrics.Registry, traceSample float64) (*runtime.Runtime, *synth.Dataset, synth.Config, error) {
-	policy, err := account.ParsePolicy(budgetPol)
-	if err != nil {
-		return nil, nil, synth.Config{}, err
+// parseFlags parses the command line into options on its own FlagSet. It
+// checks nothing across flags — runtimeConfig does.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("ppmserve", flag.ContinueOnError)
+	fs.IntVar(&o.shards, "shards", 8, "serving shards")
+	fs.IntVar(&o.streams, "streams", 32, "concurrent event streams")
+	fs.IntVar(&o.windows, "windows", 500, "windows generated per stream")
+	fs.Float64Var(&o.eps, "eps", 1.0, "pattern-level privacy budget")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.IntVar(&o.buffer, "buffer", 256, "per-shard ingest buffer")
+	fs.StringVar(&o.backpressure, "backpressure", "block", "backpressure policy: block | drop-oldest")
+	fs.Int64Var(&o.lateness, "lateness", 0, "allowed lateness (>0 enables the reorder buffer)")
+	fs.Int64Var(&o.horizon, "horizon", 0, "max forward timestamp jump per stream (0 = unbounded)")
+	fs.Float64Var(&o.churn, "churn", 0, "control-plane churn: probe-query (un)registrations per second")
+	fs.IntVar(&o.batch, "batch", 1, "events per IngestBatch call (1 = per-event Ingest)")
+	fs.Int64Var(&o.slide, "slide", 0, "window slide in logical time (0 = window width, i.e. tumbling; must divide the width)")
+	fs.DurationVar(&o.snap, "snap", 0, "print a periodic serving snapshot at this interval (0 = off)")
+	fs.Float64Var(&o.budget, "budget", 0, "per-stream privacy-budget grant per epoch (0 = accounting off)")
+	fs.StringVar(&o.budgetPolicy, "budget-policy", "deny", "budget exhaustion policy: deny | suppress | throttle | rotate-epoch")
+	fs.StringVar(&o.walDir, "wal-dir", "", "durable-state directory: WAL + checkpoints; recovers on start if non-empty (empty = durability off)")
+	fs.StringVar(&o.fsync, "fsync", "interval", "WAL sync policy under -wal-dir: interval | always | off")
+	fs.DurationVar(&o.ckptEvery, "checkpoint-every", 5*time.Second, "background checkpoint cadence under -wal-dir (0 = only on drain)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the serving run to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile taken after the run to this file")
+
+	fs.StringVar(&o.adminAddr, "admin", "", "serve the admin HTTP endpoint (/metrics /healthz /readyz /statsz /debug/pprof) on this address (e.g. :9090)")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0, "fraction of ingest batches lifecycle-traced end to end (0 = off, 1 = every batch); traced batches emit ppm.trace slog records and feed the ppm_trace_* histograms")
+
+	fs.StringVar(&o.listen, "listen", "", "serve tenants over TCP on this address instead of replaying locally (e.g. :7070)")
+	fs.StringVar(&o.connect, "connect", "", "run as a tenant client against a -listen server at this address")
+	fs.StringVar(&o.tenant, "tenant", "tenant-a", "tenant token presented by -connect")
+	fs.IntVar(&o.maxStreams, "max-streams", 0, "per-tenant distinct-stream quota under -listen (0 = unlimited)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain bound under -listen: in-flight flush and session wind-down")
+	fs.DurationVar(&o.heartbeat, "heartbeat", 10*time.Second, "liveness heartbeat interval under -listen; silent peers are reaped after 2x this (negative = off)")
+	fs.DurationVar(&o.resumeWindow, "resume-window", 30*time.Second, "how long a disconnected session's replay state is kept for resume under -listen (negative = off)")
+	fs.IntVar(&o.replayBuffer, "replay-buffer", 256, "per-subscription replay ring capacity under -listen; overflow surfaces as explicit gap markers")
+	fs.BoolVar(&o.reconnect, "reconnect", false, "under -connect: auto-reconnect with backoff and resume the session after transport failures")
+	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest rate limit in events/s under -listen (0 = unlimited)")
+	fs.IntVar(&o.maxParked, "max-parked", 0, "server-wide cap on parked (disconnected, resumable) sessions under -listen; oldest evicted (0 = unlimited)")
+	fs.StringVar(&o.handoffTo, "handoff-to", "", "under -listen with -wal-dir: on the first signal, freeze and hand the partition off to a -takeover peer at this address, then exit 0")
+	fs.StringVar(&o.takeover, "takeover", "", "under -listen with -wal-dir: before serving, accept one partition handoff on this address into -wal-dir and adopt it")
+	fs.StringVar(&o.handoffToken, "handoff-token", "", "shared secret authenticating -handoff-to against -takeover (empty = unauthenticated)")
+	return o, fs.Parse(args)
+}
+
+// runtimeConfig checks the flags against each other and maps them onto the
+// runtime configuration. It is pure: the fields only a generated dataset or a
+// live registry can supply (WindowWidth, Private, Targets, Metrics) are left
+// for buildRuntime.
+func (o options) runtimeConfig() (runtime.Config, error) {
+	switch {
+	case o.listen != "" && o.connect != "":
+		return runtime.Config{}, errors.New("-listen and -connect are mutually exclusive")
+	case (o.handoffTo != "" || o.takeover != "") && (o.listen == "" || o.walDir == ""):
+		return runtime.Config{}, errors.New("-handoff-to/-takeover require -listen and -wal-dir")
+	case o.batch < 1:
+		return runtime.Config{}, fmt.Errorf("batch size %d must be >= 1", o.batch)
 	}
-	scfg := synth.DefaultConfig(seed)
-	scfg.NumWindows = windows
-	ds, err := synth.Generate(scfg)
+	policy, err := account.ParsePolicy(o.budgetPolicy)
 	if err != nil {
-		return nil, nil, synth.Config{}, err
+		return runtime.Config{}, err
 	}
+	eps := dp.Epsilon(o.eps)
 	cfg := runtime.Config{
-		Shards:       shards,
-		WindowWidth:  scfg.WindowWidth,
-		Slide:        event.Timestamp(slide),
-		NaiveSliding: naive,
+		Shards: o.shards,
+		Slide:  event.Timestamp(o.slide),
 		// The set-aware factory keeps the budget split coherent across
 		// control-plane epochs (and enables RegisterPrivate).
 		MechanismFor: func(_ int, private []core.PatternType) (core.Mechanism, error) {
-			return core.NewUniformPPM(dp.Epsilon(eps), private...)
+			return core.NewUniformPPM(eps, private...)
 		},
-		Private:      ds.PrivateTypes(),
-		Targets:      ds.TargetQueries(),
-		Seed:         seed,
-		ShardBuffer:  buffer,
-		Budget:       dp.Epsilon(budget),
+		Seed:         o.seed,
+		Horizon:      event.Timestamp(o.horizon),
+		ShardBuffer:  o.buffer,
+		Budget:       dp.Epsilon(o.budget),
 		BudgetPolicy: policy,
-		Metrics:      reg,
-		TraceSample:  traceSample,
+		TraceSample:  o.traceSample,
 	}
-	switch bp {
+	switch o.backpressure {
 	case "block":
 		cfg.Backpressure = runtime.Block
 	case "drop-oldest":
 		cfg.Backpressure = runtime.DropOldest
 	default:
-		return nil, nil, synth.Config{}, fmt.Errorf("unknown backpressure policy %q", bp)
+		return runtime.Config{}, fmt.Errorf("unknown backpressure policy %q", o.backpressure)
 	}
-	if lateness > 0 {
+	if o.lateness > 0 {
 		cfg.Lateness = runtime.ReorderBuffer
-		cfg.AllowedLateness = event.Timestamp(lateness)
+		cfg.AllowedLateness = event.Timestamp(o.lateness)
 	}
-	cfg.Horizon = event.Timestamp(horizon)
-	if walDir != "" {
-		fp, err := runtime.ParseFsyncPolicy(fsync)
+	if o.walDir != "" {
+		fp, err := runtime.ParseFsyncPolicy(o.fsync)
 		if err != nil {
-			return nil, nil, synth.Config{}, err
+			return runtime.Config{}, err
 		}
 		cfg.Durability = &runtime.DurabilityConfig{
-			Dir:             walDir,
+			Dir:             o.walDir,
 			Fsync:           fp,
-			CheckpointEvery: ckptEvery,
+			CheckpointEvery: o.ckptEvery,
 		}
 	}
+	return cfg, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		// The FlagSet has already printed the error and the usage.
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(2)
+	}
+	// Reject a bad flag combination before any mode starts listening,
+	// generating or profiling.
+	if _, err = o.runtimeConfig(); err == nil {
+		err = profiledRun(o)
+	}
+	if err == nil && o.memProf != "" {
+		err = writeHeapProfile(o.memProf)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ppmserve:", err)
+		os.Exit(1)
+	}
+}
+
+// profiledRun runs the selected mode under -cpuprofile. The profile defers
+// sit on a frame that returns before os.Exit, so a serving error still
+// flushes a complete CPU profile.
+func profiledRun(o options) error {
+	if o.cpuProf != "" {
+		f, err := os.Create(o.cpuProf)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
+	switch {
+	case o.listen != "":
+		return runServer(o)
+	case o.connect != "":
+		return runClient(o)
+	}
+	return run(o)
+}
+
+// writeHeapProfile writes the -memprofile heap profile, taken after the run.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	goruntime.GC()
+	return pprof.WriteHeapProfile(f)
+}
+
+// buildRuntime starts the runtime shared by the replay and -listen modes: the
+// synthetic dataset supplies the window width, private types, and (shared)
+// target queries; runtimeConfig supplies everything else. reg (which may be
+// nil) receives the runtime's metrics.
+func buildRuntime(o options, reg *metrics.Registry) (*runtime.Runtime, *synth.Dataset, error) {
+	cfg, err := o.runtimeConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	ds, err := dataset(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.WindowWidth = ds.Config.WindowWidth
+	cfg.Private = ds.PrivateTypes()
+	cfg.Targets = ds.TargetQueries()
+	cfg.Metrics = reg
 	rt, err := runtime.New(cfg)
 	if err != nil {
-		return nil, nil, synth.Config{}, err
+		return nil, nil, err
 	}
 	if rec := rt.Recovery(); rec != nil {
 		// The recovery summary: where serving resumes from, how much of it
 		// came from WAL replay, and the spend delta the replay re-charged on
 		// top of the checkpoint.
 		fmt.Printf("recovered %s: checkpoint %d, budget epoch %d (control %d), %d streams\n",
-			walDir, rec.CheckpointID, rec.BudgetEpoch, rec.Epoch, rec.Streams)
+			o.walDir, rec.CheckpointID, rec.BudgetEpoch, rec.Epoch, rec.Streams)
 		fmt.Printf("recovered spend: %.4g restored + %.4g replayed from %d WAL records (%d registrations)\n",
 			float64(rec.RestoredSpend), float64(rec.ReplayedSpend), rec.ReplayedRecords, rec.Registrations)
 		if rec.Truncated || rec.SkippedCheckpoints > 0 {
@@ -251,13 +304,36 @@ func buildRuntime(shards int, eps float64, seed int64, buffer int, bp string, la
 				rec.SkippedCheckpoints)
 		}
 	}
-	return rt, ds, scfg, nil
+	return rt, ds, nil
 }
 
-func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp string, lateness, horizon int64, churn float64, batch int, slide int64, naive bool, snap time.Duration, budget float64, budgetPol, walDir, fsync string, ckptEvery time.Duration, adminAddr string, traceSample float64) error {
-	if batch < 1 {
-		return fmt.Errorf("batch size %d must be >= 1", batch)
+// dataset generates the synthetic feed the flags describe.
+func dataset(o options) (*synth.Dataset, error) {
+	scfg := synth.DefaultConfig(o.seed)
+	scfg.NumWindows = o.windows
+	return synth.Generate(scfg)
+}
+
+// tally counts one query's answers: all, detected, and (under a budget)
+// suppressed placeholder releases.
+type tally struct{ answers, detected, suppressed int }
+
+// print writes the tally's report line.
+func (t tally) print(query string) {
+	rate := 0.0
+	if t.answers > 0 {
+		rate = float64(t.detected) / float64(t.answers)
 	}
+	if t.suppressed > 0 {
+		fmt.Printf("  %-12s %6d answers, %5.1f%% detected, %d suppressed\n", query, t.answers, 100*rate, t.suppressed)
+	} else {
+		fmt.Printf("  %-12s %6d answers, %5.1f%% detected\n", query, t.answers, 100*rate)
+	}
+}
+
+// run is the default mode: replay the synthetic feed through a local runtime
+// and report what it served.
+func run(o options) error {
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the producers so
 	// CloseContext can drain in-flight windows and the final report (with
 	// the budget snapshot) still prints; a second signal aborts.
@@ -266,15 +342,15 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 	// Local replay only pays for observability when asked: the registry
 	// exists iff -admin or -trace-sample is set.
 	var reg *metrics.Registry
-	if adminAddr != "" || traceSample > 0 {
+	if o.adminAddr != "" || o.traceSample > 0 {
 		reg = metrics.NewRegistry()
 	}
-	rt, ds, scfg, err := buildRuntime(shards, eps, seed, buffer, bp, lateness, horizon, slide, naive, windows, budget, budgetPol, walDir, fsync, ckptEvery, reg, traceSample)
+	rt, ds, err := buildRuntime(o, reg)
 	if err != nil {
 		return err
 	}
-	if adminAddr != "" {
-		closeAdmin, err := startAdmin(adminAddr, server.NewAdmin(server.AdminConfig{Registry: reg, Runtime: rt}))
+	if o.adminAddr != "" {
+		closeAdmin, err := startAdmin(o.adminAddr, server.NewAdmin(server.AdminConfig{Registry: reg, Runtime: rt}))
 		if err != nil {
 			rt.Close()
 			return err
@@ -283,27 +359,23 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 	}
 	base := ds.Events()
 	targets := ds.TargetQueries()
-	if slide > 0 && event.Timestamp(slide) != scfg.WindowWidth {
-		mode := "pane-assembled"
-		if naive {
-			mode = "naive re-evaluation"
-		}
-		fmt.Printf("serving %d streams x %d events across %d shards, eps=%g — sliding windows width %d slide %d (overlap %d, %s)\n",
-			streams, len(base), shards, eps, scfg.WindowWidth, slide, rt.Snapshot().Overlap, mode)
+	if o.slide > 0 && event.Timestamp(o.slide) != ds.Config.WindowWidth {
+		fmt.Printf("serving %d streams x %d events across %d shards, eps=%g — sliding windows width %d slide %d (overlap %d, pane-assembled)\n",
+			o.streams, len(base), o.shards, o.eps, ds.Config.WindowWidth, o.slide, rt.Snapshot().Overlap)
 	} else {
 		fmt.Printf("serving %d streams x %d events (%d windows each) across %d shards, eps=%g\n",
-			streams, len(base), windows, shards, eps)
+			o.streams, len(base), o.windows, o.shards, o.eps)
 	}
 
 	// Periodic serving snapshot: one line per interval with the pane and
 	// overlap counters alongside the usual serving totals.
 	snapStop := make(chan struct{})
 	var snapper sync.WaitGroup
-	if snap > 0 {
+	if o.snap > 0 {
 		snapper.Add(1)
 		go func() {
 			defer snapper.Done()
-			tick := time.NewTicker(snap)
+			tick := time.NewTicker(o.snap)
 			defer tick.Stop()
 			for {
 				select {
@@ -322,9 +394,6 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 
 	// One subscriber per target query, counting detections (and, under a
 	// budget, suppressed placeholder releases).
-	type tally struct {
-		answers, detected, suppressed int
-	}
 	tallies := make([]tally, len(targets))
 	var consumers sync.WaitGroup
 	for qi, q := range targets {
@@ -351,9 +420,9 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 	// requested rate while traffic flows, bumping the epoch each time.
 	churnStop := make(chan struct{})
 	var churner sync.WaitGroup
-	if churn > 0 {
-		probe := cep.Query{Name: "churn-probe", Pattern: ds.TargetQueries()[0].Pattern, Window: scfg.WindowWidth}
-		tick := time.NewTicker(time.Duration(float64(time.Second) / churn))
+	if o.churn > 0 {
+		probe := cep.Query{Name: "churn-probe", Pattern: ds.TargetQueries()[0].Pattern, Window: ds.Config.WindowWidth}
+		tick := time.NewTicker(time.Duration(float64(time.Second) / o.churn))
 		churner.Add(1)
 		go func() {
 			defer churner.Done()
@@ -384,12 +453,12 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 	// stream key — batched through IngestBatch when -batch > 1. The signal
 	// context cancels producers mid-feed on SIGINT/SIGTERM.
 	var producers sync.WaitGroup
-	for i := 0; i < streams; i++ {
+	for i := 0; i < o.streams; i++ {
 		producers.Add(1)
 		go func(i int) {
 			defer producers.Done()
 			key := fmt.Sprintf("stream-%03d", i)
-			buf := make([]event.Event, 0, batch)
+			buf := make([]event.Event, 0, o.batch)
 			flush := func() bool {
 				if len(buf) == 0 {
 					return true
@@ -405,7 +474,7 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 			}
 			for _, e := range base {
 				buf = append(buf, e.WithSource(key))
-				if len(buf) == batch && !flush() {
+				if len(buf) == o.batch && !flush() {
 					return
 				}
 			}
@@ -436,7 +505,7 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 	st := rt.Snapshot()
 	tot := st.Totals()
 	fmt.Printf("\nserved %d events in %v — %.0f events/s\n", tot.EventsIn, st.Uptime.Round(1000000), st.Throughput())
-	if churn > 0 {
+	if o.churn > 0 {
 		// Idle shards never reach a window boundary and so never apply an
 		// epoch; report convergence over the shards that actually served.
 		applied, first := runtime.Epoch(0), true
@@ -477,16 +546,7 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 
 	fmt.Println("\nper-query detection rates:")
 	for qi, q := range targets {
-		rate := 0.0
-		if tallies[qi].answers > 0 {
-			rate = float64(tallies[qi].detected) / float64(tallies[qi].answers)
-		}
-		if b := st.Budget; b != nil && tallies[qi].suppressed > 0 {
-			fmt.Printf("  %-12s %6d answers, %5.1f%% detected, %d suppressed\n",
-				q.Name, tallies[qi].answers, 100*rate, tallies[qi].suppressed)
-		} else {
-			fmt.Printf("  %-12s %6d answers, %5.1f%% detected\n", q.Name, tallies[qi].answers, 100*rate)
-		}
+		tallies[qi].print(q.Name)
 	}
 	if b := st.Budget; b != nil {
 		fmt.Printf("\nprivacy budget (policy %s, epoch %d): grant %g per stream, charge %g per window\n",
@@ -499,8 +559,8 @@ func run(shards, streams, windows int, eps float64, seed int64, buffer int, bp s
 			fmt.Printf("  query %-12s attributed eps %.4g\n", q.Query, float64(q.Eps))
 		}
 	}
-	if walDir != "" && closeErr == nil {
-		fmt.Printf("\ndurable state checkpointed to %s (fsync %s) — restart with the same -wal-dir to resume\n", walDir, fsync)
+	if o.walDir != "" && closeErr == nil {
+		fmt.Printf("\ndurable state checkpointed to %s (fsync %s) — restart with the same -wal-dir to resume\n", o.walDir, o.fsync)
 	}
 	return closeErr
 }

@@ -36,18 +36,7 @@ import (
 	"patterndp/internal/metrics"
 	"patterndp/internal/runtime"
 	"patterndp/internal/server"
-	"patterndp/internal/synth"
 )
-
-// handoffOpts are the rolling-restart knobs: To makes the first signal hand
-// the partition off to a takeover peer instead of plain-draining; Takeover
-// makes startup adopt one inbound handoff before serving; Token is the
-// shared secret between the two.
-type handoffOpts struct {
-	To       string
-	Takeover string
-	Token    string
-}
 
 // startAdmin serves the admin HTTP endpoint on addr; the returned func closes
 // its listener.
@@ -72,16 +61,17 @@ func handoffPhase(reg *metrics.Registry, phase string) *metrics.Histogram {
 
 // runServer is the -listen mode: one shared runtime, many tenant
 // connections, graceful drain on the first signal.
-func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindow time.Duration, replayBuffer int, rateLimit float64, maxParked int, ho handoffOpts, adminAddr string, traceSample float64, shards int, eps float64, seed int64, buffer int, bp string, lateness, horizon, slide int64, naive bool, windows int, budget float64, budgetPol, walDir, fsync string, ckptEvery time.Duration) error {
+func runServer(o options) error {
+	walDir := o.walDir
 	// The -listen mode is always observed: one registry spans runtime,
 	// durability, serving layer, and handoff phases whether or not an
 	// -admin listener exposes it (the shutdown report reads it regardless).
 	reg := metrics.NewRegistry()
 	start := time.Now()
 	var adopted *server.HandoffSummary
-	if ho.Takeover != "" {
+	if o.takeover != "" {
 		recvStart := time.Now()
-		sum, err := acceptHandoff(ho.Takeover, walDir, ho.Token)
+		sum, err := acceptHandoff(o.takeover, walDir, o.handoffToken)
 		if err != nil {
 			return fmt.Errorf("takeover failed (source still authoritative): %w", err)
 		}
@@ -90,7 +80,7 @@ func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindo
 		fmt.Printf("takeover: adopted %d files (%d bytes) from %s — %d sessions, source spend %.4g\n",
 			sum.Files, sum.Bytes, sum.Source, sum.Sessions, sum.Spend)
 	}
-	rt, ds, scfg, err := buildRuntime(shards, eps, seed, buffer, bp, lateness, horizon, slide, naive, windows, budget, budgetPol, walDir, fsync, ckptEvery, reg, traceSample)
+	rt, ds, err := buildRuntime(o, reg)
 	if err != nil {
 		return err
 	}
@@ -110,12 +100,12 @@ func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindo
 	}
 	srv, err := server.New(server.Config{
 		Runtime:           rt,
-		Auth:              server.TokenAuth(maxStreams),
-		Heartbeat:         heartbeat,
-		ResumeWindow:      resumeWindow,
-		ReplayBuffer:      replayBuffer,
-		RateLimit:         rateLimit,
-		MaxParkedSessions: maxParked,
+		Auth:              server.TokenAuth(o.maxStreams),
+		Heartbeat:         o.heartbeat,
+		ResumeWindow:      o.resumeWindow,
+		ReplayBuffer:      o.replayBuffer,
+		RateLimit:         o.rateLimit,
+		MaxParkedSessions: o.maxParked,
 		Metrics:           reg,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "server: "+format+"\n", args...)
@@ -124,8 +114,8 @@ func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindo
 	if err != nil {
 		return err
 	}
-	if adminAddr != "" {
-		closeAdmin, err := startAdmin(adminAddr, server.NewAdmin(server.AdminConfig{Registry: reg, Runtime: rt, Server: srv}))
+	if o.adminAddr != "" {
+		closeAdmin, err := startAdmin(o.adminAddr, server.NewAdmin(server.AdminConfig{Registry: reg, Runtime: rt, Server: srv}))
 		if err != nil {
 			rt.Close()
 			return err
@@ -145,7 +135,7 @@ func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindo
 			fmt.Printf("adopted %d resumable sessions from spill\n", n)
 		}
 	}
-	l, err := net.Listen("tcp", addr)
+	l, err := net.Listen("tcp", o.listen)
 	if err != nil {
 		return err
 	}
@@ -154,12 +144,12 @@ func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindo
 		shared = append(shared, q.Name)
 	}
 	fmt.Printf("listening on %s: %d shards, window width %d, shared queries %v\n",
-		l.Addr(), shards, scfg.WindowWidth, shared)
+		l.Addr(), o.shards, ds.Config.WindowWidth, shared)
 	fmt.Printf("resilience: heartbeat %v (reap at 2x), resume window %v, replay ring %d answers/subscription\n",
-		heartbeat, resumeWindow, replayBuffer)
-	if budget > 0 {
+		o.heartbeat, o.resumeWindow, o.replayBuffer)
+	if o.budget > 0 {
 		fmt.Printf("per-stream budget grant %g per epoch (policy %s), tenant stream quota %s\n",
-			budget, budgetPol, quotaString(maxStreams))
+			o.budget, o.budgetPolicy, quotaString(o.maxStreams))
 	}
 
 	serveErr := make(chan error, 1)
@@ -176,11 +166,11 @@ func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindo
 		}
 	}
 
-	if ho.To != "" {
-		return handoffDrain(srv, rt, reg, start, walDir, addr, ho, drainTimeout, budget > 0)
+	if o.handoffTo != "" {
+		return handoffDrain(srv, rt, reg, start, o)
 	}
-	fmt.Printf("\ndraining (timeout %v) — new ingest refused, sessions told goodbye\n", drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	fmt.Printf("\ndraining (timeout %v) — new ingest refused, sessions told goodbye\n", o.drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	if walDir != "" {
 		// Park session cores instead of retiring them so they can be spilled
@@ -210,7 +200,7 @@ func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindo
 
 	// The shutdown report prints from the same CollectStatsz document the
 	// /statsz endpoint serves, so the two views can never disagree.
-	printServeReport(server.CollectStatsz(reg, rt, srv, time.Since(start)), budget > 0)
+	printServeReport(server.CollectStatsz(reg, rt, srv, time.Since(start)), o.budget > 0)
 	if walDir != "" && closeErr == nil {
 		fmt.Printf("\ndurable state checkpointed to %s — restart with the same -wal-dir to resume\n", walDir)
 	}
@@ -222,9 +212,10 @@ func runServer(addr string, maxStreams int, drainTimeout, heartbeat, resumeWindo
 // to the takeover peer, and exit 0 once the peer has verified and acked it.
 // Any failure leaves the local directory authoritative — the operator
 // restarts this side instead.
-func handoffDrain(srv *server.Server, rt *runtime.Runtime, reg *metrics.Registry, start time.Time, walDir, addr string, ho handoffOpts, drainTimeout time.Duration, withBudget bool) error {
-	fmt.Printf("\nhandoff drain (timeout %v) — freezing at a pane boundary, shipping partition to %s\n", drainTimeout, ho.To)
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+func handoffDrain(srv *server.Server, rt *runtime.Runtime, reg *metrics.Registry, start time.Time, o options) error {
+	walDir := o.walDir
+	fmt.Printf("\nhandoff drain (timeout %v) — freezing at a pane boundary, shipping partition to %s\n", o.drainTimeout, o.handoffTo)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	freezeStart := time.Now()
 	srv.DrainForHandoff()
@@ -246,19 +237,19 @@ func handoffDrain(srv *server.Server, rt *runtime.Runtime, reg *metrics.Registry
 	}
 	handoffPhase(reg, "spill").ObserveSince(spillStart)
 	shipStart := time.Now()
-	conn, err := net.Dial("tcp", ho.To)
+	conn, err := net.Dial("tcp", o.handoffTo)
 	if err != nil {
 		return fmt.Errorf("handoff dial: %w (durable state intact in %s)", err, walDir)
 	}
 	defer conn.Close()
-	sum, err := server.SendHandoff(conn, walDir, ho.Token, addr, len(sp.Sessions), spend, server.HandoffCrashNone)
+	sum, err := server.SendHandoff(conn, walDir, o.handoffToken, o.listen, len(sp.Sessions), spend, server.HandoffCrashNone)
 	if err != nil {
 		return fmt.Errorf("handoff: %w (durable state intact in %s)", err, walDir)
 	}
 	handoffPhase(reg, "ship").ObserveSince(shipStart)
 	fmt.Printf("handoff complete: %d files (%d bytes), %d sessions, frozen spend %.4g — peer acked\n",
 		sum.Files, sum.Bytes, sum.Sessions, sum.Spend)
-	printServeReport(server.CollectStatsz(reg, rt, srv, time.Since(start)), withBudget)
+	printServeReport(server.CollectStatsz(reg, rt, srv, time.Since(start)), o.budget > 0)
 	return nil
 }
 
@@ -336,20 +327,16 @@ func printServeReport(z server.Statsz, withBudget bool) {
 // runClient is the -connect mode: replay the synthetic feed to a server as
 // one tenant, subscribed to every query visible to it, and report what came
 // back — including the budget position the answers carried.
-func runClient(addr, tenant string, streams, windows, batch int, seed int64, reconnect bool) error {
-	if batch < 1 {
-		return fmt.Errorf("batch size %d must be >= 1", batch)
-	}
-	scfg := synth.DefaultConfig(seed)
-	scfg.NumWindows = windows
-	ds, err := synth.Generate(scfg)
+func runClient(o options) error {
+	addr, batch, reconnect := o.connect, o.batch, o.reconnect
+	ds, err := dataset(o)
 	if err != nil {
 		return err
 	}
 	base := ds.Events()
 
 	c, err := server.Connect(server.ClientConfig{
-		Token:     tenant,
+		Token:     o.tenant,
 		Dialer:    func() (net.Conn, error) { return net.Dial("tcp", addr) },
 		Reconnect: reconnect,
 	})
@@ -370,7 +357,6 @@ func runClient(addr, tenant string, streams, windows, batch int, seed int64, rec
 	}
 	// The consumer tallies per-query detections and tracks the budget
 	// position answers carry per stream.
-	type tally struct{ answers, detected, suppressed int }
 	tallies := make(map[string]*tally)
 	lastSpend := make(map[string]float64)
 	var gaps, gapped int
@@ -433,7 +419,7 @@ func runClient(addr, tenant string, streams, windows, batch int, seed int64, rec
 		return nil
 	}
 feed:
-	for i := 0; i < streams; i++ {
+	for i := 0; i < o.streams; i++ {
 		key := fmt.Sprintf("stream-%03d", i)
 		for _, e := range base {
 			if ctx.Err() != nil {
@@ -467,15 +453,7 @@ feed:
 
 	fmt.Println("\nper-query answers:")
 	for q, tl := range tallies {
-		rate := 0.0
-		if tl.answers > 0 {
-			rate = float64(tl.detected) / float64(tl.answers)
-		}
-		if tl.suppressed > 0 {
-			fmt.Printf("  %-12s %6d answers, %5.1f%% detected, %d suppressed\n", q, tl.answers, 100*rate, tl.suppressed)
-		} else {
-			fmt.Printf("  %-12s %6d answers, %5.1f%% detected\n", q, tl.answers, 100*rate)
-		}
+		tl.print(q)
 	}
 	if len(lastSpend) > 0 {
 		var max float64

@@ -205,24 +205,6 @@ func (b *bus) count() int {
 	return n
 }
 
-// publish delivers an answer to the query's subscribers and to the
-// subscribe-all set. Sends happen outside the bus lock so a slow subscriber
-// stalls publishers but never blocks new subscriptions or cancellations.
-func (b *bus) publish(a Answer) {
-	b.mu.RLock()
-	targets := make([]*Subscription, 0, len(b.subs[a.Query])+len(b.subs[""]))
-	for s := range b.subs[a.Query] {
-		targets = append(targets, s)
-	}
-	for s := range b.subs[""] {
-		targets = append(targets, s)
-	}
-	b.mu.RUnlock()
-	for _, s := range targets {
-		s.send(a)
-	}
-}
-
 // pubTarget pairs a subscription with the index of the batched answer it is
 // to receive.
 type pubTarget struct {
@@ -230,11 +212,11 @@ type pubTarget struct {
 	idx int32
 }
 
-// collect gathers the delivery targets for a whole answer batch under a
-// single reader lock, appending into the caller's reusable scratch — the
-// batched form of publish's lookup phase. The caller performs the sends
-// outside the lock, preserving publish's property that a slow subscriber
-// never blocks subscription changes.
+// collect gathers the delivery targets for a whole answer batch — each
+// answer goes to its query's subscribers and to the subscribe-all set — under
+// a single reader lock, appending into the caller's reusable scratch. The
+// caller performs the sends outside the lock, so a slow subscriber stalls
+// publishers but never blocks new subscriptions or cancellations.
 func (b *bus) collect(dst []pubTarget, answers []Answer) []pubTarget {
 	b.mu.RLock()
 	defer b.mu.RUnlock()

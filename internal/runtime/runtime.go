@@ -86,12 +86,13 @@ type Config struct {
 	WindowWidth event.Timestamp
 	// Slide is how far consecutive windows advance. It must be a positive
 	// divisor of WindowWidth; 0 (the default) means WindowWidth, i.e.
-	// tumbling windows — exactly the pre-slide behavior, same code path.
-	// When Slide < WindowWidth each stream is served over sliding windows
-	// assembled from panes of the slide width: per-pane type tallies are
-	// merged across a ring into every covering window, so overlapping
-	// windows share their evaluation work instead of re-buffering and
-	// re-scanning events per window. Sliding answers carry interval-only
+	// tumbling windows. When Slide < WindowWidth each stream is served over
+	// sliding windows assembled from panes of the slide width: per-pane type
+	// tallies are merged across a ring into every covering window, so
+	// overlapping windows share their evaluation work instead of
+	// re-buffering and re-scanning events per window. Only the windower
+	// differs: tumbling and sliding windows are decided, served, logged and
+	// published by the same sequence. Sliding answers carry interval-only
 	// windows (no Events, no TypeCounts): per-window event lists are never
 	// materialized on the pane path, and raw contents are not republished
 	// to subscribers. Privacy note: each event then contributes to
@@ -163,21 +164,13 @@ type Config struct {
 	// compensated sums — released answers provably never compose past the
 	// grant under BudgetDeny — and Stats.Budget reports the ledger,
 	// including the w-event composed per-event loss under sliding overlap.
-	// 0 (the default) disables accounting entirely: no ledger, no
-	// per-answer budget fields, exactly the pre-accounting behavior.
+	// 0 (the default) disables accounting: there is no ledger, every window
+	// is admitted at zero charge, and the per-answer budget fields stay 0.
 	Budget dp.Epsilon
 	// BudgetPolicy selects the exhaustion behavior when Budget is set:
 	// BudgetDeny (default), BudgetSuppress, BudgetThrottle, or
 	// BudgetRotateEpoch. See the account package for the exact semantics.
 	BudgetPolicy BudgetPolicy
-	// NaiveSliding serves sliding windows by brute-force per-window
-	// re-buffering and re-evaluation instead of pane assembly: every event
-	// is copied into each of the WindowWidth/Slide windows covering it and
-	// every window is rescanned from scratch. It exists only as the
-	// benchmark comparison baseline for the pane-sharing path (see
-	// BenchmarkServeWindowHotPath) and assumes in-order input; it has no
-	// effect on tumbling configurations.
-	NaiveSliding bool
 	// Durability, when set, enables the durable-state subsystem: ledger
 	// charges, rotations, and registration changes are written ahead of
 	// publishing, windower and ledger state is checkpointed, and New
@@ -207,13 +200,7 @@ type Config struct {
 
 // newWindower builds one stream's windower for the configuration.
 func (c Config) newWindower() *Windower {
-	if slide := c.slideOrWidth(); slide < c.WindowWidth {
-		if c.NaiveSliding {
-			return newNaiveSlidingWindower(c.WindowWidth, slide, c.Lateness, c.AllowedLateness, c.Horizon)
-		}
-		return NewSlidingWindower(c.WindowWidth, slide, c.Lateness, c.AllowedLateness, c.Horizon)
-	}
-	return NewWindower(c.WindowWidth, c.Lateness, c.AllowedLateness, c.Horizon)
+	return NewSlidingWindower(c.WindowWidth, c.slideOrWidth(), c.Lateness, c.AllowedLateness, c.Horizon)
 }
 
 // slideOrWidth resolves the effective slide (0 defaults to the width).
@@ -278,10 +265,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("runtime: Durability.Dir is required")
 		case d.CheckpointEvery < 0:
 			return fmt.Errorf("runtime: Durability.CheckpointEvery = %v", d.CheckpointEvery)
-		case c.NaiveSliding:
-			// The naive baseline keeps raw per-window event buffers the
-			// checkpoint format deliberately does not serialize.
-			return fmt.Errorf("runtime: Durability is not supported with NaiveSliding")
 		}
 	}
 	for _, q := range c.Targets {
@@ -697,33 +680,6 @@ func (rt *Runtime) OpenSubscriptions() int {
 	return rt.bus.count()
 }
 
-// SubscribeChan returns a bare answer channel for the named query.
-//
-// Deprecated: use Subscribe, which rejects unknown query names and returns a
-// cancellable Subscription handle. SubscribeChan keeps the old semantics for
-// migration: an unknown name yields a channel that never receives, and the
-// subscription cannot be cancelled before Close.
-func (rt *Runtime) SubscribeChan(query string) <-chan Answer {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	if rt.closed {
-		ch := make(chan Answer)
-		close(ch)
-		return ch
-	}
-	return rt.bus.add(query).C()
-}
-
-// RegisterTarget adds a target query, effective from the next window each
-// shard closes.
-//
-// Deprecated: use RegisterQuery, which also returns the control-plane epoch
-// the change took effect under.
-func (rt *Runtime) RegisterTarget(q cep.Query) error {
-	_, err := rt.RegisterQuery(q)
-	return err
-}
-
 // Close stops ingestion, drains every shard — trailing partial windows are
 // flushed and answered — then closes all subscriptions. It returns the first
 // shard serving error, if any. Ingest calls racing with Close either land
@@ -852,11 +808,11 @@ type ShardStats struct {
 	WindowsClosed int64
 	// PanesClosed counts panes cut by the shard's windowers. Tumbling
 	// windows are single panes, so the counter tracks WindowsClosed there;
-	// under a sliding configuration it counts the shared pane cuts — and
-	// stays zero under the NaiveSliding baseline, which re-buffers per
-	// window instead of slicing panes.
+	// under a sliding configuration it counts the shared pane cuts, each
+	// merged into WindowWidth/Slide covering windows.
 	PanesClosed int64
-	// AnswersEmitted counts released answers published to the bus.
+	// AnswersEmitted counts released answers published to the bus; a
+	// message that fails publishes, and counts, none of its answers.
 	AnswersEmitted int64
 	// DroppedLate counts events discarded by the lateness policy.
 	DroppedLate int64

@@ -282,10 +282,6 @@ func TestRuntimeClosedSemantics(t *testing.T) {
 	if _, err := rt.RegisterQuery(cep.Query{Name: "q", Pattern: cep.E("a"), Window: 10}); err != ErrClosed {
 		t.Errorf("RegisterQuery after Close = %v, want ErrClosed", err)
 	}
-	// Deprecated SubscribeChan keeps the old closed-channel semantics.
-	if _, open := <-rt.SubscribeChan("has-a"); open {
-		t.Error("SubscribeChan after Close returned an open channel")
-	}
 }
 
 // TestRuntimeRegisterQueryLive adds a query mid-serve and checks it starts
@@ -880,39 +876,60 @@ func (m *failingMechanism) Run(rng *rand.Rand, wins []core.IndicatorWindow) []ma
 
 // TestRuntimeShardFailureSurfaces is the regression test for silent shard
 // death: after an engine error the failure must show up in Ingest (not just
-// at Close), in the snapshot, and in Close's returned error.
+// at Close), in the snapshot, and in Close's returned error — and, with or
+// without a WAL, the message that failed must publish nothing, not even the
+// windows it served before the error.
 func TestRuntimeShardFailureSurfaces(t *testing.T) {
-	cfg := testConfig(t, 1)
-	cfg.Mechanism = func(int) (core.Mechanism, error) {
-		return &failingMechanism{after: 1}, nil
-	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := rt.Subscribe("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for range sub.C() {
-		}
-	}()
-	// Window 0 serves fine; window 1 triggers the failure. Keep ingesting
-	// until the failure propagates to Ingest.
-	var ingestErr error
-	for i := 0; i < 100000 && ingestErr == nil; i++ {
-		ingestErr = rt.Ingest(event.New("a", event.Timestamp(i)))
-	}
-	if !errors.Is(ingestErr, ErrShardFailed) {
-		t.Fatalf("Ingest after shard failure = %v, want ErrShardFailed", ingestErr)
-	}
-	tot := rt.Snapshot().Totals()
-	if !tot.Failed {
-		t.Error("Snapshot does not report the failed shard")
-	}
-	if err := rt.Close(); err == nil || errors.Is(err, ErrClosed) {
-		t.Errorf("Close = %v, want the underlying engine error", err)
+	for _, wal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", wal), func(t *testing.T) {
+			cfg := testConfig(t, 1)
+			cfg.Mechanism = func(int) (core.Mechanism, error) {
+				return &failingMechanism{after: 2}, nil
+			}
+			if wal {
+				cfg.Durability = &DurabilityConfig{Dir: t.TempDir()}
+			}
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, wait := collectAnswers(t, rt)
+			// Message 1 closes window 0 (engine call 1). Message 2 closes
+			// window 1 (call 2, served) and then window 2 (call 3, fails).
+			if err := rt.IngestBatch([]event.Event{event.New("a", 1), event.New("a", 11)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.IngestBatch([]event.Event{event.New("a", 21), event.New("a", 31)}); err != nil {
+				t.Fatal(err)
+			}
+			// Keep ingesting until the failure propagates to Ingest.
+			var ingestErr error
+			for i := 0; i < 100000 && ingestErr == nil; i++ {
+				ingestErr = rt.Ingest(event.New("a", event.Timestamp(40+i)))
+			}
+			if !errors.Is(ingestErr, ErrShardFailed) {
+				t.Fatalf("Ingest after shard failure = %v, want ErrShardFailed", ingestErr)
+			}
+			tot := rt.Snapshot().Totals()
+			if !tot.Failed {
+				t.Error("Snapshot does not report the failed shard")
+			}
+			if err := rt.Close(); err == nil || errors.Is(err, ErrClosed) {
+				t.Errorf("Close = %v, want the underlying engine error", err)
+			}
+			wait()
+			if len(got) != len(cfg.Targets) {
+				t.Errorf("answers for %d queries, want %d", len(got), len(cfg.Targets))
+			}
+			for key, answers := range got {
+				if len(answers) != 1 || answers[0].WindowIndex != 0 {
+					t.Errorf("%s: delivered %+v, want only message 1's window 0", key, answers)
+				}
+			}
+			if int(tot.AnswersEmitted) != len(cfg.Targets) {
+				t.Errorf("AnswersEmitted = %d, want %d", tot.AnswersEmitted, len(cfg.Targets))
+			}
+		})
 	}
 }
 

@@ -96,24 +96,25 @@ type shard struct {
 
 	// wal is the shard's single-writer WAL appender; nil when durability is
 	// disabled. Window and eviction records are staged while deciding and
-	// group-committed with one write per ingest message, strictly before the
-	// answers they cover are published (deferred in defAns until the commit)
-	// — the ordering the one-sided recovery invariant rests on.
-	wal    *durable.Appender
-	defAns []Answer
-
-	// Serving scratch, reused across pushes: the closed-window batch and
-	// the answer buffer of one emit. Only the slice headers are recycled —
-	// window contents and published answers are copied out before reuse.
-	wsScratch  []stream.Window
-	ansScratch []core.Answer
-	pubAns     []Answer
+	// group-committed by commit, one write per ingest message, strictly
+	// before the answers they cover leave the outbox — the ordering the
+	// one-sided recovery invariant rests on.
+	wal *durable.Appender
+	// outbox holds the answers of the ingest message being served: emit
+	// assembles them in place and commit publishes them at message end, so a
+	// message that fails — while serving or at its WAL commit — publishes
+	// nothing.
+	outbox     []Answer
 	pubTargets []pubTarget
-	// admScratch and outScratch are the budgeted publish path's reusable
-	// buffers: the admitted sub-batch and the per-window admission
-	// outcomes of one emit.
-	admScratch []stream.Window
+
+	// Serving scratch of one emit, reused across pushes: the closed-window
+	// batch, each window's admission outcome, the admitted sub-batch handed
+	// to the engine, and the engine's answers. Only the slice headers are
+	// recycled — window contents are copied into the outbox before reuse.
+	wsScratch  []stream.Window
 	outScratch []account.Outcome
+	admScratch []stream.Window
+	ansScratch []core.Answer
 	// trace0 is the trace origin of the message currently being served (0
 	// when untraced): answers emitted while it is set carry it as
 	// Answer.TraceNanos, extending the lifecycle trace to delivery.
@@ -177,7 +178,8 @@ func (s *shard) fail(err error) bool {
 }
 
 // run is the shard's serving loop: window every incoming event's stream,
-// serve closed windows through the engine, and publish released answers.
+// serve closed windows through the engine, and publish each message's
+// released answers when the message ends.
 // When the ingest channel closes it drains, flushing every stream's trailing
 // windows in deterministic key order.
 func (s *shard) run() {
@@ -224,9 +226,7 @@ func (s *shard) run() {
 			tServed = time.Now()
 		}
 		if ok {
-			// Group commit: one write covers every record staged while
-			// serving this message, then the deferred answers publish.
-			ok = s.flushWAL()
+			ok = s.commit()
 		}
 		if s.trace0 != 0 {
 			s.rt.obs.finishTrace(s.id, traceN, msg.t0, tHop, tServed)
@@ -264,10 +264,7 @@ func (s *shard) run() {
 	sort.Strings(keys)
 	for _, key := range keys {
 		st := s.streams[key]
-		if !s.emit(key, st, st.win.FlushInto(s.wsScratch[:0])) {
-			return
-		}
-		if !s.flushWAL() {
+		if !s.emit(key, st, st.win.FlushInto(s.wsScratch[:0])) || !s.commit() {
 			return
 		}
 	}
@@ -343,35 +340,36 @@ func (s *shard) sweep(evict int64) bool {
 	return true
 }
 
-// emit serves all windows one push closed — as a single engine batch, so
+// emit is the one serving sequence for the windows a push (or flush) closed:
+// decide each window, serve the admitted ones as a single engine batch — so
 // stateful mechanisms see the windows in stream order and the per-call
-// overhead is paid once — and publishes every released answer tagged with
-// the stream key, per-stream window index, and the control-plane epoch it
-// was served under. Pending epochs are applied before the batch, never
-// within one, so each answer's epoch names exactly the query and private
-// sets that produced it. Windows closed while no query is registered are
-// counted but answer nothing (the window index still advances, keeping
-// indices aligned with time). It reports false on the first engine error,
-// which it records for Close to surface.
+// overhead is paid once — and assemble every released answer into the
+// message's outbox, tagged with the stream key, per-stream window index, and
+// the control-plane epoch it was served under. Pending epochs are applied
+// before the batch, never within one, so each answer's epoch names exactly
+// the query and private sets that produced it.
 //
-// The instrumented wrapper times only emits that actually serve windows —
-// the common no-windows-closed call reads no clock, which is what keeps the
-// obs=on hot path within noise of obs=off.
+// Deciding: with a ledger every window is decided against the stream's grant
+// before the engine runs and charged once if admitted (answering n queries
+// from one release is post-processing); without one every window is Admitted
+// at zero charge — "budget off" is the degenerate grant, so its answers carry
+// zero SpentEpsilon/RemainingEpsilon. Windows closed while no query is
+// registered are skipped: counted, logged, never served (the window index
+// still advances, keeping indices aligned with time). When a WAL is attached
+// each decision is staged in the same pass; commit writes the records before
+// the outbox leaves. It reports false on the first serving error, which it
+// records for Close to surface.
+//
+// Only emits that actually serve windows are timed — the common
+// no-windows-closed call reads no clock, which is what keeps the obs=on hot
+// path within noise of obs=off.
 func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
-	o := s.rt.obs
-	if o == nil || len(ws) == 0 {
-		return s.emitServe(key, st, ws)
-	}
-	start := time.Now()
-	ok := s.emitServe(key, st, ws)
-	o.serve[s.id].ObserveSince(start)
-	return ok
-}
-
-func (s *shard) emitServe(key string, st *streamState, ws []stream.Window) bool {
 	s.wsScratch = ws[:0]
 	if len(ws) == 0 {
 		return true
+	}
+	if o := s.rt.obs; o != nil {
+		defer o.serve[s.id].ObserveSince(time.Now())
 	}
 	if !s.syncControl() {
 		return false
@@ -381,104 +379,135 @@ func (s *shard) emitServe(key string, st *streamState, ws []stream.Window) bool 
 		s.stats.panesClosed.Add(panes - st.panesSeen)
 		st.panesSeen = panes
 	}
-	if len(s.cur.targets) == 0 {
-		if s.rt.ledger != nil {
-			// Queryless windows release nothing and spend nothing, but
-			// they still advance the stream's w-event composition ring.
-			s.rt.ledger.Skip(st.bud, len(ws))
+	l := s.rt.ledger
+	epoch := uint64(s.cur.budgetEpoch)
+	nq := len(s.cur.targets)
+	if nq == 0 && l != nil {
+		// Queryless windows release nothing and spend nothing, but they
+		// still advance the stream's w-event composition ring.
+		l.Skip(st.bud, len(ws))
+	}
+	s.admScratch = s.admScratch[:0]
+	s.outScratch = s.outScratch[:0]
+	rotated := false
+	for i := range ws {
+		var out account.Outcome // no ledger: Admitted, nothing spent
+		dec, charge := durable.DecisionAdmitted, 0.0
+		if nq == 0 {
+			// Skipped windows are still logged: replay must advance the
+			// stream's window index and ring past them.
+			dec = durable.DecisionSkipped
+		} else if l != nil {
+			out = l.Decide(s.led, st.bud, int64(st.next+i), s.charge, epoch)
+			if out.Decision == account.Rotate {
+				// The BudgetRotateEpoch policy: request one rotation per
+				// observed epoch (level-triggered, so concurrent exhaustions
+				// collapse into one) and suppress the triggering window. The
+				// fresh grant applies from the next window boundary, when
+				// syncControl picks up the rotated state.
+				if !rotated {
+					rotated = true
+					if _, err := s.rt.rotateBudgetFrom(s.cur.budgetEpoch); err != nil && err != ErrClosed {
+						// ErrClosed: a closing runtime grants no fresh
+						// epochs — the remaining drain degrades to Suppress.
+						return s.fail(err)
+					}
+				}
+				out = l.Suppress(s.led, st.bud)
+			}
+			dec = walDecision(out.Decision)
+			if dec == durable.DecisionAdmitted {
+				charge = s.charge
+				s.led.ChargeQueries(charge)
+			}
 		}
-		// Skipped windows are still logged: replay must advance the
-		// stream's window index and ring past them.
-		s.logWindows(key, st, ws, durable.DecisionSkipped, 0)
-		st.next += len(ws)
-		return true
+		if dec == durable.DecisionAdmitted {
+			s.admScratch = append(s.admScratch, ws[i])
+		}
+		if s.wal != nil {
+			s.wal.StageWindow(key, int64(st.next+i), int64(ws[i].Start), dec, charge, epoch)
+		}
+		s.outScratch = append(s.outScratch, out)
 	}
-	if s.led != nil {
-		return s.emitBudgeted(key, st, ws)
+	served := s.ansScratch[:0]
+	if len(s.admScratch) > 0 {
+		var err error
+		if served, err = s.engine.ProcessWindowsInto(served, s.admScratch); err != nil {
+			return s.fail(err)
+		}
+		s.ansScratch = served
 	}
-	answers, err := s.engine.ProcessWindowsInto(s.ansScratch[:0], ws)
-	if err != nil {
-		return s.fail(err)
-	}
-	s.ansScratch = answers
-	s.pubAns = s.pubAns[:0]
 	sliding := s.rt.cfg.sliding()
-	for _, a := range answers {
-		a.WindowIndex += st.next
-		if sliding {
-			// Sliding answers carry interval-only windows: the pane path
-			// never materializes per-window event lists, and the tally
-			// buffers are windower-owned scratch reclaimed on the next
-			// push, so neither may escape to subscribers. (Stripping the
-			// naive baseline's windows too keeps the subscriber-visible
-			// contract independent of the serving strategy.)
-			a.Window.Events = nil
-			a.Window.TypeCounts = nil
+	for i := range ws {
+		out := s.outScratch[i]
+		a := Answer{
+			Stream:           key,
+			Shard:            s.id,
+			Epoch:            s.cur.epoch,
+			SpentEpsilon:     out.Spent,
+			RemainingEpsilon: out.Remaining,
+			TraceNanos:       s.trace0,
 		}
-		s.pubAns = append(s.pubAns, Answer{Stream: key, Shard: s.id, Epoch: s.cur.epoch, TraceNanos: s.trace0, Answer: a})
+		switch out.Decision {
+		case account.Admitted:
+			// The engine answers window-major, one per query (none for a
+			// skipped window: nq is zero).
+			for _, ea := range served[:nq] {
+				a.Answer = ea
+				a.WindowIndex = st.next + i
+				if sliding {
+					// Sliding answers carry interval-only windows: the pane
+					// path never materializes per-window event lists, and the
+					// tally buffers are windower-owned scratch reclaimed on
+					// the next push, so neither may escape to subscribers.
+					a.Window.Events = nil
+					a.Window.TypeCounts = nil
+				}
+				s.outbox = append(s.outbox, a)
+			}
+			served = served[nq:]
+		case account.Suppressed, account.Throttled:
+			// A data-independent placeholder: computed without touching
+			// the window's contents (interval only, Detected constant
+			// false), so it spends no budget.
+			a.Suppressed = true
+			a.WindowIndex = st.next + i
+			a.Window = stream.Window{Start: ws[i].Start, End: ws[i].End}
+			for k := 0; k < nq; k++ {
+				a.Query = s.cur.targets[k].Name
+				s.outbox = append(s.outbox, a)
+			}
+		case account.Denied:
+			// Nothing is released; the window index still advances so
+			// indices stay aligned with time.
+		}
 	}
-	// Unbudgeted releases carry no ε charge, but the records must still hit
-	// the WAL before the bus sees the answers: replay advances window
-	// positions from them. publish defers the answers past the message-level
-	// group commit when a WAL is attached.
-	s.logWindows(key, st, ws, durable.DecisionAdmitted, 0)
-	s.publish(s.pubAns)
-	s.stats.answersEmitted.Add(int64(len(answers)))
 	st.next += len(ws)
 	return true
 }
 
-// logWindows stages one WAL record per window of an emit that decided them
-// all the same way (skipped or unbudgeted-admitted; the budgeted path stages
-// per decision in emitBudgeted). No-op without durability.
-func (s *shard) logWindows(key string, st *streamState, ws []stream.Window, dec durable.Decision, charge float64) {
-	if s.wal == nil {
-		return
-	}
-	for i := range ws {
-		s.wal.StageWindow(key, int64(st.next+i), int64(ws[i].Start), dec, charge, uint64(s.cur.budgetEpoch))
-	}
-}
-
-// publish hands one emit's answers to the bus — immediately when the shard
-// has no WAL, deferred into defAns until the message-level group commit
-// otherwise, so no answer ever precedes the WAL records that cover it. One
-// bus lookup per flush; sends stay outside the bus lock.
-func (s *shard) publish(ans []Answer) {
-	if len(ans) == 0 {
-		return
-	}
+// commit ends one ingest message: it group-commits every WAL record staged
+// while serving it with one write — when a WAL is attached — and only then
+// hands the message's outbox to the bus: append-before-publish at one
+// write(2) and one bus lookup per message, sends outside the bus lock. A
+// commit error (including an injected crash) fails the shard and drops the
+// outbox, so nothing is published — the one-sided recovery invariant: spend
+// may be over-counted after a crash (a charge whose answer never left), never
+// under-counted. A message that failed while serving never reaches commit, so
+// it publishes nothing either.
+func (s *shard) commit() bool {
 	if s.wal != nil {
-		s.defAns = append(s.defAns, ans...)
-		return
-	}
-	s.pubTargets = s.rt.bus.collect(s.pubTargets[:0], ans)
-	for _, t := range s.pubTargets {
-		t.sub.send(ans[t.idx])
-	}
-}
-
-// flushWAL group-commits every record staged while serving the current
-// ingest message with one write, then publishes the deferred answers those
-// records cover — append-before-publish at one write(2) per message instead
-// of one per closed window. A commit error (including an injected crash)
-// fails the shard and drops the deferred answers, so nothing is published —
-// the one-sided recovery invariant: spend may be over-counted after a crash,
-// never under-counted.
-func (s *shard) flushWAL() bool {
-	if s.wal == nil {
-		return true
-	}
-	if err := s.wal.Commit(); err != nil {
-		s.defAns = s.defAns[:0]
-		return s.fail(err)
-	}
-	if len(s.defAns) > 0 {
-		s.pubTargets = s.rt.bus.collect(s.pubTargets[:0], s.defAns)
-		for _, t := range s.pubTargets {
-			t.sub.send(s.defAns[t.idx])
+		if err := s.wal.Commit(); err != nil {
+			return s.fail(err)
 		}
-		s.defAns = s.defAns[:0]
+	}
+	if len(s.outbox) > 0 {
+		s.pubTargets = s.rt.bus.collect(s.pubTargets[:0], s.outbox)
+		for _, t := range s.pubTargets {
+			t.sub.send(s.outbox[t.idx])
+		}
+		s.stats.answersEmitted.Add(int64(len(s.outbox)))
+		s.outbox = s.outbox[:0]
 	}
 	return true
 }

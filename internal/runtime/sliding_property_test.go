@@ -48,7 +48,7 @@ func randomQuerySet(rng *rand.Rand, width event.Timestamp) []cep.Query {
 		case 2:
 			return cep.OrOf(node(depth-1), node(depth-1))
 		case 3:
-			return cep.NegOf(node(depth-1))
+			return cep.NegOf(node(depth - 1))
 		default:
 			return leaf()
 		}
@@ -67,9 +67,11 @@ func randomQuerySet(rng *rand.Rand, width event.Timestamp) []cep.Query {
 	return qs
 }
 
-// expectedWindow is one window of the brute-force serving model.
+// expectedWindow is one window of the brute-force serving model: its
+// interval, per-type occurrence counts, and the indicators they imply.
 type expectedWindow struct {
 	start, end event.Timestamp
+	counts     map[event.Type]int
 	present    map[event.Type]bool
 }
 
@@ -107,9 +109,10 @@ func slidingModel(evs []event.Event, width, slide event.Timestamp, policy Latene
 	first := accepted[0].Time
 	var out []expectedWindow
 	for s := stream.AlignDown(first-width+slide, slide); s <= stream.AlignDown(maxTime, slide); s += slide {
-		w := expectedWindow{start: s, end: s + width, present: map[event.Type]bool{}}
+		w := expectedWindow{start: s, end: s + width, counts: map[event.Type]int{}, present: map[event.Type]bool{}}
 		for _, e := range accepted {
 			if e.Time >= s && e.Time < s+width {
+				w.counts[e.Type]++
 				w.present[e.Type] = true
 			}
 		}
@@ -122,8 +125,7 @@ func slidingModel(evs []event.Event, width, slide event.Timestamp, policy Latene
 // property test (run under -race in CI): for randomized widths, slides,
 // lateness policies, and query sets, the pane-assembled sliding runtime must
 // release exactly the answers of a brute-force per-window evaluation of the
-// accepted events — and the naive re-buffering baseline must agree with the
-// pane path answer for answer on in-order feeds.
+// accepted events.
 func TestPropertySlidingServingMatchesBruteForce(t *testing.T) {
 	pt, err := core.NewPatternType("priv", "a", "b")
 	if err != nil {
@@ -157,38 +159,33 @@ func TestPropertySlidingServingMatchesBruteForce(t *testing.T) {
 			}
 		}
 
-		run := func(naive bool) map[string][]Answer {
-			rt, err := New(Config{
-				Shards:          2,
-				WindowWidth:     width,
-				Slide:           slide,
-				Lateness:        policy,
-				AllowedLateness: lateness,
-				NaiveSliding:    naive,
-				Mechanism:       func(int) (core.Mechanism, error) { return identityMechanism{}, nil },
-				Private:         []core.PatternType{pt},
-				Targets:         queries,
-				Seed:            int64(trial),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, wait := collectAnswers(t, rt)
-			// Sequential ingest keeps per-stream acceptance deterministic.
-			for s := 0; s < streams; s++ {
-				for _, e := range perStream[fmt.Sprintf("stream-%d", s)] {
-					if err := rt.Ingest(e); err != nil {
-						t.Fatal(err)
-					}
+		rt, err := New(Config{
+			Shards:          2,
+			WindowWidth:     width,
+			Slide:           slide,
+			Lateness:        policy,
+			AllowedLateness: lateness,
+			Mechanism:       func(int) (core.Mechanism, error) { return identityMechanism{}, nil },
+			Private:         []core.PatternType{pt},
+			Targets:         queries,
+			Seed:            int64(trial),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, wait := collectAnswers(t, rt)
+		// Sequential ingest keeps per-stream acceptance deterministic.
+		for s := 0; s < streams; s++ {
+			for _, e := range perStream[fmt.Sprintf("stream-%d", s)] {
+				if err := rt.Ingest(e); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if err := rt.Close(); err != nil {
-				t.Fatal(err)
-			}
-			wait()
-			return got
 		}
-		got := run(false)
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wait()
 
 		plans := make([]*cep.Plan, len(queries))
 		for i, q := range queries {
@@ -216,23 +213,6 @@ func TestPropertySlidingServingMatchesBruteForce(t *testing.T) {
 					if wantDet := plans[qi].EvalIndicators(ew.present); a.Detected != wantDet {
 						t.Fatalf("trial %d %s/%s window %d [%d,%d): detected %v, brute force %v",
 							trial, key, q.Name, i, ew.start, ew.end, a.Detected, wantDet)
-					}
-				}
-			}
-		}
-
-		// The naive baseline serves the same answers on in-order feeds.
-		if jitter == 0 {
-			naive := run(true)
-			for key, want := range got {
-				gotN := naive[key]
-				if len(gotN) != len(want) {
-					t.Fatalf("trial %d %s: naive %d answers, pane %d", trial, key, len(gotN), len(want))
-				}
-				for i := range want {
-					if gotN[i].Detected != want[i].Detected || gotN[i].WindowIndex != want[i].WindowIndex ||
-						gotN[i].Window.Start != want[i].Window.Start {
-						t.Fatalf("trial %d %s answer %d: naive %+v, pane %+v", trial, key, i, gotN[i], want[i])
 					}
 				}
 			}

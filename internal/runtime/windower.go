@@ -6,12 +6,17 @@
 // Events are routed to shards by stream key (a pluggable Sharder; hash of
 // Event.Source by default), so each stream is served by exactly one shard and
 // its answers are delivered in window order. Within a shard, an incremental
-// Windower cuts tumbling windows per stream as the watermark advances,
-// honoring a configurable lateness policy. Closed windows flow through the
-// shard's PrivateEngine and the released answers are published on an answer
-// bus that data consumers subscribe to per query. Ingest channels are bounded
-// with explicit backpressure (block or drop-oldest), Close drains every shard
-// gracefully, and Snapshot exposes per-shard serving counters.
+// Windower cuts each stream into tumbling or pane-assembled sliding windows
+// as the watermark advances, honoring a configurable lateness policy. Every
+// closed window then goes through one sequence, whatever is configured:
+// decide (against the stream's privacy-budget ledger; without one every
+// window is admitted at zero charge), serve the admitted windows through the
+// shard's PrivateEngine, log the decisions (when a WAL is attached), and — at
+// the end of the ingest message — commit the log and publish the message's
+// answers on the answer bus that data consumers subscribe to per query.
+// Ingest channels are bounded with explicit backpressure (block or
+// drop-oldest), Close drains every shard gracefully, and Snapshot exposes
+// per-shard serving counters.
 package runtime
 
 import (
@@ -88,7 +93,6 @@ type Windower struct {
 	policy   LatenessPolicy
 	lateness event.Timestamp
 	horizon  event.Timestamp
-	naive    bool // per-window re-buffering baseline; see newNaiveSlidingWindower
 
 	started   bool
 	nextStart event.Timestamp // start of the earliest still-open window (pane-mode: pane)
@@ -103,20 +107,10 @@ type Windower struct {
 	// rescan a window.
 	slotCounts []int
 	dropped    int64
-	panes      int64 // panes cut (tumbling: one per window; naive mode: 0)
+	panes      int64 // panes cut (tumbling: one per window)
 
 	// ring is the pane tally ring backing sliding-window assembly.
 	ring paneRing
-
-	// open is the naive-mode per-window buffer list, ordered by Start.
-	open []naiveWindow
-}
-
-// naiveWindow is one still-open window of the naive sliding baseline: events
-// are re-buffered into every window that covers them.
-type naiveWindow struct {
-	start, end event.Timestamp
-	events     []event.Event
 }
 
 // NewWindower builds a windower cutting tumbling windows of the given width.
@@ -152,18 +146,6 @@ func NewSlidingWindower(width, slide event.Timestamp, policy LatenessPolicy, lat
 	return w
 }
 
-// newNaiveSlidingWindower builds the brute-force sliding baseline: every
-// event is re-buffered into each of the width/slide windows covering it, and
-// each window is emitted with its own sorted event copy and no precomputed
-// tally — so downstream evaluation rescans every window from scratch. It
-// exists only as the comparison point for the pane-sharing path (see
-// Config.NaiveSliding) and assumes in-order input for equivalence.
-func newNaiveSlidingWindower(width, slide event.Timestamp, policy LatenessPolicy, lateness, horizon event.Timestamp) *Windower {
-	w := NewSlidingWindower(width, slide, policy, lateness, horizon)
-	w.naive = true
-	return w
-}
-
 // watermark is the time up to which the stream is considered complete: no
 // window ending at or before it will admit further events.
 func (w *Windower) watermark() event.Timestamp {
@@ -181,8 +163,8 @@ func (w *Windower) Push(e event.Event) (closed []stream.Window, res PushResult) 
 
 // PushInto is Push appending closed windows into dst, so a streaming caller
 // can reuse one window buffer across pushes instead of allocating a slice
-// per cut. For tumbling (and naive-baseline) windows the returned windows
-// (their Events and TypeCounts) stay valid after the buffer is reused; only
+// per cut. For tumbling windows the returned windows (their Events and
+// TypeCounts) stay valid after the buffer is reused; only
 // the slice header is recycled. Pane-assembled sliding windows carry no
 // Events and their TypeCounts are windower-owned scratch, valid only until
 // the next Push/Flush call — callers that retain them must copy.
@@ -193,9 +175,6 @@ func (w *Windower) PushInto(e event.Event, dst []stream.Window) (closed []stream
 		// on-time event into a late drop). Reject it instead.
 		w.dropped++
 		return dst, PushFuture
-	}
-	if w.naive {
-		return w.naivePushInto(e, dst)
 	}
 	if w.overlap > 1 {
 		// Snapshots handed out by the previous call are reclaimable now —
@@ -243,9 +222,6 @@ func (w *Windower) FlushInto(dst []stream.Window) []stream.Window {
 	if !w.started {
 		return dst
 	}
-	if w.naive {
-		return w.naiveFlushInto(dst)
-	}
 	if w.overlap > 1 {
 		w.ring.recycleEmitted()
 	}
@@ -273,9 +249,7 @@ func (w *Windower) FlushInto(dst []stream.Window) []stream.Window {
 func (w *Windower) Dropped() int64 { return w.dropped }
 
 // Panes returns how many panes the windower has cut. Tumbling windows are
-// single panes (the counter tracks windows); the naive sliding baseline cuts
-// none — a zero counter under a sliding configuration is the signal that
-// pane sharing is not active.
+// single panes, so the counter tracks windows there.
 func (w *Windower) Panes() int64 { return w.panes }
 
 // Overlap returns how many panes cover each window: width/slide, 1 for
@@ -434,55 +408,4 @@ func (r *paneRing) reset() {
 	}
 	r.head, r.n = 0, 0
 	r.tally = r.tally[:0]
-}
-
-// naivePushInto is the naive baseline's push: open every window whose
-// interval has begun, buffer the event into each open window covering it,
-// and close (copy, sort, emit) windows the watermark has passed — the
-// re-buffer-and-rescan cost the pane path exists to avoid.
-func (w *Windower) naivePushInto(e event.Event, dst []stream.Window) ([]stream.Window, PushResult) {
-	if !w.started {
-		w.started = true
-		w.nextStart = stream.AlignDown(e.Time-w.width+w.slide, w.slide)
-		w.maxTime = e.Time
-	}
-	if len(w.open) > 0 && e.Time < w.open[0].start || len(w.open) == 0 && e.Time < w.nextStart {
-		w.dropped++
-		return dst, PushLate
-	}
-	for w.nextStart <= e.Time {
-		w.open = append(w.open, naiveWindow{start: w.nextStart, end: w.nextStart + w.width})
-		w.nextStart += w.slide
-	}
-	for i := range w.open {
-		if e.Time >= w.open[i].start && e.Time < w.open[i].end {
-			w.open[i].events = append(w.open[i].events, e)
-		}
-	}
-	if e.Time > w.maxTime {
-		w.maxTime = e.Time
-	}
-	return w.naiveCut(dst, w.watermark()), PushAccepted
-}
-
-// naiveCut emits every naive window the watermark has closed.
-func (w *Windower) naiveCut(dst []stream.Window, watermark event.Timestamp) []stream.Window {
-	for len(w.open) > 0 && w.open[0].end <= watermark {
-		nw := w.open[0]
-		w.open = w.open[1:]
-		event.SortEvents(nw.events)
-		dst = append(dst, stream.Window{Start: nw.start, End: nw.end, Events: nw.events})
-	}
-	return dst
-}
-
-// naiveFlushInto emits every still-open naive window and resets.
-func (w *Windower) naiveFlushInto(dst []stream.Window) []stream.Window {
-	for _, nw := range w.open {
-		event.SortEvents(nw.events)
-		dst = append(dst, stream.Window{Start: nw.start, End: nw.end, Events: nw.events})
-	}
-	w.open = nil
-	w.started = false
-	return dst
 }

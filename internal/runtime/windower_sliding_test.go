@@ -99,9 +99,10 @@ func TestSlidingWindowerMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestSlidingWindowerMatchesNaive pins the pane path against the naive
-// re-buffering baseline on in-order input: identical window intervals and
-// per-type counts (the naive windows additionally carry their events).
+// TestSlidingWindowerMatchesNaive pins the pane path against the brute-force
+// model (slidingModel: every window rescans every accepted event, the cost a
+// naive sliding port pays) on in-order input: identical window intervals and
+// per-type counts.
 func TestSlidingWindowerMatchesNaive(t *testing.T) {
 	types := []event.Type{"x", "y", "z"}
 	for trial := 0; trial < 30; trial++ {
@@ -109,47 +110,43 @@ func TestSlidingWindowerMatchesNaive(t *testing.T) {
 		slide := event.Timestamp(rng.Intn(4) + 1)
 		width := slide * event.Timestamp(rng.Intn(6)+2)
 		pane := NewSlidingWindower(width, slide, DropLate, 0, 0)
-		naive := newNaiveSlidingWindower(width, slide, DropLate, 0, 0)
 
 		now := event.Timestamp(0)
-		var gotPane, gotNaive []stream.Window
+		var evs []event.Event
+		var gotPane []stream.Window
 		for i := 0; i < 150; i++ {
 			now += event.Timestamp(rng.Intn(3))
 			e := event.New(types[rng.Intn(len(types))], now)
+			evs = append(evs, e)
 			ws, res := pane.Push(e)
+			if res != PushAccepted {
+				t.Fatalf("trial %d event %d: in-order push result %v", trial, i, res)
+			}
 			for _, win := range ws {
 				gotPane = append(gotPane, stream.Window{Start: win.Start, End: win.End,
 					TypeCounts: append(stream.TypeCounts(nil), win.TypeCounts...)})
 			}
-			nws, nres := naive.Push(e)
-			gotNaive = append(gotNaive, nws...)
-			if res != nres {
-				t.Fatalf("trial %d event %d: pane result %v, naive %v", trial, i, res, nres)
-			}
 		}
 		gotPane = append(gotPane, pane.FlushInto(nil)...)
-		gotNaive = naive.FlushInto(gotNaive)
-		if len(gotPane) != len(gotNaive) {
-			t.Fatalf("trial %d: pane %d windows, naive %d", trial, len(gotPane), len(gotNaive))
+		want := slidingModel(evs, width, slide, DropLate, 0)
+		if len(gotPane) != len(want) {
+			t.Fatalf("trial %d: pane %d windows, model %d", trial, len(gotPane), len(want))
 		}
-		for i := range gotPane {
-			p, nv := gotPane[i], gotNaive[i]
-			if p.Start != nv.Start || p.End != nv.End {
-				t.Fatalf("trial %d window %d: pane [%d,%d), naive [%d,%d)",
-					trial, i, p.Start, p.End, nv.Start, nv.End)
+		for i, p := range gotPane {
+			ew := want[i]
+			if p.Start != ew.start || p.End != ew.end {
+				t.Fatalf("trial %d window %d: pane [%d,%d), model [%d,%d)",
+					trial, i, p.Start, p.End, ew.start, ew.end)
 			}
 			for _, typ := range types {
-				if p.Count(typ) != nv.Count(typ) {
-					t.Fatalf("trial %d window %d type %q: pane %d, naive %d",
-						trial, i, typ, p.Count(typ), nv.Count(typ))
+				if p.Count(typ) != ew.counts[typ] {
+					t.Fatalf("trial %d window %d type %q: pane %d, model %d",
+						trial, i, typ, p.Count(typ), ew.counts[typ])
 				}
 			}
 		}
 		if pane.Panes() == 0 {
 			t.Fatalf("trial %d: pane windower cut no panes", trial)
-		}
-		if naive.Panes() != 0 {
-			t.Fatalf("trial %d: naive windower reported %d panes", trial, naive.Panes())
 		}
 	}
 }
