@@ -181,8 +181,8 @@ func runServer(o options) error {
 		srv.Drain()
 	}
 	// CloseContext flushes in-flight windows through the WAL and cuts the
-	// final checkpoint; closing the answer bus also ends every session's
-	// delivery bridges.
+	// final checkpoint; once it returns no shard is alive, so nothing is
+	// delivered into the sessions' replay rings any more.
 	closeErr := rt.CloseContext(drainCtx)
 	waitErr := srv.Wait(drainCtx)
 	if waitErr != nil {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"patterndp/internal/core"
 	"patterndp/internal/dp"
@@ -44,32 +45,43 @@ type Answer struct {
 	core.Answer
 }
 
+// Sink receives released answers from the bus: one Deliver per shard message
+// that produced answers the sink subscribed to. Deliver runs on the serving
+// shard's goroutine — concurrently with Deliver calls from other shards, never
+// with another from the same shard — so a sink that blocks backpressures that
+// shard, and one that must not stall serving has to be non-blocking by
+// construction. The batch is the shard's own buffer, reused for its next
+// message: a sink copies what it keeps and retains nothing. Answers for one
+// stream arrive in window order (one stream lives on one shard).
+type Sink interface {
+	Deliver(batch []Answer)
+}
+
 // ErrSubscriptionCancelled is reported by Subscription.Err after the
 // subscriber itself cancelled the subscription.
 var ErrSubscriptionCancelled = errors.New("runtime: subscription cancelled")
 
-// Subscription is one consumer's handle on a query's released answers.
-// Receive from C until it closes; Cancel detaches early. A subscription
-// whose buffer fills backpressures serving, so either drain C until it
-// closes or Cancel.
+// Subscription is the channel-backed Sink: one consumer's handle on a query's
+// released answers. Receive from C until it closes; Cancel detaches early. A
+// subscription whose buffer fills backpressures serving, so either drain C
+// until it closes or Cancel.
 type Subscription struct {
-	query string
-	bus   *bus
-	ch    chan Answer
-	// done is closed before ch so an in-flight publish blocked on a full
-	// buffer aborts instead of racing the channel close.
+	query  string
+	detach func()
+	ch     chan Answer
+	// done is closed before ch so a Deliver blocked on a full buffer aborts
+	// instead of racing the channel close.
 	done chan struct{}
 	once sync.Once
 
 	// sendMu serializes deliveries against the channel close; it is held
 	// across a blocking send, so nothing else may wait on it while holding
-	// stateMu.
+	// errMu.
 	sendMu sync.Mutex
-	// stateMu guards closed and err only, so status reads (Err) never
-	// block behind a backpressured delivery.
-	stateMu sync.Mutex
-	closed  bool
-	err     error
+	// errMu guards err only, so status reads (Err) never block behind a
+	// backpressured delivery.
+	errMu sync.Mutex
+	err   error
 }
 
 // C returns the answer channel. It closes after Cancel (once any buffered
@@ -86,7 +98,7 @@ func (s *Subscription) Query() string { return s.query }
 // delivery — an answer being delivered at that instant is either buffered or
 // discarded, never lost mid-send.
 func (s *Subscription) Cancel() {
-	s.bus.remove(s)
+	s.detach()
 	s.terminate(ErrSubscriptionCancelled)
 }
 
@@ -94,158 +106,233 @@ func (s *Subscription) Cancel() {
 // after the runtime closed it on Close (normal end of stream), or
 // ErrSubscriptionCancelled after Cancel.
 func (s *Subscription) Err() error {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
+	s.errMu.Lock()
+	defer s.errMu.Unlock()
 	return s.err
 }
 
 // terminate closes the subscription exactly once, recording err as the
-// reason. done is closed before taking sendMu so a sender blocked inside
-// send (which holds sendMu) is released before the channel close waits on
-// the lock.
+// reason. done is closed before taking sendMu so a Deliver blocked mid-batch
+// (which holds sendMu) is released before the channel close waits on the
+// lock.
 func (s *Subscription) terminate(err error) {
 	s.once.Do(func() {
 		close(s.done)
 		s.sendMu.Lock()
-		s.stateMu.Lock()
+		s.errMu.Lock()
 		s.err = err
-		s.closed = true
-		s.stateMu.Unlock()
+		s.errMu.Unlock()
 		close(s.ch)
 		s.sendMu.Unlock()
 	})
 }
 
-// send delivers one answer, blocking while the buffer is full — that is the
-// delivery-side backpressure. Holding sendMu across the send is what makes
-// Cancel safe: terminate can only close the channel between sends, and a
-// blocked send is first released via done.
-func (s *Subscription) send(a Answer) {
+// Deliver sends the batch in order, blocking while the buffer is full — that
+// is the delivery-side backpressure. Holding sendMu across the batch is what
+// makes Cancel safe: terminate can only close the channel between batches,
+// and a blocked send is first released via done (the rest of the batch is
+// discarded with it).
+func (s *Subscription) Deliver(batch []Answer) {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	s.stateMu.Lock()
-	closed := s.closed
-	s.stateMu.Unlock()
-	if closed {
-		return
-	}
 	select {
-	case s.ch <- a:
 	case <-s.done:
+		return // terminated: ch is closed or about to be
+	default:
 	}
-}
-
-// bus fans released answers out to per-query subscribers. Publishing blocks
-// when a subscriber's buffer is full; consumers must drain or cancel.
-type bus struct {
-	mu     sync.RWMutex
-	buffer int
-	subs   map[string]map[*Subscription]struct{} // query name → subscribers; "" receives all
-	closed bool
-}
-
-func newBus(buffer int) *bus {
-	return &bus{buffer: buffer, subs: make(map[string]map[*Subscription]struct{})}
-}
-
-// add registers a new subscriber for the named query ("" for every query).
-// After the bus has closed the returned subscription is already terminated.
-func (b *bus) add(query string) *Subscription {
-	s := &Subscription{
-		query: query,
-		bus:   b,
-		ch:    make(chan Answer, b.buffer),
-		done:  make(chan struct{}),
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		s.terminate(nil)
-		return s
-	}
-	set := b.subs[query]
-	if set == nil {
-		set = make(map[*Subscription]struct{})
-		b.subs[query] = set
-	}
-	set[s] = struct{}{}
-	return s
-}
-
-// remove detaches a subscription so it can be garbage collected and no
-// longer stalls publishing. Removing an already-removed subscription is a
-// no-op.
-func (b *bus) remove(s *Subscription) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if set := b.subs[s.query]; set != nil {
-		delete(set, s)
-		if len(set) == 0 {
-			delete(b.subs, s.query)
+	for i := range batch {
+		select {
+		case s.ch <- batch[i]:
+		case <-s.done:
+			return
 		}
 	}
 }
 
-// subscribers counts the live subscriptions for one query name.
-func (b *bus) subscribers(query string) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.subs[query])
+// sinkTable is the bus's subscriber table: the subscribe-all sinks, and the
+// sinks attached under each query name, with no name left without one. It is
+// immutable once published — attach and detach build a new one — so a publish
+// reads it with one atomic load and no lock.
+type sinkTable struct {
+	all   []attached
+	named map[string]querySinks
 }
 
-// count totals the live subscriptions across every query, including the
+// querySinks is one subscribed query's sinks. slot numbers the table's named
+// queries 0..len(named)-1: it is where a publishing shard gathers the query's
+// answers.
+type querySinks struct {
+	slot  int
+	sinks []attached
+}
+
+// attached is one sink with the id its detach removes it by and, when the
+// sink wants one, its end-of-stream signal.
+type attached struct {
+	id   uint64
+	sink Sink
+	end  func()
+}
+
+// of returns the sinks attached under query ("" for the subscribe-all set).
+func (t *sinkTable) of(query string) []attached {
+	if query == "" {
+		return t.all
+	}
+	return t.named[query].sinks
+}
+
+// with returns a copy of t in which query's sinks are replaced by sinks.
+func (t *sinkTable) with(query string, sinks []attached) *sinkTable {
+	if query == "" {
+		return &sinkTable{all: sinks, named: t.named}
+	}
+	nt := &sinkTable{all: t.all, named: make(map[string]querySinks, len(t.named)+1)}
+	for name, q := range t.named {
+		if name != query {
+			nt.named[name] = querySinks{len(nt.named), q.sinks}
+		}
+	}
+	if len(sinks) > 0 {
+		nt.named[query] = querySinks{len(nt.named), sinks}
+	}
+	return nt
+}
+
+// gather is one shard's scratch for a publish: the message's answers grouped
+// by subscribed query, indexed by the table's slots and empty between
+// publishes, plus the slots the current message filled.
+type gather struct {
+	bySlot [][]Answer
+	filled []querySinks
+}
+
+// bus fans released answers out to the attached sinks, one Deliver per shard
+// message per interested sink.
+type bus struct {
+	buffer int
+	table  atomic.Pointer[sinkTable]
+
+	mu     sync.Mutex // serializes attach, detach and close
+	nextID uint64
+}
+
+func newBus(buffer int) *bus {
+	b := &bus{buffer: buffer}
+	b.table.Store(&sinkTable{})
+	return b
+}
+
+// attach adds sink under the named query ("" for every query) and returns the
+// function that removes it again (idempotent). A shard that loaded the table
+// just before a detach may still deliver one more batch after it returns. end,
+// if not nil, is called when the bus closes with the sink still attached. The
+// runtime orders every attach before close.
+func (b *bus) attach(query string, sink Sink, end func()) (detach func()) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.nextID++
+	id := b.nextID
+	t := b.table.Load()
+	old := t.of(query)
+	b.table.Store(t.with(query, append(old[:len(old):len(old)], attached{id, sink, end})))
+	return func() { b.detach(query, id) }
+}
+
+func (b *bus) detach(query string, id uint64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t := b.table.Load()
+	old := t.of(query)
+	for i := range old {
+		if old[i].id == id {
+			b.table.Store(t.with(query, append(old[:i:i], old[i+1:]...)))
+			return
+		}
+	}
+}
+
+// subscribe attaches a fresh channel subscription for the named query; the
+// bus closing is its normal end of stream.
+func (b *bus) subscribe(query string) *Subscription {
+	s := &Subscription{
+		query: query,
+		ch:    make(chan Answer, b.buffer),
+		done:  make(chan struct{}),
+	}
+	s.detach = b.attach(query, s, func() { s.terminate(nil) })
+	return s
+}
+
+// subscribers counts the sinks attached under one query name.
+func (b *bus) subscribers(query string) int {
+	return len(b.table.Load().of(query))
+}
+
+// count totals the attached sinks across every query, including the
 // subscribe-all set.
 func (b *bus) count() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	n := 0
-	for _, set := range b.subs {
-		n += len(set)
+	t := b.table.Load()
+	n := len(t.all)
+	for _, q := range t.named {
+		n += len(q.sinks)
 	}
 	return n
 }
 
-// pubTarget pairs a subscription with the index of the batched answer it is
-// to receive.
-type pubTarget struct {
-	sub *Subscription
-	idx int32
-}
-
-// collect gathers the delivery targets for a whole answer batch — each
-// answer goes to its query's subscribers and to the subscribe-all set — under
-// a single reader lock, appending into the caller's reusable scratch. The
-// caller performs the sends outside the lock, so a slow subscriber stalls
-// publishers but never blocks new subscriptions or cancellations.
-func (b *bus) collect(dst []pubTarget, answers []Answer) []pubTarget {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	all := b.subs[""]
-	for i := range answers {
-		for s := range b.subs[answers[i].Query] {
-			dst = append(dst, pubTarget{s, int32(i)})
-		}
-		for s := range all {
-			dst = append(dst, pubTarget{s, int32(i)})
-		}
+// publish hands one shard message's answers to every interested sink: the
+// batch as is to the subscribe-all sinks, and each subscribed query's answers
+// — gathered into g in one pass over the batch, one table lookup per answer,
+// so the cost does not grow with the number of subscribed queries — to that
+// query's sinks. It runs on the shard goroutine; a blocking sink stalls that
+// shard but never an attach, a detach or another shard.
+func (b *bus) publish(batch []Answer, g *gather) {
+	t := b.table.Load()
+	for _, s := range t.all {
+		s.sink.Deliver(batch)
 	}
-	return dst
+	if len(t.named) == 0 {
+		return
+	}
+	for len(g.bySlot) < len(t.named) {
+		g.bySlot = append(g.bySlot, nil)
+	}
+	for i := range batch {
+		q, ok := t.named[batch[i].Query]
+		if !ok {
+			continue
+		}
+		if len(g.bySlot[q.slot]) == 0 {
+			g.filled = append(g.filled, q)
+		}
+		g.bySlot[q.slot] = append(g.bySlot[q.slot], batch[i])
+	}
+	for _, q := range g.filled {
+		for _, s := range q.sinks {
+			s.sink.Deliver(g.bySlot[q.slot])
+		}
+		g.bySlot[q.slot] = g.bySlot[q.slot][:0]
+	}
+	clear(g.filled) // drop the sink references
+	g.filled = g.filled[:0]
 }
 
-// close terminates every remaining subscription with a nil reason (normal
-// end of stream). The runtime only calls it after all shards have drained,
-// so no publish can be in flight.
+// close detaches every sink, signalling end of stream to those that asked for
+// it. The runtime only calls it after all shards have drained, so no publish
+// is in flight and none follows.
 func (b *bus) close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.closed = true
-	for _, set := range b.subs {
-		for s := range set {
-			s.terminate(nil)
+	t := b.table.Swap(&sinkTable{})
+	end := func(sinks []attached) {
+		for _, s := range sinks {
+			if s.end != nil {
+				s.end()
+			}
 		}
 	}
-	b.subs = make(map[string]map[*Subscription]struct{})
+	end(t.all)
+	for _, q := range t.named {
+		end(q.sinks)
+	}
 }

@@ -395,6 +395,12 @@ func (rt *Runtime) Queries() []cep.Query {
 	return out
 }
 
+// HasQuery reports whether a target query is currently registered under name:
+// one map lookup, no copy. The answer can be stale by the time it is used —
+// Subscribe and Attach still vet the name themselves — so it is for declining
+// early, before building state for a subscription that cannot attach.
+func (rt *Runtime) HasQuery(name string) bool { return rt.ctl.Load().queries[name] }
+
 // PrivateTypes returns the currently registered private pattern types sorted
 // by name.
 func (rt *Runtime) PrivateTypes() []core.PatternType {

@@ -663,13 +663,38 @@ func (rt *Runtime) recycleBatch(b []event.Event) {
 func (rt *Runtime) Subscribe(query string) (*Subscription, error) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
+	if err := rt.subscribable(query); err != nil {
+		return nil, err
+	}
+	return rt.bus.subscribe(query), nil
+}
+
+// Attach is Subscribe for a caller-supplied Sink: the sink's Deliver is called
+// on the shard goroutines with the named query's answers (every query's for
+// the empty name), under the Sink contract, until the returned detach is
+// called or the runtime closes. detach is idempotent; a shard already
+// publishing may deliver one more batch after it returns. Once Close or
+// Freeze has returned no shard is alive, so no Deliver is in flight and none
+// follows. An attached sink counts in OpenSubscriptions until then.
+func (rt *Runtime) Attach(query string, sink Sink) (detach func(), err error) {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	if err := rt.subscribable(query); err != nil {
+		return nil, err
+	}
+	return rt.bus.attach(query, sink, nil), nil
+}
+
+// subscribable vets a subscription request; the caller holds rt.mu, which
+// orders the check before the close sequence's bus shutdown.
+func (rt *Runtime) subscribable(query string) error {
 	if rt.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if query != "" && !rt.ctl.Load().queries[query] {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownQuery, query)
+		return fmt.Errorf("%w: %q", ErrUnknownQuery, query)
 	}
-	return rt.bus.add(query), nil
+	return nil
 }
 
 // OpenSubscriptions counts the live subscriptions on the answer bus across

@@ -104,8 +104,10 @@ type shard struct {
 	// assembles them in place and commit publishes them at message end, so a
 	// message that fails — while serving or at its WAL commit — publishes
 	// nothing.
-	outbox     []Answer
-	pubTargets []pubTarget
+	outbox []Answer
+	// pubGather is the bus's per-query gather scratch, owned here so each
+	// shard publishes without sharing or allocating one.
+	pubGather gather
 
 	// Serving scratch of one emit, reused across pushes: the closed-window
 	// batch, each window's admission outcome, the admitted sub-batch handed
@@ -489,12 +491,12 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 // commit ends one ingest message: it group-commits every WAL record staged
 // while serving it with one write — when a WAL is attached — and only then
 // hands the message's outbox to the bus: append-before-publish at one
-// write(2) and one bus lookup per message, sends outside the bus lock. A
-// commit error (including an injected crash) fails the shard and drops the
-// outbox, so nothing is published — the one-sided recovery invariant: spend
-// may be over-counted after a crash (a charge whose answer never left), never
-// under-counted. A message that failed while serving never reaches commit, so
-// it publishes nothing either.
+// write(2), one subscriber-table load and one Deliver per interested sink per
+// message. A commit error (including an injected crash) fails the shard and
+// drops the outbox, so nothing is published — the one-sided recovery
+// invariant: spend may be over-counted after a crash (a charge whose answer
+// never left), never under-counted. A message that failed while serving never
+// reaches commit, so it publishes nothing either.
 func (s *shard) commit() bool {
 	if s.wal != nil {
 		if err := s.wal.Commit(); err != nil {
@@ -502,10 +504,7 @@ func (s *shard) commit() bool {
 		}
 	}
 	if len(s.outbox) > 0 {
-		s.pubTargets = s.rt.bus.collect(s.pubTargets[:0], s.outbox)
-		for _, t := range s.pubTargets {
-			t.sub.send(s.outbox[t.idx])
-		}
+		s.rt.bus.publish(s.outbox, &s.pubGather)
 		s.stats.answersEmitted.Add(int64(len(s.outbox)))
 		s.outbox = s.outbox[:0]
 	}

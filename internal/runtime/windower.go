@@ -14,6 +14,16 @@
 // shard's PrivateEngine, log the decisions (when a WAL is attached), and — at
 // the end of the ingest message — commit the log and publish the message's
 // answers on the answer bus that data consumers subscribe to per query.
+//
+// The bus hands each message's answers to its subscribers as one batch per
+// subscriber through the Sink interface: Deliver is called on the shard
+// goroutine (concurrently across shards, serially per shard), the batch is
+// the shard's own buffer and must not be retained, and a Deliver that blocks
+// is delivery-side backpressure on that shard. Subscribe returns the
+// channel-backed Sink (blocking, lossless); Attach plugs in any other — the
+// network server attaches its per-subscription replay rings, which never
+// block.
+//
 // Ingest channels are bounded with explicit backpressure (block or
 // drop-oldest), Close drains every shard gracefully, and Snapshot exposes
 // per-shard serving counters.

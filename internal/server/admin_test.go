@@ -54,10 +54,12 @@ func newObservedRuntime(t testing.TB, reg *metrics.Registry, walDir string) *run
 	return rt
 }
 
-// driveTenant connects one tenant, subscribes to everything, ingests a few
-// windows, and waits for at least one answer to be delivered over the wire —
-// so the scrape below sees live per-tenant serving and the delivery
-// histogram has observations.
+// driveTenant connects one tenant, subscribes to everything, ingests four
+// windows, and waits for the three answers they close to be delivered over
+// the wire — so the scrape below sees live per-tenant serving and the
+// delivery latency histogram, and (an ingest is acknowledged when it is
+// queued, not when it is served) every ingested event has been counted by
+// its shard: the last answer leaves only after the last message was served.
 func driveTenant(t testing.TB, l *MemListener, token string) {
 	t.Helper()
 	c := dialTenant(t, l, token)
@@ -70,10 +72,12 @@ func driveTenant(t testing.TB, l *MemListener, token string) {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case <-sub.C:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no answer delivered")
+	for owed := 3; owed > 0; owed-- {
+		select {
+		case <-sub.C:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d answers never delivered", owed)
+		}
 	}
 }
 

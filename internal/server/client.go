@@ -279,6 +279,9 @@ func (c *Client) requestTimeout() time.Duration {
 func (c *Client) readLoop(r *wire.Reader, conn net.Conn, gen uint64) {
 	var err error
 	defer func() { c.detach(gen, conn, err) }()
+	// Answers repeat a few stream keys and query names: interned, a steady
+	// stream of them decodes without allocating.
+	var names wire.Interner
 	for {
 		// Only a Next that must read the transport can block on the server,
 		// and every one that does gets a fresh deadline: delivering the
@@ -295,7 +298,7 @@ func (c *Client) readLoop(r *wire.Reader, conn net.Conn, gen uint64) {
 		}
 		switch f.Type {
 		case wire.TAnswer:
-			a, derr := wire.DecodeAnswer(f.Payload)
+			a, derr := names.DecodeAnswer(f.Payload)
 			if derr != nil {
 				err = derr
 				return

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"patterndp/internal/runtime"
@@ -14,15 +15,16 @@ import (
 
 // subState is one subscription's outbound state: a bounded ring of the most
 // recent answers, keyed by a per-subscription sequence number assigned at
-// push. The ring IS the outbound queue — the session writer pops by cursor —
-// and doubles as the replay buffer a resuming client reads its missed tail
-// from. Overflow evicts the oldest entries; an eviction that outruns the
-// cursor surfaces to the subscriber as an explicit Gap marker answer, never
-// as silent loss.
+// push. The ring is the runtime.Sink the serving shards deliver into, the
+// outbound queue the session writer pops by cursor, and the replay buffer a
+// resuming client reads its missed tail from. Overflow evicts the oldest
+// entries; an eviction that outruns the cursor surfaces to the subscriber as
+// an explicit Gap marker answer, never as silent loss.
 type subState struct {
-	id    uint64
-	query string // resolved runtime query name ("" = subscribe-all)
-	sub   *runtime.Subscription
+	id     uint64
+	query  string // resolved runtime query name ("" = subscribe-all)
+	core   *sessionCore
+	detach func() // removes the ring from the runtime bus; set by attach
 
 	mu     sync.Mutex
 	buf    []wire.Answer // ring; seq s lives at buf[(s-1)%len]
@@ -33,40 +35,67 @@ type subState struct {
 	// gone and surface as a Gap, exactly like ring overflow)
 }
 
-func newSubState(id uint64, query string, sub *runtime.Subscription, ringCap int) *subState {
-	return &subState{id: id, query: query, sub: sub, buf: make([]wire.Answer, ringCap), cursor: 1, base: 1}
+func newSubState(c *sessionCore, id uint64, query string) *subState {
+	return &subState{id: id, query: query, core: c, buf: make([]wire.Answer, c.srv.replayBuffer()), cursor: 1, base: 1}
 }
 
-// push assigns the next sequence number and stores the answer, evicting the
-// oldest ring entry on overflow. It reports whether the evicted entry was
-// still undelivered (the future Gap).
-func (st *subState) push(a wire.Answer) (evicted bool) {
-	st.mu.Lock()
-	st.head++
-	a.Sub, a.Seq = st.id, st.head
+// attach subscribes the ring to its query on the runtime bus. Answers may
+// arrive from that instant, so a ring restored from a spill is reseeded first.
+func (st *subState) attach() (err error) {
+	st.detach, err = st.core.srv.cfg.Runtime.Attach(st.query, st)
+	return err
+}
+
+// Deliver is the runtime.Sink: called on a shard goroutine with one message's
+// answers, it keeps the ones this session may see, pushes them in their wire
+// form under one ring lock and wakes the session writer once. It never
+// blocks: ring overflow evicts (and is counted against the tenant), so a slow
+// connection only ever costs itself — it cannot backpressure a shard. The
+// ring lock is what serializes concurrent shards into one sequence space.
+func (st *subState) Deliver(batch []runtime.Answer) {
+	c := st.core
 	n := uint64(len(st.buf))
-	evicted = st.head > n && st.cursor <= st.head-n
-	st.buf[(st.head-1)%n] = a
+	pushed, evicted := false, int64(0)
+	st.mu.Lock()
+	for i := range batch {
+		slot := &st.buf[st.head%n]
+		if !c.convert(slot, &batch[i]) {
+			continue // not ours: the slot (the oldest entry) is untouched
+		}
+		st.head++
+		slot.Sub, slot.Seq = st.id, st.head
+		if st.head > n && st.cursor <= st.head-n {
+			evicted++ // the overwritten entry was still undelivered: a future Gap
+		}
+		pushed = true
+	}
 	st.mu.Unlock()
-	return evicted
+	if evicted > 0 {
+		c.tenant.answersDropped.Add(evicted)
+	}
+	if pushed {
+		c.notify()
+	}
 }
 
-// next pops the next undelivered answer. When eviction has outrun the cursor
-// it instead returns a Gap marker covering exactly the evicted range.
-func (st *subState) next() (wire.Answer, bool) {
+// drain pops the ring's ready run under one lock acquisition, encoding each
+// answer into out; where eviction has outrun the cursor the run starts with a
+// Gap marker covering exactly the evicted range. It stops early once out is
+// due a flush, and returns how many frames it popped.
+func (st *subState) drain(out *outbox) (popped int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.cursor > st.head {
-		return wire.Answer{}, false
+	for st.cursor <= st.head && len(out.buf) < wire.BufferSize {
+		if oldest := st.oldest(); st.cursor < oldest {
+			out.add(wire.Answer{Sub: st.id, Seq: oldest - 1, Gap: true, GapFrom: st.cursor})
+			st.cursor = oldest
+		} else {
+			out.add(st.buf[(st.cursor-1)%uint64(len(st.buf))])
+			st.cursor++
+		}
+		popped++
 	}
-	if oldest := st.oldest(); st.cursor < oldest {
-		gap := wire.Answer{Sub: st.id, Seq: oldest - 1, Gap: true, GapFrom: st.cursor}
-		st.cursor = oldest
-		return gap, true
-	}
-	a := st.buf[(st.cursor-1)%uint64(len(st.buf))]
-	st.cursor++
-	return a, true
+	return popped
 }
 
 // oldest is the lowest sequence number still in the ring. Callers hold mu.
@@ -91,10 +120,10 @@ func (st *subState) rewind(lastSeq uint64) uint64 {
 	return st.head + 1 - st.cursor
 }
 
-// sessionCore is the durable half of a session: the tenant identity, the
-// per-subscription replay rings, and the bridge goroutines feeding them from
-// the runtime bus. A core is bound to at most one live connection at a time
-// but outlives any of them — after a disconnect it lingers for the server's
+// sessionCore is the durable half of a session: the tenant identity and the
+// per-subscription replay rings the runtime's shards deliver into. It owns no
+// goroutine. A core is bound to at most one live connection at a time but
+// outlives any of them — after a disconnect it lingers for the server's
 // resume window so a reconnecting client can re-attach by session token and
 // replay its missed tail.
 type sessionCore struct {
@@ -103,14 +132,15 @@ type sessionCore struct {
 	tenant *tenantState
 	prefix string
 
+	// attached is the current connection, nil while parked. It is written
+	// under mu; the delivery path loads it without.
+	attached atomic.Pointer[session]
+
 	mu       sync.Mutex
 	subs     map[uint64]*subState
-	attached *session    // current connection, nil while parked
 	reap     *time.Timer // pending expiry while parked
 	parkedAt time.Time   // when the core last parked (eviction order)
 	retired  bool
-
-	bridges sync.WaitGroup
 }
 
 // randomToken mints an unguessable session token.
@@ -125,13 +155,13 @@ func randomToken() string {
 // newCore registers a fresh core attached to ss.
 func (s *Server) newCore(ts *tenantState, prefix string, ss *session) *sessionCore {
 	c := &sessionCore{
-		srv:      s,
-		token:    randomToken(),
-		tenant:   ts,
-		prefix:   prefix,
-		subs:     make(map[uint64]*subState),
-		attached: ss,
+		srv:    s,
+		token:  randomToken(),
+		tenant: ts,
+		prefix: prefix,
+		subs:   make(map[uint64]*subState),
 	}
+	c.attached.Store(ss)
 	s.mu.Lock()
 	s.cores[c.token] = c
 	s.mu.Unlock()
@@ -165,8 +195,7 @@ func (c *sessionCore) adopt(ss *session) bool {
 		c.reap.Stop()
 		c.reap = nil
 	}
-	prev := c.attached
-	c.attached = ss
+	prev := c.attached.Swap(ss)
 	c.mu.Unlock()
 	if prev != nil && prev != ss {
 		prev.close()
@@ -182,11 +211,11 @@ func (c *sessionCore) adopt(ss *session) bool {
 // stopping — the parked state is about to be spilled for the takeover peer.
 func (c *sessionCore) detach(ss *session, orderly bool) {
 	c.mu.Lock()
-	if c.attached != ss || c.retired {
+	if c.attached.Load() != ss || c.retired {
 		c.mu.Unlock()
 		return
 	}
-	c.attached = nil
+	c.attached.Store(nil)
 	window := c.srv.resumeWindow()
 	if orderly || window <= 0 || (c.srv.stopping() && !c.srv.handingOff()) || len(c.subs) == 0 {
 		c.mu.Unlock()
@@ -202,14 +231,13 @@ func (c *sessionCore) detach(ss *session, orderly bool) {
 	c.srv.enforceParkCaps(c.tenant)
 }
 
-// retireIf tears the core down exactly once: every runtime subscription is
-// cancelled (ending its bridge), the token is dropped, and the bridges are
-// awaited. With onlyIfDetached it is the reap path, which must lose the race
-// against a resume that re-attached the core. It reports whether this call
-// performed the retire.
+// retireIf tears the core down exactly once: every ring is detached from the
+// runtime bus and the token is dropped. With onlyIfDetached it is the reap
+// path, which must lose the race against a resume that re-attached the core.
+// It reports whether this call performed the retire.
 func (c *sessionCore) retireIf(onlyIfDetached bool) bool {
 	c.mu.Lock()
-	if c.retired || (onlyIfDetached && c.attached != nil) {
+	if c.retired || (onlyIfDetached && c.attached.Load() != nil) {
 		c.mu.Unlock()
 		return false
 	}
@@ -222,32 +250,25 @@ func (c *sessionCore) retireIf(onlyIfDetached bool) bool {
 	c.subs = nil
 	c.mu.Unlock()
 	for _, st := range subs {
-		st.sub.Cancel()
+		st.detach()
 	}
 	c.srv.dropCore(c.token)
-	c.bridges.Wait()
 	return true
 }
 
-// addSub installs a subscription ring and starts its bridge. dup reports an
-// id collision; ok is false when the core has been retired. query is the
-// resolved runtime query name, recorded so a spilled session can re-subscribe
-// in the adopting process.
-func (c *sessionCore) addSub(id uint64, query string, sub *runtime.Subscription) (ok, dup bool) {
+// addSub installs an attached subscription ring, where the writer's sweeps
+// find it. dup reports an id collision; ok is false when the core has been
+// retired. Either way the caller still owns the ring and detaches it.
+func (c *sessionCore) addSub(st *subState) (ok, dup bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.retired {
-		c.mu.Unlock()
 		return false, false
 	}
-	if _, exists := c.subs[id]; exists {
-		c.mu.Unlock()
+	if _, exists := c.subs[st.id]; exists {
 		return false, true
 	}
-	st := newSubState(id, query, sub, c.srv.replayBuffer())
-	c.subs[id] = st
-	c.bridges.Add(1)
-	c.mu.Unlock()
-	go c.bridge(st)
+	c.subs[st.id] = st
 	return true, false
 }
 
@@ -260,7 +281,7 @@ func (c *sessionCore) removeSub(id uint64) bool {
 	if st == nil {
 		return false
 	}
-	st.sub.Cancel()
+	st.detach()
 	return true
 }
 
@@ -306,7 +327,7 @@ func (c *sessionCore) resume(reqSubs []wire.ResumeSub) ([]uint64, uint64) {
 	}
 	c.mu.Unlock()
 	for _, st := range drop {
-		st.sub.Cancel()
+		st.detach()
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids, replay
@@ -314,43 +335,20 @@ func (c *sessionCore) resume(reqSubs []wire.ResumeSub) ([]uint64, uint64) {
 
 // notify wakes the writer of whatever session is currently attached.
 func (c *sessionCore) notify() {
-	c.mu.Lock()
-	ss := c.attached
-	c.mu.Unlock()
-	if ss != nil {
+	if ss := c.attached.Load(); ss != nil {
 		ss.kick()
 	}
 }
 
-// bridge moves one runtime subscription's answers into its replay ring. It
-// never blocks: ring overflow evicts (and is counted against the tenant), so
-// a slow connection only ever costs itself. Everything the subscription
-// already holds is moved before the writer is woken, so a burst published
-// together is swept — and written — together.
-func (c *sessionCore) bridge(st *subState) {
-	defer c.bridges.Done()
-	ch := st.sub.C()
-	for a := range ch {
-		c.forward(st, a)
-		// This goroutine is ch's only receiver, so the len(ch) answers
-		// buffered right now can be received without blocking.
-		for n := len(ch); n > 0; n-- {
-			if a, ok := <-ch; ok {
-				c.forward(st, a)
-			}
-		}
-		c.notify()
-	}
-}
-
-// forward pushes one runtime answer into the ring in its wire form. Answers
-// from other tenants' streams are filtered here — this is the isolation
-// boundary for shared and subscribe-all queries — and namespace prefixes are
-// stripped before the wire.
-func (c *sessionCore) forward(st *subState, a runtime.Answer) {
+// convert writes one runtime answer into dst in its wire form, or reports
+// false — leaving dst untouched — for an answer this session may not see.
+// Answers from other tenants' streams are filtered here — this is the
+// isolation boundary for shared and subscribe-all queries — and namespace
+// prefixes are stripped before the wire.
+func (c *sessionCore) convert(dst *wire.Answer, a *runtime.Answer) bool {
 	stream, ok := strings.CutPrefix(a.Stream, c.prefix)
 	if !ok {
-		return
+		return false
 	}
 	query := a.Query
 	if cut, ok := strings.CutPrefix(query, c.prefix); ok {
@@ -358,10 +356,10 @@ func (c *sessionCore) forward(st *subState, a runtime.Answer) {
 	} else if strings.ContainsRune(query, namespaceDelim) {
 		// Another tenant's registered query, evaluated over this tenant's
 		// stream by the shared runtime: neither side may see the cross
-		// product, so it is filtered on both bridges.
-		return
+		// product, so it is filtered on both rings.
+		return false
 	}
-	wa := wire.Answer{
+	*dst = wire.Answer{
 		Stream:           stream,
 		Query:            query,
 		Epoch:            uint64(a.Epoch),
@@ -374,7 +372,5 @@ func (c *sessionCore) forward(st *subState, a runtime.Answer) {
 		RemainingEpsilon: float64(a.RemainingEpsilon),
 		TraceNanos:       a.TraceNanos,
 	}
-	if st.push(wa) {
-		c.tenant.answersDropped.Inc()
-	}
+	return true
 }

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"patterndp/internal/dp"
 	"patterndp/internal/event"
+	"patterndp/internal/runtime"
 	"patterndp/internal/wire"
 )
 
@@ -101,16 +103,14 @@ func TestWriterCoalescesBurst(t *testing.T) {
 	ss.setCore(c)
 	var rings []*subState
 	for id := uint64(1); id <= 2; id++ {
-		sub, err := rt.Subscribe("")
-		if err != nil {
+		st := newSubState(c, id, "")
+		if err := st.attach(); err != nil {
 			t.Fatal(err)
 		}
-		if ok, _ := c.addSub(id, "", sub); !ok {
+		if ok, _ := c.addSub(st); !ok {
 			t.Fatal("addSub refused")
 		}
-		c.mu.Lock()
-		rings = append(rings, c.subs[id])
-		c.mu.Unlock()
+		rings = append(rings, st)
 	}
 	ss.wg.Add(1)
 	go ss.writeLoop()
@@ -127,9 +127,10 @@ func TestWriterCoalescesBurst(t *testing.T) {
 			Stream: fmt.Sprintf("s%d", i%7), Query: "probe", WindowIndex: uint64(i),
 			Start: int64(i) * 10, End: int64(i)*10 + 10, Detected: i%3 == 0, SpentEpsilon: float64(i),
 		}
-		if st.push(a) {
-			t.Fatal("ring overflowed")
-		}
+		ra := runtime.Answer{Stream: "alice/" + a.Stream, SpentEpsilon: dp.Epsilon(a.SpentEpsilon)}
+		ra.Query, ra.WindowIndex, ra.Detected = a.Query, i, a.Detected
+		ra.Window.Start, ra.Window.End = event.Timestamp(a.Start), event.Timestamp(a.End)
+		st.Deliver([]runtime.Answer{ra})
 		a.Sub, a.Seq = st.id, uint64(i+1)
 		frame := wire.AppendFrame(nil, wire.TAnswer, wire.AppendAnswer(nil, a))
 		want[st.id] = append(want[st.id], frame)
@@ -195,8 +196,9 @@ func TestWriterCoalescesBurst(t *testing.T) {
 	// Credit follows the flush; stopping the writer orders it before the read.
 	ss.close()
 	ss.wg.Wait()
-	if ts := tenantStats(t, s, "alice"); ts.AnswersSent != 2*perSub || ts.GapsSent != 0 {
-		t.Errorf("credited %d answers and %d gaps, want %d and 0", ts.AnswersSent, ts.GapsSent, 2*perSub)
+	if ts := tenantStats(t, s, "alice"); ts.AnswersSent != 2*perSub || ts.GapsSent != 0 || ts.AnswersDropped != 0 {
+		t.Errorf("credited %d answers, %d gaps and %d dropped, want %d, 0 and 0",
+			ts.AnswersSent, ts.GapsSent, ts.AnswersDropped, 2*perSub)
 	}
 	if st := s.Stats(); st.Flushes != int64(writes) {
 		t.Errorf("flushes = %d, writes = %d", st.Flushes, writes)
@@ -246,7 +248,7 @@ func TestWedgedPeerTearsFlush(t *testing.T) {
 // BenchmarkAnswerDelivery measures the outbound path through the full serving
 // stack over an in-memory connection: one subscribe-all client ingests a
 // batch that closes a window on every stream and takes the answers it is
-// owed before the next — runtime publish, bridge, replay ring, answer encode,
+// owed before the next — runtime publish into the replay ring, answer encode,
 // socket write, client read and decode. Reported per delivered answer:
 // time, heap allocations (whole process), and server socket writes (acks
 // included).

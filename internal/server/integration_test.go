@@ -158,7 +158,7 @@ func TestIntegrationMultiTenant(t *testing.T) {
 	}
 
 	// Every client closed; its sessions must have released their runtime
-	// subscriptions (the bridge/leak assertion).
+	// subscriptions (the leak assertion).
 	deadline := time.Now().Add(5 * time.Second)
 	for rt.OpenSubscriptions() != 0 {
 		if time.Now().After(deadline) {

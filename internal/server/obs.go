@@ -31,7 +31,7 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 			n := 0
 			for _, c := range s.coreList() {
 				c.mu.Lock()
-				if c.attached == nil && !c.retired {
+				if c.attached.Load() == nil && !c.retired {
 					n++
 				}
 				c.mu.Unlock()

@@ -295,6 +295,11 @@ func TestResumeWindowExpiry(t *testing.T) {
 	waitFor(t, 5*time.Second, "fresh session token", func() bool {
 		return c.Session() != "" && c.Session() != oldSession
 	})
+	// The client re-subscribes after it adopts the fresh token; an answer
+	// published before that lands has no subscriber to go to.
+	waitFor(t, 5*time.Second, "the re-subscription to reach the runtime", func() bool {
+		return rt.OpenSubscriptions() == 1
+	})
 	for w := int64(0); w < 2; w++ {
 		if _, err := feeder.Ingest(windowEvents("s1", w)); err != nil {
 			t.Fatal(err)
@@ -360,8 +365,8 @@ func TestDeadPeerReaped(t *testing.T) {
 }
 
 // TestAbruptResetNoGoroutineLeak hammers the server with mid-subscription
-// connection resets and checks every session goroutine (reader, writer,
-// bridges) unwinds once the resume window lapses.
+// connection resets and checks every session goroutine (reader and writer)
+// unwinds once the resume window lapses.
 func TestAbruptResetNoGoroutineLeak(t *testing.T) {
 	rt := newTestRuntime(t, 0)
 	defer rt.Close()

@@ -16,12 +16,12 @@
 // ring of sequence-numbered answers, swept onto the wire by the session's
 // single writer goroutine — every frame ready at a sweep leaves in one socket
 // write, flushed when the rings run dry or the pending bytes pass
-// wire.BufferSize, never on a timer; bridge goroutines moving answers from
-// runtime subscriptions into the rings never block — an answer that overflows the
-// ring evicts the oldest entry, and the eviction surfaces to the subscriber
-// as an explicit Gap marker answer. A slow or stalled subscriber therefore
-// costs itself answers but never stalls the runtime's publish path or any
-// other tenant's delivery. Control replies (acks, errors) are never dropped:
+// wire.BufferSize, never on a timer. The ring is the runtime.Sink the
+// serving shards deliver into, one batch per shard message, and taking a
+// batch never blocks — an answer that overflows the ring evicts the oldest
+// entry, and the eviction surfaces to the subscriber as an explicit Gap
+// marker answer. A slow or stalled subscriber therefore costs itself answers
+// but never stalls the runtime's publish path or any other tenant's delivery. Control replies (acks, errors) are never dropped:
 // they are written from the session's request loop, which blocks — and
 // thereby backpressures — only the connection that issued the request.
 //
@@ -372,8 +372,8 @@ func (s *Server) tenantFor(t Tenant) *tenantState {
 // live session is sent a Goodbye so clients finish draining their answer
 // subscriptions and disconnect. Drain is idempotent and returns immediately;
 // follow it with Runtime.CloseContext (flushing in-flight windows through
-// the WAL and cutting the final checkpoint, which also ends every answer
-// bridge) and then Wait.
+// the WAL and cutting the final checkpoint, after which nothing delivers into
+// the sessions' rings) and then Wait.
 func (s *Server) Drain() {
 	if !s.beginDrain(false, "drain") {
 		return
@@ -449,7 +449,7 @@ func (s *Server) enforceParkCaps(ts *tenantState) {
 		var oldestAt, tenantOldestAt time.Time
 		for _, c := range s.coreList() {
 			c.mu.Lock()
-			isParked := c.attached == nil && !c.retired && c.reap != nil
+			isParked := c.attached.Load() == nil && !c.retired && c.reap != nil
 			at := c.parkedAt
 			c.mu.Unlock()
 			if !isParked {
@@ -630,7 +630,7 @@ func (s *Server) Stats() Stats {
 	}
 	for _, c := range s.coreList() {
 		c.mu.Lock()
-		if c.attached == nil && !c.retired {
+		if c.attached.Load() == nil && !c.retired {
 			st.SessionsParked++
 		}
 		c.mu.Unlock()

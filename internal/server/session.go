@@ -18,9 +18,10 @@ import (
 // session is one tenant connection: a request loop reading frames through a
 // read-ahead buffer under an idle deadline, and a single writer goroutine
 // sweeping the session core's replay rings onto the wire, every ready frame
-// coalesced into one write under one write deadline. The durable state —
-// subscriptions, replay rings, bridges — lives in the sessionCore, which
-// survives this connection if the peer disconnects and resumes.
+// coalesced into one write under one write deadline. A session owns those two
+// goroutines and nothing else. The durable state — subscriptions and their
+// replay rings — lives in the sessionCore, which survives this connection if
+// the peer disconnects and resumes.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -33,7 +34,10 @@ type session struct {
 	// interleave on the wire.
 	wmu sync.Mutex
 
-	wake chan struct{} // cap 1; bridges kick it when rings have data
+	// wake (cap 1) is the writer's doorbell: a shard that delivered into one
+	// of the core's rings kicks it once per delivered batch, after the push,
+	// so a kick is never lost and kicks that find one pending collapse.
+	wake chan struct{}
 	done chan struct{}
 	once sync.Once
 
@@ -363,37 +367,49 @@ func (ss *session) handleSubscribe(payload []byte) bool {
 		ss.sendError(req.Req, wire.CodeInvalid, fmt.Sprintf("subscription id %d in use", req.ID))
 		return true
 	}
+	// Resolve the name before building the ring, so a subscribe that cannot
+	// succeed costs no replay buffer. Only tenant-relative names resolve — a
+	// delimited one could reach into another tenant's namespace, and is
+	// answered exactly like a missing query, so it is no oracle on which names
+	// exist there — and tenant-registered names shadow shared ones.
 	rt := ss.srv.cfg.Runtime
-	var sub *runtime.Subscription
-	resolved := ""
-	if req.Query != "" {
-		// Tenant-registered names shadow shared names.
-		resolved = ss.prefix + req.Query
-		sub, err = rt.Subscribe(resolved)
-		if err != nil && errorsIsUnknownQuery(err) {
-			resolved = req.Query
-			sub, err = rt.Subscribe(resolved)
+	query := req.Query
+	if query != "" {
+		switch {
+		case strings.ContainsRune(query, namespaceDelim):
+			err = runtime.ErrUnknownQuery
+		case rt.HasQuery(ss.prefix + query):
+			query = ss.prefix + query
+		case !rt.HasQuery(query):
+			err = runtime.ErrUnknownQuery
 		}
-	} else {
-		sub, err = rt.Subscribe("")
+		if err != nil {
+			ss.sendError(req.Req, wire.CodeUnknownQuery, fmt.Sprintf("%v: %q", err, req.Query))
+			return true
+		}
 	}
-	if err != nil {
+	st := newSubState(c, req.ID, query)
+	if err := st.attach(); err != nil {
+		// The query was unregistered since it resolved, or the runtime closed.
 		code := wire.CodeInternal
-		if errorsIsUnknownQuery(err) {
+		if errors.Is(err, runtime.ErrUnknownQuery) {
 			code = wire.CodeUnknownQuery
 		}
 		ss.sendError(req.Req, code, err.Error())
 		return true
 	}
-	ok, dup := c.addSub(req.ID, resolved, sub)
+	ok, dup := c.addSub(st)
 	if !ok {
-		sub.Cancel()
+		st.detach()
 		if dup {
 			ss.sendError(req.Req, wire.CodeInvalid, fmt.Sprintf("subscription id %d in use", req.ID))
 			return true
 		}
 		return false // core retired: session is closing
 	}
+	// The ring was live on the bus before the writer could see it: what it
+	// took in between was kicked for too early.
+	ss.kick()
 	return ss.writeFrame(wire.TSubscribed,
 		wire.AppendSubscribed(nil, wire.Subscribed{Req: req.Req, ID: req.ID})) == nil
 }
@@ -477,18 +493,37 @@ type outbox struct {
 	answers, gaps int64
 	traces        []int64   // TraceNanos of the traced answers in buf
 	since         time.Time // when buf stopped being empty (encode histogram)
+	// timed and traced say whether the server keeps the encode and delivery
+	// histograms that since and traces feed.
+	timed, traced bool
 }
 
-// writeLoop is the session's single answer writer. A sweep pops every ready
-// answer and gap marker from the core's replay rings and encodes them back to
-// back into one reused buffer, which goes out as a single write when the
-// rings run dry or it passes wire.BufferSize — never on a timer, so a lone
-// answer on an idle connection leaves at once. Then it sleeps until a bridge
-// kicks it. A pop lost to a failed write is not lost data — the client's next
-// Resume rewinds the cursor to the truth.
+// add encodes one popped answer or gap marker behind the frames pending.
+func (out *outbox) add(wa wire.Answer) {
+	if len(out.buf) == 0 && out.timed {
+		out.since = time.Now()
+	}
+	out.buf = wire.AppendAnswerFrame(out.buf, wa)
+	if wa.Gap {
+		out.gaps++
+	} else {
+		out.answers++
+	}
+	if wa.TraceNanos != 0 && out.traced {
+		out.traces = append(out.traces, wa.TraceNanos)
+	}
+}
+
+// writeLoop is the session's single answer writer. A sweep drains every
+// ring's ready run — gap markers included, one lock acquisition per run —
+// into one reused buffer of back-to-back frames, which goes out as a single
+// write when the rings run dry or it passes wire.BufferSize — never on a
+// timer, so a lone answer on an idle connection leaves at once. Then it
+// sleeps until a delivering shard kicks it. A pop lost to a failed write is
+// not lost data — the client's next Resume rewinds the cursor to the truth.
 func (ss *session) writeLoop() {
 	defer ss.wg.Done()
-	var out outbox
+	out := outbox{timed: ss.srv.encodeH != nil, traced: ss.srv.deliverH != nil}
 	var subs []*subState
 	for {
 		for popped := true; popped; {
@@ -499,25 +534,12 @@ func (ss *session) writeLoop() {
 			}
 			subs = c.snapshot(subs[:0])
 			for _, st := range subs {
-				for {
-					wa, ok := st.next()
-					if !ok {
-						break
-					}
+				for st.drain(&out) > 0 {
 					popped = true
-					if len(out.buf) == 0 && ss.srv.encodeH != nil {
-						out.since = time.Now()
+					if len(out.buf) < wire.BufferSize {
+						break // the ring ran dry
 					}
-					out.buf = wire.AppendAnswerFrame(out.buf, wa)
-					if wa.Gap {
-						out.gaps++
-					} else {
-						out.answers++
-					}
-					if wa.TraceNanos != 0 && ss.srv.deliverH != nil {
-						out.traces = append(out.traces, wa.TraceNanos)
-					}
-					if len(out.buf) >= wire.BufferSize && !ss.flush(&out) {
+					if !ss.flush(&out) {
 						return
 					}
 				}
@@ -556,7 +578,8 @@ func (ss *session) flush(out *outbox) bool {
 			ss.srv.deliverH.Observe(time.Duration(now - t))
 		}
 	}
-	*out = outbox{buf: out.buf[:0], traces: out.traces[:0]}
+	out.buf, out.traces = out.buf[:0], out.traces[:0]
+	out.answers, out.gaps = 0, 0
 	return true
 }
 
@@ -617,8 +640,4 @@ func validName(name string) error {
 		return fmt.Errorf("name %q contains %q", name, string(namespaceDelim))
 	}
 	return nil
-}
-
-func errorsIsUnknownQuery(err error) bool {
-	return errors.Is(err, runtime.ErrUnknownQuery)
 }

@@ -16,7 +16,8 @@ import (
 // shipped to the peer with the rest of the directory by SendHandoff.
 
 // export captures one subscription's replay state. The ring must be
-// quiescent: call only after the runtime has frozen (bridges ended).
+// quiescent: call only after Runtime.Freeze (or Close) has returned — no shard
+// is alive then, so no Deliver is in flight and none follows.
 func (st *subState) export() durable.SessionSub {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -34,8 +35,9 @@ func (st *subState) export() durable.SessionSub {
 
 // ExportSessions snapshots every live session core — parked or still
 // formally attached (its client will reconnect against the peer) — for a
-// handoff spill. Call after DrainForHandoff and Runtime.Freeze, when every
-// bridge has ended and the rings are quiescent.
+// handoff spill. Call after DrainForHandoff and Runtime.Freeze have returned:
+// with the shards gone nothing delivers into the rings, and with the sessions
+// closed nothing pops them, so they are quiescent by construction.
 func (s *Server) ExportSessions() *durable.SessionSpill {
 	sp := &durable.SessionSpill{}
 	for _, c := range s.coreList() {
@@ -110,7 +112,7 @@ func (s *Server) importSession(rec durable.SessionRecord, window time.Duration) 
 		parkedAt: time.UnixMilli(rec.ParkedAtMillis),
 	}
 	for _, sub := range rec.Subs {
-		st, err := s.importSub(sub)
+		st, err := c.importSub(sub)
 		if err != nil {
 			s.logf("server: import session %.8s sub %d (%q): %v", rec.Token, sub.ID, sub.Query, err)
 			continue
@@ -124,17 +126,13 @@ func (s *Server) importSession(rec durable.SessionRecord, window time.Duration) 
 	if _, taken := s.cores[c.token]; taken {
 		s.mu.Unlock()
 		for _, st := range c.subs {
-			st.sub.Cancel()
+			st.detach()
 		}
 		return fmt.Errorf("token already live")
 	}
 	s.cores[c.token] = c
 	s.mu.Unlock()
 	c.mu.Lock()
-	for _, st := range c.subs {
-		c.bridges.Add(1)
-		go c.bridge(st)
-	}
 	c.reap = time.AfterFunc(window, func() {
 		c.srv.coresExpired.Inc()
 		c.retireIf(true)
@@ -144,27 +142,33 @@ func (s *Server) importSession(rec durable.SessionRecord, window time.Duration) 
 	return nil
 }
 
-// importSub rebuilds one subscription ring from its spilled state: a live
-// runtime subscription under the recorded query name, the seq space resumed
-// at the recorded head, and as much of the retained tail as the ring holds.
-// A spilled entry that fails to decode truncates the replayable range below
-// it (base moves past it), surfacing as a Gap.
-func (s *Server) importSub(sub durable.SessionSub) (*subState, error) {
-	rsub, err := s.cfg.Runtime.Subscribe(sub.Query)
-	if err != nil {
+// importSub rebuilds one subscription ring from its spilled state — the seq
+// space resumed at the recorded head, and as much of the retained tail as the
+// ring holds — and only then attaches it to the runtime under the recorded
+// query name: answers may arrive the instant it is attached, and must land
+// behind the restored head. A spilled entry that fails to decode truncates
+// the replayable range below it (base moves past it), surfacing as a Gap.
+func (c *sessionCore) importSub(sub durable.SessionSub) (*subState, error) {
+	st := newSubState(c, sub.ID, sub.Query)
+	st.reseed(sub)
+	if err := st.attach(); err != nil {
 		return nil, err
 	}
-	st := newSubState(sub.ID, sub.Query, rsub, s.replayBuffer())
+	return st, nil
+}
+
+// reseed restores a fresh, unattached ring from its spilled state.
+func (st *subState) reseed(sub durable.SessionSub) {
 	st.head = sub.Head
 	st.cursor = min(max(sub.Cursor, 1), sub.Head+1)
 	st.base = sub.Head + 1 // nothing replayable until entries land below
 	n := uint64(len(st.buf))
 	lo := sub.RingStart
 	if len(sub.Ring) == 0 || sub.Head == 0 {
-		return st, nil
+		return
 	}
 	if hi := lo + uint64(len(sub.Ring)) - 1; hi != sub.Head || lo == 0 || lo > sub.Head {
-		return st, nil // inconsistent spill: keep the sub, drop the tail
+		return // inconsistent spill: keep the sub, drop the tail
 	}
 	if floor := sub.Head + 1 - min(n, sub.Head); lo < floor {
 		lo = floor // older entries than the ring holds: they gap
@@ -179,5 +183,4 @@ func (s *Server) importSub(sub durable.SessionSub) (*subState, error) {
 		st.buf[(seq-1)%n] = a
 	}
 	st.base = base
-	return st, nil
 }

@@ -191,7 +191,8 @@ func FuzzHandoffDecode(f *testing.F) {
 // FuzzLivenessDecode covers the Ping/Pong codecs and the Answer codec's gap
 // extension: accepted values must survive a re-encode/re-decode round trip
 // unchanged, and accepted answers must never violate the gap invariants
-// (GapFrom only with the Gap flag, range non-empty and ordered).
+// (GapFrom only with the Gap flag, range non-empty and ordered). The Answer
+// codec's interning decoder must agree with the plain one on every input.
 func FuzzLivenessDecode(f *testing.F) {
 	f.Add(AppendPing(nil, Ping{Nonce: 7}))
 	f.Add(AppendAnswer(nil, Answer{Sub: 1, Seq: 9, Stream: "s", Query: "q", Detected: true}))
@@ -199,7 +200,23 @@ func FuzzLivenessDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 32))
 
+	// One table across inputs, as a client's read loop keeps one across
+	// frames: later inputs hit what earlier ones interned.
+	var names Interner
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Interned and plain decode agree: same verdict, same error, and —
+		// compared as re-encodings, since floats may be NaN — the same fields.
+		plain, perr := DecodeAnswer(data)
+		interned, ierr := names.DecodeAnswer(data)
+		if (perr == nil) != (ierr == nil) || (perr != nil && perr.Error() != ierr.Error()) {
+			t.Fatalf("interned decode failed with %v, plain with %v", ierr, perr)
+		}
+		if perr == nil && !bytes.Equal(AppendAnswer(nil, interned), AppendAnswer(nil, plain)) {
+			t.Fatalf("interned decode %+v, plain %+v", interned, plain)
+		}
+		if len(names.names) > maxInterned {
+			t.Fatalf("intern table holds %d names, bound %d", len(names.names), maxInterned)
+		}
 		if p, err := DecodePing(data); err == nil {
 			if p2, err := DecodePing(AppendPing(nil, p)); err != nil || p2 != p {
 				t.Fatalf("ping round trip: %+v -> %+v (%v)", p, p2, err)

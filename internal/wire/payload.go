@@ -391,8 +391,49 @@ func AppendAnswer(dst []byte, a Answer) []byte {
 
 // DecodeAnswer decodes an Answer payload.
 func DecodeAnswer(b []byte) (Answer, error) {
+	return (*Interner)(nil).DecodeAnswer(b)
+}
+
+// Interner is a bounded table of the strings a long-lived decoder keeps
+// seeing — a subscriber's few stream keys and query names, repeated in every
+// answer — so that decoding one costs a lookup on the payload bytes, not an
+// allocation. The zero value is ready to use; it is not safe for concurrent
+// use. Past maxInterned entries the table starts over, so a peer cycling
+// through fresh names cannot grow it, and strings longer than maxInternedLen
+// are never kept.
+type Interner struct {
+	names map[string]string
+}
+
+const (
+	maxInterned    = 4096
+	maxInternedLen = 256
+)
+
+// intern returns b as a string, shared with earlier calls where it can be.
+func (in *Interner) intern(b []byte) string {
+	if in == nil || len(b) > maxInternedLen {
+		return string(b)
+	}
+	if s, ok := in.names[string(b)]; ok { // no allocation: the compiler elides the conversion
+		return s
+	}
+	if in.names == nil {
+		in.names = make(map[string]string)
+	} else if len(in.names) >= maxInterned {
+		clear(in.names)
+	}
+	s := string(b)
+	in.names[s] = s
+	return s
+}
+
+// DecodeAnswer is the package-level DecodeAnswer with the answer's Stream and
+// Query drawn from the table: the same Answer, field for field, and the same
+// errors. A nil Interner decodes plainly.
+func (in *Interner) DecodeAnswer(b []byte) (Answer, error) {
 	var a Answer
-	d := decoder{b: b}
+	d := decoder{b: b, names: in}
 	a.Sub = d.uvarint()
 	a.Seq = d.uvarint()
 	a.Stream = d.string()
@@ -602,6 +643,8 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
+	// names, when set, is where string() draws its results from.
+	names *Interner
 }
 
 func (d *decoder) uvarint() uint64 {
@@ -656,7 +699,7 @@ func (d *decoder) string() string {
 		d.err = fmt.Errorf("string length %d at offset %d exceeds payload", l, d.off)
 		return ""
 	}
-	s := string(d.b[d.off+n : d.off+n+int(l)])
+	s := d.names.intern(d.b[d.off+n : d.off+n+int(l)])
 	d.off += n + int(l)
 	return s
 }

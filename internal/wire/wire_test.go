@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -385,6 +387,43 @@ func TestAnswerRejectsBadGapEncoding(t *testing.T) {
 	}
 	if _, err := DecodeAnswer(AppendAnswer(nil, Answer{Sub: 1, Seq: 5, Gap: true, GapFrom: 6})); err == nil {
 		t.Error("inverted gap range accepted")
+	}
+}
+
+// TestInternedAnswerDecode pins what the interning decoder is for and what
+// bounds it: a repeated answer decodes to the plain decoder's value without
+// allocating, the table starts over at maxInterned names instead of growing,
+// and an oversized name is never kept.
+func TestInternedAnswerDecode(t *testing.T) {
+	var names Interner
+	a := Answer{Sub: 3, Seq: 9, Stream: "meter-17", Query: "jam", WindowIndex: 4, Start: 40, End: 50, Detected: true, SpentEpsilon: 0.5}
+	enc := AppendAnswer(nil, a)
+	if got, err := names.DecodeAnswer(enc); err != nil || got != a {
+		t.Fatalf("interned decode = %+v, %v; want %+v", got, err, a)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got, err := names.DecodeAnswer(enc); err != nil || got != a {
+			t.Fatalf("interned decode = %+v, %v", got, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding a repeated answer allocates %v times, want 0", allocs)
+	}
+	for i := 0; i < 3*maxInterned; i++ {
+		a.Stream = fmt.Sprintf("s%d", i)
+		if got, err := names.DecodeAnswer(AppendAnswer(nil, a)); err != nil || got != a {
+			t.Fatalf("interned decode = %+v, %v; want %+v", got, err, a)
+		}
+		if len(names.names) > maxInterned {
+			t.Fatalf("table holds %d names after %d streams, bound %d", len(names.names), i+1, maxInterned)
+		}
+	}
+	clear(names.names)
+	a.Stream = strings.Repeat("x", maxInternedLen+1)
+	if got, err := names.DecodeAnswer(AppendAnswer(nil, a)); err != nil || got != a {
+		t.Fatalf("interned decode of a long name: %v", err)
+	}
+	if _, kept := names.names[a.Stream]; kept {
+		t.Errorf("a %d-byte name was interned, limit %d", len(a.Stream), maxInternedLen)
 	}
 }
 
