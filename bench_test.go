@@ -15,6 +15,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"os"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,17 +132,35 @@ func BenchmarkUniformPPMRun(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveFit measures a full Algorithm 1 fit.
+// BenchmarkAdaptiveFit measures a full Algorithm 1 fit on input shaped like
+// the serving benchmark's schema: an Algorithm 2 dataset with 12 targets and
+// 3 private patterns of 3 elements, fitted on the first half of its windows
+// as experiment.SynthBench does. ns/fit and allocs/fit land in
+// BENCH_serve.json.
 func BenchmarkAdaptiveFit(b *testing.B) {
-	pt, _ := core.NewPatternType("p", "e1", "e2", "e3")
-	wins := benchIndicatorWindows(200)
-	targets := []cep.Expr{cep.SeqTypes("e1", "e2", "e4")}
-	cfg := core.AdaptiveConfig{Epsilon: 1, Alpha: 0.5, MaxIters: 20}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.NewAdaptivePPM(cfg, wins, targets, pt); err != nil {
-			b.Fatal(err)
-		}
+	for _, history := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			cfg := synth.DefaultConfig(1)
+			cfg.NumTarget = 12
+			cfg.NumWindows = 2 * history
+			ds, err := synth.Generate(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wins, targets, private := ds.IndicatorWindows()[:history], ds.TargetExprs(), ds.PrivateTypes()
+			acfg := core.AdaptiveConfig{Epsilon: 1, Alpha: 0.5}
+			var ms goruntime.MemStats
+			goruntime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
+			for b.Loop() {
+				if _, err := core.NewAdaptivePPM(acfg, wins, targets, private...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			goruntime.ReadMemStats(&ms)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/fit")
+			b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N), "allocs/fit")
+		})
 	}
 }
 

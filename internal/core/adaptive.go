@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"patterndp/internal/cep"
 	"patterndp/internal/dp"
@@ -97,82 +98,172 @@ func NewAdaptivePPM(cfg AdaptiveConfig, history []IndicatorWindow, targets []cep
 	if len(history) == 0 {
 		return nil, fmt.Errorf("core: adaptive PPM needs historical windows")
 	}
-	a := &AdaptivePPM{cfg: cfg, private: private}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	private = slices.Clone(private)
 
 	// Line 1: start every pattern at the uniform allocation.
-	for _, pt := range private {
+	dists := make([]*dp.Distribution, len(private))
+	for k, pt := range private {
+		if pt.Len() == 0 {
+			return nil, fmt.Errorf("core: private pattern type %q has no elements", pt.Name)
+		}
 		d, err := dp.UniformDistribution(cfg.Epsilon, pt.Len())
 		if err != nil {
 			return nil, err
 		}
-		a.dists = append(a.dists, d)
+		dists[k] = d
 	}
-	a.rebuildFlips()
-	a.fitQ = ExpectedQuality(history, targets, a.FlipProbs(), cfg.Alpha, rng)
+	f := newAdaptiveFit(cfg, newQualityModel(history, targets), private, dists)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	f.model.refreshAll(f.flips)
+	a := &AdaptivePPM{cfg: cfg, private: private, dists: dists}
+	a.fitQ = f.model.confusion(f.flips, rng).Q(cfg.Alpha)
 
 	// Coordinate descent over pattern types, Algorithm 1 within each.
-	for k, pt := range private {
-		q, iters := a.fitPattern(k, pt, history, targets, rng)
+	for k := range private {
+		q, iters := f.fitPattern(k, a.fitQ, rng)
 		a.fitQ = q
 		a.iters += iters
 	}
+	a.flipTable = newFlipTable(private, dists)
 	return a, nil
 }
 
-// fitPattern runs Algorithm 1 for pattern k with all other patterns fixed.
-// It returns the fitted expected quality and the number of committed steps.
-func (a *AdaptivePPM) fitPattern(k int, pt PatternType, history []IndicatorWindow, targets []cep.Expr, rng *rand.Rand) (float64, int) {
-	m := pt.Len()
+// adaptiveFit is the working state of one fit: the compiled scoring model and
+// the allocation being searched, laid out over the model's type table so a
+// probe touches no map and leaves the mechanism under construction alone.
+type adaptiveFit struct {
+	cfg   AdaptiveConfig
+	model *qualityModel
+	// dists[k] is pattern k's committed allocation (the slice is the one
+	// the AdaptivePPM being built holds) and probs[k] its per-element flip
+	// probabilities.
+	dists []*dp.Distribution
+	probs [][]float64
+	// claims[t] lists, for the model's type t, the (pattern, element) pairs
+	// whose randomized responses compose on it, in registration order.
+	claims [][]claim
+	// flips is the effective flip probability per model type under dists;
+	// probe is flips with one pattern's candidate allocation swapped in.
+	flips []float64
+	probe []float64
+	// types[k] are the model types pattern k's elements claim, and
+	// touched[k] the targets referencing one of them: the only targets a
+	// probe on pattern k can move.
+	types   [][]int
+	touched [][]int
+}
+
+type claim struct{ pattern, element int }
+
+func newAdaptiveFit(cfg AdaptiveConfig, model *qualityModel, private []PatternType, dists []*dp.Distribution) *adaptiveFit {
+	f := &adaptiveFit{
+		cfg:     cfg,
+		model:   model,
+		dists:   dists,
+		probs:   make([][]float64, len(private)),
+		claims:  make([][]claim, len(model.types)),
+		flips:   make([]float64, len(model.types)),
+		probe:   make([]float64, len(model.types)),
+		types:   make([][]int, len(private)),
+		touched: make([][]int, len(private)),
+	}
+	for k, pt := range private {
+		f.probs[k] = dists[k].FlipProbs()
+		for i, t := range pt.Elements {
+			// A type no target references and no window carries is never
+			// read by the oracle.
+			if pos, ok := model.pos[t]; ok {
+				f.claims[pos] = append(f.claims[pos], claim{k, i})
+				f.types[k] = append(f.types[k], pos)
+			}
+		}
+		for j := range model.targets {
+			if slices.ContainsFunc(model.targets[j].pos, func(pos int) bool { return slices.Contains(f.types[k], pos) }) {
+				f.touched[k] = append(f.touched[k], j)
+			}
+		}
+	}
+	for pos := range f.flips {
+		f.flips[pos] = f.effective(pos, -1, nil)
+	}
+	return f
+}
+
+// effective composes the independent randomized responses on one model type
+// exactly as flipTable.FlipProb does, reading pattern k's element
+// probabilities from cand instead of the committed ones (k = −1: none).
+func (f *adaptiveFit) effective(pos, k int, cand []float64) float64 {
+	eff := 0.0
+	for _, c := range f.claims[pos] {
+		p := f.probs[c.pattern][c.element]
+		if c.pattern == k {
+			p = cand[c.element]
+		}
+		eff = eff*(1-p) + p*(1-eff)
+	}
+	return eff
+}
+
+// score is one probe of Algorithm 1: the expected quality with pattern k's
+// element flip probabilities replaced by cand and everything else as
+// committed. Only the targets pattern k touches are re-evaluated.
+func (f *adaptiveFit) score(k int, cand []float64, rng *rand.Rand) float64 {
+	for _, pos := range f.types[k] {
+		f.probe[pos] = f.effective(pos, k, cand)
+	}
+	f.model.refresh(f.probe, f.touched[k])
+	return f.model.confusion(f.probe, rng).Q(f.cfg.Alpha)
+}
+
+// fitPattern runs Algorithm 1 for pattern k with all other patterns fixed,
+// starting from expected quality bestQ. It returns the fitted expected
+// quality and the number of committed steps.
+func (f *adaptiveFit) fitPattern(k int, bestQ float64, rng *rand.Rand) (float64, int) {
+	m := f.dists[k].Len()
 	if m < 2 {
 		// Nothing to reallocate; uniform is the only allocation.
-		return a.fitQ, 0
+		return bestQ, 0
 	}
 	// Line 2: step size δε = StepFactor · m · ε.
-	step := dp.Epsilon(a.cfg.StepFactor * float64(m) * float64(a.cfg.Epsilon))
+	step := dp.Epsilon(f.cfg.StepFactor * float64(m) * float64(f.cfg.Epsilon))
 	if step <= 0 {
-		return a.fitQ, 0
+		return bestQ, 0
 	}
-	eval := func(d *dp.Distribution) float64 {
-		saved := a.dists[k]
-		a.dists[k] = d
-		a.rebuildFlips()
-		q := ExpectedQuality(history, targets, a.FlipProbs(), a.cfg.Alpha, rng)
-		a.dists[k] = saved
-		a.rebuildFlips()
-		return q
-	}
-	bestQ := a.fitQ
+	copy(f.probe, f.flips)
 	iters := 0
-	for iters < a.cfg.MaxIters {
+	for iters < f.cfg.MaxIters {
 		// Lines 6–9: probe a step onto each element.
 		bestI := -1
 		bestCandQ := bestQ
 		var bestCand *dp.Distribution
+		var bestProbs []float64
 		for i := 0; i < m; i++ {
-			cand := a.dists[k].Clone()
+			cand := f.dists[k].Clone()
 			if cand.Shift(i, step) == 0 {
 				continue
 			}
-			if q := eval(cand); q > bestCandQ+1e-12 {
-				bestI, bestCandQ, bestCand = i, q, cand
+			probs := cand.FlipProbs()
+			if q := f.score(k, probs, rng); q > bestCandQ+1e-12 {
+				bestI, bestCandQ, bestCand, bestProbs = i, q, cand, probs
 			}
 		}
 		// Lines 10–12: commit the best improving move, if any.
 		if bestI < 0 {
 			break
 		}
-		a.dists[k] = bestCand
+		f.dists[k] = bestCand
+		f.probs[k] = bestProbs
+		for _, pos := range f.types[k] {
+			f.flips[pos] = f.effective(pos, -1, nil)
+		}
 		bestQ = bestCandQ
 		iters++
 	}
-	a.rebuildFlips()
+	// Leave the model's cached probabilities at the committed allocation,
+	// not at the last probe, for the next pattern's fit.
+	f.model.refresh(f.flips, f.touched[k])
 	return bestQ, iters
 }
-
-// rebuildFlips recomputes the flip table from the per-pattern element
-// allocations.
-func (a *AdaptivePPM) rebuildFlips() { a.flipTable = newFlipTable(a.private, a.dists) }
 
 // Name implements Mechanism.
 func (a *AdaptivePPM) Name() string { return "adaptive" }

@@ -1,0 +1,72 @@
+package core_test
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"patterndp/internal/core"
+	"patterndp/internal/dp"
+	"patterndp/internal/synth"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/adaptive_fit.golden from the current fit")
+
+// TestAdaptiveFitUnchanged fits the AdaptivePPM on Algorithm 2 datasets
+// shaped like the serving benchmark's schema (12 targets, 3 private patterns
+// of 3 elements, fitted on the first half of the windows) and compares
+// Iterations, FittedQuality and every allocated ε, as hex floats, with
+// testdata/adaptive_fit.golden. The golden file was captured from the fit as
+// it ran on the per-window reference oracle (the commit before the compiled
+// quality model; 4.3 s per 1000-window fit, hence goldens and not a live
+// reference run), so equality means the allocation did not move by one bit.
+func TestAdaptiveFitUnchanged(t *testing.T) {
+	var got strings.Builder
+	for _, history := range []int{100, 1000} {
+		for seed := int64(1); seed <= 5; seed++ {
+			cfg := synth.DefaultConfig(seed)
+			cfg.NumTarget = 12
+			cfg.NumWindows = 2 * history
+			ds, err := synth.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist := ds.IndicatorWindows()[:history]
+			for _, eps := range []float64{0.1, 1, 5} {
+				a, err := core.NewAdaptivePPM(core.AdaptiveConfig{Epsilon: dp.Epsilon(eps), Alpha: 0.5, Seed: seed}, hist, ds.TargetExprs(), ds.PrivateTypes()...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&got, "history=%d seed=%d eps=%g iters=%d q=%x", history, seed, eps, a.Iterations(), a.FittedQuality())
+				for k := range a.Private() {
+					for _, part := range a.Distribution(k).Parts() {
+						fmt.Fprintf(&got, " %x", float64(part))
+					}
+				}
+				got.WriteByte('\n')
+			}
+		}
+	}
+	const path = "testdata/adaptive_fit.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d fits, golden file has %d", len(gotLines)-1, len(wantLines)-1)
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("fit moved:\n got %s\nwant %s", gotLines[i], wantLines[i])
+		}
+	}
+}

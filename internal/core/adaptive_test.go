@@ -63,6 +63,36 @@ func TestNewAdaptivePPMInputValidation(t *testing.T) {
 	}
 }
 
+// TestNewAdaptivePPMConstructorParity pins what NewAdaptivePPM shares with
+// NewUniformPPM: the private set is copied, so a caller editing its slice
+// afterwards cannot make Private() disagree with the fitted flips, and a
+// pattern type without elements is rejected by name with the same error.
+func TestNewAdaptivePPMConstructorParity(t *testing.T) {
+	cfg := AdaptiveConfig{Epsilon: 1, Alpha: 0.5}
+	hist := histWindows()
+	targets := []cep.Expr{cep.SeqTypes("a", "b")}
+	private := []PatternType{mustPT(t, "p", "a", "b")}
+	ada, err := NewAdaptivePPM(cfg, hist, targets, private...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private[0] = mustPT(t, "other", "x", "y")
+	if got := ada.Private(); len(got) != 1 || got[0].Name != "p" {
+		t.Errorf("Private() = %v after the caller edited its slice, want the fitted set", got)
+	}
+
+	empty := PatternType{Name: "hollow"}
+	_, errAda := NewAdaptivePPM(cfg, hist, targets, private[0], empty)
+	_, errUni := NewUniformPPM(1, private[0], empty)
+	want := `core: private pattern type "hollow" has no elements`
+	if errAda == nil || errAda.Error() != want {
+		t.Errorf("adaptive: empty pattern error = %v, want %s", errAda, want)
+	}
+	if errUni == nil || errUni.Error() != want {
+		t.Errorf("uniform: empty pattern error = %v, want %s", errUni, want)
+	}
+}
+
 func TestAdaptiveConservesTotalBudget(t *testing.T) {
 	pt := mustPT(t, "p", "a", "b")
 	cfg := AdaptiveConfig{Epsilon: 1.0, Alpha: 0.5}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"patterndp/internal/cep"
 	"patterndp/internal/event"
@@ -21,59 +20,17 @@ const maxExactTypes = 12
 // The computation enumerates all assignments of the perturbed types that
 // expr references (exact for up to maxExactTypes such types) and therefore
 // handles arbitrary expressions, including types that occur several times.
-// Beyond the bound it estimates by sampling with rng (which must be non-nil
-// in that case).
+// Beyond the bound it estimates by sampling with rng, which must then be
+// non-nil: a nil rng panics rather than fall back to a hidden seed. It is the
+// one-window, one-target case of the model ExpectedQuality scores with.
 func DetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
-	// Collect the perturbed types the expression actually references.
-	var perturbed []event.Type
-	for _, t := range expr.Types() {
-		if p := flip[t]; p > 0 {
-			perturbed = append(perturbed, t)
-		}
-	}
-	sort.Slice(perturbed, func(i, j int) bool { return perturbed[i] < perturbed[j] })
-
-	if len(perturbed) == 0 {
-		if cep.EvalIndicators(expr, truth) {
-			return 1
-		}
-		return 0
-	}
-
-	if len(perturbed) <= maxExactTypes {
-		return exactDetectionProbability(expr, truth, flip, perturbed)
-	}
-	return sampledDetectionProbability(expr, truth, flip, rng)
-}
-
-func exactDetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip map[event.Type]float64, perturbed []event.Type) float64 {
-	released := make(map[event.Type]bool, len(truth))
-	for k, v := range truth {
-		released[k] = v
-	}
-	n := len(perturbed)
-	total := 0.0
-	for mask := 0; mask < 1<<n; mask++ {
-		w := 1.0
-		for i, t := range perturbed {
-			p := flip[t]
-			flipped := mask&(1<<i) != 0
-			if flipped {
-				w *= p
-				released[t] = !truth[t]
-			} else {
-				w *= 1 - p
-				released[t] = truth[t]
-			}
-		}
-		if w == 0 {
-			continue
-		}
-		if cep.EvalIndicators(expr, released) {
-			total += w
-		}
-	}
-	return total
+	m := newQualityModel([]IndicatorWindow{{Present: truth}}, []cep.Expr{expr})
+	p := m.flipVector(flip)
+	m.refreshAll(p)
+	// One window, one target: the probability lands in TP or FP by the
+	// ground truth, and the other stays exactly zero.
+	c := m.confusion(p, rng)
+	return c.TP + c.FP
 }
 
 func sampledDetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
@@ -141,22 +98,15 @@ func (c ExpectedConfusion) Q(alpha float64) float64 {
 // to score candidate budget distributions, replacing repeated noisy
 // simulation with an exact expectation (a deliberate design choice — see
 // DESIGN.md).
+//
+// rng is read only for a target that references more than maxExactTypes
+// perturbed types (see DetectionProbability) and may be nil otherwise; such a
+// target with a nil rng panics.
 func ExpectedQuality(wins []IndicatorWindow, targets []cep.Expr, flip map[event.Type]float64, alpha float64, rng *rand.Rand) float64 {
-	var c ExpectedConfusion
-	for _, w := range wins {
-		for _, target := range targets {
-			truth := cep.EvalIndicators(target, w.Present)
-			pDetect := DetectionProbability(target, w.Present, flip, rng)
-			if truth {
-				c.TP += pDetect
-				c.FN += 1 - pDetect
-			} else {
-				c.FP += pDetect
-				c.TN += 1 - pDetect
-			}
-		}
-	}
-	return c.Q(alpha)
+	m := newQualityModel(wins, targets)
+	p := m.flipVector(flip)
+	m.refreshAll(p)
+	return m.confusion(p, rng).Q(alpha)
 }
 
 // MeasuredQuality evaluates the realized quality of released indicator maps

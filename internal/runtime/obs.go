@@ -33,6 +33,10 @@ type runtimeObs struct {
 	// serve measures one shard emit — pane/window serving latency from
 	// closed windows to published (or deferred) answers — per shard.
 	serve []*metrics.Histogram
+	// rebuild measures one private-set epoch applied to a shard: the
+	// mechanism factory plus the engine build, during which the shard
+	// serves nothing.
+	rebuild []*metrics.Histogram
 
 	// Trace-stage histograms (sampled batches only).
 	hop          *metrics.Histogram
@@ -53,6 +57,7 @@ func newRuntimeObs(cfg Config) *runtimeObs {
 	o := &runtimeObs{
 		admit:        reg.Histogram("ppm_ingest_admit_seconds", "IngestBatch admission latency: shard routing plus backpressure wait."),
 		serve:        make([]*metrics.Histogram, cfg.Shards),
+		rebuild:      make([]*metrics.Histogram, cfg.Shards),
 		hop:          reg.Histogram("ppm_trace_shard_hop_seconds", "Traced batches: ingest-channel dwell until the shard dequeues."),
 		stageServe:   reg.Histogram("ppm_trace_serve_stage_seconds", "Traced batches: pane tally and window decision stage."),
 		stagePublish: reg.Histogram("ppm_trace_publish_stage_seconds", "Traced batches: WAL group commit and answer publish stage."),
@@ -60,7 +65,9 @@ func newRuntimeObs(cfg Config) *runtimeObs {
 		traced:       reg.Counter("ppm_trace_batches_total", "Ingest batches selected for lifecycle tracing."),
 	}
 	for i := range o.serve {
-		o.serve[i] = reg.Histogram("ppm_serve_window_seconds", "Per-shard window serving latency of one emit (closed windows to published answers).", metrics.L("shard", strconv.Itoa(i)))
+		shard := metrics.L("shard", strconv.Itoa(i))
+		o.serve[i] = reg.Histogram("ppm_serve_window_seconds", "Per-shard window serving latency of one emit (closed windows to published answers).", shard)
+		o.rebuild[i] = reg.Histogram("ppm_control_rebuild_seconds", "Per-shard stall of one private-set epoch: mechanism factory plus engine build, between two windows.", shard)
 	}
 	if cfg.TraceSample > 0 {
 		o.traceEvery = uint64(math.Round(1 / cfg.TraceSample))

@@ -115,6 +115,15 @@ type Config struct {
 	// Mechanism), so budget splits follow the live set and RegisterPrivate
 	// becomes available. The slice is a private copy the factory may
 	// retain.
+	//
+	// Where it runs: once per shard at New, and once per shard per
+	// private-set epoch on that shard's serving goroutine, at the first
+	// window boundary after the epoch — between two windows, with every
+	// stream of the shard waiting (ppm_control_rebuild_seconds records the
+	// wait). A factory that fits a mechanism (core.NewAdaptivePPM) should
+	// therefore hold its history and targets ready and keep the fit short:
+	// about 1 ms on 100 history windows and 10 ms on 1000 at the paper's
+	// pattern sizes.
 	MechanismFor func(shard int, private []core.PatternType) (core.Mechanism, error)
 	// Private are the initially protected pattern types, registered on
 	// every shard. At least one is required, and the set never shrinks to

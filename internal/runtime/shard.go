@@ -142,16 +142,8 @@ func (s *shard) syncControl() bool {
 		return true
 	}
 	if st.privEpoch != s.cur.privEpoch {
-		eng, err := s.rt.buildEngine(s.id, st)
-		if err != nil {
+		if err := s.rebuild(st); err != nil {
 			return s.fail(err)
-		}
-		s.engine = eng
-		if s.led != nil {
-			// The rebuilt mechanism's pattern-level ε is the new
-			// per-window release charge.
-			s.charge = float64(eng.Mechanism().TotalEpsilon())
-			s.led.SetCharge(s.charge)
 		}
 	} else if err := s.engine.SetTargetPlans(st.plans); err != nil {
 		return s.fail(err)
@@ -167,6 +159,28 @@ func (s *shard) syncControl() bool {
 	s.cur = st
 	s.epoch.Store(uint64(st.epoch))
 	return true
+}
+
+// rebuild replaces the shard's mechanism and engine for a new private set.
+// The factory runs here, on the shard goroutine between two windows, so its
+// duration — ppm_control_rebuild_seconds — is time the shard serves nothing:
+// a factory that fits a mechanism holds every stream of the shard that long.
+func (s *shard) rebuild(st *controlState) error {
+	if o := s.rt.obs; o != nil {
+		defer o.rebuild[s.id].ObserveSince(time.Now())
+	}
+	eng, err := s.rt.buildEngine(s.id, st)
+	if err != nil {
+		return err
+	}
+	s.engine = eng
+	if s.led != nil {
+		// The rebuilt mechanism's pattern-level ε is the new
+		// per-window release charge.
+		s.charge = float64(eng.Mechanism().TotalEpsilon())
+		s.led.SetCharge(s.charge)
+	}
+	return nil
 }
 
 // fail records the shard's first serving error and flips the failed flag so
