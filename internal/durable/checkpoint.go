@@ -77,14 +77,14 @@ type StreamCheckpoint struct {
 	Windower WindowerState `json:"windower"`
 }
 
-// WindowerState serializes a stream's Windower: watermark position, the
-// reorder buffer, and the pane tally ring. Pane tallies reuse
-// stream.TypeCounts' exported shape and pending events reuse the event JSON
-// codec, so both round-trip without a parallel serialization format.
+// WindowerState serializes a stream's Windower: watermark position, the open
+// panes' tallies, and the pane tally ring. Both reuse stream.TypeCounts'
+// exported shape, so they round-trip without a parallel serialization format
+// — and a checkpoint holds type tallies, never event payloads.
 type WindowerState struct {
 	// Started reports whether the windower has seen any event.
 	Started bool `json:"started"`
-	// NextStart is the start of the next window to cut.
+	// NextStart is the start of the next pane to cut.
 	NextStart event.Timestamp `json:"next_start"`
 	// MaxTime is the high-watermark event time seen so far.
 	MaxTime event.Timestamp `json:"max_time"`
@@ -92,8 +92,12 @@ type WindowerState struct {
 	Dropped int64 `json:"dropped"`
 	// Panes counts panes cut so far.
 	Panes int64 `json:"panes"`
-	// Pending is the reorder buffer: events at or past the watermark, not
-	// yet assigned to a pane.
+	// Open holds the tallies of the panes at or past the watermark, the one
+	// starting at NextStart first. Nil entries are empty panes.
+	Open []stream.TypeCounts `json:"open,omitempty"`
+	// Pending is decode-only: older checkpoints carried the open panes'
+	// events instead of their tallies. Restore folds them into the tallies;
+	// nothing writes the field any more.
 	Pending []event.Event `json:"pending,omitempty"`
 	// Ring is the pane tally ring, oldest pane first; its length is the
 	// window overlap (width/slide). Nil entries are empty panes.

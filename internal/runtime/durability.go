@@ -412,9 +412,9 @@ func (rt *Runtime) restore(rec *durable.Recovery) error {
 }
 
 // exportWindower serializes one stream's windowing state: watermark
-// position, reorder buffer (via the event JSON codec), and the pane tally
-// ring (via stream.TypeCounts' exported shape). slotCounts are derived state
-// and rebuilt from the pending events on restore.
+// position, the open panes' tallies and the pane tally ring (both via
+// stream.TypeCounts' exported shape). Type tallies are all a windower holds
+// of its stream, so a checkpoint never contains an event.
 func exportWindower(w *Windower) durable.WindowerState {
 	ws := durable.WindowerState{
 		Started:   w.started,
@@ -423,10 +423,13 @@ func exportWindower(w *Windower) durable.WindowerState {
 		Dropped:   w.dropped,
 		Panes:     w.panes,
 	}
-	if len(w.pending) > 0 {
-		ws.Pending = append([]event.Event(nil), w.pending...)
+	if len(w.open) > 0 {
+		ws.Open = make([]stream.TypeCounts, len(w.open))
+		for i, pane := range w.open {
+			ws.Open[i] = pane.Clone()
+		}
 	}
-	if w.overlap > 1 && w.ring.n > 0 {
+	if w.ring.n > 0 {
 		ws.Ring = make([]stream.TypeCounts, w.ring.n)
 		for i := 0; i < w.ring.n; i++ {
 			ws.Ring[i] = w.ring.slots[(w.ring.head+i)%w.ring.overlap].Clone()
@@ -436,31 +439,22 @@ func exportWindower(w *Windower) durable.WindowerState {
 }
 
 // restoreWindower is exportWindower's inverse, applied to a fresh windower.
+// A checkpoint written before the windower stopped buffering events carries
+// them as Pending instead of Open; they are tallied like a push would.
 func restoreWindower(w *Windower, ws durable.WindowerState) {
 	w.started = ws.Started
 	w.nextStart = ws.NextStart
 	w.maxTime = ws.MaxTime
 	w.dropped = ws.Dropped
 	w.panes = ws.Panes
-	w.pending = append(w.pending[:0], ws.Pending...)
-	w.rebuildSlots()
-	if w.overlap > 1 {
-		for _, tally := range ws.Ring {
-			w.ring.push(tally.Clone())
-		}
+	for _, pane := range ws.Open {
+		w.open = append(w.open, pane.Clone())
 	}
-}
-
-// rebuildSlots recomputes the per-slot population counts from the pending
-// events after a restore or replay advance.
-func (w *Windower) rebuildSlots() {
-	w.slotCounts = w.slotCounts[:0]
-	for _, e := range w.pending {
-		idx := int((stream.AlignDown(e.Time, w.slide) - w.nextStart) / w.slide)
-		for idx >= len(w.slotCounts) {
-			w.slotCounts = append(w.slotCounts, 0)
-		}
-		w.slotCounts[idx]++
+	for _, e := range ws.Pending {
+		w.tally(e)
+	}
+	for _, pane := range ws.Ring {
+		w.ring.push(pane.Clone())
 	}
 }
 
@@ -468,7 +462,7 @@ func (w *Windower) rebuildSlots() {
 // without cutting them — they were cut, charged, and possibly published
 // before the crash; replay must not re-emit them. Skipped panes enter the
 // ring empty (their events are lost with the crash — the WAL logs decisions,
-// not events) and pending events the advance strands are dropped: their
+// not events) and open tallies the advance strands are dropped: their
 // windows are already accounted for.
 func (w *Windower) advanceTo(target event.Timestamp) {
 	if !w.started {
@@ -477,12 +471,10 @@ func (w *Windower) advanceTo(target event.Timestamp) {
 		w.maxTime = target
 		return
 	}
-	if target <= w.nextStart {
-		return
-	}
 	for w.nextStart < target {
+		w.takeOpen()
 		if w.overlap > 1 {
-			w.ring.push(w.ring.takeSlot())
+			w.ring.push(nil)
 		}
 		w.nextStart += w.slide
 		w.panes++
@@ -490,12 +482,4 @@ func (w *Windower) advanceTo(target event.Timestamp) {
 	if w.maxTime < w.nextStart {
 		w.maxTime = w.nextStart
 	}
-	kept := w.pending[:0]
-	for _, e := range w.pending {
-		if e.Time >= w.nextStart {
-			kept = append(kept, e)
-		}
-	}
-	w.pending = kept
-	w.rebuildSlots()
 }

@@ -86,19 +86,18 @@ type Config struct {
 	WindowWidth event.Timestamp
 	// Slide is how far consecutive windows advance. It must be a positive
 	// divisor of WindowWidth; 0 (the default) means WindowWidth, i.e.
-	// tumbling windows. When Slide < WindowWidth each stream is served over
-	// sliding windows assembled from panes of the slide width: per-pane type
-	// tallies are merged across a ring into every covering window, so
-	// overlapping windows share their evaluation work instead of
-	// re-buffering and re-scanning events per window. Only the windower
-	// differs: tumbling and sliding windows are decided, served, logged and
-	// published by the same sequence. Sliding answers carry interval-only
-	// windows (no Events, no TypeCounts): per-window event lists are never
-	// materialized on the pane path, and raw contents are not republished
-	// to subscribers. Privacy note: each event then contributes to
-	// WindowWidth/Slide independently perturbed releases, so the per-event
-	// privacy loss composes up to overlap x the per-window budget — see
-	// README "Sliding windows" for the trade-off.
+	// tumbling windows. Each stream is tallied per pane of the slide width
+	// and every window is assembled from its WindowWidth/Slide pane
+	// tallies, so overlapping windows share their evaluation work instead
+	// of re-scanning events per window; a tumbling window is the one-pane
+	// case. Nothing else differs: both are decided, served, logged and
+	// published by the same sequence, and every answer carries an
+	// interval-only window (no Events, no TypeCounts) — the runtime keeps
+	// no event past its tally, and the unperturbed tally is not published
+	// to subscribers. Privacy note: with Slide < WindowWidth each event
+	// contributes to WindowWidth/Slide independently perturbed releases, so
+	// the per-event privacy loss composes up to overlap x the per-window
+	// budget — see README "Sliding windows" for the trade-off.
 	Slide event.Timestamp
 	// Mechanism builds shard i's own mechanism instance, so no mechanism
 	// state or configuration is shared between shards. It is re-invoked
@@ -219,9 +218,6 @@ func (c Config) slideOrWidth() event.Timestamp {
 	}
 	return c.Slide
 }
-
-// sliding reports whether the configuration serves overlapping windows.
-func (c Config) sliding() bool { return c.slideOrWidth() < c.WindowWidth }
 
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
@@ -745,13 +741,13 @@ func (rt *Runtime) CloseContext(ctx context.Context) error {
 
 // Freeze is the partition-handoff variant of CloseContext: it stops
 // ingestion and shuts the runtime down at per-stream pane boundaries
-// WITHOUT flushing trailing partial windows. Open-window state (pending
-// events, pane tally rings, watermarks) instead travels in the final
-// checkpoint's windower serialization, so a peer process recovering from
-// the same durable directory resumes those windows exactly where they
-// stopped — no partial windows are published, no spend is minted or lost
-// at the boundary. Requires Config.Durability; the frozen directory is the
-// handoff payload.
+// WITHOUT flushing trailing partial windows. Open-window state (open-pane
+// tallies, pane tally rings, watermarks — type tallies only, never events)
+// instead travels in the final checkpoint's windower serialization, so a
+// peer process recovering from the same durable directory resumes those
+// windows exactly where they stopped — no partial windows are published, no
+// spend is minted or lost at the boundary. Requires Config.Durability; the
+// frozen directory is the handoff payload.
 func (rt *Runtime) Freeze(ctx context.Context) error {
 	if rt.durLog == nil {
 		return ErrDurabilityDisabled

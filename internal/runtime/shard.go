@@ -112,7 +112,7 @@ type shard struct {
 	// Serving scratch of one emit, reused across pushes: the closed-window
 	// batch, each window's admission outcome, the admitted sub-batch handed
 	// to the engine, and the engine's answers. Only the slice headers are
-	// recycled — window contents are copied into the outbox before reuse.
+	// recycled — only the windows' intervals reach the outbox.
 	wsScratch  []stream.Window
 	outScratch []account.Outcome
 	admScratch []stream.Window
@@ -267,7 +267,7 @@ func (s *shard) run() {
 		}
 	}
 	if s.rt.noFlush.Load() {
-		// Freeze: leave trailing windows open. Their pending events and
+		// Freeze: leave trailing windows open. Their open-pane tallies and
 		// pane rings travel in the final checkpoint's windower state for
 		// the adopting process to resume — flushing here would publish
 		// partial windows the handoff peer then could not continue.
@@ -453,7 +453,6 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 		}
 		s.ansScratch = served
 	}
-	sliding := s.rt.cfg.sliding()
 	for i := range ws {
 		out := s.outScratch[i]
 		a := Answer{
@@ -464,31 +463,26 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 			RemainingEpsilon: out.Remaining,
 			TraceNanos:       s.trace0,
 		}
+		// Every answer carries an interval-only window: the tally the
+		// mechanism read is the unperturbed private input (and, when sliding,
+		// windower scratch reclaimed on the next push), so it never leaves
+		// the shard.
+		a.WindowIndex = st.next + i
+		a.Window = stream.Window{Start: ws[i].Start, End: ws[i].End}
 		switch out.Decision {
 		case account.Admitted:
 			// The engine answers window-major, one per query (none for a
 			// skipped window: nq is zero).
 			for _, ea := range served[:nq] {
-				a.Answer = ea
-				a.WindowIndex = st.next + i
-				if sliding {
-					// Sliding answers carry interval-only windows: the pane
-					// path never materializes per-window event lists, and the
-					// tally buffers are windower-owned scratch reclaimed on
-					// the next push, so neither may escape to subscribers.
-					a.Window.Events = nil
-					a.Window.TypeCounts = nil
-				}
+				a.Query, a.Detected = ea.Query, ea.Detected
 				s.outbox = append(s.outbox, a)
 			}
 			served = served[nq:]
 		case account.Suppressed, account.Throttled:
 			// A data-independent placeholder: computed without touching
-			// the window's contents (interval only, Detected constant
-			// false), so it spends no budget.
+			// the window's contents (Detected constant false), so it spends
+			// no budget.
 			a.Suppressed = true
-			a.WindowIndex = st.next + i
-			a.Window = stream.Window{Start: ws[i].Start, End: ws[i].End}
 			for k := 0; k < nq; k++ {
 				a.Query = s.cur.targets[k].Name
 				s.outbox = append(s.outbox, a)

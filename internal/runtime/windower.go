@@ -40,12 +40,12 @@ type LatenessPolicy int
 const (
 	// DropLate closes each window as soon as an event at or past its end
 	// arrives; events older than every open window are discarded and
-	// counted. Disorder within a still-open window is tolerated (events
-	// are sorted when the window is cut).
+	// counted. Disorder within a still-open window is tolerated (a window
+	// is its type tally, which has no order).
 	DropLate LatenessPolicy = iota
 	// ReorderBuffer holds the watermark AllowedLateness behind the highest
 	// observed timestamp, keeping windows open long enough for events up
-	// to that much out of order to be sorted into place. Events older than
+	// to that much out of order to be tallied into place. Events older than
 	// the watermark are still discarded and counted.
 	ReorderBuffer
 )
@@ -78,21 +78,22 @@ const (
 
 // Windower incrementally cuts one stream's unbounded event feed into
 // tumbling or sliding windows. It is the streaming counterpart of
-// stream.Tumbling / stream.Sliding for feeds that are not materialized as a
-// channel or slice: Push one event at a time and receive the windows it
-// closes; Flush the trailing windows when the feed ends. Like the channel
-// windowers it emits empty windows for gaps, so window indices stay aligned
-// with time — the empty windows are released too, since skipping them would
-// leak which windows were empty.
+// stream.Tumbling / stream.WindowSlice for feeds that are not materialized as
+// a channel or slice: Push one event at a time and receive the windows it
+// closes; Flush the trailing windows when the feed ends. Like WindowSlice it
+// emits empty windows for gaps, so window indices stay aligned with time —
+// the empty windows are released too, since skipping them would leak which
+// windows were empty.
 //
-// Sliding windows (slide < width) are served by stream slicing: the windower
-// cuts the stream into non-overlapping panes of the slide width, tallies each
-// pane's type occurrences once, and assembles every emitted window from a
-// ring of pane tallies — merge on pane entry, unmerge on pane exit — so the
-// per-window cost is O(distinct types), not O(events x overlap). Pane-mode
-// windows carry no Events (their tally is the serving representation; see
-// the PushInto contract) and their TypeCounts buffers are recycled on the
-// next Push/Flush call.
+// A stream's only representation inside the windower is its type tally: Push
+// adds the event's type to the tally of the pane (a slide-wide slice of the
+// stream) it falls in and keeps nothing else of it, so emitted windows carry
+// TypeCounts — what every PPM reads — and never Events. A window is
+// assembled from a ring of the last width/slide pane tallies — merge on pane
+// entry, unmerge on pane exit — so the per-window cost is O(distinct types),
+// not O(events x overlap); a tumbling window (slide == width) is the one-pane
+// case, whose tally is the window's as is, without the ring. Ownership of
+// the emitted TypeCounts differs — see the PushInto contract.
 //
 // A Windower is not safe for concurrent use; in the Runtime each stream's
 // windower is owned by a single shard goroutine.
@@ -105,21 +106,17 @@ type Windower struct {
 	horizon  event.Timestamp
 
 	started   bool
-	nextStart event.Timestamp // start of the earliest still-open window (pane-mode: pane)
+	nextStart event.Timestamp // start of the earliest still-open pane
 	maxTime   event.Timestamp // highest event timestamp seen
-	pending   []event.Event   // events of still-open windows/panes, unordered
-	// slotCounts tracks each open window's (pane-mode: pane's) population:
-	// slotCounts[i] is the number of pending events in the slot starting at
-	// nextStart + i*slide. Cut windows pre-size their event slice from it
-	// and fill a per-type occurrence map (carried out as
-	// Window.TypeCounts) in the same pass that partitions the events, so
-	// downstream indicator extraction and required-type pruning never
-	// rescan a window.
-	slotCounts []int
-	dropped    int64
-	panes      int64 // panes cut (tumbling: one per window)
+	// open holds the still-open panes' tallies: open[i] is the tally of the
+	// pane starting at nextStart + i*slide, in arrival order of each type's
+	// first event; nil while the pane is empty.
+	open    []stream.TypeCounts
+	dropped int64
+	panes   int64 // panes cut (tumbling: one per window)
 
-	// ring is the pane tally ring backing sliding-window assembly.
+	// ring is the pane tally ring backing sliding-window assembly; it stays
+	// empty for tumbling windows.
 	ring paneRing
 }
 
@@ -134,10 +131,9 @@ func NewWindower(width event.Timestamp, policy LatenessPolicy, lateness, horizon
 
 // NewSlidingWindower builds a windower cutting sliding windows of the given
 // width advancing by slide, which must be a positive divisor of width
-// (slide == width degenerates to NewWindower's tumbling behavior, same code
-// path and all). Sliding windows are assembled from panes of the slide
-// width; see the Windower doc for the sharing model and the PushInto
-// contract for buffer ownership.
+// (slide == width is NewWindower: a tumbling window is a one-pane window).
+// See the Windower doc for the pane model and the PushInto contract for
+// buffer ownership.
 func NewSlidingWindower(width, slide event.Timestamp, policy LatenessPolicy, lateness, horizon event.Timestamp) *Windower {
 	if width <= 0 {
 		panic("runtime: window width must be positive")
@@ -173,11 +169,11 @@ func (w *Windower) Push(e event.Event) (closed []stream.Window, res PushResult) 
 
 // PushInto is Push appending closed windows into dst, so a streaming caller
 // can reuse one window buffer across pushes instead of allocating a slice
-// per cut. For tumbling windows the returned windows (their Events and
-// TypeCounts) stay valid after the buffer is reused; only
-// the slice header is recycled. Pane-assembled sliding windows carry no
-// Events and their TypeCounts are windower-owned scratch, valid only until
-// the next Push/Flush call — callers that retain them must copy.
+// per cut. Windows carry their interval and TypeCounts (nil when empty),
+// never Events. A tumbling window owns its TypeCounts: it stays valid after
+// dst is reused. A sliding window's TypeCounts is windower-owned scratch,
+// valid only until the next Push/Flush call — callers that retain it must
+// copy.
 func (w *Windower) PushInto(e event.Event, dst []stream.Window) (closed []stream.Window, res PushResult) {
 	if w.started && w.horizon > 0 && e.Time > w.maxTime+w.horizon {
 		// A runaway timestamp would force an unbounded run of gap
@@ -186,16 +182,14 @@ func (w *Windower) PushInto(e event.Event, dst []stream.Window) (closed []stream
 		w.dropped++
 		return dst, PushFuture
 	}
-	if w.overlap > 1 {
-		// Snapshots handed out by the previous call are reclaimable now —
-		// the PushInto contract bounds their lifetime to one call.
-		w.ring.recycleEmitted()
-	}
+	// Snapshots handed out by the previous call are reclaimable now — the
+	// PushInto contract bounds their lifetime to one call.
+	w.ring.recycleEmitted()
 	if !w.started {
 		w.started = true
-		// In pane mode the earliest open slot is the pane containing the
-		// event; the first emitted window is the earliest sliding window
-		// covering it, which ends exactly at that pane's end.
+		// The earliest open pane is the one containing the event; the first
+		// emitted window is the earliest window covering it, which ends
+		// exactly at that pane's end.
 		w.nextStart = stream.AlignDown(e.Time, w.slide)
 		w.maxTime = e.Time
 	}
@@ -203,54 +197,69 @@ func (w *Windower) PushInto(e event.Event, dst []stream.Window) (closed []stream
 		w.dropped++
 		return dst, PushLate
 	}
-	w.pending = append(w.pending, e)
-	idx := int((stream.AlignDown(e.Time, w.slide) - w.nextStart) / w.slide)
-	for idx >= len(w.slotCounts) {
-		w.slotCounts = append(w.slotCounts, 0)
-	}
-	w.slotCounts[idx]++
+	w.tally(e)
 	if e.Time > w.maxTime {
 		w.maxTime = e.Time
 	}
 	return w.cut(dst, w.watermark()), PushAccepted
 }
 
-// Flush closes every window still holding or preceding pending events —
-// the stream's trailing windows at shutdown — and resets the windower for
-// a fresh feed. In pane mode the trailing partially-covered sliding windows
-// (those whose interval extends past the last pane) are emitted too,
-// mirroring stream.Sliding: every window whose start is at or before the
-// newest event's pane is answered.
+// tally adds the event's type to its open pane's tally — all the windower
+// keeps of an event. e.Time must not precede nextStart.
+func (w *Windower) tally(e event.Event) {
+	idx := int((stream.AlignDown(e.Time, w.slide) - w.nextStart) / w.slide)
+	for idx >= len(w.open) {
+		w.open = append(w.open, nil)
+	}
+	pane := w.open[idx]
+	if pane == nil {
+		// Sliding panes reuse the ring's recycled buffers; a tumbling pane
+		// becomes its window's tally, so it gets a buffer of its own.
+		if pane = w.ring.takeSlot(); pane == nil {
+			pane = make(stream.TypeCounts, 0, 4)
+		}
+	}
+	w.open[idx] = pane.Add(e.Type)
+}
+
+// takeOpen removes and returns the earliest open pane's tally.
+func (w *Windower) takeOpen() stream.TypeCounts {
+	if len(w.open) == 0 {
+		return nil
+	}
+	pane := w.open[0]
+	w.open = w.open[:copy(w.open, w.open[1:])]
+	return pane
+}
+
+// Flush closes every window still holding or preceding tallied events — the
+// stream's trailing windows at shutdown — and resets the windower for a
+// fresh feed. The trailing partially-covered sliding windows (those whose
+// interval extends past the last pane) are emitted too: every window whose
+// start is at or before the newest event's pane is answered.
 func (w *Windower) Flush() []stream.Window {
 	return w.FlushInto(nil)
 }
 
 // FlushInto is Flush appending the trailing windows into dst. The PushInto
-// ownership contract applies: pane-assembled windows' TypeCounts are valid
-// only until the next Push/Flush call.
+// ownership contract applies: sliding windows' TypeCounts are valid only
+// until the next Push/Flush call.
 func (w *Windower) FlushInto(dst []stream.Window) []stream.Window {
 	if !w.started {
 		return dst
 	}
-	if w.overlap > 1 {
-		w.ring.recycleEmitted()
+	w.ring.recycleEmitted()
+	lastPaneEnd := stream.AlignDown(w.maxTime, w.slide) + w.slide
+	out := w.cut(dst, lastPaneEnd)
+	// Trailing sliding windows still cover the newest panes; emit them by
+	// rotating empty panes through the ring, up to the window whose start is
+	// the newest event's pane (none when tumbling: the range is empty).
+	for s := lastPaneEnd - w.width + w.slide; s < lastPaneEnd; s += w.slide {
+		w.ring.push(nil)
+		out = append(out, stream.Window{Start: s, End: s + w.width, TypeCounts: w.ring.snapshot()})
 	}
-	lastSlotEnd := stream.AlignDown(w.maxTime, w.slide) + w.slide
-	out := w.cut(dst, lastSlotEnd)
-	if w.overlap > 1 {
-		// Trailing windows still cover the newest panes; emit them by
-		// rotating empty panes through the ring, up to the window whose
-		// start is the newest event's pane.
-		lastStart := lastSlotEnd - w.slide
-		for s := lastSlotEnd - w.width + w.slide; s <= lastStart; s += w.slide {
-			w.ring.push(w.ring.takeSlot())
-			out = append(out, stream.Window{Start: s, End: s + w.width, TypeCounts: w.ring.snapshot()})
-		}
-		w.ring.reset()
-	}
+	w.ring.reset()
 	w.started = false
-	w.pending = nil
-	w.slotCounts = w.slotCounts[:0]
 	return out
 }
 
@@ -266,62 +275,21 @@ func (w *Windower) Panes() int64 { return w.panes }
 // tumbling windows.
 func (w *Windower) Overlap() int { return w.overlap }
 
-// cut closes all windows ending at or before the given watermark, appending
-// them to out. Tumbling mode (overlap == 1) assigns pending events and sorts
-// each window into canonical stream order; each closed window takes
-// ownership of its occurrence map as TypeCounts (empty gap windows carry
-// none). Pane mode (overlap > 1) instead closes panes: each closed pane's
-// tally is merged into the ring, and the sliding window ending at the pane's
-// end is emitted with the ring's merged tally and no Events — the pane path
-// never copies or sorts events per window.
+// cut closes every pane ending at or before the given watermark and appends
+// the window ending with each to out. The closed pane's tally goes through
+// the ring, which merges it with the overlap-1 panes before it; a one-pane
+// (tumbling) window's tally is its pane's, so it skips the ring and keeps
+// the buffer as its own.
 func (w *Windower) cut(out []stream.Window, watermark event.Timestamp) []stream.Window {
 	for w.nextStart+w.slide <= watermark {
 		end := w.nextStart + w.slide
-		total := 0
-		if len(w.slotCounts) > 0 {
-			total = w.slotCounts[0]
-			w.slotCounts = w.slotCounts[:copy(w.slotCounts, w.slotCounts[1:])]
-		}
+		tally := w.takeOpen()
 		w.panes++
 		if w.overlap > 1 {
-			tally := w.ring.takeSlot()
-			if total > 0 {
-				rest := w.pending[:0]
-				for _, e := range w.pending {
-					if e.Time < end {
-						tally = tally.Add(e.Type)
-					} else {
-						rest = append(rest, e)
-					}
-				}
-				w.pending = rest
-			}
 			w.ring.push(tally)
-			out = append(out, stream.Window{Start: end - w.width, End: end, TypeCounts: w.ring.snapshot()})
-			w.nextStart = end
-			continue
+			tally = w.ring.snapshot()
 		}
-		cur := stream.Window{Start: w.nextStart, End: end}
-		if total > 0 {
-			// The slot population is known, so the window's event slice
-			// is allocated exactly once at final size, and its type
-			// occurrences are tallied in the same pass that assigns the
-			// events.
-			cur.Events = make([]event.Event, 0, total)
-			cur.TypeCounts = make(stream.TypeCounts, 0, min(total, 8))
-			rest := w.pending[:0]
-			for _, e := range w.pending {
-				if e.Time < end {
-					cur.Events = append(cur.Events, e)
-					cur.TypeCounts = cur.TypeCounts.Add(e.Type)
-				} else {
-					rest = append(rest, e)
-				}
-			}
-			w.pending = rest
-			event.SortEvents(cur.Events)
-		}
-		out = append(out, cur)
+		out = append(out, stream.Window{Start: end - w.width, End: end, TypeCounts: tally})
 		w.nextStart = end
 	}
 	return out
@@ -341,7 +309,7 @@ type paneRing struct {
 	emitted []stream.TypeCounts // snapshots handed out since the last recycle
 }
 
-// takeSlot returns an empty tally buffer for the next pane (or snapshot).
+// takeSlot returns a recycled empty tally buffer, or nil when there is none.
 func (r *paneRing) takeSlot() stream.TypeCounts {
 	if n := len(r.free); n > 0 {
 		buf := r.free[n-1]
@@ -352,8 +320,9 @@ func (r *paneRing) takeSlot() stream.TypeCounts {
 	return nil
 }
 
-// push appends the next pane's tally, evicting the oldest pane (and
-// unmerging its contribution) once the ring holds overlap panes.
+// push appends the next pane's tally (nil for an empty pane), evicting the
+// oldest pane (and unmerging its contribution) once the ring holds overlap
+// panes.
 func (r *paneRing) push(tally stream.TypeCounts) {
 	if r.slots == nil {
 		r.slots = make([]stream.TypeCounts, r.overlap)
@@ -361,7 +330,9 @@ func (r *paneRing) push(tally stream.TypeCounts) {
 	if r.n == r.overlap {
 		old := r.slots[r.head]
 		r.tally = r.tally.Unmerge(old)
-		r.free = append(r.free, old)
+		if old != nil {
+			r.free = append(r.free, old)
+		}
 		r.slots[r.head] = nil
 		r.head = (r.head + 1) % r.overlap
 		r.n--

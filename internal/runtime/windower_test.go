@@ -17,6 +17,46 @@ func pushAll(t *testing.T, w *Windower, evs ...event.Event) []stream.Window {
 	return out
 }
 
+// checkTally asserts a cut window against the batch cut of the events it
+// should hold (one stream.WindowSlice window, which carries Events and scans
+// them): same interval, no Events, and a tally with exactly the batch
+// window's per-type counts — nil when it is empty.
+func checkTally(t *testing.T, got, want stream.Window) {
+	t.Helper()
+	if got.Start != want.Start || got.End != want.End {
+		t.Errorf("window [%d,%d), want [%d,%d)", got.Start, got.End, want.Start, want.End)
+	}
+	if got.Events != nil {
+		t.Errorf("window [%d,%d) carries events %v", got.Start, got.End, got.Events)
+	}
+	types := want.Types()
+	if len(types) == 0 && got.TypeCounts != nil {
+		t.Errorf("window [%d,%d): empty window carries TypeCounts %v", got.Start, got.End, got.TypeCounts)
+	}
+	if len(got.TypeCounts) != len(types) {
+		t.Errorf("window [%d,%d): TypeCounts %v, want types %v", got.Start, got.End, got.TypeCounts, types)
+	}
+	for typ := range types {
+		if got.Count(typ) != want.Count(typ) {
+			t.Errorf("window [%d,%d): Count(%s) = %d, want %d", got.Start, got.End, typ, got.Count(typ), want.Count(typ))
+		}
+	}
+}
+
+// checkTallies asserts a run of cut windows against stream.WindowSlice over
+// the accepted events, given in any order.
+func checkTallies(t *testing.T, got []stream.Window, width event.Timestamp, accepted ...event.Event) {
+	t.Helper()
+	event.SortEvents(accepted)
+	want := stream.WindowSlice(accepted, width)
+	if len(got) != len(want) {
+		t.Fatalf("windows = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		checkTally(t, got[i], want[i])
+	}
+}
+
 func TestWindowerMatchesWindowSlice(t *testing.T) {
 	// On an in-order feed the incremental windower must agree exactly with
 	// the batch WindowSlice cut (including empty gap windows).
@@ -27,24 +67,13 @@ func TestWindowerMatchesWindowSlice(t *testing.T) {
 	w := NewWindower(10, DropLate, 0, 0)
 	got := pushAll(t, w, evs...)
 	got = append(got, w.Flush()...)
-	want := stream.WindowSlice(evs, 10)
-	if len(got) != len(want) {
-		t.Fatalf("windows = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Start != want[i].Start || got[i].End != want[i].End {
-			t.Errorf("window %d = [%d,%d), want [%d,%d)", i, got[i].Start, got[i].End, want[i].Start, want[i].End)
-		}
-		if len(got[i].Events) != len(want[i].Events) {
-			t.Errorf("window %d has %d events, want %d", i, len(got[i].Events), len(want[i].Events))
-		}
-	}
+	checkTallies(t, got, 10, evs...)
 }
 
 func TestWindowerDropLate(t *testing.T) {
 	w := NewWindower(10, DropLate, 0, 0)
 	// Event at 12 closes [0,10); the straggler at 5 must be dropped.
-	pushAll(t, w, event.New("a", 1), event.New("b", 12))
+	closed := pushAll(t, w, event.New("a", 1), event.New("b", 12))
 	ws, res := w.Push(event.New("late", 5))
 	if res != PushLate || len(ws) != 0 {
 		t.Errorf("late push = (%v, %v), want PushLate", ws, res)
@@ -52,17 +81,13 @@ func TestWindowerDropLate(t *testing.T) {
 	if w.Dropped() != 1 {
 		t.Errorf("Dropped = %d, want 1", w.Dropped())
 	}
-	// Disorder within the open window is tolerated and sorted on cut.
+	// Disorder within the open window is tolerated: a tally has no order.
 	if _, res := w.Push(event.New("c", 11)); res != PushAccepted {
 		t.Error("in-window disorder rejected")
 	}
-	out := w.Flush()
-	if len(out) != 1 || len(out[1-1].Events) != 2 {
-		t.Fatalf("flush = %+v, want one window with 2 events", out)
-	}
-	if out[0].Events[0].Type != "c" || out[0].Events[1].Type != "b" {
-		t.Errorf("window not sorted: %v", out[0].Events)
-	}
+	closed = append(closed, w.Flush()...)
+	// [0,10) holds a; [10,20) holds b and c; "late" is in neither.
+	checkTallies(t, closed, 10, event.New("a", 1), event.New("b", 12), event.New("c", 11))
 }
 
 func TestWindowerReorderBuffer(t *testing.T) {
@@ -76,19 +101,18 @@ func TestWindowerReorderBuffer(t *testing.T) {
 	if res != PushAccepted || len(ws) != 0 {
 		t.Fatalf("straggler within lateness rejected (res=%v ws=%v)", res, ws)
 	}
-	// Watermark 15-5=10 closes [0,10) with both events in time order.
+	// Watermark 15-5=10 closes [0,10) holding a and the straggler c, while b
+	// and d stay in the open [10,20).
 	closed, _ := w.Push(event.New("d", 15))
 	if len(closed) != 1 {
 		t.Fatalf("closed = %+v, want one window", closed)
 	}
-	types := event.TypesOf(closed[0].Events)
-	if len(types) != 2 || types[0] != "a" || types[1] != "c" {
-		t.Errorf("window events = %v, want [a c]", types)
-	}
+	checkTallies(t, closed, 10, event.New("a", 1), event.New("c", 8))
 	// An event older than the watermark is still dropped.
 	if _, res := w.Push(event.New("e", 3)); res != PushLate {
 		t.Error("event older than watermark accepted")
 	}
+	checkTallies(t, w.Flush(), 10, event.New("b", 12), event.New("d", 15))
 }
 
 func TestWindowerBoundaryEvent(t *testing.T) {
@@ -97,13 +121,8 @@ func TestWindowerBoundaryEvent(t *testing.T) {
 	w := NewWindower(10, DropLate, 0, 0)
 	pushAll(t, w, event.New("a", 0))
 	closed, _ := w.Push(event.New("b", 10))
-	if len(closed) != 1 || closed[0].End != 10 || len(closed[0].Events) != 1 {
-		t.Fatalf("boundary close = %+v", closed)
-	}
-	out := w.Flush()
-	if len(out) != 1 || out[0].Start != 10 || len(out[0].Events) != 1 || out[0].Events[0].Type != "b" {
-		t.Fatalf("boundary event landed in %+v, want [10,20)", out)
-	}
+	checkTallies(t, closed, 10, event.New("a", 0))
+	checkTallies(t, w.Flush(), 10, event.New("b", 10)) // [10,20)
 }
 
 func TestWindowerNegativeTimestamps(t *testing.T) {
@@ -151,17 +170,21 @@ func TestWindowerHorizon(t *testing.T) {
 	}
 }
 
-// TestWindowerTypeCounts pins the carried occurrence map: every cut window's
-// TypeCounts must agree exactly with its events, across disorder, gap
-// windows, and flush.
+// TestWindowerTypeCounts pins the carried tally: every cut window's
+// TypeCounts must agree exactly with the batch cut of the pushed events,
+// across disorder, gap windows, and flush — and the window's fast-path
+// queries with a scan.
 func TestWindowerTypeCounts(t *testing.T) {
 	w := NewWindower(10, ReorderBuffer, 3, 0)
 	var closed []stream.Window
+	var pushed []event.Event
 	push := func(typ event.Type, ts event.Timestamp) {
-		ws, res := w.Push(event.New(typ, ts))
+		e := event.New(typ, ts)
+		ws, res := w.Push(e)
 		if res != PushAccepted {
 			t.Fatalf("push %s@%d: %v", typ, ts, res)
 		}
+		pushed = append(pushed, e)
 		closed = append(closed, ws...)
 	}
 	push("a", 1)
@@ -173,33 +196,10 @@ func TestWindowerTypeCounts(t *testing.T) {
 	if len(closed) != 5 {
 		t.Fatalf("%d windows closed, want 5", len(closed))
 	}
+	checkTallies(t, closed, 10, pushed...)
 	for _, win := range closed {
-		want := make(map[event.Type]int)
-		for _, e := range win.Events {
-			want[e.Type]++
-		}
-		if len(win.Events) == 0 {
-			if win.TypeCounts != nil {
-				t.Errorf("window [%d,%d): empty window carries TypeCounts %v", win.Start, win.End, win.TypeCounts)
-			}
-			continue
-		}
-		if len(win.TypeCounts) != len(want) {
-			t.Fatalf("window [%d,%d): TypeCounts %v, want %v", win.Start, win.End, win.TypeCounts, want)
-		}
-		for typ, n := range want {
-			if win.TypeCounts.Count(typ) != n {
-				t.Errorf("window [%d,%d): TypeCounts.Count(%s) = %d, want %d", win.Start, win.End, typ, win.TypeCounts.Count(typ), n)
-			}
-		}
-		// The window's fast-path queries must agree with a scan.
 		for _, typ := range []event.Type{"a", "b", "zzz"} {
-			scan := 0
-			for _, e := range win.Events {
-				if e.Type == typ {
-					scan++
-				}
-			}
+			scan := countIn(pushed, typ, win.Start, win.End)
 			if win.Count(typ) != scan || win.Contains(typ) != (scan > 0) {
 				t.Errorf("window [%d,%d): Count(%s)=%d Contains=%t, scan=%d", win.Start, win.End, typ, win.Count(typ), win.Contains(typ), scan)
 			}
@@ -207,9 +207,10 @@ func TestWindowerTypeCounts(t *testing.T) {
 	}
 }
 
-// TestWindowerPushIntoReusesBuffer pins the scratch contract: reusing the
-// closed-window buffer across pushes must not corrupt previously returned
-// windows' contents.
+// TestWindowerPushIntoReusesBuffer pins the scratch contract: a tumbling
+// window owns its tally, so reusing the closed-window buffer — and pushing
+// on, which tallies into fresh panes — must not corrupt a previously
+// returned window.
 func TestWindowerPushIntoReusesBuffer(t *testing.T) {
 	w := NewWindower(10, DropLate, 0, 0)
 	var scratch []stream.Window
@@ -222,12 +223,14 @@ func TestWindowerPushIntoReusesBuffer(t *testing.T) {
 		t.Fatalf("second push closed %d windows, want 1", len(ws))
 	}
 	first := ws[0]
-	// Reuse the buffer; the earlier window must stay intact.
+	// Reuse the buffer and keep pushing, through two more cuts and a flush;
+	// the earlier window must stay intact.
 	ws, _ = w.PushInto(event.New("c", 25), ws[:0])
-	if len(ws) != 1 || len(first.Events) != 1 || first.Events[0].Type != "a" {
-		t.Fatalf("buffer reuse corrupted earlier window: %+v", first)
+	if len(ws) != 1 {
+		t.Fatalf("third push closed %d windows, want 1", len(ws))
 	}
-	if first.TypeCounts.Count("a") != 1 {
-		t.Errorf("earlier window TypeCounts = %v", first.TypeCounts)
-	}
+	ws, _ = w.PushInto(event.New("a", 26), ws[:0])
+	ws, _ = w.PushInto(event.New("d", 35), ws[:0])
+	w.FlushInto(ws[:0])
+	checkTallies(t, []stream.Window{first}, 10, event.New("a", 5))
 }

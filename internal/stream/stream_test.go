@@ -236,44 +236,6 @@ func TestTumblingPanicsOnBadWidth(t *testing.T) {
 	Tumbling(done, FromSlice[event.Event](nil), 0)
 }
 
-func TestSlidingWindows(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	in := FromSlice(evs(0, 1, 2, 3))
-	got := Collect(Sliding(done, in, 2, 1))
-	// Each event at t belongs to windows starting at t-1 and t.
-	for _, w := range got {
-		for _, e := range w.Events {
-			if e.Time < w.Start || e.Time >= w.End {
-				t.Errorf("event %v outside window [%d,%d)", e, w.Start, w.End)
-			}
-		}
-	}
-	// Count memberships: each event must appear in exactly width/step = 2 windows.
-	memb := map[event.Timestamp]int{}
-	for _, w := range got {
-		for _, e := range w.Events {
-			memb[e.Time]++
-		}
-	}
-	for ts, n := range memb {
-		if n != 2 {
-			t.Errorf("event at %d in %d windows, want 2", ts, n)
-		}
-	}
-}
-
-func TestSlidingPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for width not multiple of step")
-		}
-	}()
-	done := make(chan struct{})
-	defer close(done)
-	Sliding(done, FromSlice[event.Event](nil), 3, 2)
-}
-
 func TestWindowSlice(t *testing.T) {
 	ws := WindowSlice(evs(0, 3, 11), 5)
 	if len(ws) != 3 {

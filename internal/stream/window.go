@@ -47,13 +47,13 @@ type Window struct {
 	Start event.Timestamp
 	// End is the exclusive end of the covered interval.
 	End event.Timestamp
-	// Events are the window contents in canonical stream order.
+	// Events are the window contents in canonical stream order. The
+	// streaming Windower leaves them nil: its windows are their TypeCounts.
 	Events []event.Event
-	// TypeCounts, when non-nil, caches the per-type occurrence tally of
-	// Events. Producers that see every event anyway (the streaming
-	// Windower) fill it so Contains/Count answer without scanning the
-	// events; it must agree with Events. nil means "not maintained" and
-	// queries fall back to scanning.
+	// TypeCounts, when non-nil, is the per-type occurrence tally of the
+	// window, and Contains/Count answer from it without scanning; where
+	// Events are carried too it must agree with them. nil means "not
+	// maintained" and queries fall back to scanning Events.
 	TypeCounts TypeCounts
 }
 
@@ -155,61 +155,6 @@ func Tumbling(done <-chan struct{}, in Stream[event.Event], width event.Timestam
 		}
 		if cur != nil {
 			emit(*cur)
-		}
-	}()
-	return out
-}
-
-// Sliding cuts the stream into overlapping windows of the given width that
-// advance by the given step. width must be a positive multiple of step: each
-// event then belongs to exactly width/step windows.
-func Sliding(done <-chan struct{}, in Stream[event.Event], width, step event.Timestamp) Stream[Window] {
-	if step <= 0 || width <= 0 || width%step != 0 {
-		panic("stream: sliding windows require width > 0, step > 0, width % step == 0")
-	}
-	out := make(chan Window)
-	go func() {
-		defer close(out)
-		var open []*Window // windows awaiting completion, ordered by Start
-		emit := func(w Window) bool {
-			select {
-			case out <- w:
-				return true
-			case <-done:
-				return false
-			}
-		}
-		var nextStart event.Timestamp
-		started := false
-		for e := range in {
-			if !started {
-				// The earliest window containing e starts at
-				// e.Time - width + step, aligned down to step.
-				nextStart = AlignDown(e.Time-width+step, step)
-				started = true
-			}
-			// Open all windows whose interval has begun.
-			for nextStart <= e.Time {
-				open = append(open, &Window{Start: nextStart, End: nextStart + width})
-				nextStart += step
-			}
-			// Close windows that ended before this event.
-			for len(open) > 0 && e.Time >= open[0].End {
-				if !emit(*open[0]) {
-					return
-				}
-				open = open[1:]
-			}
-			for _, w := range open {
-				if e.Time >= w.Start && e.Time < w.End {
-					w.Events = append(w.Events, e)
-				}
-			}
-		}
-		for _, w := range open {
-			if !emit(*w) {
-				return
-			}
 		}
 	}()
 	return out

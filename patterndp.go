@@ -171,8 +171,8 @@ type (
 	// HashSharder is the default stream-key hash Sharder.
 	HashSharder = runtime.HashSharder
 	// Windower incrementally cuts one stream into tumbling or sliding
-	// windows (sliding windows are assembled from panes of the slide
-	// width; see NewSlidingWindower).
+	// windows of type tallies (TypeCounts, no Events), assembled from
+	// panes of the slide width; see NewSlidingWindower.
 	Windower = runtime.Windower
 	// Pane is a non-overlapping slice of the stream: the work-sharing
 	// unit of sliding windows.
@@ -355,9 +355,11 @@ func NewEngine() *Engine { return cep.NewEngine() }
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return runtime.New(cfg) }
 
 // NewWindower builds an incremental tumbling windower for one stream — the
-// streaming counterpart of WindowSlice. lateness is only consulted under the
-// ReorderBuffer policy; horizon bounds how far one event may jump past the
-// stream's newest event (0 disables the bound).
+// streaming counterpart of WindowSlice, except that its windows carry their
+// per-type tally (TypeCounts, which each window owns) and no Events: the
+// windower keeps nothing of an event but its type. lateness is only consulted
+// under the ReorderBuffer policy; horizon bounds how far one event may jump
+// past the stream's newest event (0 disables the bound).
 func NewWindower(width Timestamp, policy LatenessPolicy, lateness, horizon Timestamp) *Windower {
 	return runtime.NewWindower(width, policy, lateness, horizon)
 }
@@ -365,10 +367,10 @@ func NewWindower(width Timestamp, policy LatenessPolicy, lateness, horizon Times
 // NewSlidingWindower builds an incremental sliding windower: windows of the
 // given width advancing by slide (a positive divisor of width), assembled
 // from panes of the slide width so overlapping windows share their tally
-// work. Pane-assembled windows carry TypeCounts but no Events, and their
-// tally buffers are windower-owned scratch valid only until the next
-// Push/Flush — see the Windower.PushInto contract. slide == width
-// degenerates to NewWindower.
+// work. Like NewWindower's, the windows carry TypeCounts but no Events;
+// unlike them, a sliding window's tally buffer is windower-owned scratch
+// valid only until the next Push/Flush — see the Windower.PushInto contract.
+// slide == width is NewWindower: a tumbling window is a one-pane window.
 func NewSlidingWindower(width, slide Timestamp, policy LatenessPolicy, lateness, horizon Timestamp) *Windower {
 	return runtime.NewSlidingWindower(width, slide, policy, lateness, horizon)
 }
