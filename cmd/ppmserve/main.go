@@ -143,7 +143,7 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain bound under -listen: in-flight flush and session wind-down")
 	fs.DurationVar(&o.heartbeat, "heartbeat", 10*time.Second, "liveness heartbeat interval under -listen; silent peers are reaped after 2x this (negative = off)")
 	fs.DurationVar(&o.resumeWindow, "resume-window", 30*time.Second, "how long a disconnected session's replay state is kept for resume under -listen (negative = off)")
-	fs.IntVar(&o.replayBuffer, "replay-buffer", 256, "per-subscription replay ring capacity under -listen; overflow surfaces as explicit gap markers")
+	fs.IntVar(&o.replayBuffer, "replay-buffer", 256, "per-subscription replay ring cap under -listen, allocated in 256-answer chunks as answers arrive (~128 B per retained answer); overflow surfaces as explicit gap markers")
 	fs.BoolVar(&o.reconnect, "reconnect", false, "under -connect: auto-reconnect with backoff and resume the session after transport failures")
 	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest rate limit in events/s under -listen (0 = unlimited)")
 	fs.IntVar(&o.maxParked, "max-parked", 0, "server-wide cap on parked (disconnected, resumable) sessions under -listen; oldest evicted (0 = unlimited)")
@@ -165,6 +165,8 @@ func (o options) runtimeConfig() (runtime.Config, error) {
 		return runtime.Config{}, errors.New("-handoff-to/-takeover require -listen and -wal-dir")
 	case o.batch < 1:
 		return runtime.Config{}, fmt.Errorf("batch size %d must be >= 1", o.batch)
+	case o.replayBuffer < 0:
+		return runtime.Config{}, fmt.Errorf("-replay-buffer %d must be >= 0", o.replayBuffer)
 	}
 	policy, err := account.ParsePolicy(o.budgetPolicy)
 	if err != nil {

@@ -60,6 +60,7 @@ func TestFlagsToRuntimeConfig(t *testing.T) {
 		{name: "takeover without wal-dir", args: []string{"-takeover", ":2", "-listen", ":1"},
 			wantErr: "-handoff-to/-takeover require -listen and -wal-dir"},
 		{name: "batch below one", args: []string{"-batch", "0"}, wantErr: "batch size 0 must be >= 1"},
+		{name: "negative replay buffer", args: []string{"-replay-buffer", "-1"}, wantErr: "-replay-buffer -1 must be >= 0"},
 		{name: "backpressure", args: []string{"-backpressure", "bogus"}, wantErr: `unknown backpressure policy "bogus"`},
 		{name: "budget policy", args: []string{"-budget-policy", "bogus"}, wantErr: `unknown budget policy "bogus"`},
 		{name: "fsync", args: []string{"-wal-dir", "/w", "-fsync", "bogus"}, wantErr: "bogus"},

@@ -10,7 +10,7 @@
 // namespaced queries and private pattern types over the wire. Sessions are
 // resilient (see README "Resilience"): -heartbeat bounds dead-peer detection,
 // -resume-window keeps a disconnected session's replay state for
-// reconnect-with-resume, -replay-buffer sizes the per-subscription replay
+// reconnect-with-resume, -replay-buffer caps the per-subscription replay
 // ring, and a -connect client with -reconnect rides transport failures with
 // backoff, replay, and explicit gap markers. SIGINT/SIGTERM drain gracefully
 // within -drain-timeout: listeners close, in-flight windows flush through the
@@ -145,7 +145,7 @@ func runServer(o options) error {
 	}
 	fmt.Printf("listening on %s: %d shards, window width %d, shared queries %v\n",
 		l.Addr(), o.shards, ds.Config.WindowWidth, shared)
-	fmt.Printf("resilience: heartbeat %v (reap at 2x), resume window %v, replay ring %d answers/subscription\n",
+	fmt.Printf("resilience: heartbeat %v (reap at 2x), resume window %v, replay ring up to %d answers/subscription\n",
 		o.heartbeat, o.resumeWindow, o.replayBuffer)
 	if o.budget > 0 {
 		fmt.Printf("per-stream budget grant %g per epoch (policy %s), tenant stream quota %s\n",

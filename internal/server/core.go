@@ -13,6 +13,13 @@ import (
 	"patterndp/internal/wire"
 )
 
+// ringChunk is how many answers one allocation of ring storage holds (32 KiB
+// of wire.Answer; the default ReplayBuffer is exactly one chunk). A ring
+// allocates a chunk the first time it keeps an answer in it, so a
+// subscription holds storage for the answers it has retained, not for its
+// capacity.
+const ringChunk = 256
+
 // subState is one subscription's outbound state: a bounded ring of the most
 // recent answers, keyed by a per-subscription sequence number assigned at
 // push. The ring is the runtime.Sink the serving shards deliver into, the
@@ -27,16 +34,43 @@ type subState struct {
 	detach func() // removes the ring from the runtime bus; set by attach
 
 	mu     sync.Mutex
-	buf    []wire.Answer // ring; seq s lives at buf[(s-1)%len]
-	head   uint64        // highest seq pushed, 0 = none
-	cursor uint64        // next seq to deliver
-	base   uint64        // lowest seq actually retained (spill import may
+	size   uint64                    // capacity: seq s lives in slot (s-1)%size
+	chunks []*[ringChunk]wire.Answer // slot i in chunks[i/ringChunk], nil until written
+	head   uint64                    // highest seq pushed, 0 = none
+	cursor uint64                    // next seq to deliver
+	base   uint64                    // lowest seq actually retained (spill import may
 	// restore fewer entries than the ring could hold; seqs below base are
 	// gone and surface as a Gap, exactly like ring overflow)
 }
 
 func newSubState(c *sessionCore, id uint64, query string) *subState {
-	return &subState{id: id, query: query, core: c, buf: make([]wire.Answer, c.srv.replayBuffer()), cursor: 1, base: 1}
+	size := uint64(c.srv.replayBuffer())
+	return &subState{id: id, query: query, core: c, size: size,
+		chunks: make([]*[ringChunk]wire.Answer, (size+ringChunk-1)/ringChunk), cursor: 1, base: 1}
+}
+
+// slot is seq's storage, its chunk allocated on first use. Callers hold mu
+// (or own a ring not yet attached), and read only retained seqs, whose chunks
+// a write has already allocated.
+func (st *subState) slot(seq uint64) *wire.Answer {
+	i := (seq - 1) % st.size
+	c := st.chunks[i/ringChunk]
+	if c == nil {
+		c = new([ringChunk]wire.Answer)
+		st.chunks[i/ringChunk] = c
+	}
+	return &c[i%ringChunk]
+}
+
+// slots counts the ring's allocated answer slots. Callers hold mu.
+func (st *subState) slots() int64 {
+	n := int64(0)
+	for _, c := range st.chunks {
+		if c != nil {
+			n += ringChunk
+		}
+	}
+	return n
 }
 
 // attach subscribes the ring to its query on the runtime bus. Answers may
@@ -54,16 +88,31 @@ func (st *subState) attach() (err error) {
 // ring lock is what serializes concurrent shards into one sequence space.
 func (st *subState) Deliver(batch []runtime.Answer) {
 	c := st.core
-	n := uint64(len(st.buf))
+	n := st.size
 	pushed, evicted := false, int64(0)
 	st.mu.Lock()
 	for i := range batch {
-		slot := &st.buf[st.head%n]
-		if !c.convert(slot, &batch[i]) {
-			continue // not ours: the slot (the oldest entry) is untouched
+		a := &batch[i]
+		stream, query, ok := c.visible(a)
+		if !ok {
+			continue // not ours: it takes no seq and no storage
 		}
 		st.head++
-		slot.Sub, slot.Seq = st.id, st.head
+		*st.slot(st.head) = wire.Answer{
+			Sub:              st.id,
+			Seq:              st.head,
+			Stream:           stream,
+			Query:            query,
+			Epoch:            uint64(a.Epoch),
+			WindowIndex:      uint64(a.WindowIndex),
+			Start:            int64(a.Window.Start),
+			End:              int64(a.Window.End),
+			Detected:         a.Detected,
+			Suppressed:       a.Suppressed,
+			SpentEpsilon:     float64(a.SpentEpsilon),
+			RemainingEpsilon: float64(a.RemainingEpsilon),
+			TraceNanos:       a.TraceNanos,
+		}
 		if st.head > n && st.cursor <= st.head-n {
 			evicted++ // the overwritten entry was still undelivered: a future Gap
 		}
@@ -90,7 +139,7 @@ func (st *subState) drain(out *outbox) (popped int) {
 			out.add(wire.Answer{Sub: st.id, Seq: oldest - 1, Gap: true, GapFrom: st.cursor})
 			st.cursor = oldest
 		} else {
-			out.add(st.buf[(st.cursor-1)%uint64(len(st.buf))])
+			out.add(*st.slot(st.cursor))
 			st.cursor++
 		}
 		popped++
@@ -101,8 +150,8 @@ func (st *subState) drain(out *outbox) (popped int) {
 // oldest is the lowest sequence number still in the ring. Callers hold mu.
 func (st *subState) oldest() uint64 {
 	o := uint64(1)
-	if st.head > uint64(len(st.buf)) {
-		o = st.head - uint64(len(st.buf)) + 1
+	if st.head > st.size {
+		o = st.head - st.size + 1
 	}
 	if st.base > o {
 		o = st.base
@@ -340,37 +389,24 @@ func (c *sessionCore) notify() {
 	}
 }
 
-// convert writes one runtime answer into dst in its wire form, or reports
-// false — leaving dst untouched — for an answer this session may not see.
-// Answers from other tenants' streams are filtered here — this is the
-// isolation boundary for shared and subscribe-all queries — and namespace
-// prefixes are stripped before the wire.
-func (c *sessionCore) convert(dst *wire.Answer, a *runtime.Answer) bool {
-	stream, ok := strings.CutPrefix(a.Stream, c.prefix)
+// visible reports whether this session may see a runtime answer and, if so,
+// the stream and query names it goes on the wire under. Answers from other
+// tenants' streams are filtered here — this is the isolation boundary for
+// shared and subscribe-all queries — and namespace prefixes are stripped
+// before the wire.
+func (c *sessionCore) visible(a *runtime.Answer) (stream, query string, ok bool) {
+	stream, ok = strings.CutPrefix(a.Stream, c.prefix)
 	if !ok {
-		return false
+		return "", "", false
 	}
-	query := a.Query
+	query = a.Query
 	if cut, ok := strings.CutPrefix(query, c.prefix); ok {
 		query = cut
 	} else if strings.ContainsRune(query, namespaceDelim) {
 		// Another tenant's registered query, evaluated over this tenant's
 		// stream by the shared runtime: neither side may see the cross
 		// product, so it is filtered on both rings.
-		return false
+		return "", "", false
 	}
-	*dst = wire.Answer{
-		Stream:           stream,
-		Query:            query,
-		Epoch:            uint64(a.Epoch),
-		WindowIndex:      uint64(a.WindowIndex),
-		Start:            int64(a.Window.Start),
-		End:              int64(a.Window.End),
-		Detected:         a.Detected,
-		Suppressed:       a.Suppressed,
-		SpentEpsilon:     float64(a.SpentEpsilon),
-		RemainingEpsilon: float64(a.RemainingEpsilon),
-		TraceNanos:       a.TraceNanos,
-	}
-	return true
+	return stream, query, true
 }

@@ -28,15 +28,14 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("ppm_server_sessions_parked",
 		"Disconnected sessions holding replay state, awaiting a Resume inside the grace window.",
 		func() float64 {
-			n := 0
-			for _, c := range s.coreList() {
-				c.mu.Lock()
-				if c.attached.Load() == nil && !c.retired {
-					n++
-				}
-				c.mu.Unlock()
-			}
-			return float64(n)
+			parked, _ := s.census()
+			return float64(parked)
+		})
+	reg.GaugeFunc("ppm_server_replay_slots",
+		"Answer slots allocated across live and parked subscriptions' replay rings (about 128 B each).",
+		func() float64 {
+			_, slots := s.census()
+			return float64(slots)
 		})
 	reg.CounterFunc("ppm_server_sessions_expired_total",
 		"Parked sessions reaped unresumed at the end of the resume window.", counterFn(&s.coresExpired))

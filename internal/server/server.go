@@ -84,10 +84,13 @@ type Config struct {
 	Runtime *runtime.Runtime
 	// Auth authenticates Hello tokens. Required.
 	Auth AuthFunc
-	// ReplayBuffer is each subscription's answer ring capacity: the outbound
-	// queue and the replay window in one. Answers beyond it evict the oldest
+	// ReplayBuffer caps each subscription's answer ring: the outbound queue
+	// and the replay window in one. Answers beyond it evict the oldest
 	// entries (counted, and surfaced to the subscriber as a Gap marker)
-	// rather than stalling delivery to other sessions. Default: 256.
+	// rather than stalling delivery to other sessions. It is a cap, not a
+	// reservation: ring storage is allocated in 256-answer chunks as answers
+	// arrive, about 128 B per retained answer (Stats.ReplaySlots). 0 = 256;
+	// negative is an error.
 	ReplayBuffer int
 	// Heartbeat is the ping cadence announced to clients; a session whose
 	// peer stays silent for two intervals is presumed dead and its
@@ -261,6 +264,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Auth == nil {
 		return nil, errors.New("server: Config.Auth is required")
+	}
+	if cfg.ReplayBuffer < 0 {
+		return nil, fmt.Errorf("server: Config.ReplayBuffer %d must be >= 0", cfg.ReplayBuffer)
 	}
 	if cfg.ReplayBuffer == 0 {
 		cfg.ReplayBuffer = 256
@@ -595,6 +601,10 @@ type Stats struct {
 	// SessionsParked counts disconnected sessions currently holding replay
 	// state, awaiting a Resume inside the grace window.
 	SessionsParked int64
+	// ReplaySlots counts the answer slots allocated across every live and
+	// parked subscription's replay ring (about 128 B each): what
+	// subscriptions hold, as opposed to the ReplayBuffer cap they may grow to.
+	ReplaySlots int64
 	// SessionsExpired counts parked sessions reaped at the end of the
 	// resume window without a Resume.
 	SessionsExpired int64
@@ -610,6 +620,25 @@ type Stats struct {
 	Flushes int64
 	// Tenants holds one entry per tenant seen, sorted by id.
 	Tenants []TenantStats
+}
+
+// census walks the session cores at scrape time — the delivery path keeps no
+// count of its own — and returns how many are parked and how many replay-ring
+// slots their subscriptions hold.
+func (s *Server) census() (parked, slots int64) {
+	for _, c := range s.coreList() {
+		c.mu.Lock()
+		if c.attached.Load() == nil && !c.retired {
+			parked++
+		}
+		for _, st := range c.subs {
+			st.mu.Lock()
+			slots += st.slots()
+			st.mu.Unlock()
+		}
+		c.mu.Unlock()
+	}
+	return parked, slots
 }
 
 // Stats snapshots the serving layer, joining connection counters with the
@@ -628,13 +657,7 @@ func (s *Server) Stats() Stats {
 		SessionsImported: s.coresImported.Load(),
 		Flushes:          s.flushes.Load(),
 	}
-	for _, c := range s.coreList() {
-		c.mu.Lock()
-		if c.attached.Load() == nil && !c.retired {
-			st.SessionsParked++
-		}
-		c.mu.Unlock()
-	}
+	st.SessionsParked, st.ReplaySlots = s.census()
 	s.mu.Lock()
 	for id, ts := range s.tenants {
 		ts.mu.Lock()

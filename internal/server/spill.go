@@ -27,7 +27,7 @@ func (st *subState) export() durable.SessionSub {
 		out.RingStart = from
 		out.Ring = make([][]byte, 0, st.head-from+1)
 		for s := from; s <= st.head; s++ {
-			out.Ring = append(out.Ring, wire.AppendAnswer(nil, st.buf[(s-1)%uint64(len(st.buf))]))
+			out.Ring = append(out.Ring, wire.AppendAnswer(nil, *st.slot(s)))
 		}
 	}
 	return out
@@ -157,12 +157,13 @@ func (c *sessionCore) importSub(sub durable.SessionSub) (*subState, error) {
 	return st, nil
 }
 
-// reseed restores a fresh, unattached ring from its spilled state.
+// reseed restores a fresh, unattached ring from its spilled state, allocating
+// storage only for the entries it restores.
 func (st *subState) reseed(sub durable.SessionSub) {
 	st.head = sub.Head
 	st.cursor = min(max(sub.Cursor, 1), sub.Head+1)
 	st.base = sub.Head + 1 // nothing replayable until entries land below
-	n := uint64(len(st.buf))
+	n := st.size
 	lo := sub.RingStart
 	if len(sub.Ring) == 0 || sub.Head == 0 {
 		return
@@ -180,7 +181,7 @@ func (st *subState) reseed(sub durable.SessionSub) {
 			base = seq + 1
 			continue
 		}
-		st.buf[(seq-1)%n] = a
+		*st.slot(seq) = a
 	}
 	st.base = base
 }
