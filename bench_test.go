@@ -205,40 +205,6 @@ func benchBaseline(b *testing.B, build func(core.PatternType) (core.Mechanism, e
 	}
 }
 
-// BenchmarkNFAFeed measures streaming sequence matching throughput.
-func BenchmarkNFAFeed(b *testing.B) {
-	seq := cep.SeqTypes("a", "b", "c")
-	evs := make([]event.Event, 0, 3000)
-	rng := rand.New(rand.NewSource(7))
-	types := []event.Type{"a", "b", "c", "x", "y"}
-	for i := 0; i < 3000; i++ {
-		evs = append(evs, event.New(types[rng.Intn(len(types))], event.Timestamp(i)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := cep.CompileSeq("q", seq, 50, cep.WithMaxRuns(256))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = m.FeedAll(evs)
-	}
-}
-
-// BenchmarkEvalWindow measures batch window evaluation of a composite query.
-func BenchmarkEvalWindow(b *testing.B) {
-	expr := cep.AndOf(cep.SeqTypes("a", "b"), cep.OrOf(cep.E("c"), cep.NegOf(cep.E("d"))))
-	w := stream.Window{Start: 0, End: 100}
-	rng := rand.New(rand.NewSource(9))
-	types := []event.Type{"a", "b", "c", "d", "x"}
-	for i := 0; i < 50; i++ {
-		w.Events = append(w.Events, event.New(types[rng.Intn(len(types))], event.Timestamp(i)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = cep.EvalWindow(expr, w)
-	}
-}
-
 // BenchmarkDetectionProbability measures the adaptive PPM's quality oracle.
 func BenchmarkDetectionProbability(b *testing.B) {
 	expr := cep.SeqTypes("e1", "e2", "e3")

@@ -527,9 +527,6 @@ func run(o options) error {
 	bal := st.Balance()
 	fmt.Printf("shard balance: mean %.0f events/shard, stddev %.0f, min %.0f, max %.0f\n",
 		bal.Mean, bal.StdDev, bal.Min, bal.Max)
-	if st.RunsDropped > 0 {
-		fmt.Printf("matcher pressure: %d partial matches evicted (raise maxRuns or narrow queries)\n", st.RunsDropped)
-	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\nshard\tstreams\tevents\twindows\tpanes\tanswers\tdropped(late/future/ingest)")

@@ -4,202 +4,15 @@ import (
 	"fmt"
 
 	"patterndp/internal/event"
-	"patterndp/internal/stream"
 )
 
-// EvalWindow evaluates the expression against the events of one window and
-// reports whether the pattern occurs there, plus one witness instance (the
-// constituent events) when it does. For Neg the witness is empty.
-//
-// Semantics:
-//   - Atom: at least one event in the window matches type and predicate.
-//   - Seq:  the parts match strictly increasing timestamps.
-//   - And:  every part matches somewhere in the window.
-//   - Or:   at least one part matches.
-//   - Neg:  the inner expression does not match.
-func EvalWindow(e Expr, w stream.Window) (bool, []event.Event) {
-	switch x := e.(type) {
-	case *Atom:
-		for _, ev := range w.Events {
-			if x.Matches(ev) {
-				return true, []event.Event{ev}
-			}
-		}
-		return false, nil
-	case *Seq:
-		return evalSeq(x.Parts, w, -1<<62)
-	case *And:
-		// Each part contributes at least one witness event; pre-sizing
-		// from the part count avoids the append-growth reallocations of
-		// building the witness incrementally.
-		witness := make([]event.Event, 0, len(x.Parts))
-		for _, p := range x.Parts {
-			ok, evs := EvalWindow(p, w)
-			if !ok {
-				return false, nil
-			}
-			witness = append(witness, evs...)
-		}
-		return true, witness
-	case *Or:
-		for _, p := range x.Parts {
-			if ok, evs := EvalWindow(p, w); ok {
-				return true, evs
-			}
-		}
-		return false, nil
-	case *Neg:
-		// Only the boolean matters for the inner expression; the
-		// detect-only path skips witness materialization entirely.
-		return !Detect(x.Inner, w), nil
-	case *Times:
-		n, witness := countOccurrences(x.Inner, w)
-		if n < x.Min || (x.Max != 0 && n > x.Max) {
-			return false, nil
-		}
-		return true, witness
-	default:
-		panic(fmt.Sprintf("cep: unknown expression node %T", e))
-	}
-}
-
-// Detect is EvalWindow restricted to the boolean answer: it reports whether
-// the pattern occurs in the window without materializing a witness, so OR
-// and NEG branches (and the recursion below them) allocate nothing. Callers
-// that need the matching instance use EvalWindow.
-func Detect(e Expr, w stream.Window) bool {
-	switch x := e.(type) {
-	case *Atom:
-		for _, ev := range w.Events {
-			if x.Matches(ev) {
-				return true
-			}
-		}
-		return false
-	case *Seq:
-		return detectSeq(x.Parts, w, -1<<62)
-	case *And:
-		for _, p := range x.Parts {
-			if !Detect(p, w) {
-				return false
-			}
-		}
-		return true
-	case *Or:
-		for _, p := range x.Parts {
-			if Detect(p, w) {
-				return true
-			}
-		}
-		return false
-	case *Neg:
-		return !Detect(x.Inner, w)
-	case *Times:
-		n := countOccurrencesDetect(x.Inner, w)
-		return n >= x.Min && (x.Max == 0 || n <= x.Max)
-	default:
-		panic(fmt.Sprintf("cep: unknown expression node %T", e))
-	}
-}
-
-// detectSeq is evalSeq without witness construction. Atom heads recurse
-// directly; composite heads still evaluate with a witness internally, since
-// the witness end bounds where the rest of the sequence may start.
-func detectSeq(parts []Expr, w stream.Window, after event.Timestamp) bool {
-	if len(parts) == 0 {
-		return true
-	}
-	head, rest := parts[0], parts[1:]
-	switch x := head.(type) {
-	case *Atom:
-		for _, ev := range w.Events {
-			if ev.Time <= after || !x.Matches(ev) {
-				continue
-			}
-			if detectSeq(rest, w, ev.Time) {
-				return true
-			}
-		}
-		return false
-	default:
-		sub := stream.Window{Start: w.Start, End: w.End}
-		for _, ev := range w.Events {
-			if ev.Time > after {
-				sub.Events = append(sub.Events, ev)
-			}
-		}
-		ok, evs := EvalWindow(head, sub)
-		if !ok {
-			return false
-		}
-		end := after
-		for _, ev := range evs {
-			if ev.Time > end {
-				end = ev.Time
-			}
-		}
-		return detectSeq(rest, w, end)
-	}
-}
-
-// evalSeq matches parts in order with each part's witness strictly after the
-// previous part's witness end time. after is the exclusive lower bound for
-// the next match's start.
-func evalSeq(parts []Expr, w stream.Window, after event.Timestamp) (bool, []event.Event) {
-	if len(parts) == 0 {
-		return true, nil
-	}
-	head, rest := parts[0], parts[1:]
-	// Try every feasible witness of the head part, earliest first, and
-	// recurse. Earliest-first keeps the search linear in common cases.
-	switch x := head.(type) {
-	case *Atom:
-		for _, ev := range w.Events {
-			if ev.Time <= after || !x.Matches(ev) {
-				continue
-			}
-			ok, tail := evalSeq(rest, w, ev.Time)
-			if ok {
-				return true, append([]event.Event{ev}, tail...)
-			}
-		}
-		return false, nil
-	default:
-		// Composite head: evaluate it against the sub-window after
-		// `after`; its witness end becomes the new bound.
-		sub := stream.Window{Start: w.Start, End: w.End}
-		for _, ev := range w.Events {
-			if ev.Time > after {
-				sub.Events = append(sub.Events, ev)
-			}
-		}
-		ok, evs := EvalWindow(head, sub)
-		if !ok {
-			return false, nil
-		}
-		end := after
-		for _, ev := range evs {
-			if ev.Time > end {
-				end = ev.Time
-			}
-		}
-		ok, tail := evalSeq(rest, w, end)
-		if !ok {
-			return false, nil
-		}
-		return true, append(evs, tail...)
-	}
-}
-
 // EvalIndicators evaluates the expression against per-type presence
-// indicators instead of concrete events. This is the query path used after a
-// randomized-response PPM has perturbed the existence bits I(e_i): temporal
-// order inside the window is no longer observable, so Seq degrades to "all
-// types present" — exactly the binary-answer query class the paper assumes
-// (a pattern is detected iff all its elements are detected in the window).
-//
-// Predicates cannot be applied to an indicator; atoms with predicates are
-// treated by type only.
+// indicators. This is the query path used after a randomized-response PPM
+// has perturbed the existence bits I(e_i): temporal order inside the window
+// is no longer observable, so Seq degrades to "all types present" — exactly
+// the binary-answer query class the paper assumes (a pattern is detected iff
+// all its elements are detected in the window). It is the reference
+// interpreter that compiled plans are tested against.
 func EvalIndicators(e Expr, present map[event.Type]bool) bool {
 	switch x := e.(type) {
 	case *Atom:
@@ -236,15 +49,4 @@ func EvalIndicators(e Expr, present map[event.Type]bool) bool {
 	default:
 		panic(fmt.Sprintf("cep: unknown expression node %T", e))
 	}
-}
-
-// Indicators extracts the per-type presence map of a window, restricted to
-// the given types. This is the vector I(e) = (I(e1), …, I(en)) that the
-// randomized-response mechanisms take as input.
-func Indicators(w stream.Window, types []event.Type) map[event.Type]bool {
-	out := make(map[event.Type]bool, len(types))
-	for _, t := range types {
-		out[t] = w.Contains(t)
-	}
-	return out
 }

@@ -1,12 +1,15 @@
-// Package cep implements the trusted complex event processing engine of the
-// paper's system model: pattern expressions over event streams, an NFA-based
-// streaming matcher for sequence patterns, a batch window evaluator for the
-// full operator set, and a query registry that serves data consumers.
+// Package cep is the query layer of the paper's trusted complex event
+// processing engine: pattern expressions, their textual parser, and compiled
+// plans that answer a query over one window's released presence indicators.
 //
-// Patterns are expressed with a small AST — SEQ, AND, OR, NEG over typed
-// event atoms with optional attribute predicates — which covers the queries
-// the paper's evaluation uses (binary existence of a pattern inside a
-// window) while remaining a genuine CEP operator set.
+// Patterns are expressed with a small AST — SEQ, AND, OR, NEG and TIMES over
+// typed event atoms — which covers the queries the paper's evaluation uses
+// (binary existence of a pattern inside a window). Every answer is computed
+// from the released indicator vector I(e) that the privacy mechanisms
+// perturb, because both the paper's guarantee and its quality measure are
+// defined over it: once the existence bits are randomized, order and
+// repetition counts are no longer observable, so SEQ reads as a conjunction
+// and TIMES as presence (see EvalIndicators).
 package cep
 
 import (
@@ -16,9 +19,6 @@ import (
 
 	"patterndp/internal/event"
 )
-
-// Predicate is an attribute filter on a single event.
-type Predicate func(event.Event) bool
 
 // Expr is a pattern expression node.
 type Expr interface {
@@ -31,45 +31,20 @@ type Expr interface {
 	validate() error
 }
 
-// Atom matches a single event of a given type, optionally filtered by a
-// predicate on its attributes.
+// Atom matches a single event of a given type.
 type Atom struct {
 	// Type is the event type the atom matches.
 	Type event.Type
-	// Where optionally restricts matching events; nil accepts all.
-	Where Predicate
-	// Alias names the matched event for later reference (documentation
-	// only; the engine does not yet support cross-event predicates).
-	Alias string
 }
 
-// E builds an unconditional atom for the given event type.
+// E builds an atom for the given event type.
 func E(t event.Type) *Atom { return &Atom{Type: t} }
-
-// EWhere builds an atom with an attribute predicate.
-func EWhere(t event.Type, where Predicate) *Atom { return &Atom{Type: t, Where: where} }
-
-// Matches reports whether the atom accepts the event.
-func (a *Atom) Matches(e event.Event) bool {
-	if e.Type != a.Type {
-		return false
-	}
-	if a.Where == nil {
-		return true
-	}
-	return a.Where(e)
-}
 
 // Types implements Expr.
 func (a *Atom) Types() []event.Type { return []event.Type{a.Type} }
 
 // String implements Expr.
-func (a *Atom) String() string {
-	if a.Alias != "" {
-		return fmt.Sprintf("%s AS %s", a.Type, a.Alias)
-	}
-	return string(a.Type)
-}
+func (a *Atom) String() string { return string(a.Type) }
 
 func (a *Atom) validate() error {
 	if a.Type == "" {
@@ -86,7 +61,7 @@ type Seq struct {
 // SeqOf builds a sequence expression.
 func SeqOf(parts ...Expr) *Seq { return &Seq{Parts: parts} }
 
-// SeqTypes builds a sequence of unconditional atoms — the common case
+// SeqTypes builds a sequence of atoms — the common case
 // P = seq(e1, …, em).
 func SeqTypes(types ...event.Type) *Seq {
 	parts := make([]Expr, len(types))

@@ -1,12 +1,18 @@
 package cep
 
 import (
+	"math/rand"
 	"testing"
+
+	"patterndp/internal/event"
 )
 
 // FuzzParse drives the query parser with arbitrary input; it must never
 // panic, and any accepted input must produce an expression whose rendered
-// form re-parses to the same rendering.
+// form re-parses to the same rendering. An accepted expression must also
+// compile, and under the presence mask taken from the second argument (bit i
+// for the i-th of expr.Types()) the interpreter, the compiled plan, and the
+// plan bound to a shuffled table holding one extra type must all agree.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SEQ(a, b) WITHIN 10",
@@ -23,10 +29,10 @@ func FuzzParse(f *testing.F) {
 		"@#$%",
 		"SEQ(a, b) WITHIN 10 trailing",
 	}
-	for _, s := range seeds {
-		f.Add(s)
+	for i, s := range seeds {
+		f.Add(s, uint64(i)*0x9E3779B97F4A7C15)
 	}
-	f.Fuzz(func(t *testing.T, input string) {
+	f.Fuzz(func(t *testing.T, input string, mask uint64) {
 		expr, window, err := Parse(input)
 		if err != nil {
 			return // rejection is fine; panics are not
@@ -45,29 +51,30 @@ func FuzzParse(f *testing.F) {
 		if back.String() != rendered {
 			t.Fatalf("rendering not a fixed point: %q -> %q", rendered, back.String())
 		}
-	})
-}
 
-// FuzzNFAFeed drives the streaming matcher with arbitrary event sequences;
-// it must never panic and must agree with the batch evaluator on presence.
-func FuzzNFAFeed(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3})
-	f.Add([]byte{2, 1, 0})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) > 64 {
-			raw = raw[:64]
-		}
-		w := randomWindow(raw)
-		seq := SeqTypes("a", "b")
-		m, err := CompileSeq("q", seq, 0)
+		p, err := Compile(Query{Name: "q", Pattern: expr, Window: 1})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("accepted input %q does not compile: %v", input, err)
 		}
-		nfaOK := len(m.FeedAll(w.Events)) > 0
-		evalOK, _ := EvalWindow(seq, w)
-		if nfaOK != evalOK {
-			t.Fatalf("nfa=%t evaluator=%t on %v", nfaOK, evalOK, w.Events)
+		types := expr.Types()
+		present := make(map[event.Type]bool, len(types))
+		for i, typ := range types {
+			present[typ] = mask&(1<<(i%64)) != 0
+		}
+		table := append(types, "fuzz-extra-type")
+		rand.New(rand.NewSource(int64(mask))).Shuffle(len(table), func(i, j int) {
+			table[i], table[j] = table[j], table[i]
+		})
+		row := make([]bool, len(table))
+		for pos, typ := range table {
+			row[pos] = present[typ]
+		}
+		want := EvalIndicators(expr, present)
+		if got := p.EvalIndicators(present); got != want {
+			t.Fatalf("%s over %v: plan %t, interpreter %t", rendered, present, got, want)
+		}
+		if got := p.Bind(table).Eval(row); got != want {
+			t.Fatalf("%s over %v bound to %v: %t, interpreter %t", rendered, present, table, got, want)
 		}
 	})
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"patterndp/internal/event"
-	"patterndp/internal/stream"
 )
 
 // Times matches when its inner expression occurs at least Min and at most
 // Max times within the window (Kleene-style repetition). Max = 0 means
-// unbounded. Occurrences are counted as disjoint matches in temporal order.
+// unbounded.
 //
-// Over perturbed indicators, repetition counts are not observable — only
+// Over released indicators, repetition counts are not observable — only
 // existence is released — so EvalIndicators treats Times with Min ≤ 1 as
 // presence of the inner expression and Times with Min > 1 conservatively as
 // not detected (a released existence bit cannot witness two occurrences).
@@ -61,70 +60,4 @@ func (t *Times) validate() error {
 		return fmt.Errorf("cep: TIMES maximum %d below minimum %d", t.Max, t.Min)
 	}
 	return t.Inner.validate()
-}
-
-// countOccurrencesDetect is countOccurrences without witness accumulation:
-// each match's events are still needed to find where counting resumes, but
-// they are not appended into a growing witness slice.
-func countOccurrencesDetect(e Expr, w stream.Window) int {
-	count := 0
-	after := event.Timestamp(-1 << 62)
-	for {
-		sub := stream.Window{Start: w.Start, End: w.End}
-		for _, ev := range w.Events {
-			if ev.Time > after {
-				sub.Events = append(sub.Events, ev)
-			}
-		}
-		ok, evs := EvalWindow(e, sub)
-		if !ok {
-			return count
-		}
-		count++
-		end := after
-		for _, ev := range evs {
-			if ev.Time > end {
-				end = ev.Time
-			}
-		}
-		if end == after {
-			// Zero-width witness (e.g. NEG): avoid an infinite loop.
-			return count
-		}
-		after = end
-	}
-}
-
-// countOccurrences counts disjoint matches of the expression in temporal
-// order: after each match, counting resumes strictly after the match's last
-// event.
-func countOccurrences(e Expr, w stream.Window) (int, []event.Event) {
-	count := 0
-	var witness []event.Event
-	after := event.Timestamp(-1 << 62)
-	for {
-		sub := stream.Window{Start: w.Start, End: w.End}
-		for _, ev := range w.Events {
-			if ev.Time > after {
-				sub.Events = append(sub.Events, ev)
-			}
-		}
-		ok, evs := EvalWindow(e, sub)
-		if !ok {
-			return count, witness
-		}
-		count++
-		witness = append(witness, evs...)
-		end := after
-		for _, ev := range evs {
-			if ev.Time > end {
-				end = ev.Time
-			}
-		}
-		if end == after {
-			// Zero-width witness (e.g. NEG): avoid an infinite loop.
-			return count, witness
-		}
-		after = end
-	}
 }

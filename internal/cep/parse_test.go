@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"patterndp/internal/event"
-	"patterndp/internal/stream"
 )
 
 func TestParseAtom(t *testing.T) {
@@ -197,36 +196,21 @@ func TestTimesValidation(t *testing.T) {
 	}
 }
 
-func TestTimesEvalWindow(t *testing.T) {
-	w := stream.Window{Start: 0, End: 100, Events: []event.Event{
-		event.New("r", 1), event.New("r", 2), event.New("r", 3),
-	}}
-	if ok, _ := EvalWindow(TimesOf(E("r"), 3, 0), w); !ok {
-		t.Error("3 occurrences should satisfy TIMES(r, 3)")
-	}
-	if ok, _ := EvalWindow(TimesOf(E("r"), 4, 0), w); ok {
-		t.Error("3 occurrences should not satisfy TIMES(r, 4)")
-	}
-	if ok, _ := EvalWindow(TimesOf(E("r"), 1, 2), w); ok {
-		t.Error("3 occurrences exceed TIMES(r, 1, 2)")
-	}
-	ok, witness := EvalWindow(TimesOf(E("r"), 2, 3), w)
-	if !ok || len(witness) != 3 {
-		t.Errorf("witness = %v", witness)
-	}
-}
-
 func TestTimesOfSequences(t *testing.T) {
-	// Two disjoint (a, b) pairs.
-	w := stream.Window{Start: 0, End: 100, Events: []event.Event{
-		event.New("a", 1), event.New("b", 2),
-		event.New("a", 3), event.New("b", 4),
-	}}
-	if ok, _ := EvalWindow(TimesOf(SeqTypes("a", "b"), 2, 0), w); !ok {
-		t.Error("two disjoint seq matches expected")
+	// TIMES over a sequence reads as the sequence's presence when one
+	// occurrence suffices, and as never detected when a released existence
+	// bit would have to witness two.
+	present := map[event.Type]bool{"a": true, "b": true}
+	if !EvalIndicators(TimesOf(SeqTypes("a", "b"), 1, 0), present) {
+		t.Error("TIMES(SEQ(a, b), 1) with a and b present: want detected")
 	}
-	if ok, _ := EvalWindow(TimesOf(SeqTypes("a", "b"), 3, 0), w); ok {
-		t.Error("only two disjoint matches exist")
+	present["b"] = false
+	if EvalIndicators(TimesOf(SeqTypes("a", "b"), 1, 0), present) {
+		t.Error("TIMES(SEQ(a, b), 1) without b: want not detected")
+	}
+	present["b"] = true
+	if EvalIndicators(TimesOf(SeqTypes("a", "b"), 2, 0), present) {
+		t.Error("TIMES(SEQ(a, b), 2) cannot be witnessed by existence bits")
 	}
 }
 
@@ -240,15 +224,6 @@ func TestTimesEvalIndicators(t *testing.T) {
 	}
 }
 
-func TestTimesZeroWidthWitnessTerminates(t *testing.T) {
-	// NEG matches with an empty witness; counting must not loop forever.
-	w := stream.Window{Start: 0, End: 10}
-	ok, _ := EvalWindow(TimesOf(NegOf(E("x")), 1, 0), w)
-	if !ok {
-		t.Error("NEG(x) holds once in an empty window")
-	}
-}
-
 func TestTimesTypesAndQueryIntegration(t *testing.T) {
 	ts := TimesOf(SeqTypes("a", "b"), 2, 0)
 	got := ts.Types()
@@ -259,24 +234,18 @@ func TestTimesTypesAndQueryIntegration(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Errorf("TIMES query invalid: %v", err)
 	}
-	g := NewEngine()
-	if err := g.Register(q); err != nil {
+	p, err := Compile(q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ds := g.EvaluateWindow(stream.Window{Start: 0, End: 10, Events: []event.Event{
-		event.New("a", 1), event.New("b", 2), event.New("a", 3), event.New("b", 4),
-	}})
-	if !ds[0].Detected {
-		t.Error("engine missed TIMES detection")
+	if p.EvalIndicators(map[event.Type]bool{"a": true, "b": true}) {
+		t.Error("compiled TIMES(.., 2) detected from existence bits")
 	}
 }
 
 func TestParsedExprEvaluates(t *testing.T) {
 	e := MustParse("SEQ(a, OR(b, c))")
-	w := stream.Window{Start: 0, End: 10, Events: []event.Event{
-		event.New("a", 1), event.New("c", 2),
-	}}
-	if ok, _ := EvalWindow(e, w); !ok {
+	if !EvalIndicators(e, map[event.Type]bool{"a": true, "c": true}) {
 		t.Error("parsed expression failed to evaluate")
 	}
 	if !strings.Contains(e.String(), "OR(b, c)") {

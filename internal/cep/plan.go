@@ -2,11 +2,8 @@ package cep
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"patterndp/internal/event"
-	"patterndp/internal/stream"
 )
 
 // Plan is a compiled query evaluator: the serving-time form of a Query. The
@@ -18,13 +15,11 @@ import (
 //     cannot answer true with a handful of map lookups;
 //   - a flat postfix program over presence indicators, replacing the
 //     recursive EvalIndicators interpreter (no tree re-traversal, no
-//     interface dispatch, no allocation per evaluation);
-//   - for Seq-of-Atom patterns, a pool of incremental NFA matchers for
-//     concrete-window detection with early exit on the first instance.
+//     interface dispatch, no allocation per evaluation).
 //
-// A Plan is immutable after Compile and safe for concurrent use by any
-// number of goroutines; per-evaluation state lives on the caller's stack or
-// in the internal NFA pool.
+// Bind resolves both against a type table, for callers that keep a window's
+// released indicators as a row of bits. A Plan is immutable after Compile and
+// safe for concurrent use by any number of goroutines.
 type Plan struct {
 	query Query
 
@@ -40,37 +35,11 @@ type Plan struct {
 	// required are the types that must all be present, under indicator
 	// semantics, for the pattern to possibly match.
 	required []event.Type
-	// requiredWindow is the analogous set under concrete-window semantics
-	// (TIMES is satisfiable there, so the sets can differ).
-	requiredWindow []event.Type
 
 	// prog is the postfix indicator program; types is its operand table.
 	prog     []planInstr
 	types    []event.Type
 	stackCap int
-
-	// winAtoms/winProg are the concrete-window counterpart of prog for
-	// patterns whose window answer is order-free — no SEQ or TIMES node,
-	// only AND/OR/NEG over (predicated) atoms. winAtoms lists the pattern's
-	// atom leaves; winProg is a postfix program over their per-window match
-	// bits. Because each leaf's "some event matches" bit is mergeable by OR
-	// across stream panes, sliding evaluators answer such patterns from
-	// per-pane partial bitsets in O(panes) per window instead of
-	// re-scanning events (see Plan.Sliding). nil when the pattern needs
-	// order or counting (or has more than 64 leaves).
-	winAtoms    []*Atom
-	winProg     []planInstr
-	winStackCap int
-
-	// seq is non-nil for Seq-of-Atom patterns; nfas pools compiled
-	// matchers for concrete-window detection.
-	seq     *Seq
-	nfaOpts []NFAOption
-	nfas    sync.Pool
-	// dropped accumulates partial matches evicted by the pooled NFAs'
-	// maxRuns bound (see WithMaxRuns) — the operator signal for matcher
-	// memory pressure.
-	dropped atomic.Uint64
 }
 
 // planInstr is one postfix instruction of the indicator program.
@@ -90,14 +59,12 @@ const (
 	opFalse                 // push false
 )
 
-// Compile validates the query and compiles it into a Plan. opts configure
-// the pooled NFA matchers used for Seq-of-Atom patterns (e.g. WithMaxRuns);
-// they are ignored for other pattern shapes.
-func Compile(q Query, opts ...NFAOption) (*Plan, error) {
+// Compile validates the query and compiles it into a Plan.
+func Compile(q Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Plan{query: q, nfaOpts: opts}
+	p := &Plan{query: q}
 	n := lowerIndicator(q.Pattern)
 	switch n.kind {
 	case pTrue:
@@ -114,28 +81,12 @@ func Compile(q Query, opts ...NFAOption) (*Plan, error) {
 			p.prog, p.types, p.stackCap = c.prog, c.table, c.maxDepth
 		}
 	}
-	p.requiredWindow = requiredWindowTypes(q.Pattern)
-	if atoms, prog, depth, ok := windowAtomProgram(q.Pattern); ok {
-		p.winAtoms, p.winProg, p.winStackCap = atoms, prog, depth
-	}
-	if s, ok := q.Pattern.(*Seq); ok && seqOfAtoms(s) {
-		p.seq = s
-		p.nfas.New = func() any {
-			m, err := CompileSeq(q.Name, s, 0, opts...)
-			if err != nil {
-				// Unreachable: the pattern was validated and is
-				// Seq-of-Atoms.
-				panic(err)
-			}
-			return m
-		}
-	}
 	return p, nil
 }
 
 // MustCompile is Compile for queries known to be valid; it panics on error.
-func MustCompile(q Query, opts ...NFAOption) *Plan {
-	p, err := Compile(q, opts...)
+func MustCompile(q Query) *Plan {
+	p, err := Compile(q)
 	if err != nil {
 		panic(err)
 	}
@@ -149,10 +100,6 @@ func (p *Plan) Query() Query { return p.query }
 // window's released indicators for the pattern to possibly match. The
 // returned slice is shared and must not be modified.
 func (p *Plan) RequiredTypes() []event.Type { return p.required }
-
-// Dropped reports how many partial matches the plan's pooled NFAs have
-// evicted under their maxRuns bound since compilation.
-func (p *Plan) Dropped() uint64 { return p.dropped.Load() }
 
 // EvalIndicators answers the query over one window's released presence
 // indicators — the compiled counterpart of the EvalIndicators function. It
@@ -230,25 +177,39 @@ type BoundPlan struct {
 }
 
 // Bind resolves the plan's required and operand types to their positions in
-// table. A type missing from the table reads as absent in every row.
-func (p *Plan) Bind(table []event.Type) *BoundPlan {
+// table. A type missing from the table reads as absent in every row. A
+// caller that binds many plans to one table passes the table's
+// type→position index too, so the table is indexed once rather than once per
+// plan; without it, Bind indexes the table itself. Either way each type
+// costs one lookup.
+func (p *Plan) Bind(table []event.Type, index ...map[event.Type]int32) *BoundPlan {
 	b := &BoundPlan{constVal: p.constVal, conjunctive: p.conjunctive, stackCap: p.stackCap}
 	if b.constVal != 0 {
 		return b
 	}
-	for _, t := range p.required {
-		pos := slices.Index(table, t)
-		if pos < 0 {
+	var pos map[event.Type]int32
+	if len(index) > 0 {
+		pos = index[0]
+	} else {
+		pos = make(map[event.Type]int32, len(table))
+		for i, t := range table {
+			pos[t] = int32(i)
+		}
+	}
+	b.required = make([]int32, len(p.required))
+	for i, t := range p.required {
+		at, ok := pos[t]
+		if !ok {
 			// A required type that is never present: never detected.
 			return &BoundPlan{constVal: -1}
 		}
-		b.required = append(b.required, int32(pos))
+		b.required[i] = at
 	}
 	b.prog = make([]planInstr, len(p.prog))
 	for i, in := range p.prog {
 		if in.op == opPresent {
-			if pos := slices.Index(table, p.types[in.arg]); pos >= 0 {
-				in.arg = int32(pos)
+			if at, ok := pos[p.types[in.arg]]; ok {
+				in.arg = at
 			} else {
 				in = planInstr{op: opFalse}
 			}
@@ -274,71 +235,6 @@ func (b *BoundPlan) Eval(row []bool) bool {
 		return true
 	}
 	return runProg(b.prog, b.stackCap, row)
-}
-
-// missingRequired reports whether a required type is absent from the window,
-// in which case the pattern cannot match there.
-func (p *Plan) missingRequired(w stream.Window) bool {
-	for _, t := range p.requiredWindow {
-		if !w.Contains(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// EvalWindow answers the query over one concrete window and returns a
-// witness instance when the pattern occurs — the compiled counterpart of
-// the EvalWindow function. Seq-of-Atom patterns run on a pooled incremental
-// NFA with early exit on the first instance; other shapes prune on the
-// required-type set and fall back to the batch evaluator.
-func (p *Plan) EvalWindow(w stream.Window) (bool, []event.Event) {
-	if p.missingRequired(w) {
-		return false, nil
-	}
-	if p.seq != nil {
-		m := p.nfas.Get().(*NFA)
-		witness, ok := m.FirstMatch(w.Events)
-		p.release(m)
-		return ok, witness
-	}
-	return EvalWindow(p.query.Pattern, w)
-}
-
-// DetectWindow is EvalWindow without witness materialization: it answers
-// only whether the pattern occurs in the window.
-func (p *Plan) DetectWindow(w stream.Window) bool {
-	if p.missingRequired(w) {
-		return false
-	}
-	if p.seq != nil {
-		m := p.nfas.Get().(*NFA)
-		_, ok := m.FirstMatch(w.Events)
-		p.release(m)
-		return ok
-	}
-	return Detect(p.query.Pattern, w)
-}
-
-// release harvests a pooled NFA's eviction counter, resets it, and returns
-// it to the pool.
-func (p *Plan) release(m *NFA) {
-	if d := m.Dropped(); d > 0 {
-		p.dropped.Add(d)
-	}
-	m.Reset()
-	p.nfas.Put(m)
-}
-
-// seqOfAtoms reports whether every part of the sequence is an Atom — the
-// shape CompileSeq accepts.
-func seqOfAtoms(s *Seq) bool {
-	for _, part := range s.Parts {
-		if _, ok := part.(*Atom); !ok {
-			return false
-		}
-	}
-	return len(s.Parts) > 0
 }
 
 // --- indicator-semantics lowering ----------------------------------------
@@ -460,7 +356,7 @@ func requiredTypes(n *pnode) []event.Type {
 	for t := range set {
 		out = append(out, t)
 	}
-	sortTypes(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -489,68 +385,6 @@ func requiredSet(n *pnode) map[event.Type]bool {
 		return out
 	default: // pNot, pTrue, pFalse
 		return nil
-	}
-}
-
-// requiredWindowTypes is requiredTypes under concrete-window semantics,
-// computed from the original expression: TIMES is satisfiable there (its
-// occurrences still need the inner pattern's required types), and predicates
-// only narrow an atom, so its type stays required.
-func requiredWindowTypes(e Expr) []event.Type {
-	set := requiredWindowSet(e)
-	out := make([]event.Type, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sortTypes(out)
-	return out
-}
-
-func requiredWindowSet(e Expr) map[event.Type]bool {
-	switch x := e.(type) {
-	case *Atom:
-		return map[event.Type]bool{x.Type: true}
-	case *Seq:
-		return unionRequiredWindow(x.Parts)
-	case *And:
-		return unionRequiredWindow(x.Parts)
-	case *Or:
-		out := requiredWindowSet(x.Parts[0])
-		for _, part := range x.Parts[1:] {
-			sub := requiredWindowSet(part)
-			for t := range out {
-				if !sub[t] {
-					delete(out, t)
-				}
-			}
-		}
-		return out
-	case *Neg:
-		return nil
-	case *Times:
-		// Validate enforces Min >= 1: at least one occurrence of the
-		// inner pattern is needed, hence its required types are too.
-		return requiredWindowSet(x.Inner)
-	default:
-		panic("cep: unknown expression node in plan lowering")
-	}
-}
-
-func unionRequiredWindow(parts []Expr) map[event.Type]bool {
-	out := make(map[event.Type]bool)
-	for _, part := range parts {
-		for t := range requiredWindowSet(part) {
-			out[t] = true
-		}
-	}
-	return out
-}
-
-func sortTypes(ts []event.Type) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
 	}
 }
 
@@ -599,78 +433,6 @@ func (c *planCompiler) typeIndex(t event.Type) int32 {
 	c.table = append(c.table, t)
 	c.types[t] = i
 	return i
-}
-
-// windowAtomProgram compiles an expression into a postfix program over
-// atom-leaf match bits, valid under concrete-window semantics: it exists
-// exactly when the window answer is a pure boolean combination of "some
-// event in the window matches leaf i" — i.e. the tree holds only AND/OR/NEG
-// over atoms. SEQ needs order and TIMES needs counts, so their presence (or
-// more than 64 leaves, the bitset width) returns ok == false.
-func windowAtomProgram(e Expr) (atoms []*Atom, prog []planInstr, stackCap int, ok bool) {
-	c := &winCompiler{}
-	if !c.emit(e) || len(c.atoms) > 64 {
-		return nil, nil, 0, false
-	}
-	return c.atoms, c.prog, c.maxDepth, true
-}
-
-type winCompiler struct {
-	atoms    []*Atom
-	prog     []planInstr
-	depth    int
-	maxDepth int
-}
-
-func (c *winCompiler) push(in planInstr, delta int) {
-	c.prog = append(c.prog, in)
-	c.depth += delta
-	if c.depth > c.maxDepth {
-		c.maxDepth = c.depth
-	}
-}
-
-func (c *winCompiler) emit(e Expr) bool {
-	switch x := e.(type) {
-	case *Atom:
-		c.push(planInstr{op: opPresent, arg: int32(len(c.atoms))}, 1)
-		c.atoms = append(c.atoms, x)
-		return true
-	case *And:
-		for _, p := range x.Parts {
-			if !c.emit(p) {
-				return false
-			}
-		}
-		c.push(planInstr{op: opAll, arg: int32(len(x.Parts))}, 1-len(x.Parts))
-		return true
-	case *Or:
-		for _, p := range x.Parts {
-			if !c.emit(p) {
-				return false
-			}
-		}
-		c.push(planInstr{op: opAny, arg: int32(len(x.Parts))}, 1-len(x.Parts))
-		return true
-	case *Neg:
-		if !c.emit(x.Inner) {
-			return false
-		}
-		c.push(planInstr{op: opNot}, 0)
-		return true
-	default: // *Seq, *Times: order or counting — not bit-mergeable
-		return false
-	}
-}
-
-// evalWindowBits runs the window atom program over a bitset of per-leaf
-// match bits (bit i set iff some window event matches winAtoms[i]).
-func (p *Plan) evalWindowBits(bits uint64) bool {
-	var row [64]bool
-	for i := range p.winAtoms {
-		row[i] = bits&(1<<uint(i)) != 0
-	}
-	return runProg(p.winProg, p.winStackCap, row[:])
 }
 
 func (c *planCompiler) emit(n *pnode) {

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"patterndp/internal/event"
-	"patterndp/internal/stream"
 )
 
 // randomExprTimes extends the randomExpr generator with TIMES nodes, so plan
@@ -87,61 +86,6 @@ func TestPropertyPlanIndicators(t *testing.T) {
 	}
 }
 
-// TestPropertyPlanWindow asserts that the compiled plan's concrete-window
-// answer (required-type pruning, pooled NFA for sequences, detect-only
-// split) equals the EvalWindow interpreter's, and that Detect agrees too.
-func TestPropertyPlanWindow(t *testing.T) {
-	f := func(shape uint32, depth uint8, raw []byte) bool {
-		rng := rand.New(rand.NewSource(int64(shape)))
-		e := randomExprTimes(rng, int(depth%3))
-		w := randomWindow(raw)
-		want, _ := EvalWindow(e, w)
-		p, err := Compile(Query{Name: "q", Pattern: e, Window: 100})
-		if err != nil {
-			return false
-		}
-		got, witness := p.EvalWindow(w)
-		if got != want || got != p.DetectWindow(w) || got != Detect(e, w) {
-			return false
-		}
-		// A sequence plan's witness must be a real, ordered instance.
-		if got && p.seq != nil {
-			if len(witness) != len(p.seq.Parts) {
-				return false
-			}
-			for i, ev := range witness {
-				if !p.seq.Parts[i].(*Atom).Matches(ev) {
-					return false
-				}
-				if i > 0 && witness[i-1].Time >= ev.Time {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(2))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPropertyDetectMatchesEvalWindow pins the detect-only split to the
-// witness path over random expressions and windows.
-func TestPropertyDetectMatchesEvalWindow(t *testing.T) {
-	f := func(shape uint32, depth uint8, raw []byte) bool {
-		rng := rand.New(rand.NewSource(int64(shape)))
-		e := randomExprTimes(rng, int(depth%3))
-		w := randomWindow(raw)
-		want, _ := EvalWindow(e, w)
-		return Detect(e, w) == want
-	}
-	cfg := &quick.Config{MaxCount: 300}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPlanConstantFolding(t *testing.T) {
 	cases := []struct {
 		expr Expr
@@ -215,31 +159,32 @@ func TestPlanConjunctiveNoProgram(t *testing.T) {
 }
 
 // TestPlanWindowPruning asserts that required-type pruning is what answers
-// windows missing a required type — and that it answers them correctly.
+// windows missing a required type — and that it answers them correctly, by
+// map and by row.
 func TestPlanWindowPruning(t *testing.T) {
-	p := mustPlan(t, SeqTypes("x", "y"))
-	w := stream.Window{Start: 0, End: 10}
-	for i := 0; i < 8; i++ {
-		w.Events = append(w.Events, event.New("a", event.Timestamp(i)))
+	p := mustPlan(t, AndOf(E("x"), OrOf(E("y"), NegOf(E("z")))))
+	if p.EvalIndicators(map[event.Type]bool{"y": true}) {
+		t.Error("indicators without required x: want not detected")
 	}
-	if ok, _ := p.EvalWindow(w); ok {
-		t.Error("window without required types: want not detected")
+	// A table without a required type binds to constant false.
+	if b := p.Bind([]event.Type{"y", "z"}); b.constVal != -1 || b.Eval([]bool{true, false}) {
+		t.Errorf("bound without x: constVal = %d, want -1", b.constVal)
 	}
-	// The same window carrying TypeCounts prunes via the O(1) path.
-	w.TypeCounts = stream.TypeCounts{{Type: "a", N: 8}}
-	if ok, _ := p.EvalWindow(w); ok {
-		t.Error("pruned window: want not detected")
+	b := p.Bind([]event.Type{"z", "y", "x"})
+	if b.Eval([]bool{false, true, false}) {
+		t.Error("row without required x: want not detected")
+	}
+	if !b.Eval([]bool{false, true, true}) {
+		t.Error("x and y present: want detected")
 	}
 }
 
 // TestPlanConcurrentUse exercises one shared plan from many goroutines, as
 // the runtime's shards share each epoch's compiled plans; run with -race.
 func TestPlanConcurrentUse(t *testing.T) {
-	p := mustPlan(t, SeqTypes("a", "b"))
-	w := stream.Window{Start: 0, End: 10, Events: []event.Event{
-		event.New("a", 1), event.New("x", 2), event.New("b", 3),
-	}}
-	present := map[event.Type]bool{"a": true, "b": true}
+	p := mustPlan(t, OrOf(SeqTypes("a", "b"), NegOf(E("c"))))
+	present := map[event.Type]bool{"a": true, "b": true, "c": true}
+	table := []event.Type{"c", "b", "a"}
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func() {
@@ -249,8 +194,8 @@ func TestPlanConcurrentUse(t *testing.T) {
 					t.Error("indicator answer changed under concurrency")
 					return
 				}
-				if ok, _ := p.EvalWindow(w); !ok {
-					t.Error("window answer changed under concurrency")
+				if !p.Bind(table).Eval([]bool{true, true, true}) {
+					t.Error("bound answer changed under concurrency")
 					return
 				}
 			}
@@ -270,108 +215,73 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestNFAFreeListRecycles pins the run free-list: repeated feeding through
-// window expiry must reach a steady state where runs are recycled, and
-// detections must be identical to a fresh matcher's.
-func TestNFAFreeListRecycles(t *testing.T) {
-	seq := SeqTypes("a", "b", "c")
-	evs := make([]event.Event, 0, 600)
-	rng := rand.New(rand.NewSource(11))
-	types := []event.Type{"a", "b", "c", "x"}
-	for i := 0; i < 600; i++ {
-		evs = append(evs, event.New(types[rng.Intn(len(types))], event.Timestamp(i)))
+// wideQuery is a query over n distinct types under one AND or OR, and the
+// table of those types.
+func wideQuery(op string, n int) (Query, []event.Type) {
+	table := make([]event.Type, n)
+	parts := make([]Expr, n)
+	for i := range table {
+		table[i] = event.Type(fmt.Sprintf("t%06d", i))
+		parts[i] = E(table[i])
 	}
-	recycled, _ := CompileSeq("q", seq, 20)
-	got := recycled.FeedAll(evs)
-	fresh, _ := CompileSeq("q", seq, 20)
-	want := fresh.FeedAll(evs)
-	if len(got) != len(want) {
-		t.Fatalf("free-list matcher found %d instances, fresh %d", len(got), len(want))
+	e := Expr(AndOf(parts...))
+	if op == "OR" {
+		e = OrOf(parts...)
 	}
-	for i := range want {
-		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-			t.Fatalf("instance %d: %v != %v", i, got[i], want[i])
+	return Query{Name: "wide", Pattern: e, Window: 10}, table
+}
+
+// TestCompileWide compiles and binds 100 000-type patterns, a size one
+// RegisterQuery payload can carry, and checks the bound answer against the
+// interpreter on an all-present row and on a row missing one type. Compile
+// runs under the control-plane lock and Bind on every shard, so both must
+// stay linear: a per-type scan of the table takes them to tens of seconds.
+func TestCompileWide(t *testing.T) {
+	for _, op := range []string{"AND", "OR"} {
+		q, table := wideQuery(op, 100000)
+		p, err := Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index := make(map[event.Type]int32, len(table))
+		present := make(map[event.Type]bool, len(table))
+		row := make([]bool, len(table))
+		for i, typ := range table {
+			index[typ] = int32(i)
+			present[typ] = true
+			row[i] = true
+		}
+		byTable, byIndex := p.Bind(table), p.Bind(table, index)
+		for _, missing := range []int{-1, len(table) / 2} {
+			if missing >= 0 {
+				present[table[missing]] = false
+				row[missing] = false
+			}
+			want := EvalIndicators(q.Pattern, present)
+			if byTable.Eval(row) != want || byIndex.Eval(row) != want || p.EvalIndicators(present) != want {
+				t.Errorf("%s, missing %d: want %t from every evaluator", op, missing, want)
+			}
 		}
 	}
-	if len(recycled.free) == 0 {
-		t.Error("window expiry recycled no runs into the free list")
-	}
-	// Witnesses must not alias recycled run buffers: mutate the matcher
-	// further and re-check an early detection.
-	snapshot := fmt.Sprint(got[0])
-	recycled.FeedAll(evs)
-	if fmt.Sprint(got[0]) != snapshot {
-		t.Error("detection witness was overwritten by later matching")
-	}
 }
 
-// TestNFAFreeListMaxRuns pins eviction recycling and the dropped counter
-// under a tight maxRuns bound.
-func TestNFAFreeListMaxRuns(t *testing.T) {
-	m, _ := CompileSeq("q", SeqTypes("a", "b"), 0, WithMaxRuns(4))
-	for i := 0; i < 100; i++ {
-		m.Feed(event.New("a", event.Timestamp(i)))
-	}
-	if m.ActiveRuns() != 4 {
-		t.Errorf("ActiveRuns = %d, want 4", m.ActiveRuns())
-	}
-	if m.Dropped() != 96 {
-		t.Errorf("Dropped = %d, want 96", m.Dropped())
-	}
-	if len(m.free) == 0 {
-		t.Error("eviction recycled no runs")
-	}
-	m.Reset()
-	if m.ActiveRuns() != 0 || m.Dropped() != 0 {
-		t.Errorf("after Reset: runs=%d dropped=%d", m.ActiveRuns(), m.Dropped())
-	}
-}
-
-// TestPlanDroppedSurfaced checks that a plan's pooled NFA evictions
-// aggregate into Plan.Dropped via release.
-func TestPlanDroppedSurfaced(t *testing.T) {
-	p, err := Compile(Query{Name: "q", Pattern: SeqTypes("a", "b"), Window: 100}, WithMaxRuns(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := stream.Window{Start: 0, End: 100}
-	for i := 0; i < 50; i++ {
-		w.Events = append(w.Events, event.New("a", event.Timestamp(i)))
-	}
-	w.Events = append(w.Events, event.New("b", 60))
-	if ok := p.DetectWindow(w); !ok {
-		t.Error("a then b present: want detected")
-	}
-	if p.Dropped() == 0 {
-		t.Error("maxRuns evictions not surfaced through Plan.Dropped")
-	}
-}
-
-// TestEngineUsesPlans pins the plan-backed engine registry: registration
-// compiles, evaluation answers, and RunsDropped aggregates.
-func TestEngineUsesPlans(t *testing.T) {
-	g := NewEngine()
-	if err := g.Register(Query{Name: "q1", Pattern: SeqTypes("a", "b"), Window: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Register(Query{Name: "q0", Pattern: NegOf(E("c")), Window: 10}); err != nil {
-		t.Fatal(err)
-	}
-	w := stream.Window{Start: 0, End: 10, Events: []event.Event{
-		event.New("a", 1), event.New("b", 2),
-	}}
-	ds := g.EvaluateWindow(w)
-	if len(ds) != 2 || ds[0].Query != "q0" || ds[1].Query != "q1" {
-		t.Fatalf("detections = %+v", ds)
-	}
-	if !ds[0].Detected || !ds[1].Detected {
-		t.Errorf("want both detected, got %+v", ds)
-	}
-	if len(ds[1].Witness.Events) != 2 {
-		t.Errorf("seq witness = %v", ds[1].Witness)
-	}
-	g.Unregister("q1")
-	if ds := g.EvaluateWindow(w); len(ds) != 1 {
-		t.Fatalf("after unregister: %+v", ds)
+// BenchmarkCompileWide times Compile and Bind of one AND or OR over 1 000
+// and 100 000 distinct types.
+func BenchmarkCompileWide(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		for _, op := range []string{"AND", "OR"} {
+			q, table := wideQuery(op, n)
+			b.Run(fmt.Sprintf("%s/%d/compile", op, n), func(b *testing.B) {
+				for b.Loop() {
+					MustCompile(q)
+				}
+			})
+			p := MustCompile(q)
+			b.Run(fmt.Sprintf("%s/%d/bind", op, n), func(b *testing.B) {
+				for b.Loop() {
+					p.Bind(table)
+				}
+			})
+		}
 	}
 }

@@ -6,19 +6,7 @@ import (
 	"testing/quick"
 
 	"patterndp/internal/event"
-	"patterndp/internal/stream"
 )
-
-// randomWindow builds a window from raw bytes: each byte places one event of
-// a type from a 4-letter alphabet at an increasing timestamp.
-func randomWindow(raw []byte) stream.Window {
-	w := stream.Window{Start: 0, End: event.Timestamp(len(raw) + 1)}
-	for i, b := range raw {
-		t := event.Type(rune('a' + int(b)%4))
-		w.Events = append(w.Events, event.New(t, event.Timestamp(i)))
-	}
-	return w
-}
 
 func TestPropertySeqIndicatorsIsConjunction(t *testing.T) {
 	// Over indicators, SEQ reduces to conjunction of presences.
@@ -33,57 +21,14 @@ func TestPropertySeqIndicatorsIsConjunction(t *testing.T) {
 }
 
 func TestPropertyNegIsComplement(t *testing.T) {
-	f := func(raw []byte) bool {
-		w := randomWindow(raw)
-		e := SeqTypes("a", "b")
-		pos, _ := EvalWindow(e, w)
-		neg, _ := EvalWindow(NegOf(e), w)
-		return pos != neg
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyNFAAgreesWithEvaluator(t *testing.T) {
-	// For unbounded windows, the streaming NFA finds a SEQ instance iff the
-	// batch evaluator reports the sequence present.
-	f := func(raw []byte) bool {
-		w := randomWindow(raw)
-		seq := SeqTypes("a", "b", "c")
-		evalOK, _ := EvalWindow(seq, w)
-		m, err := CompileSeq("q", seq, 0)
-		if err != nil {
-			return false
-		}
-		nfaOK := len(m.FeedAll(w.Events)) > 0
-		return evalOK == nfaOK
-	}
-	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyWitnessIsOrderedAndInWindow(t *testing.T) {
-	f := func(raw []byte) bool {
-		w := randomWindow(raw)
-		ok, witness := EvalWindow(SeqTypes("a", "b"), w)
-		if !ok {
-			return len(witness) == 0
-		}
-		if len(witness) != 2 {
-			return false
-		}
-		if !witness[0].Before(witness[1]) {
-			return false
-		}
-		for _, e := range witness {
-			if e.Time < w.Start || e.Time >= w.End {
-				return false
-			}
-		}
-		return true
+	// Over any presence map, the compiled NEG of an expression answers the
+	// opposite of the expression, through constant folding and double
+	// negation included.
+	f := func(shape uint32, pa, pb, pc, pd bool) bool {
+		e := randomExprTimes(rand.New(rand.NewSource(int64(shape))), 3)
+		present := map[event.Type]bool{"a": pa, "b": pb, "c": pc, "d": pd}
+		p, err := Compile(Query{Name: "q", Pattern: NegOf(e), Window: 1})
+		return err == nil && p.EvalIndicators(present) != EvalIndicators(e, present)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -92,10 +37,10 @@ func TestPropertyWitnessIsOrderedAndInWindow(t *testing.T) {
 
 func TestPropertyOrMonotone(t *testing.T) {
 	// Adding a disjunct never turns a match into a non-match.
-	f := func(raw []byte) bool {
-		w := randomWindow(raw)
-		base, _ := EvalWindow(OrOf(E("a"), E("b")), w)
-		wider, _ := EvalWindow(OrOf(E("a"), E("b"), E("c")), w)
+	f := func(pa, pb, pc bool) bool {
+		present := map[event.Type]bool{"a": pa, "b": pb, "c": pc}
+		base := EvalIndicators(OrOf(E("a"), E("b")), present)
+		wider := EvalIndicators(OrOf(E("a"), E("b"), E("c")), present)
 		return !base || wider
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -112,7 +112,7 @@ func buildPlanSet(m Mechanism, private []PatternType, targets []cep.Query, plans
 		}
 		ps.bound = make([]*cep.BoundPlan, len(ps.plans))
 		for j, p := range ps.plans {
-			ps.bound[j] = p.Bind(ps.types)
+			ps.bound[j] = p.Bind(ps.types, ps.pos)
 		}
 	}
 	return ps
@@ -326,17 +326,6 @@ func (pe *PrivateEngine) SetTargetPlans(plans []*cep.Plan) error {
 	}
 	pe.snap = buildPlanSet(pe.mechanism, pe.private, targets, plans)
 	return nil
-}
-
-// RunsDropped reports the total partial matches evicted across the target
-// plans' pooled NFA matchers — the maxRuns pressure signal, aggregated for
-// operator snapshots.
-func (pe *PrivateEngine) RunsDropped() uint64 {
-	var total uint64
-	for _, p := range pe.snapshot().plans {
-		total += p.Dropped()
-	}
-	return total
 }
 
 // indicatorScratch is the reusable input buffer of one generic-path service

@@ -128,63 +128,6 @@ func TestParsedQueryThroughPrivateEngine(t *testing.T) {
 	}
 }
 
-// TestDetectorFeedsWindowedEngineConsistently cross-checks the streaming
-// detector against the windowed engine on the same synthetic stream: any
-// window the engine reports as containing the pattern must overlap at least
-// one streamed instance, and vice versa (for tumbling-aligned windows and
-// in-window matching).
-func TestDetectorFeedsWindowedEngineConsistently(t *testing.T) {
-	scfg := synth.DefaultConfig(13)
-	scfg.NumWindows = 80
-	ds, err := synth.Generate(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat := ds.Patterns[0]
-	seq := cep.SeqTypes(pat...)
-	width := scfg.WindowWidth
-
-	// Windowed answers.
-	g := cep.NewEngine()
-	if err := g.Register(cep.Query{Name: "q", Pattern: seq, Window: width}); err != nil {
-		t.Fatal(err)
-	}
-	windowHits := map[int]bool{}
-	for i, w := range ds.Windows {
-		det := g.EvaluateWindow(w)
-		if det[0].Detected {
-			windowHits[i] = true
-		}
-	}
-
-	// Streamed instances, window-reset per tumbling boundary to match the
-	// engine's per-window semantics.
-	d := cep.NewDetector()
-	if err := d.Register(cep.Query{Name: "q", Pattern: seq, Window: width}); err != nil {
-		t.Fatal(err)
-	}
-	streamHits := map[int]bool{}
-	for i, w := range ds.Windows {
-		d.Reset()
-		for _, e := range w.Events {
-			if len(d.Feed(e)) > 0 {
-				streamHits[i] = true
-			}
-		}
-		_ = i
-	}
-	for i := range windowHits {
-		if !streamHits[i] {
-			t.Errorf("window %d: engine detected, detector did not", i)
-		}
-	}
-	for i := range streamHits {
-		if !windowHits[i] {
-			t.Errorf("window %d: detector detected, engine did not", i)
-		}
-	}
-}
-
 // TestBaselinesThroughPrivateEngine runs every baseline mechanism through
 // the same PrivateEngine service path as the PPMs.
 func TestBaselinesThroughPrivateEngine(t *testing.T) {

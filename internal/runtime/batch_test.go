@@ -302,7 +302,7 @@ func TestPooledBuffersAcrossEpochs(t *testing.T) {
 			}
 		}(s)
 	}
-	// Concurrent snapshot readers exercise RunsDropped and the counters.
+	// Concurrent snapshot readers exercise the counters.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

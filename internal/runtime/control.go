@@ -103,8 +103,8 @@ func newControlState(private []core.PatternType, targets []cep.Query) *controlSt
 // epoch — only added or replaced queries are compiled. Together with clone
 // (which carries the plan slice across private-set-only epochs untouched),
 // this keeps plan pointer identity stable across every epoch that does not
-// change the query itself, so shards swap snapshots without recompilation
-// and pooled NFA state keeps warming. Queries are validated before they
+// change the query itself, so shards swap snapshots without recompilation.
+// Queries are validated before they
 // reach a control state (Config.validate at construction, RegisterQuery
 // while serving), so compilation cannot fail.
 func (st *controlState) recompile(prev *controlState) {

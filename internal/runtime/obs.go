@@ -158,13 +158,6 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 	})
 	reg.GaugeFunc("ppm_runtime_epoch", "Current control-plane epoch.", func() float64 { return float64(rt.ctl.Load().epoch) })
 	reg.GaugeFunc("ppm_runtime_subscriptions_open", "Live answer-bus subscriptions.", func() float64 { return float64(rt.bus.count()) })
-	reg.CounterFunc("ppm_runtime_runs_dropped_total", "Partial matches evicted under the maxRuns bound.", func() float64 {
-		var n uint64
-		for _, p := range rt.ctl.Load().plans {
-			n += p.Dropped()
-		}
-		return float64(n)
-	})
 	if led := rt.ledger; led != nil {
 		reg.GaugeFunc("ppm_budget_epoch", "Current budget epoch.", func() float64 { return float64(rt.ctl.Load().budgetEpoch) })
 		reg.GaugeFunc("ppm_budget_grant_epsilon", "Per-stream, per-epoch ε grant.", func() float64 { return float64(led.Grant()) })

@@ -22,8 +22,8 @@ func planByName(t *testing.T, st *controlState, name string) *cep.Plan {
 // TestPlanReuseAcrossEpochs is the plan-identity regression test: epochs
 // that do not change a query itself — private-set-only changes, and
 // registrations of other queries — must carry that query's compiled plan
-// pointer forward unchanged, so shards never pay a recompilation (and pooled
-// NFA matchers stay warm) for churn that does not concern the query.
+// pointer forward unchanged, so shards never pay a recompilation for churn
+// that does not concern the query.
 func TestPlanReuseAcrossEpochs(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.Mechanism = nil

@@ -870,16 +870,10 @@ type Stats struct {
 	// w-event composed loss, admission-decision counters, and the
 	// per-query spend attribution. Nil unless Config.Budget is set.
 	Budget *BudgetSnapshot
-	// RunsDropped counts partial matches evicted by the current epoch's
-	// compiled sequence matchers under their maxRuns bound (see
-	// cep.WithMaxRuns) — the operator signal that matcher memory pressure
-	// is truncating concrete-window matching. Compiled plans are reused
-	// across epochs for queries that did not themselves change, so the
-	// counter persists through private-set churn and unrelated query
-	// registrations; a query's share restarts at zero only when
-	// re-registering it forces a recompile. Serving paths that answer
-	// purely from released indicators never run the matchers, so the
-	// counter stays zero there.
+	// RunsDropped is always 0. It counted partial matches evicted by an
+	// event-level sequence matcher, which no longer exists: every answer is
+	// computed from released indicators. The field stays only until the
+	// benchmark stops reading it.
 	RunsDropped uint64
 	// Uptime is the time since the runtime started serving.
 	Uptime time.Duration
@@ -894,9 +888,6 @@ func (rt *Runtime) Snapshot() Stats {
 		Epoch:   ctl.epoch,
 		Overlap: int(rt.cfg.WindowWidth / rt.cfg.slideOrWidth()),
 		Uptime:  time.Since(rt.start),
-	}
-	for _, p := range ctl.plans {
-		st.RunsDropped += p.Dropped()
 	}
 	if rt.ledger != nil {
 		st.Budget = rt.ledger.Snapshot(uint64(ctl.budgetEpoch))

@@ -195,7 +195,9 @@ func TestMetricNameLint(t *testing.T) {
 
 	nameRE := regexp.MustCompile(`^ppm_[a-z0-9]+(_[a-z0-9]+)*$`)
 	seen := make(map[string]bool)
+	families := make(map[string]bool)
 	for _, s := range reg.Gather() {
+		families[s.Name] = true
 		if !nameRE.MatchString(s.Name) {
 			t.Errorf("metric %q violates the ppm_ lower_snake naming rule", s.Name)
 		}
@@ -225,4 +227,43 @@ func TestMetricNameLint(t *testing.T) {
 	if len(seen) < 40 {
 		t.Errorf("only %d series registered by the full stack", len(seen))
 	}
+	// The family set is pinned: adding, renaming or removing a family
+	// changes what scrapers and alerts see, so it must edit this list.
+	for _, name := range pinnedFamilies {
+		if !families[name] {
+			t.Errorf("family %s no longer registered", name)
+		}
+		delete(families, name)
+	}
+	for name := range families {
+		t.Errorf("family %s registered but not pinned", name)
+	}
+}
+
+// pinnedFamilies is every metric family the fully-instrumented stack of
+// TestMetricNameLint registers.
+var pinnedFamilies = []string{
+	"ppm_budget_decisions_total", "ppm_budget_epoch", "ppm_budget_exhausted_streams",
+	"ppm_budget_grant_epsilon", "ppm_budget_rotations_total", "ppm_budget_spent_epsilon",
+	"ppm_budget_streams",
+	"ppm_checkpoint_write_seconds", "ppm_checkpoints_written_total",
+	"ppm_control_rebuild_seconds",
+	"ppm_e2e_ingest_deliver_seconds", "ppm_e2e_ingest_publish_seconds",
+	"ppm_ingest_admit_seconds",
+	"ppm_runtime_answers_emitted_total", "ppm_runtime_dropped_events_total", "ppm_runtime_epoch",
+	"ppm_runtime_events_in_total", "ppm_runtime_panes_closed_total", "ppm_runtime_shards",
+	"ppm_runtime_streams_evicted_total", "ppm_runtime_streams_opened_total",
+	"ppm_runtime_subscriptions_open", "ppm_runtime_window_overlap", "ppm_runtime_windows_closed_total",
+	"ppm_serve_window_seconds",
+	"ppm_server_auth_failures_total", "ppm_server_conns_open", "ppm_server_conns_total",
+	"ppm_server_replay_slots", "ppm_server_sessions_evicted_total", "ppm_server_sessions_expired_total",
+	"ppm_server_sessions_imported_total", "ppm_server_sessions_parked",
+	"ppm_tenant_answers_dropped_total", "ppm_tenant_answers_replayed_total", "ppm_tenant_answers_sent_total",
+	"ppm_tenant_events_in_total", "ppm_tenant_gaps_sent_total", "ppm_tenant_resumes_total",
+	"ppm_tenant_sessions_evicted_total", "ppm_tenant_sessions_open", "ppm_tenant_streams",
+	"ppm_tenant_throttled_total", "ppm_tenant_write_timeouts_total",
+	"ppm_trace_batches_total", "ppm_trace_publish_stage_seconds", "ppm_trace_serve_stage_seconds",
+	"ppm_trace_shard_hop_seconds",
+	"ppm_wal_commit_seconds", "ppm_wal_fsync_seconds", "ppm_wal_records_committed_total",
+	"ppm_wire_decode_seconds", "ppm_wire_encode_seconds", "ppm_wire_flushes_total",
 }

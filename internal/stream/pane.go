@@ -4,24 +4,10 @@ import (
 	"patterndp/internal/event"
 )
 
-// Pane is a non-overlapping slice of the event stream: the unit of work
-// sharing for sliding windows. A sliding window of width w advancing by slide
-// s (with w a multiple of s) is the concatenation of w/s consecutive panes,
-// so per-pane aggregates — event tallies, indicator partials, matcher state —
-// are computed once and merged into every window that covers the pane,
-// instead of being recomputed per overlapping window.
-type Pane struct {
-	// Start is the inclusive start of the covered interval.
-	Start event.Timestamp
-	// End is the exclusive end; End-Start is the slide width.
-	End event.Timestamp
-	// Events are the pane contents in canonical stream order.
-	Events []event.Event
-	// TypeCounts, when non-nil, is the pane's per-type occurrence tally,
-	// mergeable across a pane ring into a window tally (see
-	// TypeCounts.Merge). It must agree with Events.
-	TypeCounts TypeCounts
-}
+// A sliding window of width w advancing by slide s (with w a multiple of s)
+// covers w/s consecutive panes: non-overlapping slices of the stream, each
+// slide wide. A pane's tally is computed once and merged into every window
+// that covers the pane, instead of being recomputed per overlapping window.
 
 // AddCount adds n occurrences of t to the tally and returns the updated
 // tally. n may be negative to subtract (the entry must exist and stay

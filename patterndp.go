@@ -130,15 +130,11 @@ type (
 	// Query is a registered continuous query.
 	Query = cep.Query
 	// Plan is a compiled query: the allocation-free serving-time form of
-	// a Query (flattened indicator program, required-type pruning set,
-	// pooled NFA matchers for sequence patterns).
+	// a Query (flattened indicator program and required-type pruning set),
+	// answering it over one window's released presence indicators.
 	Plan = cep.Plan
 	// Expr is a pattern expression node (SEQ/AND/OR/NEG over atoms).
 	Expr = cep.Expr
-	// Engine is the plain (non-private) CEP engine.
-	Engine = cep.Engine
-	// Detection is a plain engine query answer.
-	Detection = cep.Detection
 	// Runtime is the sharded streaming serving layer.
 	Runtime = runtime.Runtime
 	// RuntimeConfig parameterizes a Runtime.
@@ -174,13 +170,6 @@ type (
 	// windows of type tallies (TypeCounts, no Events), assembled from
 	// panes of the slide width; see NewSlidingWindower.
 	Windower = runtime.Windower
-	// Pane is a non-overlapping slice of the stream: the work-sharing
-	// unit of sliding windows.
-	Pane = stream.Pane
-	// SlidingEval evaluates one compiled Plan continuously over a
-	// pane-sliced stream, sharing detection work across overlapping
-	// windows (see Plan.Sliding).
-	SlidingEval = cep.SlidingEval
 	// LatenessPolicy selects how out-of-order events are treated.
 	LatenessPolicy = runtime.LatenessPolicy
 	// BackpressurePolicy selects what Ingest does when a shard is full.
@@ -307,16 +296,12 @@ func NegOf(inner Expr) Expr { return cep.NegOf(inner) }
 // most max times in the window (max = 0 means unbounded).
 func TimesOf(inner Expr, min, max int) Expr { return cep.TimesOf(inner, min, max) }
 
-// CompileQuery compiles a query into its serving Plan: evaluate it over
-// concrete windows with Plan.EvalWindow/DetectWindow or over released
-// indicators with Plan.EvalIndicators. Engines compile registered queries
-// themselves; CompileQuery is for callers evaluating queries directly.
+// CompileQuery compiles a query into its serving Plan, which answers it over
+// one window's released presence indicators (Plan.EvalIndicators, or
+// Plan.Bind for indicators kept as a row of bits). Engines compile
+// registered queries themselves; CompileQuery is for callers evaluating
+// queries directly.
 func CompileQuery(q Query) (*Plan, error) { return cep.Compile(q) }
-
-// Detect reports whether the pattern occurs in the window without
-// materializing a witness — the allocation-free boolean counterpart of the
-// engine's witness-producing evaluation.
-func Detect(e Expr, w Window) bool { return cep.Detect(e, w) }
 
 // Parse compiles a textual pattern query — e.g.
 // "SEQ(enter-taxi, near-hospital) WITHIN 10" — into an expression tree and
@@ -345,9 +330,6 @@ func NewAdaptivePPM(cfg AdaptiveConfig, history []IndicatorWindow, targets []Exp
 func NewPrivateEngine(m Mechanism, private []PatternType, seed int64) (*PrivateEngine, error) {
 	return core.NewPrivateEngine(m, private, seed)
 }
-
-// NewEngine returns a plain (non-private) CEP engine.
-func NewEngine() *Engine { return cep.NewEngine() }
 
 // NewRuntime validates the configuration, builds the shards — each with its
 // own mechanism instance and independently seeded engine — and starts

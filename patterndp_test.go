@@ -347,14 +347,3 @@ func TestPublicRuntimeBudget(t *testing.T) {
 		t.Fatalf("PerQuery = %+v", st.Budget.PerQuery)
 	}
 }
-
-func TestPublicPlainEngine(t *testing.T) {
-	g := NewEngine()
-	if err := g.Register(Query{Name: "q", Pattern: E("a"), Window: 5}); err != nil {
-		t.Fatal(err)
-	}
-	ds := g.EvaluateWindow(Window{Start: 0, End: 5, Events: []Event{NewEvent("a", 1)}})
-	if len(ds) != 1 || !ds[0].Detected {
-		t.Errorf("detections = %+v", ds)
-	}
-}
