@@ -387,7 +387,7 @@ func run(o options) error {
 				}
 				st := rt.Snapshot()
 				tot := st.Totals()
-				fmt.Printf("snapshot t=%v events=%d windows=%d panes=%d overlap=%d answers=%d dropped=%d/%d/%d\n",
+				fmt.Printf("snapshot t=%v events=%d windows=%d panes=%d overlap=%d to-sinks=%d dropped=%d/%d/%d\n",
 					st.Uptime.Round(time.Millisecond), tot.EventsIn, tot.WindowsClosed, tot.PanesClosed,
 					st.Overlap, tot.AnswersEmitted, tot.DroppedLate, tot.DroppedFuture, tot.DroppedIngest)
 			}
@@ -529,7 +529,7 @@ func run(o options) error {
 		bal.Mean, bal.StdDev, bal.Min, bal.Max)
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "\nshard\tstreams\tevents\twindows\tpanes\tanswers\tdropped(late/future/ingest)")
+	fmt.Fprintln(tw, "\nshard\tstreams\tevents\twindows\tpanes\tanswers to sinks\tdropped(late/future/ingest)")
 	for _, s := range st.Shards {
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d/%d/%d\n",
 			s.Shard, s.Streams, s.EventsIn, s.WindowsClosed, s.PanesClosed, s.AnswersEmitted,

@@ -81,14 +81,35 @@ func (l *Ledger) Decisions() (admitted, denied, suppressed, throttled int64) {
 }
 
 // querySpend is one epoch's per-query spend attribution: names are the
-// control state's target names in sorted order, cells the attributed ε.
-// The slice pair is immutable once published; the cells are single-writer.
-// Attribution is bookkeeping, not composition: one window release answers
-// every registered query (post-processing), so each admitted window's charge
-// is attributed to every query while the stream is charged once.
+// control state's target names in sorted order. Attribution is bookkeeping,
+// not composition: one window release answers every registered query
+// (post-processing), so each admitted window's charge is attributed to every
+// query while the stream is charged once. Since every live query receives the
+// same charges, they accrue in one shared cell, and carried[i] holds what
+// query i had before the last fold: query i's attribution is carried[i] +
+// shared, and a charge costs one cell however many queries are live. The
+// slices are immutable once published; the cells are single-writer.
 type querySpend struct {
-	names []string
-	cells []epsCell
+	names   []string
+	carried []epsCell
+	shared  epsCell
+}
+
+// value returns query i's attributed ε.
+func (qs *querySpend) value(i int) float64 { return qs.carried[i].load() + qs.shared.load() }
+
+// fold moves the shared accumulator into every carried cell. Callers hold
+// the shard's mu — Snapshot reads under it — so no reader sees a charge both
+// carried and shared, or neither.
+func (qs *querySpend) fold() {
+	s := qs.shared.load()
+	if s == 0 {
+		return
+	}
+	for i := range qs.carried {
+		qs.carried[i].add(s)
+	}
+	qs.shared.store(0)
 }
 
 // ShardLedger is one shard's sub-ledger. All mutations happen on the owning
@@ -133,16 +154,16 @@ func (sh *ShardLedger) SetQueries(names []string) {
 	if slices.Equal(cur.names, names) {
 		return
 	}
-	next := &querySpend{names: slices.Clone(names), cells: make([]epsCell, len(names))}
+	next := &querySpend{names: slices.Clone(names), carried: make([]epsCell, len(names))}
 	var removed []QuerySpend
 	j := 0
 	for i, name := range cur.names {
 		for j < len(next.names) && next.names[j] < name {
 			j++
 		}
-		if v := cur.cells[i].load(); v != 0 {
+		if v := cur.value(i); v != 0 {
 			if j < len(next.names) && next.names[j] == name {
-				next.cells[j].store(v)
+				next.carried[j].store(v)
 			} else {
 				removed = append(removed, QuerySpend{Query: name, Eps: dp.Epsilon(v)})
 			}
@@ -162,12 +183,10 @@ func (sh *ShardLedger) SetQueries(names []string) {
 }
 
 // ChargeQueries attributes one admitted window's charge to every currently
-// registered query. Lock-free: the cells are single-writer.
+// registered query: one add to the shared cell, whatever the query count.
+// Lock-free: the cells are single-writer.
 func (sh *ShardLedger) ChargeQueries(charge float64) {
-	qs := sh.queries.Load()
-	for i := range qs.cells {
-		qs.cells[i].add(charge)
-	}
+	sh.queries.Load().shared.add(charge)
 }
 
 // Rotate archives the live per-query attribution into the retired archive at
@@ -178,9 +197,10 @@ func (sh *ShardLedger) ChargeQueries(charge float64) {
 func (sh *ShardLedger) Rotate() {
 	qs := sh.queries.Load()
 	sh.mu.Lock()
+	qs.fold()
 	for i, name := range qs.names {
-		if v := qs.cells[i].load(); v != 0 {
-			qs.cells[i].store(0)
+		if v := qs.carried[i].load(); v != 0 {
+			qs.carried[i].store(0)
 			sh.retired[name] += v
 		}
 	}
@@ -471,7 +491,7 @@ func (l *Ledger) Snapshot(epoch uint64) *Snapshot {
 		// exactly once.
 		qs := sh.queries.Load()
 		for i, name := range qs.names {
-			perQ[name] += qs.cells[i].load()
+			perQ[name] += qs.value(i)
 		}
 		for name, v := range sh.retired {
 			retQ[name] += v

@@ -121,7 +121,12 @@ func (sh *ShardLedger) ExportState() ShardState {
 		Suppressed:   sh.suppressed.Load(),
 		Throttled:    sh.throttled.Load(),
 	}
+	// Folding before the export makes the exported attribution the live
+	// one exactly, so a restore resumes from the state the exporter
+	// continues from.
+	qs := sh.queries.Load()
 	sh.mu.Lock()
+	qs.fold()
 	for epoch, v := range sh.retiredByEpoch {
 		st.RetiredByEpoch = append(st.RetiredByEpoch, EpochSpend{Epoch: epoch, Spent: v})
 	}
@@ -135,9 +140,8 @@ func (sh *ShardLedger) ExportState() ShardState {
 	sort.Slice(st.RetiredByEpoch, func(i, j int) bool {
 		return st.RetiredByEpoch[i].Epoch < st.RetiredByEpoch[j].Epoch
 	})
-	qs := sh.queries.Load()
 	for i, name := range qs.names {
-		if v := qs.cells[i].load(); v != 0 {
+		if v := qs.carried[i].load(); v != 0 {
 			if st.LiveQueries == nil {
 				st.LiveQueries = make(map[string]float64)
 			}
@@ -179,7 +183,7 @@ func (sh *ShardLedger) RestoreAggregates(st ShardState) {
 	sh.mu.Lock()
 	for name, v := range st.LiveQueries {
 		if i := sort.SearchStrings(qs.names, name); i < len(qs.names) && qs.names[i] == name {
-			qs.cells[i].add(v)
+			qs.carried[i].add(v)
 		} else {
 			sh.retired[name] += v
 		}

@@ -178,6 +178,69 @@ func TestDenseMatchesGenericRun(t *testing.T) {
 	}
 }
 
+// TestProcessSelectedMatchesProcessWindows: answering a selection of the
+// registered queries releases, for each selected query, exactly the answer
+// answering all of them would — on the dense and the generic path, for random
+// selections including the empty one — and leaves the engine's later calls
+// unchanged, so two engines on one seed stay in step whatever each selects.
+func TestProcessSelectedMatchesProcessWindows(t *testing.T) {
+	for trial := int64(0); trial < 30; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		private := randomPrivate(t, rng)
+		queries := make([]cep.Query, 1+rng.Intn(5))
+		exprs := make([]cep.Expr, len(queries))
+		for i := range queries {
+			exprs[i] = randomDenseExpr(rng, rng.Intn(4))
+			queries[i] = cep.Query{Name: fmt.Sprintf("q%d", i), Pattern: exprs[i], Window: 100}
+		}
+		uni, err := NewUniformPPM(dp.Epsilon(0.5+2*rng.Float64()), private...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, m := range map[string]Mechanism{"dense": uni, "generic": runOnly{uni}} {
+			var pes [2]*PrivateEngine
+			for i := range pes {
+				if pes[i], err = NewPrivateEngine(m, private, trial); err != nil {
+					t.Fatal(err)
+				}
+				if err := pes[i].SetTargets(queries); err != nil {
+					t.Fatal(err)
+				}
+			}
+			every, some := pes[0], pes[1]
+			if _, err := some.ProcessSelectedInto(nil, randomBatch(rng), []int{len(queries)}); err == nil {
+				t.Fatalf("trial %d %s: selecting query %d of %d did not fail", trial, path, len(queries), len(queries))
+			}
+			for call := 0; call < 8; call++ {
+				var sel []int
+				for j := range queries {
+					if rng.Intn(2) == 0 {
+						sel = append(sel, j)
+					}
+				}
+				ws := randomBatch(rng)
+				all, err := every.ProcessWindows(ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := some.ProcessSelectedInto(nil, ws, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []Answer
+				for i := range ws {
+					for _, j := range sel {
+						want = append(want, all[i*len(queries)+j])
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("trial %d %s call %d, selection %v:\n got  %v\n want %v", trial, path, call, sel, got, want)
+				}
+			}
+		}
+	}
+}
+
 // processBench is the serving shape the allocation gate and
 // BenchmarkProcessWindows share: two overlapping private patterns, twelve
 // queries over a 12-type alphabet, tallied windows of about eight distinct

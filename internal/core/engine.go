@@ -75,6 +75,9 @@ type planSet struct {
 	targets []cep.Query
 	plans   []*cep.Plan
 	types   []event.Type
+	// every selects every plan: 0..len(plans)-1, what ProcessWindowsInto
+	// answers.
+	every []int
 
 	// dense selects the row path; flips and bound are set only with it.
 	dense bool
@@ -92,6 +95,10 @@ func buildPlanSet(m Mechanism, private []PatternType, targets []cep.Query, plans
 		for i, q := range targets {
 			ps.plans[i] = cep.MustCompile(q)
 		}
+	}
+	ps.every = make([]int, len(targets))
+	for i := range ps.every {
+		ps.every[i] = i
 	}
 	for _, pt := range private {
 		ps.types = append(ps.types, pt.Elements...)
@@ -384,13 +391,36 @@ func (pe *PrivateEngine) ProcessWindows(ws []stream.Window) ([]Answer, error) {
 // same bits; the generic path is the differential oracle of the dense one.
 func (pe *PrivateEngine) ProcessWindowsInto(dst []Answer, ws []stream.Window) ([]Answer, error) {
 	ps := pe.snapshot()
+	return pe.process(ps, dst, ws, ps.every)
+}
+
+// ProcessSelectedInto is ProcessWindowsInto answering only the target queries
+// at the positions sel lists — indices into Targets(), ascending — per window,
+// in sel's order. The mechanism runs exactly as ProcessWindowsInto runs it
+// (same call index, same draws, whatever sel holds, empty included), so each
+// selected answer is bit-identical to the one ProcessWindowsInto would have
+// released and the engine's later calls are unaffected by the selection. A
+// streaming caller uses it to skip evaluating answers nobody receives.
+func (pe *PrivateEngine) ProcessSelectedInto(dst []Answer, ws []stream.Window, sel []int) ([]Answer, error) {
+	ps := pe.snapshot()
+	for _, j := range sel {
+		if j < 0 || j >= len(ps.targets) {
+			return nil, fmt.Errorf("core: selected query %d of %d registered", j, len(ps.targets))
+		}
+	}
+	return pe.process(ps, dst, ws, sel)
+}
+
+// process is the one service loop behind ProcessWindowsInto and
+// ProcessSelectedInto: perturb every window, then answer the plans sel names.
+func (pe *PrivateEngine) process(ps *planSet, dst []Answer, ws []stream.Window, sel []int) ([]Answer, error) {
 	if len(ps.targets) == 0 {
 		return nil, fmt.Errorf("core: no target queries registered")
 	}
 	if ps.dense {
-		return pe.processDense(ps, dst, ws), nil
+		return pe.processDense(ps, dst, ws, sel), nil
 	}
-	return pe.processGeneric(ps, dst, ws)
+	return pe.processGeneric(ps, dst, ws, sel)
 }
 
 // denseStackTypes is the largest type table whose indicator row lives on the
@@ -402,14 +432,14 @@ const denseStackTypes = 64
 // generic path's indicator maps — window-major, types in sorted order, each
 // type's flips in registration order — so released bits are identical for
 // the same seed.
-func (pe *PrivateEngine) processDense(ps *planSet, dst []Answer, ws []stream.Window) []Answer {
+func (pe *PrivateEngine) processDense(ps *planSet, dst []Answer, ws []stream.Window, sel []int) []Answer {
 	var buf [denseStackTypes]bool
 	row := buf[:]
 	if len(ps.types) > len(buf) {
 		row = make([]bool, len(ps.types))
 	}
 	row = row[:len(ps.types)]
-	dst = slices.Grow(dst, len(ws)*len(ps.targets))
+	dst = slices.Grow(dst, len(ws)*len(sel))
 	rng := pe.callRNG()
 	for i := range ws {
 		w := &ws[i]
@@ -421,12 +451,12 @@ func (pe *PrivateEngine) processDense(ps *planSet, dst []Answer, ws []stream.Win
 				}
 			}
 		}
-		for j, b := range ps.bound {
+		for _, j := range sel {
 			dst = append(dst, Answer{
 				Query:       ps.targets[j].Name,
 				WindowIndex: i,
 				Window:      *w,
-				Detected:    b.Eval(row),
+				Detected:    ps.bound[j].Eval(row),
 			})
 		}
 	}
@@ -435,8 +465,8 @@ func (pe *PrivateEngine) processDense(ps *planSet, dst []Answer, ws []stream.Win
 }
 
 // processGeneric presents the whole window sequence to Mechanism.Run as
-// indicator maps and answers from the released maps.
-func (pe *PrivateEngine) processGeneric(ps *planSet, dst []Answer, ws []stream.Window) ([]Answer, error) {
+// indicator maps and answers the selected plans from the released maps.
+func (pe *PrivateEngine) processGeneric(ps *planSet, dst []Answer, ws []stream.Window, sel []int) ([]Answer, error) {
 	scratch := indicatorPool.Get().(*indicatorScratch)
 	defer indicatorPool.Put(scratch)
 	rng := pe.callRNG()
@@ -446,14 +476,14 @@ func (pe *PrivateEngine) processGeneric(ps *planSet, dst []Answer, ws []stream.W
 		return nil, fmt.Errorf("core: mechanism %q returned %d windows for %d inputs",
 			pe.mechanism.Name(), len(released), len(ws))
 	}
-	dst = slices.Grow(dst, len(ws)*len(ps.targets))
+	dst = slices.Grow(dst, len(ws)*len(sel))
 	for i, w := range ws {
-		for j, p := range ps.plans {
+		for _, j := range sel {
 			dst = append(dst, Answer{
 				Query:       ps.targets[j].Name,
 				WindowIndex: i,
 				Window:      w,
-				Detected:    p.EvalIndicators(released[i]),
+				Detected:    ps.plans[j].EvalIndicators(released[i]),
 			})
 		}
 	}

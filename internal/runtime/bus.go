@@ -46,13 +46,18 @@ type Answer struct {
 }
 
 // Sink receives released answers from the bus: one Deliver per shard message
-// that produced answers the sink subscribed to. Deliver runs on the serving
-// shard's goroutine — concurrently with Deliver calls from other shards, never
-// with another from the same shard — so a sink that blocks backpressures that
-// shard, and one that must not stall serving has to be non-blocking by
-// construction. The batch is the shard's own buffer, reused for its next
-// message: a sink copies what it keeps and retains nothing. Answers for one
-// stream arrive in window order (one stream lives on one shard).
+// that produced answers the sink subscribed to. Each shard reads the bus's
+// subscriber table once per ingest message, before serving it, and evaluates
+// only the queries some sink then listens to — so a sink attached while a
+// shard is mid-message receives answers from that shard's next message on,
+// and a detached one may receive the rest of the message in flight (one more
+// Deliver at most). Deliver runs on the serving shard's goroutine —
+// concurrently with Deliver calls from other shards, never with another from
+// the same shard — so a sink that blocks backpressures that shard, and one
+// that must not stall serving has to be non-blocking by construction. The
+// batch is the shard's own buffer, reused for its next message: a sink copies
+// what it keeps and retains nothing. Answers for one stream arrive in window
+// order (one stream lives on one shard).
 type Sink interface {
 	Deliver(batch []Answer)
 }
@@ -150,20 +155,15 @@ func (s *Subscription) Deliver(batch []Answer) {
 }
 
 // sinkTable is the bus's subscriber table: the subscribe-all sinks, and the
-// sinks attached under each query name, with no name left without one. It is
-// immutable once published — attach and detach build a new one — so a publish
-// reads it with one atomic load and no lock.
+// sinks attached under each query name, with no name left without one. Each
+// subscribed name has a slot, numbering the named queries 0..len(slots)-1:
+// slots[i] are the sinks of the name whose slot is i. It is immutable once
+// published — attach and detach build a new one — so a shard reads it with one
+// atomic load and no lock.
 type sinkTable struct {
 	all   []attached
-	named map[string]querySinks
-}
-
-// querySinks is one subscribed query's sinks. slot numbers the table's named
-// queries 0..len(named)-1: it is where a publishing shard gathers the query's
-// answers.
-type querySinks struct {
-	slot  int
-	sinks []attached
+	named map[string]int32
+	slots [][]attached
 }
 
 // attached is one sink with the id its detach removes it by and, when the
@@ -174,27 +174,42 @@ type attached struct {
 	end  func()
 }
 
+// slotOf returns query's slot, or -1 when no sink is attached under its name.
+func (t *sinkTable) slotOf(query string) int32 {
+	if slot, ok := t.named[query]; ok {
+		return slot
+	}
+	return -1
+}
+
 // of returns the sinks attached under query ("" for the subscribe-all set).
 func (t *sinkTable) of(query string) []attached {
 	if query == "" {
 		return t.all
 	}
-	return t.named[query].sinks
+	if slot := t.slotOf(query); slot >= 0 {
+		return t.slots[slot]
+	}
+	return nil
 }
 
 // with returns a copy of t in which query's sinks are replaced by sinks.
 func (t *sinkTable) with(query string, sinks []attached) *sinkTable {
 	if query == "" {
-		return &sinkTable{all: sinks, named: t.named}
+		return &sinkTable{all: sinks, named: t.named, slots: t.slots}
 	}
-	nt := &sinkTable{all: t.all, named: make(map[string]querySinks, len(t.named)+1)}
-	for name, q := range t.named {
+	nt := &sinkTable{all: t.all, named: make(map[string]int32, len(t.named)+1)}
+	add := func(name string, sinks []attached) {
+		nt.named[name] = int32(len(nt.slots))
+		nt.slots = append(nt.slots, sinks)
+	}
+	for name, slot := range t.named {
 		if name != query {
-			nt.named[name] = querySinks{len(nt.named), q.sinks}
+			add(name, t.slots[slot])
 		}
 	}
 	if len(sinks) > 0 {
-		nt.named[query] = querySinks{len(nt.named), sinks}
+		add(query, sinks)
 	}
 	return nt
 }
@@ -204,7 +219,7 @@ func (t *sinkTable) with(query string, sinks []attached) *sinkTable {
 // publishes, plus the slots the current message filled.
 type gather struct {
 	bySlot [][]Answer
-	filled []querySinks
+	filled []int32
 }
 
 // bus fans released answers out to the attached sinks, one Deliver per shard
@@ -274,46 +289,44 @@ func (b *bus) subscribers(query string) int {
 func (b *bus) count() int {
 	t := b.table.Load()
 	n := len(t.all)
-	for _, q := range t.named {
-		n += len(q.sinks)
+	for _, sinks := range t.slots {
+		n += len(sinks)
 	}
 	return n
 }
 
-// publish hands one shard message's answers to every interested sink: the
-// batch as is to the subscribe-all sinks, and each subscribed query's answers
-// — gathered into g in one pass over the batch, one table lookup per answer,
-// so the cost does not grow with the number of subscribed queries — to that
-// query's sinks. It runs on the shard goroutine; a blocking sink stalls that
-// shard but never an attach, a detach or another shard.
-func (b *bus) publish(batch []Answer, g *gather) {
-	t := b.table.Load()
+// publish hands one shard message's answers to every interested sink of t,
+// the table the shard resolved its demand from: the batch as is to the
+// subscribe-all sinks, and each subscribed query's answers to that query's
+// sinks. slots[i] is batch[i]'s slot in t (-1: only the subscribe-all sinks
+// listen), so the gather into g is one pass with no lookup. It runs on the
+// shard goroutine; a blocking sink stalls that shard but never an attach, a
+// detach or another shard.
+func (b *bus) publish(t *sinkTable, batch []Answer, slots []int32, g *gather) {
 	for _, s := range t.all {
 		s.sink.Deliver(batch)
 	}
-	if len(t.named) == 0 {
+	if len(t.slots) == 0 {
 		return
 	}
-	for len(g.bySlot) < len(t.named) {
+	for len(g.bySlot) < len(t.slots) {
 		g.bySlot = append(g.bySlot, nil)
 	}
-	for i := range batch {
-		q, ok := t.named[batch[i].Query]
-		if !ok {
+	for i, slot := range slots {
+		if slot < 0 {
 			continue
 		}
-		if len(g.bySlot[q.slot]) == 0 {
-			g.filled = append(g.filled, q)
+		if len(g.bySlot[slot]) == 0 {
+			g.filled = append(g.filled, slot)
 		}
-		g.bySlot[q.slot] = append(g.bySlot[q.slot], batch[i])
+		g.bySlot[slot] = append(g.bySlot[slot], batch[i])
 	}
-	for _, q := range g.filled {
-		for _, s := range q.sinks {
-			s.sink.Deliver(g.bySlot[q.slot])
+	for _, slot := range g.filled {
+		for _, s := range t.slots[slot] {
+			s.sink.Deliver(g.bySlot[slot])
 		}
-		g.bySlot[q.slot] = g.bySlot[q.slot][:0]
+		g.bySlot[slot] = g.bySlot[slot][:0]
 	}
-	clear(g.filled) // drop the sink references
 	g.filled = g.filled[:0]
 }
 
@@ -332,7 +345,7 @@ func (b *bus) close() {
 		}
 	}
 	end(t.all)
-	for _, q := range t.named {
-		end(q.sinks)
+	for _, sinks := range t.slots {
+		end(sinks)
 	}
 }

@@ -183,7 +183,7 @@ func TestBusCancelReleasesBlockedDeliver(t *testing.T) {
 	published := make(chan struct{})
 	go func() {
 		defer close(published)
-		b.publish(make([]Answer, 5), new(gather))
+		b.publish(b.table.Load(), make([]Answer, 5), nil, new(gather))
 	}()
 	for len(sub.C()) == 0 { // the first answer is buffered; the second cannot be
 		goruntime.Gosched()
@@ -298,7 +298,13 @@ func TestBusPublishGathersPerQuery(t *testing.T) {
 	g := new(gather)
 	check := func(round int) {
 		t.Helper()
-		b.publish(batch, g)
+		// As a shard does: one table load, each answer's slot resolved
+		// against it.
+		tab, slots := b.table.Load(), make([]int32, len(batch))
+		for i := range batch {
+			slots[i] = tab.slotOf(batch[i].Query)
+		}
+		b.publish(tab, batch, slots, g)
 		if got := all.batches[round]; len(all.batches) != round+1 || len(got) != len(batch) {
 			t.Fatalf("subscribe-all sink: %d Delivers, last of %d answers, want %d of %d", len(all.batches), len(got), round+1, len(batch))
 		}
@@ -340,8 +346,8 @@ func TestBusPublishGathersPerQuery(t *testing.T) {
 
 // BenchmarkBusPublish measures one publish of a fixed 256-answer batch — 256
 // registered queries, one window — as the number of subscribed queries grows:
-// the gather is one pass with a lookup per answer, so the per-answer cost must
-// stay flat rather than grow with the subscriber table.
+// the gather is one pass over slots the shard resolved once, so the per-answer
+// cost must stay flat rather than grow with the subscriber table.
 func BenchmarkBusPublish(b *testing.B) {
 	const registered = 256
 	batch := make([]Answer, registered)
@@ -354,11 +360,15 @@ func BenchmarkBusPublish(b *testing.B) {
 			for q := 0; q < subscribed; q++ {
 				bus.attach(batch[q].Query, nullSink{}, nil)
 			}
+			tab, slots := bus.table.Load(), make([]int32, len(batch))
+			for i := range batch {
+				slots[i] = tab.slotOf(batch[i].Query)
+			}
 			g := new(gather)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bus.publish(batch, g)
+				bus.publish(tab, batch, slots, g)
 			}
 		})
 	}

@@ -175,9 +175,13 @@ func (rt *Runtime) writeCheckpoint(ck *durable.Checkpoint) error {
 
 // exportCheckpoint builds the shard's slice of a checkpoint. It runs on the
 // shard goroutine between batches (or after the drain), so every field it
-// reads is quiescent and consistent with the appender's committed LSN.
+// reads is quiescent and consistent with the appender's committed LSN (0
+// without a WAL).
 func (s *shard) exportCheckpoint() durable.ShardCheckpoint {
-	sc := durable.ShardCheckpoint{Shard: s.id, WalLSN: s.wal.LSN()}
+	sc := durable.ShardCheckpoint{Shard: s.id}
+	if s.wal != nil {
+		sc.WalLSN = s.wal.LSN()
+	}
 	if s.led != nil {
 		sc.Ledger = s.led.ExportState()
 	}

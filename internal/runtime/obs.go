@@ -137,7 +137,10 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 		reg.CounterFunc("ppm_runtime_events_in_total", "Events accepted from ingest.", counter(&sh.stats.eventsIn), l)
 		reg.CounterFunc("ppm_runtime_windows_closed_total", "Windows cut and served.", counter(&sh.stats.windowsClosed), l)
 		reg.CounterFunc("ppm_runtime_panes_closed_total", "Panes cut by the shard's windowers.", counter(&sh.stats.panesClosed), l)
-		reg.CounterFunc("ppm_runtime_answers_emitted_total", "Released answers published to the bus.", counter(&sh.stats.answersEmitted), l)
+		reg.CounterFunc("ppm_runtime_answers_emitted_total", "Released answers handed to at least one sink.", counter(&sh.stats.answersEmitted), l)
+		reg.GaugeFunc("ppm_runtime_queries_demanded", "Target queries the shard evaluates per window: those some sink listens to (all, with a subscribe-all sink).", func() float64 {
+			return float64(sh.demanded.Load())
+		}, l)
 		reg.CounterFunc("ppm_runtime_streams_opened_total", "Stream states opened on the shard.", counter(&sh.stats.streams), l)
 		reg.CounterFunc("ppm_runtime_streams_evicted_total", "Idle stream states flushed under EvictAfter.", counter(&sh.stats.streamsEvicted), l)
 		for _, d := range []struct {

@@ -397,6 +397,7 @@ func New(cfg Config) (*Runtime, error) {
 			streams: make(map[string]*streamState),
 		}
 		sh.epoch.Store(uint64(st.epoch))
+		sh.resolveDemand(rt.bus.table.Load())
 		if rt.ledger != nil {
 			sh.led = rt.ledger.Shard(i)
 			sh.charge = float64(eng.Mechanism().TotalEpsilon())
@@ -662,7 +663,9 @@ func (rt *Runtime) recycleBatch(b []event.Event) {
 // with no registered query returns ErrUnknownQuery (wrapped) — register the
 // query first. Answers for one stream arrive in window order (indices
 // restart at 0 if the stream is evicted and returns; see Config.EvictAfter);
-// interleaving across streams is unspecified. Drain Subscription.C until it
+// interleaving across streams is unspecified. A subscription takes effect at
+// each shard's next ingest message: a message a shard is already serving when
+// Subscribe returns publishes nothing to it. Drain Subscription.C until it
 // closes or call Cancel — an abandoned subscription eventually stalls
 // serving.
 func (rt *Runtime) Subscribe(query string) (*Subscription, error) {
@@ -676,11 +679,13 @@ func (rt *Runtime) Subscribe(query string) (*Subscription, error) {
 
 // Attach is Subscribe for a caller-supplied Sink: the sink's Deliver is called
 // on the shard goroutines with the named query's answers (every query's for
-// the empty name), under the Sink contract, until the returned detach is
-// called or the runtime closes. detach is idempotent; a shard already
-// publishing may deliver one more batch after it returns. Once Close or
-// Freeze has returned no shard is alive, so no Deliver is in flight and none
-// follows. An attached sink counts in OpenSubscriptions until then.
+// the empty name), under the Sink contract, from each shard's next ingest
+// message on — a message already being served was evaluated for the
+// subscribers it started with — until the returned detach is called or the
+// runtime closes. detach is idempotent; a shard already serving a message
+// may deliver one more batch after it returns. Once Close or Freeze has
+// returned no shard is alive, so no Deliver is in flight and none follows. An
+// attached sink counts in OpenSubscriptions until then.
 func (rt *Runtime) Attach(query string, sink Sink) (detach func(), err error) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
@@ -841,8 +846,10 @@ type ShardStats struct {
 	// under a sliding configuration it counts the shared pane cuts, each
 	// merged into WindowWidth/Slide covering windows.
 	PanesClosed int64
-	// AnswersEmitted counts released answers published to the bus; a
-	// message that fails publishes, and counts, none of its answers.
+	// AnswersEmitted counts released answers handed to at least one sink.
+	// An answer no sink listens to is never assembled, so it is not
+	// counted; a message that fails publishes, and counts, none of its
+	// answers.
 	AnswersEmitted int64
 	// DroppedLate counts events discarded by the lateness policy.
 	DroppedLate int64

@@ -103,11 +103,16 @@ type shard struct {
 	// outbox holds the answers of the ingest message being served: emit
 	// assembles them in place and commit publishes them at message end, so a
 	// message that fails — while serving or at its WAL commit — publishes
-	// nothing.
-	outbox []Answer
+	// nothing. outSlot is parallel to it: each answer's slot in dem.table.
+	outbox  []Answer
+	outSlot []int32
 	// pubGather is the bus's per-query gather scratch, owned here so each
 	// shard publishes without sharing or allocating one.
 	pubGather gather
+	// dem is the demand the current message is served for; demanded mirrors
+	// its size for the ppm_runtime_queries_demanded gauge.
+	dem      demand
+	demanded atomic.Int64
 
 	// Serving scratch of one emit, reused across pushes: the closed-window
 	// batch, each window's admission outcome, the admitted sub-batch handed
@@ -125,6 +130,52 @@ type shard struct {
 	// usually runs of one stream, so consecutive events skip the map.
 	lastKey    string
 	lastStream *streamState
+}
+
+// demand is a shard's resolution of one bus sink table against its applied
+// control state: the target queries some sink listens to — every one while a
+// subscribe-all sink is attached, otherwise those with a named sink — as
+// ascending indices into the state's targets (and so into the engine's plan
+// set), and each one's slot in the table (-1 when only subscribe-all sinks
+// listen). A window costs what its subscribers receive: only these queries
+// are evaluated, assembled and published. The release itself — decision,
+// charge, WAL record, engine call and its draws — does not depend on the
+// demand.
+type demand struct {
+	table *sinkTable
+	idx   []int
+	slot  []int32
+}
+
+// resolve recomputes the demand for table t and control state ctl.
+func (d *demand) resolve(t *sinkTable, ctl *controlState) {
+	d.table = t
+	d.idx, d.slot = d.idx[:0], d.slot[:0]
+	all := len(t.all) > 0
+	for k, q := range ctl.targets {
+		slot := t.slotOf(q.Name)
+		if slot < 0 && !all {
+			continue
+		}
+		d.idx = append(d.idx, k)
+		d.slot = append(d.slot, slot)
+	}
+}
+
+// loadDemand reads the bus's sink table for the message about to be served —
+// once per message, so evaluation and publish see the same subscribers — and
+// re-resolves the demand when the table changed since the last message.
+func (s *shard) loadDemand() {
+	if t := s.rt.bus.table.Load(); t != s.dem.table {
+		s.resolveDemand(t)
+	}
+}
+
+// resolveDemand resolves the demand for table t under the applied control
+// state and publishes its size.
+func (s *shard) resolveDemand(t *sinkTable) {
+	s.dem.resolve(t, s.cur)
+	s.demanded.Store(int64(len(s.dem.idx)))
 }
 
 // syncControl applies any control-plane epochs published since the shard
@@ -158,6 +209,9 @@ func (s *shard) syncControl() bool {
 	}
 	s.cur = st
 	s.epoch.Store(uint64(st.epoch))
+	// Same table, new targets: the message's subscribers are unchanged, but
+	// the queries they name may have moved, appeared or gone.
+	s.resolveDemand(s.dem.table)
 	return true
 }
 
@@ -206,6 +260,7 @@ func (s *shard) run() {
 			msg.ckpt <- shardCkptResult{sc: s.exportCheckpoint()}
 			continue
 		}
+		s.loadDemand()
 		// A traced message: record the channel dwell (hop) boundary and
 		// arm trace0 so every answer it produces carries the origin.
 		var tHop time.Time
@@ -280,6 +335,7 @@ func (s *shard) run() {
 	sort.Strings(keys)
 	for _, key := range keys {
 		st := s.streams[key]
+		s.loadDemand()
 		if !s.emit(key, st, st.win.FlushInto(s.wsScratch[:0])) || !s.commit() {
 			return
 		}
@@ -359,11 +415,12 @@ func (s *shard) sweep(evict int64) bool {
 // emit is the one serving sequence for the windows a push (or flush) closed:
 // decide each window, serve the admitted ones as a single engine batch — so
 // stateful mechanisms see the windows in stream order and the per-call
-// overhead is paid once — and assemble every released answer into the
-// message's outbox, tagged with the stream key, per-stream window index, and
-// the control-plane epoch it was served under. Pending epochs are applied
-// before the batch, never within one, so each answer's epoch names exactly
-// the query and private sets that produced it.
+// overhead is paid once — and assemble every released answer some sink
+// listens to (the shard's demand) into the message's outbox, tagged with the
+// stream key, per-stream window index, and the control-plane epoch it was
+// served under. Pending epochs are applied before the batch, never within one,
+// so each answer's epoch names exactly the query and private sets that
+// produced it.
 //
 // Deciding: with a ledger every window is decided against the stream's grant
 // before the engine runs and charged once if admitted (answering n queries
@@ -447,12 +504,16 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 	}
 	served := s.ansScratch[:0]
 	if len(s.admScratch) > 0 {
+		// The engine runs for every admitted window, demanded or not: its
+		// call index and draws are the release, and a later window's noise
+		// must not depend on who listened to an earlier one.
 		var err error
-		if served, err = s.engine.ProcessWindowsInto(served, s.admScratch); err != nil {
+		if served, err = s.engine.ProcessSelectedInto(served, s.admScratch, s.dem.idx); err != nil {
 			return s.fail(err)
 		}
 		s.ansScratch = served
 	}
+	nd := len(s.dem.idx)
 	for i := range ws {
 		out := s.outScratch[i]
 		a := Answer{
@@ -471,21 +532,24 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 		a.Window = stream.Window{Start: ws[i].Start, End: ws[i].End}
 		switch out.Decision {
 		case account.Admitted:
-			// The engine answers window-major, one per query (none for a
-			// skipped window: nq is zero).
-			for _, ea := range served[:nq] {
+			// The engine answers window-major, one per demanded query.
+			// (A demand implies a registered query, so no window here was
+			// skipped.)
+			for k, ea := range served[:nd] {
 				a.Query, a.Detected = ea.Query, ea.Detected
 				s.outbox = append(s.outbox, a)
+				s.outSlot = append(s.outSlot, s.dem.slot[k])
 			}
-			served = served[nq:]
+			served = served[nd:]
 		case account.Suppressed, account.Throttled:
 			// A data-independent placeholder: computed without touching
 			// the window's contents (Detected constant false), so it spends
 			// no budget.
 			a.Suppressed = true
-			for k := 0; k < nq; k++ {
-				a.Query = s.cur.targets[k].Name
+			for k, j := range s.dem.idx {
+				a.Query = s.cur.targets[j].Name
 				s.outbox = append(s.outbox, a)
+				s.outSlot = append(s.outSlot, s.dem.slot[k])
 			}
 		case account.Denied:
 			// Nothing is released; the window index still advances so
@@ -499,12 +563,13 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 // commit ends one ingest message: it group-commits every WAL record staged
 // while serving it with one write — when a WAL is attached — and only then
 // hands the message's outbox to the bus: append-before-publish at one
-// write(2), one subscriber-table load and one Deliver per interested sink per
-// message. A commit error (including an injected crash) fails the shard and
-// drops the outbox, so nothing is published — the one-sided recovery
-// invariant: spend may be over-counted after a crash (a charge whose answer
-// never left), never under-counted. A message that failed while serving never
-// reaches commit, so it publishes nothing either.
+// write(2), and one Deliver per interested sink per message, to the sinks of
+// the table loaded when the message started. A commit error (including an
+// injected crash) fails the shard and drops the outbox, so nothing is
+// published — the one-sided recovery invariant: spend may be over-counted
+// after a crash (a charge whose answer never left), never under-counted. A
+// message that failed while serving never reaches commit, so it publishes
+// nothing either.
 func (s *shard) commit() bool {
 	if s.wal != nil {
 		if err := s.wal.Commit(); err != nil {
@@ -512,9 +577,10 @@ func (s *shard) commit() bool {
 		}
 	}
 	if len(s.outbox) > 0 {
-		s.rt.bus.publish(s.outbox, &s.pubGather)
+		// Every outbox answer is demanded, so every one reaches a sink.
+		s.rt.bus.publish(s.dem.table, s.outbox, s.outSlot, &s.pubGather)
 		s.stats.answersEmitted.Add(int64(len(s.outbox)))
-		s.outbox = s.outbox[:0]
+		s.outbox, s.outSlot = s.outbox[:0], s.outSlot[:0]
 	}
 	return true
 }

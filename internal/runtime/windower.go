@@ -24,6 +24,15 @@
 // network server attaches its per-subscription replay rings, which never
 // block.
 //
+// A window costs what its subscribers receive. Each shard reads the bus's
+// subscriber table once per ingest message and resolves its demand from it:
+// every registered query while a subscribe-all sink is attached, otherwise the
+// queries with a named sink. Only those are evaluated, assembled and
+// published; the release itself — decision, charge, WAL record, the engine
+// call and its draws — is the same whoever listens, so every delivered answer
+// is bit-identical to the one a subscribe-all sink would receive. An attach
+// takes effect at each shard's next message.
+//
 // Ingest channels are bounded with explicit backpressure (block or
 // drop-oldest), Close drains every shard gracefully, and Snapshot exposes
 // per-shard serving counters.

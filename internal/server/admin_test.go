@@ -251,7 +251,8 @@ var pinnedFamilies = []string{
 	"ppm_e2e_ingest_deliver_seconds", "ppm_e2e_ingest_publish_seconds",
 	"ppm_ingest_admit_seconds",
 	"ppm_runtime_answers_emitted_total", "ppm_runtime_dropped_events_total", "ppm_runtime_epoch",
-	"ppm_runtime_events_in_total", "ppm_runtime_panes_closed_total", "ppm_runtime_shards",
+	"ppm_runtime_events_in_total", "ppm_runtime_panes_closed_total", "ppm_runtime_queries_demanded",
+	"ppm_runtime_shards",
 	"ppm_runtime_streams_evicted_total", "ppm_runtime_streams_opened_total",
 	"ppm_runtime_subscriptions_open", "ppm_runtime_window_overlap", "ppm_runtime_windows_closed_total",
 	"ppm_serve_window_seconds",

@@ -95,8 +95,9 @@ type clientSubState struct {
 	done chan struct{}
 	once sync.Once
 
+	// sendMu guards closed: it is read by every send and written once, by
+	// terminate, under the same lock.
 	sendMu sync.Mutex
-	mu     sync.Mutex
 	closed bool
 }
 
@@ -105,10 +106,7 @@ type clientSubState struct {
 func (s *clientSubState) send(a wire.Answer) {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.closed {
 		return
 	}
 	select {
@@ -123,9 +121,7 @@ func (s *clientSubState) terminate() {
 	s.once.Do(func() {
 		close(s.done)
 		s.sendMu.Lock()
-		s.mu.Lock()
 		s.closed = true
-		s.mu.Unlock()
 		close(s.ch)
 		s.sendMu.Unlock()
 	})
