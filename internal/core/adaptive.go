@@ -7,6 +7,7 @@ import (
 
 	"patterndp/internal/cep"
 	"patterndp/internal/dp"
+	"patterndp/internal/event"
 )
 
 // AdaptiveConfig parameterizes the adaptive PPM (Algorithm 1).
@@ -112,7 +113,12 @@ func NewAdaptivePPM(cfg AdaptiveConfig, history []IndicatorWindow, targets []cep
 		}
 		dists[k] = d
 	}
-	f := newAdaptiveFit(cfg, newQualityModel(history, targets), private, dists)
+	// The private patterns' elements are the only types a fit flips.
+	var perturbed []event.Type
+	for _, pt := range private {
+		perturbed = append(perturbed, pt.Elements...)
+	}
+	f := newAdaptiveFit(cfg, newQualityModel(history, targets, perturbed), private, dists)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f.model.refreshAll(f.flips)
 	a := &AdaptivePPM{cfg: cfg, private: private, dists: dists}
@@ -170,12 +176,9 @@ func newAdaptiveFit(cfg AdaptiveConfig, model *qualityModel, private []PatternTy
 	for k, pt := range private {
 		f.probs[k] = dists[k].FlipProbs()
 		for i, t := range pt.Elements {
-			// A type no target references and no window carries is never
-			// read by the oracle.
-			if pos, ok := model.pos[t]; ok {
-				f.claims[pos] = append(f.claims[pos], claim{k, i})
-				f.types[k] = append(f.types[k], pos)
-			}
+			pos := model.pos[t]
+			f.claims[pos] = append(f.claims[pos], claim{k, i})
+			f.types[k] = append(f.types[k], pos)
 		}
 		for j := range model.targets {
 			if slices.ContainsFunc(model.targets[j].pos, func(pos int) bool { return slices.Contains(f.types[k], pos) }) {
@@ -215,6 +218,20 @@ func (f *adaptiveFit) score(k int, cand []float64, rng *rand.Rand) float64 {
 	return f.model.confusion(f.probe, rng).Q(f.cfg.Alpha)
 }
 
+// tryStep builds in cand and probs a step of δε onto element i of pattern k's
+// committed allocation and scores it; ok is false when the step moves no
+// budget. cand must have pattern k's length and probs room for its flips.
+func (f *adaptiveFit) tryStep(k, i int, step dp.Epsilon, cand *dp.Distribution, probs []float64, rng *rand.Rand) (q float64, ok bool) {
+	committed := f.dists[k]
+	for e := range committed.Len() {
+		cand.Set(e, committed.Part(e))
+	}
+	if cand.Shift(i, step) == 0 {
+		return 0, false
+	}
+	return f.score(k, cand.FlipProbsInto(probs), rng), true
+}
+
 // fitPattern runs Algorithm 1 for pattern k with all other patterns fixed,
 // starting from expected quality bestQ. It returns the fitted expected
 // quality and the number of committed steps.
@@ -230,37 +247,37 @@ func (f *adaptiveFit) fitPattern(k int, bestQ float64, rng *rand.Rand) (float64,
 		return bestQ, 0
 	}
 	copy(f.probe, f.flips)
+	// A probe is built in cand/candProbs; the best of a round is kept by
+	// swapping it into best/bestProbs, and committed by swapping those with
+	// the pattern's allocation, so no probe allocates.
+	cand, best := f.dists[k].Clone(), f.dists[k].Clone()
+	candProbs, bestProbs := make([]float64, m), make([]float64, m)
 	iters := 0
 	for iters < f.cfg.MaxIters {
 		// Lines 6–9: probe a step onto each element.
 		bestI := -1
 		bestCandQ := bestQ
-		var bestCand *dp.Distribution
-		var bestProbs []float64
 		for i := 0; i < m; i++ {
-			cand := f.dists[k].Clone()
-			if cand.Shift(i, step) == 0 {
-				continue
-			}
-			probs := cand.FlipProbs()
-			if q := f.score(k, probs, rng); q > bestCandQ+1e-12 {
-				bestI, bestCandQ, bestCand, bestProbs = i, q, cand, probs
+			if q, ok := f.tryStep(k, i, step, cand, candProbs, rng); ok && q > bestCandQ+1e-12 {
+				bestI, bestCandQ = i, q
+				cand, best = best, cand
+				candProbs, bestProbs = bestProbs, candProbs
 			}
 		}
 		// Lines 10–12: commit the best improving move, if any.
 		if bestI < 0 {
 			break
 		}
-		f.dists[k] = bestCand
-		f.probs[k] = bestProbs
+		f.dists[k], best = best, f.dists[k]
+		f.probs[k], bestProbs = bestProbs, f.probs[k]
 		for _, pos := range f.types[k] {
 			f.flips[pos] = f.effective(pos, -1, nil)
 		}
 		bestQ = bestCandQ
 		iters++
 	}
-	// Leave the model's cached probabilities at the committed allocation,
-	// not at the last probe, for the next pattern's fit.
+	// Leave the model's cached confusions at the committed allocation, not
+	// at the last probe, for the next pattern's fit.
 	f.model.refresh(f.flips, f.touched[k])
 	return bestQ, iters
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 
 	"patterndp/internal/cep"
 	"patterndp/internal/event"
@@ -24,33 +26,14 @@ const maxExactTypes = 12
 // non-nil: a nil rng panics rather than fall back to a hidden seed. It is the
 // one-window, one-target case of the model ExpectedQuality scores with.
 func DetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
-	m := newQualityModel([]IndicatorWindow{{Present: truth}}, []cep.Expr{expr})
+	m := newQualityModel([]IndicatorWindow{{Present: truth}}, []cep.Expr{expr}, slices.Collect(maps.Keys(flip)))
 	p := m.flipVector(flip)
 	m.refreshAll(p)
-	// One window, one target: the probability lands in TP or FP by the
-	// ground truth, and the other stays exactly zero.
+	// One window, one target: the probability, weighted by a window count
+	// of exactly 1, lands in TP or FP by the ground truth, and the other
+	// stays exactly zero.
 	c := m.confusion(p, rng)
 	return c.TP + c.FP
-}
-
-func sampledDetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip map[event.Type]float64, rng *rand.Rand) float64 {
-	const samples = 4096
-	released := make(map[event.Type]bool, len(truth))
-	keys := SortedTypes(truth)
-	hits := 0
-	for s := 0; s < samples; s++ {
-		for _, k := range keys {
-			if p := flip[k]; p > 0 && rng.Float64() < p {
-				released[k] = !truth[k]
-			} else {
-				released[k] = truth[k]
-			}
-		}
-		if cep.EvalIndicators(expr, released) {
-			hits++
-		}
-	}
-	return float64(hits) / samples
 }
 
 // ExpectedConfusion computes the expected confusion counts of answering the
@@ -62,6 +45,18 @@ func sampledDetectionProbability(expr cep.Expr, truth map[event.Type]bool, flip 
 // the confusion matrix is used.
 type ExpectedConfusion struct {
 	TP, FP, FN, TN float64
+}
+
+// add counts n windows whose ground truth is truth, each detected with
+// probability pDetect.
+func (c *ExpectedConfusion) add(truth bool, n, pDetect float64) {
+	if truth {
+		c.TP += n * pDetect
+		c.FN += n * (1 - pDetect)
+	} else {
+		c.FP += n * pDetect
+		c.TN += n * (1 - pDetect)
+	}
 }
 
 // Precision returns E[TP]/(E[TP]+E[FP]) — the ratio-of-expectations
@@ -99,11 +94,15 @@ func (c ExpectedConfusion) Q(alpha float64) float64 {
 // simulation with an exact expectation (a deliberate design choice — see
 // DESIGN.md).
 //
+// The expectation is summed per distinct truth class of each target's own
+// types, weighted by the class's window count, so it may differ from adding
+// window by window in the last bits (within 1e-12 relative).
+//
 // rng is read only for a target that references more than maxExactTypes
 // perturbed types (see DetectionProbability) and may be nil otherwise; such a
 // target with a nil rng panics.
 func ExpectedQuality(wins []IndicatorWindow, targets []cep.Expr, flip map[event.Type]float64, alpha float64, rng *rand.Rand) float64 {
-	m := newQualityModel(wins, targets)
+	m := newQualityModel(wins, targets, slices.Collect(maps.Keys(flip)))
 	p := m.flipVector(flip)
 	m.refreshAll(p)
 	return m.confusion(p, rng).Q(alpha)

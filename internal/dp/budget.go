@@ -235,11 +235,16 @@ func (d *Distribution) Clone() *Distribution {
 // FlipProbs converts the allocation into per-item randomized-response flip
 // probabilities p_i = 1/(1+e^{ε_i}).
 func (d *Distribution) FlipProbs() []float64 {
-	out := make([]float64, len(d.parts))
+	return d.FlipProbsInto(make([]float64, len(d.parts)))
+}
+
+// FlipProbsInto is FlipProbs writing into dst, which must hold Len() items;
+// it returns dst.
+func (d *Distribution) FlipProbsInto(dst []float64) []float64 {
 	for i, eps := range d.parts {
-		out[i] = 1 / (1 + math.Exp(float64(eps)))
+		dst[i] = 1 / (1 + math.Exp(float64(eps)))
 	}
-	return out
+	return dst
 }
 
 // ComposedEpsilon computes the pattern-level budget guaranteed by Theorem 1
