@@ -1,14 +1,15 @@
-// Command ppmbench regenerates the paper's evaluation tables and the
-// ablations listed in DESIGN.md. Each experiment prints the MRE series that
-// correspond to one figure or table.
+// Command paperfigs regenerates the paper's evaluation tables and its
+// ablations. Each experiment prints the MRE series that correspond to one
+// figure or table. (The serving benchmark is bench/, whose binary is
+// ppmbench.)
 //
 // Usage:
 //
-//	ppmbench -experiment fig4-taxi
-//	ppmbench -experiment fig4-synth -datasets 20 -reps 10
-//	ppmbench -experiment ablation-alpha
-//	ppmbench -experiment budget-split -eps 1.5 -m 3
-//	ppmbench -experiment all
+//	paperfigs -experiment fig4-taxi
+//	paperfigs -experiment fig4-synth -datasets 20 -reps 10
+//	paperfigs -experiment ablation-alpha
+//	paperfigs -experiment budget-split -eps 1.5 -m 3
+//	paperfigs -experiment all
 package main
 
 import (
@@ -51,7 +52,7 @@ func main() {
 	}
 
 	if err := run(*exp, cfg, dp.Epsilon(*eps), *m); err != nil {
-		fmt.Fprintln(os.Stderr, "ppmbench:", err)
+		fmt.Fprintln(os.Stderr, "paperfigs:", err)
 		os.Exit(1)
 	}
 }

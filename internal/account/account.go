@@ -1,6 +1,6 @@
 // Package account is the privacy-budget accounting and admission-control
-// subsystem of the streaming runtime: a windowed, per-stream generalization
-// of dp.Accountant wired into the answer-publish path.
+// subsystem of the streaming runtime: windowed, per-stream budget ledgers
+// over dp.Sum, wired into the answer-publish path.
 //
 // The unit of charge is one released window answer batch for one stream:
 // every window the runtime releases for a stream spends the serving

@@ -130,7 +130,7 @@ func NewAdaptivePPM(cfg AdaptiveConfig, history []IndicatorWindow, targets []cep
 		a.fitQ = q
 		a.iters += iters
 	}
-	a.flipTable = newFlipTable(private, dists)
+	a.flipTable = newFlipTable(cfg.Epsilon, private, dists)
 	return a, nil
 }
 
@@ -285,8 +285,9 @@ func (f *adaptiveFit) fitPattern(k int, bestQ float64, rng *rand.Rand) (float64,
 // Name implements Mechanism.
 func (a *AdaptivePPM) Name() string { return "adaptive" }
 
-// TotalEpsilon implements Mechanism.
-func (a *AdaptivePPM) TotalEpsilon() dp.Epsilon { return a.cfg.Epsilon }
+// TotalEpsilon implements Mechanism: the configured ε, or the composed Σεᵢ
+// of a fitted split whose steps rounded above it.
+func (a *AdaptivePPM) TotalEpsilon() dp.Epsilon { return a.charge }
 
 // Private returns the configured private pattern types.
 func (a *AdaptivePPM) Private() []PatternType { return a.private }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -73,6 +74,37 @@ func TestAdaptiveFitUnchanged(t *testing.T) {
 		if !sameFit(gotLines[i], wantLines[i]) {
 			t.Errorf("fit moved:\n got %s\nwant %s", gotLines[i], wantLines[i])
 		}
+	}
+}
+
+// BenchmarkAdaptiveFit measures a full Algorithm 1 fit on input shaped like
+// the serving benchmark's schema: an Algorithm 2 dataset with 12 targets and
+// 3 private patterns of 3 elements, fitted on the first half of its windows
+// as experiment.SynthBench does. ns/fit and allocs/fit are custom metrics.
+func BenchmarkAdaptiveFit(b *testing.B) {
+	for _, history := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			cfg := synth.DefaultConfig(1)
+			cfg.NumTarget = 12
+			cfg.NumWindows = 2 * history
+			ds, err := synth.Generate(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wins, targets, private := ds.IndicatorWindows()[:history], ds.TargetExprs(), ds.PrivateTypes()
+			acfg := core.AdaptiveConfig{Epsilon: 1, Alpha: 0.5}
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
+			for b.Loop() {
+				if _, err := core.NewAdaptivePPM(acfg, wins, targets, private...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/fit")
+			b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N), "allocs/fit")
+		})
 	}
 }
 

@@ -147,7 +147,7 @@ func TestDenseMatchesGenericRun(t *testing.T) {
 		for name, m := range denseMechanisms(t, rng, private, exprs) {
 			dense, oracle := enginePair(t, m, private, trial)
 			for _, pe := range []*PrivateEngine{dense, oracle} {
-				if err := pe.SetTargets(queries); err != nil {
+				if err := pe.SetTargetPlans(compileAll(queries...)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -203,7 +203,7 @@ func TestProcessSelectedMatchesProcessWindows(t *testing.T) {
 				if pes[i], err = NewPrivateEngine(m, private, trial); err != nil {
 					t.Fatal(err)
 				}
-				if err := pes[i].SetTargets(queries); err != nil {
+				if err := pes[i].SetTargetPlans(compileAll(queries...)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -309,7 +309,7 @@ func TestProcessWindowsIntoZeroAllocs(t *testing.T) {
 	pb := newProcessBench(t)
 	for name, m := range pb.mechs {
 		pe, _ := enginePair(t, m, pb.private, 1)
-		if err := pe.SetTargets(pb.queries); err != nil {
+		if err := pe.SetTargetPlans(compileAll(pb.queries...)); err != nil {
 			t.Fatal(err)
 		}
 		for _, batch := range []int{1, 8} {
@@ -340,7 +340,7 @@ func BenchmarkProcessWindows(b *testing.B) {
 			name string
 			pe   *PrivateEngine
 		}{{"dense", dense}, {"generic", oracle}} {
-			if err := path.pe.SetTargets(pb.queries); err != nil {
+			if err := path.pe.SetTargetPlans(compileAll(pb.queries...)); err != nil {
 				b.Fatal(err)
 			}
 			for _, batch := range []int{1, 8} {

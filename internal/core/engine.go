@@ -259,27 +259,6 @@ func (pe *PrivateEngine) UnregisterTarget(name string) error {
 	return nil
 }
 
-// SetTargets replaces the whole registered target set in one step — the
-// bulk form of RegisterTarget/UnregisterTarget for callers that maintain the
-// desired set elsewhere (the streaming runtime's control plane does). The
-// snapshot is rebuilt once, so applying an epoch with n queries costs one
-// sort instead of n.
-func (pe *PrivateEngine) SetTargets(qs []cep.Query) error {
-	for _, q := range qs {
-		if err := q.Validate(); err != nil {
-			return err
-		}
-	}
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	pe.targets = make(map[string]cep.Query, len(qs))
-	for _, q := range qs {
-		pe.targets[q.Name] = q
-	}
-	pe.rebuildSnapshot()
-	return nil
-}
-
 // rebuildSnapshot rematerializes the sorted serving snapshot, compiling a
 // plan per target; callers hold pe.mu.
 func (pe *PrivateEngine) rebuildSnapshot() {
@@ -307,10 +286,10 @@ func (pe *PrivateEngine) Targets() []cep.Query {
 	return out
 }
 
-// SetTargetPlans replaces the registered target set with already-compiled
-// plans, name-sorted — the streaming runtime's control plane compiles each
-// query once per epoch and hands every shard's engine the same shared plan
-// set, instead of each shard recompiling on SetTargets.
+// SetTargetPlans replaces the whole registered target set in one step with
+// already-compiled plans, name-sorted — the streaming runtime's control plane
+// compiles each query once per epoch and hands every shard's engine the same
+// shared plan set, so applying an epoch costs one sort and no compilation.
 func (pe *PrivateEngine) SetTargetPlans(plans []*cep.Plan) error {
 	for i := range plans {
 		if plans[i] == nil {
@@ -494,32 +473,4 @@ func (pe *PrivateEngine) processGeneric(ps *planSet, dst []Answer, ws []stream.W
 // given width and runs ProcessWindows.
 func (pe *PrivateEngine) ProcessEvents(evs []event.Event, width event.Timestamp) ([]Answer, error) {
 	return pe.ProcessWindows(stream.WindowSlice(evs, width))
-}
-
-// Serve consumes an event stream, windows it, and emits protected answers as
-// windows complete. It terminates when the input closes or done is closed.
-// Note: each window is processed as its own batch, so stateful mechanisms
-// see windows one at a time in order.
-func (pe *PrivateEngine) Serve(done <-chan struct{}, in stream.Stream[event.Event], width event.Timestamp) stream.Stream[Answer] {
-	out := make(chan Answer)
-	go func() {
-		defer close(out)
-		idx := 0
-		for w := range stream.Tumbling(done, in, width) {
-			answers, err := pe.ProcessWindows([]stream.Window{w})
-			if err != nil {
-				return
-			}
-			for _, a := range answers {
-				a.WindowIndex = idx
-				select {
-				case out <- a:
-				case <-done:
-					return
-				}
-			}
-			idx++
-		}
-	}()
-	return out
 }

@@ -128,50 +128,37 @@ func TestPrivateEngineUnregisterTarget(t *testing.T) {
 	}
 }
 
+// TestPrivateEngineSetTargets: the bulk setter replaces every registered
+// target, and a refused set leaves the registered one in place.
 func TestPrivateEngineSetTargets(t *testing.T) {
 	pt := mustPT(t, "priv", "a")
 	pe, _ := NewPrivateEngine(Identity{}, []PatternType{pt}, 1)
 	pe.RegisterTarget(cep.Query{Name: "old", Pattern: cep.E("a"), Window: 10})
-	if err := pe.SetTargets([]cep.Query{
-		{Name: "zz", Pattern: cep.E("a"), Window: 10},
-		{Name: "aa", Pattern: cep.E("b"), Window: 10},
-	}); err != nil {
+	if err := pe.SetTargetPlans(compileAll(
+		cep.Query{Name: "zz", Pattern: cep.E("a"), Window: 10},
+		cep.Query{Name: "aa", Pattern: cep.E("b"), Window: 10},
+	)); err != nil {
 		t.Fatal(err)
 	}
 	ts := pe.Targets()
 	if len(ts) != 2 || ts[0].Name != "aa" || ts[1].Name != "zz" {
-		t.Fatalf("Targets after SetTargets = %v", ts)
+		t.Fatalf("Targets after SetTargetPlans = %v", ts)
 	}
-	if err := pe.SetTargets([]cep.Query{{Name: "", Pattern: cep.E("a"), Window: 10}}); err == nil {
-		t.Error("invalid replacement set accepted")
+	if err := pe.SetTargetPlans(append(compileAll(cep.Query{Name: "x", Pattern: cep.E("a"), Window: 10}), nil)); err == nil {
+		t.Error("set with a nil plan accepted")
 	}
 	if len(pe.Targets()) != 2 {
-		t.Error("failed SetTargets mutated the target set")
+		t.Error("failed SetTargetPlans mutated the target set")
 	}
 }
 
-func TestPrivateEngineServeStreaming(t *testing.T) {
-	pt := mustPT(t, "priv", "a")
-	pe, _ := NewPrivateEngine(Identity{}, []PatternType{pt}, 1)
-	pe.RegisterTarget(cep.Query{Name: "tgt", Pattern: cep.E("a"), Window: 5})
-	done := make(chan struct{})
-	defer close(done)
-	in := stream.FromSlice([]event.Event{
-		event.New("a", 0), event.New("a", 7), event.New("b", 12),
-	})
-	answers := stream.Collect(pe.Serve(done, in, 5))
-	if len(answers) != 3 {
-		t.Fatalf("answers = %d, want 3 windows", len(answers))
+// compileAll compiles each query, for SetTargetPlans.
+func compileAll(qs ...cep.Query) []*cep.Plan {
+	plans := make([]*cep.Plan, len(qs))
+	for i, q := range qs {
+		plans[i] = cep.MustCompile(q)
 	}
-	wantDetect := []bool{true, true, false}
-	for i, a := range answers {
-		if a.Detected != wantDetect[i] {
-			t.Errorf("window %d detected=%t want %t", i, a.Detected, wantDetect[i])
-		}
-		if a.WindowIndex != i {
-			t.Errorf("window index %d, want %d", a.WindowIndex, i)
-		}
-	}
+	return plans
 }
 
 func TestRelevantTypesUnion(t *testing.T) {

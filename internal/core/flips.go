@@ -14,20 +14,27 @@ import (
 // pattern claims is released unperturbed.
 type flipTable struct {
 	flips map[event.Type][]float64
+	// charge is what one release costs: the configured ε, or the largest
+	// pattern's Σεᵢ (Theorem 1's composed budget) where a float split sums
+	// to a few ulps more.
+	charge dp.Epsilon
 }
 
 // newFlipTable builds the table from each private pattern's per-element
-// allocation (dists is parallel to private). Duplicate element types within
-// or across patterns contribute one independent flip each.
-func newFlipTable(private []PatternType, dists []*dp.Distribution) flipTable {
+// allocation (dists is parallel to private) of the configured budget eps.
+// Duplicate element types within or across patterns contribute one
+// independent flip each.
+func newFlipTable(eps dp.Epsilon, private []PatternType, dists []*dp.Distribution) flipTable {
 	flips := make(map[event.Type][]float64)
+	charge := eps
 	for k, pt := range private {
 		probs := dists[k].FlipProbs()
 		for i, t := range pt.Elements {
 			flips[t] = append(flips[t], probs[i])
 		}
+		charge = max(charge, dists[k].Total())
 	}
-	return flipTable{flips: flips}
+	return flipTable{flips: flips, charge: charge}
 }
 
 // flipLister is implemented by mechanisms whose whole release is a flipTable

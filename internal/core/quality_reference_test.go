@@ -128,7 +128,7 @@ func referenceFit(cfg AdaptiveConfig, history []IndicatorWindow, targets []cep.E
 		dists = append(dists, d)
 	}
 	score := func() float64 {
-		ft := newFlipTable(private, dists)
+		ft := newFlipTable(cfg.Epsilon, private, dists)
 		return referenceExpectedQuality(history, targets, ft.FlipProbs(), cfg.Alpha, rng)
 	}
 	fitQ = score()
@@ -389,7 +389,7 @@ func sameSplit(t *testing.T, label string, got *AdaptivePPM, iters int, fitQ flo
 			}
 		}
 	}
-	want := newFlipTable(got.Private(), dists)
+	want := newFlipTable(got.TotalEpsilon(), got.Private(), dists)
 	for ty, p := range got.FlipProbs() {
 		if math.Float64bits(p) != math.Float64bits(want.FlipProb(ty)) {
 			t.Fatalf("%s: flip on %s = %x, want %x", label, ty, p, want.FlipProb(ty))

@@ -25,7 +25,6 @@ import (
 type UniformPPM struct {
 	flipTable
 	private []PatternType
-	eps     dp.Epsilon
 }
 
 // NewUniformPPM configures the mechanism with a total per-pattern budget eps
@@ -48,15 +47,15 @@ func NewUniformPPM(eps dp.Epsilon, private ...PatternType) (*UniformPPM, error) 
 		}
 		dists[k] = dist
 	}
-	return &UniformPPM{flipTable: newFlipTable(private, dists), private: slices.Clone(private), eps: eps}, nil
+	return &UniformPPM{flipTable: newFlipTable(eps, private, dists), private: slices.Clone(private)}, nil
 }
 
 // Name implements Mechanism.
 func (u *UniformPPM) Name() string { return "uniform" }
 
 // TotalEpsilon implements Mechanism: the pattern-level budget per private
-// pattern type.
-func (u *UniformPPM) TotalEpsilon() dp.Epsilon { return u.eps }
+// pattern type — eps, or the composed Σεᵢ of a split that rounds above it.
+func (u *UniformPPM) TotalEpsilon() dp.Epsilon { return u.charge }
 
 // Private returns the configured private pattern types.
 func (u *UniformPPM) Private() []PatternType { return u.private }

@@ -3,8 +3,6 @@ package dp
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 )
 
 // Sum is a Neumaier-compensated running sum: each Add tracks the rounding
@@ -12,7 +10,7 @@ import (
 // spends absorbed entirely by a large partial sum — accumulates with an error
 // of one ulp instead of drifting by O(n) ulps. The zero value is an empty
 // sum. Sum is not safe for concurrent use; it is the single-writer
-// accumulator behind Accountant and the streaming ledger.
+// accumulator behind the streaming ledger.
 type Sum struct {
 	s, c float64
 }
@@ -31,109 +29,12 @@ func (k *Sum) Add(x float64) {
 // Value returns the compensated sum.
 func (k Sum) Value() float64 { return k.s + k.c }
 
-// Accountant tracks a total privacy budget and the amounts spent against it,
-// keyed by a free-form label (an event type, a timestamp, a mechanism name).
-// Sequential composition applies: total spend is the sum of all spends.
-// Accountant is safe for concurrent use.
-type Accountant struct {
-	mu    sync.Mutex
-	total Epsilon
-	spent map[string]Epsilon
-	// sum is the compensated running total of all spends. The per-key map
-	// is kept for attribution; enforcement reads the compensated sum, so
-	// rounding drift from many small spends cannot creep past total before
-	// ErrBudgetExhausted fires (nor exhaust the budget early).
-	sum Sum
-}
-
-// NewAccountant creates an accountant with the given total budget.
-func NewAccountant(total Epsilon) (*Accountant, error) {
-	if !total.Valid() {
-		return nil, fmt.Errorf("dp: invalid total budget %v", total)
-	}
-	return &Accountant{total: total, spent: make(map[string]Epsilon)}, nil
-}
-
-// Total returns the configured total budget.
-func (a *Accountant) Total() Epsilon { return a.total }
-
-// Spent returns the cumulative spend across all keys.
-func (a *Accountant) Spent() Epsilon {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.spentLocked()
-}
-
-func (a *Accountant) spentLocked() Epsilon {
-	return Epsilon(a.sum.Value())
-}
-
-// Remaining returns the unspent budget (never negative).
-func (a *Accountant) Remaining() Epsilon {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rem := a.total - a.spentLocked()
-	if rem < 0 {
-		return 0
-	}
-	return rem
-}
-
-// SpendTolerance returns the float-rounding slack Spend allows on a total
-// budget: a few ulps, so an exact split (m spends of total/m) always fits
-// while anything past one more representable spend is rejected. The old
+// SpendTolerance returns the float-rounding slack a budget check allows on a
+// total budget: a few ulps, so an exact split (m spends of total/m) always
+// fits while anything past one more representable spend is rejected. The old
 // fixed 1e-9 tolerance let accumulated rounding drift admit real over-spends.
 func SpendTolerance(total Epsilon) float64 {
 	return math.Abs(float64(total)) * 1e-15
-}
-
-// Spend records a spend under key. It fails with ErrBudgetExhausted when the
-// spend would exceed the total. The running total is a compensated Sum and
-// the comparison allows only ulp-scale slack (SpendTolerance), so repeated
-// tiny spends can neither drift past the total unnoticed nor be absorbed
-// into a large partial sum and spend forever for free.
-func (a *Accountant) Spend(key string, eps Epsilon) error {
-	if !eps.Valid() {
-		return fmt.Errorf("dp: invalid spend %v", eps)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	next := a.sum
-	next.Add(float64(eps))
-	if next.Value() > float64(a.total)+SpendTolerance(a.total) {
-		return fmt.Errorf("%w: spent %.6g + %.6g > total %.6g",
-			ErrBudgetExhausted, float64(a.spentLocked()), float64(eps), float64(a.total))
-	}
-	a.sum = next
-	a.spent[key] += eps
-	return nil
-}
-
-// SpentOn returns the spend recorded under key.
-func (a *Accountant) SpentOn(key string) Epsilon {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.spent[key]
-}
-
-// Keys returns all spend keys in sorted order.
-func (a *Accountant) Keys() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.spent))
-	for k := range a.spent {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reset clears all recorded spends.
-func (a *Accountant) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.spent = make(map[string]Epsilon)
-	a.sum = Sum{}
 }
 
 // Distribution is an allocation of a total budget across m items. It is the

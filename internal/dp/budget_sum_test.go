@@ -1,15 +1,25 @@
 package dp
 
 import (
-	"errors"
 	"math"
 	"math/big"
 	"testing"
 )
 
+// fits is the budget check the streaming ledger makes with a Sum: would
+// adding eps keep the spend within total plus SpendTolerance?
+func fits(spent Sum, eps, total float64) bool {
+	spent.Add(eps)
+	return spent.Value() <= total+SpendTolerance(Epsilon(total))
+}
+
 // TestSumCompensation checks the Neumaier sum against exact big.Float
-// arithmetic on the pattern naive summation gets wrong: many values too small
-// to move the running total individually.
+// arithmetic on the patterns naive summation gets wrong — many values too
+// small to move the running total individually — and, with SpendTolerance,
+// the budget checks built on it: a run of tiny spends must stop exactly
+// where the true total is reached, spends below the running sum's ulp must
+// still exhaust the budget, and an exact m-way split must fit with nothing
+// after it.
 func TestSumCompensation(t *testing.T) {
 	var k Sum
 	exact := new(big.Float).SetPrec(200)
@@ -31,113 +41,64 @@ func TestSumCompensation(t *testing.T) {
 	if naive != 1.0 {
 		t.Fatalf("expected naive absorption, got %.20g", naive)
 	}
-}
 
-// TestAccountantExactSplit: an exact m-way split of the budget spends fully
-// and the next spend fails — the ulp-scale tolerance admits the split's
-// rounding but nothing more.
-func TestAccountantExactSplit(t *testing.T) {
-	const m = 7
-	a, err := NewAccountant(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := Epsilon(1.0 / m)
-	for i := 0; i < m; i++ {
-		if err := a.Spend("k", part); err != nil {
-			t.Fatalf("spend %d/%d: %v", i+1, m, err)
-		}
-	}
-	if err := a.Spend("k", part); !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("spend past total: got %v, want ErrBudgetExhausted", err)
-	}
-}
-
-// TestAccountantTinySpendDrift is the regression for the float-tolerance
-// edge: a long run of tiny spends must stop exactly when the true
-// (infinitely precise) total is reached, not when the drifted naive sum says
-// so. fl(1e-6) is slightly above 1e-6, so exactly 999_999 spends fit a total
-// of 1 and the millionth must fail.
-func TestAccountantTinySpendDrift(t *testing.T) {
-	a, err := NewAccountant(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := Epsilon(1e-6)
-	n := 0
-	for {
-		if err := a.Spend("tiny", eps); err != nil {
-			if !errors.Is(err, ErrBudgetExhausted) {
-				t.Fatalf("unexpected error: %v", err)
+	t.Run("tiny spend drift", func(t *testing.T) {
+		// fl(1e-6) is slightly above 1e-6, so exactly 999_999 spends fit a
+		// total of 1 and the millionth must not.
+		var spent Sum
+		n := 0
+		for fits(spent, 1e-6, 1) {
+			spent.Add(1e-6)
+			n++
+			if n > 2_000_000 {
+				t.Fatal("budget never exhausted")
 			}
-			break
 		}
-		n++
-		if n > 2_000_000 {
-			t.Fatal("budget never exhausted")
+		// Exact check: n*fl(eps) <= total < (n+1)*fl(eps), modulo the
+		// ulp-scale tolerance.
+		total := new(big.Float).SetPrec(200).SetFloat64(1.0)
+		step := new(big.Float).SetPrec(200).SetFloat64(1e-6)
+		sum := new(big.Float).SetPrec(200).Mul(step, big.NewFloat(float64(n)))
+		slack := big.NewFloat(SpendTolerance(1.0) + 1e-18)
+		if sum.Cmp(new(big.Float).Add(total, slack)) > 0 {
+			t.Fatalf("admitted %d spends: true total %v exceeds budget", n, sum)
 		}
-	}
-	// Exact check: n*fl(eps) <= total < (n+1)*fl(eps), modulo the ulp-scale
-	// tolerance.
-	total := new(big.Float).SetPrec(200).SetFloat64(1.0)
-	step := new(big.Float).SetPrec(200).SetFloat64(1e-6)
-	spent := new(big.Float).SetPrec(200).Mul(step, big.NewFloat(float64(n)))
-	slack := big.NewFloat(SpendTolerance(1.0) + 1e-18)
-	if spent.Cmp(new(big.Float).Add(total, slack)) > 0 {
-		t.Fatalf("admitted %d spends: true total %v exceeds budget", n, spent)
-	}
-	next := new(big.Float).Add(spent, step)
-	if next.Cmp(new(big.Float).Sub(total, slack)) < 0 {
-		t.Fatalf("stopped early at %d spends: one more would still fit", n)
-	}
-	if got := float64(a.Spent()); math.Abs(got-float64(n)*1e-6) > 1e-9 {
-		t.Fatalf("Spent() = %v, want ~%v", got, float64(n)*1e-6)
-	}
-}
+		if next := new(big.Float).Add(sum, step); next.Cmp(new(big.Float).Sub(total, slack)) < 0 {
+			t.Fatalf("stopped early at %d spends: one more would still fit", n)
+		}
+		if got := spent.Value(); math.Abs(got-float64(n)*1e-6) > 1e-9 {
+			t.Fatalf("spent = %v, want ~%v", got, float64(n)*1e-6)
+		}
+	})
 
-// TestAccountantAbsorptionExhausts: after a spend close to the total, tiny
-// spends below the ulp of the running sum must still accumulate and exhaust
-// the budget — under naive summation they are absorbed and spend forever.
-func TestAccountantAbsorptionExhausts(t *testing.T) {
-	a, err := NewAccountant(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head := Epsilon(1 - 1e-12)
-	if err := a.Spend("head", head); err != nil {
-		t.Fatal(err)
-	}
-	eps := Epsilon(1e-16) // below ulp(~1.0): absorbed by a naive sum
-	exhausted := false
-	for i := 0; i < 100_000; i++ {
-		if err := a.Spend("tail", eps); err != nil {
-			if !errors.Is(err, ErrBudgetExhausted) {
-				t.Fatalf("unexpected error: %v", err)
+	t.Run("absorbed spends exhaust", func(t *testing.T) {
+		// After a spend close to the total, spends below the ulp of the
+		// running sum must still accumulate; a naive sum absorbs them and
+		// spends forever.
+		var spent Sum
+		spent.Add(1 - 1e-12)
+		for i := 0; ; i++ {
+			if i == 100_000 {
+				t.Fatal("100k absorbed spends never exhausted the budget")
 			}
-			exhausted = true
-			break
+			if !fits(spent, 1e-16, 1) {
+				break
+			}
+			spent.Add(1e-16)
 		}
-	}
-	if !exhausted {
-		t.Fatal("100k absorbed spends never exhausted the budget")
-	}
-}
+	})
 
-// TestAccountantResetClearsSum: Reset must clear the compensated total too,
-// not only the attribution map.
-func TestAccountantResetClearsSum(t *testing.T) {
-	a, err := NewAccountant(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Spend("k", 1.0); err != nil {
-		t.Fatal(err)
-	}
-	a.Reset()
-	if got := a.Spent(); got != 0 {
-		t.Fatalf("Spent after Reset = %v", got)
-	}
-	if err := a.Spend("k", 1.0); err != nil {
-		t.Fatalf("full spend after Reset: %v", err)
-	}
+	t.Run("exact split", func(t *testing.T) {
+		const m = 7
+		var spent Sum
+		for i := 0; i < m; i++ {
+			if !fits(spent, 1.0/m, 1) {
+				t.Fatalf("spend %d/%d refused", i+1, m)
+			}
+			spent.Add(1.0 / m)
+		}
+		if fits(spent, 1.0/m, 1) {
+			t.Fatal("spend past the total admitted")
+		}
+	})
 }

@@ -1,7 +1,8 @@
 // Package dp provides the differential-privacy primitives the PPMs are built
 // from: randomized response over binary indicators, the Laplace and geometric
-// mechanisms for numeric queries, and a privacy-budget accountant with
-// sequential composition.
+// mechanisms for numeric queries, per-element budget distributions and their
+// sequential composition, and the compensated sum the streaming ledger
+// accounts spend with.
 //
 // All stochastic functions take an explicit *rand.Rand so experiments are
 // reproducible; none touch global random state.
@@ -14,7 +15,7 @@ import (
 	"math/rand"
 )
 
-// ErrBudgetExhausted is returned when an accountant cannot cover a spend.
+// ErrBudgetExhausted is returned when a budget cannot cover a spend.
 var ErrBudgetExhausted = errors.New("dp: privacy budget exhausted")
 
 // Epsilon is a privacy budget (the ε of ε-DP). Larger means weaker privacy.

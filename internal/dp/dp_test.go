@@ -1,7 +1,6 @@
 package dp
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -184,62 +183,6 @@ func TestGeometricMoments(t *testing.T) {
 	}
 	if _, err := Geometric(rng, 1, 0); err == nil {
 		t.Error("eps=0 accepted")
-	}
-}
-
-func TestAccountantSpend(t *testing.T) {
-	a, err := NewAccountant(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Spend("e1", 0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Spend("e2", 0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Spend("e3", 0.4); !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("over-spend error = %v, want ErrBudgetExhausted", err)
-	}
-	if got := a.Spent(); math.Abs(float64(got-0.8)) > 1e-12 {
-		t.Errorf("Spent = %v", got)
-	}
-	if got := a.Remaining(); math.Abs(float64(got-0.2)) > 1e-12 {
-		t.Errorf("Remaining = %v", got)
-	}
-	if a.SpentOn("e1") != 0.4 {
-		t.Errorf("SpentOn(e1) = %v", a.SpentOn("e1"))
-	}
-	keys := a.Keys()
-	if len(keys) != 2 || keys[0] != "e1" || keys[1] != "e2" {
-		t.Errorf("Keys = %v", keys)
-	}
-	a.Reset()
-	if a.Spent() != 0 {
-		t.Error("Reset failed")
-	}
-}
-
-func TestAccountantFloatTolerance(t *testing.T) {
-	a, _ := NewAccountant(1.0)
-	// Ten spends of 0.1 must all succeed despite float accumulation error.
-	for i := 0; i < 10; i++ {
-		if err := a.Spend("k", 0.1); err != nil {
-			t.Fatalf("spend %d failed: %v", i, err)
-		}
-	}
-}
-
-func TestAccountantInvalidInputs(t *testing.T) {
-	if _, err := NewAccountant(-1); err == nil {
-		t.Error("negative total accepted")
-	}
-	a, _ := NewAccountant(1)
-	if err := a.Spend("k", -0.5); err == nil {
-		t.Error("negative spend accepted")
-	}
-	if a.Total() != 1 {
-		t.Error("Total broken")
 	}
 }
 

@@ -1,10 +1,8 @@
 package durable
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -147,44 +145,21 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("durable: marshal checkpoint: %w", err)
 	}
-	var hdr [16]byte
-	copy(hdr[:], ckptMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(payload))
 	final := filepath.Join(l.dir, fmt.Sprintf("ckpt-%016x.ckpt", ck.ID))
 
 	if CrashPoint(l.crashPoint.Load()) == CrashMidCheckpoint && l.crashLeft.Load() <= 0 {
 		// Injected crash mid-write: tear the file under the final name —
 		// the worst case recovery must handle (a plausible-looking
 		// checkpoint whose CRC doesn't verify).
-		torn := append(append([]byte{}, hdr[:]...), payload[:len(payload)/2]...)
+		hdr := frameHeader(ckptMagic, payload)
+		torn := append(hdr[:], payload[:len(payload)/2]...)
 		os.WriteFile(final, torn, 0o644) //nolint:errcheck
 		l.crashed.Store(true)
 		return ErrCrashed
 	}
-
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: checkpoint: %w", err)
+	if err := writeFramed(final, ckptMagic, "checkpoint", payload); err != nil {
+		return err
 	}
-	if _, err := f.Write(hdr[:]); err == nil {
-		_, err = f.Write(payload)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return fmt.Errorf("durable: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("durable: checkpoint: %w", err)
-	}
-	syncDir(l.dir)
 	if l.ckptC != nil {
 		l.ckptC.Inc()
 	}
@@ -247,21 +222,9 @@ func (l *Log) pruneLocked(ck *Checkpoint) {
 // CRC-corrupt file returns an error so recovery falls back to the previous
 // checkpoint.
 func readCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
+	payload, err := readFramed(path, ckptMagic, "checkpoint")
 	if err != nil {
 		return nil, err
-	}
-	if len(data) < 16 || string(data[:8]) != ckptMagic {
-		return nil, fmt.Errorf("durable: %s: not a checkpoint", filepath.Base(path))
-	}
-	length := binary.LittleEndian.Uint32(data[8:])
-	crc := binary.LittleEndian.Uint32(data[12:])
-	if int(length) != len(data)-16 {
-		return nil, fmt.Errorf("durable: %s: torn checkpoint", filepath.Base(path))
-	}
-	payload := data[16:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, fmt.Errorf("durable: %s: checkpoint CRC mismatch", filepath.Base(path))
 	}
 	var ck Checkpoint
 	if err := json.Unmarshal(payload, &ck); err != nil {
@@ -291,13 +254,4 @@ func parseSegmentName(name string) (shard int, firstLSN uint64, ok bool) {
 		return shard, firstLSN, true
 	}
 	return 0, 0, false
-}
-
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()  //nolint:errcheck // best effort; rename durability
-	d.Close() //nolint:errcheck
 }

@@ -31,7 +31,7 @@
 //
 //	FsyncAlways   fsync before the commit returns — full durability, and the
 //	              publish path inherits the disk's sync latency.
-//	FsyncInterval fsync on a background interval (default 100ms) — process
+//	FsyncInterval fsync every fsyncEvery (100ms) in the background — process
 //	              crashes lose nothing; an OS crash loses at most the last
 //	              interval of records.
 //	FsyncOff      fsync only at checkpoints and on Close — process crashes
@@ -61,7 +61,6 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"patterndp/internal/metrics"
 )
@@ -71,7 +70,7 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncInterval syncs on a background interval (Options.FsyncInterval).
+	// FsyncInterval syncs in the background every fsyncEvery.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs before every commit returns.
 	FsyncAlways
@@ -113,9 +112,6 @@ type Options struct {
 	Shards int
 	// Fsync selects the sync policy. Default: FsyncInterval.
 	Fsync FsyncPolicy
-	// FsyncInterval is the background sync cadence under FsyncInterval.
-	// Default: 100ms.
-	FsyncInterval time.Duration
 	// SegmentBytes bounds a segment file's size; an appender rotates to a
 	// fresh segment once the bound is passed. Default: 64 MiB.
 	SegmentBytes int64
@@ -127,9 +123,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FsyncInterval == 0 {
-		o.FsyncInterval = 100 * time.Millisecond
-	}
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 64 << 20
 	}
@@ -142,8 +135,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("durable: Shards = %d", o.Shards)
 	case !o.Fsync.Valid():
 		return fmt.Errorf("durable: unknown FsyncPolicy %d", o.Fsync)
-	case o.FsyncInterval < 0:
-		return fmt.Errorf("durable: FsyncInterval = %v", o.FsyncInterval)
 	case o.SegmentBytes < int64(segmentHeaderSize)+16:
 		return fmt.Errorf("durable: SegmentBytes = %d too small", o.SegmentBytes)
 	}

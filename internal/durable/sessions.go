@@ -1,11 +1,9 @@
 package durable
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -13,8 +11,8 @@ import (
 
 // Session spill: parked session cores written beside the WAL on drain so a
 // client's Resume survives the process, not just the connection. The file
-// reuses the checkpoint framing (magic | len u32 | crc u32 | JSON) and the
-// same tmp+fsync+rename discipline; replay-ring answers are carried as
+// is a framed file like a checkpoint (writeFramed/readFramed: magic | len
+// u32 | crc u32 | JSON, tmp+fsync+rename); replay-ring answers are carried as
 // opaque wire-encoded bytes so this package stays below internal/wire in
 // the import graph.
 //
@@ -75,57 +73,18 @@ func WriteSessions(dir string, sp *SessionSpill) error {
 	if err != nil {
 		return fmt.Errorf("durable: marshal session spill: %w", err)
 	}
-	var hdr [16]byte
-	copy(hdr[:], sessMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(payload))
-	final := filepath.Join(dir, SessionSpillFile)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: session spill: %w", err)
-	}
-	if _, err = f.Write(hdr[:]); err == nil {
-		_, err = f.Write(payload)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return fmt.Errorf("durable: session spill: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("durable: session spill: %w", err)
-	}
-	syncDir(dir)
-	return nil
+	return writeFramed(filepath.Join(dir, SessionSpillFile), sessMagic, "session spill", payload)
 }
 
 // ReadSessions loads dir's session spill. A missing spill is (nil, nil) —
 // the common cold-start case; a torn or corrupt spill is an error.
 func ReadSessions(dir string) (*SessionSpill, error) {
-	data, err := os.ReadFile(filepath.Join(dir, SessionSpillFile))
+	payload, err := readFramed(filepath.Join(dir, SessionSpillFile), sessMagic, "session spill")
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
-	}
-	if len(data) < 16 || string(data[:8]) != sessMagic {
-		return nil, fmt.Errorf("durable: %s: not a session spill", SessionSpillFile)
-	}
-	length := binary.LittleEndian.Uint32(data[8:])
-	crc := binary.LittleEndian.Uint32(data[12:])
-	if int(length) != len(data)-16 {
-		return nil, fmt.Errorf("durable: %s: torn session spill", SessionSpillFile)
-	}
-	payload := data[16:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, fmt.Errorf("durable: %s: session spill CRC mismatch", SessionSpillFile)
 	}
 	var sp SessionSpill
 	if err := json.Unmarshal(payload, &sp); err != nil {

@@ -127,6 +127,9 @@ func (l *Log) Close() error {
 	return l.closeErr
 }
 
+// fsyncEvery is the background sync cadence under FsyncInterval.
+const fsyncEvery = 100 * time.Millisecond
+
 func (l *Log) startFlusher() {
 	if l.opts.Fsync != FsyncInterval {
 		return
@@ -135,7 +138,7 @@ func (l *Log) startFlusher() {
 	l.syncWG.Add(1)
 	go func() {
 		defer l.syncWG.Done()
-		tick := time.NewTicker(l.opts.FsyncInterval)
+		tick := time.NewTicker(fsyncEvery)
 		defer tick.Stop()
 		for {
 			select {

@@ -4,20 +4,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
-// Wire formats for events: a JSON codec for tooling, an append-friendly
-// line codec (one event per line) for quick traces, and a compact binary
-// codec for the network serving layer (internal/wire frames carry batches
-// of binary events). JSON and binary both round-trip all event fields
-// including typed attributes; the line codec carries the type/time/source
-// triple only.
+// Wire formats for events: a compact binary codec for the network serving
+// layer (internal/wire frames carry batches of binary events) and a JSON
+// codec, which decodes the events of checkpoints written before they held
+// type tallies. Both round-trip all event fields including typed attributes.
 
 // jsonEvent is the serialized form.
 type jsonEvent struct {
@@ -127,32 +122,6 @@ func fromJSONValue(jv jsonValue) (Value, error) {
 		return Bool(*jv.Bool), nil
 	default:
 		return Value{}, fmt.Errorf("unknown value kind %q", jv.Kind)
-	}
-}
-
-// WriteJSONLines writes events as newline-delimited JSON.
-func WriteJSONLines(w io.Writer, evs []Event) error {
-	enc := json.NewEncoder(w)
-	for i := range evs {
-		if err := enc.Encode(evs[i]); err != nil {
-			return fmt.Errorf("event: encoding event %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ReadJSONLines reads newline-delimited JSON events until EOF.
-func ReadJSONLines(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("event: decoding event %d: %w", len(out), err)
-		}
-		out = append(out, e)
 	}
 }
 
@@ -394,30 +363,4 @@ func decodeBinaryString(b []byte) (string, int, error) {
 		return "", 0, fmt.Errorf("string length %d exceeds input", l)
 	}
 	return string(b[n : n+int(l)]), n + int(l), nil
-}
-
-// MarshalLine renders the event in a compact single-line text form:
-//
-//	type<TAB>time<TAB>source
-//
-// Attributes and wall time are not included — the line codec is for quick
-// traces where the triple is enough. Use JSON for full fidelity.
-func (e Event) MarshalLine() string {
-	return fmt.Sprintf("%s\t%d\t%s", e.Type, e.Time, e.Source)
-}
-
-// ParseLine parses the MarshalLine form.
-func ParseLine(line string) (Event, error) {
-	parts := strings.Split(line, "\t")
-	if len(parts) != 3 {
-		return Event{}, fmt.Errorf("event: line has %d fields, want 3", len(parts))
-	}
-	if parts[0] == "" {
-		return Event{}, fmt.Errorf("event: empty type")
-	}
-	ts, err := strconv.ParseInt(parts[1], 10, 64)
-	if err != nil {
-		return Event{}, fmt.Errorf("event: bad timestamp %q: %w", parts[1], err)
-	}
-	return Event{Type: Type(parts[0]), Time: Timestamp(ts), Source: parts[2]}, nil
 }

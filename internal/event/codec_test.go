@@ -79,39 +79,6 @@ func TestMarshalInvalidAttr(t *testing.T) {
 	}
 }
 
-func TestJSONLines(t *testing.T) {
-	evs := []Event{fullEvent(), New("b", 2), New("c", 3).WithSource("s")}
-	var buf bytes.Buffer
-	if err := WriteJSONLines(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONLines(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("read %d events", len(got))
-	}
-	for i := range evs {
-		if !evs[i].Equal(got[i]) {
-			t.Errorf("event %d differs", i)
-		}
-	}
-}
-
-func TestReadJSONLinesEmpty(t *testing.T) {
-	got, err := ReadJSONLines(strings.NewReader(""))
-	if err != nil || got != nil {
-		t.Errorf("empty read: %v, %v", got, err)
-	}
-}
-
-func TestReadJSONLinesBadLine(t *testing.T) {
-	if _, err := ReadJSONLines(strings.NewReader(`{"type":"a"}` + "\nnot-json\n")); err == nil {
-		t.Error("bad line accepted")
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	cases := []Event{
 		fullEvent(),
@@ -217,44 +184,5 @@ func TestDecodeBinaryRejectsBadInput(t *testing.T) {
 		if _, _, err := DecodeBinary(c); err == nil {
 			t.Errorf("input %x accepted", c)
 		}
-	}
-}
-
-func TestLineCodec(t *testing.T) {
-	in := New("fix", 7).WithSource("taxi-1")
-	line := in.MarshalLine()
-	out, err := ParseLine(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in.Equal(out) {
-		t.Errorf("line round trip: %v vs %v", in, out)
-	}
-}
-
-func TestParseLineErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"only-one-field",
-		"a\tb", // two fields
-		"a\tnot-a-number\tsrc",
-		"\t5\tsrc", // empty type
-		"a\t5\tsrc\textra",
-	}
-	for _, l := range bad {
-		if _, err := ParseLine(l); err == nil {
-			t.Errorf("line %q accepted", l)
-		}
-	}
-}
-
-func TestLineCodecEmptySource(t *testing.T) {
-	in := New("fix", 9)
-	out, err := ParseLine(in.MarshalLine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in.Equal(out) {
-		t.Error("empty-source round trip failed")
 	}
 }

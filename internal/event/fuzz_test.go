@@ -1,38 +1,8 @@
 package event
 
 import (
-	"strings"
 	"testing"
 )
-
-// FuzzParseLine feeds arbitrary text to the line parser: it must never
-// panic, and every line it accepts must re-marshal to the same line — the
-// codec's canonical-form invariant.
-func FuzzParseLine(f *testing.F) {
-	f.Add("gps-fix\t42\ttaxi-7")
-	f.Add("a\t-1\t")
-	f.Add("a\t5\tsrc\textra")
-	f.Add("\t5\tsrc")
-	f.Add("a\tnot-a-number\tsrc")
-	f.Add(strings.Repeat("x", 1024) + "\t9\ts")
-
-	f.Fuzz(func(t *testing.T, line string) {
-		e, err := ParseLine(line)
-		if err != nil {
-			return
-		}
-		if e.Type == "" {
-			t.Fatalf("line %q accepted with empty type", line)
-		}
-		again, err := ParseLine(e.MarshalLine())
-		if err != nil {
-			t.Fatalf("re-parse of %q failed: %v", e.MarshalLine(), err)
-		}
-		if !e.Equal(again) {
-			t.Fatalf("line %q not canonical: %v vs %v", line, e, again)
-		}
-	})
-}
 
 // FuzzDecodeBinary feeds arbitrary bytes to the binary event decoder: it
 // must never panic or over-read, and every event it accepts must survive a

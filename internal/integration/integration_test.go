@@ -213,15 +213,18 @@ func TestTraceLoaderFeedsExperiment(t *testing.T) {
 // streams merge into one event stream, windows form, and indicators agree
 // with per-stream contents.
 func TestMergedStreamsThroughWindows(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	s1 := stream.FromSlice([]event.Event{
+	s1 := []event.Event{
 		event.New("a", 1).WithSource("s1"), event.New("a", 11).WithSource("s1"),
-	})
-	s2 := stream.FromSlice([]event.Event{
+	}
+	s2 := []event.Event{
 		event.New("b", 2).WithSource("s2"), event.New("b", 12).WithSource("s2"),
-	})
-	merged := stream.Collect(stream.MergeEvents(done, s1, s2))
+	}
+	merged := stream.MergeSortedSlices(s1, s2)
+	for i := 1; i < len(merged); i++ {
+		if merged[i].Before(merged[i-1]) {
+			t.Fatalf("merged not ordered at %d: %v after %v", i, merged[i], merged[i-1])
+		}
+	}
 	ws := stream.WindowSlice(merged, 10)
 	if len(ws) != 2 {
 		t.Fatalf("windows = %d", len(ws))

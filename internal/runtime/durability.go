@@ -48,9 +48,6 @@ type DurabilityConfig struct {
 	Dir string
 	// Fsync selects the sync policy. Default: FsyncInterval.
 	Fsync FsyncPolicy
-	// FsyncInterval is the background sync cadence under the FsyncInterval
-	// policy. Default: 100ms.
-	FsyncInterval time.Duration
 	// SegmentBytes bounds a WAL segment file's size. Default: 64 MiB.
 	SegmentBytes int64
 	// CheckpointEvery, when positive, checkpoints on that cadence in the

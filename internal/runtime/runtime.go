@@ -356,11 +356,10 @@ func New(cfg Config) (*Runtime, error) {
 	var rec *durable.Recovery
 	if d := cfg.Durability; d != nil {
 		dlog, err := durable.Open(d.Dir, durable.Options{
-			Shards:        cfg.Shards,
-			Fsync:         d.Fsync,
-			FsyncInterval: d.FsyncInterval,
-			SegmentBytes:  d.SegmentBytes,
-			Metrics:       cfg.Metrics,
+			Shards:       cfg.Shards,
+			Fsync:        d.Fsync,
+			SegmentBytes: d.SegmentBytes,
+			Metrics:      cfg.Metrics,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("runtime: durability: %w", err)

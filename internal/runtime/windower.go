@@ -87,12 +87,11 @@ const (
 
 // Windower incrementally cuts one stream's unbounded event feed into
 // tumbling or sliding windows. It is the streaming counterpart of
-// stream.Tumbling / stream.WindowSlice for feeds that are not materialized as
-// a channel or slice: Push one event at a time and receive the windows it
-// closes; Flush the trailing windows when the feed ends. Like WindowSlice it
-// emits empty windows for gaps, so window indices stay aligned with time —
-// the empty windows are released too, since skipping them would leak which
-// windows were empty.
+// stream.WindowSlice for feeds that are not materialized as a slice: Push
+// one event at a time and receive the windows it closes; Flush the trailing
+// windows when the feed ends. Like WindowSlice it emits empty windows for
+// gaps, so window indices stay aligned with time — the empty windows are
+// released too, since skipping them would leak which windows were empty.
 //
 // A stream's only representation inside the windower is its type tally: Push
 // adds the event's type to the tally of the pane (a slide-wide slice of the

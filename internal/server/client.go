@@ -33,9 +33,6 @@ type ClientConfig struct {
 	// BackoffMin and BackoffMax bound the reconnect backoff. Defaults:
 	// 100ms and 5s.
 	BackoffMin, BackoffMax time.Duration
-	// BackoffSeed seeds the backoff jitter; 0 uses a fixed seed, so the
-	// schedule is deterministic by default.
-	BackoffSeed int64
 }
 
 // Client is a tenant-side connection to a Server. Requests (Ingest,
@@ -478,13 +475,9 @@ func (c *Client) detach(gen uint64, conn net.Conn, cause error) {
 // reconnectLoop re-dials with exponential backoff + jitter until an attempt
 // succeeds or the client closes.
 func (c *Client) reconnectLoop(gen uint64) {
-	c.mu.Lock()
-	seed := c.cfg.BackoffSeed
-	c.mu.Unlock()
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed + int64(gen)))
+	// The jitter is seeded per connection generation, so the schedule is
+	// deterministic.
+	rng := rand.New(rand.NewSource(1 + int64(gen)))
 	backoff := c.cfg.BackoffMin
 	for {
 		c.mu.Lock()

@@ -8,7 +8,7 @@ import (
 
 // Edge-case coverage for the windowing and merge substrate: empty inputs,
 // events exactly on window boundaries, negative-time alignment, and
-// out-of-order feeds recovered through the k-way merge.
+// out-of-order feeds recovered through the canonical merge.
 
 func TestAlignDown(t *testing.T) {
 	cases := []struct {
@@ -40,20 +40,13 @@ func TestAlignDownPanicsOnBadWidth(t *testing.T) {
 }
 
 func TestTumblingEmptyInput(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	ws := Collect(Tumbling(done, FromSlice[event.Event](nil), 10))
-	if len(ws) != 0 {
-		t.Errorf("windows from empty stream = %+v", ws)
+	if ws := WindowSlice([]event.Event{}, 10); len(ws) != 0 {
+		t.Errorf("windows from empty input = %+v", ws)
 	}
 }
 
 func TestTumblingSingleEventOnBoundary(t *testing.T) {
-	// A lone event whose timestamp is an exact window multiple must land
-	// in the window starting at its own timestamp (half-open intervals).
-	done := make(chan struct{})
-	defer close(done)
-	ws := Collect(Tumbling(done, FromSlice([]event.Event{event.New("a", 20)}), 10))
+	ws := WindowSlice([]event.Event{event.New("a", 20)}, 10)
 	if len(ws) != 1 {
 		t.Fatalf("windows = %d, want 1", len(ws))
 	}
@@ -63,9 +56,11 @@ func TestTumblingSingleEventOnBoundary(t *testing.T) {
 }
 
 func TestWindowSliceSingleEventOnBoundary(t *testing.T) {
+	// A lone event whose timestamp is an exact window multiple must land
+	// in the window starting at its own timestamp (half-open intervals).
 	ws := WindowSlice([]event.Event{event.New("a", 10)}, 10)
-	if len(ws) != 1 || ws[0].Start != 10 || ws[0].End != 20 {
-		t.Fatalf("windows = %+v, want one [10,20)", ws)
+	if len(ws) != 1 || ws[0].Start != 10 || ws[0].End != 20 || len(ws[0].Events) != 1 {
+		t.Fatalf("windows = %+v, want one [10,20) with one event", ws)
 	}
 	// An event on the boundary between two populated windows belongs to
 	// the later one.
@@ -95,31 +90,36 @@ func TestWindowSliceNegativeStart(t *testing.T) {
 func TestMergeRecoversOutOfOrderSources(t *testing.T) {
 	// Each source is in order but the interleaving is adversarial; the
 	// merge must restore canonical order so WindowSlice can cut cleanly.
+	// Equal times break by Source, then Type, whichever input holds them.
 	a := []event.Event{
 		event.New("a", 2).WithSource("s1"),
+		event.New("z", 11).WithSource("s1"),
 		event.New("a", 19).WithSource("s1"),
 	}
 	b := []event.Event{
 		event.New("b", 1).WithSource("s2"),
-		event.New("b", 11).WithSource("s2"),
+		event.New("b", 11).WithSource("s0"),
+		event.New("a", 11).WithSource("s1"),
 		event.New("b", 30).WithSource("s2"),
 	}
-	done := make(chan struct{})
-	defer close(done)
-	merged := Collect(MergeEvents(done, FromSlice(a), FromSlice(b)))
-	if len(merged) != 5 {
-		t.Fatalf("merged = %d events, want 5", len(merged))
+	merged := MergeSortedSlices(a, b)
+	if len(merged) != 7 {
+		t.Fatalf("merged = %d events, want 7", len(merged))
 	}
 	for i := 1; i < len(merged); i++ {
 		if merged[i].Before(merged[i-1]) {
 			t.Fatalf("merged not ordered at %d: %v after %v", i, merged[i], merged[i-1])
 		}
 	}
+	ties := merged[2:5]
+	if ties[0].Source != "s0" || ties[1].Type != "a" || ties[2].Type != "z" {
+		t.Errorf("tie break at time 11 = %v, want s0/b, s1/a, s1/z", ties)
+	}
 	ws := WindowSlice(merged, 10)
 	if len(ws) != 4 {
 		t.Fatalf("windows = %d, want 4", len(ws))
 	}
-	wantCounts := []int{2, 2, 0, 1}
+	wantCounts := []int{2, 4, 0, 1}
 	for i, want := range wantCounts {
 		if len(ws[i].Events) != want {
 			t.Errorf("window %d holds %d events, want %d", i, len(ws[i].Events), want)

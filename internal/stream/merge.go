@@ -1,66 +1,13 @@
 package stream
 
 import (
-	"container/heap"
-
 	"patterndp/internal/event"
 )
 
-// MergeEvents merges multiple event streams into a single canonical event
-// stream, ordered by (Time, Source, Type). Inputs must each be individually
-// ordered by the same relation; the merge is then a streaming k-way merge
-// with O(k) buffered elements.
-//
-// This realizes the paper's construction of one event stream SE from the
-// event extractions of several data streams.
-func MergeEvents(done <-chan struct{}, ins ...Stream[event.Event]) Stream[event.Event] {
-	out := make(chan event.Event)
-	go func() {
-		defer close(out)
-		h := &eventHeap{}
-		// Prime the heap with the head of every stream.
-		for i, in := range ins {
-			if ev, ok := <-in; ok {
-				heap.Push(h, headed{ev: ev, src: i})
-			}
-		}
-		for h.Len() > 0 {
-			top := heap.Pop(h).(headed)
-			select {
-			case out <- top.ev:
-			case <-done:
-				return
-			}
-			if ev, ok := <-ins[top.src]; ok {
-				heap.Push(h, headed{ev: ev, src: top.src})
-			}
-		}
-	}()
-	return out
-}
-
-// headed pairs a buffered head element with the index of its source stream.
-type headed struct {
-	ev  event.Event
-	src int
-}
-
-type eventHeap []headed
-
-func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i].ev.Before(h[j].ev) }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(headed)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
-
-// MergeSortedSlices merges pre-sorted event slices into one canonical slice.
-// It is the batch counterpart of MergeEvents, used by dataset builders.
+// MergeSortedSlices merges pre-sorted event slices into one canonical slice,
+// ordered by (Time, Source, Type). This realizes the paper's construction of
+// one event stream SE from the event extractions of several data streams;
+// dataset builders use it.
 func MergeSortedSlices(slices ...[]event.Event) []event.Event {
 	total := 0
 	for _, s := range slices {

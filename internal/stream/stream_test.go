@@ -7,105 +7,6 @@ import (
 	"patterndp/internal/event"
 )
 
-func TestFromSliceCollect(t *testing.T) {
-	in := []int{1, 2, 3}
-	got := Collect(FromSlice(in))
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("Collect = %v", got)
-	}
-}
-
-func TestFromSliceEmpty(t *testing.T) {
-	if got := Collect(FromSlice[int](nil)); got != nil {
-		t.Errorf("empty stream Collect = %v, want nil", got)
-	}
-}
-
-func TestFromFunc(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	i := 0
-	s := FromFunc(done, func() (int, bool) {
-		i++
-		return i, i <= 4
-	})
-	got := Collect(s)
-	if len(got) != 4 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestFromFuncCancel(t *testing.T) {
-	done := make(chan struct{})
-	s := FromFunc(done, func() (int, bool) { return 1, true })
-	<-s
-	close(done)
-	// The goroutine should eventually exit; draining remaining buffered
-	// sends must terminate.
-	for range s {
-	}
-}
-
-func TestMapFilterTake(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	s := FromSlice([]int{1, 2, 3, 4, 5, 6})
-	doubled := Map(done, s, func(v int) int { return v * 2 })
-	evens := Filter(done, doubled, func(v int) bool { return v%4 == 0 })
-	got := Collect(Take(done, evens, 2))
-	if len(got) != 2 || got[0] != 4 || got[1] != 8 {
-		t.Errorf("pipeline = %v, want [4 8]", got)
-	}
-}
-
-func TestCollectN(t *testing.T) {
-	got := CollectN(FromSlice([]int{1, 2, 3}), 2)
-	if len(got) != 2 {
-		t.Errorf("CollectN = %v", got)
-	}
-	got = CollectN(FromSlice([]int{1}), 5)
-	if len(got) != 1 {
-		t.Errorf("CollectN beyond stream = %v", got)
-	}
-}
-
-func TestFanOutDuplicates(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	outs := FanOut(done, FromSlice([]int{1, 2, 3}), 3)
-	results := make([][]int, 3)
-	ch := make(chan struct{})
-	for i, o := range outs {
-		go func(i int, o Stream[int]) {
-			results[i] = Collect(o)
-			ch <- struct{}{}
-		}(i, o)
-	}
-	for range outs {
-		<-ch
-	}
-	for i, r := range results {
-		if len(r) != 3 || r[0] != 1 || r[2] != 3 {
-			t.Errorf("branch %d = %v", i, r)
-		}
-	}
-}
-
-func TestTee(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	a, b := Tee(done, FromSlice([]int{7, 8}))
-	var ra, rb []int
-	doneCh := make(chan struct{})
-	go func() { ra = Collect(a); doneCh <- struct{}{} }()
-	go func() { rb = Collect(b); doneCh <- struct{}{} }()
-	<-doneCh
-	<-doneCh
-	if len(ra) != 2 || len(rb) != 2 || ra[1] != 8 || rb[0] != 7 {
-		t.Errorf("tee = %v / %v", ra, rb)
-	}
-}
-
 func evs(times ...int64) []event.Event {
 	out := make([]event.Event, len(times))
 	for i, ts := range times {
@@ -115,11 +16,10 @@ func evs(times ...int64) []event.Event {
 }
 
 func TestMergeEventsOrdered(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	s1 := FromSlice([]event.Event{event.New("a", 1), event.New("a", 4)})
-	s2 := FromSlice([]event.Event{event.New("b", 2), event.New("b", 3)})
-	got := Collect(MergeEvents(done, s1, s2))
+	got := MergeSortedSlices(
+		[]event.Event{event.New("a", 1), event.New("a", 4)},
+		[]event.Event{event.New("b", 2), event.New("b", 3)},
+	)
 	times := []event.Timestamp{1, 2, 3, 4}
 	if len(got) != 4 {
 		t.Fatalf("merged %d events", len(got))
@@ -132,26 +32,22 @@ func TestMergeEventsOrdered(t *testing.T) {
 }
 
 func TestMergeEventsTieBreak(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	s1 := FromSlice([]event.Event{event.New("z", 1).WithSource("s2")})
-	s2 := FromSlice([]event.Event{event.New("a", 1).WithSource("s1")})
-	got := Collect(MergeEvents(done, s1, s2))
-	if got[0].Source != "s1" {
-		t.Errorf("tie break: got %v first", got[0])
+	// Equal times order by Source whichever input holds the event.
+	got := MergeSortedSlices(
+		[]event.Event{event.New("z", 1).WithSource("s2")},
+		[]event.Event{event.New("a", 1).WithSource("s1")},
+	)
+	if len(got) != 2 || got[0].Source != "s1" {
+		t.Errorf("tie break: got %v", got)
 	}
 }
 
 func TestMergeEventsEmptyInputs(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	empty := FromSlice[event.Event](nil)
-	s := FromSlice([]event.Event{event.New("a", 1)})
-	got := Collect(MergeEvents(done, empty, s))
+	got := MergeSortedSlices(nil, []event.Event{event.New("a", 1)})
 	if len(got) != 1 {
 		t.Errorf("merge with empty = %v", got)
 	}
-	if got2 := Collect(MergeEvents(done)); got2 != nil {
+	if got2 := MergeSortedSlices(); len(got2) != 0 {
 		t.Errorf("merge of nothing = %v", got2)
 	}
 }
@@ -192,10 +88,7 @@ func TestMergeSortedSlicesProperty(t *testing.T) {
 }
 
 func TestTumblingWindows(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	in := FromSlice(evs(0, 1, 5, 12, 13))
-	got := Collect(Tumbling(done, in, 5))
+	got := WindowSlice(evs(0, 1, 5, 12, 13), 5)
 	// Windows: [0,5) -> 2 events, [5,10) -> 1, [10,15) -> 2.
 	if len(got) != 3 {
 		t.Fatalf("windows = %d, want 3", len(got))
@@ -212,10 +105,7 @@ func TestTumblingWindows(t *testing.T) {
 }
 
 func TestTumblingEmitsGapWindows(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	in := FromSlice(evs(0, 22))
-	got := Collect(Tumbling(done, in, 10))
+	got := WindowSlice(evs(0, 22), 10)
 	// [0,10) has the first event; [10,20) is an empty gap; [20,30) has the second.
 	if len(got) != 3 {
 		t.Fatalf("windows = %d, want 3 (gap window must be emitted)", len(got))
@@ -223,17 +113,6 @@ func TestTumblingEmitsGapWindows(t *testing.T) {
 	if len(got[1].Events) != 0 {
 		t.Errorf("gap window not empty: %v", got[1].Events)
 	}
-}
-
-func TestTumblingPanicsOnBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for width <= 0")
-		}
-	}()
-	done := make(chan struct{})
-	defer close(done)
-	Tumbling(done, FromSlice[event.Event](nil), 0)
 }
 
 func TestWindowSlice(t *testing.T) {
@@ -250,6 +129,15 @@ func TestWindowSliceEmpty(t *testing.T) {
 	if ws := WindowSlice(nil, 5); ws != nil {
 		t.Errorf("WindowSlice(nil) = %v", ws)
 	}
+}
+
+func TestWindowSlicePanicsOnBadWidth(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for width <= 0")
+		}
+	}()
+	WindowSlice(evs(1), 0)
 }
 
 func TestWindowContainsCountTypes(t *testing.T) {

@@ -1,11 +1,14 @@
+// Package stream holds the windows queries are answered over: Window and its
+// per-type TypeCounts tally, tumbling-window alignment (AlignDown,
+// WindowSlice), the mergeable pane tallies sliding windows are assembled
+// from, and the canonical merge of sorted event streams (the paper's event
+// stream SE built from several data streams).
 package stream
 
 import (
 	"patterndp/internal/event"
 )
 
-// Window is a finite batch of events cut from an event stream. Windows carry
-// the half-open logical-time interval [Start, End) they cover.
 // TypeCount is one entry of a window's type-occurrence tally.
 type TypeCount struct {
 	// Type is the tallied event type.
@@ -42,6 +45,8 @@ func (tc TypeCounts) Add(t event.Type) TypeCounts {
 	return append(tc, TypeCount{Type: t, N: 1})
 }
 
+// Window is a finite batch of events cut from an event stream. Windows carry
+// the half-open logical-time interval [Start, End) they cover.
 type Window struct {
 	// Start is the inclusive start of the covered interval.
 	Start event.Timestamp
@@ -119,50 +124,10 @@ func AlignDown(t, width event.Timestamp) event.Timestamp {
 	return start
 }
 
-// Tumbling cuts the event stream into consecutive non-overlapping windows of
-// the given logical-time width. Events are assigned to the window whose
-// interval contains their timestamp. Windows are emitted as soon as an event
-// beyond their interval arrives (the input must be time-ordered); a trailing
-// partial window is emitted at end of stream.
-func Tumbling(done <-chan struct{}, in Stream[event.Event], width event.Timestamp) Stream[Window] {
-	if width <= 0 {
-		panic("stream: tumbling window width must be positive")
-	}
-	out := make(chan Window)
-	go func() {
-		defer close(out)
-		var cur *Window
-		emit := func(w Window) bool {
-			select {
-			case out <- w:
-				return true
-			case <-done:
-				return false
-			}
-		}
-		for e := range in {
-			start := AlignDown(e.Time, width)
-			if cur == nil {
-				cur = &Window{Start: start, End: start + width}
-			}
-			for e.Time >= cur.End {
-				if !emit(*cur) {
-					return
-				}
-				cur = &Window{Start: cur.End, End: cur.End + width}
-			}
-			cur.Events = append(cur.Events, e)
-		}
-		if cur != nil {
-			emit(*cur)
-		}
-	}()
-	return out
-}
-
-// WindowSlice batches a slice of time-ordered events into tumbling windows.
-// It is the batch counterpart of Tumbling for dataset preprocessing, and
-// emits empty windows for gaps so that window indices align with time.
+// WindowSlice batches a slice of time-ordered events into consecutive
+// non-overlapping (tumbling) windows of the given logical-time width, each
+// event in the window whose interval contains its timestamp. It emits empty
+// windows for gaps so that window indices align with time.
 func WindowSlice(evs []event.Event, width event.Timestamp) []Window {
 	if width <= 0 {
 		panic("stream: window width must be positive")
