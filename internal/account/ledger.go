@@ -342,35 +342,30 @@ func (l *Ledger) Decide(sh *ShardLedger, sl *StreamLedger, windowIdx int64, char
 		sh.rotateStream(sl, epoch)
 	}
 	rem := float64(l.grant) - sl.sum.Value()
-	if charge <= rem+dp.SpendTolerance(l.grant) {
+	var d Decision
+	switch {
+	case charge <= rem+dp.SpendTolerance(l.grant):
+		d = Admitted
 		if l.policy == Throttle && rem-charge < l.throttleAt*float64(l.grant) && windowIdx&1 == 1 {
-			return l.suppress(sh, sl, Throttled)
+			d = Throttled
 		}
-		sl.sum.Add(charge)
-		sl.spent.store(sl.sum.Value())
-		sl.pushRing(l.overlap, charge)
-		sl.admitted.Inc()
-		sh.admitted.Inc()
-		return l.outcome(Admitted, sl)
-	}
-	switch l.policy {
-	case Suppress:
-		return l.suppress(sh, sl, Suppressed)
-	case RotateEpoch:
+	case l.policy == Suppress:
+		d = Suppressed
+	case l.policy == RotateEpoch:
 		return l.outcome(Rotate, sl)
 	default: // Deny; Throttle past its stretch
-		sl.pushRing(l.overlap, 0)
-		sl.denied.Inc()
-		sh.denied.Inc()
-		return l.outcome(Denied, sl)
+		d = Denied
 	}
+	l.record(sh, sl, d, charge)
+	return l.outcome(d, sl)
 }
 
 // Suppress records one window as suppressed (ε-free placeholder release)
 // without a charge — the fallback for a Rotate decision after the rotation
-// request, and the body of the Suppress/Throttle outcomes.
+// request.
 func (l *Ledger) Suppress(sh *ShardLedger, sl *StreamLedger) Outcome {
-	return l.suppress(sh, sl, Suppressed)
+	l.record(sh, sl, Suppressed, 0)
+	return l.outcome(Suppressed, sl)
 }
 
 // Skip records n windows that closed while no query was registered: they
@@ -387,15 +382,32 @@ func (l *Ledger) Skip(sl *StreamLedger, n int) {
 	}
 }
 
-func (l *Ledger) suppress(sh *ShardLedger, sl *StreamLedger, d Decision) Outcome {
-	sl.pushRing(l.overlap, 0)
-	sl.suppressed.Inc()
-	if d == Throttled {
+// record applies one window decision's effects: an admitted charge goes
+// into the stream's sum and spent cell, the w-event ring gets the charge (0
+// for a window that released nothing), and the decision's stream and shard
+// counters tick. Decide and ReplayWindow both book through it, so a
+// replayed window lands exactly as the live one did.
+func (l *Ledger) record(sh *ShardLedger, sl *StreamLedger, d Decision, charge float64) {
+	switch d {
+	case Admitted:
+		sl.sum.Add(charge)
+		sl.spent.store(sl.sum.Value())
+		sl.admitted.Inc()
+		sh.admitted.Inc()
+	case Denied:
+		charge = 0
+		sl.denied.Inc()
+		sh.denied.Inc()
+	case Throttled:
+		charge = 0
+		sl.suppressed.Inc()
 		sh.throttled.Inc()
-	} else {
+	default: // Suppressed (and Rotate's fallback suppression)
+		charge = 0
+		sl.suppressed.Inc()
 		sh.suppressed.Inc()
 	}
-	return l.outcome(d, sl)
+	sl.pushRing(l.overlap, charge)
 }
 
 // QuerySpend is one query's attributed spend in the snapshot breakdown.

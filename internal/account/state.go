@@ -195,34 +195,17 @@ func (sh *ShardLedger) RestoreAggregates(st ShardState) {
 func (l *Ledger) RestoreRotations(n int64) { l.rotations.Add(n) }
 
 // ReplayWindow re-applies one WAL window record's ledger effects during
-// recovery: the same lazy epoch rotation, charge accumulation, ring push,
-// and counters as the live Decide path, without making a fresh decision —
-// the decision already happened, pre-crash, and may have been published.
-// Admitted replays attribute their charge to the restart-time query set.
-// Must run before the shard starts serving.
+// recovery: the same lazy epoch rotation and record as the live Decide
+// path, without making a fresh decision — the decision already happened,
+// pre-crash, and may have been published. Admitted replays attribute their
+// charge to the restart-time query set. Must run before the shard starts
+// serving.
 func (l *Ledger) ReplayWindow(sh *ShardLedger, sl *StreamLedger, d Decision, charge float64, epoch uint64) {
 	if sl.epoch.Load() != epoch {
 		sh.rotateStream(sl, epoch)
 	}
-	switch d {
-	case Admitted:
-		sl.sum.Add(charge)
-		sl.spent.store(sl.sum.Value())
-		sl.pushRing(l.overlap, charge)
-		sl.admitted.Inc()
-		sh.admitted.Inc()
+	l.record(sh, sl, d, charge)
+	if d == Admitted {
 		sh.ChargeQueries(charge)
-	case Denied:
-		sl.pushRing(l.overlap, 0)
-		sl.denied.Inc()
-		sh.denied.Inc()
-	case Throttled:
-		sl.pushRing(l.overlap, 0)
-		sl.suppressed.Inc()
-		sh.throttled.Inc()
-	default: // Suppressed (and Rotate's fallback suppression)
-		sl.pushRing(l.overlap, 0)
-		sl.suppressed.Inc()
-		sh.suppressed.Inc()
 	}
 }

@@ -1,21 +1,14 @@
 package event
 
 import (
-	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 func fullEvent() Event {
-	return New("gps-fix", 42).
-		WithSource("taxi-7").
-		WithWall(time.Date(2008, 2, 2, 15, 36, 8, 0, time.UTC)).
-		WithAttr("x", Int(3)).
-		WithAttr("speed", Float(12.5)).
-		WithAttr("road", String("ring-2")).
-		WithAttr("occupied", Bool(true))
+	return New("gps-fix", 42).WithSource("taxi-7")
 }
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -24,6 +17,9 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, want := string(data), `{"type":"gps-fix","time":42,"source":"taxi-7"}`; got != want {
+		t.Errorf("encoding = %s, want %s", got, want)
+	}
 	var out Event
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
@@ -31,17 +27,13 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !in.Equal(out) {
 		t.Errorf("round trip lost data:\n in = %v\nout = %v", in, out)
 	}
-	if !in.Wall.Equal(out.Wall) {
-		t.Errorf("wall time lost: %v vs %v", in.Wall, out.Wall)
-	}
 }
 
 func TestJSONRoundTripMinimal(t *testing.T) {
 	in := New("a", 1)
 	data, _ := json.Marshal(in)
-	// No attrs, no wall, no source → compact encoding.
-	s := string(data)
-	if strings.Contains(s, "attrs") || strings.Contains(s, "wall") || strings.Contains(s, "source") {
+	// No source → compact encoding.
+	if s := string(data); strings.Contains(s, "source") {
 		t.Errorf("minimal event has spurious fields: %s", s)
 	}
 	var out Event
@@ -53,14 +45,26 @@ func TestJSONRoundTripMinimal(t *testing.T) {
 	}
 }
 
+// TestUnmarshalIgnoresRetiredKeys decodes the event encoding of checkpoints
+// written when events still carried wall time and attributes: those keys
+// are skipped and the type, time and source survive.
+func TestUnmarshalIgnoresRetiredKeys(t *testing.T) {
+	in := `{"type":"gps-fix","time":42,"wall":"2008-02-02T15:36:08Z","source":"taxi-7",` +
+		`"attrs":{"x":{"kind":"int","int":3},"road":{"kind":"string","string":"ring-2"}}}`
+	var out Event
+	if err := json.Unmarshal([]byte(in), &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := fullEvent(); out != want {
+		t.Errorf("decoded %v, want %v", out, want)
+	}
+}
+
 func TestUnmarshalRejectsBadInput(t *testing.T) {
 	cases := []string{
 		`{}`, // missing type
-		`{"type":"a","attrs":{"k":{"kind":"wat"}}}`,   // unknown kind
-		`{"type":"a","attrs":{"k":{"kind":"int"}}}`,   // missing payload
-		`{"type":"a","attrs":{"k":{"kind":"float"}}}`, // missing payload
-		`{"type":"a","attrs":{"k":{"kind":"string"}}}`,
-		`{"type":"a","attrs":{"k":{"kind":"bool"}}}`,
+		`{"time":3,"attrs":{"k":{"kind":"int","int":1}}}`, // missing type
+		`{"type":"a","time":"x"}`,                         // mistyped time
 		`not json`,
 	}
 	for _, c := range cases {
@@ -71,21 +75,12 @@ func TestUnmarshalRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestMarshalInvalidAttr(t *testing.T) {
-	e := New("a", 1)
-	e.Attrs = map[string]Value{"bad": {}}
-	if _, err := json.Marshal(e); err == nil {
-		t.Error("invalid attribute kind accepted")
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	cases := []Event{
 		fullEvent(),
 		New("a", 1),
 		New("b", -7).WithSource("s"),
-		New("c", 0).WithAttr("k", String("")),
-		New("d", 1<<40).WithWall(time.Unix(0, 1234567890)),
+		New("d", 1<<40),
 	}
 	for _, in := range cases {
 		buf := AppendBinary(nil, in)
@@ -99,24 +94,74 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if !in.Equal(out) {
 			t.Errorf("binary round trip lost data:\n in = %v\nout = %v", in, out)
 		}
-		if !in.Wall.IsZero() && !in.Wall.Equal(out.Wall) {
-			t.Errorf("%v: wall time lost: %v vs %v", in, in.Wall, out.Wall)
+	}
+}
+
+// TestBinaryEncodingUnchanged pins the wire bytes of AppendBinary and
+// AppendBinaryBatch, captured when events still carried wall time and
+// attributes: an event without them encodes exactly as it always did, so
+// old and new peers interoperate.
+func TestBinaryEncodingUnchanged(t *testing.T) {
+	long := Type(strings.Repeat("t", 200)) // a two-byte uvarint length
+	cases := []struct {
+		e    Event
+		want string
+	}{
+		{New("a", 1), "00016102"},
+		{fullEvent(), "01076770732d6669785406746178692d37"},
+		{New("b", -7).WithSource("s"), "0101620d0173"},
+		{New(long, 1<<40).WithSource("src"), "01c801" + strings.Repeat("74", 200) + "808080808040" + "03737263"},
+	}
+	for _, c := range cases {
+		if got := hex.EncodeToString(AppendBinary(nil, c.e)); got != c.want {
+			t.Errorf("AppendBinary(%v) = %s, want %s", c.e, got, c.want)
+		}
+	}
+	batch := []Event{New("a", 1), New("c", 3).WithSource("s")}
+	if got, want := hex.EncodeToString(AppendBinaryBatch(nil, batch)), "0200016102010163060173"; got != want {
+		t.Errorf("AppendBinaryBatch = %s, want %s", got, want)
+	}
+	if got, want := hex.EncodeToString(AppendBinaryBatch(nil, nil)), "00"; got != want {
+		t.Errorf("empty AppendBinaryBatch = %s, want %s", got, want)
+	}
+}
+
+// TestDecodeBinaryRefusesRetiredFlags feeds the bytes an older encoder wrote
+// for events with wall time (flag 0x02) or attributes (flag 0x04). Each is
+// refused as unknown flags, alone and inside a batch; the inputs are capped
+// at their length, so an over-read would panic.
+func TestDecodeBinaryRefusesRetiredFlags(t *testing.T) {
+	for _, h := range []string{
+		"02016102a48bb09909",                             // a@1, wall 1234567890 ns
+		"0401610201016b010e",                             // a@1, attrs {k: 7}
+		"07076770732d6669785406746178692d370a0101780106", // source, wall and attrs
+		"0201610202",                                     // wall flag, truncated wall
+		"040161",                                         // attrs flag, truncated
+	} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, n, err := DecodeBinary(b[:len(b):len(b)])
+		if err == nil || !strings.Contains(err.Error(), "unknown binary flags") {
+			t.Errorf("%s: DecodeBinary = (%d, %v), want an unknown-flags error", h, n, err)
+		}
+		batch := append([]byte{1}, b...)
+		if _, err := DecodeBinaryBatch(nil, batch[:len(batch):len(batch)]); err == nil || !strings.Contains(err.Error(), "unknown binary flags") {
+			t.Errorf("%s: DecodeBinaryBatch error = %v, want an unknown-flags error", h, err)
 		}
 	}
 }
 
-// TestBinaryJSONEquivalence is the codec equivalence gate: any event must
-// survive either encoding identically — JSON→binary→JSON and
-// binary→JSON→binary both end where they started.
+// TestBinaryJSONEquivalence is the codec equivalence gate: an event must
+// survive either encoding identically.
 func TestBinaryJSONEquivalence(t *testing.T) {
 	cases := []Event{
 		fullEvent(),
 		New("a", 1),
-		New("jump", -99).WithSource("tenant-a/stream-1").WithAttr("n", Int(-5)),
-		New("w", 3).WithWall(time.Unix(77, 88).UTC()).WithAttr("f", Float(-0.25)).WithAttr("b", Bool(false)),
+		New("jump", -99).WithSource("tenant-a/stream-1"),
 	}
 	for _, in := range cases {
-		// Through JSON first.
 		js, err := json.Marshal(in)
 		if err != nil {
 			t.Fatal(err)
@@ -125,23 +170,12 @@ func TestBinaryJSONEquivalence(t *testing.T) {
 		if err := json.Unmarshal(js, &viaJSON); err != nil {
 			t.Fatal(err)
 		}
-		// Through binary first.
 		viaBinary, n, err := DecodeBinary(AppendBinary(nil, in))
 		if err != nil || n == 0 {
 			t.Fatalf("%v: binary decode: %v", in, err)
 		}
-		if !viaJSON.Equal(viaBinary) {
-			t.Errorf("codecs disagree:\n json   = %v\n binary = %v", viaJSON, viaBinary)
-		}
-		if !viaJSON.Wall.Equal(viaBinary.Wall) {
-			t.Errorf("codecs disagree on wall time: %v vs %v", viaJSON.Wall, viaBinary.Wall)
-		}
-		// And the binary form is deterministic: re-encoding the decoded
-		// event reproduces the same bytes (attributes encode sorted).
-		b1 := AppendBinary(nil, in)
-		b2 := AppendBinary(nil, viaBinary)
-		if !bytes.Equal(b1, b2) {
-			t.Errorf("binary encoding not canonical:\n %x\n %x", b1, b2)
+		if !viaJSON.Equal(viaBinary) || !in.Equal(viaJSON) {
+			t.Errorf("codecs disagree:\n in     = %v\n json   = %v\n binary = %v", in, viaJSON, viaBinary)
 		}
 	}
 }

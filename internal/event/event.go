@@ -8,9 +8,6 @@ package event
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
-	"time"
 )
 
 // Type identifies a class of events ("enter-cell-42", "door-open", "e7").
@@ -18,153 +15,27 @@ import (
 type Type string
 
 // Timestamp is a logical stream timestamp. The paper indexes streams by
-// integer positions; wall-clock time is carried separately when a source has
-// it (e.g. GPS fixes).
+// integer positions.
 type Timestamp int64
 
-// Event is a single extracted event in an event stream.
+// Event is a single extracted event in an event stream: which type of event
+// happened, when, and on which data stream. That is all the paper's
+// guarantee reads (Sec. III-A: a pattern is a sequence of event types), so
+// it is all an event carries.
 //
-// An Event is immutable once created; mutating methods return copies. The
-// zero value is not useful: construct events with New.
+// An Event is a comparable value; WithSource returns a copy.
 type Event struct {
 	// Type is the event class.
-	Type Type
+	Type Type `json:"type"`
 	// Time is the logical timestamp (position in the merged event stream).
-	Time Timestamp
-	// Wall is the wall-clock time if the source provides one.
-	Wall time.Time
+	Time Timestamp `json:"time"`
 	// Source identifies the originating data stream (e.g. a taxi id).
-	Source string
-	// Attrs carries typed payload attributes (GPS cell, reading, …).
-	Attrs map[string]Value
-}
-
-// Value is an attribute value. Only a small set of dynamic types is allowed
-// so equality and encoding stay well-defined: int64, float64, string, bool.
-type Value struct {
-	kind ValueKind
-	i    int64
-	f    float64
-	s    string
-	b    bool
-}
-
-// ValueKind enumerates the dynamic type of a Value.
-type ValueKind uint8
-
-// Value kinds.
-const (
-	KindInvalid ValueKind = iota
-	KindInt
-	KindFloat
-	KindString
-	KindBool
-)
-
-func (k ValueKind) String() string {
-	switch k {
-	case KindInt:
-		return "int"
-	case KindFloat:
-		return "float"
-	case KindString:
-		return "string"
-	case KindBool:
-		return "bool"
-	default:
-		return "invalid"
-	}
-}
-
-// Int returns a Value holding an int64.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
-
-// Float returns a Value holding a float64.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
-
-// String returns a Value holding a string.
-func String(v string) Value { return Value{kind: KindString, s: v} }
-
-// Bool returns a Value holding a bool.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
-
-// Kind reports the dynamic type of the value.
-func (v Value) Kind() ValueKind { return v.kind }
-
-// AsInt returns the int64 payload and whether the value holds one.
-func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
-
-// AsFloat returns the float64 payload and whether the value holds one.
-// Int values are widened to float64.
-func (v Value) AsFloat() (float64, bool) {
-	switch v.kind {
-	case KindFloat:
-		return v.f, true
-	case KindInt:
-		return float64(v.i), true
-	default:
-		return 0, false
-	}
-}
-
-// AsString returns the string payload and whether the value holds one.
-func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
-
-// AsBool returns the bool payload and whether the value holds one.
-func (v Value) AsBool() (bool, bool) { return v.b, v.kind == KindBool }
-
-// Equal reports whether two values have the same kind and payload.
-func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
-		return false
-	}
-	switch v.kind {
-	case KindInt:
-		return v.i == o.i
-	case KindFloat:
-		return v.f == o.f
-	case KindString:
-		return v.s == o.s
-	case KindBool:
-		return v.b == o.b
-	default:
-		return true
-	}
-}
-
-// GoString implements fmt.GoStringer for debugging output.
-func (v Value) GoString() string { return v.String() }
-
-// String renders the payload.
-func (v Value) String() string {
-	switch v.kind {
-	case KindInt:
-		return fmt.Sprintf("%d", v.i)
-	case KindFloat:
-		return fmt.Sprintf("%g", v.f)
-	case KindString:
-		return v.s
-	case KindBool:
-		return fmt.Sprintf("%t", v.b)
-	default:
-		return "<invalid>"
-	}
+	Source string `json:"source,omitempty"`
 }
 
 // New constructs an event of the given type at the given logical time.
 func New(t Type, ts Timestamp) Event {
 	return Event{Type: t, Time: ts}
-}
-
-// WithAttr returns a copy of e with attribute k set to v.
-func (e Event) WithAttr(k string, v Value) Event {
-	attrs := make(map[string]Value, len(e.Attrs)+1)
-	for ak, av := range e.Attrs {
-		attrs[ak] = av
-	}
-	attrs[k] = v
-	e.Attrs = attrs
-	return e
 }
 
 // WithSource returns a copy of e tagged with the originating stream id.
@@ -173,60 +44,16 @@ func (e Event) WithSource(src string) Event {
 	return e
 }
 
-// WithWall returns a copy of e carrying a wall-clock time.
-func (e Event) WithWall(t time.Time) Event {
-	e.Wall = t
-	return e
-}
+// Equal reports whether two events have the same type, time and source.
+func (e Event) Equal(o Event) bool { return e == o }
 
-// Attr returns the attribute value for k and whether it is present.
-func (e Event) Attr(k string) (Value, bool) {
-	v, ok := e.Attrs[k]
-	return v, ok
-}
-
-// Equal reports deep equality of two events (type, time, source, attrs).
-// Wall-clock time is ignored: the logical timestamp is authoritative.
-func (e Event) Equal(o Event) bool {
-	if e.Type != o.Type || e.Time != o.Time || e.Source != o.Source {
-		return false
-	}
-	if len(e.Attrs) != len(o.Attrs) {
-		return false
-	}
-	for k, v := range e.Attrs {
-		ov, ok := o.Attrs[k]
-		if !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders a compact description: type@time{attrs}.
+// String renders a compact description: type@time/source.
 func (e Event) String() string {
-	var sb strings.Builder
-	sb.WriteString(string(e.Type))
-	fmt.Fprintf(&sb, "@%d", e.Time)
+	s := fmt.Sprintf("%s@%d", e.Type, e.Time)
 	if e.Source != "" {
-		fmt.Fprintf(&sb, "/%s", e.Source)
+		s += "/" + e.Source
 	}
-	if len(e.Attrs) > 0 {
-		keys := make([]string, 0, len(e.Attrs))
-		for k := range e.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sb.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%s=%s", k, e.Attrs[k])
-		}
-		sb.WriteByte('}')
-	}
-	return sb.String()
+	return s
 }
 
 // Before reports whether e precedes o in the merged event stream. Events are

@@ -3,130 +3,45 @@ package event
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
-
-func TestValueKinds(t *testing.T) {
-	cases := []struct {
-		v    Value
-		kind ValueKind
-		str  string
-	}{
-		{Int(42), KindInt, "42"},
-		{Float(2.5), KindFloat, "2.5"},
-		{String("hi"), KindString, "hi"},
-		{Bool(true), KindBool, "true"},
-		{Value{}, KindInvalid, "<invalid>"},
-	}
-	for _, c := range cases {
-		if c.v.Kind() != c.kind {
-			t.Errorf("Kind() = %v, want %v", c.v.Kind(), c.kind)
-		}
-		if c.v.String() != c.str {
-			t.Errorf("String() = %q, want %q", c.v.String(), c.str)
-		}
-	}
-}
-
-func TestValueAccessors(t *testing.T) {
-	if v, ok := Int(7).AsInt(); !ok || v != 7 {
-		t.Errorf("AsInt = %d,%t", v, ok)
-	}
-	if _, ok := Int(7).AsString(); ok {
-		t.Error("int AsString should fail")
-	}
-	if f, ok := Int(7).AsFloat(); !ok || f != 7 {
-		t.Errorf("int AsFloat = %g,%t; want 7,true (widening)", f, ok)
-	}
-	if f, ok := Float(1.5).AsFloat(); !ok || f != 1.5 {
-		t.Errorf("AsFloat = %g,%t", f, ok)
-	}
-	if s, ok := String("x").AsString(); !ok || s != "x" {
-		t.Errorf("AsString = %q,%t", s, ok)
-	}
-	if b, ok := Bool(true).AsBool(); !ok || !b {
-		t.Errorf("AsBool = %t,%t", b, ok)
-	}
-}
-
-func TestValueEqual(t *testing.T) {
-	if !Int(1).Equal(Int(1)) {
-		t.Error("Int(1) != Int(1)")
-	}
-	if Int(1).Equal(Int(2)) {
-		t.Error("Int(1) == Int(2)")
-	}
-	if Int(1).Equal(Float(1)) {
-		t.Error("Int(1) == Float(1): kinds must match")
-	}
-	if !String("a").Equal(String("a")) {
-		t.Error("strings unequal")
-	}
-	if Bool(true).Equal(Bool(false)) {
-		t.Error("bools equal")
-	}
-	if !(Value{}).Equal(Value{}) {
-		t.Error("invalid values should be equal")
-	}
-}
-
-func TestKindString(t *testing.T) {
-	kinds := map[ValueKind]string{
-		KindInt: "int", KindFloat: "float", KindString: "string",
-		KindBool: "bool", KindInvalid: "invalid",
-	}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Errorf("%v.String() = %q, want %q", k, k.String(), want)
-		}
-	}
-}
 
 func TestEventImmutability(t *testing.T) {
 	e := New("a", 1)
-	e2 := e.WithAttr("x", Int(1))
-	if len(e.Attrs) != 0 {
-		t.Error("WithAttr mutated the receiver")
+	e2 := e.WithSource("s1")
+	if e.Source != "" {
+		t.Error("WithSource mutated the receiver")
 	}
-	e3 := e2.WithAttr("y", Int(2))
-	if len(e2.Attrs) != 1 {
-		t.Error("second WithAttr mutated first copy")
-	}
-	if v, ok := e3.Attr("x"); !ok || !v.Equal(Int(1)) {
-		t.Error("attribute x lost after chained WithAttr")
+	e3 := e2.WithSource("s2")
+	if e2.Source != "s1" || e3.Source != "s2" {
+		t.Errorf("chained WithSource: %v, %v", e2, e3)
 	}
 }
 
 func TestEventEqual(t *testing.T) {
-	a := New("a", 1).WithSource("s").WithAttr("k", Int(3))
-	b := New("a", 1).WithSource("s").WithAttr("k", Int(3))
+	a := New("a", 1).WithSource("s")
+	b := New("a", 1).WithSource("s")
 	if !a.Equal(b) {
 		t.Error("identical events not equal")
 	}
-	if a.Equal(b.WithAttr("k", Int(4))) {
-		t.Error("different attr values equal")
+	if a.Equal(b.WithSource("t")) {
+		t.Error("different sources equal")
 	}
-	if a.Equal(b.WithAttr("j", Int(3))) {
-		t.Error("different attr sets equal")
-	}
-	if a.Equal(New("a", 2).WithSource("s").WithAttr("k", Int(3))) {
+	if a.Equal(New("a", 2).WithSource("s")) {
 		t.Error("different times equal")
 	}
-	if a.Equal(New("b", 1).WithSource("s").WithAttr("k", Int(3))) {
+	if a.Equal(New("b", 1).WithSource("s")) {
 		t.Error("different types equal")
-	}
-	// Wall clock is ignored.
-	if !a.Equal(b.WithWall(time.Unix(99, 0))) {
-		t.Error("wall clock should not affect equality")
 	}
 }
 
 func TestEventString(t *testing.T) {
-	e := New("go", 7).WithSource("taxi1").WithAttr("cell", Int(3)).WithAttr("a", String("z"))
-	got := e.String()
-	want := "go@7/taxi1{a=z,cell=3}"
-	if got != want {
-		t.Errorf("String() = %q, want %q", got, want)
+	for e, want := range map[Event]string{
+		New("go", 7).WithSource("taxi1"): "go@7/taxi1",
+		New("go", -3):                    "go@-3",
+	} {
+		if got := e.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
 	}
 }
 

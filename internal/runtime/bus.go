@@ -222,6 +222,9 @@ type gather struct {
 	filled []int32
 }
 
+// subscriberBuffer is each Subscribe channel's capacity, in answers.
+const subscriberBuffer = 64
+
 // bus fans released answers out to the attached sinks, one Deliver per shard
 // message per interested sink.
 type bus struct {

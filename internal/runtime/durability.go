@@ -48,8 +48,6 @@ type DurabilityConfig struct {
 	Dir string
 	// Fsync selects the sync policy. Default: FsyncInterval.
 	Fsync FsyncPolicy
-	// SegmentBytes bounds a WAL segment file's size. Default: 64 MiB.
-	SegmentBytes int64
 	// CheckpointEvery, when positive, checkpoints on that cadence in the
 	// background. A checkpoint also runs on graceful Close, and Checkpoint
 	// triggers one on demand.

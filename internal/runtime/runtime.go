@@ -161,8 +161,6 @@ type Config struct {
 	// messages: a message is one Ingest event or one IngestBatch
 	// sub-batch. Default: 256.
 	ShardBuffer int
-	// SubscriberBuffer is each subscription's channel capacity. Default: 64.
-	SubscriberBuffer int
 	// Budget, when positive, enables privacy-budget accounting and
 	// admission control: every stream is granted Budget of pattern-level ε
 	// per budget epoch, every released window charges the mechanism's
@@ -229,9 +227,6 @@ func (c Config) withDefaults() Config {
 	if c.ShardBuffer == 0 {
 		c.ShardBuffer = 256
 	}
-	if c.SubscriberBuffer == 0 {
-		c.SubscriberBuffer = 64
-	}
 	return c
 }
 
@@ -255,8 +250,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("runtime: EvictAfter = %d", c.EvictAfter)
 	case c.ShardBuffer < 1:
 		return fmt.Errorf("runtime: ShardBuffer = %d", c.ShardBuffer)
-	case c.SubscriberBuffer < 0:
-		return fmt.Errorf("runtime: SubscriberBuffer = %d", c.SubscriberBuffer)
 	case !c.Budget.Valid():
 		return fmt.Errorf("runtime: invalid Budget %v", c.Budget)
 	case !c.BudgetPolicy.Valid():
@@ -344,7 +337,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		cfg:      cfg,
-		bus:      newBus(cfg.SubscriberBuffer),
+		bus:      newBus(subscriberBuffer),
 		start:    time.Now(),
 		done:     make(chan struct{}),
 		ckptStop: make(chan struct{}),
@@ -356,10 +349,9 @@ func New(cfg Config) (*Runtime, error) {
 	var rec *durable.Recovery
 	if d := cfg.Durability; d != nil {
 		dlog, err := durable.Open(d.Dir, durable.Options{
-			Shards:       cfg.Shards,
-			Fsync:        d.Fsync,
-			SegmentBytes: d.SegmentBytes,
-			Metrics:      cfg.Metrics,
+			Shards:  cfg.Shards,
+			Fsync:   d.Fsync,
+			Metrics: cfg.Metrics,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("runtime: durability: %w", err)

@@ -209,45 +209,58 @@ func TestRuntimeDropLateCounted(t *testing.T) {
 	}
 }
 
-// TestRuntimeDropOldestBackpressure fills a tiny ingest buffer with serving
-// stalled behind an unconsumed subscription, then checks evictions happened
-// instead of blocking.
+// stallSink is an Attach sink whose first Deliver blocks the shard serving
+// it until release is closed; entered closes when that Deliver begins.
+type stallSink struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (s *stallSink) Deliver([]Answer) {
+	s.once.Do(func() { close(s.entered) })
+	<-s.release
+}
+
+// TestRuntimeDropOldestBackpressure stalls the only shard inside a sink's
+// Deliver, then overfills its tiny ingest buffer: every event past the
+// buffer must evict the oldest queued one instead of blocking Ingest.
 func TestRuntimeDropOldestBackpressure(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.Backpressure = DropOldest
 	cfg.ShardBuffer = 4
-	cfg.SubscriberBuffer = 0
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A subscriber that consumes only after Close lets answers stall the
-	// shard, so the ingest channel must overflow and evict.
-	sub, err := rt.Subscribe("")
-	if err != nil {
+	sink := &stallSink{entered: make(chan struct{}), release: make(chan struct{})}
+	if _, err := rt.Attach("", sink); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 64; i++ {
-		if err := rt.Ingest(event.New("a", event.Timestamp(i))); err != nil {
+	// Two events, fewer than the buffer holds: the one at 10 closes window
+	// [0,10), whose answers stall the shard in Deliver with the ingest
+	// channel drained.
+	for _, at := range []event.Timestamp{0, 10} {
+		if err := rt.Ingest(event.New("a", at)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range sub.C() {
+	<-sink.entered
+	const stalled = 60
+	for i := 0; i < stalled; i++ {
+		if err := rt.Ingest(event.New("a", event.Timestamp(11+i))); err != nil {
+			t.Fatal(err)
 		}
-	}()
+	}
+	if got, want := rt.Snapshot().Totals().DroppedIngest, int64(stalled-cfg.ShardBuffer); got != want {
+		t.Errorf("DroppedIngest = %d with the shard stalled, want %d", got, want)
+	}
+	close(sink.release)
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	<-done
 	tot := rt.Snapshot().Totals()
-	if tot.DroppedIngest == 0 {
-		t.Error("DroppedIngest = 0, want evictions under a full ingest channel")
-	}
-	if tot.EventsIn+tot.DroppedIngest != 64 {
-		t.Errorf("EventsIn %d + DroppedIngest %d != 64", tot.EventsIn, tot.DroppedIngest)
+	if tot.EventsIn+tot.DroppedIngest != 2+stalled {
+		t.Errorf("EventsIn %d + DroppedIngest %d != %d", tot.EventsIn, tot.DroppedIngest, 2+stalled)
 	}
 }
 

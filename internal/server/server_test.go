@@ -294,6 +294,39 @@ func TestDrainRejectsIngest(t *testing.T) {
 	}
 }
 
+// TestIngestRetiredEventFlagsRefused sends an ingest frame whose event an
+// older encoder wrote with attributes (flag 0x04): the server refuses it with
+// CodeProto and admits nothing.
+func TestIngestRetiredEventFlagsRefused(t *testing.T) {
+	rt := newTestRuntime(t, 0)
+	defer rt.Close()
+	_, l := startServer(t, rt, Config{})
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_, r, err := handshake(conn, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Req 1, one event: a@1 with attrs {k: 7}.
+	payload := []byte{0x01, 0x01, 0x04, 0x01, 'a', 0x02, 0x01, 0x01, 'k', 0x01, 0x0e}
+	if err := wire.WriteFrame(conn, wire.TIngest, payload); err != nil {
+		t.Fatal(err)
+	}
+	f, err := r.Next()
+	if err != nil || f.Type != wire.TError {
+		t.Fatalf("reply to a retired-flag ingest: %v, %v; want an error frame", f.Type, err)
+	}
+	if we, err := wire.DecodeError(f.Payload); err != nil || we.Code != wire.CodeProto {
+		t.Fatalf("error frame %+v (%v), want CodeProto", we, err)
+	}
+	if in := rt.Snapshot().Totals().EventsIn; in != 0 {
+		t.Errorf("runtime admitted %d events", in)
+	}
+}
+
 func TestSessionCloseReleasesSubscriptions(t *testing.T) {
 	rt := newTestRuntime(t, 0)
 	defer rt.Close()

@@ -105,12 +105,22 @@ func (c Cell) Type() event.Type {
 	return event.Type(fmt.Sprintf("cell-%d-%d", c.X, c.Y))
 }
 
+// cellOf is the inverse of Cell.Type: ok is false unless t is exactly the
+// type of some cell, so a non-canonical spelling ("cell-01-2") is refused.
+func cellOf(t event.Type) (Cell, bool) {
+	var c Cell
+	if _, err := fmt.Sscanf(string(t), "cell-%d-%d", &c.X, &c.Y); err != nil {
+		return Cell{}, false
+	}
+	return c, c.Type() == t
+}
+
 // Dataset is one simulated fleet trace plus the area partitioning.
 type Dataset struct {
 	// Config echoes the simulation parameters.
 	Config Config
 	// Events is the merged, time-ordered event stream of all taxis. Each
-	// event's Time is the tick index and carries x/y attributes.
+	// event's Time is the tick index and its Type names the cell.
 	Events []event.Event
 	// PrivateCells are the cells of the private pattern area.
 	PrivateCells []Cell
@@ -148,9 +158,7 @@ func Generate(cfg Config) (*Dataset, error) {
 			st := &fleet[i]
 			// Emit the GPS fix for the current position.
 			ev := event.New(st.pos.Type(), event.Timestamp(tick)).
-				WithSource(fmt.Sprintf("taxi-%d", i)).
-				WithAttr("x", event.Int(int64(st.pos.X))).
-				WithAttr("y", event.Int(int64(st.pos.Y)))
+				WithSource(fmt.Sprintf("taxi-%d", i))
 			perTaxi[i] = append(perTaxi[i], ev)
 
 			// Advance.

@@ -97,9 +97,7 @@ func TestMovementIsContiguous(t *testing.T) {
 	ds, _ := Generate(cfg)
 	last := map[string]Cell{}
 	for _, e := range ds.Events {
-		x, _ := mustAttr(t, e, "x")
-		y, _ := mustAttr(t, e, "y")
-		cur := Cell{X: int(x), Y: int(y)}
+		cur := mustCell(t, e)
 		if prev, ok := last[e.Source]; ok {
 			d := abs(cur.X-prev.X) + abs(cur.Y-prev.Y)
 			if d > 1 {
@@ -110,14 +108,13 @@ func TestMovementIsContiguous(t *testing.T) {
 	}
 }
 
-func mustAttr(t *testing.T, e event.Event, k string) (int64, bool) {
+func mustCell(t *testing.T, e event.Event) Cell {
 	t.Helper()
-	v, ok := e.Attr(k)
+	c, ok := cellOf(e.Type)
 	if !ok {
-		t.Fatalf("event %v missing attr %s", e, k)
+		t.Fatalf("event %v is not a cell fix", e)
 	}
-	i, ok := v.AsInt()
-	return i, ok
+	return c
 }
 
 func TestDeterminism(t *testing.T) {
@@ -180,6 +177,14 @@ func TestCellType(t *testing.T) {
 	c := Cell{X: 3, Y: 7}
 	if c.Type() != "cell-3-7" {
 		t.Errorf("Type = %s", c.Type())
+	}
+	if got, ok := cellOf(c.Type()); !ok || got != c {
+		t.Errorf("cellOf(%s) = %v, %v", c.Type(), got, ok)
+	}
+	for _, bad := range []event.Type{"cell-3", "cell-03-7", "cell-+3-7", "cell-3-7x", "cell-3-7-1", "gps-fix", ""} {
+		if got, ok := cellOf(bad); ok {
+			t.Errorf("cellOf(%q) = %v, accepted", bad, got)
+		}
 	}
 }
 

@@ -148,11 +148,7 @@ func LoadTrace(r io.Reader, cfg TraceConfig) ([]event.Event, LoadStats, error) {
 	evs := make([]event.Event, 0, len(fixes))
 	for _, f := range fixes {
 		tick := event.Timestamp(f.at.Sub(earliest) / cfg.SamplePeriod)
-		evs = append(evs, event.New(f.cell.Type(), tick).
-			WithSource("taxi-"+f.id).
-			WithWall(f.at).
-			WithAttr("x", event.Int(int64(f.cell.X))).
-			WithAttr("y", event.Int(int64(f.cell.Y))))
+		evs = append(evs, event.New(f.cell.Type(), tick).WithSource("taxi-"+f.id))
 	}
 	event.SortEvents(evs)
 	return evs, stats, nil
@@ -189,14 +185,11 @@ func DatasetFromEvents(evs []event.Event, cfg Config) (*Dataset, error) {
 	// Partition over visited cells.
 	visited := map[Cell]bool{}
 	for _, e := range evs {
-		xv, ok1 := e.Attr("x")
-		yv, ok2 := e.Attr("y")
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("taxi: event %v lacks x/y attributes", e)
+		c, ok := cellOf(e.Type)
+		if !ok {
+			return nil, fmt.Errorf("taxi: event %v is not a cell fix", e)
 		}
-		x, _ := xv.AsInt()
-		y, _ := yv.AsInt()
-		visited[Cell{X: int(x), Y: int(y)}] = true
+		visited[c] = true
 	}
 	cells := make([]Cell, 0, len(visited))
 	for c := range visited {

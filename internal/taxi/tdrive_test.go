@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"patterndp/internal/event"
 )
 
 const sampleTrace = `1,2008-02-02 15:36:08,116.51172,39.92123
@@ -37,10 +39,10 @@ func TestLoadTraceParsesAndSkips(t *testing.T) {
 	if len(evs) != 3 {
 		t.Fatalf("events = %d", len(evs))
 	}
-	// Events carry x/y attributes and tick timestamps from the earliest fix.
+	// Events name their cell and carry tick timestamps from the earliest fix.
 	for _, e := range evs {
-		if _, ok := e.Attr("x"); !ok {
-			t.Errorf("event %v missing x", e)
+		if _, ok := cellOf(e.Type); !ok {
+			t.Errorf("event %v is not a cell fix", e)
 		}
 		if e.Time < 0 {
 			t.Errorf("negative tick %d", e.Time)
@@ -164,11 +166,13 @@ func TestDatasetFromEventsErrors(t *testing.T) {
 	if _, err := DatasetFromEvents(nil, Config{}); err == nil {
 		t.Error("invalid config accepted")
 	}
-	// Events without coordinates are rejected.
+	// Events that are not cell fixes are rejected.
 	evs, _, _ := LoadTrace(strings.NewReader("1,2008-02-02 15:36:08,116.5,39.9\n"), traceCfg())
-	evs[0].Attrs = nil
-	if _, err := DatasetFromEvents(evs, cfg); err == nil {
-		t.Error("events without x/y accepted")
+	for _, typ := range []event.Type{"gps-fix", "cell-01-2"} {
+		evs[0].Type = typ
+		if _, err := DatasetFromEvents(evs, cfg); err == nil {
+			t.Errorf("event of type %q accepted", typ)
+		}
 	}
 }
 

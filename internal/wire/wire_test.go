@@ -291,7 +291,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 
 func TestPayloadRoundTrips(t *testing.T) {
 	evs := []event.Event{
-		event.New("a", 1).WithSource("s1").WithAttr("k", event.Int(7)),
+		event.New("a", 1).WithSource("s1"),
 		event.New("b", 2),
 	}
 	hello := Hello{Proto: Version, Token: "tenant-a"}

@@ -16,6 +16,11 @@
 //	})
 //	answers, _ := engine.ProcessEvents(events, 10)
 //
+// An Event is a type, a logical timestamp and a source stream —
+// NewEvent(t, ts).WithSource(id) — and nothing else: the guarantee is about
+// which event types occur in a window (Sec. III-A: a pattern is a sequence
+// of event types), so events carry no attributes and no wall-clock time.
+//
 // Two mechanisms are provided: NewUniformPPM splits each private pattern's
 // budget evenly across its elements (Section V-A of the paper);
 // NewAdaptivePPM reallocates the split with a stepwise search over
@@ -101,8 +106,6 @@ type (
 	EventType = event.Type
 	// Timestamp is a logical stream timestamp.
 	Timestamp = event.Timestamp
-	// Value is a typed event attribute value.
-	Value = event.Value
 	// Pattern is a detected pattern instance (a sequence of events).
 	Pattern = event.Pattern
 	// Window is a finite batch of events cut from a stream.
@@ -256,18 +259,6 @@ var ErrSubscriptionCancelled = runtime.ErrSubscriptionCancelled
 
 // NewEvent constructs an event of the given type at the given logical time.
 func NewEvent(t EventType, ts Timestamp) Event { return event.New(t, ts) }
-
-// Int wraps an int64 attribute value.
-func Int(v int64) Value { return event.Int(v) }
-
-// Float wraps a float64 attribute value.
-func Float(v float64) Value { return event.Float(v) }
-
-// String wraps a string attribute value.
-func String(v string) Value { return event.String(v) }
-
-// Bool wraps a bool attribute value.
-func Bool(v bool) Value { return event.Bool(v) }
 
 // NewPatternType builds a pattern type from its element event types.
 func NewPatternType(name string, elements ...EventType) (PatternType, error) {

@@ -57,13 +57,10 @@ func TestPublicExpressionBuilders(t *testing.T) {
 }
 
 func TestPublicValuesAndWindows(t *testing.T) {
-	ev := NewEvent("a", 1).
-		WithAttr("i", Int(1)).
-		WithAttr("f", Float(2.5)).
-		WithAttr("s", String("x")).
-		WithAttr("b", Bool(true))
-	if len(ev.Attrs) != 4 {
-		t.Error("attrs lost")
+	// An event is a comparable value of type, time and source.
+	ev := NewEvent("a", 1).WithSource("s")
+	if ev != (Event{Type: "a", Time: 1, Source: "s"}) {
+		t.Errorf("event = %v", ev)
 	}
 	ws := WindowSlice([]Event{NewEvent("a", 0), NewEvent("b", 12)}, 10)
 	if len(ws) != 2 {
