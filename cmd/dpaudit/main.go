@@ -51,7 +51,6 @@ import (
 	"patterndp/internal/cep"
 	"patterndp/internal/core"
 	"patterndp/internal/dp"
-	"patterndp/internal/durable"
 	"patterndp/internal/event"
 	"patterndp/internal/experiment"
 	"patterndp/internal/runtime"
@@ -614,8 +613,7 @@ func runRestart(eps float64, m int, seed int64, budget float64) error {
 	subMu.Lock()
 	boundarySeq := subMax
 	subMu.Unlock()
-	spill := srvA.ExportSessions()
-	if err := durable.WriteSessions(walDir, spill); err != nil {
+	if _, err := srvA.Spill(walDir); err != nil {
 		return err
 	}
 	srvA.Close()
@@ -634,18 +632,9 @@ func runRestart(eps float64, m int, seed int64, budget float64) error {
 		srvB.Close()
 		<-doneB
 	}()
-	sp2, err := durable.ReadSessions(walDir)
+	adopted, err := srvB.Adopt(walDir)
 	if err != nil {
 		return err
-	}
-	adopted := 0
-	if sp2 != nil {
-		if adopted, err = srvB.ImportSessions(sp2); err != nil {
-			return err
-		}
-		if err := durable.RemoveSessions(walDir); err != nil {
-			return err
-		}
 	}
 	target.Store(lB)
 	if err := clientIngest(liveWindows, 2*liveWindows); err != nil {

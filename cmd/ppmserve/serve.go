@@ -1,21 +1,3 @@
-// Network serving modes: -listen exposes the runtime to remote tenants over
-// the wire protocol, -connect replays the synthetic feed as one such tenant.
-//
-//	ppmserve -listen :7070 -budget 100 -max-streams 64
-//	ppmserve -listen :7070 -heartbeat 5s -resume-window 1m -replay-buffer 512
-//	ppmserve -connect localhost:7070 -tenant alice -streams 8 -windows 200 -reconnect
-//
-// The server serves the dataset's target queries as shared queries every
-// tenant may subscribe to; tenants can additionally register their own
-// namespaced queries and private pattern types over the wire. Sessions are
-// resilient (see README "Resilience"): -heartbeat bounds dead-peer detection,
-// -resume-window keeps a disconnected session's replay state for
-// reconnect-with-resume, -replay-buffer caps the per-subscription replay
-// ring, and a -connect client with -reconnect rides transport failures with
-// backoff, replay, and explicit gap markers. SIGINT/SIGTERM drain gracefully
-// within -drain-timeout: listeners close, in-flight windows flush through the
-// WAL and final checkpoint, sessions wind down, and the final report breaks
-// serving, resilience counters, and ε spend down per tenant.
 package main
 
 import (
@@ -26,13 +8,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"text/tabwriter"
 	"time"
 
-	"patterndp/internal/durable"
-	"patterndp/internal/event"
 	"patterndp/internal/metrics"
 	"patterndp/internal/runtime"
 	"patterndp/internal/server"
@@ -59,11 +38,11 @@ func handoffPhase(reg *metrics.Registry, phase string) *metrics.Histogram {
 		metrics.L("phase", phase))
 }
 
-// runServer is the -listen mode: one shared runtime, many tenant
-// connections, graceful drain on the first signal.
+// runServer is the serve role: one shared runtime, many tenant connections,
+// graceful drain on the first signal.
 func runServer(o options) error {
 	walDir := o.walDir
-	// The -listen mode is always observed: one registry spans runtime,
+	// The server is always observed: one registry spans runtime,
 	// durability, serving layer, and handoff phases whether or not an
 	// -admin listener exposes it (the shutdown report reads it regardless).
 	reg := metrics.NewRegistry()
@@ -125,13 +104,11 @@ func runServer(o options) error {
 	if walDir != "" {
 		// Adopt any spilled sessions (from a handoff or a plain drain with the
 		// same directory) so clients can Resume against this process.
-		if sp, err := durable.ReadSessions(walDir); err != nil {
-			fmt.Fprintf(os.Stderr, "session spill unreadable, clients will re-handshake: %v\n", err)
-		} else if sp != nil {
-			n, _ := srv.ImportSessions(sp)
-			if err := durable.RemoveSessions(walDir); err != nil {
-				fmt.Fprintf(os.Stderr, "session spill cleanup: %v\n", err)
-			}
+		n, err := srv.Adopt(walDir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "session spill: %v (clients without an adopted session re-handshake)\n", err)
+		}
+		if n > 0 {
 			fmt.Printf("adopted %d resumable sessions from spill\n", n)
 		}
 	}
@@ -189,12 +166,10 @@ func runServer(o options) error {
 		fmt.Fprintf(os.Stderr, "drain timeout: remaining sessions force-closed\n")
 	}
 	if walDir != "" && closeErr == nil && waitErr == nil {
-		if sp := srv.ExportSessions(); len(sp.Sessions) > 0 {
-			if err := durable.WriteSessions(walDir, sp); err != nil {
-				fmt.Fprintf(os.Stderr, "session spill: %v\n", err)
-			} else {
-				fmt.Printf("spilled %d resumable sessions beside the WAL\n", len(sp.Sessions))
-			}
+		if n, err := srv.Spill(walDir); err != nil {
+			fmt.Fprintf(os.Stderr, "session spill: %v\n", err)
+		} else if n > 0 {
+			fmt.Printf("spilled %d resumable sessions beside the WAL\n", n)
 		}
 	}
 
@@ -231,8 +206,8 @@ func handoffDrain(srv *server.Server, rt *runtime.Runtime, reg *metrics.Registry
 		spend = float64(b.Spent)
 	}
 	spillStart := time.Now()
-	sp := srv.ExportSessions()
-	if err := durable.WriteSessions(walDir, sp); err != nil {
+	sessions, err := srv.Spill(walDir)
+	if err != nil {
 		return fmt.Errorf("handoff spill: %w", err)
 	}
 	handoffPhase(reg, "spill").ObserveSince(spillStart)
@@ -242,7 +217,7 @@ func handoffDrain(srv *server.Server, rt *runtime.Runtime, reg *metrics.Registry
 		return fmt.Errorf("handoff dial: %w (durable state intact in %s)", err, walDir)
 	}
 	defer conn.Close()
-	sum, err := server.SendHandoff(conn, walDir, o.handoffToken, o.listen, len(sp.Sessions), spend, server.HandoffCrashNone)
+	sum, err := server.SendHandoff(conn, walDir, o.handoffToken, o.listen, sessions, spend, server.HandoffCrashNone)
 	if err != nil {
 		return fmt.Errorf("handoff: %w (durable state intact in %s)", err, walDir)
 	}
@@ -278,15 +253,17 @@ func quotaString(n int) string {
 }
 
 // printServeReport is the final breakdown printed at shutdown: serving and
-// resilience counters per tenant, latency summaries, and, under a budget,
-// each tenant's live ε position. It prints from a CollectStatsz document —
-// the exact payload the /statsz endpoint serves — so the report and a final
-// scrape can never disagree.
+// resilience counters per tenant (under a budget, each tenant's live ε
+// position), the runtime's serving counters per shard, and latency
+// summaries. It prints from a CollectStatsz document — the exact payload the
+// /statsz endpoint serves — so the report and a final scrape can never
+// disagree.
 func printServeReport(z server.Statsz, withBudget bool) {
 	st := *z.Server
 	fmt.Printf("\nserved %d connections (%d auth failures); sessions: %d parked, %d expired unresumed\n",
 		st.ConnsTotal, st.AuthFailures, st.SessionsParked, st.SessionsExpired)
-	if tot := z.Runtime.Totals(); tot.EventsIn > 0 {
+	tot := z.Runtime.Totals()
+	if tot.EventsIn > 0 {
 		fmt.Printf("ingested %d events — %.0f events/s over %s\n",
 			tot.EventsIn, z.EventsPerSec, z.Runtime.Uptime.Round(time.Millisecond))
 	}
@@ -313,6 +290,20 @@ func printServeReport(z server.Statsz, withBudget bool) {
 		}
 	}
 	tw.Flush()
+
+	// Per shard: what each served, and what the backpressure and lateness
+	// policies dropped (ingest = drop-oldest evictions).
+	stw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(stw, "\nshard\tstreams\tevents\twindows\tpanes\tanswers to sinks\tdropped(late/future/ingest)")
+	for _, s := range z.Runtime.Shards {
+		fmt.Fprintf(stw, "%d\t%d\t%d\t%d\t%d\t%d\t%d/%d/%d\n",
+			s.Shard, s.Streams, s.EventsIn, s.WindowsClosed, s.PanesClosed, s.AnswersEmitted,
+			s.DroppedLate, s.DroppedFuture, s.DroppedIngest)
+	}
+	fmt.Fprintf(stw, "total\t%d\t%d\t%d\t%d\t%d\t%d/%d/%d\n",
+		tot.Streams, tot.EventsIn, tot.WindowsClosed, tot.PanesClosed, tot.AnswersEmitted,
+		tot.DroppedLate, tot.DroppedFuture, tot.DroppedIngest)
+	stw.Flush()
 	if len(z.Latencies) > 0 {
 		fmt.Println("\nlatencies (ms):")
 		ltw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -322,152 +313,4 @@ func printServeReport(z server.Statsz, withBudget bool) {
 		}
 		ltw.Flush()
 	}
-}
-
-// runClient is the -connect mode: replay the synthetic feed to a server as
-// one tenant, subscribed to every query visible to it, and report what came
-// back — including the budget position the answers carried.
-func runClient(o options) error {
-	addr, batch, reconnect := o.connect, o.batch, o.reconnect
-	ds, err := dataset(o)
-	if err != nil {
-		return err
-	}
-	base := ds.Events()
-
-	c, err := server.Connect(server.ClientConfig{
-		Token:     o.tenant,
-		Dialer:    func() (net.Conn, error) { return net.Dial("tcp", addr) },
-		Reconnect: reconnect,
-	})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	w := c.Welcome()
-	fmt.Printf("connected to %s as %q: %d shards, grant %g, shared queries %v\n",
-		addr, w.Tenant, w.Shards, w.Grant, w.Queries)
-	if reconnect {
-		fmt.Printf("reconnect enabled: session %s resumes with replay on transport failure\n", c.Session())
-	}
-
-	sub, err := c.Subscribe("", 1024)
-	if err != nil {
-		return err
-	}
-	// The consumer tallies per-query detections and tracks the budget
-	// position answers carry per stream.
-	tallies := make(map[string]*tally)
-	lastSpend := make(map[string]float64)
-	var gaps, gapped int
-	var consumer sync.WaitGroup
-	consumer.Add(1)
-	go func() {
-		defer consumer.Done()
-		for a := range sub.C {
-			if a.Gap {
-				// An explicit gap marker: answers [GapFrom, Seq] were lost
-				// to replay-ring overflow or an expired resume (Seq 0 =
-				// extent unknown).
-				gaps++
-				if a.Seq >= a.GapFrom {
-					gapped += int(a.Seq - a.GapFrom + 1)
-				}
-				continue
-			}
-			tl := tallies[a.Query]
-			if tl == nil {
-				tl = &tally{}
-				tallies[a.Query] = tl
-			}
-			tl.answers++
-			if a.Suppressed {
-				tl.suppressed++
-			} else if a.Detected {
-				tl.detected++
-			}
-			if a.SpentEpsilon > 0 {
-				lastSpend[a.Stream] = a.SpentEpsilon
-			}
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	start := time.Now()
-	sent := 0
-	buf := make([]event.Event, 0, batch)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		for {
-			_, err := c.Ingest(buf)
-			if err == nil {
-				break
-			}
-			// Under -reconnect a request that failed in flight is retried
-			// once the session resumes; re-sent window events are idempotent
-			// (late duplicates are dropped by the runtime).
-			if !reconnect || c.Err() != nil || ctx.Err() != nil {
-				return err
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		sent += len(buf)
-		buf = buf[:0]
-		return nil
-	}
-feed:
-	for i := 0; i < o.streams; i++ {
-		key := fmt.Sprintf("stream-%03d", i)
-		for _, e := range base {
-			if ctx.Err() != nil {
-				break feed
-			}
-			buf = append(buf, e.WithSource(key))
-			if len(buf) == batch {
-				if err := flush(); err != nil {
-					return fmt.Errorf("after %d events: %w", sent, err)
-				}
-			}
-		}
-		if err := flush(); err != nil {
-			return fmt.Errorf("after %d events: %w", sent, err)
-		}
-	}
-	elapsed := time.Since(start)
-	fmt.Printf("ingested %d events in %v — %.0f events/s\n",
-		sent, elapsed.Round(time.Millisecond), metrics.Rate(int64(sent), elapsed))
-
-	// Trailing windows stay open server-side until its drain; give in-flight
-	// answers a moment, then detach.
-	select {
-	case <-time.After(time.Second):
-	case <-ctx.Done():
-	case g := <-c.Goodbye:
-		fmt.Printf("server says goodbye: %s\n", g.Reason)
-	}
-	c.Unsubscribe(sub)
-	consumer.Wait()
-
-	fmt.Println("\nper-query answers:")
-	for q, tl := range tallies {
-		tl.print(q)
-	}
-	if len(lastSpend) > 0 {
-		var max float64
-		for _, sp := range lastSpend {
-			if sp > max {
-				max = sp
-			}
-		}
-		fmt.Printf("budget: answers carried spend for %d streams, max stream spend %.4g eps\n", len(lastSpend), max)
-	}
-	if n := c.Reconnects(); n > 0 || gaps > 0 {
-		extent := fmt.Sprintf("%d answers declared lost", gapped)
-		fmt.Printf("resilience: %d reconnects, %d duplicate answers suppressed, %d gap markers (%s)\n",
-			n, c.DupsDropped(), gaps, extent)
-	}
-	return nil
 }

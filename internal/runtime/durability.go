@@ -334,7 +334,7 @@ func (rt *Runtime) restore(rec *durable.Recovery) error {
 				restored.Add(sc.Ledger.RetiredSpent)
 			}
 			for _, stc := range sc.Streams {
-				sh := rt.shards[rt.cfg.Sharder.Shard(stc.Key, len(rt.shards))]
+				sh := rt.shards[HashSharder{}.Shard(stc.Key, len(rt.shards))]
 				st := &streamState{win: rt.cfg.newWindower(), next: stc.Next}
 				restoreWindower(st.win, stc.Windower)
 				if sh.led != nil {
@@ -351,7 +351,7 @@ func (rt *Runtime) restore(rec *durable.Recovery) error {
 	var replayed dp.Sum
 	for _, r := range rec.Tail {
 		sum.ReplayedRecords++
-		sh := rt.shards[rt.cfg.Sharder.Shard(r.Stream, len(rt.shards))]
+		sh := rt.shards[HashSharder{}.Shard(r.Stream, len(rt.shards))]
 		switch r.Kind {
 		case durable.KindWindow:
 			st := sh.streams[r.Stream]

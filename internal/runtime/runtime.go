@@ -137,8 +137,6 @@ type Config struct {
 	// Seed drives all mechanism randomness; each shard's engine derives an
 	// independent seed from it.
 	Seed int64
-	// Sharder routes stream keys to shards. Default: HashSharder.
-	Sharder Sharder
 	// Lateness selects the per-stream out-of-order policy.
 	Lateness LatenessPolicy
 	// AllowedLateness is how far the watermark trails the newest event
@@ -220,9 +218,6 @@ func (c Config) slideOrWidth() event.Timestamp {
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = goruntime.GOMAXPROCS(0)
-	}
-	if c.Sharder == nil {
-		c.Sharder = HashSharder{}
 	}
 	if c.ShardBuffer == 0 {
 		c.ShardBuffer = 256
@@ -483,7 +478,7 @@ func (rt *Runtime) IngestContext(ctx context.Context, e event.Event) error {
 	if rt.closed {
 		return ErrClosed
 	}
-	sh := rt.shards[rt.cfg.Sharder.Shard(streamKey(e), len(rt.shards))]
+	sh := rt.shards[HashSharder{}.Shard(streamKey(e), len(rt.shards))]
 	return rt.send(ctx, sh, ingestMsg{ev: e})
 }
 
@@ -523,11 +518,11 @@ func (rt *Runtime) IngestBatchContext(ctx context.Context, evs []event.Event) er
 	// Batches are usually runs of one stream key, so the shard of the
 	// previous key is cached and re-hashing only happens on key change.
 	lastKey := streamKey(evs[0])
-	lastShard := rt.cfg.Sharder.Shard(lastKey, n)
+	lastShard := HashSharder{}.Shard(lastKey, n)
 	route := func(e event.Event) int {
 		if k := streamKey(e); k != lastKey {
 			lastKey = k
-			lastShard = rt.cfg.Sharder.Shard(k, n)
+			lastShard = HashSharder{}.Shard(k, n)
 		}
 		return lastShard
 	}

@@ -6,21 +6,14 @@ import (
 	"patterndp/internal/event"
 )
 
-// Sharder routes stream keys to shards. Routing must be deterministic per
-// key so one stream is always served by the same shard — that is what keeps
-// per-stream window order intact — and implementations must be safe for
-// concurrent use by many producers.
-type Sharder interface {
-	// Shard maps a stream key to a shard index in [0, n). n is always the
-	// runtime's configured shard count, >= 1.
-	Shard(key string, n int) int
-}
-
-// HashSharder is the default Sharder: FNV-1a over the stream key. Keys
-// spread uniformly and the mapping is stable across runs and processes.
+// HashSharder routes stream keys to shards: FNV-1a over the key. Routing is
+// deterministic per key, so one stream is always served by the same shard —
+// that keeps per-stream window order intact — and it is the same function in
+// every process, so checkpoint restore, WAL replay and a handoff peer re-route
+// each recovered stream to the shard that holds its ledger.
 type HashSharder struct{}
 
-// Shard implements Sharder.
+// Shard maps a stream key to a shard index in [0, n), n >= 1.
 func (HashSharder) Shard(key string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))

@@ -3,8 +3,8 @@
 // mechanism with independently seeded randomness, and serves an unbounded
 // multi-stream event feed continuously instead of a pre-materialized slice.
 //
-// Events are routed to shards by stream key (a pluggable Sharder; hash of
-// Event.Source by default), so each stream is served by exactly one shard and
+// Events are routed to shards by stream key (HashSharder, a hash of
+// Event.Source), so each stream is served by exactly one shard and
 // its answers are delivered in window order. Within a shard, an incremental
 // Windower cuts each stream into tumbling or pane-assembled sliding windows
 // as the watermark advances, honoring a configurable lateness policy. Every

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"patterndp/internal/durable"
 	"patterndp/internal/faultnet"
 	"patterndp/internal/runtime"
 )
@@ -195,11 +194,11 @@ func TestChaosSoak(t *testing.T) {
 		}
 		hcancel()
 		frozen := frozenSpend(rtA)
-		sp := srvA.ExportSessions()
-		if err := durable.WriteSessions(dirA, sp); err != nil {
+		spilled, err := srvA.Spill(dirA)
+		if err != nil {
 			t.Fatal(err)
 		}
-		sendErr, _, recvErr := transferHandoff(t, dirA, dirB, len(sp.Sessions), frozen, HandoffCrashNone)
+		sendErr, _, recvErr := transferHandoff(t, dirA, dirB, spilled, frozen, HandoffCrashNone)
 		if sendErr != nil || recvErr != nil {
 			t.Fatalf("handoff: send %v recv %v", sendErr, recvErr)
 		}
@@ -211,17 +210,8 @@ func TestChaosSoak(t *testing.T) {
 		var memB *MemListener
 		var flB *faultnet.Listener
 		srvB, memB, flB = startNode(rtB)
-		spill, err := durable.ReadSessions(dirB)
-		if err != nil {
+		if _, err := srvB.Adopt(dirB); err != nil {
 			t.Fatal(err)
-		}
-		if spill != nil {
-			if _, err := srvB.ImportSessions(spill); err != nil {
-				t.Fatal(err)
-			}
-			if err := durable.RemoveSessions(dirB); err != nil {
-				t.Fatal(err)
-			}
 		}
 		mem.Store(memB)
 		fl.Store(flB)

@@ -70,7 +70,7 @@ type HandoffSummary struct {
 // a label for the peer's logs; sessions and spend are the commit tallies the
 // adopter checks its recovery against. crash injects a source death at a
 // transfer boundary (tests). The directory must be quiescent: call after
-// Runtime.Freeze and durable.WriteSessions.
+// Runtime.Freeze and Server.Spill.
 func SendHandoff(conn net.Conn, dir, token, source string, sessions int, spend float64, crash HandoffCrash) (HandoffSummary, error) {
 	files, err := manifestDir(dir)
 	if err != nil {

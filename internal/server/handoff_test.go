@@ -15,7 +15,6 @@ import (
 	"patterndp/internal/cep"
 	"patterndp/internal/core"
 	"patterndp/internal/dp"
-	"patterndp/internal/durable"
 	"patterndp/internal/faultnet"
 	"patterndp/internal/runtime"
 )
@@ -215,18 +214,18 @@ func TestRollingRestartHandoff(t *testing.T) {
 	if frozen <= 0 {
 		t.Fatal("no spend accrued before handoff")
 	}
-	sp := srvA.ExportSessions()
-	if len(sp.Sessions) == 0 {
-		t.Fatal("no sessions exported")
-	}
-	if err := durable.WriteSessions(dirA, sp); err != nil {
+	spilled, err := srvA.Spill(dirA)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sendErr, recvSum, recvErr := transferHandoff(t, dirA, dirB, len(sp.Sessions), frozen, HandoffCrashNone)
+	if spilled == 0 {
+		t.Fatal("no sessions exported")
+	}
+	sendErr, recvSum, recvErr := transferHandoff(t, dirA, dirB, spilled, frozen, HandoffCrashNone)
 	if sendErr != nil || recvErr != nil {
 		t.Fatalf("handoff: send %v recv %v", sendErr, recvErr)
 	}
-	if recvSum.Sessions != uint64(len(sp.Sessions)) || recvSum.Spend != frozen {
+	if recvSum.Sessions != uint64(spilled) || recvSum.Spend != frozen {
 		t.Fatalf("commit tallies %+v", recvSum)
 	}
 
@@ -236,16 +235,9 @@ func TestRollingRestartHandoff(t *testing.T) {
 		t.Fatalf("recovered spend %g < frozen %g", got, frozen)
 	}
 	srvB, lB := startServer(t, rtB, cfg)
-	spill, err := durable.ReadSessions(dirB)
-	if err != nil || spill == nil {
-		t.Fatalf("read spill: %v (%v)", spill, err)
-	}
-	adopted, err := srvB.ImportSessions(spill)
-	if err != nil || adopted != len(sp.Sessions) {
-		t.Fatalf("imported %d of %d sessions (%v)", adopted, len(sp.Sessions), err)
-	}
-	if err := durable.RemoveSessions(dirB); err != nil {
-		t.Fatal(err)
+	adopted, err := srvB.Adopt(dirB)
+	if err != nil || adopted != spilled {
+		t.Fatalf("imported %d of %d sessions (%v)", adopted, spilled, err)
 	}
 	target.Store(lB)
 

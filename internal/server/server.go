@@ -392,7 +392,7 @@ func (s *Server) Drain() {
 
 // DrainForHandoff begins a handoff drain: like Drain, but session state is
 // being shipped to a takeover peer, so parked cores are kept (for
-// ExportSessions) rather than retired, detaching sessions park rather than
+// Spill) rather than retired, detaching sessions park rather than
 // retire, and live connections are closed once told goodbye — their clients
 // are expected to reconnect-and-resume against the peer. Idempotent against
 // itself; a plain Drain that got there first wins.
@@ -611,8 +611,8 @@ type Stats struct {
 	// SessionsEvicted counts parked sessions evicted by the
 	// MaxParkedSessions / MaxParkedPerTenant caps.
 	SessionsEvicted int64
-	// SessionsImported counts sessions adopted from a handoff spill
-	// (ImportSessions), available for Resume against this process.
+	// SessionsImported counts sessions adopted from a session spill
+	// (Adopt), available for Resume against this process.
 	SessionsImported int64
 	// Flushes counts the answer writers' socket writes. Each carries every
 	// answer and gap frame that was ready when it was issued, so

@@ -9,11 +9,12 @@ import (
 	"patterndp/internal/wire"
 )
 
-// Session spill: exporting parked session cores at the end of a handoff
-// drain, and importing them in the takeover process, so a client's Resume
-// token survives the process it was minted by. The spill rides in the same
-// durable directory as the WAL and checkpoints (durable.WriteSessions) and is
-// shipped to the peer with the rest of the directory by SendHandoff.
+// Session spill: exporting parked session cores at the end of a drain, and
+// adopting them in the next process, so a client's Resume token survives the
+// process it was minted by. The spill rides in the same durable directory as
+// the WAL and checkpoints and is shipped to a peer with the rest of the
+// directory by SendHandoff. Spill and Adopt are the whole sequence; the file
+// format is internal/durable's.
 
 // export captures one subscription's replay state. The ring must be
 // quiescent: call only after Runtime.Freeze (or Close) has returned — no shard
@@ -33,12 +34,33 @@ func (st *subState) export() durable.SessionSub {
 	return out
 }
 
-// ExportSessions snapshots every live session core — parked or still
-// formally attached (its client will reconnect against the peer) — for a
-// handoff spill. Call after DrainForHandoff and Runtime.Freeze have returned:
-// with the shards gone nothing delivers into the rings, and with the sessions
-// closed nothing pops them, so they are quiescent by construction.
-func (s *Server) ExportSessions() *durable.SessionSpill {
+// Spill writes every live session core — parked or still formally attached
+// (its client will reconnect against the next process) — as dir's session
+// spill, replacing any previous one, and returns how many it wrote. It always
+// writes, even an empty spill, so a stale spill never outlives the drain that
+// superseded it; the next Adopt removes it. Call after DrainForHandoff and
+// Runtime.CloseContext or Runtime.Freeze have returned: with the shards gone
+// nothing delivers into the rings, and with the sessions closed nothing pops
+// them, so they are quiescent by construction.
+func (s *Server) Spill(dir string) (int, error) {
+	sp := s.exportSessions()
+	return len(sp.Sessions), durable.WriteSessions(dir, sp)
+}
+
+// Adopt reads dir's session spill, adopts its sessions (importSessions) and
+// removes the spill, returning how many sessions were adopted. A missing
+// spill is (0, nil); an unreadable one is left in place and returned as an
+// error, and its clients fall back to a fresh handshake.
+func (s *Server) Adopt(dir string) (int, error) {
+	sp, err := durable.ReadSessions(dir)
+	if err != nil || sp == nil {
+		return 0, err
+	}
+	return s.importSessions(sp), durable.RemoveSessions(dir)
+}
+
+// exportSessions snapshots every live session core for Spill.
+func (s *Server) exportSessions() *durable.SessionSpill {
 	sp := &durable.SessionSpill{}
 	for _, c := range s.coreList() {
 		c.mu.Lock()
@@ -66,7 +88,7 @@ func (s *Server) ExportSessions() *durable.SessionSpill {
 	return sp
 }
 
-// ImportSessions adopts a handoff spill: each record becomes a parked core
+// importSessions adopts a spill: each record becomes a parked core
 // under its original token, re-subscribed to its queries against this
 // server's (recovered) runtime, with its replay ring reseeded — so a client
 // that last spoke to the old process can Resume here and pick up its seq
@@ -74,10 +96,10 @@ func (s *Server) ExportSessions() *durable.SessionSpill {
 // query did not survive the restart) degrade to an explicit Gap or a
 // re-subscribe, never silent loss. The resume window restarts at import.
 // It returns how many sessions were adopted.
-func (s *Server) ImportSessions(sp *durable.SessionSpill) (int, error) {
+func (s *Server) importSessions(sp *durable.SessionSpill) int {
 	window := s.resumeWindow()
-	if window <= 0 || sp == nil {
-		return 0, nil
+	if window <= 0 {
+		return 0
 	}
 	adopted := 0
 	for _, rec := range sp.Sessions {
@@ -88,7 +110,7 @@ func (s *Server) ImportSessions(sp *durable.SessionSpill) (int, error) {
 		adopted++
 		s.coresImported.Inc()
 	}
-	return adopted, nil
+	return adopted
 }
 
 func (s *Server) importSession(rec durable.SessionRecord, window time.Duration) error {

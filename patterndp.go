@@ -165,9 +165,8 @@ type (
 	QuerySpend = runtime.QuerySpend
 	// ShardStats are one shard's serving counters.
 	ShardStats = runtime.ShardStats
-	// Sharder routes stream keys to shards.
-	Sharder = runtime.Sharder
-	// HashSharder is the default stream-key hash Sharder.
+	// HashSharder is the runtime's stream-key router (FNV-1a): it names the
+	// shard that serves a stream.
 	HashSharder = runtime.HashSharder
 	// Windower incrementally cuts one stream into tumbling or sliding
 	// windows of type tallies (TypeCounts, no Events), assembled from
