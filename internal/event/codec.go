@@ -64,6 +64,12 @@ func AppendBinary(dst []byte, e Event) []byte {
 // event and the number of bytes consumed. Damaged input surfaces as an
 // error, never a panic or an oversized allocation.
 func DecodeBinary(b []byte) (Event, int, error) {
+	return decodeBinary(b, nil)
+}
+
+// decodeBinary is DecodeBinary drawing the type and source strings from
+// name, or converting them plainly when name is nil.
+func decodeBinary(b []byte, name func([]byte) string) (Event, int, error) {
 	var e Event
 	if len(b) == 0 {
 		return e, 0, fmt.Errorf("event: empty binary input")
@@ -77,11 +83,11 @@ func DecodeBinary(b []byte) (Event, int, error) {
 	if err != nil {
 		return e, 0, fmt.Errorf("event: type: %w", err)
 	}
-	if typ == "" {
+	if len(typ) == 0 {
 		return e, 0, fmt.Errorf("event: empty type")
 	}
 	off += n
-	e.Type = Type(typ)
+	e.Type = Type(toString(typ, name))
 	ts, n := binary.Varint(b[off:])
 	if n <= 0 {
 		return e, 0, fmt.Errorf("event: bad timestamp varint")
@@ -94,7 +100,7 @@ func DecodeBinary(b []byte) (Event, int, error) {
 			return e, 0, fmt.Errorf("event: source: %w", err)
 		}
 		off += n
-		e.Source = src
+		e.Source = toString(src, name)
 	}
 	return e, off, nil
 }
@@ -113,6 +119,16 @@ func AppendBinaryBatch(dst []byte, evs []Event) []byte {
 // dst (which may be a reused scratch slice) and returning the extended
 // slice. The whole input must be consumed: trailing bytes are an error.
 func DecodeBinaryBatch(dst []Event, b []byte) ([]Event, error) {
+	return DecodeBinaryBatchWith(dst, b, nil)
+}
+
+// DecodeBinaryBatchWith is DecodeBinaryBatch drawing every event's type and
+// source from name, which is handed the string's bytes in b and must not
+// retain them — a long-lived decoder passes a lookup into a table of the
+// names it keeps seeing, so a repeated name costs no allocation. A nil name
+// converts each string plainly: DecodeBinaryBatch. The events and errors are
+// the same either way, provided name returns the string of its bytes.
+func DecodeBinaryBatchWith(dst []Event, b []byte, name func([]byte) string) ([]Event, error) {
 	cnt, n := binary.Uvarint(b)
 	if n <= 0 {
 		return dst, fmt.Errorf("event: bad batch count")
@@ -125,7 +141,7 @@ func DecodeBinaryBatch(dst []Event, b []byte) ([]Event, error) {
 		return dst, fmt.Errorf("event: batch count %d exceeds payload", cnt)
 	}
 	for i := uint64(0); i < cnt; i++ {
-		e, n, err := DecodeBinary(b)
+		e, n, err := decodeBinary(b, name)
 		if err != nil {
 			return dst, fmt.Errorf("event: batch event %d: %w", i, err)
 		}
@@ -143,13 +159,24 @@ func appendBinaryString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func decodeBinaryString(b []byte) (string, int, error) {
+// decodeBinaryString returns the bytes of the length-prefixed string at the
+// front of b and how many bytes it took.
+func decodeBinaryString(b []byte) ([]byte, int, error) {
 	l, n := binary.Uvarint(b)
 	if n <= 0 {
-		return "", 0, fmt.Errorf("bad string length")
+		return nil, 0, fmt.Errorf("bad string length")
 	}
 	if l > maxBinaryStringLen || l > uint64(len(b)-n) {
-		return "", 0, fmt.Errorf("string length %d exceeds input", l)
+		return nil, 0, fmt.Errorf("string length %d exceeds input", l)
 	}
-	return string(b[n : n+int(l)]), n + int(l), nil
+	return b[n : n+int(l)], n + int(l), nil
+}
+
+// toString converts decoded string bytes through name, or plainly when name
+// is nil.
+func toString(b []byte, name func([]byte) string) string {
+	if name != nil {
+		return name(b)
+	}
+	return string(b)
 }

@@ -3,6 +3,7 @@ package event
 import (
 	"encoding/hex"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -217,6 +218,46 @@ func TestDecodeBinaryRejectsBadInput(t *testing.T) {
 	for _, c := range cases {
 		if _, _, err := DecodeBinary(c); err == nil {
 			t.Errorf("input %x accepted", c)
+		}
+	}
+}
+
+// TestBinaryBatchInternedAllocs pins DecodeBinaryBatchWith against the plain
+// batch decoder: with a name table it returns the same events and errors,
+// and a batch whose names are all in the table decodes without allocating.
+func TestBinaryBatchInternedAllocs(t *testing.T) {
+	table := map[string]string{}
+	intern := func(b []byte) string {
+		if s, ok := table[string(b)]; ok {
+			return s
+		}
+		s := string(b)
+		table[s] = s
+		return s
+	}
+	evs := []Event{New("a", 1).WithSource("s1"), New("b", 2).WithSource("s1"), New("c", 3)}
+	buf := AppendBinaryBatch(nil, evs)
+	want, err := DecodeBinaryBatch(nil, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBinaryBatchWith(nil, buf, intern)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("interned batch = %v, %v; plain %v", got, err, want)
+	}
+	scratch := make([]Event, 0, len(evs))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got, err := DecodeBinaryBatchWith(scratch[:0], buf, intern); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("interned batch = %v, %v; plain %v", got, err, want)
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding a batch of known names allocates %v times, want 0", allocs)
+	}
+	for _, bad := range [][]byte{append(buf, 0xff), buf[:len(buf)-1], {1, 0x00, 0x00}} {
+		_, perr := DecodeBinaryBatch(nil, bad)
+		_, ierr := DecodeBinaryBatchWith(nil, bad, intern)
+		if perr == nil || ierr == nil || perr.Error() != ierr.Error() {
+			t.Errorf("%x: plain error %v, interned error %v", bad, perr, ierr)
 		}
 	}
 }

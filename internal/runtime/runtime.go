@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -305,9 +306,9 @@ type Runtime struct {
 	// Config.TraceSample are both unset, and every hot path gates on that.
 	obs *runtimeObs
 
-	// batchPool recycles the per-shard sub-batches IngestBatch routes
-	// through the shard channels; shards return them after serving.
-	batchPool sync.Pool
+	// bucketPool recycles IngestBatch's per-shard routing table: each call
+	// takes its own, so concurrent producers never share one.
+	bucketPool sync.Pool
 
 	mu     sync.RWMutex
 	closed bool
@@ -380,6 +381,7 @@ func New(cfg Config) (*Runtime, error) {
 			engine:  eng,
 			cur:     st,
 			in:      make(chan ingestMsg, cfg.ShardBuffer),
+			batches: make(chan *[]event.Event, cfg.ShardBuffer+1),
 			streams: make(map[string]*streamState),
 		}
 		sh.epoch.Store(uint64(st.epoch))
@@ -537,7 +539,7 @@ func (rt *Runtime) IngestBatchContext(ctx context.Context, evs []event.Event) er
 		}
 	}
 	if single {
-		err := rt.send(ctx, rt.shards[first], ingestMsg{batch: rt.copyBatch(evs), t0: t0})
+		err := rt.send(ctx, rt.shards[first], ingestMsg{batch: rt.shards[first].copyBatch(evs), t0: t0})
 		if err == nil && rt.obs != nil {
 			rt.obs.admit.ObserveSince(start)
 		}
@@ -545,13 +547,22 @@ func (rt *Runtime) IngestBatchContext(ctx context.Context, evs []event.Event) er
 	}
 	// Partition into per-shard sub-batches, preserving input order within
 	// each shard (hence per stream key).
-	buckets := make([][]event.Event, n)
+	bp, _ := rt.bucketPool.Get().(*[]*[]event.Event)
+	if bp == nil {
+		bp = new([]*[]event.Event)
+	}
+	buckets := slices.Grow((*bp)[:0], n)[:n]
+	defer func() {
+		clear(buckets)
+		*bp = buckets
+		rt.bucketPool.Put(bp)
+	}()
 	for _, e := range evs {
 		i := route(e)
 		if buckets[i] == nil {
-			buckets[i] = rt.newBatch(len(evs))
+			buckets[i] = rt.shards[i].takeBatch(len(evs))
 		}
-		buckets[i] = append(buckets[i], e)
+		*buckets[i] = append(*buckets[i], e)
 	}
 	for i, b := range buckets {
 		if b == nil {
@@ -560,9 +571,9 @@ func (rt *Runtime) IngestBatchContext(ctx context.Context, evs []event.Event) er
 		// Every sub-batch shares the trace origin: a multi-shard traced
 		// batch records one stage set per touched shard.
 		if err := rt.send(ctx, rt.shards[i], ingestMsg{batch: b, t0: t0}); err != nil {
-			for _, rest := range buckets[i+1:] {
-				if rest != nil {
-					rt.recycleBatch(rest)
+			for j := i + 1; j < n; j++ {
+				if buckets[j] != nil {
+					rt.shards[j].recycleBatch(buckets[j])
 				}
 			}
 			return err
@@ -579,7 +590,7 @@ func (rt *Runtime) IngestBatchContext(ctx context.Context, evs []event.Event) er
 func (rt *Runtime) send(ctx context.Context, sh *shard, msg ingestMsg) error {
 	if sh.failed.Load() {
 		if msg.batch != nil {
-			rt.recycleBatch(msg.batch)
+			sh.recycleBatch(msg.batch)
 		}
 		return fmt.Errorf("runtime: shard %d: %w", sh.id, ErrShardFailed)
 	}
@@ -592,7 +603,7 @@ func (rt *Runtime) send(ctx context.Context, sh *shard, msg ingestMsg) error {
 			}
 			if err := ctx.Err(); err != nil {
 				if msg.batch != nil {
-					rt.recycleBatch(msg.batch)
+					sh.recycleBatch(msg.batch)
 				}
 				return err
 			}
@@ -606,7 +617,7 @@ func (rt *Runtime) send(ctx context.Context, sh *shard, msg ingestMsg) error {
 				}
 				sh.stats.droppedIngest.Add(old.size())
 				if old.batch != nil {
-					rt.recycleBatch(old.batch)
+					sh.recycleBatch(old.batch)
 				}
 			default:
 			}
@@ -617,31 +628,10 @@ func (rt *Runtime) send(ctx context.Context, sh *shard, msg ingestMsg) error {
 		return nil
 	case <-ctx.Done():
 		if msg.batch != nil {
-			rt.recycleBatch(msg.batch)
+			sh.recycleBatch(msg.batch)
 		}
 		return ctx.Err()
 	}
-}
-
-// newBatch takes a pooled event buffer with capacity for up to n events.
-func (rt *Runtime) newBatch(n int) []event.Event {
-	if b, ok := rt.batchPool.Get().(*[]event.Event); ok {
-		return (*b)[:0]
-	}
-	return make([]event.Event, 0, n)
-}
-
-// copyBatch copies the caller's events into a pooled buffer the shard will
-// recycle after serving.
-func (rt *Runtime) copyBatch(evs []event.Event) []event.Event {
-	return append(rt.newBatch(len(evs)), evs...)
-}
-
-// recycleBatch returns a batch buffer to the pool once its events have been
-// served (or dropped). Events are value types, so no contents escape.
-func (rt *Runtime) recycleBatch(b []event.Event) {
-	b = b[:0]
-	rt.batchPool.Put(&b)
 }
 
 // Subscribe opens a subscription delivering released answers for the named

@@ -38,7 +38,7 @@ type shardStats struct {
 // where its ledger, windowers, and WAL position are mutually consistent.
 type ingestMsg struct {
 	ev    event.Event
-	batch []event.Event
+	batch *[]event.Event
 	ckpt  chan<- shardCkptResult
 	// t0 is the trace origin (unix nanoseconds of ingest admission) when
 	// the batch was selected for lifecycle tracing; 0 otherwise.
@@ -51,9 +51,40 @@ func (m ingestMsg) size() int64 {
 		return 0
 	}
 	if m.batch != nil {
-		return int64(len(m.batch))
+		return int64(len(*m.batch))
 	}
 	return 1
+}
+
+// takeBatch returns an empty buffer for a batch routed to the shard, with
+// capacity for n events when it has to be made.
+func (s *shard) takeBatch(n int) *[]event.Event {
+	select {
+	case b := <-s.batches:
+		return b
+	default:
+	}
+	b := make([]event.Event, 0, n)
+	return &b
+}
+
+// copyBatch copies a producer's events into a buffer the shard recycles after
+// serving them.
+func (s *shard) copyBatch(evs []event.Event) *[]event.Event {
+	b := s.takeBatch(len(evs))
+	*b = append(*b, evs...)
+	return b
+}
+
+// recycleBatch empties a batch buffer routed to the shard — served, dropped
+// or never sent — and keeps it for the next batch. Events are value types,
+// so no contents escape.
+func (s *shard) recycleBatch(b *[]event.Event) {
+	*b = (*b)[:0]
+	select {
+	case s.batches <- b:
+	default:
+	}
 }
 
 // streamState is the per-stream serving state owned by one shard: the
@@ -83,6 +114,13 @@ type shard struct {
 	epoch   atomic.Uint64 // cur.epoch, mirrored for Snapshot
 	in      chan ingestMsg
 	streams map[string]*streamState
+	// batches keeps the emptied buffers of the batches the shard has served
+	// for producers routing to it to refill: the buffer comes back on a
+	// different goroutine, and usually a different P, than the one that
+	// takes it, which a sync.Pool serves mostly by allocating. Its capacity,
+	// one more than the ingest channel's, holds every batch that can be
+	// queued or in service, so a drained backlog is kept, not re-made.
+	batches chan *[]event.Event
 	clock   int64 // events served; drives idle-stream eviction
 	stats   shardStats
 	failed  atomic.Bool // set on the first serving error; checked by Ingest
@@ -274,23 +312,24 @@ func (s *shard) run() {
 			s.stats.eventsIn.Inc()
 			ok = s.serve(msg.ev)
 		} else {
+			batch := *msg.batch
 			i := 0
-			for ; i < len(msg.batch); i++ {
-				if ok = s.serve(msg.batch[i]); !ok {
+			for ; i < len(batch); i++ {
+				if ok = s.serve(batch[i]); !ok {
 					break
 				}
 			}
 			if ok {
-				s.stats.eventsIn.Add(int64(len(msg.batch)))
+				s.stats.eventsIn.Add(int64(len(batch)))
 			} else {
 				// Only the events that entered serving count as
 				// ingested; the unserved remainder of the failing
 				// batch is discarded and accounted like the
 				// post-failure drain below.
 				s.stats.eventsIn.Add(int64(i + 1))
-				s.stats.droppedFailed.Add(int64(len(msg.batch) - i - 1))
+				s.stats.droppedFailed.Add(int64(len(batch) - i - 1))
 			}
-			s.rt.recycleBatch(msg.batch)
+			s.recycleBatch(msg.batch)
 		}
 		var tServed time.Time
 		if s.trace0 != 0 {
@@ -315,7 +354,7 @@ func (s *shard) run() {
 				}
 				s.stats.droppedFailed.Add(msg.size())
 				if msg.batch != nil {
-					s.rt.recycleBatch(msg.batch)
+					s.recycleBatch(msg.batch)
 				}
 			}
 			return
@@ -557,6 +596,9 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 		}
 	}
 	st.next += len(ws)
+	// The outbox holds only intervals, so the windows' tallies are done
+	// with: tumbling ones go back to the windower for its next panes.
+	st.win.recycle(ws)
 	return true
 }
 

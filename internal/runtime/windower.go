@@ -101,7 +101,18 @@ const (
 // entry, unmerge on pane exit — so the per-window cost is O(distinct types),
 // not O(events x overlap); a tumbling window (slide == width) is the one-pane
 // case, whose tally is the window's as is, without the ring. Ownership of
-// the emitted TypeCounts differs — see the PushInto contract.
+// the emitted TypeCounts differs — see the PushInto contract. The shard,
+// which reads a tumbling window's tally only while serving it, hands it back
+// through recycle, so a steady stream allocates no tally per window either
+// way.
+//
+// A push finds its type's entry in the pane tally by a linear scan, which
+// beats any index on the few types a pane usually holds. Once the earliest
+// open pane — the one nearly every in-order event lands in — holds more than
+// headScanMax types, the windower indexes it instead (type → entry), so a
+// wide type population costs a map lookup per event, not a scan. The index
+// only finds entries; the tally, and so every emitted window, is the same
+// either way.
 //
 // A Windower is not safe for concurrent use; in the Runtime each stream's
 // windower is owned by a single shard goroutine.
@@ -122,6 +133,13 @@ type Windower struct {
 	open    []stream.TypeCounts
 	dropped int64
 	panes   int64 // panes cut (tumbling: one per window)
+
+	// head indexes open[0]'s tally once it outgrows headScanMax: the
+	// position of each of its first headN entries by type. Built lazily —
+	// a windower whose panes stay small never allocates it — and cleared
+	// whenever open[0] is taken.
+	head  map[event.Type]int32
+	headN int
 
 	// ring is the pane tally ring backing sliding-window assembly; it stays
 	// empty for tumbling windows.
@@ -212,6 +230,11 @@ func (w *Windower) PushInto(e event.Event, dst []stream.Window) (closed []stream
 	return w.cut(dst, w.watermark()), PushAccepted
 }
 
+// headScanMax is the most types the earliest open pane's tally holds while
+// tally still finds an entry there by linear scan; past it the pane is
+// indexed. Scans win below about ten entries.
+const headScanMax = 8
+
 // tally adds the event's type to its open pane's tally — all the windower
 // keeps of an event. e.Time must not precede nextStart.
 func (w *Windower) tally(e event.Event) {
@@ -221,23 +244,71 @@ func (w *Windower) tally(e event.Event) {
 	}
 	pane := w.open[idx]
 	if pane == nil {
-		// Sliding panes reuse the ring's recycled buffers; a tumbling pane
-		// becomes its window's tally, so it gets a buffer of its own.
+		// Panes reuse the free list's buffers: the ring's reclaimed slots
+		// and snapshots, and the tumbling tallies handed back by recycle.
 		if pane = w.ring.takeSlot(); pane == nil {
 			pane = make(stream.TypeCounts, 0, 4)
 		}
 	}
+	if idx == 0 && len(pane) > headScanMax {
+		w.open[0] = w.tallyHead(pane, e.Type)
+		return
+	}
 	w.open[idx] = pane.Add(e.Type)
 }
 
-// takeOpen removes and returns the earliest open pane's tally.
+// tallyHead is pane.Add(t) for open[0]'s tally, finding t's entry through the
+// head index, which it first brings up to date with the pane. A new type is
+// appended, exactly as Add appends it, so entry order stays first-appearance.
+func (w *Windower) tallyHead(pane stream.TypeCounts, t event.Type) stream.TypeCounts {
+	if w.head == nil {
+		w.head = make(map[event.Type]int32)
+	}
+	for ; w.headN < len(pane); w.headN++ {
+		w.head[pane[w.headN].Type] = int32(w.headN)
+	}
+	if i, ok := w.head[t]; ok {
+		pane[i].N++
+		return pane
+	}
+	w.head[t] = int32(len(pane))
+	w.headN++
+	return append(pane, stream.TypeCount{Type: t, N: 1})
+}
+
+// takeOpen removes and returns the earliest open pane's tally, dropping the
+// head index built over it.
 func (w *Windower) takeOpen() stream.TypeCounts {
 	if len(w.open) == 0 {
 		return nil
 	}
+	if w.headN > 0 {
+		clear(w.head)
+		w.headN = 0
+	}
 	pane := w.open[0]
 	w.open = w.open[:copy(w.open, w.open[1:])]
 	return pane
+}
+
+// recycle hands the tallies of the tumbling windows in ws — windows this
+// windower emitted, which the caller has finished reading — back to the free
+// list that tally takes pane buffers from, so a steady tumbling stream
+// allocates no tally per window. Sliding windows' tallies are ring snapshots
+// that the next Push/Flush reclaims anyway, so it leaves them alone. It is
+// unexported because it revokes what PushInto promises an outside caller: a
+// tumbling window's TypeCounts outliving the call. Once every caller copies
+// the tumbling tallies it keeps, that clause can go, and this folds into the
+// ring's recycleEmitted.
+func (w *Windower) recycle(ws []stream.Window) {
+	if w.overlap > 1 {
+		return
+	}
+	for i := range ws {
+		if tc := ws[i].TypeCounts; tc != nil {
+			w.ring.free = append(w.ring.free, tc)
+		}
+	}
 }
 
 // Flush closes every window still holding or preceding tallied events — the
@@ -313,7 +384,7 @@ type paneRing struct {
 	slots   []stream.TypeCounts // per-pane tallies; ring of up to overlap entries
 	head, n int
 	tally   stream.TypeCounts   // running merge of the ring (may hold zero entries)
-	free    []stream.TypeCounts // recycled slot/snapshot buffers
+	free    []stream.TypeCounts // recycled slot/snapshot buffers and recycled tumbling tallies
 	emitted []stream.TypeCounts // snapshots handed out since the last recycle
 }
 

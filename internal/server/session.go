@@ -51,11 +51,16 @@ type session struct {
 	wg sync.WaitGroup // writer goroutine
 
 	// Ingest scratch, touched only by the read loop and reused per request:
-	// the decode buffer, the batch's distinct stream keys, and the intern
-	// table from a raw event source to its namespaced stream key.
-	scratch []event.Event
-	keys    map[string]struct{}
-	streams map[string]string
+	// the decode buffer, the table the decoded event types and sources are
+	// drawn from, the batch's distinct stream keys, the intern table from a
+	// raw event source to its namespaced stream key, and the ack's payload
+	// and frame buffers. A steady stream's batch allocates nothing.
+	scratch  []event.Event
+	names    wire.Interner
+	keys     map[string]struct{}
+	streams  map[string]string
+	ack      []byte
+	ackFrame []byte
 }
 
 // maxInternedStreams bounds a session's stream-key intern table: a client
@@ -294,7 +299,7 @@ func (ss *session) handleIngest(payload []byte) bool {
 	if ss.srv.decodeH != nil {
 		decStart = time.Now()
 	}
-	in, err := wire.DecodeIngest(payload, ss.scratch[:0])
+	in, err := ss.names.DecodeIngest(payload, ss.scratch[:0])
 	if err != nil {
 		ss.sendError(0, wire.CodeProto, err.Error())
 		return false
@@ -315,12 +320,18 @@ func (ss *session) handleIngest(payload []byte) bool {
 		}
 	}
 	// Namespace every event's stream key under the tenant before the batch
-	// reaches the shared runtime.
+	// reaches the shared runtime. Batches are runs of one source, so the key
+	// is resolved and recorded for the quota only when the source changes.
 	clear(ss.keys)
+	var src, key string
 	for i := range in.Events {
-		key := ss.streamKey(in.Events[i].Source)
-		in.Events[i].Source = key
-		ss.keys[key] = struct{}{}
+		e := &in.Events[i]
+		if i == 0 || e.Source != src {
+			src = e.Source
+			key = ss.streamKey(src)
+			ss.keys[key] = struct{}{}
+		}
+		e.Source = key
 	}
 	if err := ss.tenant.admitStreams(ss.keys); err != nil {
 		ss.sendError(in.Req, wire.CodeQuota, err.Error())
@@ -609,8 +620,12 @@ func (ss *session) writeFrame(t wire.Type, payload []byte) error {
 	return ss.writeBytes(wire.AppendFrame(nil, t, payload))
 }
 
+// sendAck writes an Ack from the session's own buffers: only the read loop
+// acks, and a write returns only once the conn is done with the bytes.
 func (ss *session) sendAck(req, n uint64) bool {
-	return ss.writeFrame(wire.TAck, wire.AppendAck(nil, wire.Ack{Req: req, N: n})) == nil
+	ss.ack = wire.AppendAck(ss.ack[:0], wire.Ack{Req: req, N: n})
+	ss.ackFrame = wire.AppendFrame(ss.ackFrame[:0], wire.TAck, ss.ack)
+	return ss.writeBytes(ss.ackFrame) == nil
 }
 
 func (ss *session) sendError(req uint64, code uint8, msg string) {

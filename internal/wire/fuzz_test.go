@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -107,6 +110,54 @@ func FuzzFrameDecode(f *testing.F) {
 				t.Fatalf("%s: reader ended with %v, want %v", name, err, wantErr)
 			} else if !streamEnd && err.Error() != wantErr.Error() {
 				t.Fatalf("%s: reader failed with %v, slice decoder with %v", name, err, wantErr)
+			}
+		}
+	})
+}
+
+// FuzzDecodeIngestInterned is the differential check of the interning ingest
+// decoder: for any payload it must return exactly what the plain decoder
+// returns — the same Ingest, event for event, and the same error — both into
+// a fresh table and into one already holding the payload's names. The seeds
+// include a batch whose distinct names overflow the table (which then starts
+// over mid-batch), a name too long to be kept, and the retired event flags
+// the decoder refuses.
+func FuzzDecodeIngestInterned(f *testing.F) {
+	f.Add(AppendIngest(nil, Ingest{Req: 3, Events: []event.Event{
+		event.New("a", 1).WithSource("s"), event.New("b", 2).WithSource("s"), event.New("a", 3),
+	}}))
+	var many Ingest
+	for i := 0; i < maxInterned/2+8; i++ {
+		many.Events = append(many.Events, event.New(event.Type(fmt.Sprintf("t%d", i)), event.Timestamp(i)).WithSource(fmt.Sprintf("s%d", i)))
+	}
+	f.Add(AppendIngest(nil, many))
+	long := event.Type(strings.Repeat("x", maxInternedLen+1))
+	f.Add(AppendIngest(nil, Ingest{Req: 1, Events: []event.Event{event.New(long, 1), event.New(long, 2)}}))
+	for _, h := range []string{
+		"02016102a48bb09909",
+		"0401610201016b010e",
+		"07076770732d6669785406746178692d370a0101780106",
+		"0201610202",
+		"040161",
+	} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte{9, 1}, b...))
+	}
+	f.Add([]byte{0xff})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := DecodeIngest(data, nil)
+		var names Interner
+		for pass := 0; pass < 2; pass++ {
+			got, err := names.DecodeIngest(data, nil)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("pass %d: interned error %v, plain error %v", pass, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pass %d: interned decode %+v, plain %+v", pass, got, want)
 			}
 		}
 	})

@@ -302,18 +302,7 @@ func AppendIngest(dst []byte, i Ingest) []byte {
 // DecodeIngest decodes an Ingest payload, appending the events into evs
 // (which may be reused scratch).
 func DecodeIngest(b []byte, evs []event.Event) (Ingest, error) {
-	var in Ingest
-	d := decoder{b: b}
-	in.Req = d.uvarint()
-	if d.err != nil {
-		return in, d.finish("ingest")
-	}
-	var err error
-	in.Events, err = event.DecodeBinaryBatch(evs, d.b[d.off:])
-	if err != nil {
-		return in, fmt.Errorf("wire: ingest: %w", err)
-	}
-	return in, nil
+	return (*Interner)(nil).DecodeIngest(b, evs)
 }
 
 // AppendSubscribe appends s's payload encoding to dst.
@@ -396,7 +385,8 @@ func DecodeAnswer(b []byte) (Answer, error) {
 
 // Interner is a bounded table of the strings a long-lived decoder keeps
 // seeing — a subscriber's few stream keys and query names, repeated in every
-// answer — so that decoding one costs a lookup on the payload bytes, not an
+// answer, or a producer's event types and sources, repeated in every ingest
+// batch — so that decoding one costs a lookup on the payload bytes, not an
 // allocation. The zero value is ready to use; it is not safe for concurrent
 // use. Past maxInterned entries the table starts over, so a peer cycling
 // through fresh names cannot grow it, and strings longer than maxInternedLen
@@ -459,6 +449,29 @@ func (in *Interner) DecodeAnswer(b []byte) (Answer, error) {
 		return a, fmt.Errorf("wire: answer: gap range [%d, %d] invalid", a.GapFrom, a.Seq)
 	}
 	return a, d.finish("answer")
+}
+
+// DecodeIngest is the package-level DecodeIngest with every event's Type and
+// Source drawn from the table: the same Ingest, event for event, and the same
+// errors. A session decoding its peer's batches through one table pays a map
+// lookup per name instead of an allocation. A nil Interner decodes plainly.
+func (in *Interner) DecodeIngest(b []byte, evs []event.Event) (Ingest, error) {
+	var ing Ingest
+	d := decoder{b: b}
+	ing.Req = d.uvarint()
+	if d.err != nil {
+		return ing, d.finish("ingest")
+	}
+	var name func([]byte) string
+	if in != nil {
+		name = in.intern
+	}
+	var err error
+	ing.Events, err = event.DecodeBinaryBatchWith(evs, d.b[d.off:], name)
+	if err != nil {
+		return ing, fmt.Errorf("wire: ingest: %w", err)
+	}
+	return ing, nil
 }
 
 // AppendRegisterQuery appends r's payload encoding to dst.

@@ -427,6 +427,50 @@ func TestInternedAnswerDecode(t *testing.T) {
 	}
 }
 
+// TestInternedIngestDecode is TestInternedAnswerDecode for ingest batches: a
+// batch of known types and sources decodes to the plain decoder's value
+// without allocating, a peer cycling through fresh names cannot grow the
+// table past maxInterned, and an oversized name is never kept.
+func TestInternedIngestDecode(t *testing.T) {
+	var names Interner
+	in := Ingest{Req: 7}
+	for i := 0; i < 64; i++ {
+		in.Events = append(in.Events, event.New(event.Type(fmt.Sprintf("t%d", i%12)), event.Timestamp(i)).WithSource("meter-17"))
+	}
+	enc := AppendIngest(nil, in)
+	scratch := make([]event.Event, 0, len(in.Events))
+	got, err := names.DecodeIngest(enc, scratch)
+	if err != nil || !reflect.DeepEqual(got, in) {
+		t.Fatalf("interned decode = %+v, %v; want %+v", got, err, in)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got, err := names.DecodeIngest(enc, scratch[:0]); err != nil || got.Req != in.Req || len(got.Events) != len(in.Events) {
+			t.Fatalf("interned decode = %+v, %v", got, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding a batch of known names allocates %v times, want 0", allocs)
+	}
+	one := Ingest{Req: 1, Events: []event.Event{{Time: 1}}}
+	for i := 0; i < 3*maxInterned; i++ {
+		one.Events[0].Type = event.Type(fmt.Sprintf("t%d", i))
+		one.Events[0].Source = fmt.Sprintf("s%d", i)
+		if got, err := names.DecodeIngest(AppendIngest(nil, one), nil); err != nil || !reflect.DeepEqual(got, one) {
+			t.Fatalf("interned decode = %+v, %v; want %+v", got, err, one)
+		}
+		if len(names.names) > maxInterned {
+			t.Fatalf("table holds %d names after %d events, bound %d", len(names.names), i+1, maxInterned)
+		}
+	}
+	clear(names.names)
+	one.Events[0].Type = event.Type(strings.Repeat("x", maxInternedLen+1))
+	if got, err := names.DecodeIngest(AppendIngest(nil, one), nil); err != nil || !reflect.DeepEqual(got, one) {
+		t.Fatalf("interned decode of a long name: %+v, %v", got, err)
+	}
+	if _, kept := names.names[string(one.Events[0].Type)]; kept {
+		t.Errorf("a %d-byte name was interned, limit %d", len(one.Events[0].Type), maxInternedLen)
+	}
+}
+
 func TestPayloadRejectsTrailingBytes(t *testing.T) {
 	if _, err := DecodeAck(append(AppendAck(nil, Ack{Req: 1, N: 2}), 0x00)); err == nil {
 		t.Error("ack with trailing bytes accepted")
