@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -297,13 +298,12 @@ func TestMechanismInterfaces(t *testing.T) {
 	var _ core.Mechanism = &BudgetDistribution{}
 	var _ core.Mechanism = &BudgetAbsorption{}
 	var _ core.Mechanism = &Landmark{}
-	// All mechanisms run through the PrivateEngine.
+	// A baseline is defined over a whole window sequence, so the serving
+	// engine refuses it; experiments call its Run directly.
 	bd, _ := NewBudgetDistribution(WEventConfig{PatternEpsilon: 1, W: 4, Private: []core.PatternType{p}})
-	pe, err := core.NewPrivateEngine(bd, []core.PatternType{p}, 1)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := core.NewPrivateEngine(bd, []core.PatternType{p}, 1); !errors.Is(err, core.ErrUnservedMechanism) {
+		t.Fatalf("NewPrivateEngine(bd) = %v, want ErrUnservedMechanism", err)
 	}
-	_ = pe
 }
 
 func TestWEventBudgetComplianceBD(t *testing.T) {

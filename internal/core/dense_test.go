@@ -12,11 +12,6 @@ import (
 	"patterndp/internal/stream"
 )
 
-// runOnly exposes nothing but the Mechanism interface of the mechanism it
-// wraps, so an engine built on it cannot see flip lists and serves through
-// the generic Mechanism.Run path — the dense path's differential oracle.
-type runOnly struct{ Mechanism }
-
 var denseAlphabet = []event.Type{"a", "b", "c", "d", "e", "f", "g", "h"}
 
 // randomDenseExpr draws an expression over the full operator set.
@@ -112,28 +107,44 @@ func denseMechanisms(t *testing.T, rng *rand.Rand, private []PatternType, target
 	return map[string]Mechanism{"uniform": uni, "adaptive": ada}
 }
 
-// enginePair builds a dense engine and its generic-path oracle on one seed.
-func enginePair(t testing.TB, m Mechanism, private []PatternType, seed int64) (dense, oracle *PrivateEngine) {
+// newEngine builds an engine on m, failing the test if m is refused.
+func newEngine(t testing.TB, m Mechanism, private []PatternType, seed int64) *PrivateEngine {
 	t.Helper()
-	dense, err := NewPrivateEngine(m, private, seed)
+	pe, err := NewPrivateEngine(m, private, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err = NewPrivateEngine(runOnly{m}, private, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dense.snapshot().dense || oracle.snapshot().dense {
-		t.Fatalf("path selection: dense=%t oracle=%t, want true/false",
-			dense.snapshot().dense, oracle.snapshot().dense)
-	}
-	return dense, oracle
+	return pe
 }
 
-// TestDenseMatchesGenericRun is the tentpole's differential test: for random
-// private sets, queries and window batches, the dense row path releases
-// exactly the answers the generic Mechanism.Run path releases on the same
-// seed — same draws, same bits — for both PPMs, across successive calls.
+// referenceProcess is what the engine's dense rows must reproduce, computed
+// over indicator maps: the engine's next call RNG, Mechanism.Run over the
+// windows' indicators for the epoch's type table, then each target's plan
+// on the released maps. It advances pe's call counter as a service call does.
+func referenceProcess(t *testing.T, pe *PrivateEngine, ws []stream.Window) []Answer {
+	t.Helper()
+	ps := pe.snapshot()
+	rng := pe.callRNG()
+	released := pe.Mechanism().Run(rng.r, IndicatorWindows(ws, ps.types))
+	putRNG(rng)
+	if len(released) != len(ws) {
+		t.Fatalf("%s released %d windows for %d inputs", pe.Mechanism().Name(), len(released), len(ws))
+	}
+	var out []Answer
+	for i, w := range ws {
+		for _, q := range ps.targets {
+			out = append(out, Answer{Query: q.Name, WindowIndex: i, Window: w,
+				Detected: cep.MustCompile(q).EvalIndicators(released[i])})
+		}
+	}
+	return out
+}
+
+// TestDenseMatchesGenericRun is the serving path's differential test: for
+// random private sets, queries and window batches, the engine's dense rows
+// release exactly the answers the mechanism's own Mechanism.Run releases over
+// indicator maps on the same seed (referenceProcess) — same draws, same bits
+// — for both PPMs, across successive calls.
 func TestDenseMatchesGenericRun(t *testing.T) {
 	for trial := int64(0); trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(trial))
@@ -145,7 +156,7 @@ func TestDenseMatchesGenericRun(t *testing.T) {
 			queries[i] = cep.Query{Name: fmt.Sprintf("q%d", i), Pattern: exprs[i], Window: 100}
 		}
 		for name, m := range denseMechanisms(t, rng, private, exprs) {
-			dense, oracle := enginePair(t, m, private, trial)
+			dense, oracle := newEngine(t, m, private, trial), newEngine(t, m, private, trial)
 			for _, pe := range []*PrivateEngine{dense, oracle} {
 				if err := pe.SetTargetPlans(compileAll(queries...)); err != nil {
 					t.Fatal(err)
@@ -157,10 +168,7 @@ func TestDenseMatchesGenericRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := oracle.ProcessWindows(ws)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := referenceProcess(t, oracle, ws)
 				if len(got) != len(want) || len(got) != len(ws)*len(queries) {
 					t.Fatalf("trial %d %s call %d: %d dense answers, %d generic, %d windows x %d queries",
 						trial, name, call, len(got), len(want), len(ws), len(queries))
@@ -180,9 +188,9 @@ func TestDenseMatchesGenericRun(t *testing.T) {
 
 // TestProcessSelectedMatchesProcessWindows: answering a selection of the
 // registered queries releases, for each selected query, exactly the answer
-// answering all of them would — on the dense and the generic path, for random
-// selections including the empty one — and leaves the engine's later calls
-// unchanged, so two engines on one seed stay in step whatever each selects.
+// answering all of them would — for random selections including the empty
+// one — and leaves the engine's later calls unchanged, so two engines on one
+// seed stay in step whatever each selects.
 func TestProcessSelectedMatchesProcessWindows(t *testing.T) {
 	for trial := int64(0); trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(trial))
@@ -197,45 +205,39 @@ func TestProcessSelectedMatchesProcessWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for path, m := range map[string]Mechanism{"dense": uni, "generic": runOnly{uni}} {
-			var pes [2]*PrivateEngine
-			for i := range pes {
-				if pes[i], err = NewPrivateEngine(m, private, trial); err != nil {
-					t.Fatal(err)
-				}
-				if err := pes[i].SetTargetPlans(compileAll(queries...)); err != nil {
-					t.Fatal(err)
+		every, some := newEngine(t, uni, private, trial), newEngine(t, uni, private, trial)
+		for _, pe := range []*PrivateEngine{every, some} {
+			if err := pe.SetTargetPlans(compileAll(queries...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := some.ProcessSelectedInto(nil, randomBatch(rng), []int{len(queries)}); err == nil {
+			t.Fatalf("trial %d: selecting query %d of %d did not fail", trial, len(queries), len(queries))
+		}
+		for call := 0; call < 8; call++ {
+			var sel []int
+			for j := range queries {
+				if rng.Intn(2) == 0 {
+					sel = append(sel, j)
 				}
 			}
-			every, some := pes[0], pes[1]
-			if _, err := some.ProcessSelectedInto(nil, randomBatch(rng), []int{len(queries)}); err == nil {
-				t.Fatalf("trial %d %s: selecting query %d of %d did not fail", trial, path, len(queries), len(queries))
+			ws := randomBatch(rng)
+			all, err := every.ProcessWindows(ws)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for call := 0; call < 8; call++ {
-				var sel []int
-				for j := range queries {
-					if rng.Intn(2) == 0 {
-						sel = append(sel, j)
-					}
+			got, err := some.ProcessSelectedInto(nil, ws, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Answer
+			for i := range ws {
+				for _, j := range sel {
+					want = append(want, all[i*len(queries)+j])
 				}
-				ws := randomBatch(rng)
-				all, err := every.ProcessWindows(ws)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := some.ProcessSelectedInto(nil, ws, sel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want []Answer
-				for i := range ws {
-					for _, j := range sel {
-						want = append(want, all[i*len(queries)+j])
-					}
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("trial %d %s call %d, selection %v:\n got  %v\n want %v", trial, path, call, sel, got, want)
-				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d call %d, selection %v:\n got  %v\n want %v", trial, call, sel, got, want)
 			}
 		}
 	}
@@ -308,7 +310,7 @@ func newProcessBench(t testing.TB) *processBench {
 func TestProcessWindowsIntoZeroAllocs(t *testing.T) {
 	pb := newProcessBench(t)
 	for name, m := range pb.mechs {
-		pe, _ := enginePair(t, m, pb.private, 1)
+		pe := newEngine(t, m, pb.private, 1)
 		if err := pe.SetTargetPlans(compileAll(pb.queries...)); err != nil {
 			t.Fatal(err)
 		}
@@ -329,44 +331,39 @@ func TestProcessWindowsIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkProcessWindows times one service call per PPM on the dense path
-// and on its generic-Run oracle, at 1 and 8 windows per call. ns/window and
-// allocs/window are custom metrics; -benchmem adds the per-call view.
+// BenchmarkProcessWindows times one service call per PPM at 1 and 8 windows
+// per call. ns/window and allocs/window are custom metrics; -benchmem adds
+// the per-call view.
 func BenchmarkProcessWindows(b *testing.B) {
 	pb := newProcessBench(b)
 	for _, name := range []string{"uniform", "adaptive"} {
-		dense, oracle := enginePair(b, pb.mechs[name], pb.private, 1)
-		for _, path := range []struct {
-			name string
-			pe   *PrivateEngine
-		}{{"dense", dense}, {"generic", oracle}} {
-			if err := path.pe.SetTargetPlans(compileAll(pb.queries...)); err != nil {
-				b.Fatal(err)
-			}
-			for _, batch := range []int{1, 8} {
-				b.Run(fmt.Sprintf("%s/%s/windows=%d", name, path.name, batch), func(b *testing.B) {
-					// One untimed call sizes the answer buffer and fills the
-					// pools, so short smoke runs report the steady state too.
-					dst, err := path.pe.ProcessWindows(pb.wins[:batch])
-					if err != nil {
+		pe := newEngine(b, pb.mechs[name], pb.private, 1)
+		if err := pe.SetTargetPlans(compileAll(pb.queries...)); err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/windows=%d", name, batch), func(b *testing.B) {
+				// One untimed call sizes the answer buffer and fills the
+				// pools, so short smoke runs report the steady state too.
+				dst, err := pe.ProcessWindows(pb.wins[:batch])
+				if err != nil {
+					b.Fatal(err)
+				}
+				at := 0
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				mallocs := ms.Mallocs
+				for b.Loop() {
+					if dst, err = pe.ProcessWindowsInto(dst[:0], pb.wins[at:at+batch]); err != nil {
 						b.Fatal(err)
 					}
-					at := 0
-					var ms runtime.MemStats
-					runtime.ReadMemStats(&ms)
-					mallocs := ms.Mallocs
-					for b.Loop() {
-						if dst, err = path.pe.ProcessWindowsInto(dst[:0], pb.wins[at:at+batch]); err != nil {
-							b.Fatal(err)
-						}
-						at = (at + batch) % (len(pb.wins) - batch)
-					}
-					runtime.ReadMemStats(&ms)
-					windows := float64(b.N * batch)
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/windows, "ns/window")
-					b.ReportMetric(float64(ms.Mallocs-mallocs)/windows, "allocs/window")
-				})
-			}
+					at = (at + batch) % (len(pb.wins) - batch)
+				}
+				runtime.ReadMemStats(&ms)
+				windows := float64(b.N * batch)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/windows, "ns/window")
+				b.ReportMetric(float64(ms.Mallocs-mallocs)/windows, "allocs/window")
+			})
 		}
 	}
 }

@@ -18,6 +18,14 @@ import (
 // UnregisterTarget when no target query with that name is registered.
 var ErrUnknownTarget = errors.New("core: unknown target query")
 
+// ErrUnservedMechanism is returned (wrapped, with the mechanism's name) by
+// NewPrivateEngine for a mechanism the engine cannot serve: anything but
+// UniformPPM, AdaptivePPM and Identity. Their release is a fixed flip table
+// applied to each window independently, so a window's ε is the per-window
+// charge the ledger books. A w-event or landmark baseline, or CountPPM, is
+// defined over a whole window sequence; compare it through Mechanism.Run.
+var ErrUnservedMechanism = errors.New("core: mechanism cannot be served")
+
 // Answer is one privacy-protected query answer delivered to a data consumer:
 // the window it refers to and the released binary detection.
 type Answer struct {
@@ -41,11 +49,10 @@ type Answer struct {
 // PrivateEngine is safe for concurrent registration and concurrent service
 // calls: every ProcessWindows call derives its own RNG from the engine seed
 // and a call counter, so randomness is never shared between goroutines.
-// (All provided mechanisms keep their per-sequence state local to Run; a
-// custom Mechanism must do the same to be served concurrently.)
 type PrivateEngine struct {
 	mu        sync.RWMutex
 	mechanism Mechanism
+	flips     flipLister
 	private   []PatternType
 	targets   map[string]cep.Query
 	// snap is an immutable snapshot of the serving state — the name-sorted
@@ -66,21 +73,16 @@ type PrivateEngine struct {
 // target-query types that indicators must cover. Compiled once per
 // registration change, shared by every in-flight service call.
 //
-// The planSet is the single owner of the type table. When the mechanism
-// exposes its flip lists (the pattern-level PPMs do), the epoch also carries
-// the dense serving form: a window's indicators are a flat row of bits
-// indexed by table position, flips[pos] is the flip list of types[pos], and
-// bound[j] is plans[j] with its operands resolved to positions.
+// The planSet is the single owner of the type table. A window's indicators
+// are a flat row of bits indexed by table position, flips[pos] is the flip
+// list of types[pos], and bound[j] is the j-th target's plan with its
+// operands resolved to positions.
 type planSet struct {
 	targets []cep.Query
-	plans   []*cep.Plan
 	types   []event.Type
-	// every selects every plan: 0..len(plans)-1, what ProcessWindowsInto
+	// every selects every plan: 0..len(bound)-1, what ProcessWindowsInto
 	// answers.
 	every []int
-
-	// dense selects the row path; flips and bound are set only with it.
-	dense bool
 	pos   map[event.Type]int32
 	flips [][]float64
 	bound []*cep.BoundPlan
@@ -88,15 +90,14 @@ type planSet struct {
 
 // buildPlanSet compiles the serving state for a sorted target snapshot.
 // Queries are validated at registration, so compilation cannot fail.
-func buildPlanSet(m Mechanism, private []PatternType, targets []cep.Query, plans []*cep.Plan) *planSet {
-	ps := &planSet{targets: targets, plans: plans}
-	if ps.plans == nil {
-		ps.plans = make([]*cep.Plan, len(targets))
+func buildPlanSet(fl flipLister, private []PatternType, targets []cep.Query, plans []*cep.Plan) *planSet {
+	if plans == nil {
+		plans = make([]*cep.Plan, len(targets))
 		for i, q := range targets {
-			ps.plans[i] = cep.MustCompile(q)
+			plans[i] = cep.MustCompile(q)
 		}
 	}
-	ps.every = make([]int, len(targets))
+	ps := &planSet{targets: targets, every: make([]int, len(targets))}
 	for i := range ps.every {
 		ps.every[i] = i
 	}
@@ -108,19 +109,16 @@ func buildPlanSet(m Mechanism, private []PatternType, targets []cep.Query, plans
 	}
 	slices.Sort(ps.types)
 	ps.types = slices.Compact(ps.types)
-	if fl, ok := m.(flipLister); ok {
-		lists := fl.flipLists()
-		ps.dense = true
-		ps.flips = make([][]float64, len(ps.types))
-		ps.pos = make(map[event.Type]int32, len(ps.types))
-		for pos, t := range ps.types {
-			ps.flips[pos] = lists[t]
-			ps.pos[t] = int32(pos)
-		}
-		ps.bound = make([]*cep.BoundPlan, len(ps.plans))
-		for j, p := range ps.plans {
-			ps.bound[j] = p.Bind(ps.types, ps.pos)
-		}
+	lists := fl.flipLists()
+	ps.flips = make([][]float64, len(ps.types))
+	ps.pos = make(map[event.Type]int32, len(ps.types))
+	for pos, t := range ps.types {
+		ps.flips[pos] = lists[t]
+		ps.pos[t] = int32(pos)
+	}
+	ps.bound = make([]*cep.BoundPlan, len(plans))
+	for j, p := range plans {
+		ps.bound[j] = p.Bind(ps.types, ps.pos)
 	}
 	return ps
 }
@@ -149,21 +147,43 @@ func (ps *planSet) fillRow(row []bool, w *stream.Window) {
 
 // NewPrivateEngine builds an engine around the given mechanism and the
 // private pattern types it protects. seed drives the mechanism's randomness.
+// A mechanism other than UniformPPM, AdaptivePPM or Identity is refused with
+// ErrUnservedMechanism.
 func NewPrivateEngine(m Mechanism, private []PatternType, seed int64) (*PrivateEngine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: nil mechanism")
+	}
+	fl, ok := servedFlips(m)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q is not a per-window flip table", ErrUnservedMechanism, m.Name())
 	}
 	if len(private) == 0 {
 		return nil, fmt.Errorf("core: no private pattern types registered")
 	}
 	pe := &PrivateEngine{
 		mechanism: m,
+		flips:     fl,
 		private:   private,
 		targets:   make(map[string]cep.Query),
 		seed:      seed,
 	}
-	pe.snap = buildPlanSet(m, private, nil, nil)
+	pe.snap = buildPlanSet(fl, private, nil, nil)
 	return pe, nil
+}
+
+// servedFlips returns m's flip table when the engine can serve m. It checks
+// the concrete type, not just flipLister: a type embedding one of the three
+// inherits flipLists while it may override Run or TotalEpsilon.
+func servedFlips(m Mechanism) (flipLister, bool) {
+	switch m := m.(type) {
+	case *UniformPPM:
+		return m, true
+	case *AdaptivePPM:
+		return m, true
+	case Identity:
+		return m, true
+	}
+	return nil, false
 }
 
 // MixSeed derives a decorrelated child seed from a parent seed and a step
@@ -267,7 +287,7 @@ func (pe *PrivateEngine) rebuildSnapshot() {
 		out = append(out, q)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	pe.snap = buildPlanSet(pe.mechanism, pe.private, out, nil)
+	pe.snap = buildPlanSet(pe.flips, pe.private, out, nil)
 }
 
 // snapshot returns the current serving snapshot. The returned set and its
@@ -310,43 +330,8 @@ func (pe *PrivateEngine) SetTargetPlans(plans []*cep.Plan) error {
 	for _, q := range targets {
 		pe.targets[q.Name] = q
 	}
-	pe.snap = buildPlanSet(pe.mechanism, pe.private, targets, plans)
+	pe.snap = buildPlanSet(pe.flips, pe.private, targets, plans)
 	return nil
-}
-
-// indicatorScratch is the reusable input buffer of one generic-path service
-// call: the indicator-window slice and its per-window maps are cleared and
-// refilled instead of reallocated. Safe because Mechanism.Run must not retain
-// its input windows (see the interface contract).
-type indicatorScratch struct {
-	wins []IndicatorWindow
-}
-
-var indicatorPool = sync.Pool{New: func() any { return new(indicatorScratch) }}
-
-// fill rebuilds the scratch to mirror ws over the given types.
-func (sc *indicatorScratch) fill(ws []stream.Window, types []event.Type) []IndicatorWindow {
-	if n := len(ws); cap(sc.wins) < n {
-		sc.wins = append(sc.wins[:cap(sc.wins)], make([]IndicatorWindow, n-cap(sc.wins))...)
-	}
-	sc.wins = sc.wins[:len(ws)]
-	for i := range sc.wins {
-		iw := &sc.wins[i]
-		iw.Index = i
-		if iw.Present == nil {
-			iw.Present = make(map[event.Type]bool, len(types))
-			iw.Counts = make(map[event.Type]int, len(types))
-		} else {
-			clear(iw.Present)
-			clear(iw.Counts)
-		}
-		for _, t := range types {
-			c := ws[i].Count(t)
-			iw.Counts[t] = c
-			iw.Present[t] = c > 0
-		}
-	}
-	return sc.wins
 }
 
 // ProcessWindows runs the service phase over a batch of windows: perturb
@@ -359,15 +344,9 @@ func (pe *PrivateEngine) ProcessWindows(ws []stream.Window) ([]Answer, error) {
 // ProcessWindowsInto is ProcessWindows appending into dst, so a streaming
 // caller can reuse one answer buffer across calls: answers are valid until
 // the caller reuses the buffer. Windows that carry TypeCounts (cut by the
-// streaming Windower) are indexed without rescanning their events.
-//
-// There are two paths, chosen per epoch from the mechanism. A mechanism that
-// exposes flip lists is served over dense indicator rows: no map, no sort
-// and no allocation per window. Any other mechanism — the stateful
-// w-event/landmark baselines need the whole window sequence, Identity has
-// nothing to flip — goes through Mechanism.Run over indicator maps. Both
-// consume the call's RNG in the same order, so for a PPM they release the
-// same bits; the generic path is the differential oracle of the dense one.
+// streaming Windower) are indexed without rescanning their events. Each
+// window is perturbed as a dense row of indicator bits: no map, no sort and
+// no allocation per window.
 func (pe *PrivateEngine) ProcessWindowsInto(dst []Answer, ws []stream.Window) ([]Answer, error) {
 	ps := pe.snapshot()
 	return pe.process(ps, dst, ws, ps.every)
@@ -390,28 +369,20 @@ func (pe *PrivateEngine) ProcessSelectedInto(dst []Answer, ws []stream.Window, s
 	return pe.process(ps, dst, ws, sel)
 }
 
-// process is the one service loop behind ProcessWindowsInto and
-// ProcessSelectedInto: perturb every window, then answer the plans sel names.
-func (pe *PrivateEngine) process(ps *planSet, dst []Answer, ws []stream.Window, sel []int) ([]Answer, error) {
-	if len(ps.targets) == 0 {
-		return nil, fmt.Errorf("core: no target queries registered")
-	}
-	if ps.dense {
-		return pe.processDense(ps, dst, ws, sel), nil
-	}
-	return pe.processGeneric(ps, dst, ws, sel)
-}
-
 // denseStackTypes is the largest type table whose indicator row lives on the
 // service call's stack; a larger table costs one allocation per call.
 const denseStackTypes = 64
 
-// processDense perturbs and answers each window as one row of bits over the
-// type table. Randomness is drawn exactly as flipTable.Run draws it over the
-// generic path's indicator maps — window-major, types in sorted order, each
-// type's flips in registration order — so released bits are identical for
-// the same seed.
-func (pe *PrivateEngine) processDense(ps *planSet, dst []Answer, ws []stream.Window, sel []int) []Answer {
+// process is the one service loop behind ProcessWindowsInto and
+// ProcessSelectedInto: perturb every window as one row of bits over the type
+// table, then answer the plans sel names. Randomness is drawn exactly as
+// Mechanism.Run draws it over indicator maps of the same types — window-major,
+// types in sorted order, each type's flips in registration order — so
+// released bits are identical for the same seed.
+func (pe *PrivateEngine) process(ps *planSet, dst []Answer, ws []stream.Window, sel []int) ([]Answer, error) {
+	if len(ps.targets) == 0 {
+		return nil, fmt.Errorf("core: no target queries registered")
+	}
 	var buf [denseStackTypes]bool
 	row := buf[:]
 	if len(ps.types) > len(buf) {
@@ -440,32 +411,6 @@ func (pe *PrivateEngine) processDense(ps *planSet, dst []Answer, ws []stream.Win
 		}
 	}
 	putRNG(rng)
-	return dst
-}
-
-// processGeneric presents the whole window sequence to Mechanism.Run as
-// indicator maps and answers the selected plans from the released maps.
-func (pe *PrivateEngine) processGeneric(ps *planSet, dst []Answer, ws []stream.Window, sel []int) ([]Answer, error) {
-	scratch := indicatorPool.Get().(*indicatorScratch)
-	defer indicatorPool.Put(scratch)
-	rng := pe.callRNG()
-	released := pe.mechanism.Run(rng.r, scratch.fill(ws, ps.types))
-	putRNG(rng)
-	if len(released) != len(ws) {
-		return nil, fmt.Errorf("core: mechanism %q returned %d windows for %d inputs",
-			pe.mechanism.Name(), len(released), len(ws))
-	}
-	dst = slices.Grow(dst, len(ws)*len(sel))
-	for i, w := range ws {
-		for _, j := range sel {
-			dst = append(dst, Answer{
-				Query:       ps.targets[j].Name,
-				WindowIndex: i,
-				Window:      w,
-				Detected:    ps.plans[j].EvalIndicators(released[i]),
-			})
-		}
-	}
 	return dst, nil
 }
 

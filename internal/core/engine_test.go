@@ -177,41 +177,6 @@ func TestRelevantTypesUnion(t *testing.T) {
 	}
 }
 
-// TestIndicatorScratchStaleKeys pins the pooled fill: when the relevant type
-// set changes between fills of different batch lengths, no Present map may
-// retain keys from an older type set (mechanisms iterate Present, so a stale
-// key would change the released indicator set).
-func TestIndicatorScratchStaleKeys(t *testing.T) {
-	mk := func(n int) []stream.Window {
-		ws := make([]stream.Window, n)
-		for i := range ws {
-			ws[i] = stream.Window{Start: event.Timestamp(i * 10), End: event.Timestamp(i*10 + 10)}
-		}
-		return ws
-	}
-	sc := new(indicatorScratch)
-	t1 := []event.Type{"a", "b", "c"}
-	t2 := []event.Type{"x"}
-	sc.fill(mk(5), t1)
-	sc.fill(mk(2), t2)
-	wins := sc.fill(mk(5), t2) // entries 2..4 were last written under t1
-	for i, iw := range wins {
-		if len(iw.Present) != len(t2) {
-			t.Fatalf("window %d: Present has %d keys %v, want exactly %v", i, len(iw.Present), iw.Present, t2)
-		}
-		if _, ok := iw.Present["x"]; !ok {
-			t.Fatalf("window %d: Present missing x: %v", i, iw.Present)
-		}
-	}
-	// Steady state: same types, same length — keys overwritten in place.
-	wins = sc.fill(mk(5), t2)
-	for i, iw := range wins {
-		if len(iw.Present) != 1 {
-			t.Fatalf("steady window %d: Present = %v", i, iw.Present)
-		}
-	}
-}
-
 // TestSetTargetPlansUnsorted asserts that plans handed in out of name order
 // are paired with their own queries, not positionally.
 func TestSetTargetPlansUnsorted(t *testing.T) {

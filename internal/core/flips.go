@@ -38,9 +38,10 @@ func newFlipTable(eps dp.Epsilon, private []PatternType, dists []*dp.Distributio
 }
 
 // flipLister is implemented by mechanisms whose whole release is a flipTable
-// applied to every window independently, types in sorted order. The serving
-// engine resolves the lists to type-table positions once per epoch and
-// perturbs dense indicator rows with exactly the draws Run would make.
+// applied to every window independently, types in sorted order: UniformPPM,
+// AdaptivePPM and Identity (no flips). The serving engine resolves the lists
+// to type-table positions once per epoch and perturbs dense indicator rows
+// with exactly the draws Run would make.
 type flipLister interface {
 	flipLists() map[event.Type][]float64
 }

@@ -18,8 +18,6 @@ type IndicatorWindow struct {
 	// Present maps each relevant event type to its existence indicator.
 	Present map[event.Type]bool
 	// Counts maps each relevant event type to its occurrence count.
-	// Mechanisms must treat it (like Present) as read-only: the serving
-	// engine hands Run pooled maps that it recycles between service calls.
 	Counts map[event.Type]int
 }
 
@@ -89,10 +87,8 @@ type Mechanism interface {
 	// (after conversion, for non-pattern-level baselines).
 	TotalEpsilon() dp.Epsilon
 	// Run perturbs the window sequence and returns the released
-	// indicators for each window. The input windows and rng are only
-	// valid for the duration of the call: implementations must neither
-	// retain them nor alias their maps into the returned release maps
-	// (the serving engine recycles the input buffers between calls).
+	// indicators for each window. Implementations must neither retain the
+	// input windows or rng nor alias the input maps into the release maps.
 	Run(rng *rand.Rand, wins []IndicatorWindow) []map[event.Type]bool
 }
 
@@ -100,10 +96,10 @@ type Mechanism interface {
 // like Run — same semantics, same randomness consumption — but writes each
 // window's released indicators into the corresponding pre-cleared map of
 // released (guaranteed to have len(released) == len(wins)) instead of
-// allocating fresh maps. The serving engine does not use it — a PPM is served
-// over dense rows, everything else through Run — so its only caller is the
-// bench ladder's core.perturb rung; once that rung is re-pointed, the
-// extension and UniformPPM.RunInto can be deleted.
+// allocating fresh maps. The serving engine does not use it — it serves dense
+// rows — so its only caller is the bench ladder's core.perturb rung; once
+// that rung is re-pointed, the extension and UniformPPM.RunInto can be
+// deleted.
 type ReleaseReuser interface {
 	RunInto(rng *rand.Rand, wins []IndicatorWindow, released []map[event.Type]bool) []map[event.Type]bool
 }
@@ -118,6 +114,10 @@ func (Identity) Name() string { return "identity" }
 
 // TotalEpsilon implements Mechanism; the identity provides no privacy.
 func (Identity) TotalEpsilon() dp.Epsilon { return dp.Epsilon(0) }
+
+// flipLists is the empty flip table: the engine serves Identity over dense
+// rows and draws nothing for it.
+func (Identity) flipLists() map[event.Type][]float64 { return nil }
 
 // Run implements Mechanism.
 func (Identity) Run(_ *rand.Rand, wins []IndicatorWindow) []map[event.Type]bool {

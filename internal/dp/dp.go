@@ -75,15 +75,6 @@ func (r RandomizedResponse) Respond(rng *rand.Rand, truth bool) bool {
 	return truth
 }
 
-// RespondMany perturbs a vector of bits independently.
-func (r RandomizedResponse) RespondMany(rng *rand.Rand, truth []bool) []bool {
-	out := make([]bool, len(truth))
-	for i, b := range truth {
-		out[i] = r.Respond(rng, b)
-	}
-	return out
-}
-
 // Laplace samples Laplace(0, scale) noise. scale must be positive.
 func Laplace(rng *rand.Rand, scale float64) float64 {
 	if scale <= 0 || math.IsNaN(scale) {
@@ -92,18 +83,6 @@ func Laplace(rng *rand.Rand, scale float64) float64 {
 	// Inverse-CDF sampling: U uniform on (-1/2, 1/2).
 	u := rng.Float64() - 0.5
 	return -scale * sign(u) * math.Log(1-2*math.Abs(u))
-}
-
-// LaplaceMechanism perturbs a numeric query answer with sensitivity sens
-// under budget eps: value + Laplace(sens/eps).
-func LaplaceMechanism(rng *rand.Rand, value, sens float64, eps Epsilon) (float64, error) {
-	if !eps.Valid() || eps == 0 {
-		return 0, fmt.Errorf("dp: invalid epsilon %v for Laplace mechanism", eps)
-	}
-	if sens <= 0 {
-		return 0, fmt.Errorf("dp: non-positive sensitivity %v", sens)
-	}
-	return value + Laplace(rng, sens/float64(eps)), nil
 }
 
 // Geometric samples two-sided geometric noise with parameter α = e^{-ε/sens},

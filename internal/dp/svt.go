@@ -83,41 +83,3 @@ func (s *SparseVector) Query(value float64) (bool, error) {
 
 // Remaining reports how many positive answers the instance can still give.
 func (s *SparseVector) Remaining() int { return s.budget }
-
-// Exponential selects an index from scores under the exponential mechanism:
-// P(i) ∝ exp(ε·score_i / (2·sens)). Higher scores are better. It returns an
-// error for empty scores or invalid parameters.
-func Exponential(rng *rand.Rand, scores []float64, sens float64, eps Epsilon) (int, error) {
-	if len(scores) == 0 {
-		return 0, fmt.Errorf("dp: exponential mechanism over no candidates")
-	}
-	if !eps.Valid() {
-		return 0, fmt.Errorf("dp: invalid epsilon %v", eps)
-	}
-	if sens <= 0 || math.IsNaN(sens) {
-		return 0, fmt.Errorf("dp: invalid sensitivity %v", sens)
-	}
-	// Shift by the max score for numerical stability.
-	max := scores[0]
-	for _, sc := range scores[1:] {
-		if sc > max {
-			max = sc
-		}
-	}
-	weights := make([]float64, len(scores))
-	total := 0.0
-	for i, sc := range scores {
-		w := math.Exp(float64(eps) * (sc - max) / (2 * sens))
-		weights[i] = w
-		total += w
-	}
-	u := rng.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i, nil
-		}
-	}
-	return len(scores) - 1, nil
-}

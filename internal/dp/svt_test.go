@@ -2,7 +2,6 @@ package dp
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -97,88 +96,5 @@ func TestSparseVectorNegativesAreFree(t *testing.T) {
 	}
 	if sv.Remaining() != 1 {
 		t.Error("negative answers consumed budget")
-	}
-}
-
-func TestExponentialValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	if _, err := Exponential(rng, nil, 1, 1); err == nil {
-		t.Error("empty scores accepted")
-	}
-	if _, err := Exponential(rng, []float64{1}, 0, 1); err == nil {
-		t.Error("zero sensitivity accepted")
-	}
-	if _, err := Exponential(rng, []float64{1}, 1, -1); err == nil {
-		t.Error("negative epsilon accepted")
-	}
-}
-
-func TestExponentialPrefersHighScores(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	scores := []float64{0, 0, 10}
-	counts := make([]int, 3)
-	const n = 20000
-	for i := 0; i < n; i++ {
-		idx, err := Exponential(rng, scores, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[idx]++
-	}
-	if counts[2] < n*9/10 {
-		t.Errorf("best candidate chosen %d/%d", counts[2], n)
-	}
-}
-
-func TestExponentialZeroEpsilonUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	scores := []float64{0, 100}
-	counts := make([]int, 2)
-	const n = 40000
-	for i := 0; i < n; i++ {
-		idx, _ := Exponential(rng, scores, 1, 0)
-		counts[idx]++
-	}
-	ratio := float64(counts[0]) / float64(counts[1])
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("eps=0 not uniform: %v", counts)
-	}
-}
-
-func TestExponentialDPRatioEmpirically(t *testing.T) {
-	// Neighboring score vectors (one score changed by sens) must produce
-	// selection distributions within e^eps.
-	eps := Epsilon(1)
-	sens := 1.0
-	a := []float64{3, 2, 1}
-	b := []float64{2, 2, 1} // first score lowered by sens
-	const n = 300000
-	sample := func(scores []float64, seed int64) []float64 {
-		rng := rand.New(rand.NewSource(seed))
-		counts := make([]float64, len(scores))
-		for i := 0; i < n; i++ {
-			idx, _ := Exponential(rng, scores, sens, eps)
-			counts[idx]++
-		}
-		return counts
-	}
-	ca := sample(a, 8)
-	cb := sample(b, 9)
-	for i := range ca {
-		if ca[i] == 0 || cb[i] == 0 {
-			continue
-		}
-		ratio := math.Abs(math.Log(ca[i] / cb[i]))
-		if ratio > float64(eps)+0.05 {
-			t.Errorf("candidate %d ratio %v exceeds eps", i, ratio)
-		}
-	}
-}
-
-func TestExponentialSingleCandidate(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	idx, err := Exponential(rng, []float64{5}, 1, 1)
-	if err != nil || idx != 0 {
-		t.Errorf("single candidate: idx=%d err=%v", idx, err)
 	}
 }

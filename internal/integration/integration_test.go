@@ -4,6 +4,7 @@
 package integration
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,8 +129,11 @@ func TestParsedQueryThroughPrivateEngine(t *testing.T) {
 	}
 }
 
-// TestBaselinesThroughPrivateEngine runs every baseline mechanism through
-// the same PrivateEngine service path as the PPMs.
+// TestBaselinesThroughPrivateEngine: the PrivateEngine refuses every
+// baseline mechanism — each keeps w-event or landmark state across one whole
+// sequence, which per-batch serving would restart — and each still releases
+// one indicator map per window through its own Run, as the experiments call
+// it.
 func TestBaselinesThroughPrivateEngine(t *testing.T) {
 	private, _ := core.NewPatternType("p", "a")
 	mechs := []func() (core.Mechanism, error){
@@ -149,6 +153,10 @@ func TestBaselinesThroughPrivateEngine(t *testing.T) {
 			return baseline.NewWEventUniform(baseline.WEventConfig{
 				PatternEpsilon: 100, W: 4, Private: []core.PatternType{private}})
 		},
+		func() (core.Mechanism, error) {
+			return baseline.NewWEventSample(baseline.WEventConfig{
+				PatternEpsilon: 100, W: 4, Private: []core.PatternType{private}})
+		},
 	}
 	evs := []event.Event{event.New("a", 1), event.New("b", 12), event.New("a", 21)}
 	for _, build := range mechs {
@@ -156,17 +164,13 @@ func TestBaselinesThroughPrivateEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pe, err := core.NewPrivateEngine(mech, []core.PatternType{private}, 9)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := core.NewPrivateEngine(mech, []core.PatternType{private}, 9); !errors.Is(err, core.ErrUnservedMechanism) {
+			t.Fatalf("%s: NewPrivateEngine = %v, want ErrUnservedMechanism", mech.Name(), err)
 		}
-		pe.RegisterTarget(cep.Query{Name: "t", Pattern: cep.E("a"), Window: 10})
-		answers, err := pe.ProcessEvents(evs, 10)
-		if err != nil {
-			t.Fatalf("%s: %v", mech.Name(), err)
-		}
-		if len(answers) != 3 {
-			t.Fatalf("%s: answers = %d", mech.Name(), len(answers))
+		wins := core.IndicatorWindows(stream.WindowSlice(evs, 10), []event.Type{"a", "b"})
+		released := mech.Run(rand.New(rand.NewSource(9)), wins)
+		if len(released) != 3 {
+			t.Fatalf("%s: released %d windows, want 3", mech.Name(), len(released))
 		}
 	}
 }

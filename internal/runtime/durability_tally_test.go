@@ -48,7 +48,7 @@ func tallyConfig(t *testing.T, dir string, slide event.Timestamp) Config {
 		Slide:           slide,
 		Lateness:        ReorderBuffer,
 		AllowedLateness: 25,
-		Mechanism:       func(int) (core.Mechanism, error) { return identityMechanism{}, nil },
+		Mechanism:       func(int) (core.Mechanism, error) { return core.Identity{}, nil },
 		Private:         []core.PatternType{pt},
 		Targets: []cep.Query{
 			{Name: "has-a", Pattern: cep.E("a"), Window: 10},

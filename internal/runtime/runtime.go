@@ -107,7 +107,9 @@ type Config struct {
 	// must be safe for concurrent calls and stay callable for the
 	// runtime's lifetime. Because its mechanism cannot adapt to private
 	// types it was not built over, RegisterPrivate requires MechanismFor
-	// instead.
+	// instead. Either factory must return a mechanism the engine serves
+	// (core.UniformPPM, core.AdaptivePPM or core.Identity): New, or the
+	// rebuild, fails with core.ErrUnservedMechanism for any other.
 	Mechanism func(shard int) (core.Mechanism, error)
 	// MechanismFor, when set, takes precedence over Mechanism: it builds
 	// shard i's mechanism over the given private set and is re-invoked on

@@ -4,14 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"patterndp/internal/cep"
 	"patterndp/internal/core"
-	"patterndp/internal/dp"
+	"patterndp/internal/durable"
 	"patterndp/internal/event"
 )
 
@@ -874,76 +874,102 @@ func TestRuntimeDeterministicPerStream(t *testing.T) {
 	}
 }
 
-// failingMechanism misbehaves (wrong window count) after a number of calls,
-// standing in for a buggy custom Mechanism in production.
-type failingMechanism struct{ calls, after int }
-
-func (m *failingMechanism) Name() string             { return "failing" }
-func (m *failingMechanism) TotalEpsilon() dp.Epsilon { return 1 }
-func (m *failingMechanism) Run(rng *rand.Rand, wins []core.IndicatorWindow) []map[event.Type]bool {
-	m.calls++
-	if m.calls > m.after {
-		return nil // wrong length: the engine must reject this
-	}
-	return core.Identity{}.Run(rng, wins)
-}
+// errRebuild is the factory failure TestRuntimeShardFailureSurfaces injects.
+var errRebuild = errors.New("test: mechanism rebuild failed")
 
 // TestRuntimeShardFailureSurfaces is the regression test for silent shard
-// death: after an engine error the failure must show up in Ingest (not just
-// at Close), in the snapshot, and in Close's returned error — and, with or
-// without a WAL, the message that failed must publish nothing, not even the
-// windows it served before the error.
+// death: after a serving error the failure must show up in Ingest (not just
+// at Close), in the snapshot, and in Close's returned error — and the message
+// that failed must publish nothing, not even the windows it served before the
+// error. Two failures remain deterministic: a MechanismFor rebuild that fails
+// after a RegisterPrivate (before the failing message serves anything, with
+// and without a WAL), and, with a WAL, a crash injected before the group
+// commit of a message that has already served two windows.
 func TestRuntimeShardFailureSurfaces(t *testing.T) {
 	for _, wal := range []bool{false, true} {
 		t.Run(fmt.Sprintf("wal=%v", wal), func(t *testing.T) {
-			cfg := testConfig(t, 1)
-			cfg.Mechanism = func(int) (core.Mechanism, error) {
-				return &failingMechanism{after: 2}, nil
-			}
+			t.Run("rebuild", func(t *testing.T) { checkShardFailure(t, wal, false) })
 			if wal {
-				cfg.Durability = &DurabilityConfig{Dir: t.TempDir()}
-			}
-			rt, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, wait := collectAnswers(t, rt)
-			// Message 1 closes window 0 (engine call 1). Message 2 closes
-			// window 1 (call 2, served) and then window 2 (call 3, fails).
-			if err := rt.IngestBatch([]event.Event{event.New("a", 1), event.New("a", 11)}); err != nil {
-				t.Fatal(err)
-			}
-			if err := rt.IngestBatch([]event.Event{event.New("a", 21), event.New("a", 31)}); err != nil {
-				t.Fatal(err)
-			}
-			// Keep ingesting until the failure propagates to Ingest.
-			var ingestErr error
-			for i := 0; i < 100000 && ingestErr == nil; i++ {
-				ingestErr = rt.Ingest(event.New("a", event.Timestamp(40+i)))
-			}
-			if !errors.Is(ingestErr, ErrShardFailed) {
-				t.Fatalf("Ingest after shard failure = %v, want ErrShardFailed", ingestErr)
-			}
-			tot := rt.Snapshot().Totals()
-			if !tot.Failed {
-				t.Error("Snapshot does not report the failed shard")
-			}
-			if err := rt.Close(); err == nil || errors.Is(err, ErrClosed) {
-				t.Errorf("Close = %v, want the underlying engine error", err)
-			}
-			wait()
-			if len(got) != len(cfg.Targets) {
-				t.Errorf("answers for %d queries, want %d", len(got), len(cfg.Targets))
-			}
-			for key, answers := range got {
-				if len(answers) != 1 || answers[0].WindowIndex != 0 {
-					t.Errorf("%s: delivered %+v, want only message 1's window 0", key, answers)
-				}
-			}
-			if int(tot.AnswersEmitted) != len(cfg.Targets) {
-				t.Errorf("AnswersEmitted = %d, want %d", tot.AnswersEmitted, len(cfg.Targets))
+				t.Run("crash-before-commit", func(t *testing.T) { checkShardFailure(t, wal, true) })
 			}
 		})
+	}
+}
+
+// checkShardFailure runs one TestRuntimeShardFailureSurfaces case: a failing
+// rebuild, or with crash an injected crash before message 2's commit.
+func checkShardFailure(t *testing.T, wal, crash bool) {
+	cause := errRebuild
+	if crash {
+		cause = durable.ErrCrashed
+	}
+	cfg := testConfig(t, 1)
+	cfg.Mechanism = nil
+	var builds atomic.Int32
+	cfg.MechanismFor = func(_ int, private []core.PatternType) (core.Mechanism, error) {
+		if builds.Add(1) > 1 {
+			return nil, errRebuild
+		}
+		return core.NewUniformPPM(50, private...)
+	}
+	if wal {
+		cfg.Durability = &DurabilityConfig{Dir: t.TempDir()}
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wait := collectAnswers(t, rt)
+	// Message 1 closes and publishes window 0.
+	if err := rt.IngestBatch([]event.Event{event.New("a", 1), event.New("a", 11)}); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, rt)
+	if crash {
+		// The next commit carrying a record dies before writing.
+		rt.durLog.InjectCrash(durable.CrashBeforeCommit, 1)
+	} else {
+		pt, err := core.NewPatternType("priv2", "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The shard rebuilds at its next window boundary, inside
+		// message 2, and the factory fails.
+		if _, err := rt.RegisterPrivate(pt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Message 2 closes windows 1 and 2: the rebuild fails before
+	// serving window 1; the crash fires after both are served.
+	if err := rt.IngestBatch([]event.Event{event.New("a", 21), event.New("a", 31)}); err != nil {
+		t.Fatal(err)
+	}
+	// Keep ingesting until the failure propagates to Ingest.
+	var ingestErr error
+	for i := 0; i < 100000 && ingestErr == nil; i++ {
+		ingestErr = rt.Ingest(event.New("a", event.Timestamp(40+i)))
+	}
+	if !errors.Is(ingestErr, ErrShardFailed) {
+		t.Fatalf("Ingest after shard failure = %v, want ErrShardFailed", ingestErr)
+	}
+	tot := rt.Snapshot().Totals()
+	if !tot.Failed {
+		t.Error("Snapshot does not report the failed shard")
+	}
+	if err := rt.Close(); !errors.Is(err, cause) {
+		t.Errorf("Close = %v, want the underlying %v", err, cause)
+	}
+	wait()
+	if len(got) != len(cfg.Targets) {
+		t.Errorf("answers for %d queries, want %d", len(got), len(cfg.Targets))
+	}
+	for key, answers := range got {
+		if len(answers) != 1 || answers[0].WindowIndex != 0 {
+			t.Errorf("%s: delivered %+v, want only message 1's window 0", key, answers)
+		}
+	}
+	if int(tot.AnswersEmitted) != len(cfg.Targets) {
+		t.Errorf("AnswersEmitted = %d, want %d", tot.AnswersEmitted, len(cfg.Targets))
 	}
 }
 

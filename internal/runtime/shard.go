@@ -222,9 +222,9 @@ func (s *shard) resolveDemand(t *sinkTable) {
 // answered under a half-applied registration state. A private-set change
 // rebuilds the mechanism (via the configured factory, so budget splits stay
 // coherent over the new set) and the engine around it; a query-only change
-// swaps the epoch's precompiled plan set into the live engine, preserving
-// mechanism state. It reports false on a rebuild error, which it records for
-// Close to surface, like emit.
+// swaps the epoch's precompiled plan set into the live engine, keeping its
+// mechanism and call counter. It reports false on a rebuild error, which it
+// records for Close to surface, like emit.
 func (s *shard) syncControl() bool {
 	st := s.rt.ctl.Load()
 	if st == s.cur {
@@ -453,8 +453,8 @@ func (s *shard) sweep(evict int64) bool {
 
 // emit is the one serving sequence for the windows a push (or flush) closed:
 // decide each window, serve the admitted ones as a single engine batch — so
-// stateful mechanisms see the windows in stream order and the per-call
-// overhead is paid once — and assemble every released answer some sink
+// the windows draw their noise in stream order and the per-call overhead is
+// paid once — and assemble every released answer some sink
 // listens to (the shard's demand) into the message's outbox, tagged with the
 // stream key, per-stream window index, and the control-plane epoch it was
 // served under. Pending epochs are applied before the batch, never within one,

@@ -7,29 +7,9 @@ import (
 
 	"patterndp/internal/cep"
 	"patterndp/internal/core"
-	"patterndp/internal/dp"
 	"patterndp/internal/event"
 	"patterndp/internal/stream"
 )
-
-// identityMechanism releases the true indicators unperturbed, so serving
-// equivalence tests are deterministic: a released answer depends only on
-// which events reached which window. (No privacy — test-only.)
-type identityMechanism struct{}
-
-func (identityMechanism) Name() string             { return "identity" }
-func (identityMechanism) TotalEpsilon() dp.Epsilon { return 0 }
-func (identityMechanism) Run(_ *rand.Rand, wins []core.IndicatorWindow) []map[event.Type]bool {
-	out := make([]map[event.Type]bool, len(wins))
-	for i, w := range wins {
-		m := make(map[event.Type]bool, len(w.Present))
-		for t, v := range w.Present {
-			m[t] = v
-		}
-		out[i] = m
-	}
-	return out
-}
 
 // randomQuerySet builds 1-4 random valid queries over a small type alphabet.
 func randomQuerySet(rng *rand.Rand, width event.Timestamp) []cep.Query {
@@ -166,7 +146,7 @@ func TestPropertySlidingServingMatchesBruteForce(t *testing.T) {
 			Slide:           slide,
 			Lateness:        policy,
 			AllowedLateness: lateness,
-			Mechanism:       func(int) (core.Mechanism, error) { return identityMechanism{}, nil },
+			Mechanism:       func(int) (core.Mechanism, error) { return core.Identity{}, nil },
 			Private:         []core.PatternType{pt},
 			Targets:         queries,
 			Seed:            int64(trial),

@@ -27,7 +27,9 @@
 // historical data to maximize target-query quality (Section V-B,
 // Algorithm 1). The internal/baseline package additionally implements the
 // w-event DP and landmark-privacy mechanisms the paper compares against, and
-// internal/experiment regenerates the paper's evaluation.
+// internal/experiment regenerates the paper's evaluation by calling each
+// mechanism's Run; engines and runtimes serve only the two PPMs and refuse
+// anything else with ErrUnservedMechanism.
 //
 // Beyond the batch API, NewRuntime starts a sharded streaming serving layer
 // for continuous multi-tenant serving: events from many concurrent streams
@@ -114,7 +116,7 @@ type (
 	// subjects register their private patterns as pattern types.
 	PatternType = core.PatternType
 	// Mechanism perturbs per-window existence indicators; every PPM and
-	// baseline implements it.
+	// baseline implements it, but only the two PPMs can be served.
 	Mechanism = core.Mechanism
 	// UniformPPM is the uniform pattern-level PPM.
 	UniformPPM = core.UniformPPM
@@ -248,6 +250,12 @@ var ErrLastPrivate = runtime.ErrLastPrivate
 // RuntimeConfig.MechanismFor to serve a dynamic private set.
 var ErrStaticMechanism = runtime.ErrStaticMechanism
 
+// ErrUnservedMechanism is returned (wrapped) by NewPrivateEngine, NewRuntime
+// and a RuntimeConfig.MechanismFor rebuild for a mechanism other than
+// UniformPPM or AdaptivePPM, e.g. a w-event baseline or a custom Mechanism.
+// Compare such a mechanism by calling its Run directly.
+var ErrUnservedMechanism = core.ErrUnservedMechanism
+
 // ErrDurabilityDisabled is returned by Runtime.Checkpoint when the runtime
 // was built without RuntimeConfig.Durability.
 var ErrDurabilityDisabled = runtime.ErrDurabilityDisabled
@@ -316,7 +324,8 @@ func NewAdaptivePPM(cfg AdaptiveConfig, history []IndicatorWindow, targets []Exp
 }
 
 // NewPrivateEngine wires a mechanism and its protected pattern types into a
-// trusted CEP engine. seed drives the mechanism's randomness.
+// trusted CEP engine. seed drives the mechanism's randomness. A mechanism
+// the engine cannot serve is refused with ErrUnservedMechanism.
 func NewPrivateEngine(m Mechanism, private []PatternType, seed int64) (*PrivateEngine, error) {
 	return core.NewPrivateEngine(m, private, seed)
 }
