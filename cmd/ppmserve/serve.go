@@ -86,15 +86,12 @@ func runServer(o options) error {
 		RateLimit:         o.rateLimit,
 		MaxParkedSessions: o.maxParked,
 		Metrics:           reg,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "server: "+format+"\n", args...)
-		},
 	})
 	if err != nil {
 		return err
 	}
 	if o.adminAddr != "" {
-		closeAdmin, err := startAdmin(o.adminAddr, server.NewAdmin(server.AdminConfig{Registry: reg, Runtime: rt, Server: srv}))
+		closeAdmin, err := startAdmin(o.adminAddr, server.NewAdmin(srv))
 		if err != nil {
 			rt.Close()
 			return err
@@ -175,7 +172,7 @@ func runServer(o options) error {
 
 	// The shutdown report prints from the same CollectStatsz document the
 	// /statsz endpoint serves, so the two views can never disagree.
-	printServeReport(server.CollectStatsz(reg, rt, srv, time.Since(start)), o.budget > 0)
+	printServeReport(server.CollectStatsz(srv, time.Since(start)), o.budget > 0)
 	if walDir != "" && closeErr == nil {
 		fmt.Printf("\ndurable state checkpointed to %s — restart with the same -wal-dir to resume\n", walDir)
 	}
@@ -224,7 +221,7 @@ func handoffDrain(srv *server.Server, rt *runtime.Runtime, reg *metrics.Registry
 	handoffPhase(reg, "ship").ObserveSince(shipStart)
 	fmt.Printf("handoff complete: %d files (%d bytes), %d sessions, frozen spend %.4g — peer acked\n",
 		sum.Files, sum.Bytes, sum.Sessions, sum.Spend)
-	printServeReport(server.CollectStatsz(reg, rt, srv, time.Since(start)), o.budget > 0)
+	printServeReport(server.CollectStatsz(srv, time.Since(start)), o.budget > 0)
 	return nil
 }
 

@@ -31,7 +31,6 @@ func TestPrivateEngineConcurrentRegistration(t *testing.T) {
 				if g%2 == 0 {
 					name := string(rune('a' + g))
 					pe.RegisterTarget(cep.Query{Name: name, Pattern: cep.E("a"), Window: 10})
-					pe.Targets()
 				} else {
 					if _, err := pe.ProcessWindows(ws); err != nil {
 						t.Error(err)

@@ -14,10 +14,6 @@ import (
 	"patterndp/internal/stream"
 )
 
-// ErrUnknownTarget is returned (wrapped, with the query name) by
-// UnregisterTarget when no target query with that name is registered.
-var ErrUnknownTarget = errors.New("core: unknown target query")
-
 // ErrUnservedMechanism is returned (wrapped, with the mechanism's name) by
 // NewPrivateEngine for a mechanism the engine cannot serve: anything but
 // UniformPPM, AdaptivePPM and Identity. Their release is a fixed flip table
@@ -264,21 +260,6 @@ func (pe *PrivateEngine) RegisterTarget(q cep.Query) error {
 	return nil
 }
 
-// UnregisterTarget removes the named target query, e.g. when a data consumer
-// cancels it. It returns ErrUnknownTarget (wrapped) when no such query is
-// registered. Service calls already in flight keep answering against the
-// snapshot they started with; later calls no longer see the query.
-func (pe *PrivateEngine) UnregisterTarget(name string) error {
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	if _, ok := pe.targets[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownTarget, name)
-	}
-	delete(pe.targets, name)
-	pe.rebuildSnapshot()
-	return nil
-}
-
 // rebuildSnapshot rematerializes the sorted serving snapshot, compiling a
 // plan per target; callers hold pe.mu.
 func (pe *PrivateEngine) rebuildSnapshot() {
@@ -296,14 +277,6 @@ func (pe *PrivateEngine) snapshot() *planSet {
 	pe.mu.RLock()
 	defer pe.mu.RUnlock()
 	return pe.snap
-}
-
-// Targets returns the registered target queries sorted by name.
-func (pe *PrivateEngine) Targets() []cep.Query {
-	snap := pe.snapshot().targets
-	out := make([]cep.Query, len(snap))
-	copy(out, snap)
-	return out
 }
 
 // SetTargetPlans replaces the whole registered target set in one step with
@@ -353,12 +326,13 @@ func (pe *PrivateEngine) ProcessWindowsInto(dst []Answer, ws []stream.Window) ([
 }
 
 // ProcessSelectedInto is ProcessWindowsInto answering only the target queries
-// at the positions sel lists — indices into Targets(), ascending — per window,
-// in sel's order. The mechanism runs exactly as ProcessWindowsInto runs it
-// (same call index, same draws, whatever sel holds, empty included), so each
-// selected answer is bit-identical to the one ProcessWindowsInto would have
-// released and the engine's later calls are unaffected by the selection. A
-// streaming caller uses it to skip evaluating answers nobody receives.
+// at the positions sel lists — indices into the registered targets sorted by
+// name, ascending — per window, in sel's order. The mechanism runs exactly as
+// ProcessWindowsInto runs it (same call index, same draws, whatever sel
+// holds, empty included), so each selected answer is bit-identical to the
+// one ProcessWindowsInto would have released and the engine's later calls
+// are unaffected by the selection. A streaming caller uses it to skip
+// evaluating answers nobody receives.
 func (pe *PrivateEngine) ProcessSelectedInto(dst []Answer, ws []stream.Window, sel []int) ([]Answer, error) {
 	ps := pe.snapshot()
 	for _, j := range sel {

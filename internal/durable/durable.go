@@ -112,19 +112,21 @@ type Options struct {
 	Shards int
 	// Fsync selects the sync policy. Default: FsyncInterval.
 	Fsync FsyncPolicy
-	// SegmentBytes bounds a segment file's size; an appender rotates to a
-	// fresh segment once the bound is passed. Default: 64 MiB.
-	SegmentBytes int64
 	// Metrics, when set, registers WAL and checkpoint instrumentation on
 	// the registry: commit, fsync, and checkpoint-write latency histograms
 	// plus committed-record counters. Nil leaves the durable layer
 	// unmeasured with zero timing overhead on the commit path.
 	Metrics *metrics.Registry
+
+	// segmentBytes bounds a segment file's size; an appender rotates to a
+	// fresh segment once the bound is passed. 0 = 64 MiB; the package's
+	// rotation tests set it small.
+	segmentBytes int64
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes == 0 {
-		o.SegmentBytes = 64 << 20
+	if o.segmentBytes == 0 {
+		o.segmentBytes = 64 << 20
 	}
 	return o
 }
@@ -135,8 +137,8 @@ func (o Options) validate() error {
 		return fmt.Errorf("durable: Shards = %d", o.Shards)
 	case !o.Fsync.Valid():
 		return fmt.Errorf("durable: unknown FsyncPolicy %d", o.Fsync)
-	case o.SegmentBytes < int64(segmentHeaderSize)+16:
-		return fmt.Errorf("durable: SegmentBytes = %d too small", o.SegmentBytes)
+	case o.segmentBytes < int64(segmentHeaderSize)+16:
+		return fmt.Errorf("durable: segment size %d too small", o.segmentBytes)
 	}
 	return nil
 }
@@ -231,7 +233,9 @@ const ControlShard = -1
 // like the real crash the recovery invariant is tested against.
 var ErrCrashed = errors.New("durable: injected crash")
 
-// ErrClosed is returned by Log operations after Close.
+// ErrClosed is returned by an appender's Commit (and so AppendRotation and
+// AppendRegistration) after Close: the staged records are discarded and no
+// segment is created.
 var ErrClosed = errors.New("durable: closed")
 
 // CrashPoint selects where an injected crash fires relative to the write it

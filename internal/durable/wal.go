@@ -23,7 +23,7 @@ import (
 //	len u32 | crc u32 (CRC32-IEEE of payload) | payload
 //
 // All integers are little-endian. Records never span segments; an appender
-// rotates before a commit that would pass Options.SegmentBytes. The n-th
+// rotates before a commit that would pass the segment size bound. The n-th
 // record of a segment (0-based) has LSN = firstLSN + n, so a reader recovers
 // exact LSNs from the filename-independent header alone.
 const (
@@ -187,10 +187,11 @@ type Appender struct {
 	// many goroutines (registrations, shard-requested rotations).
 	stageMu sync.Mutex
 
-	mu   sync.Mutex // guards f, size, and lsn against the flusher and LSN readers
-	f    *os.File
-	size int64
-	lsn  uint64 // committed records so far; next record gets lsn+1
+	mu     sync.Mutex // guards f, size, lsn and closed against the flusher, LSN readers and Close
+	f      *os.File
+	size   int64
+	lsn    uint64 // committed records so far; next record gets lsn+1
+	closed bool   // set by Close: a later commit must not open a segment
 }
 
 // LSN returns the last committed record's sequence number (0 if none).
@@ -300,7 +301,11 @@ func (a *Appender) write() error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.f == nil || a.size+int64(len(a.buf)) > a.log.opts.SegmentBytes {
+	if a.closed {
+		a.discard()
+		return ErrClosed
+	}
+	if a.f == nil || a.size+int64(len(a.buf)) > a.log.opts.segmentBytes {
 		if err := a.rotateLocked(); err != nil {
 			a.discard()
 			return err
@@ -390,6 +395,7 @@ func (a *Appender) sync() error {
 func (a *Appender) close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.closed = true
 	if a.f == nil {
 		return nil
 	}

@@ -2,13 +2,15 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// openTest opens a Log in dir with small segments and interval sync, failing
-// the test on error.
+// openTest opens a Log in dir with FsyncOff, applying opts, failing the test
+// on error.
 func openTest(t *testing.T, dir string, shards int, opts ...func(*Options)) *Log {
 	t.Helper()
 	o := Options{Shards: shards, Fsync: FsyncOff}
@@ -101,7 +103,7 @@ func TestWALRoundTrip(t *testing.T) {
 // rotation and that a restart never appends to a pre-crash segment.
 func TestWALSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	small := func(o *Options) { o.SegmentBytes = int64(segmentHeaderSize) + 64 }
+	small := func(o *Options) { o.segmentBytes = int64(segmentHeaderSize) + 64 }
 	l := openTest(t, dir, 1, small)
 	a := l.Shard(0)
 	const n = 50
@@ -241,7 +243,7 @@ func TestWALTruncatedTail(t *testing.T) {
 
 func TestCheckpointRecoveryAndPruning(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, dir, 1, func(o *Options) { o.SegmentBytes = int64(segmentHeaderSize) + 64 })
+	l := openTest(t, dir, 1, func(o *Options) { o.segmentBytes = int64(segmentHeaderSize) + 64 })
 	a := l.Shard(0)
 	for i := 0; i < 20; i++ {
 		a.StageWindow("s", int64(i), int64(i*10), DecisionAdmitted, 0.5, 0)
@@ -473,5 +475,55 @@ func TestOpenFreshDir(t *testing.T) {
 	}
 	if l.Shard(0).LSN() != 0 || l.Control().LSN() != 0 {
 		t.Error("fresh appenders with non-zero LSN")
+	}
+}
+
+// TestAppendAfterCloseRefused checks a closed log stays closed: every commit
+// after Close — on a shard appender with an open segment, and on the control
+// appender that never had one — returns ErrClosed and leaves the directory
+// exactly as Close left it.
+func TestAppendAfterCloseRefused(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, dir, 1)
+	a := l.Shard(0)
+	a.StageWindow("s1", 0, 0, DecisionAdmitted, 0.25, 1)
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprintf("%s %d", e.Name(), info.Size()))
+		}
+		return out
+	}
+	before := listing()
+
+	if err := l.Control().AppendRotation(1, 1); !errors.Is(err, ErrClosed) {
+		t.Errorf("AppendRotation after Close = %v, want ErrClosed", err)
+	}
+	if err := l.Control().AppendRegistration(0, 1, "q"); !errors.Is(err, ErrClosed) {
+		t.Errorf("AppendRegistration after Close = %v, want ErrClosed", err)
+	}
+	a.StageWindow("s1", 1, 10, DecisionAdmitted, 0.25, 1)
+	if err := a.Commit(); !errors.Is(err, ErrClosed) {
+		t.Errorf("shard Commit after Close = %v, want ErrClosed", err)
+	}
+	if a.Staged() != 0 {
+		t.Errorf("%d records still staged after a refused commit", a.Staged())
+	}
+	if after := listing(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("directory changed after Close:\nbefore %v\nafter  %v", before, after)
 	}
 }

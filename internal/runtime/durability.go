@@ -263,12 +263,15 @@ func ledgerDecision(d durable.Decision) account.Decision {
 // trail. An append error is returned to the mutating caller: the in-memory
 // change already happened and is privacy-safe without the record (a lost
 // rotation can only under-advance the recovered epoch, which withholds fresh
-// grants rather than minting them).
+// grants rather than minting them). ErrClosed is tolerated like ErrCrashed:
+// logControl runs after mutate released rt.mu, so it can race the close
+// sequence, and a mutation that passed mutate's closed check is already in
+// the state the final checkpoint records.
 func (rt *Runtime) logControl(append func(*durable.Appender) error) error {
 	if rt.durLog == nil {
 		return nil
 	}
-	if err := append(rt.durLog.Control()); err != nil && err != durable.ErrCrashed {
+	if err := append(rt.durLog.Control()); err != nil && err != durable.ErrCrashed && err != durable.ErrClosed {
 		return fmt.Errorf("runtime: control WAL: %w", err)
 	}
 	return nil

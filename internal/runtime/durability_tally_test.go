@@ -275,7 +275,7 @@ func TestRestorePrePRCheckpoint(t *testing.T) {
 			t.Fatalf("push %v: restored cut %+v, live cut %+v", e, a, b)
 		}
 	}
-	if a, b := restored.Flush(), live.Flush(); !reflect.DeepEqual(a, b) {
+	if a, b := restored.FlushInto(nil), live.FlushInto(nil); !reflect.DeepEqual(a, b) {
 		t.Fatalf("flush: restored %+v, live %+v", a, b)
 	}
 }

@@ -49,7 +49,6 @@ type runtimeObs struct {
 	// traceCtr is the shared sampling counter.
 	traceEvery uint64
 	traceCtr   atomic.Uint64
-	log        *slog.Logger
 }
 
 func newRuntimeObs(cfg Config) *runtimeObs {
@@ -73,10 +72,6 @@ func newRuntimeObs(cfg Config) *runtimeObs {
 		o.traceEvery = uint64(math.Round(1 / cfg.TraceSample))
 		if o.traceEvery == 0 {
 			o.traceEvery = 1
-		}
-		o.log = cfg.TraceLog
-		if o.log == nil {
-			o.log = slog.Default()
 		}
 	}
 	return o
@@ -110,16 +105,14 @@ func (o *runtimeObs) finishTrace(shard int, events int64, t0 int64, tHop, tServe
 	o.stagePublish.Observe(publish)
 	o.e2ePublish.Observe(e2e)
 	o.traced.Inc()
-	if o.log != nil {
-		o.log.LogAttrs(context.Background(), slog.LevelInfo, "ppm.trace",
-			slog.Int("shard", shard),
-			slog.Int64("events", events),
-			slog.Duration("hop", hop),
-			slog.Duration("serve", serve),
-			slog.Duration("publish", publish),
-			slog.Duration("e2e", e2e),
-		)
-	}
+	slog.Default().LogAttrs(context.Background(), slog.LevelInfo, "ppm.trace",
+		slog.Int("shard", shard),
+		slog.Int64("events", events),
+		slog.Duration("hop", hop),
+		slog.Duration("serve", serve),
+		slog.Duration("publish", publish),
+		slog.Duration("e2e", e2e),
+	)
 }
 
 // registerMetrics exposes the runtime's existing counters — per-shard serving

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"log"
 	"log/slog"
 	"strings"
 	"sync"
@@ -26,6 +27,19 @@ func (h *captureHandler) Handle(_ context.Context, r slog.Record) error {
 func (h *captureHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
 func (h *captureHandler) WithGroup(string) slog.Handler      { return h }
 
+// captureDefaultLog routes slog.Default() to h for the rest of the test,
+// then restores both it and the log package's output, which SetDefault
+// redirects.
+func captureDefaultLog(t *testing.T, h slog.Handler) {
+	prev, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(h))
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(w)
+		log.SetFlags(flags)
+	})
+}
+
 // TestObservedRuntime drives a fully instrumented runtime (registry + 100%
 // trace sampling) and checks the three observability layers agree: registry
 // counters match Snapshot, trace histograms saw every batch, and published
@@ -37,7 +51,7 @@ func TestObservedRuntime(t *testing.T) {
 	cfg.Budget = 100
 	cfg.Metrics = reg
 	cfg.TraceSample = 1
-	cfg.TraceLog = slog.New(h)
+	captureDefaultLog(t, h)
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

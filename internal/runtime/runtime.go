@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	goruntime "runtime"
 	"slices"
@@ -197,12 +196,9 @@ type Config struct {
 	// every ~1/TraceSample-th ingest batch is followed through shard hop,
 	// serve, and publish, with stage durations recorded in ppm_trace_*
 	// histograms, answers stamped with Answer.TraceNanos for downstream
-	// delivery timing, and one structured slog record per traced batch.
-	// 0 (the default) disables tracing.
+	// delivery timing, and one structured slog record per traced batch to
+	// slog.Default(). 0 (the default) disables tracing.
 	TraceSample float64
-	// TraceLog receives the per-traced-batch structured records when
-	// TraceSample is set; nil uses slog.Default().
-	TraceLog *slog.Logger
 }
 
 // newWindower builds one stream's windower for the configuration.

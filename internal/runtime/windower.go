@@ -88,10 +88,11 @@ const (
 // Windower incrementally cuts one stream's unbounded event feed into
 // tumbling or sliding windows. It is the streaming counterpart of
 // stream.WindowSlice for feeds that are not materialized as a slice: Push
-// one event at a time and receive the windows it closes; Flush the trailing
-// windows when the feed ends. Like WindowSlice it emits empty windows for
-// gaps, so window indices stay aligned with time — the empty windows are
-// released too, since skipping them would leak which windows were empty.
+// one event at a time and receive the windows it closes; FlushInto the
+// trailing windows when the feed ends. Like WindowSlice it emits empty
+// windows for gaps, so window indices stay aligned with time — the empty
+// windows are released too, since skipping them would leak which windows
+// were empty.
 //
 // A stream's only representation inside the windower is its type tally: Push
 // adds the event's type to the tally of the pane (a slide-wide slice of the
@@ -146,20 +147,14 @@ type Windower struct {
 	ring paneRing
 }
 
-// NewWindower builds a windower cutting tumbling windows of the given width.
-// lateness is only consulted under the ReorderBuffer policy and must be
-// non-negative. horizon bounds how far past the stream's newest event one
-// event may jump — and therefore how many gap windows a single push can
-// force; 0 disables the bound.
-func NewWindower(width event.Timestamp, policy LatenessPolicy, lateness, horizon event.Timestamp) *Windower {
-	return NewSlidingWindower(width, width, policy, lateness, horizon)
-}
-
 // NewSlidingWindower builds a windower cutting sliding windows of the given
 // width advancing by slide, which must be a positive divisor of width
-// (slide == width is NewWindower: a tumbling window is a one-pane window).
-// See the Windower doc for the pane model and the PushInto contract for
-// buffer ownership.
+// (slide == width cuts tumbling windows: a tumbling window is a one-pane
+// window). lateness is only consulted under the ReorderBuffer policy and must
+// be non-negative. horizon bounds how far past the stream's newest event one
+// event may jump — and therefore how many gap windows a single push can
+// force; 0 disables the bound. See the Windower doc for the pane model and
+// the PushInto contract for buffer ownership.
 func NewSlidingWindower(width, slide event.Timestamp, policy LatenessPolicy, lateness, horizon event.Timestamp) *Windower {
 	if width <= 0 {
 		panic("runtime: window width must be positive")
@@ -198,7 +193,7 @@ func (w *Windower) Push(e event.Event) (closed []stream.Window, res PushResult) 
 // per cut. Windows carry their interval and TypeCounts (nil when empty),
 // never Events. A tumbling window owns its TypeCounts: it stays valid after
 // dst is reused. A sliding window's TypeCounts is windower-owned scratch,
-// valid only until the next Push/Flush call — callers that retain it must
+// valid only until the next Push/FlushInto call — callers that retain it must
 // copy.
 func (w *Windower) PushInto(e event.Event, dst []stream.Window) (closed []stream.Window, res PushResult) {
 	if w.started && w.horizon > 0 && e.Time > w.maxTime+w.horizon {
@@ -295,7 +290,7 @@ func (w *Windower) takeOpen() stream.TypeCounts {
 // windower emitted, which the caller has finished reading — back to the free
 // list that tally takes pane buffers from, so a steady tumbling stream
 // allocates no tally per window. Sliding windows' tallies are ring snapshots
-// that the next Push/Flush reclaims anyway, so it leaves them alone. It is
+// that the next Push/FlushInto reclaims anyway, so it leaves them alone. It is
 // unexported because it revokes what PushInto promises an outside caller: a
 // tumbling window's TypeCounts outliving the call. Once every caller copies
 // the tumbling tallies it keeps, that clause can go, and this folds into the
@@ -311,18 +306,13 @@ func (w *Windower) recycle(ws []stream.Window) {
 	}
 }
 
-// Flush closes every window still holding or preceding tallied events — the
-// stream's trailing windows at shutdown — and resets the windower for a
-// fresh feed. The trailing partially-covered sliding windows (those whose
-// interval extends past the last pane) are emitted too: every window whose
-// start is at or before the newest event's pane is answered.
-func (w *Windower) Flush() []stream.Window {
-	return w.FlushInto(nil)
-}
-
-// FlushInto is Flush appending the trailing windows into dst. The PushInto
-// ownership contract applies: sliding windows' TypeCounts are valid only
-// until the next Push/Flush call.
+// FlushInto closes every window still holding or preceding tallied events —
+// the stream's trailing windows at shutdown — appending them into dst, and
+// resets the windower for a fresh feed. The trailing partially-covered
+// sliding windows (those whose interval extends past the last pane) are
+// emitted too: every window whose start is at or before the newest event's
+// pane is answered. The PushInto ownership contract applies: sliding
+// windows' TypeCounts are valid only until the next Push/FlushInto call.
 func (w *Windower) FlushInto(dst []stream.Window) []stream.Window {
 	if !w.started {
 		return dst
@@ -438,7 +428,7 @@ func (r *paneRing) snapshot() stream.TypeCounts {
 }
 
 // recycleEmitted reclaims the snapshot buffers handed out by the previous
-// Push/Flush call, and compacts the running tally's dead entries once they
+// Push/FlushInto call, and compacts the running tally's dead entries once they
 // outnumber the live ones (a stream whose type population drifts would
 // otherwise scan ever-longer tallies).
 func (r *paneRing) recycleEmitted() {

@@ -135,7 +135,7 @@ func TestHeadIndexMatchesLinearTally(t *testing.T) {
 // tumbling windower whose emitted tallies are handed back through recycle,
 // with panes wide enough to be indexed, tallies and cuts without allocating.
 func TestTumblingPushRecycleAllocs(t *testing.T) {
-	w := NewWindower(10, DropLate, 0, 0)
+	w := NewSlidingWindower(10, 10, DropLate, 0, 0)
 	types := make([]event.Type, 4*headScanMax)
 	for i := range types {
 		types[i] = event.Type(fmt.Sprintf("t%02d", i))

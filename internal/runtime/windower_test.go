@@ -64,14 +64,14 @@ func TestWindowerMatchesWindowSlice(t *testing.T) {
 		event.New("a", 1), event.New("b", 3), event.New("a", 12),
 		event.New("c", 37), event.New("a", 41),
 	}
-	w := NewWindower(10, DropLate, 0, 0)
+	w := NewSlidingWindower(10, 10, DropLate, 0, 0)
 	got := pushAll(t, w, evs...)
-	got = append(got, w.Flush()...)
+	got = append(got, w.FlushInto(nil)...)
 	checkTallies(t, got, 10, evs...)
 }
 
 func TestWindowerDropLate(t *testing.T) {
-	w := NewWindower(10, DropLate, 0, 0)
+	w := NewSlidingWindower(10, 10, DropLate, 0, 0)
 	// Event at 12 closes [0,10); the straggler at 5 must be dropped.
 	closed := pushAll(t, w, event.New("a", 1), event.New("b", 12))
 	ws, res := w.Push(event.New("late", 5))
@@ -85,13 +85,13 @@ func TestWindowerDropLate(t *testing.T) {
 	if _, res := w.Push(event.New("c", 11)); res != PushAccepted {
 		t.Error("in-window disorder rejected")
 	}
-	closed = append(closed, w.Flush()...)
+	closed = append(closed, w.FlushInto(nil)...)
 	// [0,10) holds a; [10,20) holds b and c; "late" is in neither.
 	checkTallies(t, closed, 10, event.New("a", 1), event.New("b", 12), event.New("c", 11))
 }
 
 func TestWindowerReorderBuffer(t *testing.T) {
-	w := NewWindower(10, ReorderBuffer, 5, 0)
+	w := NewSlidingWindower(10, 10, ReorderBuffer, 5, 0)
 	// With lateness 5 the watermark trails maxTime by 5: the event at 12
 	// must NOT close [0,10) yet, so the straggler at 8 is reordered in.
 	if ws := pushAll(t, w, event.New("a", 1), event.New("b", 12)); len(ws) != 0 {
@@ -112,21 +112,21 @@ func TestWindowerReorderBuffer(t *testing.T) {
 	if _, res := w.Push(event.New("e", 3)); res != PushLate {
 		t.Error("event older than watermark accepted")
 	}
-	checkTallies(t, w.Flush(), 10, event.New("b", 12), event.New("d", 15))
+	checkTallies(t, w.FlushInto(nil), 10, event.New("b", 12), event.New("d", 15))
 }
 
 func TestWindowerBoundaryEvent(t *testing.T) {
 	// An event exactly on a window boundary belongs to the later window
 	// (intervals are half-open) and closes the earlier one.
-	w := NewWindower(10, DropLate, 0, 0)
+	w := NewSlidingWindower(10, 10, DropLate, 0, 0)
 	pushAll(t, w, event.New("a", 0))
 	closed, _ := w.Push(event.New("b", 10))
 	checkTallies(t, closed, 10, event.New("a", 0))
-	checkTallies(t, w.Flush(), 10, event.New("b", 10)) // [10,20)
+	checkTallies(t, w.FlushInto(nil), 10, event.New("b", 10)) // [10,20)
 }
 
 func TestWindowerNegativeTimestamps(t *testing.T) {
-	w := NewWindower(10, DropLate, 0, 0)
+	w := NewSlidingWindower(10, 10, DropLate, 0, 0)
 	closed := pushAll(t, w, event.New("a", -15), event.New("b", -2))
 	if len(closed) != 1 || closed[0].Start != -20 || closed[0].End != -10 {
 		t.Fatalf("negative-time window = %+v, want [-20,-10)", closed)
@@ -134,12 +134,12 @@ func TestWindowerNegativeTimestamps(t *testing.T) {
 }
 
 func TestWindowerFlushResets(t *testing.T) {
-	w := NewWindower(10, DropLate, 0, 0)
+	w := NewSlidingWindower(10, 10, DropLate, 0, 0)
 	w.Push(event.New("a", 5))
-	if out := w.Flush(); len(out) != 1 {
+	if out := w.FlushInto(nil); len(out) != 1 {
 		t.Fatalf("flush = %+v", out)
 	}
-	if out := w.Flush(); out != nil {
+	if out := w.FlushInto(nil); out != nil {
 		t.Errorf("second flush = %+v, want nil", out)
 	}
 	// A fresh feed can restart at an earlier time without being "late".
@@ -149,7 +149,7 @@ func TestWindowerFlushResets(t *testing.T) {
 }
 
 func TestWindowerHorizon(t *testing.T) {
-	w := NewWindower(10, DropLate, 0, 100)
+	w := NewSlidingWindower(10, 10, DropLate, 0, 100)
 	pushAll(t, w, event.New("a", 5))
 	// A runaway timestamp beyond the horizon is rejected outright...
 	ws, res := w.Push(event.New("runaway", 1_000_000))
@@ -175,7 +175,7 @@ func TestWindowerHorizon(t *testing.T) {
 // across disorder, gap windows, and flush — and the window's fast-path
 // queries with a scan.
 func TestWindowerTypeCounts(t *testing.T) {
-	w := NewWindower(10, ReorderBuffer, 3, 0)
+	w := NewSlidingWindower(10, 10, ReorderBuffer, 3, 0)
 	var closed []stream.Window
 	var pushed []event.Event
 	push := func(typ event.Type, ts event.Timestamp) {
@@ -192,7 +192,7 @@ func TestWindowerTypeCounts(t *testing.T) {
 	push("a", 3) // disorder within the open window
 	push("a", 12)
 	push("b", 45) // forces gap windows
-	closed = append(closed, w.Flush()...)
+	closed = append(closed, w.FlushInto(nil)...)
 	if len(closed) != 5 {
 		t.Fatalf("%d windows closed, want 5", len(closed))
 	}
@@ -212,7 +212,7 @@ func TestWindowerTypeCounts(t *testing.T) {
 // on, which tallies into fresh panes — must not corrupt a previously
 // returned window.
 func TestWindowerPushIntoReusesBuffer(t *testing.T) {
-	w := NewWindower(10, DropLate, 0, 0)
+	w := NewSlidingWindower(10, 10, DropLate, 0, 0)
 	var scratch []stream.Window
 	ws, _ := w.PushInto(event.New("a", 5), scratch[:0])
 	if len(ws) != 0 {

@@ -12,50 +12,30 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"patterndp/internal/metrics"
 	"patterndp/internal/runtime"
 )
 
-// AdminConfig configures an Admin handler. All fields are optional — a nil
-// Registry serves an empty /metrics, a nil Runtime/Server just omits their
-// halves of /statsz and their /readyz conditions — so the same handler serves
-// the full network stack and the local replay mode alike.
-type AdminConfig struct {
-	// Registry is the metric registry /metrics renders and /statsz
-	// summarizes.
-	Registry *metrics.Registry
-	// Runtime contributes serving stats to /statsz; a closed runtime flips
-	// /readyz to 503.
-	Runtime *runtime.Runtime
-	// Server contributes per-tenant stats to /statsz; a draining server
-	// (Drain or DrainForHandoff) flips /readyz to 503.
-	Server *Server
-}
-
 // Admin is the admin HTTP handler. Serve it on its own listener:
 //
-//	adm := server.NewAdmin(server.AdminConfig{Registry: reg, Runtime: rt, Server: srv})
-//	go http.Serve(l, adm)
+//	go http.Serve(l, server.NewAdmin(srv))
 //
-// Routes: /metrics (Prometheus text), /healthz (process liveness), /readyz
-// (serving readiness: 503 while draining, handing off, or after the runtime
-// closed), /statsz (JSON stats document), /debug/pprof/* (runtime profiles).
+// Routes: /metrics (Prometheus text of the server's Config.Metrics), /healthz
+// (process liveness), /readyz (serving readiness: 503 while draining, handing
+// off, or after the runtime closed), /statsz (JSON stats document),
+// /debug/pprof/* (runtime profiles).
 type Admin struct {
-	cfg   AdminConfig
+	srv   *Server
 	start time.Time
 	mux   *http.ServeMux
-	// notReady is the manual readiness override (SetReady), for phases the
-	// Server's drain flag cannot see — e.g. a takeover process that is
-	// listening for a handoff but not yet serving.
-	notReady atomic.Bool
 }
 
-// NewAdmin builds the admin handler.
-func NewAdmin(cfg AdminConfig) *Admin {
-	a := &Admin{cfg: cfg, start: time.Now(), mux: http.NewServeMux()}
+// NewAdmin builds the admin handler for srv, whose Config holds the runtime
+// and the metric registry the handler reports on.
+func NewAdmin(srv *Server) *Admin {
+	a := &Admin{srv: srv, start: time.Now(), mux: http.NewServeMux()}
 	a.mux.HandleFunc("/metrics", a.handleMetrics)
 	a.mux.HandleFunc("/healthz", a.handleHealthz)
 	a.mux.HandleFunc("/readyz", a.handleReadyz)
@@ -71,13 +51,9 @@ func NewAdmin(cfg AdminConfig) *Admin {
 // ServeHTTP implements http.Handler.
 func (a *Admin) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTTP(w, r) }
 
-// SetReady overrides /readyz: SetReady(false) forces 503 regardless of the
-// drain state, SetReady(true) restores the automatic conditions.
-func (a *Admin) SetReady(ready bool) { a.notReady.Store(!ready) }
-
 func (a *Admin) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	a.cfg.Registry.WritePrometheus(w)
+	a.srv.cfg.Metrics.WritePrometheus(w)
 }
 
 func (a *Admin) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -94,18 +70,13 @@ func (a *Admin) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // ready reports serving readiness and, when not ready, why.
 func (a *Admin) ready() (string, bool) {
-	if a.notReady.Load() {
-		return "not ready", false
-	}
-	if srv := a.cfg.Server; srv != nil && srv.Draining() {
+	if a.srv.Draining() {
 		return "draining", false
 	}
-	if rt := a.cfg.Runtime; rt != nil {
-		select {
-		case <-rt.Done():
-			return "runtime closed", false
-		default:
-		}
+	select {
+	case <-a.srv.cfg.Runtime.Done():
+		return "runtime closed", false
+	default:
 	}
 	return "", true
 }
@@ -114,12 +85,7 @@ func (a *Admin) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(a.Statsz())
-}
-
-// Statsz collects the handler's stats document.
-func (a *Admin) Statsz() Statsz {
-	return CollectStatsz(a.cfg.Registry, a.cfg.Runtime, a.cfg.Server, time.Since(a.start))
+	enc.Encode(CollectStatsz(a.srv, time.Since(a.start)))
 }
 
 // LatencySummary condenses one registry histogram series for /statsz.
@@ -147,10 +113,10 @@ type Statsz struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// EventsPerSec is the runtime's aggregate ingest rate since start.
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Runtime is the runtime snapshot (nil without a runtime).
+	// Runtime is the runtime snapshot.
 	Runtime *runtime.Stats `json:"runtime,omitempty"`
 	// Server is the serving-layer snapshot with per-tenant counters and ε
-	// spend (nil without a network server).
+	// spend.
 	Server *Stats `json:"server,omitempty"`
 	// AnswersPerFlush is the delivery path's coalescing factor: answers sent
 	// ÷ answer-writer socket writes (Server.Flushes); 0 before the first.
@@ -160,28 +126,25 @@ type Statsz struct {
 	Latencies []LatencySummary `json:"latencies,omitempty"`
 }
 
-// CollectStatsz assembles the stats document from the three observability
-// sources. Any of them may be nil. It is the single collection point behind
-// both the /statsz endpoint and ppmserve's shutdown report.
-func CollectStatsz(reg *metrics.Registry, rt *runtime.Runtime, srv *Server, uptime time.Duration) Statsz {
-	z := Statsz{UptimeSeconds: uptime.Seconds()}
-	if rt != nil {
-		st := rt.Snapshot()
-		z.Runtime = &st
-		z.EventsPerSec = st.Throughput()
+// CollectStatsz assembles the stats document from srv, its runtime and its
+// metric registry. It is the single collection point behind both the /statsz
+// endpoint and ppmserve's shutdown report.
+func CollectStatsz(srv *Server, uptime time.Duration) Statsz {
+	rtStats, srvStats := srv.cfg.Runtime.Snapshot(), srv.Stats()
+	z := Statsz{
+		UptimeSeconds: uptime.Seconds(),
+		EventsPerSec:  rtStats.Throughput(),
+		Runtime:       &rtStats,
+		Server:        &srvStats,
 	}
-	if srv != nil {
-		st := srv.Stats()
-		z.Server = &st
-		if st.Flushes > 0 {
-			var sent int64
-			for _, ts := range st.Tenants {
-				sent += ts.AnswersSent
-			}
-			z.AnswersPerFlush = float64(sent) / float64(st.Flushes)
+	if srvStats.Flushes > 0 {
+		var sent int64
+		for _, ts := range srvStats.Tenants {
+			sent += ts.AnswersSent
 		}
+		z.AnswersPerFlush = float64(sent) / float64(srvStats.Flushes)
 	}
-	for _, s := range reg.Gather() {
+	for _, s := range srv.cfg.Metrics.Gather() {
 		if s.Kind != metrics.KindHistogram || s.Hist == nil || s.Hist.Count == 0 {
 			continue
 		}

@@ -105,8 +105,7 @@ func TestAdminEndpoints(t *testing.T) {
 	rt := newObservedRuntime(t, reg, "")
 	defer rt.Close()
 	srv, l := startServer(t, rt, Config{Metrics: reg})
-	adm := NewAdmin(AdminConfig{Registry: reg, Runtime: rt, Server: srv})
-	web := httptest.NewServer(adm)
+	web := httptest.NewServer(NewAdmin(srv))
 	defer web.Close()
 
 	driveTenant(t, l, "alice")
@@ -171,13 +170,6 @@ func TestAdminEndpoints(t *testing.T) {
 	if code, _ := adminGet(t, web, "/healthz"); code != 200 {
 		t.Errorf("healthz during drain = %d, want 200", code)
 	}
-
-	// Manual override wins in both directions.
-	adm.SetReady(false)
-	if code, _ := adminGet(t, web, "/readyz"); code != http.StatusServiceUnavailable {
-		t.Errorf("readyz after SetReady(false) = %d", code)
-	}
-	adm.SetReady(true)
 }
 
 // TestMetricNameLint builds the fully-instrumented stack — runtime with

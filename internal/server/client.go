@@ -18,7 +18,7 @@ type ClientConfig struct {
 	// Token authenticates the tenant.
 	Token string
 	// Dialer opens the transport; it is reused for every reconnect attempt.
-	// Required for Connect.
+	// Required.
 	Dialer func() (net.Conn, error)
 	// RequestTimeout bounds each synchronous round-trip (Ingest, Subscribe,
 	// registrations): a stalled server surfaces as an error instead of a
@@ -164,22 +164,6 @@ func handshake(conn net.Conn, token string) (wire.Welcome, *wire.Reader, error) 
 		return wire.Welcome{}, nil, err
 	}
 	return w, r, nil
-}
-
-// Dial performs the Hello → Welcome handshake over an established
-// connection. On success the Client owns conn. A dialed client does not
-// reconnect; use Connect for the resilient variant.
-func Dial(conn net.Conn, token string) (*Client, error) {
-	c := newClient(ClientConfig{Token: token})
-	w, r, err := handshake(conn, token)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c.attach(conn, w)
-	go c.readLoop(r, conn, 0)
-	go c.heartbeatLoop(conn, 0, c.heartbeatInterval())
-	return c, nil
 }
 
 // Connect dials through cfg.Dialer and performs the handshake. With
@@ -457,7 +441,7 @@ func (c *Client) detach(gen uint64, conn net.Conn, cause error) {
 	next := c.gen
 	pending := c.pending
 	c.pending = make(map[uint64]chan result)
-	reconnect := c.cfg.Reconnect && c.cfg.Dialer != nil
+	reconnect := c.cfg.Reconnect
 	c.mu.Unlock()
 	if cause == nil {
 		cause = errClientClosed

@@ -277,7 +277,7 @@ func (c *sessionCore) detach(ss *session, orderly bool) {
 		c.retireIf(true)
 	})
 	c.mu.Unlock()
-	c.srv.enforceParkCaps(c.tenant)
+	c.srv.enforceParkCap()
 }
 
 // retireIf tears the core down exactly once: every ring is detached from the

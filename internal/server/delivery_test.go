@@ -212,7 +212,7 @@ func TestWriterCoalescesBurst(t *testing.T) {
 func TestWedgedPeerTearsFlush(t *testing.T) {
 	rt := newTestRuntime(t, 0)
 	defer rt.Close()
-	s, l := startServer(t, rt, Config{WriteTimeout: 30 * time.Millisecond})
+	s, l := startServer(t, rt, Config{Heartbeat: 200 * time.Millisecond})
 
 	conn, err := l.Dial()
 	if err != nil {
@@ -275,7 +275,7 @@ func BenchmarkAnswerDelivery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := Dial(conn, "bench")
+	c, err := connectOver(conn, "bench")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestSlowConsumerKeepsConnection(t *testing.T) {
 		}()
 	}()
 
-	c, err := Dial(cconn, "alice")
+	c, err := connectOver(cconn, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,16 +419,49 @@ func TestSlowConsumerKeepsConnection(t *testing.T) {
 	}
 }
 
+// stallSink holds the shard that serves it: its first Deliver signals
+// entered and blocks until release closes.
+type stallSink struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (s *stallSink) Deliver([]runtime.Answer) {
+	s.once.Do(func() {
+		close(s.entered)
+		<-s.release
+	})
+}
+
 // TestSlowDispatchKeepsSession is the same property on the server's request
-// loop: a request that takes longer than the idle deadline to handle (here a
-// Pong the peer is slow to take; in production an ingest held by runtime
-// backpressure) must not cost the session the request buffered behind it,
-// even when that request is still partly in flight.
+// loop: a request that takes longer than the idle deadline to handle — an
+// ingest held by Block backpressure behind a stalled sink, as in production —
+// must not cost the session the request buffered behind it, even when that
+// request is still partly in flight.
 func TestSlowDispatchKeepsSession(t *testing.T) {
 	const heartbeat = 50 * time.Millisecond
-	rt := newTestRuntime(t, 0)
+	rt := newTestRuntime(t, 0, func(c *runtime.Config) { c.Shards, c.ShardBuffer = 1, 1 })
 	defer rt.Close()
-	_, l := startServer(t, rt, Config{Heartbeat: heartbeat, WriteTimeout: 5 * time.Second})
+	_, l := startServer(t, rt, Config{Heartbeat: heartbeat})
+
+	// Wedge the only shard in a Deliver, then fill its one-message channel:
+	// the next ingest blocks until the sink is released.
+	sink := &stallSink{entered: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(sink.release) }) }
+	defer release()
+	if _, err := rt.Attach("probe", sink); err != nil {
+		t.Fatal(err)
+	}
+	for w := int64(0); w < 2; w++ { // the second closes window 0
+		if err := rt.IngestBatch(windowEvents("s1", w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-sink.entered
+	if err := rt.IngestBatch(windowEvents("s1", 2)); err != nil {
+		t.Fatal(err)
+	}
 
 	conn, err := l.Dial()
 	if err != nil {
@@ -440,27 +473,47 @@ func TestSlowDispatchKeepsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pings := wire.AppendFrame(nil, wire.TPing, wire.AppendPing(nil, wire.Ping{Nonce: 1}))
-	first := len(pings)
-	pings = wire.AppendFrame(pings, wire.TPing, wire.AppendPing(nil, wire.Ping{Nonce: 2}))
-	// One write, so one server read: a whole ping and the front of another.
-	if _, err := conn.Write(pings[:first+5]); err != nil {
+	frames := make(chan wire.Frame, 2)
+	go func() {
+		defer close(frames)
+		for {
+			f, err := r.Next()
+			if err != nil {
+				return
+			}
+			frames <- wire.Frame{Type: f.Type, Payload: append([]byte(nil), f.Payload...)}
+		}
+	}()
+	reqs := wire.AppendIngestFrame(nil, wire.Ingest{Req: 1, Events: windowEvents("s1", 3)})
+	cut := len(reqs) + 5
+	reqs = wire.AppendFrame(reqs, wire.TPing, wire.AppendPing(nil, wire.Ping{Nonce: 7}))
+	// One write, so one server read: the whole ingest and the front of a ping.
+	if _, err := conn.Write(reqs[:cut]); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * heartbeat) // the server is blocked writing the first Pong
-	for nonce := uint64(1); nonce <= 2; nonce++ {
-		f, err := r.Next()
-		if err != nil || f.Type != wire.TPong {
-			t.Fatalf("pong %d: %v, %v", nonce, f.Type, err)
-		}
-		if p, err := wire.DecodePong(f.Payload); err != nil || p.Nonce != nonce {
-			t.Fatalf("pong %d: %+v, %v", nonce, p, err)
-		}
-		if nonce == 1 {
-			if _, err := conn.Write(pings[first+5:]); err != nil {
-				t.Fatalf("session gone after a slow dispatch: %v", err)
-			}
-		}
+	time.Sleep(5 * heartbeat) // the read deadline is 2 × heartbeat
+	select {
+	case f, ok := <-frames:
+		t.Fatalf("ingest answered while its shard was stalled: %v (open %v)", f.Type, ok)
+	default:
+	}
+	release()
+	if _, err := conn.Write(reqs[cut:]); err != nil {
+		t.Fatalf("session gone after a slow dispatch: %v", err)
+	}
+	f, ok := <-frames
+	if !ok || f.Type != wire.TAck {
+		t.Fatalf("ingest reply: %v (open %v)", f.Type, ok)
+	}
+	if a, err := wire.DecodeAck(f.Payload); err != nil || a.Req != 1 {
+		t.Fatalf("ack: %+v, %v", a, err)
+	}
+	f, ok = <-frames
+	if !ok || f.Type != wire.TPong {
+		t.Fatalf("ping reply: %v (open %v)", f.Type, ok)
+	}
+	if p, err := wire.DecodePong(f.Payload); err != nil || p.Nonce != 7 {
+		t.Fatalf("pong: %+v, %v", p, err)
 	}
 }
 
@@ -499,7 +552,7 @@ func TestSlowConsumerOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Dial(conn, "alice")
+		c, err := connectOver(conn, "alice")
 		if err != nil {
 			t.Fatal(err)
 		}

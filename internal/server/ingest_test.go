@@ -54,7 +54,7 @@ func TestIngestBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	_, l := startServer(t, rt, Config{Heartbeat: -1, WriteTimeout: -1})
+	_, l := startServer(t, rt, Config{Heartbeat: -1})
 	conn, err := l.Dial()
 	if err != nil {
 		t.Fatal(err)

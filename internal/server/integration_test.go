@@ -60,7 +60,7 @@ func TestIntegrationMultiTenant(t *testing.T) {
 				fail("dial: %v", err)
 				return
 			}
-			c, err := Dial(conn, tenant)
+			c, err := connectOver(conn, tenant)
 			if err != nil {
 				fail("handshake: %v", err)
 				return
@@ -279,7 +279,7 @@ func BenchmarkWireIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := Dial(conn, "bench")
+	c, err := connectOver(conn, "bench")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("ppm_server_sessions_expired_total",
 		"Parked sessions reaped unresumed at the end of the resume window.", counterFn(&s.coresExpired))
 	reg.CounterFunc("ppm_server_sessions_evicted_total",
-		"Parked sessions evicted by the MaxParkedSessions / MaxParkedPerTenant caps.", counterFn(&s.coresEvicted))
+		"Parked sessions evicted by the MaxParkedSessions cap.", counterFn(&s.coresEvicted))
 	reg.CounterFunc("ppm_server_sessions_imported_total",
 		"Sessions adopted from a handoff spill, available for Resume.", counterFn(&s.coresImported))
 	reg.CounterFunc("ppm_wire_flushes_total",

@@ -378,7 +378,7 @@ func TestAbruptResetNoGoroutineLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Dial(conn, "alice")
+		c, err := connectOver(conn, "alice")
 		if err != nil {
 			t.Fatal(err)
 		}

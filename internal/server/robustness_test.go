@@ -64,37 +64,6 @@ func TestParkedSessionCapGlobal(t *testing.T) {
 	}
 }
 
-// TestParkedSessionCapPerTenant caps parked sessions per tenant: one
-// flapping tenant evicts only its own cores, never another tenant's.
-func TestParkedSessionCapPerTenant(t *testing.T) {
-	rt := newTestRuntime(t, 0)
-	defer rt.Close()
-	s, l := startServer(t, rt, Config{
-		ResumeWindow:       time.Minute,
-		MaxParkedPerTenant: 1,
-	})
-
-	bob := parkClient(t, s, l, "bob")
-	aliceOld := parkClient(t, s, l, "alice")
-	aliceNew := parkClient(t, s, l, "alice")
-
-	waitFor(t, 5*time.Second, "alice's oldest core to be evicted", func() bool {
-		return s.Stats().SessionsEvicted == 1
-	})
-	if s.lookupCore(aliceOld) != nil {
-		t.Error("alice's oldest core survived her per-tenant cap")
-	}
-	if s.lookupCore(aliceNew) == nil {
-		t.Error("alice's newest core was evicted")
-	}
-	if s.lookupCore(bob) == nil {
-		t.Error("bob's core was evicted by alice's flapping")
-	}
-	if ts := tenantStats(t, s, "bob"); ts.SessionsEvicted != 0 {
-		t.Errorf("bob evictions = %d, want 0", ts.SessionsEvicted)
-	}
-}
-
 // TestRateLimitThrottles exercises the per-tenant ingest token bucket: a
 // batch that drives the bucket into debt is admitted (no partial admission),
 // the next is refused with CodeThrottled and a retry-after hint, and waiting

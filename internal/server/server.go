@@ -94,14 +94,12 @@ type Config struct {
 	ReplayBuffer int
 	// Heartbeat is the ping cadence announced to clients; a session whose
 	// peer stays silent for two intervals is presumed dead and its
-	// connection reaped. 0 = 10s; negative disables liveness deadlines.
+	// connection reaped. It also bounds every socket write — one control
+	// frame, or one flush of coalesced answer frames (at most
+	// wire.BufferSize plus one frame) — so a wedged peer cannot hold the
+	// write path (and with it heartbeats and answers) for the whole session.
+	// 0 = 10s; negative disables both deadlines.
 	Heartbeat time.Duration
-	// WriteTimeout bounds every socket write — one control frame, or one
-	// flush of coalesced answer frames (at most wire.BufferSize plus one
-	// frame) — so a wedged peer cannot hold the write path (and with it
-	// heartbeats and answers) for the whole session. 0 = the heartbeat
-	// interval; negative disables.
-	WriteTimeout time.Duration
 	// ResumeWindow is how long a disconnected session's replay state lingers
 	// for a Resume before it is reaped. 0 = 30s; negative disables resume.
 	ResumeWindow time.Duration
@@ -110,17 +108,11 @@ type Config struct {
 	// longest-parked core (counted in SessionsEvicted); its client falls
 	// back to a fresh handshake. 0 = unlimited.
 	MaxParkedSessions int
-	// MaxParkedPerTenant is the same cap applied per tenant, so one
-	// flapping tenant cannot consume the whole parked budget. 0 =
-	// unlimited.
-	MaxParkedPerTenant int
 	// RateLimit caps each tenant's ingest rate in events per second (token
 	// bucket with one second of burst). Refused batches get CodeThrottled
 	// with a retry-after hint; nothing is partially admitted. 0 =
 	// unlimited.
 	RateLimit float64
-	// Logf, when set, receives connection-level diagnostics.
-	Logf func(format string, args ...any)
 	// Metrics, when set, receives the server's observability series:
 	// connection and session-lifecycle counters, per-tenant serving counters
 	// (labelled tenant=<id>), and the wire encode/decode and end-to-end
@@ -163,9 +155,6 @@ type Server struct {
 
 // heartbeat is the resolved liveness interval (0 = disabled).
 func (s *Server) heartbeat() time.Duration { return max(s.cfg.Heartbeat, 0) }
-
-// writeTimeout is the resolved per-write deadline (0 = disabled).
-func (s *Server) writeTimeout() time.Duration { return max(s.cfg.WriteTimeout, 0) }
 
 // resumeWindow is the resolved post-disconnect grace period (0 = disabled).
 func (s *Server) resumeWindow() time.Duration { return max(s.cfg.ResumeWindow, 0) }
@@ -274,9 +263,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Heartbeat == 0 {
 		cfg.Heartbeat = 10 * time.Second
 	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = cfg.Heartbeat
-	}
 	if cfg.ResumeWindow == 0 {
 		cfg.ResumeWindow = 30 * time.Second
 	}
@@ -291,12 +277,6 @@ func New(cfg Config) (*Server, error) {
 		s.registerMetrics(cfg.Metrics)
 	}
 	return s, nil
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 // ErrServerClosed is returned by Serve after Drain or Close stopped the
@@ -440,19 +420,18 @@ func (s *Server) beginDrain(handoff bool, reason string) bool {
 	return true
 }
 
-// enforceParkCaps evicts the longest-parked cores while the just-parked
-// tenant exceeds MaxParkedPerTenant or the server exceeds MaxParkedSessions.
-// Eviction retires the core — its client falls back to a fresh handshake with
-// an explicit unknown-extent gap, never silent loss.
-func (s *Server) enforceParkCaps(ts *tenantState) {
-	global, perTenant := s.cfg.MaxParkedSessions, s.cfg.MaxParkedPerTenant
-	if global <= 0 && perTenant <= 0 {
+// enforceParkCap evicts the longest-parked cores while the server exceeds
+// MaxParkedSessions. Eviction retires the core — its client falls back to a
+// fresh handshake with an explicit unknown-extent gap, never silent loss.
+func (s *Server) enforceParkCap() {
+	limit := s.cfg.MaxParkedSessions
+	if limit <= 0 {
 		return
 	}
 	for {
-		var parked, tenantParked int
-		var oldest, tenantOldest *sessionCore
-		var oldestAt, tenantOldestAt time.Time
+		var parked int
+		var oldest *sessionCore
+		var oldestAt time.Time
 		for _, c := range s.coreList() {
 			c.mu.Lock()
 			isParked := c.attached.Load() == nil && !c.retired && c.reap != nil
@@ -465,28 +444,15 @@ func (s *Server) enforceParkCaps(ts *tenantState) {
 			if oldest == nil || at.Before(oldestAt) {
 				oldest, oldestAt = c, at
 			}
-			if c.tenant == ts {
-				tenantParked++
-				if tenantOldest == nil || at.Before(tenantOldestAt) {
-					tenantOldest, tenantOldestAt = c, at
-				}
-			}
 		}
-		victim := (*sessionCore)(nil)
-		switch {
-		case perTenant > 0 && tenantParked > perTenant:
-			victim = tenantOldest
-		case global > 0 && parked > global:
-			victim = oldest
-		}
-		if victim == nil {
+		if parked <= limit {
 			return
 		}
 		// A victim that re-attached between the scan and the retire is
 		// simply not counted; the rescan sees it as live.
-		if victim.retireIf(true) {
+		if oldest.retireIf(true) {
 			s.coresEvicted.Inc()
-			victim.tenant.sessionsEvicted.Inc()
+			oldest.tenant.sessionsEvicted.Inc()
 		}
 	}
 }
@@ -609,7 +575,7 @@ type Stats struct {
 	// resume window without a Resume.
 	SessionsExpired int64
 	// SessionsEvicted counts parked sessions evicted by the
-	// MaxParkedSessions / MaxParkedPerTenant caps.
+	// MaxParkedSessions cap.
 	SessionsEvicted int64
 	// SessionsImported counts sessions adopted from a session spill
 	// (Adopt), available for Resume against this process.

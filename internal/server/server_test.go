@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +18,9 @@ import (
 
 // newTestRuntime builds a small serving runtime: two shards, tumbling
 // windows of width 10, one private type seq(a, b), one shared query "probe"
-// detecting it, and optionally a per-stream budget grant.
-func newTestRuntime(t testing.TB, budget float64) *runtime.Runtime {
+// detecting it, and optionally a per-stream budget grant. Each tune edits the
+// config before the runtime is built.
+func newTestRuntime(t testing.TB, budget float64, tune ...func(*runtime.Config)) *runtime.Runtime {
 	t.Helper()
 	pt, err := core.NewPatternType("secret", "a", "b")
 	if err != nil {
@@ -28,7 +30,7 @@ func newTestRuntime(t testing.TB, budget float64) *runtime.Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := runtime.New(runtime.Config{
+	cfg := runtime.Config{
 		Shards:      2,
 		WindowWidth: 10,
 		MechanismFor: func(_ int, private []core.PatternType) (core.Mechanism, error) {
@@ -38,7 +40,11 @@ func newTestRuntime(t testing.TB, budget float64) *runtime.Runtime {
 		Targets: []cep.Query{q},
 		Seed:    1,
 		Budget:  dp.Epsilon(budget),
-	})
+	}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	rt, err := runtime.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +81,18 @@ func dialTenant(t testing.TB, l *MemListener, token string) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(conn, token)
+	c, err := connectOver(conn, token)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// connectOver runs the handshake over an established conn: Connect with a
+// one-shot Dialer. On success the Client owns conn; it does not reconnect.
+func connectOver(conn net.Conn, token string) (*Client, error) {
+	return Connect(ClientConfig{Token: token, Dialer: func() (net.Conn, error) { return conn, nil }})
 }
 
 // windowEvents is one window's worth of events for a stream: an (a, b) pair
@@ -123,7 +135,7 @@ func TestAuthRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Dial(conn, "bad/tenant")
+	_, err = connectOver(conn, "bad/tenant")
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Code != wire.CodeAuth {
 		t.Fatalf("want CodeAuth, got %v", err)

@@ -600,7 +600,7 @@ func (ss *session) flush(out *outbox) bool {
 // connection is unusable.
 func (ss *session) writeBytes(buf []byte) error {
 	ss.wmu.Lock()
-	if wt := ss.srv.writeTimeout(); wt > 0 {
+	if wt := ss.srv.heartbeat(); wt > 0 {
 		ss.conn.SetWriteDeadline(time.Now().Add(wt))
 	}
 	_, err := ss.conn.Write(buf)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"log/slog"
 	"sort"
 	"time"
 
@@ -104,7 +105,7 @@ func (s *Server) importSessions(sp *durable.SessionSpill) int {
 	adopted := 0
 	for _, rec := range sp.Sessions {
 		if err := s.importSession(rec, window); err != nil {
-			s.logf("server: import session %.8s (tenant %s): %v", rec.Token, rec.Tenant, err)
+			slog.Warn("server: import session", "token", fmt.Sprintf("%.8s", rec.Token), "tenant", rec.Tenant, "err", err)
 			continue
 		}
 		adopted++
@@ -136,7 +137,7 @@ func (s *Server) importSession(rec durable.SessionRecord, window time.Duration) 
 	for _, sub := range rec.Subs {
 		st, err := c.importSub(sub)
 		if err != nil {
-			s.logf("server: import session %.8s sub %d (%q): %v", rec.Token, sub.ID, sub.Query, err)
+			slog.Warn("server: import session sub", "token", fmt.Sprintf("%.8s", rec.Token), "sub", sub.ID, "query", sub.Query, "err", err)
 			continue
 		}
 		c.subs[sub.ID] = st
@@ -160,7 +161,7 @@ func (s *Server) importSession(rec durable.SessionRecord, window time.Duration) 
 		c.retireIf(true)
 	})
 	c.mu.Unlock()
-	s.enforceParkCaps(ts)
+	s.enforceParkCap()
 	return nil
 }
 

@@ -85,7 +85,9 @@
 // and periodic checkpoints snapshot windower and ledger state. Restarting
 // against the same directory recovers — checkpoint plus WAL-tail replay —
 // under a one-sided invariant: a crash may over-count privacy spend (a
-// charge whose answer never left) but never under-counts it. See
+// charge whose answer never left) but never under-counts it. Registration
+// records are an audit trail: recovery does not re-apply them, so a
+// restarted runtime serves the Private and Targets of its RuntimeConfig. See
 // Runtime.Recovery, Runtime.Checkpoint, and the README's "Durability"
 // section.
 package patterndp
@@ -335,23 +337,17 @@ func NewPrivateEngine(m Mechanism, private []PatternType, seed int64) (*PrivateE
 // serving. See RuntimeConfig for the knobs and their defaults.
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return runtime.New(cfg) }
 
-// NewWindower builds an incremental tumbling windower for one stream — the
-// streaming counterpart of WindowSlice, except that its windows carry their
-// per-type tally (TypeCounts, which each window owns) and no Events: the
-// windower keeps nothing of an event but its type. lateness is only consulted
-// under the ReorderBuffer policy; horizon bounds how far one event may jump
-// past the stream's newest event (0 disables the bound).
-func NewWindower(width Timestamp, policy LatenessPolicy, lateness, horizon Timestamp) *Windower {
-	return runtime.NewWindower(width, policy, lateness, horizon)
-}
-
-// NewSlidingWindower builds an incremental sliding windower: windows of the
-// given width advancing by slide (a positive divisor of width), assembled
-// from panes of the slide width so overlapping windows share their tally
-// work. Like NewWindower's, the windows carry TypeCounts but no Events;
-// unlike them, a sliding window's tally buffer is windower-owned scratch
-// valid only until the next Push/Flush — see the Windower.PushInto contract.
-// slide == width is NewWindower: a tumbling window is a one-pane window.
+// NewSlidingWindower builds an incremental windower for one stream — the
+// streaming counterpart of WindowSlice: windows of the given width advancing
+// by slide (a positive divisor of width), assembled from panes of the slide
+// width so overlapping windows share their tally work. Its windows carry
+// their per-type tally (TypeCounts) and no Events: the windower keeps nothing
+// of an event but its type. slide == width cuts tumbling windows, each of
+// which owns its TypeCounts; a sliding window's tally buffer is
+// windower-owned scratch valid only until the next Push/FlushInto — see the
+// Windower.PushInto contract. lateness is only consulted under the
+// ReorderBuffer policy; horizon bounds how far one event may jump past the
+// stream's newest event (0 disables the bound).
 func NewSlidingWindower(width, slide Timestamp, policy LatenessPolicy, lateness, horizon Timestamp) *Windower {
 	return runtime.NewSlidingWindower(width, slide, policy, lateness, horizon)
 }
