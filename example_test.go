@@ -57,7 +57,8 @@ func ExampleNewPrivateEngine() {
 	// window 1: jam detected=false
 }
 
-// ExampleWindowSlice shows the tumbling-window batching of an event slice.
+// ExampleWindowSlice shows the tumbling-window batching of an event slice:
+// each window is its interval and a per-type tally of the events inside it.
 func ExampleWindowSlice() {
 	events := []patterndp.Event{
 		patterndp.NewEvent("a", 0),
@@ -65,7 +66,11 @@ func ExampleWindowSlice() {
 		patterndp.NewEvent("a", 13),
 	}
 	for i, w := range patterndp.WindowSlice(events, 10) {
-		fmt.Printf("window %d [%d,%d): %d events\n", i, w.Start, w.End, len(w.Events))
+		n := 0
+		for _, c := range w.TypeCounts {
+			n += c.N
+		}
+		fmt.Printf("window %d [%d,%d): %d events\n", i, w.Start, w.End, n)
 	}
 	// Output:
 	// window 0 [0,10): 2 events

@@ -64,7 +64,7 @@ func main() {
 	fmt.Println("\nreleased answers (perturbed where the private pattern is involved):")
 	for _, a := range answers {
 		fmt.Printf("  window %d [%d,%d): %-12s detected=%t\n",
-			a.WindowIndex, a.Window.Start, a.Window.End, a.Query, a.Detected)
+			a.WindowIndex, a.Start, a.End, a.Query, a.Detected)
 	}
 	fmt.Println("\nnote: \"near-hospital\" is an element of the private pattern, so its")
 	fmt.Println("indicator passes through randomized response; \"slow-speed\" is public")

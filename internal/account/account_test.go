@@ -45,7 +45,7 @@ func TestSpendByNamespace(t *testing.T) {
 	decideN(l, sh0, b1, 2, 0.5, 0)    // 1.0
 	decideN(l, sh1, bare, 20, 0.5, 0) // exhausts at 10
 
-	got := l.SpendByNamespace('/')
+	got := l.SpendByNamespace('/', 0)
 	if len(got) != 3 {
 		t.Fatalf("namespaces = %+v, want 3", got)
 	}

@@ -518,10 +518,8 @@ func (l *Ledger) Snapshot(epoch uint64) *Snapshot {
 			if c := sl.maxComposed.load(); dp.Epsilon(c) > s.MaxComposed {
 				s.MaxComposed = dp.Epsilon(c)
 			}
-			sp := sl.spent.load()
-			if sl.epoch.Load() != epoch {
-				// The stream has not released under the current epoch
-				// yet; its accumulation belongs to a retired epoch.
+			sp, current, exhausted := l.classify(sl, epoch, sh.charge.load())
+			if !current {
 				retired.Add(sp)
 				continue
 			}
@@ -529,7 +527,7 @@ func (l *Ledger) Snapshot(epoch uint64) *Snapshot {
 			if dp.Epsilon(sp) > s.MaxStreamSpent {
 				s.MaxStreamSpent = dp.Epsilon(sp)
 			}
-			if float64(l.grant)-sp < sh.charge.load() {
+			if exhausted {
 				s.Exhausted++
 			}
 		}
@@ -559,7 +557,8 @@ type NamespaceSpend struct {
 	Streams int
 	// Spent totals the namespace's live per-stream spend (parallel
 	// composition across the namespace's disjoint streams). Spend archived
-	// by eviction or budget-epoch rotation is keyless and not included.
+	// by eviction or budget-epoch rotation — including that of a stream
+	// that has not released since the rotation — is not included.
 	Spent dp.Epsilon
 	// MaxStreamSpent is the namespace's largest live per-stream spend —
 	// its per-data-subject sequential bound this epoch.
@@ -569,10 +568,22 @@ type NamespaceSpend struct {
 	Exhausted int
 }
 
-// SpendByNamespace groups live per-stream spend by the stream-key prefix up
-// to the first delim, sorted by namespace. Safe to call at any time,
-// including while serving.
-func (l *Ledger) SpendByNamespace(delim byte) []NamespaceSpend {
+// classify reads a live stream's spend under the budget epoch: current is
+// false when the stream has not released under epoch yet, so its
+// accumulation belongs to a retired epoch; exhausted reports that a current
+// stream's remaining grant no longer covers one release at charge.
+func (l *Ledger) classify(sl *StreamLedger, epoch uint64, charge float64) (sp float64, current, exhausted bool) {
+	sp = sl.spent.load()
+	if sl.epoch.Load() != epoch {
+		return sp, false, false
+	}
+	return sp, true, float64(l.grant)-sp < charge
+}
+
+// SpendByNamespace groups live per-stream spend under the given budget epoch
+// by the stream-key prefix up to the first delim, sorted by namespace. Safe
+// to call at any time, including while serving.
+func (l *Ledger) SpendByNamespace(delim byte, epoch uint64) []NamespaceSpend {
 	agg := make(map[string]*NamespaceSpend)
 	for _, sh := range l.shards {
 		charge := sh.charge.load()
@@ -591,12 +602,15 @@ func (l *Ledger) SpendByNamespace(delim byte) []NamespaceSpend {
 				agg[ns] = a
 			}
 			a.Streams++
-			sp := sl.spent.load()
+			sp, current, exhausted := l.classify(sl, epoch, charge)
+			if !current {
+				continue
+			}
 			a.Spent += dp.Epsilon(sp)
 			if dp.Epsilon(sp) > a.MaxStreamSpent {
 				a.MaxStreamSpent = dp.Epsilon(sp)
 			}
-			if float64(l.grant)-sp < charge {
+			if exhausted {
 				a.Exhausted++
 			}
 		}

@@ -21,7 +21,7 @@ func TestPrivateEngineConcurrentRegistration(t *testing.T) {
 	if err := pe.RegisterTarget(cep.Query{Name: "base", Pattern: cep.E("a"), Window: 10}); err != nil {
 		t.Fatal(err)
 	}
-	ws := []stream.Window{{Start: 0, End: 10, Events: []event.Event{event.New("a", 1)}}}
+	ws := []stream.Window{{Start: 0, End: 10, TypeCounts: stream.TypeCounts{{Type: "a", N: 1}}}}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -62,7 +62,8 @@ func randomPrivate(t *testing.T, rng *rand.Rand) []PatternType {
 }
 
 // randomBatch draws 0–5 windows of 0–11 events; types outside the alphabet
-// ("x") appear too, and about half the windows carry a TypeCounts tally.
+// ("x") appear too. About half the windows are tallied directly and the rest
+// are cut by WindowSlice from the drawn events (an empty one stays nil).
 func randomBatch(rng *rand.Rand) []stream.Window {
 	ws := make([]stream.Window, rng.Intn(6))
 	for i := range ws {
@@ -71,15 +72,20 @@ func randomBatch(rng *rand.Rand) []stream.Window {
 		if tallied {
 			w.TypeCounts = stream.TypeCounts{}
 		}
+		var evs []event.Event
 		for n := rng.Intn(12); n > 0; n-- {
 			typ := event.Type("x")
 			if rng.Intn(8) > 0 {
 				typ = denseAlphabet[rng.Intn(len(denseAlphabet))]
 			}
-			w.Events = append(w.Events, event.New(typ, w.Start+event.Timestamp(len(w.Events))))
 			if tallied {
 				w.TypeCounts = w.TypeCounts.Add(typ)
+			} else {
+				evs = append(evs, event.New(typ, w.Start+event.Timestamp(len(evs))))
 			}
+		}
+		if len(evs) > 0 {
+			w.TypeCounts = stream.WindowSlice(evs, 100)[0].TypeCounts
 		}
 		ws[i] = w
 	}
@@ -132,8 +138,9 @@ func referenceProcess(t *testing.T, pe *PrivateEngine, ws []stream.Window) []Ans
 	}
 	var out []Answer
 	for i, w := range ws {
-		for _, q := range ps.targets {
-			out = append(out, Answer{Query: q.Name, WindowIndex: i, Window: w,
+		for _, p := range ps.plans {
+			q := p.Query()
+			out = append(out, Answer{Query: q.Name, WindowIndex: i, Start: w.Start, End: w.End,
 				Detected: cep.MustCompile(q).EvalIndicators(released[i])})
 		}
 	}

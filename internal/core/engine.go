@@ -23,14 +23,16 @@ import (
 var ErrUnservedMechanism = errors.New("core: mechanism cannot be served")
 
 // Answer is one privacy-protected query answer delivered to a data consumer:
-// the window it refers to and the released binary detection.
+// the interval of the window it refers to and the released binary detection.
+// It carries nothing of the window's contents: the tally the mechanism read
+// is the unperturbed private input.
 type Answer struct {
 	// Query names the target query answered.
 	Query string
 	// WindowIndex is the position of the window in the stream.
 	WindowIndex int
-	// Window is the covered interval.
-	Window stream.Window
+	// Start and End are the window's half-open interval [Start, End).
+	Start, End event.Timestamp
 	// Detected is the released (perturbed) binary answer.
 	Detected bool
 }
@@ -50,7 +52,6 @@ type PrivateEngine struct {
 	mechanism Mechanism
 	flips     flipLister
 	private   []PatternType
-	targets   map[string]cep.Query
 	// snap is an immutable snapshot of the serving state — the name-sorted
 	// target queries, their compiled plans, and the relevant-type union —
 	// rebuilt on every registration change. The service phase reads the
@@ -63,9 +64,8 @@ type PrivateEngine struct {
 	calls atomic.Int64
 }
 
-// planSet is one immutable epoch of the engine's serving state: the sorted
-// target queries, the compiled plan of each (parallel to targets), and the
-// type table — the sorted union of private-pattern element types and
+// planSet is one immutable epoch of the engine's serving state: the target
+// queries' compiled plans, sorted by query name, and the type table — the sorted union of private-pattern element types and
 // target-query types that indicators must cover. Compiled once per
 // registration change, shared by every in-flight service call.
 //
@@ -74,8 +74,8 @@ type PrivateEngine struct {
 // list of types[pos], and bound[j] is the j-th target's plan with its
 // operands resolved to positions.
 type planSet struct {
-	targets []cep.Query
-	types   []event.Type
+	plans []*cep.Plan
+	types []event.Type
 	// every selects every plan: 0..len(bound)-1, what ProcessWindowsInto
 	// answers.
 	every []int
@@ -84,24 +84,15 @@ type planSet struct {
 	bound []*cep.BoundPlan
 }
 
-// buildPlanSet compiles the serving state for a sorted target snapshot.
-// Queries are validated at registration, so compilation cannot fail.
-func buildPlanSet(fl flipLister, private []PatternType, targets []cep.Query, plans []*cep.Plan) *planSet {
-	if plans == nil {
-		plans = make([]*cep.Plan, len(targets))
-		for i, q := range targets {
-			plans[i] = cep.MustCompile(q)
-		}
-	}
-	ps := &planSet{targets: targets, every: make([]int, len(targets))}
-	for i := range ps.every {
-		ps.every[i] = i
-	}
+// buildPlanSet builds the serving state for name-sorted compiled plans.
+func buildPlanSet(fl flipLister, private []PatternType, plans []*cep.Plan) *planSet {
+	ps := &planSet{plans: plans, every: make([]int, len(plans))}
 	for _, pt := range private {
 		ps.types = append(ps.types, pt.Elements...)
 	}
-	for _, q := range targets {
-		ps.types = append(ps.types, q.Pattern.Types()...)
+	for i, p := range plans {
+		ps.every[i] = i
+		ps.types = append(ps.types, p.Query().Pattern.Types()...)
 	}
 	slices.Sort(ps.types)
 	ps.types = slices.Compact(ps.types)
@@ -120,23 +111,14 @@ func buildPlanSet(fl flipLister, private []PatternType, targets []cep.Query, pla
 }
 
 // fillRow writes the window's true existence indicators into row, which is
-// laid out by the type table: one pass over the window's tally (or, for a
-// window that carries none, over its events).
+// laid out by the type table: one pass over the window's tally.
 func (ps *planSet) fillRow(row []bool, w *stream.Window) {
 	clear(row)
-	if w.TypeCounts != nil {
-		for _, c := range w.TypeCounts {
-			if c.N > 0 {
-				if pos, ok := ps.pos[c.Type]; ok {
-					row[pos] = true
-				}
+	for _, c := range w.TypeCounts {
+		if c.N > 0 {
+			if pos, ok := ps.pos[c.Type]; ok {
+				row[pos] = true
 			}
-		}
-		return
-	}
-	for _, e := range w.Events {
-		if pos, ok := ps.pos[e.Type]; ok {
-			row[pos] = true
 		}
 	}
 }
@@ -160,10 +142,9 @@ func NewPrivateEngine(m Mechanism, private []PatternType, seed int64) (*PrivateE
 		mechanism: m,
 		flips:     fl,
 		private:   private,
-		targets:   make(map[string]cep.Query),
 		seed:      seed,
 	}
-	pe.snap = buildPlanSet(fl, private, nil, nil)
+	pe.snap = buildPlanSet(fl, private, nil)
 	return pe, nil
 }
 
@@ -250,25 +231,22 @@ func (pe *PrivateEngine) Mechanism() Mechanism { return pe.mechanism }
 // RegisterTarget adds a data consumer's target query, replacing any
 // registered query with the same name.
 func (pe *PrivateEngine) RegisterTarget(q cep.Query) error {
-	if err := q.Validate(); err != nil {
+	p, err := cep.Compile(q)
+	if err != nil {
 		return err
 	}
 	pe.mu.Lock()
 	defer pe.mu.Unlock()
-	pe.targets[q.Name] = q
-	pe.rebuildSnapshot()
+	plans := slices.DeleteFunc(slices.Clone(pe.snap.plans), func(o *cep.Plan) bool { return o.Query().Name == q.Name })
+	pe.publish(append(plans, p))
 	return nil
 }
 
-// rebuildSnapshot rematerializes the sorted serving snapshot, compiling a
-// plan per target; callers hold pe.mu.
-func (pe *PrivateEngine) rebuildSnapshot() {
-	out := make([]cep.Query, 0, len(pe.targets))
-	for _, q := range pe.targets {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	pe.snap = buildPlanSet(pe.flips, pe.private, out, nil)
+// publish sorts plans by query name and makes them the serving snapshot;
+// callers hold pe.mu and hand plans over.
+func (pe *PrivateEngine) publish(plans []*cep.Plan) {
+	sort.Slice(plans, func(i, j int) bool { return plans[i].Query().Name < plans[j].Query().Name })
+	pe.snap = buildPlanSet(pe.flips, pe.private, plans)
 }
 
 // snapshot returns the current serving snapshot. The returned set and its
@@ -289,21 +267,9 @@ func (pe *PrivateEngine) SetTargetPlans(plans []*cep.Plan) error {
 			return fmt.Errorf("core: nil plan at index %d", i)
 		}
 	}
-	// Sort queries and plans as pairs, so an unsorted caller can never
-	// pair a query name with another query's plan.
-	plans = append([]*cep.Plan(nil), plans...)
-	sort.Slice(plans, func(i, j int) bool { return plans[i].Query().Name < plans[j].Query().Name })
-	targets := make([]cep.Query, len(plans))
-	for i, p := range plans {
-		targets[i] = p.Query()
-	}
 	pe.mu.Lock()
 	defer pe.mu.Unlock()
-	pe.targets = make(map[string]cep.Query, len(targets))
-	for _, q := range targets {
-		pe.targets[q.Name] = q
-	}
-	pe.snap = buildPlanSet(pe.flips, pe.private, targets, plans)
+	pe.publish(slices.Clone(plans))
 	return nil
 }
 
@@ -316,10 +282,8 @@ func (pe *PrivateEngine) ProcessWindows(ws []stream.Window) ([]Answer, error) {
 
 // ProcessWindowsInto is ProcessWindows appending into dst, so a streaming
 // caller can reuse one answer buffer across calls: answers are valid until
-// the caller reuses the buffer. Windows that carry TypeCounts (cut by the
-// streaming Windower) are indexed without rescanning their events. Each
-// window is perturbed as a dense row of indicator bits: no map, no sort and
-// no allocation per window.
+// the caller reuses the buffer. Each window is perturbed as a dense row of
+// indicator bits: no map, no sort and no allocation per window.
 func (pe *PrivateEngine) ProcessWindowsInto(dst []Answer, ws []stream.Window) ([]Answer, error) {
 	ps := pe.snapshot()
 	return pe.process(ps, dst, ws, ps.every)
@@ -336,8 +300,8 @@ func (pe *PrivateEngine) ProcessWindowsInto(dst []Answer, ws []stream.Window) ([
 func (pe *PrivateEngine) ProcessSelectedInto(dst []Answer, ws []stream.Window, sel []int) ([]Answer, error) {
 	ps := pe.snapshot()
 	for _, j := range sel {
-		if j < 0 || j >= len(ps.targets) {
-			return nil, fmt.Errorf("core: selected query %d of %d registered", j, len(ps.targets))
+		if j < 0 || j >= len(ps.plans) {
+			return nil, fmt.Errorf("core: selected query %d of %d registered", j, len(ps.plans))
 		}
 	}
 	return pe.process(ps, dst, ws, sel)
@@ -354,7 +318,7 @@ const denseStackTypes = 64
 // types in sorted order, each type's flips in registration order — so
 // released bits are identical for the same seed.
 func (pe *PrivateEngine) process(ps *planSet, dst []Answer, ws []stream.Window, sel []int) ([]Answer, error) {
-	if len(ps.targets) == 0 {
+	if len(ps.plans) == 0 {
 		return nil, fmt.Errorf("core: no target queries registered")
 	}
 	var buf [denseStackTypes]bool
@@ -377,9 +341,10 @@ func (pe *PrivateEngine) process(ps *planSet, dst []Answer, ws []stream.Window, 
 		}
 		for _, j := range sel {
 			dst = append(dst, Answer{
-				Query:       ps.targets[j].Name,
+				Query:       ps.plans[j].Query().Name,
 				WindowIndex: i,
-				Window:      *w,
+				Start:       w.Start,
+				End:         w.End,
 				Detected:    ps.bound[j].Eval(row),
 			})
 		}

@@ -8,9 +8,9 @@ import (
 	"patterndp/internal/stream"
 )
 
-// TestProcessWindowsTallyOnlyWindows pins that the engine serves
-// pane-assembled windows — TypeCounts set, Events nil, as the sliding
-// runtime emits them — exactly like fully materialized windows: same
+// TestProcessWindowsTallyOnlyWindows pins that the engine serves tallies
+// assembled by hand, as the sliding runtime assembles them from panes,
+// exactly like the windows WindowSlice cuts from the same events: same
 // indicator inputs, same noise draws under the same seed, hence bit-for-bit
 // identical answers.
 func TestProcessWindowsTallyOnlyWindows(t *testing.T) {
@@ -41,7 +41,8 @@ func TestProcessWindowsTallyOnlyWindows(t *testing.T) {
 		return pe
 	}
 
-	var evented, tallyOnly []stream.Window
+	var all []event.Event
+	var tallyOnly []stream.Window
 	for i := 0; i < 12; i++ {
 		base := event.Timestamp(i * 10)
 		var evs []event.Event
@@ -56,11 +57,15 @@ func TestProcessWindowsTallyOnlyWindows(t *testing.T) {
 		for _, e := range evs {
 			tally = tally.Add(e.Type)
 		}
-		evented = append(evented, stream.Window{Start: base, End: base + 10, Events: evs, TypeCounts: tally})
+		all = append(all, evs...)
 		tallyOnly = append(tallyOnly, stream.Window{Start: base, End: base + 10, TypeCounts: tally})
 	}
 
-	a, err := build().ProcessWindows(evented)
+	sliced := stream.WindowSlice(all, 10)
+	if len(sliced) != len(tallyOnly) {
+		t.Fatalf("WindowSlice cut %d windows, want %d", len(sliced), len(tallyOnly))
+	}
+	a, err := build().ProcessWindows(sliced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func TestProcessWindowsTallyOnlyWindows(t *testing.T) {
 	}
 	for i := range a {
 		if a[i].Query != b[i].Query || a[i].WindowIndex != b[i].WindowIndex || a[i].Detected != b[i].Detected {
-			t.Errorf("answer %d: evented %+v, tally-only %+v", i, a[i], b[i])
+			t.Errorf("answer %d: sliced %+v, tally-only %+v", i, a[i], b[i])
 		}
 	}
 }

@@ -88,7 +88,7 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 		for i := range want {
 			if got[i].WindowIndex != want[i].WindowIndex ||
 				got[i].Detected != want[i].Detected ||
-				got[i].Window.Start != want[i].Window.Start {
+				got[i].Start != want[i].Start {
 				t.Fatalf("%s answer %d: batched %+v, single %+v", key, i, got[i], want[i])
 			}
 		}

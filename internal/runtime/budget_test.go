@@ -327,6 +327,51 @@ func TestRotateBudgetAPI(t *testing.T) {
 	}
 }
 
+// TestNamespaceSpendFollowsRotation pins that the per-tenant spend view
+// classifies streams exactly as the budget snapshot does: a stream that has
+// not released since a rotation holds retired spend, so right after the
+// rotation its tenant has spent nothing this epoch and is not exhausted.
+func TestNamespaceSpendFollowsRotation(t *testing.T) {
+	rt, err := New(budgetConfig(t, 3, BudgetDeny))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	sub, err := rt.Subscribe("has-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The event of window w closes window w-1: wait for its answer, so the
+	// ledger has charged it.
+	for w := 0; w < 4; w++ {
+		if err := rt.Ingest(event.New("a", event.Timestamp(w*10+1)).WithSource("tenant/s")); err != nil {
+			t.Fatal(err)
+		}
+		if w >= 1 {
+			<-sub.C()
+		}
+	}
+	check := func(when string, spent dp.Epsilon, exhausted int) {
+		t.Helper()
+		var sum dp.Epsilon
+		var ex int
+		for _, ns := range rt.SpendByNamespace('/') {
+			sum += ns.Spent
+			ex += ns.Exhausted
+		}
+		b := rt.Snapshot().Budget
+		if sum != b.Spent || ex != b.Exhausted || sum != spent || ex != exhausted {
+			t.Fatalf("%s: namespaces spent %v exhausted %d, snapshot spent %v exhausted %d, want %v and %d",
+				when, sum, ex, b.Spent, b.Exhausted, spent, exhausted)
+		}
+	}
+	check("before rotation", 3, 1)
+	if _, err := rt.RotateBudget(); err != nil {
+		t.Fatal(err)
+	}
+	check("after rotation", 0, 0)
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

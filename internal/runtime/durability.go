@@ -288,23 +288,14 @@ func applyRecoveredEpochs(st *controlState, rec *durable.Recovery) {
 	if ck := rec.Checkpoint; ck != nil {
 		budget, ctl = ck.BudgetEpoch, ck.CtlEpoch
 	}
-	if b, c := rec.MaxRotationEpoch(); true {
-		if b > budget {
-			budget = b
-		}
-		if c > ctl {
-			ctl = c
-		}
-	}
+	b, c := rec.MaxRotationEpoch()
+	budget, ctl = max(budget, b), max(ctl, c)
 	for _, r := range rec.ControlTail {
 		if r.Kind == durable.KindRegistration && r.CtlEpoch > ctl {
 			ctl = r.CtlEpoch
 		}
 	}
-	if budget > ctl {
-		ctl = budget
-	}
-	st.epoch = Epoch(ctl)
+	st.epoch = Epoch(max(ctl, budget))
 	st.budgetEpoch = Epoch(budget)
 }
 
@@ -361,12 +352,7 @@ func (rt *Runtime) restore(rec *durable.Recovery) error {
 			if st == nil {
 				// The stream appeared after the checkpoint cut; its events
 				// are lost but its charges are not.
-				st = &streamState{win: rt.cfg.newWindower()}
-				if sh.led != nil {
-					st.bud = sh.led.OpenStream(r.Stream, r.BudgetEpoch)
-				}
-				sh.streams[r.Stream] = st
-				sh.stats.streams.Inc()
+				st = sh.openStream(r.Stream, r.BudgetEpoch)
 			}
 			if r.WindowIdx < int64(st.next) {
 				continue // already covered by the checkpoint
@@ -384,14 +370,10 @@ func (rt *Runtime) restore(rec *durable.Recovery) error {
 			st.win.advanceTo(event.Timestamp(r.WindowStart) + rt.cfg.WindowWidth)
 			st.next = int(r.WindowIdx) + 1
 		case durable.KindEvict:
-			if sh.streams[r.Stream] == nil {
-				continue // evicted before the checkpoint cut; nothing held
+			// A stream evicted before the checkpoint cut holds nothing.
+			if sh.streams[r.Stream] != nil {
+				sh.dropStream(r.Stream)
 			}
-			delete(sh.streams, r.Stream)
-			if sh.led != nil {
-				sh.led.EvictStream(r.Stream)
-			}
-			sh.stats.streamsEvicted.Inc()
 		}
 	}
 	for _, r := range rec.ControlTail {

@@ -91,11 +91,11 @@ type Config struct {
 	// tallies, so overlapping windows share their evaluation work instead
 	// of re-scanning events per window; a tumbling window is the one-pane
 	// case. Nothing else differs: both are decided, served, logged and
-	// published by the same sequence, and every answer carries an
-	// interval-only window (no Events, no TypeCounts) — the runtime keeps
-	// no event past its tally, and the unperturbed tally is not published
-	// to subscribers. Privacy note: with Slide < WindowWidth each event
-	// contributes to WindowWidth/Slide independently perturbed releases, so
+	// published by the same sequence, and every answer carries only its
+	// window's interval — the runtime keeps no event past its tally, and
+	// the unperturbed tally is not published to subscribers. Privacy note:
+	// with Slide < WindowWidth each event contributes to
+	// WindowWidth/Slide independently perturbed releases, so
 	// the per-event privacy loss composes up to overlap x the per-window
 	// budget — see README "Sliding windows" for the trade-off.
 	Slide event.Timestamp
@@ -905,7 +905,7 @@ func (rt *Runtime) SpendByNamespace(delim byte) []account.NamespaceSpend {
 	if rt.ledger == nil {
 		return nil
 	}
-	return rt.ledger.SpendByNamespace(delim)
+	return rt.ledger.SpendByNamespace(delim, uint64(rt.ctl.Load().budgetEpoch))
 }
 
 // Totals aggregates the per-shard counters. Epoch is the minimum applied

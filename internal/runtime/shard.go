@@ -391,12 +391,7 @@ func (s *shard) serve(e event.Event) bool {
 	if st == nil || key != s.lastKey {
 		st = s.streams[key]
 		if st == nil {
-			st = &streamState{win: s.rt.cfg.newWindower()}
-			if s.led != nil {
-				st.bud = s.led.OpenStream(key, uint64(s.cur.budgetEpoch))
-			}
-			s.streams[key] = st
-			s.stats.streams.Inc()
+			st = s.openStream(key, uint64(s.cur.budgetEpoch))
 		}
 		s.lastKey, s.lastStream = key, st
 	}
@@ -414,6 +409,27 @@ func (s *shard) serve(e event.Event) bool {
 		s.stats.droppedFuture.Inc()
 	}
 	return s.emit(key, st, ws)
+}
+
+// openStream registers a new stream under key, its budget ledger opened
+// under budgetEpoch.
+func (s *shard) openStream(key string, budgetEpoch uint64) *streamState {
+	st := &streamState{win: s.rt.cfg.newWindower()}
+	if s.led != nil {
+		st.bud = s.led.OpenStream(key, budgetEpoch)
+	}
+	s.streams[key] = st
+	s.stats.streams.Inc()
+	return st
+}
+
+// dropStream frees key's stream state and archives its budget ledger.
+func (s *shard) dropStream(key string) {
+	delete(s.streams, key)
+	if s.led != nil {
+		s.led.EvictStream(key)
+	}
+	s.stats.streamsEvicted.Inc()
 }
 
 // sweep flushes and frees the state of every stream that has not seen an
@@ -434,17 +450,13 @@ func (s *shard) sweep(evict int64) bool {
 		if !s.emit(key, st, st.win.FlushInto(s.wsScratch[:0])) {
 			return false
 		}
-		delete(s.streams, key)
-		if s.led != nil {
-			s.led.EvictStream(key)
-		}
+		s.dropStream(key)
 		if s.wal != nil {
 			// Logged after the in-memory archive (committed with the
 			// message's group commit): a crash in between leaves the
 			// stream's spend live instead of retired, never lost.
 			s.wal.StageEvict(key)
 		}
-		s.stats.streamsEvicted.Inc()
 	}
 	// Evicted streams invalidate the lookup cache.
 	s.lastKey, s.lastStream = "", nil
@@ -563,12 +575,8 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 			RemainingEpsilon: out.Remaining,
 			TraceNanos:       s.trace0,
 		}
-		// Every answer carries an interval-only window: the tally the
-		// mechanism read is the unperturbed private input (and, when sliding,
-		// windower scratch reclaimed on the next push), so it never leaves
-		// the shard.
 		a.WindowIndex = st.next + i
-		a.Window = stream.Window{Start: ws[i].Start, End: ws[i].End}
+		a.Start, a.End = ws[i].Start, ws[i].End
 		switch out.Decision {
 		case account.Admitted:
 			// The engine answers window-major, one per demanded query.

@@ -79,7 +79,7 @@ func TestServingModesReleaseIdenticalAnswers(t *testing.T) {
 					}
 					for i, a := range answers {
 						r := ref[i]
-						if a.WindowIndex != r.WindowIndex || a.Window.Start != r.Window.Start ||
+						if a.WindowIndex != r.WindowIndex || a.Start != r.Start ||
 							a.Epoch != r.Epoch || a.Detected != r.Detected || a.Suppressed {
 							t.Fatalf("%s %s answer %d: %+v, want %+v", name, key, i, a, r)
 						}

@@ -183,9 +183,9 @@ func TestPropertySlidingServingMatchesBruteForce(t *testing.T) {
 				}
 				for i, a := range answers {
 					ew := want[i]
-					if a.WindowIndex != i || a.Window.Start != ew.start || a.Window.End != ew.end {
+					if a.WindowIndex != i || a.Start != ew.start || a.End != ew.end {
 						t.Fatalf("trial %d %s/%s answer %d: window %d [%d,%d), want %d [%d,%d)",
-							trial, key, q.Name, i, a.WindowIndex, a.Window.Start, a.Window.End, i, ew.start, ew.end)
+							trial, key, q.Name, i, a.WindowIndex, a.Start, a.End, i, ew.start, ew.end)
 					}
 					if wantDet := plans[qi].EvalIndicators(ew.present); a.Detected != wantDet {
 						t.Fatalf("trial %d %s/%s window %d [%d,%d): detected %v, brute force %v",
@@ -239,7 +239,7 @@ func TestSlidingTumblingBitForBit(t *testing.T) {
 		}
 		for i := range want {
 			if got[i].Detected != want[i].Detected || got[i].WindowIndex != want[i].WindowIndex ||
-				got[i].Window.Start != want[i].Window.Start || got[i].Window.End != want[i].Window.End {
+				got[i].Start != want[i].Start || got[i].End != want[i].End {
 				t.Fatalf("%s answer %d: %+v vs %+v", key, i, got[i], want[i])
 			}
 		}

@@ -96,16 +96,16 @@ const (
 //
 // A stream's only representation inside the windower is its type tally: Push
 // adds the event's type to the tally of the pane (a slide-wide slice of the
-// stream) it falls in and keeps nothing else of it, so emitted windows carry
-// TypeCounts — what every PPM reads — and never Events. A window is
-// assembled from a ring of the last width/slide pane tallies — merge on pane
-// entry, unmerge on pane exit — so the per-window cost is O(distinct types),
-// not O(events x overlap); a tumbling window (slide == width) is the one-pane
-// case, whose tally is the window's as is, without the ring. Ownership of
-// the emitted TypeCounts differs — see the PushInto contract. The shard,
-// which reads a tumbling window's tally only while serving it, hands it back
-// through recycle, so a steady stream allocates no tally per window either
-// way.
+// stream) it falls in and keeps nothing else of it, so an emitted window is its
+// interval and TypeCounts — what every PPM reads — as a WindowSlice window is.
+// A window is assembled from a ring of the last width/slide pane tallies —
+// merge on pane entry, unmerge on pane exit — so the per-window cost is
+// O(distinct types), not O(events x overlap); a tumbling window (slide ==
+// width) is the one-pane case, whose tally is the window's as is, without the
+// ring. Ownership of the emitted TypeCounts differs — see the PushInto
+// contract. The shard, which reads a tumbling window's tally only while serving
+// it, hands it back through recycle, so a steady stream allocates no tally per
+// window either way.
 //
 // A push finds its type's entry in the pane tally by a linear scan, which
 // beats any index on the few types a pane usually holds. Once the earliest
@@ -188,13 +188,12 @@ func (w *Windower) Push(e event.Event) (closed []stream.Window, res PushResult) 
 	return w.PushInto(e, nil)
 }
 
-// PushInto is Push appending closed windows into dst, so a streaming caller
-// can reuse one window buffer across pushes instead of allocating a slice
-// per cut. Windows carry their interval and TypeCounts (nil when empty),
-// never Events. A tumbling window owns its TypeCounts: it stays valid after
-// dst is reused. A sliding window's TypeCounts is windower-owned scratch,
-// valid only until the next Push/FlushInto call — callers that retain it must
-// copy.
+// PushInto is Push appending closed windows into dst, so a streaming caller can
+// reuse one window buffer across pushes instead of allocating a slice per cut.
+// Windows carry their interval and TypeCounts (nil when empty). A tumbling
+// window owns its TypeCounts: it stays valid after dst is reused. A sliding
+// window's TypeCounts is windower-owned scratch, valid only until the next
+// Push/FlushInto call — callers that retain it must copy.
 func (w *Windower) PushInto(e event.Event, dst []stream.Window) (closed []stream.Window, res PushResult) {
 	if w.started && w.horizon > 0 && e.Time > w.maxTime+w.horizon {
 		// A runaway timestamp would force an unbounded run of gap

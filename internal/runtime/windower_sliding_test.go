@@ -86,9 +86,6 @@ func TestSlidingWindowerMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d window %d: [%d,%d), want [%d,%d)",
 					trial, i, win.Start, win.End, ws, ws+width)
 			}
-			if win.Events != nil {
-				t.Fatalf("trial %d window %d: windows must not carry events", trial, i)
-			}
 			for _, typ := range types {
 				if gotC, wantC := win.Count(typ), countIn(accepted, typ, win.Start, win.End); gotC != wantC {
 					t.Fatalf("trial %d window [%d,%d) type %q: count %d, want %d",

@@ -105,8 +105,8 @@ func (st *subState) Deliver(batch []runtime.Answer) {
 			Query:            query,
 			Epoch:            uint64(a.Epoch),
 			WindowIndex:      uint64(a.WindowIndex),
-			Start:            int64(a.Window.Start),
-			End:              int64(a.Window.End),
+			Start:            int64(a.Start),
+			End:              int64(a.End),
 			Detected:         a.Detected,
 			Suppressed:       a.Suppressed,
 			SpentEpsilon:     float64(a.SpentEpsilon),

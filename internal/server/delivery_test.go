@@ -129,7 +129,7 @@ func TestWriterCoalescesBurst(t *testing.T) {
 		}
 		ra := runtime.Answer{Stream: "alice/" + a.Stream, SpentEpsilon: dp.Epsilon(a.SpentEpsilon)}
 		ra.Query, ra.WindowIndex, ra.Detected = a.Query, i, a.Detected
-		ra.Window.Start, ra.Window.End = event.Timestamp(a.Start), event.Timestamp(a.End)
+		ra.Start, ra.End = event.Timestamp(a.Start), event.Timestamp(a.End)
 		st.Deliver([]runtime.Answer{ra})
 		a.Sub, a.Seq = st.id, uint64(i+1)
 		frame := wire.AppendFrame(nil, wire.TAnswer, wire.AppendAnswer(nil, a))

@@ -43,7 +43,7 @@ func (m *eagerRing) deliver(c *sessionCore, batch []runtime.Answer) {
 		m.buf[(m.head-1)%n] = wire.Answer{
 			Sub: m.id, Seq: m.head, Stream: stream, Query: query,
 			Epoch: uint64(a.Epoch), WindowIndex: uint64(a.WindowIndex),
-			Start: int64(a.Window.Start), End: int64(a.Window.End),
+			Start: int64(a.Start), End: int64(a.End),
 			Detected: a.Detected, Suppressed: a.Suppressed,
 			SpentEpsilon: float64(a.SpentEpsilon), RemainingEpsilon: float64(a.RemainingEpsilon),
 			TraceNanos: a.TraceNanos,
@@ -133,8 +133,8 @@ func ringAnswers(rng *rand.Rand, n int) []runtime.Answer {
 		a.Stream, a.Query = streams[rng.Intn(len(streams))], queries[rng.Intn(len(queries))]
 		a.Epoch = runtime.Epoch(rng.Intn(4))
 		a.WindowIndex = rng.Intn(1 << 20)
-		a.Window.Start = event.Timestamp(rng.Int63n(1 << 30))
-		a.Window.End = a.Window.Start + 10
+		a.Start = event.Timestamp(rng.Int63n(1 << 30))
+		a.End = a.Start + 10
 		a.Detected, a.Suppressed = rng.Intn(2) == 0, rng.Intn(8) == 0
 		a.SpentEpsilon, a.RemainingEpsilon = dp.Epsilon(0.25*float64(rng.Intn(40))), dp.Epsilon(rng.Intn(100))
 		a.TraceNanos = rng.Int63n(2) * rng.Int63()

@@ -50,7 +50,7 @@ func TestTumblingSingleEventOnBoundary(t *testing.T) {
 	if len(ws) != 1 {
 		t.Fatalf("windows = %d, want 1", len(ws))
 	}
-	if ws[0].Start != 20 || ws[0].End != 30 || len(ws[0].Events) != 1 {
+	if ws[0].Start != 20 || ws[0].End != 30 || size(ws[0]) != 1 {
 		t.Errorf("window = %+v, want [20,30) with one event", ws[0])
 	}
 }
@@ -59,7 +59,7 @@ func TestWindowSliceSingleEventOnBoundary(t *testing.T) {
 	// A lone event whose timestamp is an exact window multiple must land
 	// in the window starting at its own timestamp (half-open intervals).
 	ws := WindowSlice([]event.Event{event.New("a", 10)}, 10)
-	if len(ws) != 1 || ws[0].Start != 10 || ws[0].End != 20 || len(ws[0].Events) != 1 {
+	if len(ws) != 1 || ws[0].Start != 10 || ws[0].End != 20 || size(ws[0]) != 1 {
 		t.Fatalf("windows = %+v, want one [10,20) with one event", ws)
 	}
 	// An event on the boundary between two populated windows belongs to
@@ -68,10 +68,10 @@ func TestWindowSliceSingleEventOnBoundary(t *testing.T) {
 	if len(ws) != 2 {
 		t.Fatalf("windows = %d, want 2", len(ws))
 	}
-	if len(ws[0].Events) != 1 || ws[0].Events[0].Type != "a" {
+	if size(ws[0]) != 1 || ws[0].Count("a") != 1 {
 		t.Errorf("window 0 = %+v", ws[0])
 	}
-	if len(ws[1].Events) != 1 || ws[1].Events[0].Type != "b" {
+	if size(ws[1]) != 1 || ws[1].Count("b") != 1 {
 		t.Errorf("window 1 = %+v", ws[1])
 	}
 }
@@ -82,7 +82,7 @@ func TestWindowSliceNegativeStart(t *testing.T) {
 	if len(ws) != 2 || ws[0].Start != -10 || ws[0].End != 0 {
 		t.Fatalf("windows = %+v, want [-10,0) then [0,10)", ws)
 	}
-	if len(ws[0].Events) != 1 || len(ws[1].Events) != 1 {
+	if size(ws[0]) != 1 || size(ws[1]) != 1 {
 		t.Errorf("event assignment = %+v", ws)
 	}
 }
@@ -121,8 +121,8 @@ func TestMergeRecoversOutOfOrderSources(t *testing.T) {
 	}
 	wantCounts := []int{2, 4, 0, 1}
 	for i, want := range wantCounts {
-		if len(ws[i].Events) != want {
-			t.Errorf("window %d holds %d events, want %d", i, len(ws[i].Events), want)
+		if n := size(ws[i]); n != want {
+			t.Errorf("window %d holds %d events, want %d", i, n, want)
 		}
 	}
 }

@@ -95,8 +95,8 @@ func TestTumblingWindows(t *testing.T) {
 	}
 	counts := []int{2, 1, 2}
 	for i, w := range got {
-		if len(w.Events) != counts[i] {
-			t.Errorf("window %d has %d events, want %d", i, len(w.Events), counts[i])
+		if n := size(w); n != counts[i] {
+			t.Errorf("window %d has %d events, want %d", i, n, counts[i])
 		}
 		if w.End-w.Start != 5 {
 			t.Errorf("window %d width %d", i, w.End-w.Start)
@@ -110,8 +110,8 @@ func TestTumblingEmitsGapWindows(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("windows = %d, want 3 (gap window must be emitted)", len(got))
 	}
-	if len(got[1].Events) != 0 {
-		t.Errorf("gap window not empty: %v", got[1].Events)
+	if got[1].TypeCounts != nil {
+		t.Errorf("gap window not empty: %v", got[1].TypeCounts)
 	}
 }
 
@@ -120,7 +120,7 @@ func TestWindowSlice(t *testing.T) {
 	if len(ws) != 3 {
 		t.Fatalf("windows = %d, want 3", len(ws))
 	}
-	if len(ws[0].Events) != 2 || len(ws[1].Events) != 0 || len(ws[2].Events) != 1 {
+	if size(ws[0]) != 2 || size(ws[1]) != 0 || size(ws[2]) != 1 {
 		t.Errorf("window contents wrong: %v", ws)
 	}
 }
@@ -140,18 +140,21 @@ func TestWindowSlicePanicsOnBadWidth(t *testing.T) {
 	WindowSlice(evs(1), 0)
 }
 
-func TestWindowContainsCountTypes(t *testing.T) {
-	w := Window{Start: 0, End: 10, Events: []event.Event{
-		event.New("a", 1), event.New("a", 2), event.New("b", 3),
-	}}
-	if !w.Contains("a") || w.Contains("z") {
-		t.Error("Contains broken")
+// size is the number of events a window tallies.
+func size(w Window) int {
+	n := 0
+	for _, c := range w.TypeCounts {
+		n += c.N
 	}
+	return n
+}
+
+func TestWindowCount(t *testing.T) {
+	w := WindowSlice([]event.Event{event.New("a", 1), event.New("a", 2), event.New("b", 3)}, 10)[0]
 	if w.Count("a") != 2 || w.Count("b") != 1 || w.Count("z") != 0 {
-		t.Error("Count broken")
+		t.Errorf("Count broken: %v", w.TypeCounts)
 	}
-	ts := w.Types()
-	if len(ts) != 2 || !ts["a"] || !ts["b"] {
-		t.Errorf("Types = %v", ts)
+	if (Window{}).Count("a") != 0 {
+		t.Error("an empty window counts events")
 	}
 }

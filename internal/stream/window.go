@@ -1,8 +1,9 @@
-// Package stream holds the windows queries are answered over: Window and its
-// per-type TypeCounts tally, tumbling-window alignment (AlignDown,
-// WindowSlice), the mergeable pane tallies sliding windows are assembled
-// from, and the canonical merge of sorted event streams (the paper's event
-// stream SE built from several data streams).
+// Package stream holds the windows queries are answered over: a Window is its
+// interval and its per-type TypeCounts tally, never its events, however it
+// was cut. It also holds tumbling-window alignment (AlignDown, WindowSlice),
+// the mergeable pane tallies sliding windows are assembled from, and the
+// canonical merge of sorted event streams (the paper's event stream SE built
+// from several data streams).
 package stream
 
 import (
@@ -45,69 +46,21 @@ func (tc TypeCounts) Add(t event.Type) TypeCounts {
 	return append(tc, TypeCount{Type: t, N: 1})
 }
 
-// Window is a finite batch of events cut from an event stream. Windows carry
-// the half-open logical-time interval [Start, End) they cover.
+// Window is one window cut from an event stream: the half-open logical-time
+// interval [Start, End) it covers and the per-type tally of the events inside
+// it. A nil tally is an empty window.
 type Window struct {
 	// Start is the inclusive start of the covered interval.
 	Start event.Timestamp
 	// End is the exclusive end of the covered interval.
 	End event.Timestamp
-	// Events are the window contents in canonical stream order. The
-	// streaming Windower leaves them nil: its windows are their TypeCounts.
-	Events []event.Event
-	// TypeCounts, when non-nil, is the per-type occurrence tally of the
-	// window, and Contains/Count answer from it without scanning; where
-	// Events are carried too it must agree with them. nil means "not
-	// maintained" and queries fall back to scanning Events.
+	// TypeCounts is the per-type occurrence tally of the window.
 	TypeCounts TypeCounts
-}
-
-// Contains reports whether the window holds at least one event of type t.
-// This is the per-window existence indicator I(e) used by the PPMs.
-func (w Window) Contains(t event.Type) bool {
-	if w.TypeCounts != nil {
-		return w.TypeCounts.Count(t) > 0
-	}
-	for _, e := range w.Events {
-		if e.Type == t {
-			return true
-		}
-	}
-	return false
 }
 
 // Count returns the number of events of type t inside the window. w-event
 // baselines publish noisy versions of these counts.
-func (w Window) Count(t event.Type) int {
-	if w.TypeCounts != nil {
-		return w.TypeCounts.Count(t)
-	}
-	n := 0
-	for _, e := range w.Events {
-		if e.Type == t {
-			n++
-		}
-	}
-	return n
-}
-
-// Types returns the set of distinct event types present in the window.
-func (w Window) Types() map[event.Type]bool {
-	if w.TypeCounts != nil {
-		set := make(map[event.Type]bool, len(w.TypeCounts))
-		for _, c := range w.TypeCounts {
-			if c.N > 0 {
-				set[c.Type] = true
-			}
-		}
-		return set
-	}
-	set := make(map[event.Type]bool)
-	for _, e := range w.Events {
-		set[e.Type] = true
-	}
-	return set
-}
+func (w Window) Count(t event.Type) int { return w.TypeCounts.Count(t) }
 
 // AlignDown returns the largest multiple of width that is <= t: the start of
 // the width-wide tumbling window containing t. It is correct for negative
@@ -126,8 +79,8 @@ func AlignDown(t, width event.Timestamp) event.Timestamp {
 
 // WindowSlice batches a slice of time-ordered events into consecutive
 // non-overlapping (tumbling) windows of the given logical-time width, each
-// event in the window whose interval contains its timestamp. It emits empty
-// windows for gaps so that window indices align with time.
+// event tallied in the window whose interval contains its timestamp. It emits
+// empty windows for gaps so that window indices align with time.
 func WindowSlice(evs []event.Event, width event.Timestamp) []Window {
 	if width <= 0 {
 		panic("stream: window width must be positive")
@@ -142,7 +95,7 @@ func WindowSlice(evs []event.Event, width event.Timestamp) []Window {
 	i := 0
 	for cur.Start <= last {
 		for i < len(evs) && evs[i].Time < cur.End {
-			cur.Events = append(cur.Events, evs[i])
+			cur.TypeCounts = cur.TypeCounts.Add(evs[i].Type)
 			i++
 		}
 		out = append(out, cur)

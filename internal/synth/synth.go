@@ -80,7 +80,7 @@ type Dataset struct {
 	Types []event.Type
 	// Occurrence maps each type to its natural occurrence probability.
 	Occurrence map[event.Type]float64
-	// Windows hold the generated events, one window per L_m.
+	// Windows tally the generated events, one window per L_m.
 	Windows []stream.Window
 	// Patterns are the candidate patterns P1…PK as element type lists.
 	Patterns [][]event.Type
@@ -88,6 +88,8 @@ type Dataset struct {
 	PrivateIdx []int
 	// TargetIdx are the indices of the target patterns.
 	TargetIdx []int
+	// events are the generated events in time order.
+	events []event.Event
 }
 
 // Generate runs Algorithm 2 once.
@@ -116,7 +118,8 @@ func Generate(cfg Config) (*Dataset, error) {
 		offset := event.Timestamp(0)
 		for _, t := range ds.Types {
 			if rng.Float64() < ds.Occurrence[t] {
-				w.Events = append(w.Events, event.New(t, start+offset).WithSource("synth"))
+				w.TypeCounts = w.TypeCounts.Add(t)
+				ds.events = append(ds.events, event.New(t, start+offset).WithSource("synth"))
 				offset++
 			}
 		}
@@ -193,14 +196,9 @@ func (ds *Dataset) IndicatorWindows() []core.IndicatorWindow {
 	return core.IndicatorWindows(ds.Windows, ds.Types)
 }
 
-// Events flattens all windows into one time-ordered event slice.
-func (ds *Dataset) Events() []event.Event {
-	var out []event.Event
-	for _, w := range ds.Windows {
-		out = append(out, w.Events...)
-	}
-	return out
-}
+// Events returns the generated events as one time-ordered slice, which is
+// shared and must not be modified.
+func (ds *Dataset) Events() []event.Event { return ds.events }
 
 // OverlapCount reports how many patterns are both private and target.
 func (ds *Dataset) OverlapCount() int {

@@ -1,10 +1,12 @@
 package synth
 
 import (
+	"slices"
 	"testing"
 
 	"patterndp/internal/cep"
 	"patterndp/internal/event"
+	"patterndp/internal/stream"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -72,7 +74,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("window counts differ")
 	}
 	for i := range a.Windows {
-		if len(a.Windows[i].Events) != len(b.Windows[i].Events) {
+		if !slices.Equal(a.Windows[i].TypeCounts, b.Windows[i].TypeCounts) {
 			t.Fatalf("window %d differs", i)
 		}
 	}
@@ -85,7 +87,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	// Different seed should (overwhelmingly) give different content.
 	same := true
 	for i := range a.Windows {
-		if len(a.Windows[i].Events) != len(c.Windows[i].Events) {
+		if !slices.Equal(a.Windows[i].TypeCounts, c.Windows[i].TypeCounts) {
 			same = false
 			break
 		}
@@ -109,7 +111,7 @@ func TestOccurrenceRatesRealized(t *testing.T) {
 	for _, ty := range ds.Types {
 		count := 0
 		for _, w := range ds.Windows {
-			if w.Contains(ty) {
+			if w.Count(ty) > 0 {
 				count++
 			}
 		}
@@ -130,10 +132,19 @@ func TestWindowsAreTimeOrderedAndDisjoint(t *testing.T) {
 		if i > 0 && w.Start != ds.Windows[i-1].End {
 			t.Fatalf("window %d not contiguous", i)
 		}
-		for _, e := range w.Events {
-			if e.Time < w.Start || e.Time >= w.End {
-				t.Fatalf("event %v outside window %d", e, i)
-			}
+	}
+	// Each window's tally is exactly the events Events places inside it.
+	got := make([]stream.TypeCounts, len(ds.Windows))
+	for _, e := range ds.Events() {
+		m := int(e.Time / ds.Config.WindowWidth)
+		if e.Time < 0 || m >= len(ds.Windows) {
+			t.Fatalf("event %v outside every window", e)
+		}
+		got[m] = got[m].Add(e.Type)
+	}
+	for i, w := range ds.Windows {
+		if !slices.Equal(got[i], w.TypeCounts) {
+			t.Fatalf("window %d tallies %v, its events %v", i, w.TypeCounts, got[i])
 		}
 	}
 }
@@ -176,7 +187,7 @@ func TestIndicatorWindowsMatchDetection(t *testing.T) {
 		viaInd := cep.EvalIndicators(expr, iws[i].Present)
 		all := true
 		for _, el := range ds.Patterns[0] {
-			if !w.Contains(el) {
+			if w.Count(el) == 0 {
 				all = false
 				break
 			}

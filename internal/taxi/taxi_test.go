@@ -152,7 +152,9 @@ func TestWindowsCoverTrace(t *testing.T) {
 	ws := ds.Windows(10)
 	total := 0
 	for _, w := range ws {
-		total += len(w.Events)
+		for _, c := range w.TypeCounts {
+			total += c.N
+		}
 	}
 	if total != len(ds.Events) {
 		t.Errorf("windows hold %d events, trace has %d", total, len(ds.Events))

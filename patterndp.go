@@ -112,7 +112,8 @@ type (
 	Timestamp = event.Timestamp
 	// Pattern is a detected pattern instance (a sequence of events).
 	Pattern = event.Pattern
-	// Window is a finite batch of events cut from a stream.
+	// Window is one window cut from a stream: its interval and the per-type
+	// tally of the events inside it.
 	Window = stream.Window
 	// PatternType is a group of patterns specified by a query; data
 	// subjects register their private patterns as pattern types.
@@ -130,7 +131,8 @@ type (
 	IndicatorWindow = core.IndicatorWindow
 	// PrivateEngine is the trusted CEP engine with privacy protection.
 	PrivateEngine = core.PrivateEngine
-	// Answer is one privacy-protected query answer.
+	// Answer is one privacy-protected query answer: the window's interval
+	// and the released bit, never the window's contents.
 	Answer = core.Answer
 	// Epsilon is a privacy budget.
 	Epsilon = dp.Epsilon
@@ -173,8 +175,8 @@ type (
 	// shard that serves a stream.
 	HashSharder = runtime.HashSharder
 	// Windower incrementally cuts one stream into tumbling or sliding
-	// windows of type tallies (TypeCounts, no Events), assembled from
-	// panes of the slide width; see NewSlidingWindower.
+	// windows of type tallies, assembled from panes of the slide width;
+	// see NewSlidingWindower.
 	Windower = runtime.Windower
 	// LatenessPolicy selects how out-of-order events are treated.
 	LatenessPolicy = runtime.LatenessPolicy
@@ -340,10 +342,10 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return runtime.New(cfg) }
 // NewSlidingWindower builds an incremental windower for one stream — the
 // streaming counterpart of WindowSlice: windows of the given width advancing
 // by slide (a positive divisor of width), assembled from panes of the slide
-// width so overlapping windows share their tally work. Its windows carry
-// their per-type tally (TypeCounts) and no Events: the windower keeps nothing
-// of an event but its type. slide == width cuts tumbling windows, each of
-// which owns its TypeCounts; a sliding window's tally buffer is
+// width so overlapping windows share their tally work. Its windows are
+// their interval and per-type tally, like WindowSlice's: the windower keeps
+// nothing of an event but its type. slide == width cuts tumbling windows,
+// each of which owns its TypeCounts; a sliding window's tally buffer is
 // windower-owned scratch valid only until the next Push/FlushInto — see the
 // Windower.PushInto contract. lateness is only consulted under the
 // ReorderBuffer policy; horizon bounds how far one event may jump past the

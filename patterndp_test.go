@@ -47,6 +47,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if answers[1].Detected {
 		t.Error("window 1 has no jam")
 	}
+	// Each answer carries its WindowSlice window's interval.
+	for i, w := range WindowSlice(events, 10) {
+		if a := answers[i]; a.WindowIndex != i || a.Start != w.Start || a.End != w.End {
+			t.Errorf("answer %d: window %d [%d,%d), want %d [%d,%d)", i, a.WindowIndex, a.Start, a.End, i, w.Start, w.End)
+		}
+	}
 }
 
 func TestPublicExpressionBuilders(t *testing.T) {
