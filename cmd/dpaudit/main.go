@@ -190,6 +190,62 @@ func patternType(m int) (core.PatternType, error) {
 	return core.NewPatternType("audited", elements...)
 }
 
+// The serving scenario -serve and -restart audit: auditStreams streams
+// carry the pattern's elements once per slide for auditWindows slides,
+// served by sliding windows auditOverlap slides wide.
+const (
+	auditStreams = 4
+	auditSlide   = event.Timestamp(10)
+	auditOverlap = 2
+	auditWindows = 40
+)
+
+// auditConfig is the runtime the serving audits run: UniformPPM(eps) over
+// pt on 2 shards, with a per-stream grant of budget under BudgetDeny.
+func auditConfig(pt core.PatternType, eps float64, seed int64, budget float64) runtime.Config {
+	return runtime.Config{
+		Shards:      2,
+		WindowWidth: auditSlide * auditOverlap,
+		Slide:       auditSlide,
+		Mechanism: func(int) (core.Mechanism, error) {
+			return core.NewUniformPPM(dp.Epsilon(eps), pt)
+		},
+		Private:      []core.PatternType{pt},
+		Targets:      []cep.Query{{Name: "audit-q", Pattern: cep.E(pt.Elements[0]), Window: auditSlide * auditOverlap}},
+		Seed:         seed,
+		Budget:       dp.Epsilon(budget),
+		BudgetPolicy: runtime.BudgetDeny,
+	}
+}
+
+// slideEvents is slide w of audit stream key: pt's elements in order, one
+// time unit apart from the slide's start.
+func slideEvents(pt core.PatternType, key string, w event.Timestamp) []event.Event {
+	evs := make([]event.Event, len(pt.Elements))
+	for i, el := range pt.Elements {
+		evs[i] = event.New(el, w*auditSlide+event.Timestamp(i)).WithSource(key)
+	}
+	return evs
+}
+
+// ingestAudit feeds every audit stream its slides [from, to), one event at
+// a time, and returns how many events it ingested.
+func ingestAudit(rt *runtime.Runtime, pt core.PatternType, from, to event.Timestamp) (int64, error) {
+	var n int64
+	for s := 0; s < auditStreams; s++ {
+		key := fmt.Sprintf("audit-%d", s)
+		for w := from; w < to; w++ {
+			for _, e := range slideEvents(pt, key, w) {
+				if err := rt.Ingest(e); err != nil {
+					return n, err
+				}
+				n++
+			}
+		}
+	}
+	return n, nil
+}
+
 // runServe audits the privacy-budget ledger: serve a small budgeted run,
 // check the ledger's declared bounds for internal consistency, then measure
 // the per-release empirical ε̂ on the same mechanism and hold it to the
@@ -211,25 +267,7 @@ func runServe(eps float64, m, trials int, seed int64, budget float64) error {
 	if err != nil {
 		return err
 	}
-	const (
-		streams = 4
-		slide   = event.Timestamp(10)
-		overlap = 2
-		windows = 40
-	)
-	cfg := runtime.Config{
-		Shards:      2,
-		WindowWidth: slide * overlap,
-		Slide:       slide,
-		Mechanism: func(int) (core.Mechanism, error) {
-			return core.NewUniformPPM(dp.Epsilon(eps), pt)
-		},
-		Private:      []core.PatternType{pt},
-		Targets:      []cep.Query{{Name: "audit-q", Pattern: cep.E(pt.Elements[0]), Window: slide * overlap}},
-		Seed:         seed,
-		Budget:       dp.Epsilon(budget),
-		BudgetPolicy: runtime.BudgetDeny,
-	}
+	cfg := auditConfig(pt, eps, seed, budget)
 	rt, err := runtime.New(cfg)
 	if err != nil {
 		return err
@@ -250,16 +288,8 @@ func runServe(eps float64, m, trials int, seed int64, budget float64) error {
 			}
 		}
 	}()
-	for s := 0; s < streams; s++ {
-		key := fmt.Sprintf("audit-%d", s)
-		for w := event.Timestamp(0); w < windows; w++ {
-			for i, el := range pt.Elements {
-				e := event.New(el, w*slide+event.Timestamp(i)).WithSource(key)
-				if err := rt.Ingest(e); err != nil {
-					return err
-				}
-			}
-		}
+	if _, err := ingestAudit(rt, pt, 0, auditWindows); err != nil {
+		return err
 	}
 	if err := rt.Close(); err != nil {
 		return err
@@ -293,7 +323,7 @@ func runServe(eps float64, m, trials int, seed int64, budget float64) error {
 	if float64(b.MaxStreamSpent) > budget+tol {
 		return fail("per-stream spend %.4f exceeds declared grant %.4f", float64(b.MaxStreamSpent), budget)
 	}
-	if bound := math.Min(budget, float64(overlap)*eps); float64(b.MaxComposed) > bound+tol {
+	if bound := math.Min(budget, auditOverlap*eps); float64(b.MaxComposed) > bound+tol {
 		return fail("w-event composed loss %.4f exceeds declared bound %.4f", float64(b.MaxComposed), bound)
 	}
 
@@ -313,7 +343,7 @@ func runServe(eps float64, m, trials int, seed int64, budget float64) error {
 	fmt.Printf("empirical: per-release eps-hat %.4f over %d trials (declared charge %.4f)\n",
 		v.FullPattern, trials, float64(b.Charge))
 	fmt.Printf("empirical: implied w-event composed %.4f (declared %.4f)\n",
-		float64(overlap)*v.FullPattern, math.Min(budget, float64(overlap)*eps))
+		auditOverlap*v.FullPattern, math.Min(budget, auditOverlap*eps))
 	if !v.Pass {
 		return fail("empirical eps-hat %.4f exceeds declared charge %.4f + slack", v.FullPattern, float64(b.Charge))
 	}
@@ -341,26 +371,8 @@ func runRestart(eps float64, m int, seed int64, budget float64) error {
 		return err
 	}
 	defer os.RemoveAll(walDir)
-	const (
-		streams = 4
-		slide   = event.Timestamp(10)
-		overlap = 2
-		windows = 40
-	)
-	cfg := runtime.Config{
-		Shards:      2,
-		WindowWidth: slide * overlap,
-		Slide:       slide,
-		Mechanism: func(int) (core.Mechanism, error) {
-			return core.NewUniformPPM(dp.Epsilon(eps), pt)
-		},
-		Private:      []core.PatternType{pt},
-		Targets:      []cep.Query{{Name: "audit-q", Pattern: cep.E(pt.Elements[0]), Window: slide * overlap}},
-		Seed:         seed,
-		Budget:       dp.Epsilon(budget),
-		BudgetPolicy: runtime.BudgetDeny,
-		Durability:   &runtime.DurabilityConfig{Dir: walDir, Fsync: runtime.FsyncOff},
-	}
+	cfg := auditConfig(pt, eps, seed, budget)
+	cfg.Durability = &runtime.DurabilityConfig{Dir: walDir, Fsync: runtime.FsyncOff}
 	fail := func(format string, args ...any) error {
 		fmt.Printf("  verdict: FAIL — "+format+"\n", args...)
 		return fmt.Errorf("restart-boundary audit failed")
@@ -402,23 +414,8 @@ func runRestart(eps float64, m int, seed int64, budget float64) error {
 			pubMu.Unlock()
 		}
 	}()
-	var ingested int64
-	ingest := func(rt *runtime.Runtime, from, to event.Timestamp) error {
-		for s := 0; s < streams; s++ {
-			key := fmt.Sprintf("audit-%d", s)
-			for w := from; w < to; w++ {
-				for i, el := range pt.Elements {
-					e := event.New(el, w*slide+event.Timestamp(i)).WithSource(key)
-					if err := rt.Ingest(e); err != nil {
-						return err
-					}
-					ingested++
-				}
-			}
-		}
-		return nil
-	}
-	if err := ingest(rt1, 0, windows/2); err != nil {
+	ingested, err := ingestAudit(rt1, pt, 0, auditWindows/2)
+	if err != nil {
 		return err
 	}
 	// Settle: Ingest only enqueues, so wait until the shards have processed
@@ -462,7 +459,7 @@ func runRestart(eps float64, m int, seed int64, budget float64) error {
 	if err != nil {
 		return err
 	}
-	if err := ingest(rt2, windows/2, windows); err != nil {
+	if _, err := ingestAudit(rt2, pt, auditWindows/2, auditWindows); err != nil {
 		return err
 	}
 	if err := rt2.Close(); err != nil {
@@ -578,10 +575,7 @@ func runRestart(eps float64, m int, seed int64, budget float64) error {
 	}()
 	clientIngest := func(from, to event.Timestamp) error {
 		for w := from; w < to; w++ {
-			evs := make([]event.Event, 0, len(pt.Elements))
-			for i, el := range pt.Elements {
-				evs = append(evs, event.New(el, w*slide+event.Timestamp(i)).WithSource("audit-live"))
-			}
+			evs := slideEvents(pt, "audit-live", w)
 			var ierr error
 			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 				if _, ierr = client.Ingest(evs); ierr == nil {

@@ -47,15 +47,6 @@ func NewLedger(grant dp.Epsilon, policy Policy, overlap, shards int) *Ledger {
 	return l
 }
 
-// Grant returns the per-stream, per-epoch budget grant.
-func (l *Ledger) Grant() dp.Epsilon { return l.grant }
-
-// Policy returns the admission policy.
-func (l *Ledger) Policy() Policy { return l.policy }
-
-// Overlap returns the w-event composition width (windows per event).
-func (l *Ledger) Overlap() int { return l.overlap }
-
 // Shard returns shard i's sub-ledger.
 func (l *Ledger) Shard(i int) *ShardLedger { return l.shards[i] }
 
@@ -65,20 +56,6 @@ func (l *Ledger) CountRotation() { l.rotations.Inc() }
 
 // Rotations returns the applied budget-epoch rotation count.
 func (l *Ledger) Rotations() int64 { return l.rotations.Load() }
-
-// Decisions sums the lifetime admission-decision counters across shards.
-// Unlike Snapshot it takes no locks and walks no stream maps — just one
-// atomic load per shard per counter — so metric scrapes can call it at any
-// rate.
-func (l *Ledger) Decisions() (admitted, denied, suppressed, throttled int64) {
-	for _, sh := range l.shards {
-		admitted += sh.admitted.Load()
-		denied += sh.denied.Load()
-		suppressed += sh.suppressed.Load()
-		throttled += sh.throttled.Load()
-	}
-	return admitted, denied, suppressed, throttled
-}
 
 // querySpend is one epoch's per-query spend attribution: names are the
 // control state's target names in sorted order. Attribution is bookkeeping,

@@ -1,8 +1,8 @@
 // Package dp provides the differential-privacy primitives the PPMs are built
-// from: randomized response over binary indicators, the Laplace and geometric
-// mechanisms for numeric queries, per-element budget distributions and their
-// sequential composition, and the compensated sum the streaming ledger
-// accounts spend with.
+// from: per-element budget distributions, the randomized-response flip
+// probabilities they set for binary indicators, and their sequential
+// composition; the Laplace and geometric mechanisms for numeric queries; and
+// the compensated sum the streaming ledger accounts spend with.
 //
 // All stochastic functions take an explicit *rand.Rand so experiments are
 // reproducible; none touch global random state.
@@ -25,54 +25,6 @@ type Epsilon float64
 func (e Epsilon) Valid() bool {
 	f := float64(e)
 	return f >= 0 && !math.IsInf(f, 0) && !math.IsNaN(f)
-}
-
-// RandomizedResponse is the binary randomized-response mechanism of
-// Definition 5: it reports the true bit with probability 1−p and flips it
-// with probability p. For p ≤ 1/2 it satisfies ε-DP on that bit with
-// ε = ln((1−p)/p).
-type RandomizedResponse struct {
-	p float64
-}
-
-// NewRandomizedResponse builds the mechanism from a flip probability
-// p ∈ [0, 1/2].
-func NewRandomizedResponse(p float64) (RandomizedResponse, error) {
-	if math.IsNaN(p) || p < 0 || p > 0.5 {
-		return RandomizedResponse{}, fmt.Errorf("dp: flip probability %v outside [0, 0.5]", p)
-	}
-	return RandomizedResponse{p: p}, nil
-}
-
-// RRFromEpsilon builds the mechanism that satisfies exactly ε-DP on one bit:
-// p = 1 / (1 + e^ε). ε = 0 gives p = 1/2 (a coin flip, perfect privacy);
-// ε → ∞ gives p → 0 (no protection).
-func RRFromEpsilon(eps Epsilon) (RandomizedResponse, error) {
-	if !eps.Valid() {
-		return RandomizedResponse{}, fmt.Errorf("dp: invalid epsilon %v", eps)
-	}
-	p := 1 / (1 + math.Exp(float64(eps)))
-	return RandomizedResponse{p: p}, nil
-}
-
-// FlipProb returns the flip probability p.
-func (r RandomizedResponse) FlipProb() float64 { return r.p }
-
-// Epsilon returns the per-bit privacy budget ε = ln((1−p)/p). For p = 0 it
-// returns +Inf.
-func (r RandomizedResponse) Epsilon() Epsilon {
-	if r.p == 0 {
-		return Epsilon(math.Inf(1))
-	}
-	return Epsilon(math.Log((1 - r.p) / r.p))
-}
-
-// Respond perturbs one bit.
-func (r RandomizedResponse) Respond(rng *rand.Rand, truth bool) bool {
-	if rng.Float64() < r.p {
-		return !truth
-	}
-	return truth
 }
 
 // Laplace samples Laplace(0, scale) noise. scale must be positive.

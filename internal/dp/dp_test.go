@@ -18,92 +18,6 @@ func TestEpsilonValid(t *testing.T) {
 	}
 }
 
-func TestNewRandomizedResponseBounds(t *testing.T) {
-	for _, p := range []float64{-0.1, 0.6, math.NaN()} {
-		if _, err := NewRandomizedResponse(p); err == nil {
-			t.Errorf("p=%v accepted", p)
-		}
-	}
-	r, err := NewRandomizedResponse(0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FlipProb() != 0.25 {
-		t.Error("FlipProb mismatch")
-	}
-}
-
-func TestRRFromEpsilonRoundTrip(t *testing.T) {
-	for _, eps := range []Epsilon{0, 0.1, 1, 5, 10} {
-		r, err := RRFromEpsilon(eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back := r.Epsilon()
-		if math.Abs(float64(back-eps)) > 1e-9 {
-			t.Errorf("eps %v round-tripped to %v", eps, back)
-		}
-	}
-	if _, err := RRFromEpsilon(-1); err == nil {
-		t.Error("negative epsilon accepted")
-	}
-}
-
-func TestRREpsilonZeroIsCoinFlip(t *testing.T) {
-	r, _ := RRFromEpsilon(0)
-	if math.Abs(r.FlipProb()-0.5) > 1e-12 {
-		t.Errorf("eps=0 flip prob = %v, want 0.5", r.FlipProb())
-	}
-}
-
-func TestRRZeroFlipProbEpsilon(t *testing.T) {
-	r, _ := NewRandomizedResponse(0)
-	if !math.IsInf(float64(r.Epsilon()), 1) {
-		t.Error("p=0 should give infinite epsilon")
-	}
-}
-
-func TestRespondEmpiricalFlipRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	r, _ := NewRandomizedResponse(0.3)
-	const n = 200000
-	flips := 0
-	for i := 0; i < n; i++ {
-		if r.Respond(rng, true) != true {
-			flips++
-		}
-	}
-	rate := float64(flips) / n
-	if math.Abs(rate-0.3) > 0.01 {
-		t.Errorf("empirical flip rate %v, want ~0.3", rate)
-	}
-}
-
-func TestRRSatisfiesDPEmpirically(t *testing.T) {
-	// For neighbor inputs (true vs false), the response distribution ratio
-	// must be bounded by e^ε. With p=0.25, ε = ln 3.
-	rng := rand.New(rand.NewSource(3))
-	r, _ := NewRandomizedResponse(0.25)
-	const n = 400000
-	trueToTrue, falseToTrue := 0, 0
-	for i := 0; i < n; i++ {
-		if r.Respond(rng, true) {
-			trueToTrue++
-		}
-		if r.Respond(rng, false) {
-			falseToTrue++
-		}
-	}
-	ratio := float64(trueToTrue) / float64(falseToTrue)
-	bound := math.Exp(float64(r.Epsilon()))
-	if ratio > bound*1.05 {
-		t.Errorf("likelihood ratio %v exceeds e^eps = %v", ratio, bound)
-	}
-	if ratio < 1 {
-		t.Errorf("ratio %v < 1: truth should be more likely", ratio)
-	}
-}
-
 func TestLaplaceMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n = 400000

@@ -50,25 +50,11 @@ func (k Kind) String() string {
 // counters end in _total, histograms in _seconds.
 var nameRE = regexp.MustCompile(`^ppm_[a-z0-9]+(_[a-z0-9]+)*$`)
 
-// series is one (family, label set) time series.
+// series is one instrument-backed (family, label set) time series.
 type series struct {
 	labels []Label
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
-	fn     func() float64 // func-backed counter or gauge; nil otherwise
-}
-
-func (s *series) value() float64 {
-	switch {
-	case s.fn != nil:
-		return s.fn()
-	case s.c != nil:
-		return float64(s.c.Load())
-	case s.g != nil:
-		return float64(s.g.Load())
-	}
-	return 0
 }
 
 // family groups all series sharing one metric name.
@@ -82,19 +68,22 @@ type family struct {
 
 // Registry is a concurrent collection of named metrics. Instruments are
 // get-or-create: asking twice for the same name+labels returns the same
-// Counter/Gauge/Histogram, so packages can register at construction time
-// without coordinating. Registration enforces the naming lint (ppm_ prefix,
-// snake_case, unit suffixes, one kind and help per name) and panics on
-// violations — metric names are compile-time decisions and a bad one is a
-// programming error, not a runtime condition.
+// Counter/Histogram, so packages can register at construction time without
+// coordinating. Counters and gauges a layer already keeps come from a
+// collector (Collect), which reports them from one snapshot per Gather.
+// Registration and emission enforce the naming lint (ppm_ prefix,
+// snake_case, unit suffixes, one kind per name, no duplicate series) and
+// panic on violations — metric names are compile-time decisions and a bad
+// one is a programming error, not a runtime condition.
 //
 // All methods are safe on a nil *Registry: instrument getters return live
 // but unregistered instruments (recording is harmless, nothing is exported),
 // so call sites can be wired unconditionally.
 type Registry struct {
-	mu       sync.RWMutex
-	families map[string]*family
-	order    []string // family names in registration order
+	mu         sync.RWMutex
+	families   map[string]*family
+	order      []string // family names in registration order
+	collectors []func(Emit)
 }
 
 // NewRegistry returns an empty registry.
@@ -154,10 +143,9 @@ func validateLabels(labels []Label) {
 
 var labelKeyRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
-// getOrCreate finds or installs a series, enforcing family consistency.
-// build constructs the series the first time; funcBacked series may not be
-// registered twice (there is nothing sensible to return for a duplicate).
-func (r *Registry) getOrCreate(name, help string, kind Kind, labels []Label, funcBacked bool, build func() *series) *series {
+// getOrCreate finds or installs a counter or histogram series, enforcing
+// family consistency.
+func (r *Registry) getOrCreate(name, help string, kind Kind, labels []Label) *series {
 	validateName(name, kind)
 	validateLabels(labels)
 	key := seriesKey(labels)
@@ -173,13 +161,14 @@ func (r *Registry) getOrCreate(name, help string, kind Kind, labels []Label, fun
 		panic(fmt.Sprintf("metrics: %q already registered as %s, not %s", name, f.kind, kind))
 	}
 	if s := f.series[key]; s != nil {
-		if funcBacked || s.fn != nil {
-			panic(fmt.Sprintf("metrics: duplicate registration of func-backed series %s{%s}", name, key))
-		}
 		return s
 	}
-	s := build()
-	s.labels = append([]Label(nil), labels...)
+	s := &series{labels: append([]Label(nil), labels...)}
+	if kind == KindHistogram {
+		s.h = new(Histogram)
+	} else {
+		s.c = new(Counter)
+	}
 	f.series[key] = s
 	f.order = append(f.order, key)
 	return s
@@ -191,22 +180,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return new(Counter)
 	}
-	s := r.getOrCreate(name, help, KindCounter, labels, false, func() *series {
-		return &series{c: new(Counter)}
-	})
-	return s.c
-}
-
-// Gauge returns the gauge registered under name+labels, creating it on
-// first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return new(Gauge)
-	}
-	s := r.getOrCreate(name, help, KindGauge, labels, false, func() *series {
-		return &series{g: new(Gauge)}
-	})
-	return s.g
+	return r.getOrCreate(name, help, KindCounter, labels).c
 }
 
 // Histogram returns the histogram registered under name+labels, creating it
@@ -215,35 +189,27 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	if r == nil {
 		return new(Histogram)
 	}
-	s := r.getOrCreate(name, help, KindHistogram, labels, false, func() *series {
-		return &series{h: new(Histogram)}
-	})
-	return s.h
+	return r.getOrCreate(name, help, KindHistogram, labels).h
 }
 
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for pre-existing atomic counters that should not be
-// double-booked. fn must be monotonic and safe for concurrent use.
-// Registering the same name+labels twice panics.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+// Emit reports one counter or gauge series from inside a collector: the
+// series' family name, help, kind, current value, and labels.
+type Emit func(name, help string, kind Kind, v float64, labels ...Label)
+
+// Collect registers fn as a collector. Gather calls fn once per gather,
+// outside the registry lock, and fn reports each of its series through the
+// Emit it is handed — typically every counter and gauge of one snapshot, so
+// a scrape reads a layer's state once and its series agree with each other.
+// Emitted series follow the naming lint; a series emitted twice in one
+// gather (by one collector or two) panics, as does a family name an
+// instrument already holds.
+func (r *Registry) Collect(fn func(Emit)) {
 	if r == nil {
 		return
 	}
-	r.getOrCreate(name, help, KindCounter, labels, true, func() *series {
-		return &series{fn: fn}
-	})
-}
-
-// GaugeFunc registers a gauge whose value is read from fn at scrape time.
-// fn must be safe for concurrent use. Registering the same name+labels
-// twice panics.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.getOrCreate(name, help, KindGauge, labels, true, func() *series {
-		return &series{fn: fn}
-	})
+	r.mu.Lock()
+	r.collectors = append(r.collectors, fn)
+	r.mu.Unlock()
 }
 
 // Series is one exported time series, as produced by Gather.
@@ -262,38 +228,73 @@ type Series struct {
 	Hist *HistogramSnapshot
 }
 
-// Gather snapshots every registered series in registration order (families
-// first-registered first, series within a family likewise).
+// Gather snapshots every instrument series in registration order (families
+// first-registered first, series within a family likewise), then every
+// collector's series, grouped by family in first-emitted order.
 func (r *Registry) Gather() []Series {
 	if r == nil {
 		return nil
 	}
+	var out []Series
 	r.mu.RLock()
-	type pending struct {
-		fam *family
-		s   *series
-	}
-	var ps []pending
 	for _, name := range r.order {
 		f := r.families[name]
 		for _, key := range f.order {
-			ps = append(ps, pending{f, f.series[key]})
+			s := f.series[key]
+			sr := Series{Name: f.name, Kind: f.kind, Help: f.help, Labels: s.labels}
+			if s.h != nil {
+				snap := s.h.Snapshot()
+				sr.Hist = &snap
+			} else {
+				sr.Value = float64(s.c.Load())
+			}
+			out = append(out, sr)
 		}
 	}
+	collectors := r.collectors
 	r.mu.RUnlock()
+	return append(out, r.collect(collectors)...)
+}
 
-	// Evaluate values outside the lock: func-backed metrics may take other
-	// locks (ledger snapshots), and scrapes must never block registration.
-	out := make([]Series, 0, len(ps))
-	for _, p := range ps {
-		sr := Series{Name: p.fam.name, Kind: p.fam.kind, Help: p.fam.help, Labels: p.s.labels}
-		if p.s.h != nil {
-			snap := p.s.h.Snapshot()
-			sr.Hist = &snap
-		} else {
-			sr.Value = p.s.value()
+// collect runs each collector once — outside the lock: collectors take
+// their layers' own locks (ledger snapshots), and a scrape must never block
+// registration — and groups the emitted series by family, so no family is
+// split in the exposition.
+func (r *Registry) collect(collectors []func(Emit)) []Series {
+	var order []string
+	byFamily := make(map[string][]Series)
+	seen := make(map[string]bool)
+	emit := func(name, help string, kind Kind, v float64, labels ...Label) {
+		if kind == KindHistogram {
+			panic(fmt.Sprintf("metrics: collector emitted histogram %q", name))
 		}
-		out = append(out, sr)
+		validateName(name, kind)
+		validateLabels(labels)
+		id := name + "{" + seriesKey(labels) + "}"
+		if seen[id] {
+			panic(fmt.Sprintf("metrics: duplicate series %s", id))
+		}
+		seen[id] = true
+		// The suffix lint fixes a name's kind (only counters end in _total),
+		// so a family's series cannot disagree on it.
+		fam, ok := byFamily[name]
+		if !ok {
+			r.mu.RLock()
+			f := r.families[name]
+			r.mu.RUnlock()
+			if f != nil {
+				panic(fmt.Sprintf("metrics: %q emitted by a collector and registered as an instrument", name))
+			}
+			order = append(order, name)
+		}
+		byFamily[name] = append(fam, Series{Name: name, Kind: kind, Help: help, Labels: append([]Label(nil), labels...), Value: v})
+	}
+	for _, fn := range collectors {
+		fn(emit)
+	}
+	var out []Series
+	for _, name := range order {
+		out = append(out, byFamily[name]...)
 	}
 	return out
 }

@@ -258,7 +258,7 @@ func TestBusChurnRace(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if n := rt.OpenSubscriptions(); n != 0 {
+	if n := rt.Snapshot().Subscriptions; n != 0 {
 		t.Errorf("%d subscriptions open after the churn", n)
 	}
 	if err := rt.Close(); err != nil {

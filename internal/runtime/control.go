@@ -331,35 +331,20 @@ func (st *controlState) targetNames() []string {
 // Rotation is the explicit, audited decision to scope the privacy guarantee
 // to a new epoch — see the account package docs. It works (as a plain epoch
 // stamp) even when accounting is disabled.
-func (rt *Runtime) RotateBudget() (Epoch, error) {
-	ep, err := rt.mutate(func(_, next *controlState) error {
-		next.budgetEpoch = next.epoch
-		return nil
-	})
-	if err == nil {
-		if rt.ledger != nil {
-			rt.ledger.CountRotation()
-		}
-		// Rotation records make the budget epoch recoverable: without one, a
-		// restart would re-grant streams their spent budget.
-		err = rt.logControl(func(a *durable.Appender) error {
-			return a.AppendRotation(uint64(ep), uint64(ep))
-		})
-	}
-	return ep, err
-}
+func (rt *Runtime) RotateBudget() (Epoch, error) { return rt.rotateBudget(nil) }
 
 // errStaleRotation aborts a shard-requested rotation that lost the race to
 // another rotation of the same observed epoch.
 var errStaleRotation = errors.New("runtime: stale budget rotation")
 
-// rotateBudgetFrom is the BudgetRotateEpoch policy's level-triggered
-// rotation: it rotates only if the budget epoch still equals the one the
-// shard observed when its stream exhausted, so many streams exhausting under
-// one epoch produce one rotation, not a storm.
-func (rt *Runtime) rotateBudgetFrom(observed Epoch) (Epoch, error) {
+// rotateBudget rotates the budget epoch; a nil observed rotates
+// unconditionally (RotateBudget). A non-nil observed is the BudgetRotateEpoch
+// policy's level-triggered rotation: it rotates only if the budget epoch
+// still equals the one the shard observed when its stream exhausted, so many
+// streams exhausting under one epoch produce one rotation, not a storm.
+func (rt *Runtime) rotateBudget(observed *Epoch) (Epoch, error) {
 	ep, err := rt.mutate(func(prev, next *controlState) error {
-		if prev.budgetEpoch != observed {
+		if observed != nil && prev.budgetEpoch != *observed {
 			return errStaleRotation
 		}
 		next.budgetEpoch = next.epoch
@@ -368,15 +353,17 @@ func (rt *Runtime) rotateBudgetFrom(observed Epoch) (Epoch, error) {
 	if errors.Is(err, errStaleRotation) {
 		return rt.ctl.Load().budgetEpoch, nil
 	}
-	if err == nil {
-		if rt.ledger != nil {
-			rt.ledger.CountRotation()
-		}
-		err = rt.logControl(func(a *durable.Appender) error {
-			return a.AppendRotation(uint64(ep), uint64(ep))
-		})
+	if err != nil {
+		return ep, err
 	}
-	return ep, err
+	if rt.ledger != nil {
+		rt.ledger.CountRotation()
+	}
+	// Rotation records make the budget epoch recoverable: without one, a
+	// restart would re-grant streams their spent budget.
+	return ep, rt.logControl(func(a *durable.Appender) error {
+		return a.AppendRotation(uint64(ep), uint64(ep))
+	})
 }
 
 // BudgetEpoch returns the current budget epoch: the control-plane epoch at

@@ -115,72 +115,52 @@ func (o *runtimeObs) finishTrace(shard int, events int64, t0 int64, tHop, tServe
 	)
 }
 
-// registerMetrics exposes the runtime's existing counters — per-shard serving
-// stats, control-plane epochs, and the budget ledger — as func-backed
-// registry metrics, so scrapes read the same atomics Snapshot does with no
-// double bookkeeping. Called once from New; a Registry must back at most one
-// Runtime (func-backed series cannot be registered twice).
+// registerMetrics reports the runtime's counters and gauges — per-shard
+// serving stats, control-plane epochs, and the budget ledger — through one
+// registry collector over Snapshot, so a scrape reads what /statsz does and
+// walks the ledger once. Called once from New; a Registry must back at most
+// one Runtime (Gather panics on the duplicate series).
 func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
-	counter := func(c *metrics.Counter) func() float64 {
-		return func() float64 { return float64(c.Load()) }
-	}
-	for i := range rt.shards {
-		sh := rt.shards[i]
-		l := metrics.L("shard", strconv.Itoa(i))
-		reg.CounterFunc("ppm_runtime_events_in_total", "Events accepted from ingest.", counter(&sh.stats.eventsIn), l)
-		reg.CounterFunc("ppm_runtime_windows_closed_total", "Windows cut and served.", counter(&sh.stats.windowsClosed), l)
-		reg.CounterFunc("ppm_runtime_panes_closed_total", "Panes cut by the shard's windowers.", counter(&sh.stats.panesClosed), l)
-		reg.CounterFunc("ppm_runtime_answers_emitted_total", "Released answers handed to at least one sink.", counter(&sh.stats.answersEmitted), l)
-		reg.GaugeFunc("ppm_runtime_queries_demanded", "Target queries the shard evaluates per window: those some sink listens to (all, with a subscribe-all sink).", func() float64 {
-			return float64(sh.demanded.Load())
-		}, l)
-		reg.CounterFunc("ppm_runtime_streams_opened_total", "Stream states opened on the shard.", counter(&sh.stats.streams), l)
-		reg.CounterFunc("ppm_runtime_streams_evicted_total", "Idle stream states flushed under EvictAfter.", counter(&sh.stats.streamsEvicted), l)
-		for _, d := range []struct {
-			reason string
-			c      *metrics.Counter
-		}{
-			{"late", &sh.stats.droppedLate},
-			{"future", &sh.stats.droppedFuture},
-			{"ingest", &sh.stats.droppedIngest},
-			{"failed", &sh.stats.droppedFailed},
-		} {
-			reg.CounterFunc("ppm_runtime_dropped_events_total", "Events dropped, by reason: late (lateness policy), future (Horizon), ingest (DropOldest backpressure), failed (shard failed).", counter(d.c), l, metrics.L("reason", d.reason))
+	reg.Collect(func(emit metrics.Emit) {
+		st := rt.Snapshot()
+		counter := func(name, help string, v int64, labels ...metrics.Label) {
+			emit(name, help, metrics.KindCounter, float64(v), labels...)
 		}
-	}
-	reg.GaugeFunc("ppm_runtime_shards", "Configured serving shards.", func() float64 { return float64(len(rt.shards)) })
-	reg.GaugeFunc("ppm_runtime_window_overlap", "Panes covering each served window (width/slide).", func() float64 {
-		return float64(rt.cfg.WindowWidth / rt.cfg.slideOrWidth())
-	})
-	reg.GaugeFunc("ppm_runtime_epoch", "Current control-plane epoch.", func() float64 { return float64(rt.ctl.Load().epoch) })
-	reg.GaugeFunc("ppm_runtime_subscriptions_open", "Live answer-bus subscriptions.", func() float64 { return float64(rt.bus.count()) })
-	if led := rt.ledger; led != nil {
-		reg.GaugeFunc("ppm_budget_epoch", "Current budget epoch.", func() float64 { return float64(rt.ctl.Load().budgetEpoch) })
-		reg.GaugeFunc("ppm_budget_grant_epsilon", "Per-stream, per-epoch ε grant.", func() float64 { return float64(led.Grant()) })
-		reg.CounterFunc("ppm_budget_rotations_total", "Applied budget-epoch rotations.", func() float64 { return float64(led.Rotations()) })
+		for _, sh := range st.Shards {
+			l := metrics.L("shard", strconv.Itoa(sh.Shard))
+			counter("ppm_runtime_events_in_total", "Events accepted from ingest.", sh.EventsIn, l)
+			counter("ppm_runtime_windows_closed_total", "Windows cut and served.", sh.WindowsClosed, l)
+			counter("ppm_runtime_panes_closed_total", "Panes cut by the shard's windowers.", sh.PanesClosed, l)
+			counter("ppm_runtime_answers_emitted_total", "Released answers handed to at least one sink.", sh.AnswersEmitted, l)
+			emit("ppm_runtime_queries_demanded", "Target queries the shard evaluates per window: those some sink listens to (all, with a subscribe-all sink).", metrics.KindGauge, float64(sh.QueriesDemanded), l)
+			counter("ppm_runtime_streams_opened_total", "Stream states opened on the shard.", sh.Streams, l)
+			counter("ppm_runtime_streams_evicted_total", "Idle stream states flushed under EvictAfter.", sh.StreamsEvicted, l)
+			for _, d := range []struct {
+				reason string
+				n      int64
+			}{{"late", sh.DroppedLate}, {"future", sh.DroppedFuture}, {"ingest", sh.DroppedIngest}, {"failed", sh.DroppedFailed}} {
+				counter("ppm_runtime_dropped_events_total", "Events dropped, by reason: late (lateness policy), future (Horizon), ingest (DropOldest backpressure), failed (shard failed).", d.n, l, metrics.L("reason", d.reason))
+			}
+		}
+		emit("ppm_runtime_shards", "Configured serving shards.", metrics.KindGauge, float64(len(st.Shards)))
+		emit("ppm_runtime_window_overlap", "Panes covering each served window (width/slide).", metrics.KindGauge, float64(st.Overlap))
+		emit("ppm_runtime_epoch", "Current control-plane epoch.", metrics.KindGauge, float64(st.Epoch))
+		emit("ppm_runtime_subscriptions_open", "Live answer-bus subscriptions.", metrics.KindGauge, float64(st.Subscriptions))
+		b := st.Budget
+		if b == nil {
+			return
+		}
+		emit("ppm_budget_epoch", "Current budget epoch.", metrics.KindGauge, float64(b.Epoch))
+		emit("ppm_budget_grant_epsilon", "Per-stream, per-epoch ε grant.", metrics.KindGauge, float64(b.Grant))
+		counter("ppm_budget_rotations_total", "Applied budget-epoch rotations.", b.Rotations)
 		for _, d := range []struct {
 			decision string
-			pick     func(a, de, s, t int64) int64
-		}{
-			{"admitted", func(a, de, s, t int64) int64 { return a }},
-			{"denied", func(a, de, s, t int64) int64 { return de }},
-			{"suppressed", func(a, de, s, t int64) int64 { return s }},
-			{"throttled", func(a, de, s, t int64) int64 { return t }},
-		} {
-			d := d
-			reg.CounterFunc("ppm_budget_decisions_total", "Window releases by admission decision.", func() float64 {
-				return float64(d.pick(led.Decisions()))
-			}, metrics.L("decision", d.decision))
+			n        int64
+		}{{"admitted", b.Admitted}, {"denied", b.Denied}, {"suppressed", b.Suppressed}, {"throttled", b.Throttled}} {
+			counter("ppm_budget_decisions_total", "Window releases by admission decision.", d.n, metrics.L("decision", d.decision))
 		}
-		reg.GaugeFunc("ppm_budget_spent_epsilon", "Lifetime ε spend: live streams' current-epoch spend plus the retired archive.", func() float64 {
-			s := led.Snapshot(uint64(rt.ctl.Load().budgetEpoch))
-			return float64(s.Spent) + float64(s.Retired)
-		})
-		reg.GaugeFunc("ppm_budget_streams", "Live stream ledgers.", func() float64 {
-			return float64(led.Snapshot(uint64(rt.ctl.Load().budgetEpoch)).Streams)
-		})
-		reg.GaugeFunc("ppm_budget_exhausted_streams", "Live streams whose remaining grant no longer covers one release.", func() float64 {
-			return float64(led.Snapshot(uint64(rt.ctl.Load().budgetEpoch)).Exhausted)
-		})
-	}
+		emit("ppm_budget_spent_epsilon", "Lifetime ε spend: live streams' current-epoch spend plus the retired archive.", metrics.KindGauge, float64(b.Spent)+float64(b.Retired))
+		emit("ppm_budget_streams", "Live stream ledgers.", metrics.KindGauge, float64(b.Streams))
+		emit("ppm_budget_exhausted_streams", "Live streams whose remaining grant no longer covers one release.", metrics.KindGauge, float64(b.Exhausted))
+	})
 }

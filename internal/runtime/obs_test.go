@@ -4,10 +4,12 @@ import (
 	"context"
 	"log"
 	"log/slog"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"patterndp/internal/event"
 	"patterndp/internal/metrics"
 )
 
@@ -41,16 +43,19 @@ func captureDefaultLog(t *testing.T, h slog.Handler) {
 }
 
 // TestObservedRuntime drives a fully instrumented runtime (registry + 100%
-// trace sampling) and checks the three observability layers agree: registry
-// counters match Snapshot, trace histograms saw every batch, and published
-// answers carry the trace origin through to subscribers.
+// trace sampling) and checks the three observability layers agree: every
+// registry counter and gauge reads the quiesced Snapshot, trace histograms
+// saw every batch, and published answers carry the trace origin through to
+// subscribers.
 func TestObservedRuntime(t *testing.T) {
 	reg := metrics.NewRegistry()
 	h := &captureHandler{}
-	cfg := testConfig(t, 2)
-	cfg.Budget = 100
+	cfg := testConfig(t, 3)
+	cfg.Budget = 250
 	cfg.Metrics = reg
 	cfg.TraceSample = 1
+	cfg.Horizon = 100
+	cfg.Slide = 5 // two panes per window: panes and windows count apart
 	captureDefaultLog(t, h)
 	rt, err := New(cfg)
 	if err != nil {
@@ -69,11 +74,20 @@ func TestObservedRuntime(t *testing.T) {
 		}
 	}()
 
+	// Replaying stream s drops late events, its far-future event trips the
+	// Horizon, and streams of different lengths spread distinct counts over
+	// the shards, so a series swapped for another reads wrong.
 	const batches = 10
 	for i := 0; i < batches; i++ {
 		if err := rt.IngestBatch(streamEvents("s", 3)); err != nil {
 			t.Fatal(err)
 		}
+		if err := rt.IngestBatch(streamEvents("k"+strconv.Itoa(i), i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Ingest(event.New("a", 10_000).WithSource("s")); err != nil {
+		t.Fatal(err)
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
@@ -84,32 +98,44 @@ func TestObservedRuntime(t *testing.T) {
 	if len(answers) == 0 {
 		t.Fatal("no answers published")
 	}
+	// Close flushes the streams' trailing windows outside any traced batch.
+	// Stream s has exhausted its grant by then, so every answer it released
+	// was served under a traced batch.
 	for _, a := range answers {
-		if a.TraceNanos == 0 {
+		if a.Stream == "s" && a.TraceNanos == 0 {
 			t.Fatalf("answer %s/%d missing TraceNanos under TraceSample=1", a.Stream, a.WindowIndex)
 		}
 	}
 
-	// Registry func counters read the same atomics Snapshot does.
-	var regEventsIn, regDecisions float64
+	// Every runtime and budget series agrees with the quiesced Snapshot:
+	// the registry renders the same snapshot, per shard, reason and
+	// decision.
+	want := snapshotSeries(snap)
 	var traceBatches, e2eCount float64
 	for _, s := range reg.Gather() {
-		switch s.Name {
-		case "ppm_runtime_events_in_total":
-			regEventsIn += s.Value
-		case "ppm_budget_decisions_total":
-			regDecisions += s.Value
-		case "ppm_trace_batches_total":
+		switch {
+		case strings.HasPrefix(s.Name, "ppm_runtime_") || strings.HasPrefix(s.Name, "ppm_budget_"):
+			id := seriesID(s.Name, s.Labels...)
+			v, ok := want[id]
+			if !ok {
+				t.Errorf("registry series %s not in the snapshot", id)
+				continue
+			}
+			if s.Value != v {
+				t.Errorf("%s = %v, snapshot = %v", id, s.Value, v)
+			}
+			delete(want, id)
+		case s.Name == "ppm_trace_batches_total":
 			traceBatches = s.Value
-		case "ppm_e2e_ingest_publish_seconds":
+		case s.Name == "ppm_e2e_ingest_publish_seconds":
 			e2eCount = float64(s.Hist.Count)
 		}
 	}
-	if want := float64(snap.Totals().EventsIn); regEventsIn != want {
-		t.Errorf("registry events_in = %v, snapshot = %v", regEventsIn, want)
+	for id := range want {
+		t.Errorf("snapshot series %s missing from the registry", id)
 	}
-	if regDecisions == 0 {
-		t.Errorf("no budget decisions recorded in registry")
+	if b := snap.Budget; b == nil || b.Admitted == 0 || snap.Totals().EventsIn == 0 {
+		t.Errorf("the run recorded no events or budget decisions: %+v", snap)
 	}
 	if traceBatches < batches {
 		t.Errorf("traced batches = %v, want >= %d", traceBatches, batches)
@@ -123,6 +149,55 @@ func TestObservedRuntime(t *testing.T) {
 	if len(h.msgs) == 0 || h.msgs[0] != "ppm.trace" {
 		t.Fatalf("no ppm.trace slog records captured: %v", h.msgs)
 	}
+}
+
+// seriesID renders a series identity for comparisons: name and labels in
+// the order given.
+func seriesID(name string, labels ...metrics.Label) string {
+	id := name
+	for _, l := range labels {
+		id += "," + l.Key + "=" + l.Value
+	}
+	return id
+}
+
+// snapshotSeries is what the runtime's /metrics series must read for st,
+// derived field by field from the Stats documentation rather than from the
+// collector, keyed by seriesID.
+func snapshotSeries(st Stats) map[string]float64 {
+	m := map[string]float64{
+		"ppm_runtime_shards":             float64(len(st.Shards)),
+		"ppm_runtime_window_overlap":     float64(st.Overlap),
+		"ppm_runtime_epoch":              float64(st.Epoch),
+		"ppm_runtime_subscriptions_open": float64(st.Subscriptions),
+	}
+	for _, sh := range st.Shards {
+		l := metrics.L("shard", strconv.Itoa(sh.Shard))
+		m[seriesID("ppm_runtime_events_in_total", l)] = float64(sh.EventsIn)
+		m[seriesID("ppm_runtime_windows_closed_total", l)] = float64(sh.WindowsClosed)
+		m[seriesID("ppm_runtime_panes_closed_total", l)] = float64(sh.PanesClosed)
+		m[seriesID("ppm_runtime_answers_emitted_total", l)] = float64(sh.AnswersEmitted)
+		m[seriesID("ppm_runtime_queries_demanded", l)] = float64(sh.QueriesDemanded)
+		m[seriesID("ppm_runtime_streams_opened_total", l)] = float64(sh.Streams)
+		m[seriesID("ppm_runtime_streams_evicted_total", l)] = float64(sh.StreamsEvicted)
+		m[seriesID("ppm_runtime_dropped_events_total", l, metrics.L("reason", "late"))] = float64(sh.DroppedLate)
+		m[seriesID("ppm_runtime_dropped_events_total", l, metrics.L("reason", "future"))] = float64(sh.DroppedFuture)
+		m[seriesID("ppm_runtime_dropped_events_total", l, metrics.L("reason", "ingest"))] = float64(sh.DroppedIngest)
+		m[seriesID("ppm_runtime_dropped_events_total", l, metrics.L("reason", "failed"))] = float64(sh.DroppedFailed)
+	}
+	if b := st.Budget; b != nil {
+		m["ppm_budget_epoch"] = float64(b.Epoch)
+		m["ppm_budget_grant_epsilon"] = float64(b.Grant)
+		m["ppm_budget_rotations_total"] = float64(b.Rotations)
+		m[seriesID("ppm_budget_decisions_total", metrics.L("decision", "admitted"))] = float64(b.Admitted)
+		m[seriesID("ppm_budget_decisions_total", metrics.L("decision", "denied"))] = float64(b.Denied)
+		m[seriesID("ppm_budget_decisions_total", metrics.L("decision", "suppressed"))] = float64(b.Suppressed)
+		m[seriesID("ppm_budget_decisions_total", metrics.L("decision", "throttled"))] = float64(b.Throttled)
+		m["ppm_budget_spent_epsilon"] = float64(b.Spent) + float64(b.Retired)
+		m["ppm_budget_streams"] = float64(b.Streams)
+		m["ppm_budget_exhausted_streams"] = float64(b.Exhausted)
+	}
+	return m
 }
 
 // TestUnobservedRuntimeHasNoObs checks the zero-config path stays

@@ -185,12 +185,12 @@ type Config struct {
 	// in-memory. See DurabilityConfig.
 	Durability *DurabilityConfig
 	// Metrics, when set, registers the runtime's observability surface on
-	// the registry: per-shard serving counters (the same atomics Snapshot
-	// reads), ingest-admission and per-shard window-serving latency
-	// histograms, budget-ledger decision counters and spend gauges, and —
-	// through Durability — WAL commit/fsync/checkpoint histograms. A
-	// registry must back at most one Runtime. Nil (the default) disables
-	// all instrumentation with zero hot-path overhead.
+	// the registry: per-shard serving counters and budget-ledger decision
+	// counters and spend gauges (rendered from one Snapshot per scrape),
+	// ingest-admission and per-shard window-serving latency histograms, and
+	// — through Durability — WAL commit/fsync/checkpoint histograms. A
+	// registry must back at most one Runtime (Gather panics on duplicate
+	// series). Nil (the default) disables all instrumentation.
 	Metrics *metrics.Registry
 	// TraceSample, in [0, 1], enables sampled event-lifecycle tracing:
 	// every ~1/TraceSample-th ingest batch is followed through shard hop,
@@ -659,7 +659,7 @@ func (rt *Runtime) Subscribe(query string) (*Subscription, error) {
 // runtime closes. detach is idempotent; a shard already serving a message
 // may deliver one more batch after it returns. Once Close or Freeze has
 // returned no shard is alive, so no Deliver is in flight and none follows. An
-// attached sink counts in OpenSubscriptions until then.
+// attached sink counts in Stats.Subscriptions until then.
 func (rt *Runtime) Attach(query string, sink Sink) (detach func(), err error) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
@@ -679,14 +679,6 @@ func (rt *Runtime) subscribable(query string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownQuery, query)
 	}
 	return nil
-}
-
-// OpenSubscriptions counts the live subscriptions on the answer bus across
-// every query, including subscribe-all subscriptions. It exists so serving
-// layers can assert that detaching consumers (a closed network session, say)
-// released their handles rather than leaking them.
-func (rt *Runtime) OpenSubscriptions() int {
-	return rt.bus.count()
 }
 
 // Close stops ingestion, drains every shard — trailing partial windows are
@@ -833,6 +825,10 @@ type ShardStats struct {
 	DroppedIngest int64
 	// DroppedFailed counts events discarded after the shard failed.
 	DroppedFailed int64
+	// QueriesDemanded is how many target queries the shard evaluates per
+	// window: those some sink listens to, all of them with a subscribe-all
+	// sink. A level, not a count: Totals leaves it 0.
+	QueriesDemanded int64
 	// Failed reports that the shard stopped serving on an engine error;
 	// Ingest to it returns ErrShardFailed and Close reports the cause.
 	Failed bool
@@ -847,6 +843,9 @@ type Stats struct {
 	// Overlap is how many panes cover each served window: WindowWidth
 	// divided by the effective slide, 1 for tumbling configurations.
 	Overlap int
+	// Subscriptions counts the live answer-bus subscriptions across every
+	// query, subscribe-all ones and attached sinks included.
+	Subscriptions int
 	// Budget is the privacy-budget ledger snapshot: per-stream spend and
 	// w-event composed loss, admission-decision counters, and the
 	// per-query spend attribution. Nil unless Config.Budget is set.
@@ -865,29 +864,31 @@ type Stats struct {
 func (rt *Runtime) Snapshot() Stats {
 	ctl := rt.ctl.Load()
 	st := Stats{
-		Shards:  make([]ShardStats, len(rt.shards)),
-		Epoch:   ctl.epoch,
-		Overlap: int(rt.cfg.WindowWidth / rt.cfg.slideOrWidth()),
-		Uptime:  time.Since(rt.start),
+		Shards:        make([]ShardStats, len(rt.shards)),
+		Epoch:         ctl.epoch,
+		Overlap:       int(rt.cfg.WindowWidth / rt.cfg.slideOrWidth()),
+		Subscriptions: rt.bus.count(),
+		Uptime:        time.Since(rt.start),
 	}
 	if rt.ledger != nil {
 		st.Budget = rt.ledger.Snapshot(uint64(ctl.budgetEpoch))
 	}
 	for i, sh := range rt.shards {
 		st.Shards[i] = ShardStats{
-			Shard:          i,
-			Epoch:          Epoch(sh.epoch.Load()),
-			Streams:        sh.stats.streams.Load(),
-			StreamsEvicted: sh.stats.streamsEvicted.Load(),
-			EventsIn:       sh.stats.eventsIn.Load(),
-			WindowsClosed:  sh.stats.windowsClosed.Load(),
-			PanesClosed:    sh.stats.panesClosed.Load(),
-			AnswersEmitted: sh.stats.answersEmitted.Load(),
-			DroppedLate:    sh.stats.droppedLate.Load(),
-			DroppedFuture:  sh.stats.droppedFuture.Load(),
-			DroppedIngest:  sh.stats.droppedIngest.Load(),
-			DroppedFailed:  sh.stats.droppedFailed.Load(),
-			Failed:         sh.failed.Load(),
+			Shard:           i,
+			Epoch:           Epoch(sh.epoch.Load()),
+			Streams:         sh.stats.streams.Load(),
+			StreamsEvicted:  sh.stats.streamsEvicted.Load(),
+			EventsIn:        sh.stats.eventsIn.Load(),
+			WindowsClosed:   sh.stats.windowsClosed.Load(),
+			PanesClosed:     sh.stats.panesClosed.Load(),
+			AnswersEmitted:  sh.stats.answersEmitted.Load(),
+			DroppedLate:     sh.stats.droppedLate.Load(),
+			DroppedFuture:   sh.stats.droppedFuture.Load(),
+			DroppedIngest:   sh.stats.droppedIngest.Load(),
+			DroppedFailed:   sh.stats.droppedFailed.Load(),
+			QueriesDemanded: sh.demanded.Load(),
+			Failed:          sh.failed.Load(),
 		}
 	}
 	return st

@@ -148,7 +148,7 @@ type shard struct {
 	// shard publishes without sharing or allocating one.
 	pubGather gather
 	// dem is the demand the current message is served for; demanded mirrors
-	// its size for the ppm_runtime_queries_demanded gauge.
+	// its size for ShardStats.QueriesDemanded.
 	dem      demand
 	demanded atomic.Int64
 
@@ -531,7 +531,8 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 				// syncControl picks up the rotated state.
 				if !rotated {
 					rotated = true
-					if _, err := s.rt.rotateBudgetFrom(s.cur.budgetEpoch); err != nil && err != ErrClosed {
+					observed := s.cur.budgetEpoch
+					if _, err := s.rt.rotateBudget(&observed); err != nil && err != ErrClosed {
 						// ErrClosed: a closing runtime grants no fresh
 						// epochs — the remaining drain degrades to Suppress.
 						return s.fail(err)

@@ -339,10 +339,6 @@ func (w *Windower) Dropped() int64 { return w.dropped }
 // single panes, so the counter tracks windows there.
 func (w *Windower) Panes() int64 { return w.panes }
 
-// Overlap returns how many panes cover each window: width/slide, 1 for
-// tumbling windows.
-func (w *Windower) Overlap() int { return w.overlap }
-
 // cut closes every pane ending at or before the given watermark and appends
 // the window ending with each to out. The closed pane's tally goes through
 // the ring, which merges it with the overlap-1 panes before it; a one-pane

@@ -113,7 +113,8 @@ type Statsz struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// EventsPerSec is the runtime's aggregate ingest rate since start.
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Runtime is the runtime snapshot.
+	// Runtime is the runtime snapshot: every runtime and budget value
+	// /metrics reports, QueriesDemanded and Subscriptions included.
 	Runtime *runtime.Stats `json:"runtime,omitempty"`
 	// Server is the serving-layer snapshot with per-tenant counters and ε
 	// spend.

@@ -219,6 +219,34 @@ func TestMetricNameLint(t *testing.T) {
 	if len(seen) < 40 {
 		t.Errorf("only %d series registered by the full stack", len(seen))
 	}
+	// The exposition renders each family once: one # TYPE line, and the
+	// family's sample lines contiguous behind it.
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	typed := make(map[string]int)
+	current := ""
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			current, _, _ = strings.Cut(name, " ")
+			typed[current]++
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		switch strings.TrimSuffix(line[:strings.IndexAny(line, "{ ")], "_bucket") {
+		case current, current + "_sum", current + "_count":
+		default:
+			t.Errorf("sample %q outside its family's block (after # TYPE %s)", line, current)
+		}
+	}
+	for name := range families {
+		if n := typed[name]; n != 1 {
+			t.Errorf("family %s has %d # TYPE lines, want 1", name, n)
+		}
+	}
 	// The family set is pinned: adding, renaming or removing a family
 	// changes what scrapers and alerts see, so it must edit this list.
 	for _, name := range pinnedFamilies {

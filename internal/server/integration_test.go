@@ -160,9 +160,9 @@ func TestIntegrationMultiTenant(t *testing.T) {
 	// Every client closed; its sessions must have released their runtime
 	// subscriptions (the leak assertion).
 	deadline := time.Now().Add(5 * time.Second)
-	for rt.OpenSubscriptions() != 0 {
+	for rt.Snapshot().Subscriptions != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("subscription leak: %d still open", rt.OpenSubscriptions())
+			t.Fatalf("subscription leak: %d still open", rt.Snapshot().Subscriptions)
 		}
 		time.Sleep(time.Millisecond)
 	}

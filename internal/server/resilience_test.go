@@ -298,7 +298,7 @@ func TestResumeWindowExpiry(t *testing.T) {
 	// The client re-subscribes after it adopts the fresh token; an answer
 	// published before that lands has no subscriber to go to.
 	waitFor(t, 5*time.Second, "the re-subscription to reach the runtime", func() bool {
-		return rt.OpenSubscriptions() == 1
+		return rt.Snapshot().Subscriptions == 1
 	})
 	for w := int64(0); w < 2; w++ {
 		if _, err := feeder.Ingest(windowEvents("s1", w)); err != nil {

@@ -114,12 +114,12 @@ type Config struct {
 	// unlimited.
 	RateLimit float64
 	// Metrics, when set, receives the server's observability series:
-	// connection and session-lifecycle counters, per-tenant serving counters
-	// (labelled tenant=<id>), and the wire encode/decode and end-to-end
-	// delivery latency histograms. A registry must back at most one Server
-	// (its func-backed series cannot be registered twice). Typically the
-	// same registry as runtime.Config.Metrics, so one /metrics scrape covers
-	// the whole pipeline.
+	// connection, session-lifecycle and per-tenant (tenant=<id>) counters,
+	// read from one snapshot per scrape, and the wire encode/decode and
+	// end-to-end delivery latency histograms. A registry must back at most
+	// one Server (Gather panics on duplicate series). Typically the same
+	// registry as runtime.Config.Metrics, so one /metrics scrape covers the
+	// whole pipeline.
 	Metrics *metrics.Registry
 }
 
@@ -344,11 +344,6 @@ func (s *Server) tenantFor(t Tenant) *tenantState {
 	if ts == nil {
 		ts = &tenantState{tenant: t, streams: make(map[string]struct{})}
 		s.tenants[t.ID] = ts
-		if reg := s.cfg.Metrics; reg != nil {
-			// First sight of the tenant id is the one registration point
-			// (func-backed series cannot be registered twice).
-			registerTenantMetrics(reg, ts)
-		}
 	}
 	return ts
 }
@@ -588,32 +583,20 @@ type Stats struct {
 	Tenants []TenantStats
 }
 
-// census walks the session cores at scrape time — the delivery path keeps no
-// count of its own — and returns how many are parked and how many replay-ring
-// slots their subscriptions hold.
-func (s *Server) census() (parked, slots int64) {
-	for _, c := range s.coreList() {
-		c.mu.Lock()
-		if c.attached.Load() == nil && !c.retired {
-			parked++
-		}
-		for _, st := range c.subs {
-			st.mu.Lock()
-			slots += st.slots()
-			st.mu.Unlock()
-		}
-		c.mu.Unlock()
-	}
-	return parked, slots
-}
-
-// Stats snapshots the serving layer, joining connection counters with the
-// runtime ledger's per-namespace spend.
+// Stats snapshots the serving layer, joining its counters with the runtime
+// ledger's per-namespace spend.
 func (s *Server) Stats() Stats {
 	spend := make(map[string]account.NamespaceSpend)
 	for _, ns := range s.cfg.Runtime.SpendByNamespace(namespaceDelim) {
 		spend[ns.Namespace] = ns
 	}
+	return s.counters(spend)
+}
+
+// counters snapshots the serving layer's own state, taking each tenant's
+// Spend from spend. With a nil spend it leaves Spend zero and walks no
+// ledger: what a metrics scrape reads.
+func (s *Server) counters(spend map[string]account.NamespaceSpend) Stats {
 	st := Stats{
 		ConnsOpen:        s.connsOpen.Load(),
 		ConnsTotal:       s.connsTotal.Load(),
@@ -623,7 +606,20 @@ func (s *Server) Stats() Stats {
 		SessionsImported: s.coresImported.Load(),
 		Flushes:          s.flushes.Load(),
 	}
-	st.SessionsParked, st.ReplaySlots = s.census()
+	// The delivery path keeps no count of parked sessions or of the
+	// replay-ring slots subscriptions hold: walk the session cores.
+	for _, c := range s.coreList() {
+		c.mu.Lock()
+		if c.attached.Load() == nil && !c.retired {
+			st.SessionsParked++
+		}
+		for _, sub := range c.subs {
+			sub.mu.Lock()
+			st.ReplaySlots += sub.slots()
+			sub.mu.Unlock()
+		}
+		c.mu.Unlock()
+	}
 	s.mu.Lock()
 	for id, ts := range s.tenants {
 		ts.mu.Lock()

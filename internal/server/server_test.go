@@ -344,7 +344,7 @@ func TestSessionCloseReleasesSubscriptions(t *testing.T) {
 	defer rt.Close()
 	_, l := startServer(t, rt, Config{})
 
-	before := rt.OpenSubscriptions()
+	before := rt.Snapshot().Subscriptions
 	c := dialTenant(t, l, "alice")
 	if _, err := c.Subscribe("probe", 1); err != nil {
 		t.Fatal(err)
@@ -352,14 +352,14 @@ func TestSessionCloseReleasesSubscriptions(t *testing.T) {
 	if _, err := c.Subscribe("", 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.OpenSubscriptions(); got != before+2 {
+	if got := rt.Snapshot().Subscriptions; got != before+2 {
 		t.Fatalf("open subscriptions = %d, want %d", got, before+2)
 	}
 	c.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for rt.OpenSubscriptions() != before {
+	for rt.Snapshot().Subscriptions != before {
 		if time.Now().After(deadline) {
-			t.Fatalf("subscriptions leaked: %d left", rt.OpenSubscriptions()-before)
+			t.Fatalf("subscriptions leaked: %d left", rt.Snapshot().Subscriptions-before)
 		}
 		time.Sleep(time.Millisecond)
 	}

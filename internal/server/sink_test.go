@@ -107,7 +107,7 @@ func TestSubscriptionsCostNoGoroutines(t *testing.T) {
 			t.Fatalf("subscribe %d: %v, %v", id, f.Type, err)
 		}
 	}
-	if got := rt.OpenSubscriptions(); got != subs {
+	if got := rt.Snapshot().Subscriptions; got != subs {
 		t.Fatalf("open runtime subscriptions = %d, want %d", got, subs)
 	}
 	if got := goruntime.NumGoroutine(); got > before+2 {
@@ -120,7 +120,7 @@ func TestSubscriptionsCostNoGoroutines(t *testing.T) {
 	waitFor(t, 10*time.Second, "the session to unwind", func() bool {
 		return s.Stats().ConnsOpen == 0 && goruntime.NumGoroutine() <= before
 	})
-	if got := rt.OpenSubscriptions(); got != 0 {
+	if got := rt.Snapshot().Subscriptions; got != 0 {
 		t.Errorf("open runtime subscriptions after close = %d, want 0", got)
 	}
 }
@@ -150,7 +150,7 @@ func TestSubscribeCannotNameAnotherTenantsQuery(t *testing.T) {
 			t.Errorf("bob.Subscribe(%q) refused with %q, want %q", name, re.Msg, want)
 		}
 	}
-	if got := rt.OpenSubscriptions(); got != 0 {
+	if got := rt.Snapshot().Subscriptions; got != 0 {
 		t.Errorf("open runtime subscriptions = %d, want 0", got)
 	}
 	// The owner, and the tenant-relative spelling, still work.
