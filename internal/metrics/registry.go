@@ -228,15 +228,29 @@ type Series struct {
 	Hist *HistogramSnapshot
 }
 
-// Gather snapshots every instrument series in registration order (families
-// first-registered first, series within a family likewise), then every
+// Gather snapshots every instrument series (Instruments), then every
 // collector's series, grouped by family in first-emitted order.
 func (r *Registry) Gather() []Series {
 	if r == nil {
 		return nil
 	}
+	r.mu.RLock()
+	collectors := r.collectors
+	r.mu.RUnlock()
+	return append(r.Instruments(), r.collect(collectors)...)
+}
+
+// Instruments snapshots every instrument series — the counters and
+// histograms registered through Counter and Histogram — in registration
+// order (families first-registered first, series within a family likewise),
+// without running a collector.
+func (r *Registry) Instruments() []Series {
+	if r == nil {
+		return nil
+	}
 	var out []Series
 	r.mu.RLock()
+	defer r.mu.RUnlock()
 	for _, name := range r.order {
 		f := r.families[name]
 		for _, key := range f.order {
@@ -251,9 +265,7 @@ func (r *Registry) Gather() []Series {
 			out = append(out, sr)
 		}
 	}
-	collectors := r.collectors
-	r.mu.RUnlock()
-	return append(out, r.collect(collectors)...)
+	return out
 }
 
 // collect runs each collector once — outside the lock: collectors take

@@ -417,8 +417,10 @@ func New(cfg Config) (*Runtime, error) {
 // buildEngine constructs one shard's serving engine for a control state: a
 // fresh mechanism instance from the configured factory over the state's
 // private set, an engine seed decorrelated per shard and per private-set
-// epoch (so a rebuilt engine never replays an earlier engine's noise
-// sequence), and the state's target queries.
+// epoch, and the state's target queries. The seed keeps a rebuilt engine from
+// replaying an earlier engine's noise sequence only within one process: a
+// recovered or adopted runtime with the same Config.Seed draws the first
+// run's sequence again.
 func (rt *Runtime) buildEngine(shard int, st *controlState) (*core.PrivateEngine, error) {
 	var m core.Mechanism
 	var err error

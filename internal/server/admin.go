@@ -145,7 +145,10 @@ func CollectStatsz(srv *Server, uptime time.Duration) Statsz {
 		}
 		z.AnswersPerFlush = float64(sent) / float64(srvStats.Flushes)
 	}
-	for _, s := range srv.cfg.Metrics.Gather() {
+	// Histograms are instruments, never collected: reading them runs no
+	// collector, so the snapshots above are the request's only walk of the
+	// ledger and the session cores.
+	for _, s := range srv.cfg.Metrics.Instruments() {
 		if s.Kind != metrics.KindHistogram || s.Hist == nil || s.Hist.Count == 0 {
 			continue
 		}

@@ -2,10 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +172,47 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 	if code, _ := adminGet(t, web, "/healthz"); code != 200 {
 		t.Errorf("healthz during drain = %d, want 200", code)
+	}
+}
+
+// TestStatszRunsNoCollector pins that CollectStatsz reads its latency
+// summaries from the registry's instruments alone. The runtime and server
+// snapshots it takes itself are then a request's only walk of the budget
+// ledger and the session cores: a collector would take them again. The
+// summaries are still those of every populated histogram a full gather sees.
+func TestStatszRunsNoCollector(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rt := newObservedRuntime(t, reg, "")
+	defer rt.Close()
+	srv, _ := startServer(t, rt, Config{Metrics: reg})
+	calls := 0
+	reg.Collect(func(metrics.Emit) { calls++ })
+	for i, d := range []time.Duration{time.Millisecond, 3 * time.Millisecond, 40 * time.Millisecond} {
+		reg.Histogram("ppm_wire_encode_seconds", "").Observe(d)
+		reg.Histogram("ppm_statsz_probe_seconds", "probe", metrics.Label{Key: "k", Value: fmt.Sprint(i % 2)}).Observe(d)
+	}
+
+	z := CollectStatsz(srv, time.Second)
+	if calls != 0 {
+		t.Errorf("CollectStatsz ran the collectors %d times, want 0", calls)
+	}
+	var want []LatencySummary
+	for _, s := range reg.Gather() {
+		if s.Hist != nil && s.Hist.Count > 0 {
+			want = append(want, LatencySummary{Metric: seriesIdent(s), Count: s.Hist.Count,
+				MaxMs: float64(s.Hist.Max()) / float64(time.Millisecond)})
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("the probe collector ran %d times in a gather, want 1", calls)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Metric < want[j].Metric })
+	got := make([]LatencySummary, len(z.Latencies))
+	for i, l := range z.Latencies {
+		got[i] = LatencySummary{Metric: l.Metric, Count: l.Count, MaxMs: l.MaxMs}
+	}
+	if len(want) != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("statsz latencies = %+v, want the gathered histograms %+v", got, want)
 	}
 }
 

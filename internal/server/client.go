@@ -100,14 +100,21 @@ type clientSubState struct {
 
 // send delivers one answer, blocking while the buffer is full — an undrained
 // subscription deliberately stalls the client's read loop.
-func (s *clientSubState) send(a wire.Answer) {
+func (s *clientSubState) send(a *wire.Answer) {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	if s.closed {
 		return
 	}
+	// A drained buffer takes the answer at once; only a full one waits, and
+	// only that wait needs done to abort it.
 	select {
-	case s.ch <- a:
+	case s.ch <- *a:
+		return
+	default:
+	}
+	select {
+	case s.ch <- *a:
 	case <-s.done:
 	}
 }
@@ -257,8 +264,10 @@ func (c *Client) readLoop(r *wire.Reader, conn net.Conn, gen uint64) {
 	var err error
 	defer func() { c.detach(gen, conn, err) }()
 	// Answers repeat a few stream keys and query names: interned, a steady
-	// stream of them decodes without allocating.
+	// stream of them decodes without allocating, into one reused answer.
 	var names wire.Interner
+	var a wire.Answer
+	var st *clientSubState // the subscription the last answer went to
 	for {
 		// Only a Next that must read the transport can block on the server,
 		// and every one that does gets a fresh deadline: delivering the
@@ -275,15 +284,13 @@ func (c *Client) readLoop(r *wire.Reader, conn net.Conn, gen uint64) {
 		}
 		switch f.Type {
 		case wire.TAnswer:
-			a, derr := names.DecodeAnswer(f.Payload)
-			if derr != nil {
-				err = derr
+			if err = names.DecodeAnswer(f.Payload, &a); err != nil {
 				return
 			}
 			// Blocking delivery is deliberate: an undrained subscription
 			// stalls this client's reads (and, via the transport, the
 			// server's writer for this connection only).
-			c.deliver(a)
+			st = c.deliver(&a, st)
 		case wire.TAck:
 			a, derr := wire.DecodeAck(f.Payload)
 			if derr != nil {
@@ -336,22 +343,30 @@ func (c *Client) readLoop(r *wire.Reader, conn net.Conn, gen uint64) {
 }
 
 // deliver routes one answer to its subscription, dropping replay duplicates
-// by sequence number.
-func (c *Client) deliver(a wire.Answer) {
-	c.mu.Lock()
-	st := c.subs[a.Sub]
-	c.mu.Unlock()
-	if st == nil {
-		return
+// by sequence number, and returns the subscription's state. Answers come in
+// runs for one subscription, so while a.Sub is last's id the lookup is
+// skipped: ids are never reused, a re-subscription after an expired resume
+// keeps its state, and a state terminated since (Unsubscribe, Close) drops
+// what it is sent.
+func (c *Client) deliver(a *wire.Answer, last *clientSubState) *clientSubState {
+	st := last
+	if st == nil || st.id != a.Sub {
+		c.mu.Lock()
+		st = c.subs[a.Sub]
+		c.mu.Unlock()
+		if st == nil {
+			return last
+		}
 	}
 	if a.Seq != 0 {
 		if a.Seq <= st.lastSeq {
 			c.dupsSeen.Add(1)
-			return
+			return st
 		}
 		st.lastSeq = a.Seq
 	}
 	st.send(a)
+	return st
 }
 
 // heartbeatLoop pings the server every interval; the pongs (and any other
@@ -548,7 +563,7 @@ func (c *Client) tryResume(gen uint64) bool {
 	var missing []*clientSubState
 	for _, st := range states {
 		if !resumed[st.id] {
-			st.send(wire.Answer{Sub: st.id, Query: st.query, Gap: true, GapFrom: st.lastSeq + 1})
+			st.send(&wire.Answer{Sub: st.id, Query: st.query, Gap: true, GapFrom: st.lastSeq + 1})
 			st.lastSeq = 0
 			missing = append(missing, st)
 		}

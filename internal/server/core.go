@@ -98,21 +98,17 @@ func (st *subState) Deliver(batch []runtime.Answer) {
 			continue // not ours: it takes no seq and no storage
 		}
 		st.head++
-		*st.slot(st.head) = wire.Answer{
-			Sub:              st.id,
-			Seq:              st.head,
-			Stream:           stream,
-			Query:            query,
-			Epoch:            uint64(a.Epoch),
-			WindowIndex:      uint64(a.WindowIndex),
-			Start:            int64(a.Start),
-			End:              int64(a.End),
-			Detected:         a.Detected,
-			Suppressed:       a.Suppressed,
-			SpentEpsilon:     float64(a.SpentEpsilon),
-			RemainingEpsilon: float64(a.RemainingEpsilon),
-			TraceNanos:       a.TraceNanos,
-		}
+		// Field by field through the slot pointer: a composite literal
+		// would build the 128-byte answer in a temporary and copy it in.
+		w := st.slot(st.head)
+		w.Sub, w.Seq = st.id, st.head
+		w.Stream, w.Query = stream, query
+		w.Epoch, w.WindowIndex = uint64(a.Epoch), uint64(a.WindowIndex)
+		w.Start, w.End = int64(a.Start), int64(a.End)
+		w.Detected, w.Suppressed = a.Detected, a.Suppressed
+		w.SpentEpsilon, w.RemainingEpsilon = float64(a.SpentEpsilon), float64(a.RemainingEpsilon)
+		w.Gap, w.GapFrom = false, 0
+		w.TraceNanos = a.TraceNanos
 		if st.head > n && st.cursor <= st.head-n {
 			evicted++ // the overwritten entry was still undelivered: a future Gap
 		}
@@ -136,10 +132,11 @@ func (st *subState) drain(out *outbox) (popped int) {
 	defer st.mu.Unlock()
 	for st.cursor <= st.head && len(out.buf) < wire.BufferSize {
 		if oldest := st.oldest(); st.cursor < oldest {
-			out.add(wire.Answer{Sub: st.id, Seq: oldest - 1, Gap: true, GapFrom: st.cursor})
+			gap := wire.Answer{Sub: st.id, Seq: oldest - 1, Gap: true, GapFrom: st.cursor}
+			out.add(&gap)
 			st.cursor = oldest
 		} else {
-			out.add(*st.slot(st.cursor))
+			out.add(st.slot(st.cursor))
 			st.cursor++
 		}
 		popped++

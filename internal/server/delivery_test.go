@@ -371,7 +371,7 @@ func TestSlowConsumerKeepsConnection(t *testing.T) {
 			go io.Copy(io.Discard, sconn) // the client's pings
 			var frames []byte
 			for i := 1; i <= burst+1; i++ {
-				frames = wire.AppendAnswerFrame(frames, wire.Answer{Sub: sub.ID, Seq: uint64(i), Stream: "s1", Query: "probe"})
+				frames = wire.AppendAnswerFrame(frames, &wire.Answer{Sub: sub.ID, Seq: uint64(i), Stream: "s1", Query: "probe"})
 			}
 			cut := len(frames) - 7
 			if _, err := sconn.Write(frames[:cut]); err != nil {

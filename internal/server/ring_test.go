@@ -65,10 +65,10 @@ func (m *eagerRing) oldest() uint64 {
 func (m *eagerRing) drain(out *outbox) (popped int) {
 	for m.cursor <= m.head && len(out.buf) < wire.BufferSize {
 		if oldest := m.oldest(); m.cursor < oldest {
-			out.add(wire.Answer{Sub: m.id, Seq: oldest - 1, Gap: true, GapFrom: m.cursor})
+			out.add(&wire.Answer{Sub: m.id, Seq: oldest - 1, Gap: true, GapFrom: m.cursor})
 			m.cursor = oldest
 		} else {
-			out.add(m.buf[(m.cursor-1)%uint64(len(m.buf))])
+			out.add(&m.buf[(m.cursor-1)%uint64(len(m.buf))])
 			m.cursor++
 		}
 		popped++

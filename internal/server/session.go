@@ -510,7 +510,7 @@ type outbox struct {
 }
 
 // add encodes one popped answer or gap marker behind the frames pending.
-func (out *outbox) add(wa wire.Answer) {
+func (out *outbox) add(wa *wire.Answer) {
 	if len(out.buf) == 0 && out.timed {
 		out.since = time.Now()
 	}

@@ -55,7 +55,7 @@ func FuzzFrameDecode(f *testing.F) {
 	whole := AppendFrame(nil, TAnswer, AppendAnswer(nil, Answer{Sub: 1, Seq: 3, Stream: "s", Query: "q"}))
 	f.Add(whole[:len(whole)-2]) // torn tail
 	f.Add(bytes.Repeat([]byte{0xff}, HeaderSize+4))
-	f.Add(AppendFrame(AppendAnswerFrame(bytes.Clone(whole), Answer{Sub: 2, Seq: 1, Gap: true, GapFrom: 1}), TAck, nil))
+	f.Add(AppendFrame(AppendAnswerFrame(bytes.Clone(whole), &Answer{Sub: 2, Seq: 1, Gap: true, GapFrom: 1}), TAck, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want []Frame
@@ -258,7 +258,8 @@ func FuzzLivenessDecode(f *testing.F) {
 		// Interned and plain decode agree: same verdict, same error, and —
 		// compared as re-encodings, since floats may be NaN — the same fields.
 		plain, perr := DecodeAnswer(data)
-		interned, ierr := names.DecodeAnswer(data)
+		var interned Answer
+		ierr := names.DecodeAnswer(data, &interned)
 		if (perr == nil) != (ierr == nil) || (perr != nil && perr.Error() != ierr.Error()) {
 			t.Fatalf("interned decode failed with %v, plain with %v", ierr, perr)
 		}

@@ -353,7 +353,11 @@ func DecodeUnsubscribe(b []byte) (Unsubscribe, error) {
 }
 
 // AppendAnswer appends a's payload encoding to dst.
-func AppendAnswer(dst []byte, a Answer) []byte {
+func AppendAnswer(dst []byte, a Answer) []byte { return appendAnswer(dst, &a) }
+
+// appendAnswer is AppendAnswer through a pointer: the 128-byte Answer is read
+// where it lies instead of being copied per call.
+func appendAnswer(dst []byte, a *Answer) []byte {
 	dst = binary.AppendUvarint(dst, a.Sub)
 	dst = binary.AppendUvarint(dst, a.Seq)
 	dst = appendString(dst, a.Stream)
@@ -380,7 +384,9 @@ func AppendAnswer(dst []byte, a Answer) []byte {
 
 // DecodeAnswer decodes an Answer payload.
 func DecodeAnswer(b []byte) (Answer, error) {
-	return (*Interner)(nil).DecodeAnswer(b)
+	var a Answer
+	err := (*Interner)(nil).DecodeAnswer(b, &a)
+	return a, err
 }
 
 // Interner is a bounded table of the strings a long-lived decoder keeps
@@ -393,6 +399,11 @@ func DecodeAnswer(b []byte) (Answer, error) {
 // are never kept.
 type Interner struct {
 	names map[string]string
+	// stream is the Stream of the last answer decoded: a window's answers
+	// to every query carry the same stream key back to back, so a
+	// byte-equal key is returned without a table lookup. Like the table,
+	// it never holds a string longer than maxInternedLen.
+	stream string
 }
 
 const (
@@ -418,15 +429,31 @@ func (in *Interner) intern(b []byte) string {
 	return s
 }
 
-// DecodeAnswer is the package-level DecodeAnswer with the answer's Stream and
-// Query drawn from the table: the same Answer, field for field, and the same
-// errors. A nil Interner decodes plainly.
-func (in *Interner) DecodeAnswer(b []byte) (Answer, error) {
-	var a Answer
+// internStream is intern for an answer's Stream, checking the last one first.
+func (in *Interner) internStream(b []byte) string {
+	if in == nil {
+		return string(b)
+	}
+	if string(b) == in.stream {
+		return in.stream
+	}
+	s := in.intern(b)
+	if len(b) <= maxInternedLen {
+		in.stream = s
+	}
+	return s
+}
+
+// DecodeAnswer is the package-level DecodeAnswer decoding into *a, with the
+// answer's Stream and Query drawn from the table: the same Answer, field for
+// field, and the same errors. Every field of *a is overwritten, so a read
+// loop can decode each frame into one reused Answer; on error *a is
+// unspecified. A nil Interner decodes plainly.
+func (in *Interner) DecodeAnswer(b []byte, a *Answer) error {
 	d := decoder{b: b, names: in}
 	a.Sub = d.uvarint()
 	a.Seq = d.uvarint()
-	a.Stream = d.string()
+	a.Stream = d.stream()
 	a.Query = d.string()
 	a.Epoch = d.uvarint()
 	a.WindowIndex = d.uvarint()
@@ -434,7 +461,7 @@ func (in *Interner) DecodeAnswer(b []byte) (Answer, error) {
 	a.End = d.varint()
 	bits := d.byte()
 	if d.err == nil && bits&^byte(7) != 0 {
-		return a, fmt.Errorf("wire: answer: unknown flag bits %#x", bits)
+		return fmt.Errorf("wire: answer: unknown flag bits %#x", bits)
 	}
 	a.Detected = bits&1 != 0
 	a.Suppressed = bits&2 != 0
@@ -442,13 +469,14 @@ func (in *Interner) DecodeAnswer(b []byte) (Answer, error) {
 	a.SpentEpsilon = d.float()
 	a.RemainingEpsilon = d.float()
 	a.GapFrom = d.uvarint()
+	a.TraceNanos = 0
 	if d.err == nil && !a.Gap && a.GapFrom != 0 {
-		return a, fmt.Errorf("wire: answer: gap-from %d without gap flag", a.GapFrom)
+		return fmt.Errorf("wire: answer: gap-from %d without gap flag", a.GapFrom)
 	}
 	if d.err == nil && a.Gap && (a.GapFrom == 0 || a.GapFrom > a.Seq) {
-		return a, fmt.Errorf("wire: answer: gap range [%d, %d] invalid", a.GapFrom, a.Seq)
+		return fmt.Errorf("wire: answer: gap range [%d, %d] invalid", a.GapFrom, a.Seq)
 	}
-	return a, d.finish("answer")
+	return d.finish("answer")
 }
 
 // DecodeIngest is the package-level DecodeIngest with every event's Type and
@@ -699,22 +727,39 @@ func (d *decoder) byte() byte {
 	return v
 }
 
-func (d *decoder) string() string {
+// bytes reads a length-prefixed string in place; ok is false once the
+// decoder has failed.
+func (d *decoder) bytes() (b []byte, ok bool) {
 	if d.err != nil {
-		return ""
+		return nil, false
 	}
 	l, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
 		d.err = fmt.Errorf("bad string length at offset %d", d.off)
-		return ""
+		return nil, false
 	}
 	if l > maxStringLen || l > uint64(len(d.b)-d.off-n) {
 		d.err = fmt.Errorf("string length %d at offset %d exceeds payload", l, d.off)
-		return ""
+		return nil, false
 	}
-	s := d.names.intern(d.b[d.off+n : d.off+n+int(l)])
+	b = d.b[d.off+n : d.off+n+int(l)]
 	d.off += n + int(l)
-	return s
+	return b, true
+}
+
+func (d *decoder) string() string {
+	if b, ok := d.bytes(); ok {
+		return d.names.intern(b)
+	}
+	return ""
+}
+
+// stream is string for an answer's Stream, checking the Interner's last one first.
+func (d *decoder) stream() string {
+	if b, ok := d.bytes(); ok {
+		return d.names.internStream(b)
+	}
+	return ""
 }
 
 func (d *decoder) fixed32() uint32 {

@@ -181,13 +181,13 @@ func AppendFrame(dst []byte, t Type, payload []byte) []byte {
 	return sealFrame(append(appendHeader(dst, t), payload...), start)
 }
 
-// AppendAnswerFrame appends a complete Answer frame to dst, encoding the
-// payload in place behind its header — byte-identical to
-// AppendFrame(dst, TAnswer, AppendAnswer(nil, a)) without the intermediate
-// payload slice.
-func AppendAnswerFrame(dst []byte, a Answer) []byte {
+// AppendAnswerFrame appends a complete Answer frame to dst, encoding *a in
+// place behind its header — byte-identical to
+// AppendFrame(dst, TAnswer, AppendAnswer(nil, *a)) without the intermediate
+// payload slice or a copy of the answer.
+func AppendAnswerFrame(dst []byte, a *Answer) []byte {
 	start := len(dst)
-	return sealFrame(AppendAnswer(appendHeader(dst, TAnswer), a), start)
+	return sealFrame(appendAnswer(appendHeader(dst, TAnswer), a), start)
 }
 
 // AppendIngestFrame appends a complete Ingest frame to dst, encoding the

@@ -393,37 +393,84 @@ func TestAnswerRejectsBadGapEncoding(t *testing.T) {
 // TestInternedAnswerDecode pins what the interning decoder is for and what
 // bounds it: a repeated answer decodes to the plain decoder's value without
 // allocating, the table starts over at maxInterned names instead of growing,
-// and an oversized name is never kept.
+// and an oversized name is never kept — not in the table, not as the last
+// stream. Every decode reuses one Answer, as a client's read loop does, and
+// starts it dirty, so a field the decoder fails to overwrite shows.
 func TestInternedAnswerDecode(t *testing.T) {
 	var names Interner
+	got := Answer{Stream: "stale", Gap: true, GapFrom: 1, Suppressed: true, TraceNanos: 99}
+	decode := func(a Answer) {
+		t.Helper()
+		if err := names.DecodeAnswer(AppendAnswer(nil, a), &got); err != nil || got != a {
+			t.Fatalf("interned decode = %+v, %v; want %+v", got, err, a)
+		}
+	}
 	a := Answer{Sub: 3, Seq: 9, Stream: "meter-17", Query: "jam", WindowIndex: 4, Start: 40, End: 50, Detected: true, SpentEpsilon: 0.5}
 	enc := AppendAnswer(nil, a)
-	if got, err := names.DecodeAnswer(enc); err != nil || got != a {
-		t.Fatalf("interned decode = %+v, %v; want %+v", got, err, a)
-	}
+	decode(a)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if got, err := names.DecodeAnswer(enc); err != nil || got != a {
+		if err := names.DecodeAnswer(enc, &got); err != nil || got != a {
 			t.Fatalf("interned decode = %+v, %v", got, err)
 		}
 	}); allocs != 0 {
 		t.Errorf("decoding a repeated answer allocates %v times, want 0", allocs)
 	}
+
+	// The last-stream check compares bytes, not lengths: a same-length key
+	// that differs is a different stream.
+	b := a
+	b.Stream = "meter-18"
+	decode(b)
+	// Two streams alternating miss the last-stream check every time and
+	// still decode right, from the table, without allocating.
+	for i := 0; i < 4; i++ {
+		decode([]Answer{a, b}[i%2])
+	}
+	alt := [][]byte{AppendAnswer(nil, a), AppendAnswer(nil, b)}
+	want := []string{a.Stream, b.Stream}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i, enc := range alt {
+			if err := names.DecodeAnswer(enc, &got); err != nil || got.Stream != want[i] {
+				t.Fatalf("interned decode = %+v, %v", got, err)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding two alternating streams allocates %v times per pair, want 0", allocs)
+	}
+
+	// A bad string length right after a cached stream fails exactly as the
+	// plain decoder does: the check never looks past the length prefix.
+	decode(a)
+	head := binary.AppendUvarint(binary.AppendUvarint(nil, a.Sub), a.Seq)
+	for _, bad := range [][]byte{
+		binary.AppendUvarint(bytes.Clone(head), uint64(len(a.Stream))),                          // length past the payload end
+		append(binary.AppendUvarint(bytes.Clone(head), uint64(len(a.Stream))), a.Stream[:4]...), // the key cut short
+		append(bytes.Clone(head), 0xff),                                                         // a length that is no uvarint
+	} {
+		_, perr := DecodeAnswer(bad)
+		ierr := names.DecodeAnswer(bad, &got)
+		if perr == nil || ierr == nil || perr.Error() != ierr.Error() {
+			t.Errorf("payload %x: interned decode failed with %v, plain with %v", bad, ierr, perr)
+		}
+	}
+	decode(a)
+
 	for i := 0; i < 3*maxInterned; i++ {
 		a.Stream = fmt.Sprintf("s%d", i)
-		if got, err := names.DecodeAnswer(AppendAnswer(nil, a)); err != nil || got != a {
-			t.Fatalf("interned decode = %+v, %v; want %+v", got, err, a)
-		}
+		decode(a)
 		if len(names.names) > maxInterned {
 			t.Fatalf("table holds %d names after %d streams, bound %d", len(names.names), i+1, maxInterned)
 		}
 	}
 	clear(names.names)
 	a.Stream = strings.Repeat("x", maxInternedLen+1)
-	if got, err := names.DecodeAnswer(AppendAnswer(nil, a)); err != nil || got != a {
-		t.Fatalf("interned decode of a long name: %v", err)
-	}
+	decode(a)
+	decode(a)
 	if _, kept := names.names[a.Stream]; kept {
 		t.Errorf("a %d-byte name was interned, limit %d", len(a.Stream), maxInternedLen)
+	}
+	if names.stream == a.Stream {
+		t.Errorf("a %d-byte name was kept as the last stream, limit %d", len(a.Stream), maxInternedLen)
 	}
 }
 
