@@ -128,7 +128,7 @@ func parseFlags(role string, args []string) (options, error) {
 		fs.IntVar(&o.maxParked, "max-parked", 0, "server-wide cap on parked (disconnected, resumable) sessions; oldest evicted (0 = unlimited)")
 		fs.StringVar(&o.handoffTo, "handoff-to", "", "under -wal-dir: on the first signal, freeze and hand the partition off to a -takeover peer at this address, then exit 0")
 		fs.StringVar(&o.takeover, "takeover", "", "under -wal-dir: before serving, accept one partition handoff on this address into -wal-dir and adopt it")
-		fs.StringVar(&o.handoffToken, "handoff-token", "", "shared secret authenticating -handoff-to against -takeover (empty = unauthenticated)")
+		fs.StringVar(&o.handoffToken, "handoff-token", "", "shared secret authenticating -handoff-to against -takeover (required with either)")
 	case "client":
 		fs.StringVar(&o.connect, "connect", "", "address of the ppmserve server to feed (required)")
 		fs.StringVar(&o.tenant, "tenant", "tenant-a", "tenant token presented to the server")
@@ -167,6 +167,10 @@ func (o options) runtimeConfig() (runtime.Config, error) {
 		return runtime.Config{}, errors.New("-listen is required")
 	case (o.handoffTo != "" || o.takeover != "") && o.walDir == "":
 		return runtime.Config{}, errors.New("-handoff-to/-takeover require -wal-dir")
+	case (o.handoffTo != "" || o.takeover != "") && o.handoffToken == "":
+		// An unauthenticated takeover would adopt any peer's partition,
+		// including a ledger that books less spend than was released.
+		return runtime.Config{}, errors.New("-handoff-to/-takeover require -handoff-token")
 	case o.replayBuffer < 0:
 		return runtime.Config{}, fmt.Errorf("-replay-buffer %d must be >= 0", o.replayBuffer)
 	}

@@ -71,6 +71,11 @@ func TestFlagsToRuntimeConfig(t *testing.T) {
 			wantErr: "-handoff-to/-takeover require -wal-dir"},
 		{name: "takeover without wal-dir", role: "serve", args: []string{"-takeover", ":2", "-listen", ":1"},
 			wantErr: "-handoff-to/-takeover require -wal-dir"},
+		{name: "handoff-to without token", role: "serve", args: []string{"-listen", ":1", "-wal-dir", "/w", "-handoff-to", ":2"},
+			wantErr: "-handoff-to/-takeover require -handoff-token"},
+		{name: "takeover without token", role: "serve", args: []string{"-listen", ":1", "-wal-dir", "/w", "-takeover", ":2"},
+			wantErr: "-handoff-to/-takeover require -handoff-token"},
+		{name: "takeover with token", role: "serve", args: []string{"-listen", ":1", "-wal-dir", "/w", "-takeover", ":2", "-handoff-token", "s"}},
 		{name: "batch below one", role: "client", args: []string{"-connect", ":1", "-batch", "0"}, wantErr: "batch size 0 must be >= 1"},
 		{name: "negative replay buffer", role: "serve", args: []string{"-listen", ":1", "-replay-buffer", "-1"}, wantErr: "-replay-buffer -1 must be >= 0"},
 		{name: "backpressure", role: "serve", args: []string{"-listen", ":1", "-backpressure", "bogus"}, wantErr: `unknown backpressure policy "bogus"`},

@@ -265,7 +265,7 @@ func printServeReport(z server.Statsz, withBudget bool) {
 			tot.EventsIn, z.EventsPerSec, z.Runtime.Uptime.Round(time.Millisecond))
 	}
 	if st.Flushes > 0 {
-		fmt.Printf("answers delivered in %d socket writes — %.1f answers per flush\n", st.Flushes, z.AnswersPerFlush)
+		fmt.Printf("answers and ingest acks delivered in %d socket writes — %.1f answers per flush\n", st.Flushes, z.AnswersPerFlush)
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	if withBudget {

@@ -500,6 +500,47 @@ func (rt *Runtime) IngestBatch(evs []event.Event) error {
 // ingested; the remainder of the batch is discarded — producers that need
 // exactly-once delivery should treat a batch error as fatal for the stream.
 func (rt *Runtime) IngestBatchContext(ctx context.Context, evs []event.Event) error {
+	return rt.ingestBatch(ctx, evs, nil)
+}
+
+// Receipt is a caller-owned completion for one batch handed to
+// IngestBatchReceipt. The runtime calls Done exactly once per such call,
+// once no part of the batch is left in flight: every shard message carrying
+// part of it has been served, its WAL records committed and its answers
+// published to every sink — or it was evicted by DropOldest backpressure,
+// dropped by a failed shard, or never sent because the call failed. So a
+// sink has received every answer the batch produced before Done runs.
+//
+// Done runs on a shard goroutine, or on the caller's before
+// IngestBatchReceipt returns when nothing is left in flight by then; it
+// must not block. A Receipt may be reused once its Done has run. Done is
+// set by the caller, typically once, so a reused Receipt allocates nothing.
+type Receipt struct {
+	Done  func()
+	parts atomic.Int32 // shard messages in flight, plus the call's own hold
+}
+
+// release drops one hold on the receipt and runs Done with the last.
+func (r *Receipt) release() {
+	if r.parts.Add(-1) == 0 {
+		r.Done()
+	}
+}
+
+// IngestBatchReceipt is IngestBatchContext that also reports, through rc,
+// when the batch has been served (see Receipt). rc.Done runs exactly once
+// per call, whether or not it returns an error; on error, the parts of the
+// batch already handed to shards are served as IngestBatchContext describes.
+func (rt *Runtime) IngestBatchReceipt(ctx context.Context, evs []event.Event, rc *Receipt) error {
+	rc.parts.Store(1)
+	err := rt.ingestBatch(ctx, evs, rc)
+	rc.release()
+	return err
+}
+
+// ingestBatch is IngestBatchContext, each shard message holding rc when it
+// is non-nil.
+func (rt *Runtime) ingestBatch(ctx context.Context, evs []event.Event, rc *Receipt) error {
 	if len(evs) == 0 {
 		return nil
 	}
@@ -539,7 +580,7 @@ func (rt *Runtime) IngestBatchContext(ctx context.Context, evs []event.Event) er
 		}
 	}
 	if single {
-		err := rt.send(ctx, rt.shards[first], ingestMsg{batch: rt.shards[first].copyBatch(evs), t0: t0})
+		err := rt.send(ctx, rt.shards[first], ingestMsg{batch: rt.shards[first].copyBatch(evs), t0: t0, rc: rc})
 		if err == nil && rt.obs != nil {
 			rt.obs.admit.ObserveSince(start)
 		}
@@ -570,7 +611,7 @@ func (rt *Runtime) IngestBatchContext(ctx context.Context, evs []event.Event) er
 		}
 		// Every sub-batch shares the trace origin: a multi-shard traced
 		// batch records one stage set per touched shard.
-		if err := rt.send(ctx, rt.shards[i], ingestMsg{batch: b, t0: t0}); err != nil {
+		if err := rt.send(ctx, rt.shards[i], ingestMsg{batch: b, t0: t0, rc: rc}); err != nil {
 			for j := i + 1; j < n; j++ {
 				if buckets[j] != nil {
 					rt.shards[j].recycleBatch(buckets[j])
@@ -586,12 +627,14 @@ func (rt *Runtime) IngestBatchContext(ctx context.Context, evs []event.Event) er
 }
 
 // send delivers one message to a shard under the configured backpressure
-// policy. Callers hold rt.mu.RLock.
+// policy. The message holds its receipt from here on; one that is never
+// queued is discarded, releasing it. Callers hold rt.mu.RLock.
 func (rt *Runtime) send(ctx context.Context, sh *shard, msg ingestMsg) error {
+	if msg.rc != nil {
+		msg.rc.parts.Add(1)
+	}
 	if sh.failed.Load() {
-		if msg.batch != nil {
-			sh.recycleBatch(msg.batch)
-		}
+		sh.discard(msg)
 		return fmt.Errorf("runtime: shard %d: %w", sh.id, ErrShardFailed)
 	}
 	if rt.cfg.Backpressure == DropOldest {
@@ -602,9 +645,7 @@ func (rt *Runtime) send(ctx context.Context, sh *shard, msg ingestMsg) error {
 			default:
 			}
 			if err := ctx.Err(); err != nil {
-				if msg.batch != nil {
-					sh.recycleBatch(msg.batch)
-				}
+				sh.discard(msg)
 				return err
 			}
 			select {
@@ -616,9 +657,7 @@ func (rt *Runtime) send(ctx context.Context, sh *shard, msg ingestMsg) error {
 					continue
 				}
 				sh.stats.droppedIngest.Add(old.size())
-				if old.batch != nil {
-					sh.recycleBatch(old.batch)
-				}
+				sh.discard(old)
 			default:
 			}
 		}
@@ -627,9 +666,7 @@ func (rt *Runtime) send(ctx context.Context, sh *shard, msg ingestMsg) error {
 	case sh.in <- msg:
 		return nil
 	case <-ctx.Done():
-		if msg.batch != nil {
-			sh.recycleBatch(msg.batch)
-		}
+		sh.discard(msg)
 		return ctx.Err()
 	}
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -43,6 +44,9 @@ type ingestMsg struct {
 	// t0 is the trace origin (unix nanoseconds of ingest admission) when
 	// the batch was selected for lifecycle tracing; 0 otherwise.
 	t0 int64
+	// rc is the receipt of the IngestBatchReceipt call the batch is part
+	// of, released once the message is done with; nil for any other.
+	rc *Receipt
 }
 
 // size returns the number of events the message carries.
@@ -84,6 +88,18 @@ func (s *shard) recycleBatch(b *[]event.Event) {
 	select {
 	case s.batches <- b:
 	default:
+	}
+}
+
+// discard ends an ingest message that will not be served — evicted, refused
+// or drained by a failed shard: its buffer is recycled and its receipt
+// released.
+func (s *shard) discard(m ingestMsg) {
+	if m.batch != nil {
+		s.recycleBatch(m.batch)
+	}
+	if m.rc != nil {
+		m.rc.release()
 	}
 }
 
@@ -342,6 +358,10 @@ func (s *shard) run() {
 			s.rt.obs.finishTrace(s.id, traceN, msg.t0, tHop, tServed)
 			s.trace0 = 0
 		}
+		// Published (or, on failure, dropped): the message is done with.
+		if msg.rc != nil {
+			msg.rc.release()
+		}
 		if !ok {
 			// Serving failed: keep draining so blocked producers and
 			// Close are not wedged on a full channel. The discarded
@@ -353,9 +373,7 @@ func (s *shard) run() {
 					continue
 				}
 				s.stats.droppedFailed.Add(msg.size())
-				if msg.batch != nil {
-					s.recycleBatch(msg.batch)
-				}
+				s.discard(msg)
 			}
 			return
 		}
@@ -565,43 +583,46 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 		}
 		s.ansScratch = served
 	}
+	// Each released answer is built in its outbox slot, field by field
+	// through the slot's pointer: every field is written, since the slot
+	// holds an earlier message's answer.
 	nd := len(s.dem.idx)
 	for i := range ws {
-		out := s.outScratch[i]
-		a := Answer{
-			Stream:           key,
-			Shard:            s.id,
-			Epoch:            s.cur.epoch,
-			SpentEpsilon:     out.Spent,
-			RemainingEpsilon: out.Remaining,
-			TraceNanos:       s.trace0,
-		}
-		a.WindowIndex = st.next + i
-		a.Start, a.End = ws[i].Start, ws[i].End
+		out := &s.outScratch[i]
+		admitted := out.Decision == account.Admitted
 		switch out.Decision {
 		case account.Admitted:
 			// The engine answers window-major, one per demanded query.
 			// (A demand implies a registered query, so no window here was
 			// skipped.)
-			for k, ea := range served[:nd] {
-				a.Query, a.Detected = ea.Query, ea.Detected
-				s.outbox = append(s.outbox, a)
-				s.outSlot = append(s.outSlot, s.dem.slot[k])
-			}
-			served = served[nd:]
 		case account.Suppressed, account.Throttled:
 			// A data-independent placeholder: computed without touching
 			// the window's contents (Detected constant false), so it spends
 			// no budget.
-			a.Suppressed = true
-			for k, j := range s.dem.idx {
-				a.Query = s.cur.targets[j].Name
-				s.outbox = append(s.outbox, a)
-				s.outSlot = append(s.outSlot, s.dem.slot[k])
+		default:
+			// Denied: nothing is released; the window index still advances
+			// so indices stay aligned with time.
+			continue
+		}
+		base := len(s.outbox)
+		s.outbox = slices.Grow(s.outbox, nd)[:base+nd]
+		for k := 0; k < nd; k++ {
+			a := &s.outbox[base+k]
+			a.Stream, a.Shard, a.Epoch = key, s.id, s.cur.epoch
+			a.SpentEpsilon, a.RemainingEpsilon = out.Spent, out.Remaining
+			a.TraceNanos = s.trace0
+			a.WindowIndex = st.next + i
+			a.Start, a.End = ws[i].Start, ws[i].End
+			if admitted {
+				ea := &served[k]
+				a.Query, a.Detected, a.Suppressed = ea.Query, ea.Detected, false
+			} else {
+				a.Query, a.Detected, a.Suppressed = s.cur.targets[s.dem.idx[k]].Name, false, true
 			}
-		case account.Denied:
-			// Nothing is released; the window index still advances so
-			// indices stay aligned with time.
+		}
+		s.outSlot = append(s.outSlot, s.dem.slot...)
+		if admitted {
+			served = served[nd:]
 		}
 	}
 	st.next += len(ws)

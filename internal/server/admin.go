@@ -120,7 +120,8 @@ type Statsz struct {
 	// spend.
 	Server *Stats `json:"server,omitempty"`
 	// AnswersPerFlush is the delivery path's coalescing factor: answers sent
-	// ÷ answer-writer socket writes (Server.Flushes); 0 before the first.
+	// ÷ session-writer socket writes (Server.Flushes, ingest Acks' writes
+	// included); 0 before the first.
 	AnswersPerFlush float64 `json:"answers_per_flush"`
 	// Latencies summarizes every histogram series with at least one
 	// observation, sorted by metric identity.

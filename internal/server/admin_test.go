@@ -58,11 +58,11 @@ func newObservedRuntime(t testing.TB, reg *metrics.Registry, walDir string) *run
 }
 
 // driveTenant connects one tenant, subscribes to everything, ingests four
-// windows, and waits for the three answers they close to be delivered over
-// the wire — so the scrape below sees live per-tenant serving and the
-// delivery latency histogram, and (an ingest is acknowledged when it is
-// queued, not when it is served) every ingested event has been counted by
-// its shard: the last answer leaves only after the last message was served.
+// windows, and takes the three answers they close off the subscription — so
+// the scrape below sees live per-tenant serving and the delivery latency
+// histogram. An ingest is acknowledged once it is served, behind the answers
+// it produced, so every ingested event has been counted by its shard and
+// every answer is already on the client when the last Ingest returns.
 func driveTenant(t testing.TB, l *MemListener, token string) {
 	t.Helper()
 	c := dialTenant(t, l, token)

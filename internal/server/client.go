@@ -698,6 +698,13 @@ func (c *Client) roundTrip(req uint64, write func(net.Conn) error) (wire.Ack, er
 
 // Ingest sends a batch of events and waits for the server's Ack. Event
 // sources are tenant-relative stream keys; the server namespaces them.
+//
+// The server acks a batch once it is served, behind every answer the batch
+// produced for this connection's subscriptions, so those answers must reach
+// their channels before the Ack can be read. Drain the subscriptions on
+// another goroutine, or give each a buf that holds every answer one batch
+// produces: a caller that ingests and drains on one goroutine otherwise
+// waits out RequestTimeout whenever a batch overfills a channel.
 func (c *Client) Ingest(evs []event.Event) (int, error) {
 	req := c.req.next()
 	ack, err := c.roundTrip(req, func(conn net.Conn) error {
@@ -713,10 +720,12 @@ func (c *Client) Ingest(evs []event.Event) (int, error) {
 type ClientSub struct {
 	// C streams the subscription's answers; it closes when the client
 	// closes or the subscription is cancelled. Drain it — an undrained
-	// subscription stalls the client's read loop. Answers carry contiguous
-	// per-subscription Seq numbers; a Gap marker answer (Gap true) reports
-	// sequence numbers lost to replay-ring overflow or an expired resume
-	// (Seq 0 on a marker means the extent of the loss is unknown).
+	// subscription stalls the client's read loop, and with it the Acks of
+	// ingests queued behind its answers (see Client.Ingest). Answers carry
+	// contiguous per-subscription Seq numbers; a Gap marker answer (Gap
+	// true) reports sequence numbers lost to replay-ring overflow or an
+	// expired resume (Seq 0 on a marker means the extent of the loss is
+	// unknown).
 	C <-chan wire.Answer
 
 	id uint64
@@ -728,6 +737,8 @@ func (s *ClientSub) ID() uint64 { return s.id }
 
 // Subscribe opens a streaming subscription for a query name ("" for every
 // query visible to the tenant). buf is the local answer buffer (default 64).
+// An ingest's Ack follows the answers its batch produced, so drain C
+// concurrently with Ingest, or size buf for every answer one batch produces.
 func (c *Client) Subscribe(query string, buf int) (*ClientSub, error) {
 	if buf <= 0 {
 		buf = 64

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -199,7 +200,8 @@ func sendFile(conn net.Conn, dir string, idx uint64, mf wire.HandoffFile, buf []
 // size and CRC at commit, renames the set into place, and acks. On any
 // failure the staged temps are removed and dir is left without durable
 // state; the error tells the operator the source is still authoritative.
-// expectToken, when non-empty, must match HandoffBegin.Token.
+// expectToken, when non-empty, must match HandoffBegin.Token (compared in
+// constant time); ppmserve refuses to hand off or take over without one.
 func ReceiveHandoff(conn net.Conn, dir, expectToken string) (HandoffSummary, error) {
 	sum, err := receiveHandoff(conn, dir, expectToken)
 	if err != nil {
@@ -225,7 +227,7 @@ func receiveHandoff(conn net.Conn, dir, expectToken string) (HandoffSummary, err
 	if err != nil {
 		return sum, fmt.Errorf("server: takeover: %w", err)
 	}
-	if expectToken != "" && begin.Token != expectToken {
+	if expectToken != "" && subtle.ConstantTimeCompare([]byte(begin.Token), []byte(expectToken)) != 1 {
 		return sum, fmt.Errorf("server: takeover: bad handoff token")
 	}
 	sum.Source = begin.Source

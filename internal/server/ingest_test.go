@@ -27,9 +27,10 @@ import (
 // need.
 //
 // A batch's buffer is a fresh one only while the batches queued at the shard
-// set a new high, so the runtime gets a one-message ingest queue: at most
-// three batches are ever in flight, and the warm-up reaches the steady state.
-// A deeper queue reaches it as late as its depth stops growing.
+// set a new high. An ingest is acked once served, so this closed-loop peer
+// has one batch in flight, and the one-message ingest queue bounds it even
+// for a peer that pipelines: the warm-up reaches the steady state. A deeper
+// queue reaches it as late as its depth stops growing.
 func TestIngestBatchAllocs(t *testing.T) {
 	pt, err := core.NewPatternType("secret", "t00", "t01")
 	if err != nil {

@@ -37,7 +37,7 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 		counter("ppm_server_sessions_imported_total",
 			"Sessions adopted from a handoff spill, available for Resume.", st.SessionsImported)
 		counter("ppm_wire_flushes_total",
-			"Answer-writer socket writes, each carrying every answer and gap frame ready at the time.", st.Flushes)
+			"Session-writer socket writes, each carrying every answer and gap frame ready at the time and the ingest Acks behind them; an ack-only write counts too.", st.Flushes)
 		for _, ts := range st.Tenants {
 			l := metrics.L("tenant", ts.Tenant)
 			gauge("ppm_tenant_sessions_open", "The tenant's live connections.", ts.Sessions, l)

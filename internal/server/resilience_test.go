@@ -126,16 +126,16 @@ func TestResumeReplaysMissedTail(t *testing.T) {
 		return s.Stats().SessionsParked == 1
 	})
 
-	// Produce answers into the parked replay ring.
+	// Produce answers into the parked replay ring: an ingest is acked once
+	// served, so its answers are in the ring when Ingest returns.
 	for w := int64(2); w <= 4; w++ {
 		if _, err := feeder.Ingest(windowEvents("s1", w)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, "answers to reach the parked ring", func() bool {
-		return tenantStats(t, s, "alice").AnswersDropped == 0 &&
-			rt.Snapshot().Totals().AnswersEmitted >= 4
-	})
+	if dropped, emitted := tenantStats(t, s, "alice").AnswersDropped, rt.Snapshot().Totals().AnswersEmitted; dropped != 0 || emitted != 4 {
+		t.Fatalf("after the acks: %d answers dropped and %d emitted, want 0 and 4", dropped, emitted)
+	}
 
 	// Let the reconnect through and read the replayed tail.
 	g.release()
@@ -200,15 +200,16 @@ func TestResumeGapOnRingOverflow(t *testing.T) {
 		return s.Stats().SessionsParked == 1
 	})
 
-	// Six closed windows against a ring of two: seqs 1..4 evict.
+	// Six closed windows against a ring of two: seqs 1..4 evict, all by the
+	// time the last ingest is acked.
 	for w := int64(0); w <= 6; w++ {
 		if _, err := feeder.Ingest(windowEvents("s1", w)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, "ring overflow", func() bool {
-		return tenantStats(t, s, "alice").AnswersDropped >= 4
-	})
+	if dropped := tenantStats(t, s, "alice").AnswersDropped; dropped != 4 {
+		t.Fatalf("after the acks: %d answers dropped, want 4", dropped)
+	}
 
 	g.release()
 	covered := map[uint64]bool{}

@@ -144,7 +144,7 @@ type Server struct {
 	coresExpired  metrics.Counter
 	coresEvicted  metrics.Counter
 	coresImported metrics.Counter
-	flushes       metrics.Counter // successful answer-writer flushes
+	flushes       metrics.Counter // successful session-writer flushes, acks included
 
 	// Wire-path histograms, nil without Config.Metrics (sessions gate on
 	// that, so an unobserved server reads no clocks on the frame paths).
@@ -575,9 +575,12 @@ type Stats struct {
 	// SessionsImported counts sessions adopted from a session spill
 	// (Adopt), available for Resume against this process.
 	SessionsImported int64
-	// Flushes counts the answer writers' socket writes. Each carries every
-	// answer and gap frame that was ready when it was issued, so
-	// answers sent ÷ Flushes is the delivery path's coalescing factor.
+	// Flushes counts the session writers' socket writes. Each carries every
+	// answer and gap frame that was ready when it was issued, followed by
+	// the ingest Acks it owes; a write carrying only Acks counts too. So
+	// answers sent ÷ Flushes is the delivery path's coalescing factor, and
+	// on a closed-loop producer Flushes ÷ ingests is the writes per round
+	// trip.
 	Flushes int64
 	// Tenants holds one entry per tenant seen, sorted by id.
 	Tenants []TenantStats

@@ -408,7 +408,9 @@ func TestTenantIsolation(t *testing.T) {
 }
 
 func TestStatsPerTenantSpend(t *testing.T) {
-	rt := newTestRuntime(t, 8)
+	// A grant the test's three releases per tenant do not exhaust, so the
+	// spend shows whether the last one has been charged.
+	rt := newTestRuntime(t, 16)
 	defer rt.Close()
 	s, l := startServer(t, rt, Config{})
 	alice := dialTenant(t, l, "alice")
@@ -419,32 +421,34 @@ func TestStatsPerTenantSpend(t *testing.T) {
 		wg.Add(1)
 		go func(c *Client) {
 			defer wg.Done()
+			name := c.Welcome().Tenant
 			for w := int64(0); w < 4; w++ {
-				if _, err := c.Ingest(windowEvents("s1", w)); err != nil {
+				// Padded with events no query reads, so serving a batch takes
+				// longer than its Ack's trip to the client.
+				evs := windowEvents("s1", w)
+				for i := 0; i < 2000; i++ {
+					evs = append(evs, event.New("c", event.Timestamp(w*10+3)).WithSource("s1"))
+				}
+				if _, err := c.Ingest(evs); err != nil {
 					t.Error(err)
 					return
+				}
+				// An ingest is acked once served: the windows it closed, at
+				// ε = 4 each, are charged by the time Ingest returns.
+				if spent := tenantStats(t, s, name).Spend.Spent; spent != dp.Epsilon(4*w) {
+					t.Errorf("%s: spend %v after window %d was acked, want %v", name, spent, w, 4*w)
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
-	// Wait until both tenants' windows have been charged.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := s.Stats()
-		if len(st.Tenants) == 2 &&
-			st.Tenants[0].Spend.Spent > 0 && st.Tenants[1].Spend.Spent > 0 {
-			if st.Tenants[0].Tenant != "alice" || st.Tenants[1].Tenant != "bob" {
-				t.Fatalf("tenants = %+v", st.Tenants)
-			}
-			if st.Tenants[0].Spend.Streams != 1 || st.Tenants[1].Spend.Streams != 1 {
-				t.Fatalf("per-tenant streams = %+v", st.Tenants)
-			}
-			break
+	st := s.Stats()
+	if len(st.Tenants) != 2 || st.Tenants[0].Tenant != "alice" || st.Tenants[1].Tenant != "bob" {
+		t.Fatalf("tenants = %+v", st.Tenants)
+	}
+	for _, ts := range st.Tenants {
+		if ts.Spend.Streams != 1 {
+			t.Errorf("%s: spend %+v, want one stream", ts.Tenant, ts.Spend)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("per-tenant spend never appeared: %+v", st.Tenants)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"patterndp/internal/cep"
@@ -52,15 +54,38 @@ type session struct {
 
 	// Ingest scratch, touched only by the read loop and reused per request:
 	// the decode buffer, the table the decoded event types and sources are
-	// drawn from, the batch's distinct stream keys, the intern table from a
-	// raw event source to its namespaced stream key, and the ack's payload
-	// and frame buffers. A steady stream's batch allocates nothing.
-	scratch  []event.Event
-	names    wire.Interner
-	keys     map[string]struct{}
-	streams  map[string]string
-	ack      []byte
-	ackFrame []byte
+	// drawn from, the batch's distinct stream keys, and the intern table
+	// from a raw event source to its namespaced stream key. A steady
+	// stream's batch allocates nothing.
+	scratch []event.Event
+	names   wire.Interner
+	keys    map[string]struct{}
+	streams map[string]string
+
+	// acks holds the accepted ingests whose Acks are still owed, in request
+	// order; the writer sends each once its batch has been served, behind
+	// the answers the batch produced. ackFree keeps sent records for reuse,
+	// so a steady ingest stream allocates none.
+	ackMu   sync.Mutex
+	acks    []*pendingAck
+	ackFree []*pendingAck
+}
+
+// pendingAck is one accepted ingest awaiting its Ack. Its receipt fires once
+// the runtime has served the batch and published its answers into the
+// session's rings; ready then tells the writer the Ack may follow them.
+type pendingAck struct {
+	rc     runtime.Receipt
+	ss     *session
+	req, n uint64
+	ready  atomic.Bool
+}
+
+// served is the receipt's Done: it runs on the shard goroutine that
+// published the batch's last part, after that publish.
+func (pa *pendingAck) served() {
+	pa.ready.Store(true)
+	pa.ss.kick()
 }
 
 // maxInternedStreams bounds a session's stream-key intern table: a client
@@ -337,7 +362,10 @@ func (ss *session) handleIngest(payload []byte) bool {
 		ss.sendError(in.Req, wire.CodeQuota, err.Error())
 		return true
 	}
-	if err := ss.srv.cfg.Runtime.IngestBatch(in.Events); err != nil {
+	pa := ss.takeAck(in.Req, uint64(len(in.Events)))
+	if err := ss.srv.cfg.Runtime.IngestBatchReceipt(context.Background(), in.Events, &pa.rc); err != nil {
+		// The record is not queued: no Ack follows this Error, and the
+		// receipt, which may still fire, is left to the collector.
 		code := wire.CodeInternal
 		if ss.srv.Draining() {
 			code = wire.CodeDraining
@@ -346,7 +374,59 @@ func (ss *session) handleIngest(payload []byte) bool {
 		return true
 	}
 	ss.tenant.eventsIn.Add(int64(len(in.Events)))
-	return ss.sendAck(in.Req, uint64(len(in.Events)))
+	ss.queueAck(pa)
+	return true
+}
+
+// takeAck returns an unserved ack record for request req acking n events,
+// reused when one is free.
+func (ss *session) takeAck(req, n uint64) *pendingAck {
+	ss.ackMu.Lock()
+	var pa *pendingAck
+	if k := len(ss.ackFree); k > 0 {
+		pa = ss.ackFree[k-1]
+		ss.ackFree = ss.ackFree[:k-1]
+	}
+	ss.ackMu.Unlock()
+	if pa == nil {
+		pa = &pendingAck{ss: ss}
+		pa.rc.Done = pa.served
+	}
+	pa.req, pa.n = req, n
+	pa.ready.Store(false)
+	return pa
+}
+
+// queueAck puts an accepted ingest's Ack behind the ones already owed. Its
+// batch may already have been served, its receipt's kick spent on a writer
+// that could not see the record yet: then it kicks again.
+func (ss *session) queueAck(pa *pendingAck) {
+	ss.ackMu.Lock()
+	ss.acks = append(ss.acks, pa)
+	ss.ackMu.Unlock()
+	if pa.ready.Load() {
+		ss.kick()
+	}
+}
+
+// readyAcks appends the Acks at the head of the queue whose batches have
+// been served — the ready prefix, so Acks leave in request order — and
+// frees their records.
+func (ss *session) readyAcks(dst []wire.Ack) []wire.Ack {
+	ss.ackMu.Lock()
+	defer ss.ackMu.Unlock()
+	k := 0
+	for k < len(ss.acks) && ss.acks[k].ready.Load() {
+		dst = append(dst, wire.Ack{Req: ss.acks[k].req, N: ss.acks[k].n})
+		k++
+	}
+	if k > 0 {
+		ss.ackFree = append(ss.ackFree, ss.acks[:k]...)
+		n := copy(ss.acks, ss.acks[k:])
+		clear(ss.acks[n:])
+		ss.acks = ss.acks[:n]
+	}
+	return dst
 }
 
 // streamKey namespaces a raw event source under the tenant, interning the
@@ -497,8 +577,8 @@ func (ss *session) handleRegisterPrivate(payload []byte) bool {
 	return ss.sendAck(req.Req, uint64(epoch))
 }
 
-// outbox is the answer writer's pending flush: encoded frames not yet on the
-// wire, and what to credit once they are.
+// outbox is the writer's pending flush: encoded frames not yet on the wire,
+// and what to credit once they are.
 type outbox struct {
 	buf           []byte
 	answers, gaps int64
@@ -529,15 +609,26 @@ func (out *outbox) add(wa *wire.Answer) {
 // ring's ready run — gap markers included, one lock acquisition per run —
 // into one reused buffer of back-to-back frames, which goes out as a single
 // write when the rings run dry or it passes wire.BufferSize — never on a
-// timer, so a lone answer on an idle connection leaves at once. Then it
-// sleeps until a delivering shard kicks it. A pop lost to a failed write is
-// not lost data — the client's next Resume rewinds the cursor to the truth.
+// timer, so a lone answer on an idle connection leaves at once. The Acks of
+// the ingests served by the time a sweep pass starts go out behind the
+// sweep, in the same write: a shard publishes a batch's answers into the
+// rings before its receipt marks the Ack ready, so every answer an acked
+// batch produced for this connection precedes its Ack. Then the writer
+// sleeps until a delivering shard or a served receipt kicks it. A pop lost
+// to a failed write is not lost data — the client's next Resume rewinds the
+// cursor to the truth.
 func (ss *session) writeLoop() {
 	defer ss.wg.Done()
 	out := outbox{timed: ss.srv.encodeH != nil, traced: ss.srv.deliverH != nil}
 	var subs []*subState
+	var acks []wire.Ack
 	for {
+		acks = acks[:0]
 		for popped := true; popped; {
+			// Taken before each pass, so the sweep finds their answers;
+			// an Ack whose batch was served while a pass popped its
+			// answers is taken by the next pass, into the same write.
+			acks = ss.readyAcks(acks)
 			popped = false
 			c := ss.coreRef()
 			if c == nil {
@@ -555,6 +646,9 @@ func (ss *session) writeLoop() {
 					}
 				}
 			}
+		}
+		for _, a := range acks {
+			out.buf = wire.AppendAckFrame(out.buf, a)
 		}
 		if !ss.flush(&out) {
 			return
@@ -576,7 +670,9 @@ func (ss *session) flush(out *outbox) bool {
 	if len(out.buf) == 0 {
 		return true
 	}
-	ss.srv.encodeH.ObserveSince(out.since)
+	if out.answers+out.gaps > 0 {
+		ss.srv.encodeH.ObserveSince(out.since)
+	}
 	if ss.writeBytes(out.buf) != nil {
 		return false
 	}
@@ -620,12 +716,10 @@ func (ss *session) writeFrame(t wire.Type, payload []byte) error {
 	return ss.writeBytes(wire.AppendFrame(nil, t, payload))
 }
 
-// sendAck writes an Ack from the session's own buffers: only the read loop
-// acks, and a write returns only once the conn is done with the bytes.
+// sendAck writes the Ack of a control request. Ingest Acks go out with the
+// writer's flushes instead.
 func (ss *session) sendAck(req, n uint64) bool {
-	ss.ack = wire.AppendAck(ss.ack[:0], wire.Ack{Req: req, N: n})
-	ss.ackFrame = wire.AppendFrame(ss.ackFrame[:0], wire.TAck, ss.ack)
-	return ss.writeBytes(ss.ackFrame) == nil
+	return ss.writeBytes(wire.AppendAckFrame(nil, wire.Ack{Req: req, N: n})) == nil
 }
 
 func (ss *session) sendError(req uint64, code uint8, msg string) {

@@ -190,6 +190,15 @@ func AppendAnswerFrame(dst []byte, a *Answer) []byte {
 	return sealFrame(appendAnswer(appendHeader(dst, TAnswer), a), start)
 }
 
+// AppendAckFrame appends a complete Ack frame to dst, encoding the payload in
+// place behind its header — byte-identical to
+// AppendFrame(dst, TAck, AppendAck(nil, a)) without the intermediate payload
+// slice.
+func AppendAckFrame(dst []byte, a Ack) []byte {
+	start := len(dst)
+	return sealFrame(AppendAck(appendHeader(dst, TAck), a), start)
+}
+
 // AppendIngestFrame appends a complete Ingest frame to dst, encoding the
 // payload in place behind its header — byte-identical to
 // AppendFrame(dst, TIngest, AppendIngest(nil, in)) without the intermediate

@@ -62,6 +62,19 @@ func TestAppendIngestFrameMatchesAppendFrame(t *testing.T) {
 	}
 }
 
+// TestAppendAckFrameMatchesAppendFrame is the same pin for the in-place Ack
+// encoder, which the session writer appends behind a flush's answers.
+func TestAppendAckFrameMatchesAppendFrame(t *testing.T) {
+	for _, prefix := range [][]byte{nil, []byte("earlier frame")} {
+		for _, a := range []Ack{{}, {Req: 1, N: 64}, {Req: 1 << 40, N: 300}} {
+			want := AppendFrame(bytes.Clone(prefix), TAck, AppendAck(nil, a))
+			if got := AppendAckFrame(bytes.Clone(prefix), a); !bytes.Equal(got, want) {
+				t.Errorf("AppendAckFrame(%+v) = %x, want %x", a, got, want)
+			}
+		}
+	}
+}
+
 // countingReader counts the Read calls that reach the transport.
 type countingReader struct {
 	r     io.Reader
