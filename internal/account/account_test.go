@@ -93,7 +93,7 @@ func TestDenyEnforcesGrantExactly(t *testing.T) {
 			admitted++
 		}
 	}
-	if got := float64(sl.Spent()); math.Abs(got-1.0) > 1e-12 {
+	if got := sl.spent.load(); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("spent = %v, want 1.0", got)
 	}
 	if float64(admitted)*charge > 1.0+dp.SpendTolerance(1.0) {
@@ -115,7 +115,7 @@ func TestSuppressKeepsCadence(t *testing.T) {
 			t.Fatalf("window %d: %v, want %v", i, o.Decision, want[i])
 		}
 	}
-	if sp := sl.Spent(); math.Abs(float64(sp)-0.5) > 1e-12 {
+	if sp := sl.spent.load(); math.Abs(sp-0.5) > 1e-12 {
 		t.Fatalf("suppressed releases were charged: spent = %v", sp)
 	}
 }
@@ -178,10 +178,10 @@ func TestRotateDecisionAndLazyRotation(t *testing.T) {
 	if o.Decision != Admitted {
 		t.Fatalf("post-rotation release: %v, want admitted", o.Decision)
 	}
-	if sl.Epoch() != 1 {
-		t.Fatalf("stream epoch = %d, want 1", sl.Epoch())
+	if sl.epoch.Load() != 1 {
+		t.Fatalf("stream epoch = %d, want 1", sl.epoch.Load())
 	}
-	if sp := float64(sl.Spent()); math.Abs(sp-0.2) > 1e-12 {
+	if sp := sl.spent.load(); math.Abs(sp-0.2) > 1e-12 {
 		t.Fatalf("fresh-epoch spent = %v, want 0.2", sp)
 	}
 	snap := l.Snapshot(1)
@@ -202,7 +202,7 @@ func TestComposedRingTracksWEventBound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Decide(sh, sl, int64(i), charge, 0)
 		want := charge * float64(min(i+1, overlap))
-		if got := float64(sl.Composed()); math.Abs(got-want) > 1e-12 {
+		if got := sl.composed.load(); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("window %d: composed = %v, want %v", i, got, want)
 		}
 	}
@@ -213,7 +213,7 @@ func TestComposedRingTracksWEventBound(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		l2.Decide(sh2, sl2, int64(i), 0.5, 0) // exhausts at window 3
 	}
-	if got := float64(sl2.Composed()); math.Abs(got-2.0) > 1e-12 {
+	if got := sl2.composed.load(); math.Abs(got-2.0) > 1e-12 {
 		t.Fatalf("composed after exhaustion = %v", got)
 	}
 	for i := 4; i < 8; i++ {
@@ -221,7 +221,7 @@ func TestComposedRingTracksWEventBound(t *testing.T) {
 			t.Fatalf("window %d: %v", i, o.Decision)
 		}
 	}
-	if got := float64(sl2.Composed()); got != 0 {
+	if got := sl2.composed.load(); got != 0 {
 		t.Fatalf("composed after 4 denied windows = %v, want 0", got)
 	}
 }
@@ -237,15 +237,15 @@ func TestSkipSlidesZerosThroughRing(t *testing.T) {
 	for i := 0; i < overlap; i++ {
 		l.Decide(sh, sl, int64(i), 0.5, 0)
 	}
-	if got := float64(sl.Composed()); math.Abs(got-2.0) > 1e-12 {
+	if got := sl.composed.load(); math.Abs(got-2.0) > 1e-12 {
 		t.Fatalf("composed = %v", got)
 	}
 	l.Skip(sl, 100) // a long queryless gap
-	if got := float64(sl.Composed()); got != 0 {
+	if got := sl.composed.load(); got != 0 {
 		t.Fatalf("composed after queryless gap = %v, want 0", got)
 	}
 	l.Decide(sh, sl, int64(overlap+100), 0.5, 0)
-	if got := float64(sl.Composed()); math.Abs(got-0.5) > 1e-12 {
+	if got := sl.composed.load(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("composed after gap + one release = %v, want 0.5", got)
 	}
 	// The lifetime maximum still remembers the pre-gap bound.

@@ -130,7 +130,7 @@ func TestAttributionMatchesPerCellReference(t *testing.T) {
 			for name, v := range ref.retired {
 				retQ[name] += v
 			}
-			if got, want := float64(streams[i].Spent()), refStreams[i].sum.Value(); got != want {
+			if got, want := streams[i].spent.load(), refStreams[i].sum.Value(); got != want {
 				t.Fatalf("op %d: stream %d spent %v, want %v bit for bit", op, i, got, want)
 			}
 			if refStreams[i].epoch == epoch {

@@ -118,9 +118,6 @@ type ShardLedger struct {
 // the mechanism.
 func (sh *ShardLedger) SetCharge(c float64) { sh.charge.store(c) }
 
-// Charge returns the shard's current per-window release charge.
-func (sh *ShardLedger) Charge() float64 { return sh.charge.load() }
-
 // SetQueries installs the current epoch's target-query names (sorted), used
 // for per-query spend attribution. Attribution of names no longer present is
 // folded into the retired archive. Called by the shard at window boundaries
@@ -238,16 +235,6 @@ type StreamLedger struct {
 
 	admitted, denied, suppressed metrics.Counter
 }
-
-// Epoch returns the budget epoch of the stream's current accumulation.
-func (sl *StreamLedger) Epoch() uint64 { return sl.epoch.Load() }
-
-// Spent returns the stream's live-epoch sequential spend.
-func (sl *StreamLedger) Spent() dp.Epsilon { return dp.Epsilon(sl.spent.load()) }
-
-// Composed returns the stream's current w-event composed loss: the sum of
-// charges over the last overlap windows.
-func (sl *StreamLedger) Composed() dp.Epsilon { return dp.Epsilon(sl.composed.load()) }
 
 // pushRing records one window's charge (0 for a window that released
 // nothing) in the w-event ring and republishes the composed sum. The ring is

@@ -95,8 +95,8 @@ func TestBudgetDistributionConfig(t *testing.T) {
 	if bd.Name() != "bd" || bd.TotalEpsilon() != 1 {
 		t.Error("metadata broken")
 	}
-	if math.Abs(float64(bd.WEventEpsilon())-5.0) > 1e-12 {
-		t.Errorf("w-event eps = %v, want 5", bd.WEventEpsilon())
+	if math.Abs(float64(bd.wEps)-5.0) > 1e-12 {
+		t.Errorf("w-event eps = %v, want 5", bd.wEps)
 	}
 }
 
@@ -208,24 +208,24 @@ func TestLandmarkConfig(t *testing.T) {
 	if l.Name() != "landmark" || l.TotalEpsilon() != 2 {
 		t.Error("metadata broken")
 	}
-	if math.Abs(float64(l.LandmarkEpsilon())-1.0) > 1e-12 {
-		t.Errorf("landmark eps = %v, want 1", l.LandmarkEpsilon())
+	if math.Abs(float64(l.landmarkEps)-1.0) > 1e-12 {
+		t.Errorf("landmark eps = %v, want 1", l.landmarkEps)
 	}
 }
 
 func TestLandmarkDetection(t *testing.T) {
 	p := pt(t, "p", "a")
-	l, _ := NewLandmark(LandmarkConfig{PatternEpsilon: 1, Private: []core.PatternType{p}})
+	priv := privateTypeSet([]core.PatternType{p})
 	landmark := core.IndicatorWindow{
 		Present: map[event.Type]bool{"a": true, "b": true},
 	}
 	regular := core.IndicatorWindow{
 		Present: map[event.Type]bool{"a": false, "b": true},
 	}
-	if !l.IsLandmark(landmark) {
+	if !isLandmark(landmark, priv) {
 		t.Error("window with private element not a landmark")
 	}
-	if l.IsLandmark(regular) {
+	if isLandmark(regular, priv) {
 		t.Error("window without private element is a landmark")
 	}
 }
@@ -313,7 +313,7 @@ func TestWEventBudgetComplianceBD(t *testing.T) {
 	p := pt(t, "p", "a")
 	cfg := WEventConfig{PatternEpsilon: 2, W: 5, Private: []core.PatternType{p}}
 	bd, _ := NewBudgetDistribution(cfg)
-	epsPub := float64(bd.WEventEpsilon()) / 2
+	epsPub := float64(bd.wEps) / 2
 	wins := mkWins(50, 3, "a")
 	// Trace spends by replaying the same decision logic deterministically:
 	// pub spends halve the remaining budget, so the sum over any window of

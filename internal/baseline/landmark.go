@@ -73,13 +73,9 @@ func (l *Landmark) Name() string { return "landmark" }
 // TotalEpsilon implements core.Mechanism.
 func (l *Landmark) TotalEpsilon() dp.Epsilon { return l.cfg.PatternEpsilon }
 
-// LandmarkEpsilon returns the converted per-landmark budget.
-func (l *Landmark) LandmarkEpsilon() dp.Epsilon { return l.landmarkEps }
-
-// IsLandmark reports whether a window is a landmark: it contains at least
-// one private-pattern element event.
-func (l *Landmark) IsLandmark(w core.IndicatorWindow) bool {
-	priv := privateTypeSet(l.cfg.Private)
+// isLandmark reports whether a window is a landmark: it contains at least one
+// private-pattern element event.
+func isLandmark(w core.IndicatorWindow, priv map[event.Type]bool) bool {
 	for t, present := range w.Present {
 		if present && priv[t] {
 			return true
@@ -96,15 +92,9 @@ func (l *Landmark) Run(rng *rand.Rand, wins []core.IndicatorWindow) []map[event.
 	regEps := landEps * l.cfg.RegularFraction
 	for i, w := range wins {
 		release := make(map[event.Type]bool, len(w.Present))
-		isLandmark := false
-		for t, present := range w.Present {
-			if present && priv[t] {
-				isLandmark = true
-				break
-			}
-		}
+		landmark := isLandmark(w, priv)
 		eps := regEps
-		if isLandmark {
+		if landmark {
 			eps = landEps
 		}
 		for _, t := range core.SortedTypes(w.Present) {
@@ -112,7 +102,7 @@ func (l *Landmark) Run(rng *rand.Rand, wins []core.IndicatorWindow) []map[event.
 			if eps > 0 {
 				c += dp.Laplace(rng, 1/eps)
 				release[t] = indicatorFromCount(c)
-			} else if isLandmark {
+			} else if landmark {
 				// A landmark with zero budget must not leak: release
 				// a coin flip (the ε→0 limit of any DP release).
 				release[t] = rng.Float64() < 0.5

@@ -37,9 +37,6 @@ func (u *WEventUniform) Name() string { return "wevent-uniform" }
 // TotalEpsilon implements core.Mechanism.
 func (u *WEventUniform) TotalEpsilon() dp.Epsilon { return u.cfg.PatternEpsilon }
 
-// WEventEpsilon returns the converted w-event budget.
-func (u *WEventUniform) WEventEpsilon() dp.Epsilon { return u.wEps }
-
 // Run implements core.Mechanism.
 func (u *WEventUniform) Run(rng *rand.Rand, wins []core.IndicatorWindow) []map[event.Type]bool {
 	types := sortedTypes(wins)
@@ -90,9 +87,6 @@ func (s *WEventSample) Name() string { return "wevent-sample" }
 
 // TotalEpsilon implements core.Mechanism.
 func (s *WEventSample) TotalEpsilon() dp.Epsilon { return s.cfg.PatternEpsilon }
-
-// WEventEpsilon returns the converted w-event budget.
-func (s *WEventSample) WEventEpsilon() dp.Epsilon { return s.wEps }
 
 // Run implements core.Mechanism.
 func (s *WEventSample) Run(rng *rand.Rand, wins []core.IndicatorWindow) []map[event.Type]bool {

@@ -21,8 +21,8 @@ func TestWEventUniformConfig(t *testing.T) {
 	if u.Name() != "wevent-uniform" || u.TotalEpsilon() != 1 {
 		t.Error("metadata broken")
 	}
-	if math.Abs(float64(u.WEventEpsilon())-5.0) > 1e-12 {
-		t.Errorf("converted = %v", u.WEventEpsilon())
+	if math.Abs(float64(u.wEps)-5.0) > 1e-12 {
+		t.Errorf("converted = %v", u.wEps)
 	}
 }
 
@@ -92,8 +92,8 @@ func TestWEventSampleInterfaceAndBudget(t *testing.T) {
 	var _ core.Mechanism = &WEventSample{}
 	var _ core.Mechanism = &WEventUniform{}
 	s, _ := NewWEventSample(WEventConfig{PatternEpsilon: 2, W: 6, Private: []core.PatternType{p}})
-	if math.Abs(float64(s.WEventEpsilon())-6.0) > 1e-12 {
-		t.Errorf("converted = %v, want 6 (2*6/2)", s.WEventEpsilon())
+	if math.Abs(float64(s.wEps)-6.0) > 1e-12 {
+		t.Errorf("converted = %v, want 6 (2*6/2)", s.wEps)
 	}
 	if _, err := NewWEventSample(WEventConfig{}); err == nil {
 		t.Error("zero config accepted")

@@ -69,9 +69,6 @@ func (b *BudgetDistribution) Name() string { return "bd" }
 // conversion.
 func (b *BudgetDistribution) TotalEpsilon() dp.Epsilon { return b.cfg.PatternEpsilon }
 
-// WEventEpsilon returns the converted w-event budget the mechanism runs on.
-func (b *BudgetDistribution) WEventEpsilon() dp.Epsilon { return b.wEps }
-
 // Run implements core.Mechanism.
 func (b *BudgetDistribution) Run(rng *rand.Rand, wins []core.IndicatorWindow) []map[event.Type]bool {
 	types := sortedTypes(wins)
@@ -155,9 +152,6 @@ func (b *BudgetAbsorption) Name() string { return "ba" }
 
 // TotalEpsilon implements core.Mechanism.
 func (b *BudgetAbsorption) TotalEpsilon() dp.Epsilon { return b.cfg.PatternEpsilon }
-
-// WEventEpsilon returns the converted w-event budget.
-func (b *BudgetAbsorption) WEventEpsilon() dp.Epsilon { return b.wEps }
 
 // Run implements core.Mechanism.
 func (b *BudgetAbsorption) Run(rng *rand.Rand, wins []core.IndicatorWindow) []map[event.Type]bool {

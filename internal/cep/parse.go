@@ -32,7 +32,7 @@ import (
 // Parse returns the expression and the window width (0 when no WITHIN
 // clause is given).
 func Parse(input string) (Expr, event.Timestamp, error) {
-	p := &parser{toks: lex(input), input: input}
+	p := &parser{toks: lex(input)}
 	expr, err := p.parseExpr()
 	if err != nil {
 		return nil, 0, err
@@ -57,15 +57,6 @@ func Parse(input string) (Expr, event.Timestamp, error) {
 		return nil, 0, err
 	}
 	return expr, window, nil
-}
-
-// MustParse is Parse that panics on error, for tests and fixed literals.
-func MustParse(input string) Expr {
-	e, _, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 // ParseQuery parses "name: query-text" into a registered Query. The window
@@ -149,9 +140,8 @@ func isIdentRune(c rune) bool {
 }
 
 type parser struct {
-	toks  []token
-	pos   int
-	input string
+	toks []token
+	pos  int
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }

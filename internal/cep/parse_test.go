@@ -131,13 +131,13 @@ func TestParseIdentifierCharset(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse should panic on bad input")
-		}
-	}()
-	MustParse("SEQ(")
+func mustParse(t *testing.T, input string) Expr {
+	t.Helper()
+	e, _, err := Parse(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func TestParseQuery(t *testing.T) {
@@ -170,8 +170,8 @@ func TestParseRoundTripThroughString(t *testing.T) {
 		"OR(SEQ(a, b), c)",
 	}
 	for _, in := range inputs {
-		e := MustParse(in)
-		back := MustParse(e.String())
+		e := mustParse(t, in)
+		back := mustParse(t, e.String())
 		if back.String() != e.String() {
 			t.Errorf("round trip %q -> %q -> %q", in, e.String(), back.String())
 		}
@@ -244,7 +244,7 @@ func TestTimesTypesAndQueryIntegration(t *testing.T) {
 }
 
 func TestParsedExprEvaluates(t *testing.T) {
-	e := MustParse("SEQ(a, OR(b, c))")
+	e := mustParse(t, "SEQ(a, OR(b, c))")
 	if !EvalIndicators(e, map[event.Type]bool{"a": true, "c": true}) {
 		t.Error("parsed expression failed to evaluate")
 	}

@@ -96,11 +96,6 @@ func MustCompile(q Query) *Plan {
 // Query returns the compiled query.
 func (p *Plan) Query() Query { return p.query }
 
-// RequiredTypes returns the event types that must all be present in a
-// window's released indicators for the pattern to possibly match. The
-// returned slice is shared and must not be modified.
-func (p *Plan) RequiredTypes() []event.Type { return p.required }
-
 // EvalIndicators answers the query over one window's released presence
 // indicators — the compiled counterpart of the EvalIndicators function. It
 // allocates nothing and is safe for concurrent use.

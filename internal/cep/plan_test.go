@@ -130,7 +130,7 @@ func TestPlanRequiredTypes(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := mustPlan(t, c.expr)
-		got := p.RequiredTypes()
+		got := p.required
 		if len(got) != len(c.want) {
 			t.Errorf("%s: required = %v, want %v", c.expr, got, c.want)
 			continue

@@ -136,7 +136,7 @@ func TestUniformPPMConstruction(t *testing.T) {
 	if u.Name() != "uniform" || u.TotalEpsilon() != 2.0 {
 		t.Error("metadata broken")
 	}
-	if len(u.Private()) != 1 {
+	if len(u.private) != 1 {
 		t.Error("Private broken")
 	}
 	// ε_i = 1 per element ⇒ p_i = 1/(1+e) ≈ 0.2689.

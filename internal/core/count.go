@@ -58,26 +58,6 @@ func (c *CountPPM) Name() string { return "count" }
 // TotalEpsilon implements Mechanism.
 func (c *CountPPM) TotalEpsilon() dp.Epsilon { return c.eps }
 
-// Private returns the configured private pattern types.
-func (c *CountPPM) Private() []PatternType { return c.private }
-
-// ElementBudget returns the smallest per-release budget applied to an event
-// type's count (the binding constraint when several patterns claim it), or 0
-// if the type is not protected.
-func (c *CountPPM) ElementBudget(t event.Type) dp.Epsilon {
-	bs := c.budgets[t]
-	if len(bs) == 0 {
-		return 0
-	}
-	min := bs[0]
-	for _, b := range bs[1:] {
-		if b < min {
-			min = b
-		}
-	}
-	return min
-}
-
 // ReleaseCounts releases one window's per-type counts. Counts of types not
 // claimed by any private pattern pass through exactly. Protected types are
 // noised once per claiming pattern (independent sequential releases compose;

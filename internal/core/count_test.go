@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"patterndp/internal/dp"
@@ -24,22 +25,33 @@ func TestNewCountPPMValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name() != "count" || c.TotalEpsilon() != 2 || len(c.Private()) != 1 {
+	if c.Name() != "count" || c.TotalEpsilon() != 2 || len(c.private) != 1 {
 		t.Error("metadata broken")
 	}
+}
+
+// elementBudget returns the smallest per-release budget applied to an event
+// type's count (the binding constraint when several patterns claim it), or 0
+// if the type is not protected.
+func elementBudget(c *CountPPM, t event.Type) dp.Epsilon {
+	bs := c.budgets[t]
+	if len(bs) == 0 {
+		return 0
+	}
+	return slices.Min(bs)
 }
 
 func TestCountPPMElementBudget(t *testing.T) {
 	p1 := mustPT(t, "p1", "a", "b")      // per-element budget 1
 	p2 := mustPT(t, "p2", "a", "c", "d") // per-element budget 2/3
 	c, _ := NewCountPPM(2, p1, p2)
-	if got := c.ElementBudget("a"); math.Abs(float64(got)-2.0/3) > 1e-12 {
+	if got := elementBudget(c, "a"); math.Abs(float64(got)-2.0/3) > 1e-12 {
 		t.Errorf("ElementBudget(a) = %v, want 2/3 (binding constraint)", got)
 	}
-	if got := c.ElementBudget("b"); math.Abs(float64(got)-1.0) > 1e-12 {
+	if got := elementBudget(c, "b"); math.Abs(float64(got)-1.0) > 1e-12 {
 		t.Errorf("ElementBudget(b) = %v", got)
 	}
-	if c.ElementBudget("zzz") != 0 {
+	if elementBudget(c, "zzz") != 0 {
 		t.Error("unprotected type has non-zero budget")
 	}
 }

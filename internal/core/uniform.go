@@ -57,9 +57,6 @@ func (u *UniformPPM) Name() string { return "uniform" }
 // pattern type — eps, or the composed Σεᵢ of a split that rounds above it.
 func (u *UniformPPM) TotalEpsilon() dp.Epsilon { return u.charge }
 
-// Private returns the configured private pattern types.
-func (u *UniformPPM) Private() []PatternType { return u.private }
-
 // RunInto implements ReleaseReuser, reusing the caller's release maps. The
 // sort scratch is shared across the batch, but each window's types are
 // sorted individually, so randomness is consumed in exactly PerturbWindow's

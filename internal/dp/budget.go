@@ -59,21 +59,6 @@ func UniformDistribution(total Epsilon, m int) (*Distribution, error) {
 	return &Distribution{parts: parts}, nil
 }
 
-// NewDistribution adopts an explicit allocation. Parts must be non-negative.
-func NewDistribution(parts []Epsilon) (*Distribution, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("dp: empty distribution")
-	}
-	cp := make([]Epsilon, len(parts))
-	for i, p := range parts {
-		if !p.Valid() {
-			return nil, fmt.Errorf("dp: invalid part %d = %v", i, p)
-		}
-		cp[i] = p
-	}
-	return &Distribution{parts: cp}, nil
-}
-
 // Len returns the number of items.
 func (d *Distribution) Len() int { return len(d.parts) }
 

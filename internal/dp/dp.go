@@ -9,14 +9,10 @@
 package dp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 )
-
-// ErrBudgetExhausted is returned when a budget cannot cover a spend.
-var ErrBudgetExhausted = errors.New("dp: privacy budget exhausted")
 
 // Epsilon is a privacy budget (the ε of ε-DP). Larger means weaker privacy.
 type Epsilon float64

@@ -74,9 +74,6 @@ type Log struct {
 	ckptC      *metrics.Counter
 }
 
-// Dir returns the WAL directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Shard returns the appender for shard i.
 func (l *Log) Shard(i int) *Appender { return l.shards[i] }
 
@@ -200,9 +197,6 @@ func (a *Appender) LSN() uint64 {
 	defer a.mu.Unlock()
 	return a.lsn
 }
-
-// Staged returns the number of records staged and not yet committed.
-func (a *Appender) Staged() int { return a.staged }
 
 // StageWindow stages a window-release record. Charge must be 0 unless the
 // decision is admitted.

@@ -520,8 +520,8 @@ func TestAppendAfterCloseRefused(t *testing.T) {
 	if err := a.Commit(); !errors.Is(err, ErrClosed) {
 		t.Errorf("shard Commit after Close = %v, want ErrClosed", err)
 	}
-	if a.Staged() != 0 {
-		t.Errorf("%d records still staged after a refused commit", a.Staged())
+	if a.staged != 0 {
+		t.Errorf("%d records still staged after a refused commit", a.staged)
 	}
 	if after := listing(); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Errorf("directory changed after Close:\nbefore %v\nafter  %v", before, after)

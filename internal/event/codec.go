@@ -35,12 +35,12 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 //	source  string   — only when flagSource
 //
 // Flag bits 0x02 (wall time) and 0x04 (attributes) are retired: older
-// encoders set them, and DecodeBinary refuses them as unknown flags. The
-// codec is self-delimiting: DecodeBinary reports how many bytes one event
+// encoders set them, and the decoder refuses them as unknown flags. The
+// codec is self-delimiting: decodeBinary reports how many bytes one event
 // consumed, so batches are plain concatenations.
 const flagSource = 1
 
-// maxBinaryStringLen bounds every length prefix DecodeBinary will accept, so
+// maxBinaryStringLen bounds every length prefix the decoder will accept, so
 // a corrupt or hostile length byte cannot force a huge allocation.
 const maxBinaryStringLen = 1 << 20
 
@@ -60,15 +60,10 @@ func AppendBinary(dst []byte, e Event) []byte {
 	return dst
 }
 
-// DecodeBinary decodes one binary event from the front of b, returning the
-// event and the number of bytes consumed. Damaged input surfaces as an
-// error, never a panic or an oversized allocation.
-func DecodeBinary(b []byte) (Event, int, error) {
-	return decodeBinary(b, nil)
-}
-
-// decodeBinary is DecodeBinary drawing the type and source strings from
-// name, or converting them plainly when name is nil.
+// decodeBinary decodes one binary event from the front of b, returning the
+// event and the number of bytes consumed. It draws the type and source
+// strings from name, or converts them plainly when name is nil. Damaged
+// input surfaces as an error, never a panic or an oversized allocation.
 func decodeBinary(b []byte, name func([]byte) string) (Event, int, error) {
 	var e Event
 	if len(b) == 0 {

@@ -25,7 +25,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !in.Equal(out) {
+	if in != out {
 		t.Errorf("round trip lost data:\n in = %v\nout = %v", in, out)
 	}
 }
@@ -41,7 +41,7 @@ func TestJSONRoundTripMinimal(t *testing.T) {
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !in.Equal(out) {
+	if in != out {
 		t.Error("minimal round trip failed")
 	}
 }
@@ -85,14 +85,14 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	for _, in := range cases {
 		buf := AppendBinary(nil, in)
-		out, n, err := DecodeBinary(buf)
+		out, n, err := decodeBinary(buf, nil)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", in, err)
 		}
 		if n != len(buf) {
 			t.Errorf("%v: consumed %d of %d bytes", in, n, len(buf))
 		}
-		if !in.Equal(out) {
+		if in != out {
 			t.Errorf("binary round trip lost data:\n in = %v\nout = %v", in, out)
 		}
 	}
@@ -143,9 +143,9 @@ func TestDecodeBinaryRefusesRetiredFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, n, err := DecodeBinary(b[:len(b):len(b)])
+		_, n, err := decodeBinary(b[:len(b):len(b)], nil)
 		if err == nil || !strings.Contains(err.Error(), "unknown binary flags") {
-			t.Errorf("%s: DecodeBinary = (%d, %v), want an unknown-flags error", h, n, err)
+			t.Errorf("%s: decodeBinary = (%d, %v), want an unknown-flags error", h, n, err)
 		}
 		batch := append([]byte{1}, b...)
 		if _, err := DecodeBinaryBatch(nil, batch[:len(batch):len(batch)]); err == nil || !strings.Contains(err.Error(), "unknown binary flags") {
@@ -171,11 +171,11 @@ func TestBinaryJSONEquivalence(t *testing.T) {
 		if err := json.Unmarshal(js, &viaJSON); err != nil {
 			t.Fatal(err)
 		}
-		viaBinary, n, err := DecodeBinary(AppendBinary(nil, in))
+		viaBinary, n, err := decodeBinary(AppendBinary(nil, in), nil)
 		if err != nil || n == 0 {
 			t.Fatalf("%v: binary decode: %v", in, err)
 		}
-		if !viaJSON.Equal(viaBinary) || !in.Equal(viaJSON) {
+		if viaJSON != viaBinary || in != viaJSON {
 			t.Errorf("codecs disagree:\n in     = %v\n json   = %v\n binary = %v", in, viaJSON, viaBinary)
 		}
 	}
@@ -192,7 +192,7 @@ func TestBinaryBatch(t *testing.T) {
 		t.Fatalf("decoded %d events, want %d", len(got), len(evs))
 	}
 	for i := range evs {
-		if !evs[i].Equal(got[i]) {
+		if evs[i] != got[i] {
 			t.Errorf("event %d differs", i)
 		}
 	}
@@ -216,7 +216,7 @@ func TestDecodeBinaryRejectsBadInput(t *testing.T) {
 		{0x00, 0x00},       // empty type
 	}
 	for _, c := range cases {
-		if _, _, err := DecodeBinary(c); err == nil {
+		if _, _, err := decodeBinary(c, nil); err == nil {
 			t.Errorf("input %x accepted", c)
 		}
 	}

@@ -44,9 +44,6 @@ func (e Event) WithSource(src string) Event {
 	return e
 }
 
-// Equal reports whether two events have the same type, time and source.
-func (e Event) Equal(o Event) bool { return e == o }
-
 // String renders a compact description: type@time/source.
 func (e Event) String() string {
 	s := fmt.Sprintf("%s@%d", e.Type, e.Time)

@@ -20,16 +20,16 @@ func TestEventImmutability(t *testing.T) {
 func TestEventEqual(t *testing.T) {
 	a := New("a", 1).WithSource("s")
 	b := New("a", 1).WithSource("s")
-	if !a.Equal(b) {
+	if a != b {
 		t.Error("identical events not equal")
 	}
-	if a.Equal(b.WithSource("t")) {
+	if a == b.WithSource("t") {
 		t.Error("different sources equal")
 	}
-	if a.Equal(New("a", 2).WithSource("s")) {
+	if a == New("a", 2).WithSource("s") {
 		t.Error("different times equal")
 	}
-	if a.Equal(New("b", 1).WithSource("s")) {
+	if a == New("b", 1).WithSource("s") {
 		t.Error("different types equal")
 	}
 }

@@ -17,7 +17,7 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add([]byte{0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, n, err := DecodeBinary(data)
+		e, n, err := decodeBinary(data, nil)
 		if err != nil {
 			return
 		}
@@ -25,14 +25,14 @@ func FuzzDecodeBinary(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		enc := AppendBinary(nil, e)
-		again, m, err := DecodeBinary(enc)
+		again, m, err := decodeBinary(enc, nil)
 		if err != nil {
 			t.Fatalf("re-decode of %v failed: %v", e, err)
 		}
 		if m != len(enc) {
 			t.Fatalf("re-decode consumed %d of %d bytes", m, len(enc))
 		}
-		if !e.Equal(again) {
+		if e != again {
 			t.Fatalf("round trip changed event: %v vs %v", e, again)
 		}
 	})

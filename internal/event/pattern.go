@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -49,27 +50,12 @@ func (p Pattern) End() Timestamp {
 func (p Pattern) Types() []Type { return TypesOf(p.Events) }
 
 // Contains reports whether the pattern has an element equal to e.
-func (p Pattern) Contains(e Event) bool {
-	for _, pe := range p.Events {
-		if pe.Equal(e) {
-			return true
-		}
-	}
-	return false
-}
+func (p Pattern) Contains(e Event) bool { return slices.Contains(p.Events, e) }
 
 // Equal reports whether two pattern instances have the same name and the
 // same element events.
 func (p Pattern) Equal(o Pattern) bool {
-	if p.Name != o.Name || len(p.Events) != len(o.Events) {
-		return false
-	}
-	for i := range p.Events {
-		if !p.Events[i].Equal(o.Events[i]) {
-			return false
-		}
-	}
-	return true
+	return p.Name == o.Name && slices.Equal(p.Events, o.Events)
 }
 
 // Overlaps reports whether two pattern instances share at least one element
@@ -91,7 +77,7 @@ func (p Pattern) InPatternNeighbor(o Pattern) bool {
 	}
 	diff := 0
 	for i := range p.Events {
-		if !p.Events[i].Equal(o.Events[i]) {
+		if p.Events[i] != o.Events[i] {
 			diff++
 		}
 	}

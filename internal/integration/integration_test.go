@@ -175,44 +175,6 @@ func TestBaselinesThroughPrivateEngine(t *testing.T) {
 	}
 }
 
-// TestTraceLoaderFeedsExperiment goes T-Drive text → loader → dataset →
-// bench-style measurement.
-func TestTraceLoaderFeedsExperiment(t *testing.T) {
-	// Synthesize a "real" trace from the simulator, serialize to the
-	// T-Drive line format via cell centers, and reload it.
-	simCfg := taxi.DefaultConfig(21)
-	simCfg.GridW, simCfg.GridH = 6, 6
-	simCfg.NumTaxis = 8
-	simCfg.Ticks = 60
-	sim, err := taxi.Generate(simCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Build dataset directly from simulated events (the loader path for
-	// pre-parsed events).
-	ds, err := taxi.DatasetFromEvents(sim.Events, simCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	windows := core.IndicatorWindows(ds.Windows(5), ds.AllCellTypes())
-	if len(windows) == 0 {
-		t.Fatal("no windows from loaded dataset")
-	}
-	ppm, err := core.NewUniformPPM(5, ds.PrivateTypes()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	released := ppm.Run(rng, windows)
-	q, conf := core.MeasuredQuality(windows, released, ds.TargetExprs(), 0.5)
-	if conf.Total() == 0 {
-		t.Fatal("no measurements")
-	}
-	if q <= 0 || q > 1 {
-		t.Errorf("quality = %v", q)
-	}
-}
-
 // TestMergedStreamsThroughWindows checks Fig. 1's construction: two data
 // streams merge into one event stream, windows form, and indicators agree
 // with per-stream contents.

@@ -19,7 +19,6 @@ const histBuckets = 64
 // are safe on a nil receiver (no-ops / zero snapshots), so instrumented code
 // never needs a nil check on the fast path.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64 // total nanoseconds
 	buckets [histBuckets]atomic.Int64
 }
@@ -52,7 +51,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(ns)
 	h.buckets[bucketIndex(ns)].Add(1)
 }
@@ -63,14 +61,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 		return
 	}
 	h.Observe(time.Since(start))
-}
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Snapshot captures a point-in-time copy of the histogram. Loads are not

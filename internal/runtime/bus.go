@@ -71,7 +71,6 @@ var ErrSubscriptionCancelled = errors.New("runtime: subscription cancelled")
 // subscription whose buffer fills backpressures serving, so either drain C
 // until it closes or Cancel.
 type Subscription struct {
-	query  string
 	detach func()
 	ch     chan Answer
 	// done is closed before ch so a Deliver blocked on a full buffer aborts
@@ -92,10 +91,6 @@ type Subscription struct {
 // C returns the answer channel. It closes after Cancel (once any buffered
 // answers are drained) or when the runtime closes.
 func (s *Subscription) C() <-chan Answer { return s.ch }
-
-// Query returns the query name the subscription was opened for ("" for the
-// subscribe-all subscription).
-func (s *Subscription) Query() string { return s.query }
 
 // Cancel detaches the subscription from the answer bus and closes its
 // channel, releasing its resources; answers already buffered can still be
@@ -274,17 +269,11 @@ func (b *bus) detach(query string, id uint64) {
 // bus closing is its normal end of stream.
 func (b *bus) subscribe(query string) *Subscription {
 	s := &Subscription{
-		query: query,
-		ch:    make(chan Answer, b.buffer),
-		done:  make(chan struct{}),
+		ch:   make(chan Answer, b.buffer),
+		done: make(chan struct{}),
 	}
 	s.detach = b.attach(query, s, func() { s.terminate(nil) })
 	return s
-}
-
-// subscribers counts the sinks attached under one query name.
-func (b *bus) subscribers(query string) int {
-	return len(b.table.Load().of(query))
 }
 
 // count totals the attached sinks across every query, including the

@@ -38,10 +38,11 @@ func composedCharge(eps dp.Epsilon, dists []*dp.Distribution) dp.Epsilon {
 // mechanism must then book exactly admitted × TotalEpsilon.
 func TestChargeCoversComposedSplit(t *testing.T) {
 	type ppm struct {
-		name  string
-		eps   dp.Epsilon
-		mech  core.Mechanism
-		dists []*dp.Distribution
+		name    string
+		eps     dp.Epsilon
+		mech    core.Mechanism
+		private []core.PatternType
+		dists   []*dp.Distribution
 	}
 	var uniform, adaptive []ppm
 	for m := 1; m <= 10; m++ {
@@ -59,7 +60,7 @@ func TestChargeCoversComposedSplit(t *testing.T) {
 				t.Fatal(err)
 			}
 			d, _ := dp.UniformDistribution(eps, m)
-			uniform = append(uniform, ppm{fmt.Sprintf("uniform m=%d eps=%g", m, eps), eps, u, []*dp.Distribution{d}})
+			uniform = append(uniform, ppm{fmt.Sprintf("uniform m=%d eps=%g", m, eps), eps, u, []core.PatternType{pt}, []*dp.Distribution{d}})
 		}
 	}
 	for _, history := range []int{100, 1000} {
@@ -81,7 +82,7 @@ func TestChargeCoversComposedSplit(t *testing.T) {
 				for k := range dists {
 					dists[k] = a.Distribution(k)
 				}
-				adaptive = append(adaptive, ppm{fmt.Sprintf("adaptive history=%d seed=%d eps=%g", history, seed, eps), eps, a, dists})
+				adaptive = append(adaptive, ppm{fmt.Sprintf("adaptive history=%d seed=%d eps=%g", history, seed, eps), eps, a, a.Private(), dists})
 			}
 		}
 	}
@@ -112,16 +113,15 @@ func TestChargeCoversComposedSplit(t *testing.T) {
 		}
 	}
 	for _, p := range served {
-		t.Run(p.name, func(t *testing.T) { checkLedgerCharge(t, p.mech) })
+		t.Run(p.name, func(t *testing.T) { checkLedgerCharge(t, p.mech, p.private) })
 	}
 }
 
-// checkLedgerCharge serves one stream through m with an ample grant and
-// checks the ledger's declared charge and its total spend against
-// m.TotalEpsilon().
-func checkLedgerCharge(t *testing.T, m core.Mechanism) {
+// checkLedgerCharge serves one stream through m, which protects private,
+// with an ample grant and checks the ledger's declared charge and its total
+// spend against m.TotalEpsilon().
+func checkLedgerCharge(t *testing.T, m core.Mechanism, private []core.PatternType) {
 	t.Helper()
-	private := m.(interface{ Private() []core.PatternType }).Private()
 	const width, windows = 10, 40
 	rt, err := New(Config{
 		Shards:       1,

@@ -387,12 +387,3 @@ func (rt *Runtime) Queries() []cep.Query {
 // Subscribe and Attach still vet the name themselves — so it is for declining
 // early, before building state for a subscription that cannot attach.
 func (rt *Runtime) HasQuery(name string) bool { return rt.ctl.Load().queries[name] }
-
-// PrivateTypes returns the currently registered private pattern types sorted
-// by name.
-func (rt *Runtime) PrivateTypes() []core.PatternType {
-	st := rt.ctl.Load()
-	out := make([]core.PatternType, len(st.private))
-	copy(out, st.private)
-	return out
-}

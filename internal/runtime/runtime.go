@@ -457,9 +457,6 @@ func shardSeed(seed int64, i int) int64 {
 	return core.MixSeed(seed, int64(i)+1)
 }
 
-// Shards returns the number of serving shards.
-func (rt *Runtime) Shards() int { return len(rt.shards) }
-
 // Ingest routes one event to its stream's shard, applying the configured
 // backpressure policy when the shard's channel is full. Events of one stream
 // key may be ingested from one goroutine only (or externally ordered);

@@ -379,7 +379,7 @@ func TestRuntimeSubscriptionCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.bus.subscribers("has-a"); got != 1 {
+	if got := len(rt.bus.table.Load().of("has-a")); got != 1 {
 		t.Fatalf("subscribers = %d, want 1", got)
 	}
 	// Cancel concurrently with live publishing: deliveries racing the
@@ -407,7 +407,7 @@ func TestRuntimeSubscriptionCancel(t *testing.T) {
 	}
 	cancels.Wait()
 	producers.Wait()
-	if got := rt.bus.subscribers("has-a"); got != 0 {
+	if got := len(rt.bus.table.Load().of("has-a")); got != 0 {
 		t.Errorf("subscribers after Cancel = %d, want 0 (leaked)", got)
 	}
 	// The channel must close once buffered answers are drained.
@@ -634,7 +634,7 @@ func TestRuntimePrivateControl(t *testing.T) {
 	if _, err := rt.UnregisterPrivate(core.PatternType{Name: "priv"}); !errors.Is(err, ErrLastPrivate) {
 		t.Errorf("UnregisterPrivate(last) = %v, want ErrLastPrivate", err)
 	}
-	if got := len(rt.PrivateTypes()); got != 1 {
+	if got := len(rt.ctl.Load().private); got != 1 {
 		t.Errorf("PrivateTypes = %d, want 1", got)
 	}
 	if got := rt.Epoch(); got != 0 {

@@ -331,10 +331,6 @@ func (w *Windower) FlushInto(dst []stream.Window) []stream.Window {
 	return out
 }
 
-// Dropped returns how many events were discarded — by the lateness policy
-// or by the horizon bound.
-func (w *Windower) Dropped() int64 { return w.dropped }
-
 // Panes returns how many panes the windower has cut. Tumbling windows are
 // single panes, so the counter tracks windows there.
 func (w *Windower) Panes() int64 { return w.panes }

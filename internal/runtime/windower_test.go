@@ -73,8 +73,8 @@ func TestWindowerDropLate(t *testing.T) {
 	if res != PushLate || len(ws) != 0 {
 		t.Errorf("late push = (%v, %v), want PushLate", ws, res)
 	}
-	if w.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", w.Dropped())
+	if w.dropped != 1 {
+		t.Errorf("dropped = %d, want 1", w.dropped)
 	}
 	// Disorder within the open window is tolerated: a tally has no order.
 	if _, res := w.Push(event.New("c", 11)); res != PushAccepted {
@@ -151,8 +151,8 @@ func TestWindowerHorizon(t *testing.T) {
 	if res != PushFuture || len(ws) != 0 {
 		t.Fatalf("runaway push = (%v, %v), want PushFuture", ws, res)
 	}
-	if w.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", w.Dropped())
+	if w.dropped != 1 {
+		t.Errorf("dropped = %d, want 1", w.dropped)
 	}
 	// ...and must not poison the watermark: on-time events still serve.
 	if _, res := w.Push(event.New("b", 8)); res != PushAccepted {

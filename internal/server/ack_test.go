@@ -36,7 +36,7 @@ func TestAckFollowsBatchAnswers(t *testing.T) {
 	taken := map[int]bool{}
 	for i := 0; len(streams) < 2; i++ {
 		src := string(rune('a' + i))
-		if sh := (runtime.HashSharder{}).Shard("alice/"+src, rt.Shards()); !taken[sh] {
+		if sh := (runtime.HashSharder{}).Shard("alice/"+src, len(rt.Snapshot().Shards)); !taken[sh] {
 			taken[sh] = true
 			streams = append(streams, src)
 		}

@@ -732,9 +732,6 @@ type ClientSub struct {
 	c  *Client
 }
 
-// ID returns the wire subscription id.
-func (s *ClientSub) ID() uint64 { return s.id }
-
 // Subscribe opens a streaming subscription for a query name ("" for every
 // query visible to the tenant). buf is the local answer buffer (default 64).
 // An ingest's Ack follows the answers its batch produced, so drain C

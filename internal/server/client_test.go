@@ -263,7 +263,7 @@ func TestExpiredResumeRestartsSeq(t *testing.T) {
 		}
 	}
 	close(cut)
-	want := wire.Answer{Sub: sub.ID(), Query: "probe", Gap: true, GapFrom: n + 1}
+	want := wire.Answer{Sub: sub.id, Query: "probe", Gap: true, GapFrom: n + 1}
 	if a := recvAnswer(t, sub.C); a != want {
 		t.Fatalf("after the expired resume got %+v, want the local gap marker %+v", a, want)
 	}

@@ -517,8 +517,8 @@ func TestSlowDispatchKeepsSession(t *testing.T) {
 			}
 			acked = true
 		case f.Type == wire.TPong && !ponged:
-			if p, err := wire.DecodePong(f.Payload); err != nil || p.Nonce != 7 {
-				t.Fatalf("pong: %+v, %v", p, err)
+			if want := wire.AppendPong(nil, wire.Pong{Nonce: 7}); !bytes.Equal(f.Payload, want) {
+				t.Fatalf("pong payload %x, want %x", f.Payload, want)
 			}
 			ponged = true
 		default:

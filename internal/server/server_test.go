@@ -173,8 +173,8 @@ func TestIngestSubscribeAnswer(t *testing.T) {
 		if a.Query != "probe" {
 			t.Errorf("answer query = %q", a.Query)
 		}
-		if a.Sub != sub.ID() {
-			t.Errorf("answer sub = %d, want %d", a.Sub, sub.ID())
+		if a.Sub != sub.id {
+			t.Errorf("answer sub = %d, want %d", a.Sub, sub.id)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no answer within 5s")

@@ -199,18 +199,3 @@ func (ds *Dataset) IndicatorWindows() []core.IndicatorWindow {
 // Events returns the generated events as one time-ordered slice, which is
 // shared and must not be modified.
 func (ds *Dataset) Events() []event.Event { return ds.events }
-
-// OverlapCount reports how many patterns are both private and target.
-func (ds *Dataset) OverlapCount() int {
-	priv := make(map[int]bool, len(ds.PrivateIdx))
-	for _, i := range ds.PrivateIdx {
-		priv[i] = true
-	}
-	n := 0
-	for _, i := range ds.TargetIdx {
-		if priv[i] {
-			n++
-		}
-	}
-	return n
-}

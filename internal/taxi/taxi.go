@@ -27,9 +27,6 @@ import (
 	"patterndp/internal/stream"
 )
 
-// SamplePeriodSeconds is the GPS sampling period of the T-Drive dataset.
-const SamplePeriodSeconds = 177
-
 // Config parameterizes the simulation.
 type Config struct {
 	// GridW and GridH are the city dimensions in cells.
@@ -103,16 +100,6 @@ type Cell struct {
 // Type returns the event type emitted by a GPS fix in this cell.
 func (c Cell) Type() event.Type {
 	return event.Type(fmt.Sprintf("cell-%d-%d", c.X, c.Y))
-}
-
-// cellOf is the inverse of Cell.Type: ok is false unless t is exactly the
-// type of some cell, so a non-canonical spelling ("cell-01-2") is refused.
-func cellOf(t event.Type) (Cell, bool) {
-	var c Cell
-	if _, err := fmt.Sscanf(string(t), "cell-%d-%d", &c.X, &c.Y); err != nil {
-		return Cell{}, false
-	}
-	return c, c.Type() == t
 }
 
 // Dataset is one simulated fleet trace plus the area partitioning.

@@ -1,6 +1,7 @@
 package taxi
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -108,6 +109,16 @@ func TestMovementIsContiguous(t *testing.T) {
 	}
 }
 
+// cellOf is the inverse of Cell.Type: ok is false unless t is exactly the
+// type of some cell, so a non-canonical spelling ("cell-01-2") is refused.
+func cellOf(t event.Type) (Cell, bool) {
+	var c Cell
+	if _, err := fmt.Sscanf(string(t), "cell-%d-%d", &c.X, &c.Y); err != nil {
+		return Cell{}, false
+	}
+	return c, c.Type() == t
+}
+
 func mustCell(t *testing.T, e event.Event) Cell {
 	t.Helper()
 	c, ok := cellOf(e.Type)
@@ -124,7 +135,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("lengths differ")
 	}
 	for i := range a.Events {
-		if !a.Events[i].Equal(b.Events[i]) {
+		if a.Events[i] != b.Events[i] {
 			t.Fatalf("event %d differs", i)
 		}
 	}

@@ -274,8 +274,8 @@ func FuzzLivenessDecode(f *testing.F) {
 				t.Fatalf("ping round trip: %+v -> %+v (%v)", p, p2, err)
 			}
 		}
-		if p, err := DecodePong(data); err == nil {
-			if p2, err := DecodePong(AppendPong(nil, p)); err != nil || p2 != p {
+		if p, err := decodePong(data); err == nil {
+			if p2, err := decodePong(AppendPong(nil, p)); err != nil || p2 != p {
 				t.Fatalf("pong round trip: %+v -> %+v (%v)", p, p2, err)
 			}
 		}

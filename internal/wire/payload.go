@@ -613,14 +613,6 @@ func AppendPong(dst []byte, p Pong) []byte {
 	return binary.AppendUvarint(dst, p.Nonce)
 }
 
-// DecodePong decodes a Pong payload.
-func DecodePong(b []byte) (Pong, error) {
-	var p Pong
-	d := decoder{b: b}
-	p.Nonce = d.uvarint()
-	return p, d.finish("pong")
-}
-
 // AppendResume appends r's payload encoding to dst.
 func AppendResume(dst []byte, r Resume) []byte {
 	dst = binary.AppendUvarint(dst, r.Req)

@@ -285,11 +285,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r, buf: make([]byte, initialBuffer)}
 }
 
-// Buffered returns how many bytes have been read from the transport but not
-// yet returned as frames. They usually end in a partial frame, so a non-zero
-// count does not mean Next can return without reading; Ready answers that.
-func (r *Reader) Buffered() int { return r.end - r.pos }
-
 // Ready reports whether the next call to Next returns without reading the
 // transport: the buffer already holds a whole frame, a header Next will
 // reject, or the transport's final error. When it is false Next reads and may
