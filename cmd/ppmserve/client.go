@@ -35,7 +35,7 @@ func (t tally) print(query string) {
 }
 
 // runClient is the client role: replay the synthetic feed to a server as one
-// tenant, subscribed to every query visible to it, and report what came
+// tenant, subscribed to every query the server serves, and report what came
 // back — including the budget position the answers carried.
 func runClient(o options) error {
 	addr, batch, reconnect := o.connect, o.batch, o.reconnect

@@ -183,7 +183,8 @@ func (o options) runtimeConfig() (runtime.Config, error) {
 		Shards: o.shards,
 		Slide:  event.Timestamp(o.slide),
 		// The set-aware factory keeps the budget split coherent across
-		// control-plane epochs (and enables RegisterPrivate).
+		// control-plane epochs; the private set is the server's own (no
+		// tenant registers one over the wire).
 		MechanismFor: func(_ int, private []core.PatternType) (core.Mechanism, error) {
 			return core.NewUniformPPM(eps, private...)
 		},

@@ -231,8 +231,8 @@ func wideQuery(op string, n int) (Query, []event.Type) {
 	return Query{Name: "wide", Pattern: e, Window: 10}, table
 }
 
-// TestCompileWide compiles and binds 100 000-type patterns, a size one
-// RegisterQuery payload can carry, and checks the bound answer against the
+// TestCompileWide compiles and binds 100 000-type patterns, a size a parsed
+// query text can reach, and checks the bound answer against the
 // interpreter on an all-present row and on a row missing one type. Compile
 // runs under the control-plane lock and Bind on every shard, so both must
 // stay linear: a per-type scan of the table takes them to tens of seconds.

@@ -51,9 +51,9 @@ type SessionRecord struct {
 type SessionSub struct {
 	// ID is the client-chosen subscription id.
 	ID uint64 `json:"id"`
-	// Query is the resolved runtime query name (namespaced for tenant
-	// registrations), so the adopting process re-subscribes to exactly the
-	// stream of answers the old process was bridging.
+	// Query is the runtime query name ("" = every query), so the adopting
+	// process re-subscribes to exactly the stream of answers the old process
+	// was bridging.
 	Query string `json:"query"`
 	// Head is the highest answer seq pushed into the replay ring; Cursor is
 	// the last seq delivered to the client.

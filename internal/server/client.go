@@ -21,8 +21,8 @@ type ClientConfig struct {
 	// Required.
 	Dialer func() (net.Conn, error)
 	// RequestTimeout bounds each synchronous round-trip (Ingest, Subscribe,
-	// registrations): a stalled server surfaces as an error instead of a
-	// hung call. 0 = 10s; negative disables.
+	// Unsubscribe): a stalled server surfaces as an error instead of a hung
+	// call. 0 = 10s; negative disables.
 	RequestTimeout time.Duration
 	// Reconnect enables automatic reconnect-with-resume: after a dropped
 	// connection the client re-dials with exponential backoff + jitter,
@@ -36,7 +36,7 @@ type ClientConfig struct {
 }
 
 // Client is a tenant-side connection to a Server. Requests (Ingest,
-// Subscribe, registrations) are synchronous — each waits for its Ack or
+// Subscribe, Unsubscribe) are synchronous — each waits for its Ack or
 // Error under the request timeout — while answers stream asynchronously into
 // per-subscription channels, deduplicated by sequence number. A Client is
 // safe for concurrent use; requests from multiple goroutines are serialized
@@ -54,7 +54,8 @@ type Client struct {
 	welcome   wire.Welcome
 	session   string // current resume token
 	heartbeat time.Duration
-	pending   map[uint64]chan result     // request id → reply slot
+	pending   map[uint64]*replySlot      // request id → reply slot
+	free      []*replySlot               // slots whose replies were received
 	subs      map[uint64]*clientSubState // subscription id → delivery state
 	subID     uint64
 	err       error // terminal error
@@ -208,7 +209,7 @@ func newClient(cfg ClientConfig) *Client {
 	}
 	return &Client{
 		cfg:     cfg,
-		pending: make(map[uint64]chan result),
+		pending: make(map[uint64]*replySlot),
 		subs:    make(map[uint64]*clientSubState),
 		done:    make(chan struct{}),
 		Goodbye: make(chan wire.Goodbye, 1),
@@ -226,7 +227,7 @@ func (c *Client) attach(conn net.Conn, w wire.Welcome) {
 }
 
 // Welcome returns the latest handshake reply (tenant id, shard count, budget
-// grant, shared query names, session facts).
+// grant, the server's query names, session facts).
 func (c *Client) Welcome() wire.Welcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -429,11 +430,11 @@ func (c *Client) writeLocked(conn net.Conn) error {
 
 func (c *Client) reply(req uint64, res result) {
 	c.mu.Lock()
-	ch := c.pending[req]
+	slot := c.pending[req]
 	delete(c.pending, req)
 	c.mu.Unlock()
-	if ch != nil {
-		ch <- res
+	if slot != nil {
+		slot.ch <- res
 	}
 }
 
@@ -455,14 +456,14 @@ func (c *Client) detach(gen uint64, conn net.Conn, cause error) {
 	c.gen++
 	next := c.gen
 	pending := c.pending
-	c.pending = make(map[uint64]chan result)
+	c.pending = make(map[uint64]*replySlot)
 	reconnect := c.cfg.Reconnect
 	c.mu.Unlock()
 	if cause == nil {
 		cause = errClientClosed
 	}
-	for _, ch := range pending {
-		ch <- result{err: fmt.Errorf("%w: %w", errConnLost, cause)}
+	for _, slot := range pending {
+		slot.ch <- result{err: fmt.Errorf("%w: %w", errConnLost, cause)}
 	}
 	if reconnect {
 		c.reconnectLoop(next)
@@ -608,7 +609,7 @@ func (c *Client) fail(err error) {
 	c.gen++
 	conn := c.conn
 	pending := c.pending
-	c.pending = make(map[uint64]chan result)
+	c.pending = make(map[uint64]*replySlot)
 	subs := c.subs
 	c.subs = make(map[uint64]*clientSubState)
 	select {
@@ -620,8 +621,8 @@ func (c *Client) fail(err error) {
 	if conn != nil {
 		conn.Close()
 	}
-	for _, ch := range pending {
-		ch <- result{err: err}
+	for _, slot := range pending {
+		slot.ch <- result{err: err}
 	}
 	for _, st := range subs {
 		st.terminate()
@@ -651,36 +652,68 @@ func (c *Client) Close() error {
 // call sends one request frame (payload only; framing happens here) and
 // waits for its Ack or Error under the request timeout.
 func (c *Client) call(t wire.Type, req uint64, payload []byte) (wire.Ack, error) {
-	return c.roundTrip(req, func(conn net.Conn) error { return c.writeFrame(conn, t, payload) })
-}
-
-// roundTrip registers request req, sends it with write, and waits for its
-// reply under the request timeout.
-func (c *Client) roundTrip(req uint64, write func(net.Conn) error) (wire.Ack, error) {
-	ch := make(chan result, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	conn, slot, err := c.register(req)
+	if err != nil {
 		return wire.Ack{}, err
 	}
-	conn := c.conn
-	c.pending[req] = ch
-	c.mu.Unlock()
-	if err := write(conn); err != nil {
-		c.mu.Lock()
-		delete(c.pending, req)
-		c.mu.Unlock()
-		return wire.Ack{}, err
+	return c.await(req, slot, c.writeFrame(conn, t, payload))
+}
+
+// replySlot is where one request's reply lands: the read loop (or a failing
+// connection) sends exactly one result on ch, and timer bounds the wait for
+// it. A slot goes back to the free list only once its result has been
+// received; one whose wait ended otherwise (a timeout, a failed write) may
+// still be sent a late reply, so it is dropped.
+type replySlot struct {
+	ch    chan result
+	timer *time.Timer // nil until a wait is bounded
+}
+
+// register takes a free reply slot and files it under request req, returning
+// the connection to send the request on.
+func (c *Client) register(req uint64) (net.Conn, *replySlot, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return nil, nil, c.err
+	}
+	var slot *replySlot
+	if k := len(c.free); k > 0 {
+		slot = c.free[k-1]
+		c.free = c.free[:k-1]
+	} else {
+		slot = &replySlot{ch: make(chan result, 1)}
+	}
+	c.pending[req] = slot
+	return c.conn, slot, nil
+}
+
+// await waits for request req's reply once its frame was written (werr is
+// the write's error) under the request timeout.
+func (c *Client) await(req uint64, slot *replySlot, werr error) (wire.Ack, error) {
+	if werr != nil {
+		c.abandon(req)
+		return wire.Ack{}, werr
 	}
 	var timeout <-chan time.Time
 	if rt := c.requestTimeout(); rt > 0 {
-		tm := time.NewTimer(rt)
-		defer tm.Stop()
-		timeout = tm.C
+		// Since Go 1.23 a Reset timer never delivers a tick from before the
+		// Reset, so a slot's timer is reused as it is.
+		if slot.timer == nil {
+			slot.timer = time.NewTimer(rt)
+		} else {
+			slot.timer.Reset(rt)
+		}
+		timeout = slot.timer.C
 	}
 	select {
-	case res := <-ch:
+	case res := <-slot.ch:
+		if slot.timer != nil {
+			slot.timer.Stop()
+		}
+		c.mu.Lock()
+		c.free = append(c.free, slot)
+		c.mu.Unlock()
 		if res.err != nil {
 			return wire.Ack{}, res.err
 		}
@@ -689,11 +722,16 @@ func (c *Client) roundTrip(req uint64, write func(net.Conn) error) (wire.Ack, er
 		}
 		return res.ack, nil
 	case <-timeout:
-		c.mu.Lock()
-		delete(c.pending, req)
-		c.mu.Unlock()
+		c.abandon(req)
 		return wire.Ack{}, fmt.Errorf("server: request timed out after %v", c.requestTimeout())
 	}
+}
+
+// abandon stops waiting for request req's reply. Its slot is not reused.
+func (c *Client) abandon(req uint64) {
+	c.mu.Lock()
+	delete(c.pending, req)
+	c.mu.Unlock()
 }
 
 // Ingest sends a batch of events and waits for the server's Ack. Event
@@ -707,9 +745,11 @@ func (c *Client) roundTrip(req uint64, write func(net.Conn) error) (wire.Ack, er
 // waits out RequestTimeout whenever a batch overfills a channel.
 func (c *Client) Ingest(evs []event.Event) (int, error) {
 	req := c.req.next()
-	ack, err := c.roundTrip(req, func(conn net.Conn) error {
-		return c.writeIngest(conn, wire.Ingest{Req: req, Events: evs})
-	})
+	conn, slot, err := c.register(req)
+	if err != nil {
+		return 0, err
+	}
+	ack, err := c.await(req, slot, c.writeIngest(conn, wire.Ingest{Req: req, Events: evs}))
 	if err != nil {
 		return 0, err
 	}
@@ -733,7 +773,7 @@ type ClientSub struct {
 }
 
 // Subscribe opens a streaming subscription for a query name ("" for every
-// query visible to the tenant). buf is the local answer buffer (default 64).
+// query the server serves). buf is the local answer buffer (default 64).
 // An ingest's Ack follows the answers its batch produced, so drain C
 // concurrently with Ingest, or size buf for every answer one batch produces.
 func (c *Client) Subscribe(query string, buf int) (*ClientSub, error) {
@@ -786,30 +826,6 @@ func (c *Client) Unsubscribe(s *ClientSub) error {
 	_, err := c.call(wire.TUnsubscribe, req,
 		wire.AppendUnsubscribe(nil, wire.Unsubscribe{Req: req, ID: s.id}))
 	return err
-}
-
-// RegisterQuery registers a pattern query under the tenant's namespace and
-// returns the control-plane epoch it took effect under.
-func (c *Client) RegisterQuery(name, pattern string, window int64) (uint64, error) {
-	req := c.req.next()
-	ack, err := c.call(wire.TRegisterQuery, req,
-		wire.AppendRegisterQuery(nil, wire.RegisterQuery{Req: req, Name: name, Pattern: pattern, Window: window}))
-	if err != nil {
-		return 0, err
-	}
-	return ack.N, nil
-}
-
-// RegisterPrivate registers a private pattern type under the tenant's
-// namespace and returns the control-plane epoch it took effect under.
-func (c *Client) RegisterPrivate(name string, elements []string) (uint64, error) {
-	req := c.req.next()
-	ack, err := c.call(wire.TRegisterPrivate, req,
-		wire.AppendRegisterPrivate(nil, wire.RegisterPrivate{Req: req, Name: name, Elements: elements}))
-	if err != nil {
-		return 0, err
-	}
-	return ack.N, nil
 }
 
 // errClientClosed is reported for requests issued after Close.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -348,5 +349,75 @@ func TestClientAnswerPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("the client answer path allocates %.2f times per answer, want 0", allocs/run)
+	}
+}
+
+// TestClientIngestAllocs pins Client.Ingest's request path to zero
+// allocations per call: the reply slot and its timer are reused from one
+// request to the next, and the batch is encoded straight into the write
+// buffer. The peer is a scripted server over loopback TCP that acks each
+// batch without allocating, so the count is the client's and the transport's.
+func TestClientIngestAllocs(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	script := make(chan error, 1)
+	go func() {
+		script <- func() error {
+			conn, err := l.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			p := newScriptPeer(conn)
+			if err := p.handshake("tok"); err != nil {
+				return err
+			}
+			var ack []byte
+			for {
+				f, err := p.r.Next()
+				if err == io.EOF {
+					return nil
+				}
+				if err != nil {
+					return err
+				}
+				if f.Type != wire.TIngest {
+					continue // the client's Goodbye
+				}
+				req, n := binary.Uvarint(f.Payload)
+				if n <= 0 {
+					return fmt.Errorf("ingest payload without a request id")
+				}
+				ack = wire.AppendAckFrame(ack[:0], wire.Ack{Req: req, N: 1})
+				if _, err := conn.Write(ack); err != nil {
+					return err
+				}
+			}
+		}()
+	}()
+	c, err := Connect(ClientConfig{Token: "alice", Dialer: func() (net.Conn, error) {
+		return net.Dial("tcp", l.Addr().String())
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := windowEvents("s1", 0)
+	ingest := func() {
+		if n, err := c.Ingest(evs); err != nil || n != 1 {
+			t.Fatalf("ingest = %d, %v", n, err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		ingest()
+	}
+	if allocs := testing.AllocsPerRun(200, ingest); allocs != 0 {
+		t.Errorf("Client.Ingest allocates %v times per call, want 0", allocs)
+	}
+	c.Close()
+	if err := <-script; err != nil {
+		t.Errorf("scripted server: %v", err)
 	}
 }

@@ -93,7 +93,7 @@ func (st *subState) Deliver(batch []runtime.Answer) {
 	st.mu.Lock()
 	for i := range batch {
 		a := &batch[i]
-		stream, query, ok := c.visible(a)
+		stream, ok := c.visible(a)
 		if !ok {
 			continue // not ours: it takes no seq and no storage
 		}
@@ -102,7 +102,7 @@ func (st *subState) Deliver(batch []runtime.Answer) {
 		// would build the 128-byte answer in a temporary and copy it in.
 		w := st.slot(st.head)
 		w.Sub, w.Seq = st.id, st.head
-		w.Stream, w.Query = stream, query
+		w.Stream, w.Query = stream, a.Query
 		w.Epoch, w.WindowIndex = uint64(a.Epoch), uint64(a.WindowIndex)
 		w.Start, w.End = int64(a.Start), int64(a.End)
 		w.Detected, w.Suppressed = a.Detected, a.Suppressed
@@ -387,23 +387,9 @@ func (c *sessionCore) notify() {
 }
 
 // visible reports whether this session may see a runtime answer and, if so,
-// the stream and query names it goes on the wire under. Answers from other
-// tenants' streams are filtered here — this is the isolation boundary for
-// shared and subscribe-all queries — and namespace prefixes are stripped
-// before the wire.
-func (c *sessionCore) visible(a *runtime.Answer) (stream, query string, ok bool) {
-	stream, ok = strings.CutPrefix(a.Stream, c.prefix)
-	if !ok {
-		return "", "", false
-	}
-	query = a.Query
-	if cut, ok := strings.CutPrefix(query, c.prefix); ok {
-		query = cut
-	} else if strings.ContainsRune(query, namespaceDelim) {
-		// Another tenant's registered query, evaluated over this tenant's
-		// stream by the shared runtime: neither side may see the cross
-		// product, so it is filtered on both rings.
-		return "", "", false
-	}
-	return stream, query, true
+// the stream key it goes on the wire under. Answers from other tenants'
+// streams are filtered here — this is the isolation boundary for every
+// subscription — and the namespace prefix is stripped before the wire.
+func (c *sessionCore) visible(a *runtime.Answer) (stream string, ok bool) {
+	return strings.CutPrefix(a.Stream, c.prefix)
 }

@@ -13,15 +13,20 @@ import (
 )
 
 // TestIntegrationMultiTenant drives the full serving stack over real TCP:
-// N tenants connect concurrently, each registers its own query, subscribes
-// to it and to the shared query, ingests several windows across two streams,
-// and verifies every answer it sees is its own. Afterwards the test asserts
+// N tenants connect concurrently, each subscribes to the shared query and to
+// every query, and ingests several windows across two streams named alike in
+// every tenant. Each tenant must then hold exactly its own answers, so an
+// answer leaking across tenants changes a count. Afterwards the test asserts
 // no runtime subscription leaked, the ledger attributes spend per tenant,
 // and drain shuts everything down cleanly.
 func TestIntegrationMultiTenant(t *testing.T) {
 	const (
 		tenants        = 4
 		windowsPerFeed = 5
+		// Per subscription: two feeds, each with windowsPerFeed-1 closed
+		// windows (the last stays open until drain), and "probe" is the
+		// only query, so subscribe-all sees the same answers.
+		want = 2 * (windowsPerFeed - 1)
 	)
 	rt := newTestRuntime(t, 1000)
 	defer rt.Close()
@@ -45,13 +50,24 @@ func TestIntegrationMultiTenant(t *testing.T) {
 	}()
 	addr := l.Addr().String()
 
+	type tenantRun struct {
+		c          *Client
+		probe, all *ClientSub
+	}
+	runs := make([]tenantRun, tenants)
+	defer func() {
+		for _, r := range runs {
+			if r.c != nil {
+				r.c.Close()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, tenants)
-	for ti := 0; ti < tenants; ti++ {
+	for ti := range runs {
 		wg.Add(1)
-		go func(ti int) {
+		go func(r *tenantRun, tenant string) {
 			defer wg.Done()
-			tenant := fmt.Sprintf("tenant-%d", ti)
 			fail := func(format string, args ...any) {
 				errs <- fmt.Errorf("%s: %s", tenant, fmt.Sprintf(format, args...))
 			}
@@ -60,80 +76,73 @@ func TestIntegrationMultiTenant(t *testing.T) {
 				fail("dial: %v", err)
 				return
 			}
-			c, err := connectOver(conn, tenant)
-			if err != nil {
+			if r.c, err = connectOver(conn, tenant); err != nil {
 				fail("handshake: %v", err)
 				return
 			}
-			defer c.Close()
-			if c.Welcome().Tenant != tenant {
-				fail("welcome tenant = %q", c.Welcome().Tenant)
+			if r.c.Welcome().Tenant != tenant {
+				fail("welcome tenant = %q", r.c.Welcome().Tenant)
 				return
 			}
-			own := fmt.Sprintf("q%d", ti)
-			if _, err := c.RegisterQuery(own, "SEQ(a, b)", 10); err != nil {
-				fail("register: %v", err)
+			// Both channels hold every answer the tenant is owed, so the
+			// ingest loop needs no concurrent reader.
+			if r.probe, err = r.c.Subscribe("probe", 4*want); err != nil {
+				fail("subscribe probe: %v", err)
 				return
 			}
-			subOwn, err := c.Subscribe(own, 256)
-			if err != nil {
-				fail("subscribe own: %v", err)
-				return
-			}
-			subAll, err := c.Subscribe("", 256)
-			if err != nil {
+			if r.all, err = r.c.Subscribe("", 4*want); err != nil {
 				fail("subscribe all: %v", err)
 				return
 			}
 			for w := int64(0); w < windowsPerFeed; w++ {
 				for _, stream := range []string{"s1", "s2"} {
-					if _, err := c.Ingest(windowEvents(stream, w)); err != nil {
+					if _, err := r.c.Ingest(windowEvents(stream, w)); err != nil {
 						fail("ingest: %v", err)
 						return
 					}
 				}
 			}
-			// Each feed has windowsPerFeed-1 closed windows (the last stays
-			// open until drain); the subscribe-all handle sees both queries.
-			const wantOwn = 2 * (windowsPerFeed - 1)
-			deadline := time.After(10 * time.Second)
-			for got := 0; got < wantOwn; got++ {
-				select {
-				case a := <-subOwn.C:
-					if a.Query != own {
-						fail("own subscription saw query %q", a.Query)
-						return
-					}
-					if a.Stream != "s1" && a.Stream != "s2" {
-						fail("own subscription saw stream %q", a.Stream)
-						return
-					}
-				case <-deadline:
-					fail("own answers: got %d of %d", got, wantOwn)
-					return
-				}
-			}
-			for got := 0; got < 2*wantOwn; got++ {
-				select {
-				case a := <-subAll.C:
-					if a.Query != own && a.Query != "probe" {
-						fail("subscribe-all saw foreign query %q", a.Query)
-						return
-					}
-				case <-deadline:
-					fail("subscribe-all answers: got %d of %d", got, 2*wantOwn)
-					return
-				}
-			}
-			if err := c.Unsubscribe(subOwn); err != nil {
-				fail("unsubscribe: %v", err)
-			}
-		}(ti)
+		}(&runs[ti], fmt.Sprintf("tenant-%d", ti))
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	// Every tenant's batches were served before their Acks, so every answer
+	// is in its rings. An empty ingest's Ack leaves behind all a session's
+	// rings hold: once it returns, the channels hold all the tenant got.
+	for ti, r := range runs {
+		if _, err := r.c.Ingest(nil); err != nil {
+			t.Fatalf("tenant-%d: sync ingest: %v", ti, err)
+		}
+		for _, sub := range []struct {
+			name string
+			sub  *ClientSub
+		}{{"probe", r.probe}, {"subscribe-all", r.all}} {
+			if got := len(sub.sub.C); got != want {
+				t.Errorf("tenant-%d %s: %d answers, want %d", ti, sub.name, got, want)
+			}
+			perStream := make(map[string]int)
+			for seq := uint64(1); len(sub.sub.C) > 0; seq++ {
+				a := <-sub.sub.C
+				if a.Query != "probe" || a.Seq != seq || a.Gap {
+					t.Errorf("tenant-%d %s: answer %+v, want probe seq %d", ti, sub.name, a, seq)
+				}
+				perStream[a.Stream]++
+			}
+			if len(perStream) != 2 || perStream["s1"] != want/2 || perStream["s2"] != want/2 {
+				t.Errorf("tenant-%d %s: answers per stream %v, want %d on s1 and s2", ti, sub.name, perStream, want/2)
+			}
+		}
+		if err := r.c.Unsubscribe(r.probe); err != nil {
+			t.Errorf("tenant-%d: unsubscribe: %v", ti, err)
+		}
+		r.c.Close()
 	}
 	if t.Failed() {
 		return
@@ -159,13 +168,9 @@ func TestIntegrationMultiTenant(t *testing.T) {
 
 	// Every client closed; its sessions must have released their runtime
 	// subscriptions (the leak assertion).
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.Snapshot().Subscriptions != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscription leak: %d still open", rt.Snapshot().Subscriptions)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "every runtime subscription to be released", func() bool {
+		return rt.Snapshot().Subscriptions == 0
+	})
 
 	// Drain: stop accepting, close the runtime (flushing trailing windows),
 	// wait for sessions.

@@ -35,13 +35,13 @@ func (m *eagerRing) deliver(c *sessionCore, batch []runtime.Answer) {
 	n := uint64(len(m.buf))
 	for i := range batch {
 		a := &batch[i]
-		stream, query, ok := c.visible(a)
+		stream, ok := c.visible(a)
 		if !ok {
 			continue
 		}
 		m.head++
 		m.buf[(m.head-1)%n] = wire.Answer{
-			Sub: m.id, Seq: m.head, Stream: stream, Query: query,
+			Sub: m.id, Seq: m.head, Stream: stream, Query: a.Query,
 			Epoch: uint64(a.Epoch), WindowIndex: uint64(a.WindowIndex),
 			Start: int64(a.Start), End: int64(a.End),
 			Detected: a.Detected, Suppressed: a.Suppressed,
@@ -122,11 +122,11 @@ func (m *eagerRing) reseed(sub durable.SessionSub) {
 }
 
 // ringAnswers is a batch of n runtime answers as a shard would deliver them to
-// tenant alice's subscribe-all ring: her own answers mixed with bob's and with
-// answers of bob's queries over her streams, which her ring must skip.
+// tenant alice's subscribe-all ring: her own answers mixed with bob's, which
+// her ring must skip. Query names reach her as they are, delimited or not.
 func ringAnswers(rng *rand.Rand, n int) []runtime.Answer {
 	streams := []string{"alice/s1", "alice/s2", "bob/s1"}
-	queries := []string{"probe", "alice/mine", "bob/theirs"}
+	queries := []string{"probe", "near", "ops/probe"}
 	batch := make([]runtime.Answer, n)
 	for i := range batch {
 		a := &batch[i]
@@ -273,7 +273,7 @@ func TestRingStorageFollowsRetention(t *testing.T) {
 	for i := range foreign {
 		foreign[i].Stream, foreign[i].Query = "bob/s1", "probe"
 		if i%2 == 1 {
-			foreign[i].Stream, foreign[i].Query = "alice/s1", "bob/theirs"
+			foreign[i].Stream = "bob/s2"
 		}
 	}
 	st := rings[subs-1]

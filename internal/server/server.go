@@ -2,15 +2,19 @@
 // to remote tenants over the wire protocol (package wire), multiplexing many
 // tenant connections onto one shared serving runtime.
 //
-// Isolation is by namespacing, not by partitioning: every stream key and
-// every tenant-registered query name is prefixed "tenant/" before it reaches
-// the runtime, so two tenants ingesting a stream "s1" land on the distinct
-// keys "a/s1" and "b/s1" — distinct windowers, distinct budget sub-ledgers,
-// distinct answer feeds. Answer delivery applies the inverse: a session only
-// forwards answers whose stream key carries its tenant's prefix, and strips
-// the prefix before the wire, so no tenant ever observes another tenant's
-// stream keys or answers. Per-tenant ε spend falls out of the same prefixes
-// via Runtime.SpendByNamespace.
+// Isolation is by namespacing, not by partitioning: every stream key is
+// prefixed "tenant/" before it reaches the runtime, so two tenants ingesting
+// a stream "s1" land on the distinct keys "a/s1" and "b/s1" — distinct
+// windowers, distinct budget sub-ledgers, distinct answer feeds. Answer
+// delivery applies the inverse: a session only forwards answers whose stream
+// key carries its tenant's prefix, and strips the prefix before the wire, so
+// no tenant ever observes another tenant's stream keys or answers. Per-tenant
+// ε spend falls out of the same prefixes via Runtime.SpendByNamespace.
+//
+// Queries are not namespaced. Every query and private pattern type is the
+// server's, set on the runtime's control plane in process; a query name means
+// the same query to every tenant, and no tenant can change the control plane
+// over the wire.
 //
 // Backpressure is per subscription. Each subscription owns a bounded replay
 // ring of sequence-numbered answers, swept onto the wire by the session's
@@ -21,9 +25,13 @@
 // batch never blocks — an answer that overflows the ring evicts the oldest
 // entry, and the eviction surfaces to the subscriber as an explicit Gap
 // marker answer. A slow or stalled subscriber therefore costs itself answers
-// but never stalls the runtime's publish path or any other tenant's delivery. Control replies (acks, errors) are never dropped:
-// they are written from the session's request loop, which blocks — and
-// thereby backpressures — only the connection that issued the request.
+// but never stalls the runtime's publish path or any other tenant's delivery.
+// Control replies are never dropped. An ingest's Ack is written by the same
+// writer, once its batch is served and behind every answer the batch
+// produced for the session's subscriptions; every other reply (a Subscribed,
+// an unsubscribe's Ack, an Error, a Pong) is written from the session's
+// request loop. Either wait blocks — and thereby backpressures — only the
+// connection that issued the request.
 //
 // Resilience: sessions carry liveness deadlines (a peer silent for two
 // heartbeat intervals is reaped; every write is bounded by a write
@@ -52,8 +60,8 @@ import (
 
 // Tenant is an authenticated principal.
 type Tenant struct {
-	// ID is the namespace prefix for the tenant's streams and queries. It
-	// must be non-empty and must not contain '/' (the namespace delimiter).
+	// ID is the namespace prefix for the tenant's stream keys. It must be
+	// non-empty and must not contain '/' (the namespace delimiter).
 	ID string
 	// MaxStreams caps how many distinct stream keys the tenant may ingest
 	// across all its connections; 0 is unlimited. The cap bounds the
@@ -349,7 +357,7 @@ func (s *Server) tenantFor(t Tenant) *tenantState {
 }
 
 // Drain begins a graceful shutdown: every listener stops accepting, new
-// ingest and registration requests are rejected with CodeDraining, and every
+// ingest requests are rejected with CodeDraining, and every
 // live session is sent a Goodbye so clients finish draining their answer
 // subscriptions and disconnect. Drain is idempotent and returns immediately;
 // follow it with Runtime.CloseContext (flushing in-flight windows through
@@ -649,8 +657,8 @@ func (s *Server) counters(spend map[string]account.NamespaceSpend) Stats {
 	return st
 }
 
-// namespaceDelim separates the tenant prefix from tenant-relative names in
-// stream keys and query names.
+// namespaceDelim separates the tenant prefix from the tenant-relative source
+// in a stream key.
 const namespaceDelim = '/'
 
 // reqCounter hands out client-visible request ids on the client side.

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -203,55 +204,84 @@ func TestSubscribeUnknownQuery(t *testing.T) {
 	}
 }
 
-func TestRegisterQueryNamespaced(t *testing.T) {
-	rt := newTestRuntime(t, 0)
+// TestEveryQueryIsShared pins what a query name means on the wire: every
+// query is the server's, set in process, and a name means the same
+// query to every tenant, a delimited name included. What a tenant receives
+// from it is still only its own streams' answers.
+func TestEveryQueryIsShared(t *testing.T) {
+	rt := newTestRuntime(t, 0, func(cfg *runtime.Config) {
+		cfg.Targets = append(cfg.Targets, cep.Query{Name: "ops/probe", Pattern: cep.E("a"), Window: 10})
+	})
 	defer rt.Close()
 	_, l := startServer(t, rt, Config{})
 	alice := dialTenant(t, l, "alice")
 	bob := dialTenant(t, l, "bob")
-
-	if _, err := alice.RegisterQuery("mine", "SEQ(a, b)", 10); err != nil {
-		t.Fatal(err)
+	var subs []*ClientSub
+	for _, c := range []*Client{alice, bob} {
+		if got := slices.Sorted(slices.Values(c.Welcome().Queries)); !slices.Equal(got, []string{"ops/probe", "probe"}) {
+			t.Errorf("%s: welcome lists %v, want ops/probe and probe", c.Welcome().Tenant, got)
+		}
+		sub, err := c.Subscribe("ops/probe", 16)
+		if err != nil {
+			t.Fatalf("%s: subscribe ops/probe: %v", c.Welcome().Tenant, err)
+		}
+		subs = append(subs, sub)
 	}
-	// The name lives under alice's namespace: bob cannot see it …
-	if _, err := bob.Subscribe("mine", 1); err == nil {
-		t.Fatal("bob subscribed to alice's query")
-	}
-	// … while alice resolves it before any shared name.
-	sub, err := alice.Subscribe("mine", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := int64(0); w < 2; w++ {
+	for w := int64(0); w < 3; w++ {
 		if _, err := alice.Ingest(windowEvents("s1", w)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case a := <-sub.C:
-		if a.Query != "mine" {
-			t.Errorf("answer query = %q (tenant prefix must be stripped)", a.Query)
+	// Alice's answers reached every ring before her last Ack; an empty
+	// ingest's Ack leaves behind whatever bob's rings hold.
+	if _, err := bob.Ingest(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(subs[1].C); got != 0 {
+		t.Errorf("bob received %d of alice's answers", got)
+	}
+	for i := 0; i < 2; i++ {
+		if a := recvAnswer(t, subs[0].C); a.Query != "ops/probe" || a.Stream != "s1" {
+			t.Errorf("alice's answer %d: %+v", i, a)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no answer within 5s")
 	}
 }
 
-func TestRegisterPrivateNamespaced(t *testing.T) {
+// TestRegistrationFramesRefused pins the retired registration frame types:
+// tenants cannot change the control plane over the wire, so a frame of type 8
+// or 9 is a protocol error that ends the session and registers nothing.
+func TestRegistrationFramesRefused(t *testing.T) {
 	rt := newTestRuntime(t, 0)
 	defer rt.Close()
 	_, l := startServer(t, rt, Config{})
-	c := dialTenant(t, l, "alice")
-
-	if _, err := c.RegisterPrivate("sensitive", []string{"a", "c"}); err != nil {
-		t.Fatal(err)
+	for _, typ := range []wire.Type{8, 9} {
+		conn, err := l.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_, r, err := handshake(conn, "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Req 1, name "mine", then one element "a", as a registration read.
+		payload := []byte{0x01, 0x04, 'm', 'i', 'n', 'e', 0x01, 0x01, 'a'}
+		if err := wire.WriteFrame(conn, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		f, err := r.Next()
+		if err != nil || f.Type != wire.TError {
+			t.Fatalf("reply to a type-%d frame: %v, %v; want an error frame", typ, f.Type, err)
+		}
+		if we, err := wire.DecodeError(f.Payload); err != nil || we.Code != wire.CodeProto || we.Req != 0 {
+			t.Fatalf("type-%d frame refused with %+v (%v), want a connection-level CodeProto", typ, we, err)
+		}
+		if f, err := r.Next(); err == nil {
+			t.Fatalf("session kept going after a type-%d frame: read a %v frame", typ, f.Type)
+		}
 	}
-	// The registered type is namespaced; a bad registration is rejected.
-	if _, err := c.RegisterPrivate("", []string{"a"}); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if _, err := c.RegisterPrivate("x/y", []string{"a"}); err == nil {
-		t.Fatal("delimiter in name accepted")
+	if qs := rt.Queries(); len(qs) != 1 || qs[0].Name != "probe" {
+		t.Errorf("queries after the refused frames: %v", qs)
 	}
 }
 

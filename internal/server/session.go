@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"patterndp/internal/cep"
-	"patterndp/internal/core"
 	"patterndp/internal/event"
 	"patterndp/internal/runtime"
 	"patterndp/internal/wire"
@@ -225,17 +223,15 @@ func (ss *session) handshake(r *wire.Reader) bool {
 	ss.prefix = t.ID + string(namespaceDelim)
 	ss.setCore(ss.srv.newCore(ss.tenant, ss.prefix, ss))
 	rt := ss.srv.cfg.Runtime
-	var shared []string
+	var queries []string
 	for _, q := range rt.Queries() {
-		if !strings.ContainsRune(q.Name, namespaceDelim) {
-			shared = append(shared, q.Name)
-		}
+		queries = append(queries, q.Name)
 	}
 	w := wire.Welcome{
 		Tenant:             t.ID,
 		Shards:             uint64(len(rt.Snapshot().Shards)),
 		Grant:              float64(rt.BudgetGrant()),
-		Queries:            shared,
+		Queries:            queries,
 		Session:            ss.coreRef().token,
 		HeartbeatMillis:    uint64(ss.srv.heartbeat() / time.Millisecond),
 		ResumeWindowMillis: uint64(ss.srv.resumeWindow() / time.Millisecond),
@@ -270,10 +266,6 @@ func (ss *session) dispatch(f wire.Frame) bool {
 		return ss.handleSubscribe(f.Payload)
 	case wire.TUnsubscribe:
 		return ss.handleUnsubscribe(f.Payload)
-	case wire.TRegisterQuery:
-		return ss.handleRegisterQuery(f.Payload)
-	case wire.TRegisterPrivate:
-		return ss.handleRegisterPrivate(f.Payload)
 	default:
 		ss.sendError(0, wire.CodeProto, fmt.Sprintf("unexpected frame %v", f.Type))
 		return false
@@ -459,27 +451,13 @@ func (ss *session) handleSubscribe(payload []byte) bool {
 		return true
 	}
 	// Resolve the name before building the ring, so a subscribe that cannot
-	// succeed costs no replay buffer. Only tenant-relative names resolve — a
-	// delimited one could reach into another tenant's namespace, and is
-	// answered exactly like a missing query, so it is no oracle on which names
-	// exist there — and tenant-registered names shadow shared ones.
-	rt := ss.srv.cfg.Runtime
-	query := req.Query
-	if query != "" {
-		switch {
-		case strings.ContainsRune(query, namespaceDelim):
-			err = runtime.ErrUnknownQuery
-		case rt.HasQuery(ss.prefix + query):
-			query = ss.prefix + query
-		case !rt.HasQuery(query):
-			err = runtime.ErrUnknownQuery
-		}
-		if err != nil {
-			ss.sendError(req.Req, wire.CodeUnknownQuery, fmt.Sprintf("%v: %q", err, req.Query))
-			return true
-		}
+	// succeed costs no replay buffer. Every query is the server's: a name
+	// means the same query to every tenant.
+	if req.Query != "" && !ss.srv.cfg.Runtime.HasQuery(req.Query) {
+		ss.sendError(req.Req, wire.CodeUnknownQuery, fmt.Sprintf("%v: %q", runtime.ErrUnknownQuery, req.Query))
+		return true
 	}
-	st := newSubState(c, req.ID, query)
+	st := newSubState(c, req.ID, req.Query)
 	if err := st.attach(); err != nil {
 		// The query was unregistered since it resolved, or the runtime closed.
 		code := wire.CodeInternal
@@ -517,64 +495,6 @@ func (ss *session) handleUnsubscribe(payload []byte) bool {
 		return true
 	}
 	return ss.sendAck(req.Req, 0)
-}
-
-func (ss *session) handleRegisterQuery(payload []byte) bool {
-	req, err := wire.DecodeRegisterQuery(payload)
-	if err != nil {
-		ss.sendError(0, wire.CodeProto, err.Error())
-		return false
-	}
-	if ss.srv.Draining() {
-		ss.sendError(req.Req, wire.CodeDraining, "server draining")
-		return true
-	}
-	if bad := validName(req.Name); bad != nil {
-		ss.sendError(req.Req, wire.CodeInvalid, bad.Error())
-		return true
-	}
-	q, err := cep.ParseQuery(ss.prefix+req.Name, req.Pattern, event.Timestamp(req.Window))
-	if err != nil {
-		ss.sendError(req.Req, wire.CodeInvalid, err.Error())
-		return true
-	}
-	epoch, err := ss.srv.cfg.Runtime.RegisterQuery(q)
-	if err != nil {
-		ss.sendError(req.Req, wire.CodeInternal, err.Error())
-		return true
-	}
-	return ss.sendAck(req.Req, uint64(epoch))
-}
-
-func (ss *session) handleRegisterPrivate(payload []byte) bool {
-	req, err := wire.DecodeRegisterPrivate(payload)
-	if err != nil {
-		ss.sendError(0, wire.CodeProto, err.Error())
-		return false
-	}
-	if ss.srv.Draining() {
-		ss.sendError(req.Req, wire.CodeDraining, "server draining")
-		return true
-	}
-	if bad := validName(req.Name); bad != nil {
-		ss.sendError(req.Req, wire.CodeInvalid, bad.Error())
-		return true
-	}
-	elems := make([]event.Type, len(req.Elements))
-	for i, e := range req.Elements {
-		elems[i] = event.Type(e)
-	}
-	pt, err := core.NewPatternType(ss.prefix+req.Name, elems...)
-	if err != nil {
-		ss.sendError(req.Req, wire.CodeInvalid, err.Error())
-		return true
-	}
-	epoch, err := ss.srv.cfg.Runtime.RegisterPrivate(pt)
-	if err != nil {
-		ss.sendError(req.Req, wire.CodeInternal, err.Error())
-		return true
-	}
-	return ss.sendAck(req.Req, uint64(epoch))
 }
 
 // outbox is the writer's pending flush: encoded frames not yet on the wire,
@@ -738,15 +658,4 @@ func (ss *session) sendThrottled(req uint64, msg string, wait time.Duration) {
 // session down: the client keeps draining answers and closes when done.
 func (ss *session) goodbye(reason string) {
 	ss.writeFrame(wire.TGoodbye, wire.AppendGoodbye(nil, wire.Goodbye{Reason: reason}))
-}
-
-// validName vets a tenant-relative name for registration.
-func validName(name string) error {
-	if name == "" {
-		return fmt.Errorf("empty name")
-	}
-	if strings.ContainsRune(name, namespaceDelim) {
-		return fmt.Errorf("name %q contains %q", name, string(namespaceDelim))
-	}
-	return nil
 }

@@ -2,8 +2,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	goruntime "runtime"
 	"testing"
 	"time"
@@ -32,11 +30,10 @@ func TestDeliverNeverBlocks(t *testing.T) {
 
 	var batch []runtime.Answer
 	for i := 0; i < owed; i++ {
-		var mine, theirs, cross runtime.Answer
+		var mine, theirs runtime.Answer
 		mine.Stream, mine.Query, mine.WindowIndex = "alice/s1", "probe", i
 		theirs.Stream, theirs.Query, theirs.WindowIndex = "bob/s1", "probe", i
-		cross.Stream, cross.Query, cross.WindowIndex = "alice/s1", "bob/theirs", i
-		batch = append(batch, theirs, mine, cross)
+		batch = append(batch, theirs, mine)
 	}
 	st.Deliver(batch) // on this goroutine: a Deliver that blocked would hang the test
 
@@ -122,39 +119,5 @@ func TestSubscriptionsCostNoGoroutines(t *testing.T) {
 	})
 	if got := rt.Snapshot().Subscriptions; got != 0 {
 		t.Errorf("open runtime subscriptions after close = %d, want 0", got)
-	}
-}
-
-// TestSubscribeCannotNameAnotherTenantsQuery closes an existence oracle: a
-// tenant-relative name never contains the namespace delimiter, so a subscribe
-// that does is refused exactly like a name that does not exist — whether or
-// not it spells out another tenant's registered query — and never reaches the
-// runtime.
-func TestSubscribeCannotNameAnotherTenantsQuery(t *testing.T) {
-	rt := newTestRuntime(t, 0)
-	defer rt.Close()
-	_, l := startServer(t, rt, Config{})
-	alice := dialTenant(t, l, "alice")
-	bob := dialTenant(t, l, "bob")
-	if _, err := alice.RegisterQuery("mine", "SEQ(a, b) WITHIN 10", 10); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"alice/mine", "alice/nope"} {
-		_, err := bob.Subscribe(name, 4)
-		var re *RemoteError
-		if !errors.As(err, &re) || re.Code != wire.CodeUnknownQuery {
-			t.Fatalf("bob.Subscribe(%q) = %v, want CodeUnknownQuery", name, err)
-		}
-		// What a missing query of that name is answered with, to the byte.
-		if want := fmt.Sprintf("%v: %q", runtime.ErrUnknownQuery, name); re.Msg != want {
-			t.Errorf("bob.Subscribe(%q) refused with %q, want %q", name, re.Msg, want)
-		}
-	}
-	if got := rt.Snapshot().Subscriptions; got != 0 {
-		t.Errorf("open runtime subscriptions = %d, want 0", got)
-	}
-	// The owner, and the tenant-relative spelling, still work.
-	if _, err := alice.Subscribe("mine", 4); err != nil {
-		t.Errorf("alice.Subscribe(mine) = %v", err)
 	}
 }

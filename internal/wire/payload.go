@@ -28,11 +28,11 @@ const (
 	// CodeQuota is a request denied by the tenant's quota (budget grant
 	// exhausted or stream cap reached).
 	CodeQuota
-	// CodeUnknownQuery is a Subscribe/Unsubscribe for a name the tenant can
-	// see no query under.
+	// CodeUnknownQuery is a Subscribe for a name the server serves no query
+	// under.
 	CodeUnknownQuery
-	// CodeInvalid is a semantically invalid request (bad pattern syntax,
-	// bad window, bad subscription id).
+	// CodeInvalid is a semantically invalid request (a subscription id
+	// already in use, or unknown to Unsubscribe).
 	CodeInvalid
 	// CodeDraining is a request rejected because the server is shutting
 	// down; the peer should drain answers and close.
@@ -56,14 +56,14 @@ type Hello struct {
 // Welcome accepts a Hello.
 type Welcome struct {
 	// Tenant is the authenticated tenant id: the namespace prefix of every
-	// stream and query name the connection owns.
+	// stream key the connection owns.
 	Tenant string
 	// Shards is the serving runtime's shard count.
 	Shards uint64
 	// Grant is the tenant's ε quota (0 = unlimited).
 	Grant float64
-	// Queries are the shared (tenant-independent) query names the tenant
-	// may subscribe to immediately.
+	// Queries are the server's query names, the same for every tenant, any
+	// of which the tenant may subscribe to.
 	Queries []string
 	// Session is the server-issued session token a reconnecting client
 	// presents in a Resume frame to re-attach to this session's state.
@@ -90,8 +90,8 @@ type Subscribe struct {
 	Req uint64
 	// ID is the client-chosen subscription id Answer frames will carry.
 	ID uint64
-	// Query is the query name ("" subscribes to every query visible to the
-	// tenant). Tenant-registered names resolve before shared names.
+	// Query is the query name ("" subscribes to every query). Names are the
+	// server's, the same for every tenant.
 	Query string
 }
 
@@ -120,7 +120,7 @@ type Answer struct {
 	Seq uint64
 	// Stream is the tenant-relative stream key (namespace prefix stripped).
 	Stream string
-	// Query is the query name as the tenant knows it.
+	// Query is the query name.
 	Query string
 	// Epoch is the control-plane epoch the answer was served under.
 	Epoch uint64
@@ -151,32 +151,10 @@ type Answer struct {
 	TraceNanos int64
 }
 
-// RegisterQuery registers a target query under the tenant's namespace.
-type RegisterQuery struct {
-	Req uint64
-	// Name is the tenant-relative query name.
-	Name string
-	// Pattern is the textual pattern expression (cep.Parse grammar).
-	Pattern string
-	// Window is the query window width (0 = the pattern's WITHIN clause).
-	Window int64
-}
-
-// RegisterPrivate registers a private pattern type under the tenant's
-// namespace.
-type RegisterPrivate struct {
-	Req uint64
-	// Name is the tenant-relative pattern-type name.
-	Name string
-	// Elements are the element event types.
-	Elements []string
-}
-
 // Ack confirms a request.
 type Ack struct {
 	Req uint64
-	// N is request-specific: events accepted for Ingest, the control-plane
-	// epoch for registrations, 0 otherwise.
+	// N is request-specific: events accepted for Ingest, 0 otherwise.
 	N uint64
 }
 
@@ -500,52 +478,6 @@ func (in *Interner) DecodeIngest(b []byte, evs []event.Event) (Ingest, error) {
 		return ing, fmt.Errorf("wire: ingest: %w", err)
 	}
 	return ing, nil
-}
-
-// AppendRegisterQuery appends r's payload encoding to dst.
-func AppendRegisterQuery(dst []byte, r RegisterQuery) []byte {
-	dst = binary.AppendUvarint(dst, r.Req)
-	dst = appendString(dst, r.Name)
-	dst = appendString(dst, r.Pattern)
-	return binary.AppendVarint(dst, r.Window)
-}
-
-// DecodeRegisterQuery decodes a RegisterQuery payload.
-func DecodeRegisterQuery(b []byte) (RegisterQuery, error) {
-	var r RegisterQuery
-	d := decoder{b: b}
-	r.Req = d.uvarint()
-	r.Name = d.string()
-	r.Pattern = d.string()
-	r.Window = d.varint()
-	return r, d.finish("register-query")
-}
-
-// AppendRegisterPrivate appends r's payload encoding to dst.
-func AppendRegisterPrivate(dst []byte, r RegisterPrivate) []byte {
-	dst = binary.AppendUvarint(dst, r.Req)
-	dst = appendString(dst, r.Name)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Elements)))
-	for _, e := range r.Elements {
-		dst = appendString(dst, e)
-	}
-	return dst
-}
-
-// DecodeRegisterPrivate decodes a RegisterPrivate payload.
-func DecodeRegisterPrivate(b []byte) (RegisterPrivate, error) {
-	var r RegisterPrivate
-	d := decoder{b: b}
-	r.Req = d.uvarint()
-	r.Name = d.string()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.b)-d.off)+1 {
-		return r, fmt.Errorf("wire: register-private: element count %d exceeds payload", n)
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		r.Elements = append(r.Elements, d.string())
-	}
-	return r, d.finish("register-private")
 }
 
 // AppendAck appends a's payload encoding to dst.

@@ -40,12 +40,11 @@ const MaxPayload = 4 << 20
 // Type identifies a frame's meaning.
 type Type uint8
 
-// Frame types. Client→server: Hello, Ingest, Subscribe, Unsubscribe,
-// RegisterQuery, RegisterPrivate, Resume, Goodbye. Server→client: Welcome,
-// Subscribed, Answer, Resumed, Ack, Error, Goodbye. Either direction:
-// Ping, Pong. Process→process (rolling restart): HandoffBegin, HandoffChunk,
-// HandoffCommit from the draining source, HandoffAck back from the takeover
-// target.
+// Frame types. Client→server: Hello, Ingest, Subscribe, Unsubscribe, Resume,
+// Goodbye. Server→client: Welcome, Subscribed, Answer, Resumed, Ack, Error,
+// Goodbye. Either direction: Ping, Pong. Process→process (rolling restart):
+// HandoffBegin, HandoffChunk, HandoffCommit from the draining source,
+// HandoffAck back from the takeover target.
 const (
 	invalidType Type = iota
 	// THello opens a connection: protocol handshake plus the auth token.
@@ -62,11 +61,12 @@ const (
 	TUnsubscribe
 	// TAnswer streams one released query answer to a subscriber.
 	TAnswer
-	// TRegisterQuery registers a target query in the tenant's namespace.
-	TRegisterQuery
-	// TRegisterPrivate registers a private pattern type in the tenant's
-	// namespace.
-	TRegisterPrivate
+	// Bytes 8 and 9 once carried tenant query and private-pattern
+	// registrations (RegisterQuery, RegisterPrivate). Registration is an
+	// in-process control-plane call now; the slots stay reserved so every
+	// later type keeps its byte, and a peer that sends one is refused.
+	_
+	_
 	// TAck confirms a request by id.
 	TAck
 	// TError reports a request or connection failure.
@@ -113,10 +113,6 @@ func (t Type) String() string {
 		return "unsubscribe"
 	case TAnswer:
 		return "answer"
-	case TRegisterQuery:
-		return "register-query"
-	case TRegisterPrivate:
-		return "register-private"
 	case TAck:
 		return "ack"
 	case TError:

@@ -311,6 +311,55 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFrameTypeBytes pins every frame type's byte on the wire: the types are
+// an iota list, so deleting or inserting an entry would silently renumber
+// every later frame and break every peer built before the change.
+func TestFrameTypeBytes(t *testing.T) {
+	for _, tc := range []struct {
+		t    Type
+		b    byte
+		name string
+	}{
+		{THello, 1, "hello"},
+		{TWelcome, 2, "welcome"},
+		{TIngest, 3, "ingest"},
+		{TSubscribe, 4, "subscribe"},
+		{TSubscribed, 5, "subscribed"},
+		{TUnsubscribe, 6, "unsubscribe"},
+		{TAnswer, 7, "answer"},
+		{TAck, 10, "ack"},
+		{TError, 11, "error"},
+		{TGoodbye, 12, "goodbye"},
+		{TPing, 13, "ping"},
+		{TPong, 14, "pong"},
+		{TResume, 15, "resume"},
+		{TResumed, 16, "resumed"},
+		{THandoffBegin, 17, "handoff-begin"},
+		{THandoffChunk, 18, "handoff-chunk"},
+		{THandoffCommit, 19, "handoff-commit"},
+		{THandoffAck, 20, "handoff-ack"},
+	} {
+		if byte(tc.t) != tc.b || tc.t.String() != tc.name {
+			t.Errorf("%s = byte %d, want %s = %d", tc.t, byte(tc.t), tc.name, tc.b)
+		}
+	}
+	if typeCount != 21 {
+		t.Errorf("typeCount = %d, want 21: a new frame type needs a row here", typeCount)
+	}
+	// The retired registration bytes stay readable frames (so the session
+	// layer can refuse them with an error, not a dropped connection) and
+	// carry no name.
+	for _, b := range []byte{8, 9} {
+		f := AppendFrame(nil, Type(b), []byte{1})
+		if fr, _, err := DecodeFrame(f); err != nil || fr.Type != Type(b) {
+			t.Errorf("frame of reserved type %d: %v, %v", b, fr.Type, err)
+		}
+		if got, want := Type(b).String(), fmt.Sprintf("type(%d)", b); got != want {
+			t.Errorf("Type(%d).String() = %q, want %q", b, got, want)
+		}
+	}
+}
+
 func TestPayloadRoundTrips(t *testing.T) {
 	evs := []event.Event{
 		event.New("a", 1).WithSource("s1"),
@@ -326,8 +375,6 @@ func TestPayloadRoundTrips(t *testing.T) {
 	ans := Answer{Sub: 9, Seq: 41, Stream: "s1", Query: "q1", Epoch: 2, WindowIndex: 11,
 		Start: -10, End: 10, Detected: true, Suppressed: false, SpentEpsilon: 1.5, RemainingEpsilon: 11}
 	gap := Answer{Sub: 9, Seq: 40, Query: "q1", Gap: true, GapFrom: 33}
-	regQ := RegisterQuery{Req: 6, Name: "probe", Pattern: "SEQ(a, b)", Window: 10}
-	regP := RegisterPrivate{Req: 7, Name: "secret", Elements: []string{"a", "b"}}
 	ack := Ack{Req: 3, N: 2}
 	werr := Error{Req: 4, Code: CodeQuota, Msg: "grant exhausted"}
 	bye := Goodbye{Reason: "drain"}
@@ -362,12 +409,6 @@ func TestPayloadRoundTrips(t *testing.T) {
 	}
 	if got, err := DecodeAnswer(AppendAnswer(nil, ans)); err != nil || got != ans {
 		t.Errorf("answer: %+v, %v", got, err)
-	}
-	if got, err := DecodeRegisterQuery(AppendRegisterQuery(nil, regQ)); err != nil || got != regQ {
-		t.Errorf("register-query: %+v, %v", got, err)
-	}
-	if got, err := DecodeRegisterPrivate(AppendRegisterPrivate(nil, regP)); err != nil || !reflect.DeepEqual(got, regP) {
-		t.Errorf("register-private: %+v, %v", got, err)
 	}
 	if got, err := DecodeAck(AppendAck(nil, ack)); err != nil || got != ack {
 		t.Errorf("ack: %+v, %v", got, err)
@@ -558,10 +599,10 @@ func TestPayloadRejectsHostileCounts(t *testing.T) {
 	if _, err := DecodeWelcome(b); err == nil {
 		t.Error("hostile welcome query count accepted")
 	}
-	b = AppendRegisterPrivate(nil, RegisterPrivate{Req: 1, Name: "n"})
-	b = b[:len(b)-1]
+	b = AppendResume(nil, Resume{Req: 1, Session: "s"})
+	b = b[:len(b)-1] // strip the zero subscription count
 	b = binary.AppendUvarint(b, uint64(MaxPayload))
-	if _, err := DecodeRegisterPrivate(b); err == nil {
-		t.Error("hostile register-private element count accepted")
+	if _, err := DecodeResume(b); err == nil {
+		t.Error("hostile resume subscription count accepted")
 	}
 }
