@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	ppmserve serve -listen :7070 -shards 8 -eps 1.0 -backpressure block
+//	ppmserve serve -listen :7070 -shards 8 -eps 1.0 -buffer 256
 //	ppmserve serve -listen :7070 -slide 25 -budget 100 -budget-policy throttle
 //	ppmserve serve -listen :7070 -budget 100 -wal-dir /var/lib/ppm/wal -fsync interval -checkpoint-every 5s
 //	ppmserve serve -listen :7070 -heartbeat 5s -resume-window 1m -replay-buffer 512 -admin :9090
@@ -73,7 +73,7 @@ type options struct {
 	shards, buffer                        int
 	eps, budget, traceSample              float64
 	lateness, horizon, slide              int64
-	backpressure, budgetPolicy            string
+	budgetPolicy                          string
 	walDir, fsync                         string
 	ckptEvery                             time.Duration
 	adminAddr                             string
@@ -107,13 +107,12 @@ func parseFlags(role string, args []string) (options, error) {
 		fs.StringVar(&o.listen, "listen", "", "serve tenants over TCP on this address (required, e.g. :7070)")
 		fs.IntVar(&o.shards, "shards", 8, "serving shards")
 		fs.Float64Var(&o.eps, "eps", 1.0, "pattern-level privacy budget")
-		fs.IntVar(&o.buffer, "buffer", 256, "per-shard ingest buffer")
-		fs.StringVar(&o.backpressure, "backpressure", "block", "backpressure policy: block | drop-oldest")
+		fs.IntVar(&o.buffer, "buffer", 256, "per-shard ingest buffer in messages; a session whose shard is full waits for it")
 		fs.Int64Var(&o.lateness, "lateness", 0, "allowed lateness (>0 enables the reorder buffer)")
 		fs.Int64Var(&o.horizon, "horizon", 0, "max forward timestamp jump per stream (0 = unbounded)")
 		fs.Int64Var(&o.slide, "slide", 0, "window slide in logical time (0 = window width, i.e. tumbling; must divide the width)")
 		fs.Float64Var(&o.budget, "budget", 0, "per-stream privacy-budget grant per epoch (0 = accounting off)")
-		fs.StringVar(&o.budgetPolicy, "budget-policy", "deny", "budget exhaustion policy: deny | suppress | throttle | rotate-epoch")
+		fs.StringVar(&o.budgetPolicy, "budget-policy", "deny", "budget exhaustion policy, acting on the exhausted stream alone: deny | suppress | throttle")
 		fs.StringVar(&o.walDir, "wal-dir", "", "durable-state directory: WAL + checkpoints + session spill; recovers on start if non-empty (empty = durability off)")
 		fs.StringVar(&o.fsync, "fsync", "interval", "WAL sync policy under -wal-dir: interval | always | off")
 		fs.DurationVar(&o.ckptEvery, "checkpoint-every", 5*time.Second, "background checkpoint cadence under -wal-dir (0 = only on drain)")
@@ -194,14 +193,6 @@ func (o options) runtimeConfig() (runtime.Config, error) {
 		Budget:       dp.Epsilon(o.budget),
 		BudgetPolicy: policy,
 		TraceSample:  o.traceSample,
-	}
-	switch o.backpressure {
-	case "block":
-		cfg.Backpressure = runtime.Block
-	case "drop-oldest":
-		cfg.Backpressure = runtime.DropOldest
-	default:
-		return runtime.Config{}, fmt.Errorf("unknown backpressure policy %q", o.backpressure)
 	}
 	if o.lateness > 0 {
 		cfg.Lateness = runtime.ReorderBuffer

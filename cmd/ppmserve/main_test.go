@@ -12,13 +12,15 @@ import (
 
 // TestFlagsToRuntimeConfig pins each role's flag surface: the defaults, the
 // mapping of the serve flags that select a runtime behavior rather than carry
-// a number, and every rejected flag combination with its message.
+// a number, every rejected flag combination with its message, and the
+// removed flags and values that are refused (a flag the role does not define
+// fails parseFlags rather than check).
 func TestFlagsToRuntimeConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		role    string
 		args    []string
-		wantErr string // substring of the check error; "" = accepted
+		wantErr string // substring of the parse or check error; "" = accepted
 		check   func(t *testing.T, o options, cfg runtime.Config)
 	}{
 		{name: "defaults", role: "serve", args: []string{"-listen", ":7070"},
@@ -28,7 +30,7 @@ func TestFlagsToRuntimeConfig(t *testing.T) {
 					t.Errorf("serve defaults = %+v", o)
 				}
 				if cfg.Shards != 8 || cfg.ShardBuffer != 256 || cfg.Seed != 1 || cfg.Slide != 0 ||
-					cfg.Backpressure != runtime.Block || cfg.Lateness != runtime.DropLate ||
+					cfg.Lateness != runtime.DropLate ||
 					cfg.Budget != 0 || cfg.BudgetPolicy != runtime.BudgetDeny ||
 					cfg.Durability != nil || cfg.TraceSample != 0 || cfg.MechanismFor == nil {
 					t.Errorf("runtime defaults = %+v", cfg)
@@ -55,10 +57,9 @@ func TestFlagsToRuntimeConfig(t *testing.T) {
 				}
 			}},
 		{name: "fsync is not parsed without wal-dir", role: "serve", args: []string{"-listen", ":7070", "-fsync", "bogus"}},
-		{name: "policies", role: "serve", args: []string{"-listen", ":7070", "-backpressure", "drop-oldest", "-budget", "5", "-budget-policy", "rotate-epoch", "-slide", "25"},
+		{name: "policies", role: "serve", args: []string{"-listen", ":7070", "-budget", "5", "-budget-policy", "throttle", "-slide", "25"},
 			check: func(t *testing.T, _ options, cfg runtime.Config) {
-				if cfg.Backpressure != runtime.DropOldest || cfg.Budget != 5 ||
-					cfg.BudgetPolicy != runtime.BudgetRotateEpoch || cfg.Slide != 25 {
+				if cfg.Budget != 5 || cfg.BudgetPolicy != runtime.BudgetThrottle || cfg.Slide != 25 {
 					t.Errorf("policies = %+v", cfg)
 				}
 			}},
@@ -78,16 +79,19 @@ func TestFlagsToRuntimeConfig(t *testing.T) {
 		{name: "takeover with token", role: "serve", args: []string{"-listen", ":1", "-wal-dir", "/w", "-takeover", ":2", "-handoff-token", "s"}},
 		{name: "batch below one", role: "client", args: []string{"-connect", ":1", "-batch", "0"}, wantErr: "batch size 0 must be >= 1"},
 		{name: "negative replay buffer", role: "serve", args: []string{"-listen", ":1", "-replay-buffer", "-1"}, wantErr: "-replay-buffer -1 must be >= 0"},
-		{name: "backpressure", role: "serve", args: []string{"-listen", ":1", "-backpressure", "bogus"}, wantErr: `unknown backpressure policy "bogus"`},
+		{name: "backpressure", role: "serve", args: []string{"-listen", ":1", "-backpressure", "drop-oldest"}, wantErr: "flag provided but not defined: -backpressure"},
 		{name: "budget policy", role: "serve", args: []string{"-listen", ":1", "-budget-policy", "bogus"}, wantErr: `unknown budget policy "bogus"`},
+		{name: "rotate-epoch budget policy", role: "serve", args: []string{"-listen", ":1", "-budget", "5", "-budget-policy", "rotate-epoch"}, wantErr: `unknown budget policy "rotate-epoch"`},
 		{name: "fsync", role: "serve", args: []string{"-listen", ":1", "-wal-dir", "/w", "-fsync", "bogus"}, wantErr: "bogus"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o, err := parseFlags(tc.role, tc.args)
-			if err != nil {
+			if err != nil && tc.wantErr == "" {
 				t.Fatalf("parseFlags(%s, %q): %v", tc.role, tc.args, err)
 			}
-			err = o.check(tc.role)
+			if err == nil {
+				err = o.check(tc.role)
+			}
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("check(%s, %q) error = %v, want %q", tc.role, tc.args, err, tc.wantErr)

@@ -34,7 +34,7 @@ func startAdmin(addr string, adm *server.Admin) (func(), error) {
 // timing call sites need no gates.
 func handoffPhase(reg *metrics.Registry, phase string) *metrics.Histogram {
 	return reg.Histogram("ppm_handoff_phase_seconds",
-		"Rolling-restart handoff phase durations: freeze (drain and pane-boundary quiesce), spill (session export), ship (directory transfer to the peer), receive (inbound transfer and verify).",
+		"Durable drain and rolling-restart phase durations: freeze (drain and pane-boundary quiesce), spill (session export), ship (directory transfer to the peer), receive (inbound transfer and verify).",
 		metrics.L("phase", phase))
 }
 
@@ -140,74 +140,63 @@ func runServer(o options) error {
 		}
 	}
 
-	if o.handoffTo != "" {
-		return handoffDrain(srv, rt, reg, start, o)
-	}
-	fmt.Printf("\ndraining (timeout %v) — new ingest refused, sessions told goodbye\n", o.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	if walDir != "" {
-		// Park session cores instead of retiring them so they can be spilled
-		// beside the WAL below: a restart with the same -wal-dir adopts them
-		// and clients Resume instead of starting over.
-		srv.DrainForHandoff()
-	} else {
-		srv.Drain()
-	}
-	// CloseContext flushes in-flight windows through the WAL and cuts the
-	// final checkpoint; once it returns no shard is alive, so nothing is
-	// delivered into the sessions' replay rings any more.
-	closeErr := rt.CloseContext(drainCtx)
-	waitErr := srv.Wait(drainCtx)
-	if waitErr != nil {
-		fmt.Fprintf(os.Stderr, "drain timeout: remaining sessions force-closed\n")
-	}
-	if walDir != "" && closeErr == nil && waitErr == nil {
-		if n, err := srv.Spill(walDir); err != nil {
-			fmt.Fprintf(os.Stderr, "session spill: %v\n", err)
-		} else if n > 0 {
-			fmt.Printf("spilled %d resumable sessions beside the WAL\n", n)
-		}
-	}
-
+	err = drain(srv, rt, reg, o)
 	// The shutdown report prints from the same CollectStatsz document the
 	// /statsz endpoint serves, so the two views can never disagree.
 	printServeReport(server.CollectStatsz(srv, time.Since(start)), o.budget > 0)
-	if walDir != "" && closeErr == nil {
-		fmt.Printf("\ndurable state checkpointed to %s — restart with the same -wal-dir to resume\n", walDir)
-	}
-	return closeErr
+	return err
 }
 
-// handoffDrain is the rolling-restart exit path: quiesce at a pane boundary,
-// spill the parked sessions beside the WAL, ship the whole frozen directory
-// to the takeover peer, and exit 0 once the peer has verified and acked it.
-// Any failure leaves the local directory authoritative — the operator
-// restarts this side instead.
-func handoffDrain(srv *server.Server, rt *runtime.Runtime, reg *metrics.Registry, start time.Time, o options) error {
-	walDir := o.walDir
-	fmt.Printf("\nhandoff drain (timeout %v) — freezing at a pane boundary, shipping partition to %s\n", o.drainTimeout, o.handoffTo)
+// drain is the serve role's shutdown after the first signal, bounded by
+// -drain-timeout. Without -wal-dir it refuses new ingest, closes the runtime
+// — trailing partial windows are flushed and answered — and waits for the
+// sessions. Under -wal-dir there is one sequence, whether or not a peer takes
+// over: park the sessions, wait for them, freeze the runtime at per-stream
+// pane boundaries, and spill the parked sessions beside the WAL. A frozen
+// window is not published: its open panes travel in the final checkpoint,
+// so the next process on the directory (a restart, or the -takeover peer
+// that -handoff-to ships it to) serves it once, under its own index, instead
+// of releasing the same interval a second time. Any failure leaves the
+// local directory authoritative.
+func drain(srv *server.Server, rt *runtime.Runtime, reg *metrics.Registry, o options) error {
 	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
+	if o.walDir == "" {
+		fmt.Printf("\ndraining (timeout %v) — new ingest refused, sessions told goodbye\n", o.drainTimeout)
+		srv.Drain()
+		// Once CloseContext returns no shard is alive, so nothing is
+		// delivered into the sessions' replay rings any more.
+		closeErr := rt.CloseContext(ctx)
+		if err := srv.Wait(ctx); err != nil {
+			fmt.Fprintf(os.Stderr, "drain timeout: remaining sessions force-closed\n")
+		}
+		return closeErr
+	}
+	walDir := o.walDir
+	fmt.Printf("\ndraining (timeout %v) — sessions parked, freezing at a pane boundary\n", o.drainTimeout)
 	freezeStart := time.Now()
 	srv.DrainForHandoff()
 	if err := srv.Wait(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "handoff drain timeout: remaining sessions force-closed\n")
+		fmt.Fprintf(os.Stderr, "drain timeout: remaining sessions force-closed\n")
 	}
 	if err := rt.Freeze(ctx); err != nil {
-		return fmt.Errorf("handoff freeze: %w (durable state intact in %s)", err, walDir)
+		return fmt.Errorf("freeze: %w (durable state intact in %s)", err, walDir)
 	}
 	handoffPhase(reg, "freeze").ObserveSince(freezeStart)
+	spillStart := time.Now()
+	sessions, err := srv.Spill(walDir)
+	if err != nil {
+		return fmt.Errorf("session spill: %w (durable state intact in %s)", err, walDir)
+	}
+	handoffPhase(reg, "spill").ObserveSince(spillStart)
+	if o.handoffTo == "" {
+		fmt.Printf("spilled %d resumable sessions; durable state frozen in %s — restart with the same -wal-dir to resume\n", sessions, walDir)
+		return nil
+	}
 	var spend float64
 	if b := rt.Snapshot().Budget; b != nil {
 		spend = float64(b.Spent)
 	}
-	spillStart := time.Now()
-	sessions, err := srv.Spill(walDir)
-	if err != nil {
-		return fmt.Errorf("handoff spill: %w", err)
-	}
-	handoffPhase(reg, "spill").ObserveSince(spillStart)
 	shipStart := time.Now()
 	conn, err := net.Dial("tcp", o.handoffTo)
 	if err != nil {
@@ -219,9 +208,8 @@ func handoffDrain(srv *server.Server, rt *runtime.Runtime, reg *metrics.Registry
 		return fmt.Errorf("handoff: %w (durable state intact in %s)", err, walDir)
 	}
 	handoffPhase(reg, "ship").ObserveSince(shipStart)
-	fmt.Printf("handoff complete: %d files (%d bytes), %d sessions, frozen spend %.4g — peer acked\n",
-		sum.Files, sum.Bytes, sum.Sessions, sum.Spend)
-	printServeReport(server.CollectStatsz(srv, time.Since(start)), o.budget > 0)
+	fmt.Printf("handoff to %s complete: %d files (%d bytes), %d sessions, frozen spend %.4g — peer acked\n",
+		o.handoffTo, sum.Files, sum.Bytes, sum.Sessions, sum.Spend)
 	return nil
 }
 
@@ -288,18 +276,18 @@ func printServeReport(z server.Statsz, withBudget bool) {
 	}
 	tw.Flush()
 
-	// Per shard: what each served, and what the backpressure and lateness
-	// policies dropped (ingest = drop-oldest evictions).
+	// Per shard: what each served, and what the lateness policy and the
+	// Horizon bound dropped.
 	stw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(stw, "\nshard\tstreams\tevents\twindows\tpanes\tanswers to sinks\tdropped(late/future/ingest)")
+	fmt.Fprintln(stw, "\nshard\tstreams\tevents\twindows\tpanes\tanswers to sinks\tdropped(late/future)")
 	for _, s := range z.Runtime.Shards {
-		fmt.Fprintf(stw, "%d\t%d\t%d\t%d\t%d\t%d\t%d/%d/%d\n",
+		fmt.Fprintf(stw, "%d\t%d\t%d\t%d\t%d\t%d\t%d/%d\n",
 			s.Shard, s.Streams, s.EventsIn, s.WindowsClosed, s.PanesClosed, s.AnswersEmitted,
-			s.DroppedLate, s.DroppedFuture, s.DroppedIngest)
+			s.DroppedLate, s.DroppedFuture)
 	}
-	fmt.Fprintf(stw, "total\t%d\t%d\t%d\t%d\t%d\t%d/%d/%d\n",
+	fmt.Fprintf(stw, "total\t%d\t%d\t%d\t%d\t%d\t%d/%d\n",
 		tot.Streams, tot.EventsIn, tot.WindowsClosed, tot.PanesClosed, tot.AnswersEmitted,
-		tot.DroppedLate, tot.DroppedFuture, tot.DroppedIngest)
+		tot.DroppedLate, tot.DroppedFuture)
 	stw.Flush()
 	if len(z.Latencies) > 0 {
 		fmt.Println("\nlatencies (ms):")

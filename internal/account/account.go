@@ -30,11 +30,11 @@
 // registry (open/evict) and the retired-spend archive, never a charge.
 //
 // When a release would push a stream past its grant, the configured Policy
-// decides the outcome: Deny refuses the release, Suppress publishes a
-// data-independent placeholder answer (ε-free), Throttle halves the answer
-// cadence once the stream nears exhaustion and denies past it, and
-// RotateEpoch forces a control-plane budget-epoch rotation with a fresh
-// grant. Grants are per (stream, budget epoch); rotation archives the old
+// decides the outcome for that stream alone: Deny refuses the release,
+// Suppress publishes a data-independent placeholder answer (ε-free), and
+// Throttle halves the answer cadence once the stream nears exhaustion and
+// denies past it. Grants are per (stream, budget epoch); the budget epoch
+// moves only when the runtime's caller rotates it, which archives the old
 // epoch's spend and restarts accumulation, and every answer carries the
 // control-plane epoch it was served under so auditors can scope the
 // guarantee to an epoch.
@@ -68,12 +68,6 @@ const (
 	// stretching the remaining budget over twice the stream time. A release
 	// the budget cannot cover at all is denied.
 	Throttle
-	// RotateEpoch forces a control-plane budget-epoch rotation with a fresh
-	// grant when a stream exhausts. The triggering window is suppressed;
-	// the new epoch (and grant) applies from the next window boundary, and
-	// answers after it carry the new epoch. The guarantee becomes per
-	// epoch — rotation is the explicit, audited decision to start a new one.
-	RotateEpoch
 )
 
 // String names the policy for logs and flags.
@@ -85,19 +79,17 @@ func (p Policy) String() string {
 		return "suppress"
 	case Throttle:
 		return "throttle"
-	case RotateEpoch:
-		return "rotate-epoch"
 	default:
 		return "unknown"
 	}
 }
 
 // Valid reports whether p is a known policy.
-func (p Policy) Valid() bool { return p >= Deny && p <= RotateEpoch }
+func (p Policy) Valid() bool { return p >= Deny && p <= Throttle }
 
 // ParsePolicy parses a policy name as printed by String.
 func ParsePolicy(s string) (Policy, error) {
-	for p := Deny; p <= RotateEpoch; p++ {
+	for p := Deny; p <= Throttle; p++ {
 		if p.String() == s {
 			return p, nil
 		}
@@ -119,11 +111,6 @@ const (
 	// counted separately so operators can tell graceful degradation from
 	// exhaustion.
 	Throttled
-	// Rotate means the RotateEpoch policy wants a budget-epoch rotation:
-	// the caller requests one from the control plane, records the
-	// triggering window via Ledger.Suppress, and serves the fresh grant
-	// from the next window boundary.
-	Rotate
 )
 
 // String names the decision for logs and tests.
@@ -137,8 +124,6 @@ func (d Decision) String() string {
 		return "suppressed"
 	case Throttled:
 		return "throttled"
-	case Rotate:
-		return "rotate"
 	default:
 		return "unknown"
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestParsePolicy(t *testing.T) {
-	for p := Deny; p <= RotateEpoch; p++ {
+	for p := Deny; p <= Throttle; p++ {
 		got, err := ParsePolicy(p.String())
 		if err != nil || got != p {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
@@ -156,25 +156,26 @@ func TestThrottleHalvesCadenceThenDenies(t *testing.T) {
 	}
 }
 
+// TestRotateDecisionAndLazyRotation pins what a budget-epoch rotation does
+// to an exhausted stream: the ledger never rotates on its own — under Deny
+// the exhausted stream stays denied within its epoch — and the stream's
+// first decision under the next epoch rotates it lazily, admitting again
+// with a fresh spend.
 func TestRotateDecisionAndLazyRotation(t *testing.T) {
-	l := NewLedger(0.2, RotateEpoch, 1, 1)
+	l := NewLedger(0.2, Deny, 1, 1)
 	sh := l.Shard(0)
 	sl := sh.OpenStream("s", 0)
 	if o := l.Decide(sh, sl, 0, 0.2, 0); o.Decision != Admitted {
 		t.Fatalf("first release: %v", o.Decision)
 	}
-	o := l.Decide(sh, sl, 1, 0.2, 0)
-	if o.Decision != Rotate {
-		t.Fatalf("exhausted release: %v, want rotate", o.Decision)
+	if o := l.Decide(sh, sl, 1, 0.2, 0); o.Decision != Denied {
+		t.Fatalf("exhausted release: %v, want denied", o.Decision)
 	}
-	// The runtime would request the rotation and suppress the window.
+	// The runtime's caller rotates the budget epoch.
 	l.CountRotation()
-	if o := l.Suppress(sh, sl); o.Decision != Suppressed {
-		t.Fatalf("suppress fallback: %v", o.Decision)
-	}
 	// Next boundary: the shard observes budget epoch 1; the stream rotates
 	// lazily and the fresh grant admits again.
-	o = l.Decide(sh, sl, 2, 0.2, 1)
+	o := l.Decide(sh, sl, 2, 0.2, 1)
 	if o.Decision != Admitted {
 		t.Fatalf("post-rotation release: %v, want admitted", o.Decision)
 	}

@@ -18,12 +18,11 @@ const DefaultThrottleAt = 0.25
 // per-epoch grant, the admission policy, and one single-writer sub-ledger
 // per shard. See the package documentation for the composition model.
 type Ledger struct {
-	grant      dp.Epsilon
-	policy     Policy
-	overlap    int
-	throttleAt float64
-	shards     []*ShardLedger
-	rotations  metrics.Counter
+	grant     dp.Epsilon
+	policy    Policy
+	overlap   int
+	shards    []*ShardLedger
+	rotations metrics.Counter
 }
 
 // NewLedger builds a ledger for shards serving shards, granting each stream
@@ -34,7 +33,7 @@ func NewLedger(grant dp.Epsilon, policy Policy, overlap, shards int) *Ledger {
 	if overlap < 1 {
 		overlap = 1
 	}
-	l := &Ledger{grant: grant, policy: policy, overlap: overlap, throttleAt: DefaultThrottleAt}
+	l := &Ledger{grant: grant, policy: policy, overlap: overlap}
 	for i := 0; i < shards; i++ {
 		sh := &ShardLedger{
 			streams:        make(map[string]*StreamLedger),
@@ -51,7 +50,7 @@ func NewLedger(grant dp.Epsilon, policy Policy, overlap, shards int) *Ledger {
 func (l *Ledger) Shard(i int) *ShardLedger { return l.shards[i] }
 
 // CountRotation records one applied budget-epoch rotation (called by the
-// runtime when a RotateEpoch request actually bumps the epoch).
+// runtime when a RotateBudget call bumps the epoch).
 func (l *Ledger) CountRotation() { l.rotations.Inc() }
 
 // Rotations returns the applied budget-epoch rotation count.
@@ -298,9 +297,6 @@ func (l *Ledger) outcome(d Decision, sl *StreamLedger) Outcome {
 // windowIdx is the stream's window index (the Throttle parity source);
 // charge the release's ε; epoch the shard's applied budget epoch. Decide
 // runs on the owning shard goroutine, lock-free.
-//
-// A Rotate decision carries no side effects: the caller requests the
-// rotation from the control plane and records the window via Suppress.
 func (l *Ledger) Decide(sh *ShardLedger, sl *StreamLedger, windowIdx int64, charge float64, epoch uint64) Outcome {
 	if sl.epoch.Load() != epoch {
 		sh.rotateStream(sl, epoch)
@@ -310,26 +306,16 @@ func (l *Ledger) Decide(sh *ShardLedger, sl *StreamLedger, windowIdx int64, char
 	switch {
 	case charge <= rem+dp.SpendTolerance(l.grant):
 		d = Admitted
-		if l.policy == Throttle && rem-charge < l.throttleAt*float64(l.grant) && windowIdx&1 == 1 {
+		if l.policy == Throttle && rem-charge < DefaultThrottleAt*float64(l.grant) && windowIdx&1 == 1 {
 			d = Throttled
 		}
 	case l.policy == Suppress:
 		d = Suppressed
-	case l.policy == RotateEpoch:
-		return l.outcome(Rotate, sl)
 	default: // Deny; Throttle past its stretch
 		d = Denied
 	}
 	l.record(sh, sl, d, charge)
 	return l.outcome(d, sl)
-}
-
-// Suppress records one window as suppressed (ε-free placeholder release)
-// without a charge — the fallback for a Rotate decision after the rotation
-// request.
-func (l *Ledger) Suppress(sh *ShardLedger, sl *StreamLedger) Outcome {
-	l.record(sh, sl, Suppressed, 0)
-	return l.outcome(Suppressed, sl)
 }
 
 // Skip records n windows that closed while no query was registered: they
@@ -366,7 +352,7 @@ func (l *Ledger) record(sh *ShardLedger, sl *StreamLedger, d Decision, charge fl
 		charge = 0
 		sl.suppressed.Inc()
 		sh.throttled.Inc()
-	default: // Suppressed (and Rotate's fallback suppression)
+	default: // Suppressed
 		charge = 0
 		sl.suppressed.Inc()
 		sh.suppressed.Inc()

@@ -181,7 +181,7 @@ type Appender struct {
 
 	// stageMu serializes the control appender's stage-and-commit Append*
 	// methods, which unlike the shard Stage/Commit pairs may be called from
-	// many goroutines (registrations, shard-requested rotations).
+	// many goroutines.
 	stageMu sync.Mutex
 
 	mu     sync.Mutex // guards f, size, lsn and closed against the flusher, LSN readers and Close

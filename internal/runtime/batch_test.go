@@ -196,38 +196,6 @@ func TestIngestBatchEmptyAndClosed(t *testing.T) {
 	}
 }
 
-// TestIngestBatchDropOldestCountsEvents asserts DropOldest accounting is in
-// events, not channel messages, when whole batches are evicted.
-func TestIngestBatchDropOldestCountsEvents(t *testing.T) {
-	cfg := testConfig(t, 1)
-	cfg.Backpressure = DropOldest
-	cfg.ShardBuffer = 1
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stall the shard: no subscriber, engine still serves, so just flood
-	// faster than it can drain with three-event batches.
-	var batches int64 = 40
-	for i := int64(0); i < batches; i++ {
-		base := event.Timestamp(i * 10)
-		b := []event.Event{
-			event.New("a", base+1), event.New("a", base+2), event.New("b", base+5),
-		}
-		if err := rt.IngestBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tot := rt.Snapshot().Totals()
-	if tot.EventsIn+tot.DroppedIngest != batches*3 {
-		t.Errorf("EventsIn %d + DroppedIngest %d != %d ingested events",
-			tot.EventsIn, tot.DroppedIngest, batches*3)
-	}
-}
-
 // TestPooledBuffersAcrossEpochs is the pooled-buffer churn race test: batch
 // producers, epoch churn, and snapshot readers run concurrently (under
 // -race in CI), and every released answer must name a query that was

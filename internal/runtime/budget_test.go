@@ -203,68 +203,6 @@ func TestBudgetThrottleStretchesGrant(t *testing.T) {
 	}
 }
 
-func TestBudgetRotateEpochGrantsFreshBudget(t *testing.T) {
-	rt, err := New(budgetConfig(t, 2, BudgetRotateEpoch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := rt.Subscribe("has-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Lockstep serving: wait for each window's answer before ingesting the
-	// next event, so exhaustion (and the rotation it forces) happens while
-	// the runtime is live — a closing runtime grants no fresh epochs and
-	// degrades RotateEpoch to Suppress during the drain.
-	var got []Answer
-	for w := 0; w < 9; w++ {
-		e := event.New("a", event.Timestamp(w*10+1)).WithSource("s")
-		if err := rt.Ingest(e); err != nil {
-			t.Fatal(err)
-		}
-		if w >= 1 {
-			got = append(got, <-sub.C()) // window w-1 closes on this push
-		}
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for a := range sub.C() {
-		got = append(got, a) // the flushed trailing window
-	}
-	var admitted, suppressed int
-	epochs := map[Epoch]bool{}
-	for _, a := range got {
-		epochs[a.Epoch] = true
-		if a.Suppressed {
-			suppressed++
-		} else {
-			admitted++
-		}
-	}
-	// Every exhaustion rotates: 2 admitted, 1 suppressed (the trigger),
-	// repeat — so far more than one grant's worth is admitted overall.
-	if admitted <= 2 {
-		t.Fatalf("admitted = %d: rotation never granted fresh budget", admitted)
-	}
-	if suppressed == 0 {
-		t.Fatal("no rotation trigger was suppressed")
-	}
-	if len(epochs) < 2 {
-		t.Fatalf("answers span %d epochs, want rotation to bump the epoch", len(epochs))
-	}
-	b := rt.Snapshot().Budget
-	if b.Rotations == 0 {
-		t.Fatal("Rotations = 0")
-	}
-	if b.Retired == 0 {
-		t.Fatal("Retired = 0: rotated epochs' spend was not archived")
-	}
-	if b.Epoch == 0 {
-		t.Fatal("budget epoch never moved")
-	}
-}
-
 func TestRotateBudgetAPI(t *testing.T) {
 	rt, err := New(budgetConfig(t, 2, BudgetSuppress))
 	if err != nil {

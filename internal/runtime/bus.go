@@ -32,9 +32,8 @@ type Answer struct {
 	RemainingEpsilon dp.Epsilon
 	// Suppressed marks a data-independent placeholder released in place of
 	// a real answer the stream's budget could not cover (BudgetSuppress /
-	// BudgetThrottle / the window that triggered BudgetRotateEpoch):
-	// Detected is unconditionally false and the window carries its
-	// interval only. Suppressed answers spend no budget.
+	// BudgetThrottle): Detected is unconditionally false and the window
+	// carries its interval only. Suppressed answers spend no budget.
 	Suppressed bool
 	// TraceNanos is the lifecycle-trace origin (unix nanoseconds of ingest
 	// admission) when the answer was served from a batch selected by

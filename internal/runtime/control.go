@@ -54,7 +54,7 @@ type controlState struct {
 	// rotated (0 is the construction grant). Shards apply it at window
 	// boundaries like every epoch; streams restart their spend
 	// accumulation under the fresh grant at their next release. See
-	// Runtime.RotateBudget and the BudgetRotateEpoch policy.
+	// Runtime.RotateBudget.
 	budgetEpoch Epoch
 	// private are the protected pattern types, sorted by name.
 	private []core.PatternType
@@ -149,13 +149,17 @@ func (st *controlState) clone() *controlState {
 }
 
 // mutate serializes one control-plane change: it clones the current state,
-// stamps the next epoch, applies f, and publishes the result. Failed
-// mutations consume no epoch. The returned epoch is the one the change took
-// effect under. The closed check and the publish share one rt.mu read
-// section, so a mutation racing Close either lands before the drain starts —
-// and is applied by every shard's drain flush — or fails with ErrClosed;
-// it can never report success for an epoch no shard will ever serve.
-func (rt *Runtime) mutate(f func(prev, next *controlState) error) (Epoch, error) {
+// stamps the next epoch, applies f, appends the change's control-WAL record
+// through record (with the new epoch) when durability is on, and only then
+// publishes the result. A failed f or append consumes no epoch and publishes
+// nothing, so no shard ever serves a state whose record a crash could lose:
+// recovery resumes at or past every epoch a shard served. The returned epoch
+// is the one the change took effect under. The closed check, the append and
+// the publish share one rt.mu read section, so a mutation racing Close
+// either lands before the drain starts — and is applied by every shard's
+// drain flush — or fails with ErrClosed; it can never report success for an
+// epoch no shard will ever serve.
+func (rt *Runtime) mutate(f func(prev, next *controlState) error, record func(a *durable.Appender, ep uint64) error) (Epoch, error) {
 	rt.ctlMu.Lock()
 	defer rt.ctlMu.Unlock()
 	rt.mu.RLock()
@@ -168,6 +172,11 @@ func (rt *Runtime) mutate(f func(prev, next *controlState) error) (Epoch, error)
 	next.epoch++
 	if err := f(prev, next); err != nil {
 		return 0, err
+	}
+	if rt.durLog != nil {
+		if err := record(rt.durLog.Control(), uint64(next.epoch)); err != nil {
+			return 0, fmt.Errorf("runtime: control WAL: %w", err)
+		}
 	}
 	rt.ctl.Store(next)
 	return next.epoch, nil
@@ -188,16 +197,12 @@ func (rt *Runtime) RegisterPrivate(pt core.PatternType) (Epoch, error) {
 	if err != nil {
 		return 0, err
 	}
-	ep, err := rt.mutate(func(_, st *controlState) error {
+	return rt.mutate(func(_, st *controlState) error {
 		st.setPrivate(valid)
 		return nil
+	}, func(a *durable.Appender, ep uint64) error {
+		return a.AppendRegistration(durable.OpRegisterPrivate, ep, valid.Name)
 	})
-	if err == nil {
-		err = rt.logControl(func(a *durable.Appender) error {
-			return a.AppendRegistration(durable.OpRegisterPrivate, uint64(ep), valid.Name)
-		})
-	}
-	return ep, err
 }
 
 // UnregisterPrivate retires the private pattern type with pt's name. The
@@ -206,7 +211,7 @@ func (rt *Runtime) RegisterPrivate(pt core.PatternType) (Epoch, error) {
 // type's elements — over-protection is privacy-safe; with MechanismFor the
 // budget is re-split over the remaining set.
 func (rt *Runtime) UnregisterPrivate(pt core.PatternType) (Epoch, error) {
-	ep, err := rt.mutate(func(_, st *controlState) error {
+	return rt.mutate(func(_, st *controlState) error {
 		idx := -1
 		for i, p := range st.private {
 			if p.Name == pt.Name {
@@ -223,13 +228,9 @@ func (rt *Runtime) UnregisterPrivate(pt core.PatternType) (Epoch, error) {
 		st.private = append(st.private[:idx:idx], st.private[idx+1:]...)
 		st.privEpoch = st.epoch
 		return nil
+	}, func(a *durable.Appender, ep uint64) error {
+		return a.AppendRegistration(durable.OpUnregisterPrivate, ep, pt.Name)
 	})
-	if err == nil {
-		err = rt.logControl(func(a *durable.Appender) error {
-			return a.AppendRegistration(durable.OpUnregisterPrivate, uint64(ep), pt.Name)
-		})
-	}
-	return ep, err
 }
 
 // setPrivate adds or replaces one private type, keeping the slice sorted.
@@ -260,7 +261,7 @@ func (rt *Runtime) RegisterQuery(q cep.Query) (Epoch, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	ep, err := rt.mutate(func(prev, st *controlState) error {
+	return rt.mutate(func(prev, st *controlState) error {
 		if st.queries[q.Name] {
 			for i := range st.targets {
 				if st.targets[i].Name == q.Name {
@@ -276,13 +277,9 @@ func (rt *Runtime) RegisterQuery(q cep.Query) (Epoch, error) {
 		st.queries[q.Name] = true
 		st.recompile(prev)
 		return nil
+	}, func(a *durable.Appender, ep uint64) error {
+		return a.AppendRegistration(durable.OpRegisterQuery, ep, q.Name)
 	})
-	if err == nil {
-		err = rt.logControl(func(a *durable.Appender) error {
-			return a.AppendRegistration(durable.OpRegisterQuery, uint64(ep), q.Name)
-		})
-	}
-	return ep, err
 }
 
 // UnregisterQuery cancels the target query with q's name
@@ -290,7 +287,7 @@ func (rt *Runtime) RegisterQuery(q cep.Query) (Epoch, error) {
 // their next window boundary; existing subscriptions stay open and simply
 // receive nothing further for it.
 func (rt *Runtime) UnregisterQuery(q cep.Query) (Epoch, error) {
-	ep, err := rt.mutate(func(prev, st *controlState) error {
+	return rt.mutate(func(prev, st *controlState) error {
 		if !st.queries[q.Name] {
 			return fmt.Errorf("%w: %q", ErrUnknownQuery, q.Name)
 		}
@@ -303,13 +300,9 @@ func (rt *Runtime) UnregisterQuery(q cep.Query) (Epoch, error) {
 		}
 		st.recompile(prev)
 		return nil
+	}, func(a *durable.Appender, ep uint64) error {
+		return a.AppendRegistration(durable.OpUnregisterQuery, ep, q.Name)
 	})
-	if err == nil {
-		err = rt.logControl(func(a *durable.Appender) error {
-			return a.AppendRegistration(durable.OpUnregisterQuery, uint64(ep), q.Name)
-		})
-	}
-	return ep, err
 }
 
 // targetNames returns the state's target-query names (sorted, since targets
@@ -329,41 +322,23 @@ func (st *controlState) targetNames() []string {
 // the next epoch and applied by shards at window boundaries, so answers
 // served under the fresh grant carry an epoch at or past the returned one.
 // Rotation is the explicit, audited decision to scope the privacy guarantee
-// to a new epoch — see the account package docs. It works (as a plain epoch
-// stamp) even when accounting is disabled.
-func (rt *Runtime) RotateBudget() (Epoch, error) { return rt.rotateBudget(nil) }
-
-// errStaleRotation aborts a shard-requested rotation that lost the race to
-// another rotation of the same observed epoch.
-var errStaleRotation = errors.New("runtime: stale budget rotation")
-
-// rotateBudget rotates the budget epoch; a nil observed rotates
-// unconditionally (RotateBudget). A non-nil observed is the BudgetRotateEpoch
-// policy's level-triggered rotation: it rotates only if the budget epoch
-// still equals the one the shard observed when its stream exhausted, so many
-// streams exhausting under one epoch produce one rotation, not a storm.
-func (rt *Runtime) rotateBudget(observed *Epoch) (Epoch, error) {
-	ep, err := rt.mutate(func(prev, next *controlState) error {
-		if observed != nil && prev.budgetEpoch != *observed {
-			return errStaleRotation
-		}
+// to a new epoch — see the account package docs — and the runtime never
+// takes it on its own: an exhausted stream stays exhausted until a caller
+// rotates. It works (as a plain epoch stamp) even when accounting is
+// disabled. Under durability the rotation record is written before the new
+// epoch is published, so a restart never resumes an epoch behind one a
+// shard served.
+func (rt *Runtime) RotateBudget() (Epoch, error) {
+	ep, err := rt.mutate(func(_, next *controlState) error {
 		next.budgetEpoch = next.epoch
 		return nil
+	}, func(a *durable.Appender, ep uint64) error {
+		return a.AppendRotation(ep, ep)
 	})
-	if errors.Is(err, errStaleRotation) {
-		return rt.ctl.Load().budgetEpoch, nil
-	}
-	if err != nil {
-		return ep, err
-	}
-	if rt.ledger != nil {
+	if err == nil && rt.ledger != nil {
 		rt.ledger.CountRotation()
 	}
-	// Rotation records make the budget epoch recoverable: without one, a
-	// restart would re-grant streams their spent budget.
-	return ep, rt.logControl(func(a *durable.Appender) error {
-		return a.AppendRotation(uint64(ep), uint64(ep))
-	})
+	return ep, err
 }
 
 // BudgetEpoch returns the current budget epoch: the control-plane epoch at

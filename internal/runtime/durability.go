@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -152,12 +151,12 @@ func (rt *Runtime) Checkpoint(ctx context.Context) error {
 }
 
 // writeCheckpoint stamps the epoch fields onto an assembled per-shard
-// snapshot and persists it. Control records appended concurrently may land
-// just past ControlLSN and be replayed on top of the checkpoint — harmless,
-// because rotation replay is a max() over epochs and registration records
-// are audit-only.
+// snapshot and persists it. The control state and ControlLSN are read under
+// ctlMu, which every control record's append-then-publish holds, so the
+// checkpoint never claims a record whose state it lacks.
 func (rt *Runtime) writeCheckpoint(ck *durable.Checkpoint) error {
 	sort.Slice(ck.Shards, func(i, j int) bool { return ck.Shards[i].Shard < ck.Shards[j].Shard })
+	rt.ctlMu.Lock()
 	ctl := rt.ctl.Load()
 	ck.CtlEpoch = uint64(ctl.epoch)
 	ck.BudgetEpoch = uint64(ctl.budgetEpoch)
@@ -165,6 +164,7 @@ func (rt *Runtime) writeCheckpoint(ck *durable.Checkpoint) error {
 	if rt.ledger != nil {
 		ck.Rotations = uint64(rt.ledger.Rotations())
 	}
+	rt.ctlMu.Unlock()
 	return rt.durLog.WriteCheckpoint(ck)
 }
 
@@ -254,27 +254,6 @@ func ledgerDecision(d durable.Decision) account.Decision {
 	default:
 		return account.Suppressed
 	}
-}
-
-// logControl appends a control-plane WAL record after a successful mutation.
-// Rotation records make the budget epoch recoverable (recovery resumes from
-// the max of checkpoint and replayed rotations, so ordering races between
-// concurrent mutations are harmless); registration records are an audit
-// trail. An append error is returned to the mutating caller: the in-memory
-// change already happened and is privacy-safe without the record (a lost
-// rotation can only under-advance the recovered epoch, which withholds fresh
-// grants rather than minting them). ErrClosed is tolerated like ErrCrashed:
-// logControl runs after mutate released rt.mu, so it can race the close
-// sequence, and a mutation that passed mutate's closed check is already in
-// the state the final checkpoint records.
-func (rt *Runtime) logControl(append func(*durable.Appender) error) error {
-	if rt.durLog == nil {
-		return nil
-	}
-	if err := append(rt.durLog.Control()); err != nil && err != durable.ErrCrashed && err != durable.ErrClosed {
-		return fmt.Errorf("runtime: control WAL: %w", err)
-	}
-	return nil
 }
 
 // applyRecoveredEpochs seeds the construction control state with the

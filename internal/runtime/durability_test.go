@@ -162,6 +162,54 @@ func TestRestartResumesBudgetEpoch(t *testing.T) {
 	}
 }
 
+// TestControlRecordBeforePublish pins the control plane's write-ahead order:
+// a control change whose WAL record cannot be written fails and publishes
+// nothing, so no shard serves an epoch that recovery could lose. With a crash
+// armed on the next commit, RotateBudget and RegisterQuery return errors and
+// leave the live epochs unchanged, and a runtime reopened on the directory
+// recovers exactly the budget epoch the live one last reported.
+func TestControlRecordBeforePublish(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(t, dir, 1, 1000)
+	rt1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt1.RotateBudget(); err != nil {
+		t.Fatal(err)
+	}
+	budget, ctl := rt1.BudgetEpoch(), rt1.Epoch()
+	rt1.durLog.InjectCrash(durable.CrashBeforeCommit, 1)
+	if ep, err := rt1.RotateBudget(); err == nil {
+		t.Fatalf("RotateBudget with its record lost = (%d, nil), want an error", ep)
+	}
+	if _, err := rt1.RegisterQuery(cep.Query{Name: "extra", Pattern: cep.E("b"), Window: 10}); err == nil {
+		t.Fatal("RegisterQuery with its record lost succeeded")
+	}
+	if got := rt1.BudgetEpoch(); got != budget {
+		t.Errorf("budget epoch after a failed rotation = %d, want %d", got, budget)
+	}
+	if got := rt1.Epoch(); got != ctl {
+		t.Errorf("control epoch after failed changes = %d, want %d", got, ctl)
+	}
+	if rt1.HasQuery("extra") {
+		t.Error("a query whose record was lost is registered")
+	}
+	rt1.Close() //nolint:errcheck // the WAL crashed; recovery is what is checked
+
+	rt2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt2.Close()
+	if got := rt2.BudgetEpoch(); got != budget {
+		t.Errorf("recovered budget epoch = %d, want the %d the live runtime reported", got, budget)
+	}
+	if got := rt2.Epoch(); got < ctl {
+		t.Errorf("recovered control epoch = %d, want >= %d", got, ctl)
+	}
+}
+
 // TestCheckpointOnDemand checks Checkpoint while serving and recovery from
 // checkpoint + WAL tail (records past the checkpoint replayed on top).
 func TestCheckpointOnDemand(t *testing.T) {

@@ -138,8 +138,8 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 			for _, d := range []struct {
 				reason string
 				n      int64
-			}{{"late", sh.DroppedLate}, {"future", sh.DroppedFuture}, {"ingest", sh.DroppedIngest}, {"failed", sh.DroppedFailed}} {
-				counter("ppm_runtime_dropped_events_total", "Events dropped, by reason: late (lateness policy), future (Horizon), ingest (DropOldest backpressure), failed (shard failed).", d.n, l, metrics.L("reason", d.reason))
+			}{{"late", sh.DroppedLate}, {"future", sh.DroppedFuture}, {"failed", sh.DroppedFailed}} {
+				counter("ppm_runtime_dropped_events_total", "Events dropped, by reason: late (lateness policy), future (Horizon), failed (shard failed).", d.n, l, metrics.L("reason", d.reason))
 			}
 		}
 		emit("ppm_runtime_shards", "Configured serving shards.", metrics.KindGauge, float64(len(st.Shards)))

@@ -182,7 +182,6 @@ func snapshotSeries(st Stats) map[string]float64 {
 		m[seriesID("ppm_runtime_streams_evicted_total", l)] = float64(sh.StreamsEvicted)
 		m[seriesID("ppm_runtime_dropped_events_total", l, metrics.L("reason", "late"))] = float64(sh.DroppedLate)
 		m[seriesID("ppm_runtime_dropped_events_total", l, metrics.L("reason", "future"))] = float64(sh.DroppedFuture)
-		m[seriesID("ppm_runtime_dropped_events_total", l, metrics.L("reason", "ingest"))] = float64(sh.DroppedIngest)
 		m[seriesID("ppm_runtime_dropped_events_total", l, metrics.L("reason", "failed"))] = float64(sh.DroppedFailed)
 	}
 	if b := st.Budget; b != nil {

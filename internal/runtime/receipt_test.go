@@ -93,60 +93,6 @@ func TestReceiptFiresAfterPublish(t *testing.T) {
 	}
 }
 
-// TestReceiptEvictedByDropOldest stalls the only shard in a sink, queues one
-// batch behind it and evicts that batch with a third: the evicted batch's
-// receipt fires inside the evicting call, the stalled and the evicting
-// batches' only once they are served, and each exactly once.
-func TestReceiptEvictedByDropOldest(t *testing.T) {
-	cfg := testConfig(t, 1)
-	cfg.Backpressure = DropOldest
-	cfg.ShardBuffer = 1
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &stallSink{entered: make(chan struct{}), release: make(chan struct{})}
-	if _, err := rt.Attach("", sink); err != nil {
-		t.Fatal(err)
-	}
-	ingest := func(rc *countedReceipt, at ...event.Timestamp) {
-		t.Helper()
-		var batch []event.Event
-		for _, ts := range at {
-			batch = append(batch, event.New("a", ts))
-		}
-		if err := rt.IngestBatchReceipt(context.Background(), batch, &rc.rc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stalled, evicted, evicting := newCountedReceipt(), newCountedReceipt(), newCountedReceipt()
-	ingest(stalled, 1, 11) // closes window 0: the shard stalls publishing it
-	<-sink.entered
-	ingest(evicted, 12, 13) // fills the one-message channel
-	if n := evicted.calls.Load(); n != 0 {
-		t.Fatalf("a queued batch's receipt fired %d times", n)
-	}
-	ingest(evicting, 14) // evicts the queued batch
-	if n := evicted.calls.Load(); n != 1 {
-		t.Fatalf("the evicted batch's receipt ran %d times by the time the evicting call returned, want once", n)
-	}
-	if s, e := stalled.calls.Load(), evicting.calls.Load(); s != 0 || e != 0 {
-		t.Fatalf("receipts fired with the shard stalled: stalled %d, evicting %d", s, e)
-	}
-	if got := rt.Snapshot().Totals().DroppedIngest; got != 2 {
-		t.Errorf("DroppedIngest = %d, want the evicted batch's 2", got)
-	}
-	close(sink.release)
-	<-stalled.fired
-	<-evicting.fired
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stalled.once(t, "stalled")
-	evicted.once(t, "evicted")
-	evicting.once(t, "evicting")
-}
-
 // TestReceiptDroppedByFailedShard queues batches behind a stalled shard
 // whose next window boundary fails a rebuild: the failing batch's receipt
 // and those of the batches drained after it fire exactly once, and so does

@@ -32,8 +32,6 @@ const (
 	BudgetSuppress = account.Suppress
 	// BudgetThrottle halves the answer cadence near exhaustion, then denies.
 	BudgetThrottle = account.Throttle
-	// BudgetRotateEpoch forces a budget-epoch rotation with a fresh grant.
-	BudgetRotateEpoch = account.RotateEpoch
 )
 
 // BudgetSnapshot is a point-in-time view of the privacy-budget ledger,
@@ -42,31 +40,6 @@ type BudgetSnapshot = account.Snapshot
 
 // QuerySpend is one query's attributed spend in a BudgetSnapshot.
 type QuerySpend = account.QuerySpend
-
-// BackpressurePolicy selects what Ingest does when a shard's bounded ingest
-// channel is full.
-type BackpressurePolicy int
-
-const (
-	// Block makes Ingest wait until the shard has capacity — lossless, and
-	// the producer inherits the serving rate.
-	Block BackpressurePolicy = iota
-	// DropOldest makes Ingest evict the oldest queued event to admit the
-	// new one — lossy, bounded latency; evictions are counted per shard.
-	DropOldest
-)
-
-// String names the policy for logs and flags.
-func (p BackpressurePolicy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case DropOldest:
-		return "drop-oldest"
-	default:
-		return "unknown"
-	}
-}
 
 // ErrClosed is returned by Ingest and Close after the runtime has closed.
 var ErrClosed = errors.New("runtime: closed")
@@ -155,11 +128,12 @@ type Config struct {
 	// state is freed (a later event for it starts a fresh feed). 0 keeps
 	// every stream's state until Close.
 	EvictAfter int64
-	// Backpressure selects the full-ingest-channel policy.
-	Backpressure BackpressurePolicy
 	// ShardBuffer is each shard's ingest-channel capacity, counted in
 	// messages: a message is one Ingest event or one IngestBatch
-	// sub-batch. Default: 256.
+	// sub-batch. Default: 256. A producer whose shard's channel is full
+	// waits for capacity, so it inherits the serving rate and nothing
+	// queued is ever dropped; IngestContext and IngestBatchContext bound
+	// the wait.
 	ShardBuffer int
 	// Budget, when positive, enables privacy-budget accounting and
 	// admission control: every stream is granted Budget of pattern-level ε
@@ -174,8 +148,10 @@ type Config struct {
 	// is admitted at zero charge, and the per-answer budget fields stay 0.
 	Budget dp.Epsilon
 	// BudgetPolicy selects the exhaustion behavior when Budget is set:
-	// BudgetDeny (default), BudgetSuppress, BudgetThrottle, or
-	// BudgetRotateEpoch. See the account package for the exact semantics.
+	// BudgetDeny (default), BudgetSuppress, or BudgetThrottle. It acts on
+	// the exhausted stream alone; the budget epoch moves only when
+	// RotateBudget is called. See the account package for the exact
+	// semantics.
 	BudgetPolicy BudgetPolicy
 	// Durability, when set, enables the durable-state subsystem: ledger
 	// charges, rotations, and registration changes are written ahead of
@@ -457,11 +433,11 @@ func shardSeed(seed int64, i int) int64 {
 	return core.MixSeed(seed, int64(i)+1)
 }
 
-// Ingest routes one event to its stream's shard, applying the configured
-// backpressure policy when the shard's channel is full. Events of one stream
-// key may be ingested from one goroutine only (or externally ordered);
-// different streams may ingest concurrently. Under Block backpressure Ingest
-// waits without bound; use IngestContext to bound the wait.
+// Ingest routes one event to its stream's shard, waiting while the shard's
+// channel is full. Events of one stream key may be ingested from one
+// goroutine only (or externally ordered); different streams may ingest
+// concurrently. Ingest waits without bound; use IngestContext to bound the
+// wait.
 func (rt *Runtime) Ingest(e event.Event) error {
 	return rt.IngestContext(context.Background(), e)
 }
@@ -504,9 +480,9 @@ func (rt *Runtime) IngestBatchContext(ctx context.Context, evs []event.Event) er
 // IngestBatchReceipt. The runtime calls Done exactly once per such call,
 // once no part of the batch is left in flight: every shard message carrying
 // part of it has been served, its WAL records committed and its answers
-// published to every sink — or it was evicted by DropOldest backpressure,
-// dropped by a failed shard, or never sent because the call failed. So a
-// sink has received every answer the batch produced before Done runs.
+// published to every sink — or it was dropped by a failed shard, or never
+// sent because the call failed. So a sink has received every answer the
+// batch produced before Done runs.
 //
 // Done runs on a shard goroutine, or on the caller's before
 // IngestBatchReceipt returns when nothing is left in flight by then; it
@@ -623,8 +599,8 @@ func (rt *Runtime) ingestBatch(ctx context.Context, evs []event.Event, rc *Recei
 	return nil
 }
 
-// send delivers one message to a shard under the configured backpressure
-// policy. The message holds its receipt from here on; one that is never
+// send delivers one message to a shard, waiting for capacity until ctx
+// ends. The message holds its receipt from here on; one that is never
 // queued is discarded, releasing it. Callers hold rt.mu.RLock.
 func (rt *Runtime) send(ctx context.Context, sh *shard, msg ingestMsg) error {
 	if msg.rc != nil {
@@ -633,31 +609,6 @@ func (rt *Runtime) send(ctx context.Context, sh *shard, msg ingestMsg) error {
 	if sh.failed.Load() {
 		sh.discard(msg)
 		return fmt.Errorf("runtime: shard %d: %w", sh.id, ErrShardFailed)
-	}
-	if rt.cfg.Backpressure == DropOldest {
-		for {
-			select {
-			case sh.in <- msg:
-				return nil
-			default:
-			}
-			if err := ctx.Err(); err != nil {
-				sh.discard(msg)
-				return err
-			}
-			select {
-			case old := <-sh.in:
-				if old.ckpt != nil {
-					// An evicted checkpoint request must still be answered:
-					// its caller is waiting on the (buffered) reply channel.
-					old.ckpt <- shardCkptResult{err: fmt.Errorf("runtime: shard %d: checkpoint evicted by backpressure", sh.id)}
-					continue
-				}
-				sh.stats.droppedIngest.Add(old.size())
-				sh.discard(old)
-			default:
-			}
-		}
 	}
 	select {
 	case sh.in <- msg:
@@ -857,7 +808,10 @@ type ShardStats struct {
 	DroppedLate int64
 	// DroppedFuture counts events rejected by the Horizon bound.
 	DroppedFuture int64
-	// DroppedIngest counts events evicted by DropOldest backpressure.
+	// DroppedIngest is always 0. It counted events evicted by a
+	// drop-oldest backpressure policy, which no longer exists: a full
+	// shard makes its producer wait. The field stays only until the
+	// benchmark stops reading it.
 	DroppedIngest int64
 	// DroppedFailed counts events discarded after the shard failed.
 	DroppedFailed int64
@@ -921,7 +875,6 @@ func (rt *Runtime) Snapshot() Stats {
 			AnswersEmitted:  sh.stats.answersEmitted.Load(),
 			DroppedLate:     sh.stats.droppedLate.Load(),
 			DroppedFuture:   sh.stats.droppedFuture.Load(),
-			DroppedIngest:   sh.stats.droppedIngest.Load(),
 			DroppedFailed:   sh.stats.droppedFailed.Load(),
 			QueriesDemanded: sh.demanded.Load(),
 			Failed:          sh.failed.Load(),
@@ -961,7 +914,6 @@ func (st Stats) Totals() ShardStats {
 		t.AnswersEmitted += s.AnswersEmitted
 		t.DroppedLate += s.DroppedLate
 		t.DroppedFuture += s.DroppedFuture
-		t.DroppedIngest += s.DroppedIngest
 		t.DroppedFailed += s.DroppedFailed
 		t.Failed = t.Failed || s.Failed
 	}

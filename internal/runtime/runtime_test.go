@@ -221,49 +221,6 @@ func (s *stallSink) Deliver([]Answer) {
 	<-s.release
 }
 
-// TestRuntimeDropOldestBackpressure stalls the only shard inside a sink's
-// Deliver, then overfills its tiny ingest buffer: every event past the
-// buffer must evict the oldest queued one instead of blocking Ingest.
-func TestRuntimeDropOldestBackpressure(t *testing.T) {
-	cfg := testConfig(t, 1)
-	cfg.Backpressure = DropOldest
-	cfg.ShardBuffer = 4
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &stallSink{entered: make(chan struct{}), release: make(chan struct{})}
-	if _, err := rt.Attach("", sink); err != nil {
-		t.Fatal(err)
-	}
-	// Two events, fewer than the buffer holds: the one at 10 closes window
-	// [0,10), whose answers stall the shard in Deliver with the ingest
-	// channel drained.
-	for _, at := range []event.Timestamp{0, 10} {
-		if err := rt.Ingest(event.New("a", at)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-sink.entered
-	const stalled = 60
-	for i := 0; i < stalled; i++ {
-		if err := rt.Ingest(event.New("a", event.Timestamp(11+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := rt.Snapshot().Totals().DroppedIngest, int64(stalled-cfg.ShardBuffer); got != want {
-		t.Errorf("DroppedIngest = %d with the shard stalled, want %d", got, want)
-	}
-	close(sink.release)
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tot := rt.Snapshot().Totals()
-	if tot.EventsIn+tot.DroppedIngest != 2+stalled {
-		t.Errorf("EventsIn %d + DroppedIngest %d != %d", tot.EventsIn, tot.DroppedIngest, 2+stalled)
-	}
-}
-
 // TestRuntimeClosedSemantics checks Ingest, Close, Subscribe, and control
 // ops after Close, and that subscriptions close with a nil Err.
 func TestRuntimeClosedSemantics(t *testing.T) {

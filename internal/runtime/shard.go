@@ -16,8 +16,7 @@ import (
 )
 
 // shardStats are one shard's serving counters. They are bumped only by the
-// shard's serving goroutine (droppedIngest: by producers) and loaded
-// concurrently by Snapshot.
+// shard's serving goroutine and loaded concurrently by Snapshot.
 type shardStats struct {
 	eventsIn       metrics.Counter
 	windowsClosed  metrics.Counter
@@ -25,7 +24,6 @@ type shardStats struct {
 	answersEmitted metrics.Counter
 	droppedLate    metrics.Counter
 	droppedFuture  metrics.Counter
-	droppedIngest  metrics.Counter
 	droppedFailed  metrics.Counter
 	streams        metrics.Counter
 	streamsEvicted metrics.Counter
@@ -531,7 +529,6 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 	}
 	s.admScratch = s.admScratch[:0]
 	s.outScratch = s.outScratch[:0]
-	rotated := false
 	for i := range ws {
 		var out account.Outcome // no ledger: Admitted, nothing spent
 		dec, charge := durable.DecisionAdmitted, 0.0
@@ -541,23 +538,6 @@ func (s *shard) emit(key string, st *streamState, ws []stream.Window) bool {
 			dec = durable.DecisionSkipped
 		} else if l != nil {
 			out = l.Decide(s.led, st.bud, int64(st.next+i), s.charge, epoch)
-			if out.Decision == account.Rotate {
-				// The BudgetRotateEpoch policy: request one rotation per
-				// observed epoch (level-triggered, so concurrent exhaustions
-				// collapse into one) and suppress the triggering window. The
-				// fresh grant applies from the next window boundary, when
-				// syncControl picks up the rotated state.
-				if !rotated {
-					rotated = true
-					observed := s.cur.budgetEpoch
-					if _, err := s.rt.rotateBudget(&observed); err != nil && err != ErrClosed {
-						// ErrClosed: a closing runtime grants no fresh
-						// epochs — the remaining drain degrades to Suppress.
-						return s.fail(err)
-					}
-				}
-				out = l.Suppress(s.led, st.bud)
-			}
 			dec = walDecision(out.Decision)
 			if dec == durable.DecisionAdmitted {
 				charge = s.charge

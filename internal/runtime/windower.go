@@ -33,9 +33,10 @@
 // is bit-identical to the one a subscribe-all sink would receive. An attach
 // takes effect at each shard's next message.
 //
-// Ingest channels are bounded with explicit backpressure (block or
-// drop-oldest), Close drains every shard gracefully, and Snapshot exposes
-// per-shard serving counters.
+// Ingest channels are bounded: a producer whose shard is full waits for it
+// (IngestContext bounds the wait) and nothing queued is dropped, Close
+// drains every shard gracefully, and Snapshot exposes per-shard serving
+// counters.
 package runtime
 
 import (

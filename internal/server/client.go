@@ -191,7 +191,7 @@ func Connect(cfg ClientConfig) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	c.attach(conn, w)
+	c.attach(conn, w, w.Session)
 	go c.readLoop(r, conn, 0)
 	go c.heartbeatLoop(conn, 0, c.heartbeatInterval())
 	return c, nil
@@ -216,14 +216,14 @@ func newClient(cfg ClientConfig) *Client {
 	}
 }
 
-// attach installs a live connection and its handshake facts.
-func (c *Client) attach(conn net.Conn, w wire.Welcome) {
-	c.mu.Lock()
+// attach installs a live connection, its handshake facts and its resume
+// token. Callers hold c.mu, or (Connect) have not yet shared c with a
+// goroutine.
+func (c *Client) attach(conn net.Conn, w wire.Welcome, session string) {
 	c.conn = conn
 	c.welcome = w
-	c.session = w.Session
+	c.session = session
 	c.heartbeat = time.Duration(w.HeartbeatMillis) * time.Millisecond
-	c.mu.Unlock()
 }
 
 // Welcome returns the latest handshake reply (tenant id, shard count, budget
@@ -551,10 +551,7 @@ func (c *Client) tryResume(gen uint64) bool {
 		conn.Close()
 		return true
 	}
-	c.conn = conn
-	c.welcome = w
-	c.session = resd.Session
-	c.heartbeat = time.Duration(w.HeartbeatMillis) * time.Millisecond
+	c.attach(conn, w, resd.Session)
 	c.mu.Unlock()
 	c.reconnects.Add(1)
 
@@ -735,7 +732,10 @@ func (c *Client) abandon(req uint64) {
 }
 
 // Ingest sends a batch of events and waits for the server's Ack. Event
-// sources are tenant-relative stream keys; the server namespaces them.
+// sources are tenant-relative stream keys; the server namespaces them. On
+// success n is len(evs) and every event has been served: a full shard makes
+// the batch wait rather than evict another, so no part of an acked batch is
+// dropped for overload. RequestTimeout bounds the wait.
 //
 // The server acks a batch once it is served, behind every answer the batch
 // produced for this connection's subscriptions, so those answers must reach

@@ -154,7 +154,9 @@ type Answer struct {
 // Ack confirms a request.
 type Ack struct {
 	Req uint64
-	// N is request-specific: events accepted for Ingest, 0 otherwise.
+	// N is request-specific: for Ingest, the batch's event count, acked
+	// once the shards have served all N events (overload makes a batch
+	// wait, never drops part of it); 0 otherwise.
 	N uint64
 }
 

@@ -33,7 +33,8 @@
 //
 // Beyond the batch API, NewRuntime starts a sharded streaming serving layer
 // for continuous multi-tenant serving: events from many concurrent streams
-// are ingested with bounded backpressure, windowed incrementally per stream
+// are ingested through bounded per-shard queues (a producer whose shard is
+// full waits; IngestContext bounds the wait), windowed incrementally per stream
 // under a configurable lateness policy, served through per-shard engines
 // with independent randomness, and delivered to per-query subscribers:
 //
@@ -72,11 +73,11 @@
 // admission control: every stream is granted Budget of pattern-level ε per
 // budget epoch, each released window charges the mechanism's per-window ε
 // against the stream's ledger at publish time (lock-free, compensated sums),
-// and a release the grant cannot cover is denied, suppressed, throttled, or
-// triggers an epoch rotation per RuntimeConfig.BudgetPolicy. Released
-// answers carry SpentEpsilon/RemainingEpsilon, RuntimeStats.Budget reports
-// the ledger (including the w-event composed per-event loss under sliding
-// overlap), and Runtime.RotateBudget rotates the grant explicitly — see the
+// and a release the grant cannot cover is denied, suppressed, or throttled
+// per RuntimeConfig.BudgetPolicy — for that stream alone. Released answers
+// carry SpentEpsilon/RemainingEpsilon, RuntimeStats.Budget reports the
+// ledger (including the w-event composed per-event loss under sliding
+// overlap), and only Runtime.RotateBudget grants a fresh epoch — see the
 // README's "Privacy accounting" section.
 //
 // Setting RuntimeConfig.Durability makes that state durable: every ledger
@@ -180,8 +181,6 @@ type (
 	Windower = runtime.Windower
 	// LatenessPolicy selects how out-of-order events are treated.
 	LatenessPolicy = runtime.LatenessPolicy
-	// BackpressurePolicy selects what Ingest does when a shard is full.
-	BackpressurePolicy = runtime.BackpressurePolicy
 	// PushResult reports what a Windower did with a pushed event.
 	PushResult = runtime.PushResult
 	// DurabilityConfig enables the durable-state subsystem (see
@@ -204,10 +203,6 @@ const (
 	// ReorderBuffer delays window cuts by AllowedLateness to reorder
 	// stragglers into place.
 	ReorderBuffer = runtime.ReorderBuffer
-	// Block makes Ingest wait for shard capacity (lossless).
-	Block = runtime.Block
-	// DropOldest makes Ingest evict the oldest queued event (lossy).
-	DropOldest = runtime.DropOldest
 	// PushAccepted, PushLate, and PushFuture are the Windower.Push results.
 	PushAccepted = runtime.PushAccepted
 	PushLate     = runtime.PushLate
@@ -215,12 +210,11 @@ const (
 	// BudgetDeny refuses a release the stream's budget cannot cover;
 	// BudgetSuppress publishes a data-independent placeholder instead;
 	// BudgetThrottle halves the answer cadence near exhaustion, then
-	// denies; BudgetRotateEpoch forces a budget-epoch rotation with a
-	// fresh grant. See RuntimeConfig.Budget.
-	BudgetDeny        = runtime.BudgetDeny
-	BudgetSuppress    = runtime.BudgetSuppress
-	BudgetThrottle    = runtime.BudgetThrottle
-	BudgetRotateEpoch = runtime.BudgetRotateEpoch
+	// denies. Each acts on the exhausted stream alone; a fresh grant comes
+	// only from Runtime.RotateBudget. See RuntimeConfig.Budget.
+	BudgetDeny     = runtime.BudgetDeny
+	BudgetSuppress = runtime.BudgetSuppress
+	BudgetThrottle = runtime.BudgetThrottle
 	// FsyncInterval syncs the WAL on a background cadence (default),
 	// FsyncAlways before every publish, FsyncOff only at checkpoints and on
 	// Close. See DurabilityConfig.Fsync.
