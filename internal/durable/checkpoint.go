@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"patterndp/internal/account"
@@ -19,9 +18,8 @@ import (
 //
 // where payload is the Checkpoint JSON. The file is written to a temp name,
 // fsynced, and renamed into place, so a crash mid-write leaves either the
-// previous checkpoint or a torn temp file — and an injected mid-checkpoint
-// crash deliberately tears a file under the *final* name, which the CRC
-// check must catch. JSON (not the WAL's binary framing) because checkpoints
+// previous checkpoint or a torn temp file; the CRC check catches a file
+// corrupted at rest. JSON (not the WAL's binary framing) because checkpoints
 // are rare, off the hot path, and worth being greppable when debugging a
 // recovery.
 const ckptMagic = "PPMCKPT\n"
@@ -104,11 +102,9 @@ type WindowerState struct {
 
 // WriteCheckpoint persists ck, assigns it the next checkpoint ID, and prunes
 // checkpoints and WAL segments it supersedes. The caller must pass a
-// snapshot exported at per-shard quiescent points (see Checkpoint).
+// snapshot exported at per-shard quiescent points (see Checkpoint). On error
+// nothing is pruned.
 func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
-	if l.crashed.Load() {
-		return ErrCrashed
-	}
 	if l.ckptH != nil {
 		start := time.Now()
 		defer func() {
@@ -128,9 +124,6 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 	// checkpoint's pruning could already have removed segments the stale
 	// one still needs. Skip the stale write instead; the newer checkpoint
 	// covers everything it held.
-	if l.consumed == nil {
-		l.consumed = make(map[int]uint64)
-	}
 	stale := ck.ControlLSN < l.consumed[ControlShard]
 	for _, sc := range ck.Shards {
 		if sc.WalLSN < l.consumed[sc.Shard] {
@@ -145,19 +138,8 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("durable: marshal checkpoint: %w", err)
 	}
-	final := filepath.Join(l.dir, fmt.Sprintf("ckpt-%016x.ckpt", ck.ID))
-
-	if CrashPoint(l.crashPoint.Load()) == CrashMidCheckpoint && l.crashLeft.Load() <= 0 {
-		// Injected crash mid-write: tear the file under the final name —
-		// the worst case recovery must handle (a plausible-looking
-		// checkpoint whose CRC doesn't verify).
-		hdr := frameHeader(ckptMagic, payload)
-		torn := append(hdr[:], payload[:len(payload)/2]...)
-		os.WriteFile(final, torn, 0o644) //nolint:errcheck
-		l.crashed.Store(true)
-		return ErrCrashed
-	}
-	if err := writeFramed(final, ckptMagic, "checkpoint", payload); err != nil {
+	final := filepath.Join(l.dir, ckptName(ck.ID))
+	if err := writeFramed(l.fs, final, ckptMagic, "checkpoint", payload); err != nil {
 		return err
 	}
 	if l.ckptC != nil {
@@ -173,20 +155,17 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 }
 
 // pruneLocked removes checkpoints older than ck and WAL segments wholly
-// covered by it. A segment is covered when its successor segment exists (so
-// its last LSN is known) and that last LSN is at or below the checkpoint's
-// consumed LSN for its appender; segments of shards absent from the
-// checkpoint belong to a previous run's larger shard set and are covered by
-// any complete snapshot. Active (latest) segments are never pruned. Pruning
-// is best-effort: a leftover file costs disk, not correctness.
+// covered by it, once l.consumed holds its LSNs. A segment is covered when
+// its successor segment exists (so its last LSN is known) and that last LSN
+// is at or below the checkpoint's consumed LSN for its appender; segments of
+// shards absent from the checkpoint belong to a previous run's larger shard
+// set and are covered by any complete snapshot. Active (latest) segments are
+// never pruned. Pruning is best-effort: a leftover file costs disk, not
+// correctness.
 func (l *Log) pruneLocked(ck *Checkpoint) {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return
-	}
-	consumed := map[int]uint64{ControlShard: ck.ControlLSN}
-	for _, sc := range ck.Shards {
-		consumed[sc.Shard] = sc.WalLSN
 	}
 	type seg struct {
 		name     string
@@ -200,19 +179,19 @@ func (l *Log) pruneLocked(ck *Checkpoint) {
 			continue
 		}
 		if id, ok := parseCkptName(name); ok && id < ck.ID {
-			os.Remove(filepath.Join(l.dir, name)) //nolint:errcheck
+			l.fs.Remove(filepath.Join(l.dir, name)) //nolint:errcheck
 		}
 	}
+	// ReadDir sorts by name, and the fixed-width names sort by first LSN.
 	for shard, segs := range byShard {
-		sort.Slice(segs, func(i, j int) bool { return segs[i].firstLSN < segs[j].firstLSN })
-		lsn, live := consumed[shard]
+		lsn, live := l.consumed[shard]
 		for i, s := range segs {
 			if i == len(segs)-1 {
 				break // never prune the active segment
 			}
 			lastLSN := segs[i+1].firstLSN - 1
 			if !live || lastLSN <= lsn {
-				os.Remove(filepath.Join(l.dir, s.name)) //nolint:errcheck
+				l.fs.Remove(filepath.Join(l.dir, s.name)) //nolint:errcheck
 			}
 		}
 	}
@@ -233,15 +212,14 @@ func readCheckpoint(path string) (*Checkpoint, error) {
 	return &ck, nil
 }
 
+func ckptName(id uint64) string { return fmt.Sprintf("ckpt-%016x.ckpt", id) }
+
+// parseCkptName returns the ID a checkpoint file name carries; it rejects
+// other names, e.g. .tmp leftovers.
 func parseCkptName(name string) (uint64, bool) {
 	var id uint64
-	if _, err := fmt.Sscanf(name, "ckpt-%016x.ckpt", &id); err != nil {
-		return 0, false
-	}
-	if name != fmt.Sprintf("ckpt-%016x.ckpt", id) {
-		return 0, false // reject e.g. .tmp leftovers
-	}
-	return id, true
+	_, err := fmt.Sscanf(name, "ckpt-%016x.ckpt", &id)
+	return id, err == nil && name == ckptName(id)
 }
 
 func parseSegmentName(name string) (shard int, firstLSN uint64, ok bool) {

@@ -7,7 +7,7 @@
 // process crashes and restarts with a fresh account.Ledger, previously
 // released answers silently compose past the declared ε. The WAL makes the
 // ledger's charges outlive the process, and the one-sided recovery invariant
-// is the contract every crash point is tested against:
+// is the contract every crash state is tested against:
 //
 //	recovered spend ≥ spend of every answer actually published.
 //
@@ -29,14 +29,21 @@
 // committed record survive a *process* crash. Whether it also survives an OS
 // or power crash is the fsync policy:
 //
-//	FsyncAlways   fsync before the commit returns — full durability, and the
-//	              publish path inherits the disk's sync latency.
+//	FsyncAlways   fsync before the commit returns: every commit that returned
+//	              nil survives an OS or power crash, and the publish path
+//	              inherits the disk's sync latency.
 //	FsyncInterval fsync every fsyncEvery (100ms) in the background — process
-//	              crashes lose nothing; an OS crash loses at most the last
-//	              interval of records.
-//	FsyncOff      fsync only at checkpoints and on Close — process crashes
-//	              still lose nothing; an OS crash may lose the tail since
-//	              the last checkpoint.
+//	              crashes lose nothing; an OS crash loses at most the records
+//	              committed since the last completed sync.
+//	FsyncOff      fsync only at checkpoints, segment rotation and Close —
+//	              process crashes still lose nothing; an OS crash may lose
+//	              the tail since the last checkpoint.
+//
+// Under every policy a new segment's name is made durable before any record
+// is written into it, and a segment is fsynced before the next one starts, so
+// a crash cuts only the newest segment's tail; Open refuses an LSN hole.
+// Every mutating file-system call goes through the FS seam, which the tests
+// replace to rebuild each state a crash may leave.
 //
 // # Checkpoints and recovery
 //
@@ -44,10 +51,11 @@
 // state (pane tally rings, watermarks, reorder buffers), per-stream window
 // indices, and the full ledger state — together with each appender's log
 // sequence number (LSN) at the moment its shard exported. Checkpoint files
-// are written to a temp name, fsynced, and renamed, so a crash mid-checkpoint
-// leaves the previous checkpoint intact; a torn or corrupted checkpoint is
-// detected by CRC and skipped in favor of the previous one. After a
-// successful checkpoint, WAL segments wholly covered by it are pruned.
+// are written to a temp name, fsynced, renamed, and the directory fsynced, so
+// a crash mid-checkpoint leaves the previous checkpoint intact; a corrupted
+// checkpoint is detected by CRC and skipped in favor of the previous one.
+// Only a checkpoint whose name is durable prunes the WAL segments and older
+// checkpoints it covers.
 //
 // Recovery (Open) loads the newest valid checkpoint and returns the WAL tail
 // — every record past the checkpoint's per-shard LSNs — for the runtime to
@@ -117,6 +125,8 @@ type Options struct {
 	// plus committed-record counters. Nil leaves the durable layer
 	// unmeasured with zero timing overhead on the commit path.
 	Metrics *metrics.Registry
+	// FS is the file system every mutating call goes through. Default: OS.
+	FS FS
 
 	// segmentBytes bounds a segment file's size; an appender rotates to a
 	// fresh segment once the bound is passed. 0 = 64 MiB; the package's
@@ -127,6 +137,9 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.segmentBytes == 0 {
 		o.segmentBytes = 64 << 20
+	}
+	if o.FS == nil {
+		o.FS = OS
 	}
 	return o
 }
@@ -227,36 +240,7 @@ type Record struct {
 // ControlShard is the shard index the control appender's records carry.
 const ControlShard = -1
 
-// ErrCrashed is returned by every Log operation after an injected crash
-// point has fired (see InjectCrash). It simulates whole-process death for
-// crash-recovery tests: once tripped, nothing further is written — exactly
-// like the real crash the recovery invariant is tested against.
-var ErrCrashed = errors.New("durable: injected crash")
-
 // ErrClosed is returned by an appender's Commit (and so AppendRotation and
 // AppendRegistration) after Close: the staged records are discarded and no
 // segment is created.
 var ErrClosed = errors.New("durable: closed")
-
-// CrashPoint selects where an injected crash fires relative to the write it
-// interrupts. Used only by tests.
-type CrashPoint int
-
-const (
-	// CrashNone disables injection.
-	CrashNone CrashPoint = iota
-	// CrashBeforeCommit trips before the triggering commit's records are
-	// written: the in-memory ledger is already charged, the disk is not —
-	// the "after-charge / before-append" kill point. Recovery must not
-	// under-count because the answers were never published either.
-	CrashBeforeCommit
-	// CrashAfterCommit trips after the triggering commit's records are
-	// written but before the caller can publish — the "after-append /
-	// before-publish" kill point. Recovery over-counts by the unpublished
-	// charge, which the invariant allows.
-	CrashAfterCommit
-	// CrashMidCheckpoint trips while writing a checkpoint, leaving a torn
-	// checkpoint file under the final name: recovery must detect it by CRC
-	// and fall back to the previous checkpoint plus a longer WAL replay.
-	CrashMidCheckpoint
-)

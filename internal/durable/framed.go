@@ -16,20 +16,15 @@ import (
 // a directory fsync, so a crash mid-write leaves the previous file or a torn
 // temp file. kind names the file in errors ("checkpoint", "session spill").
 
-// frameHeader returns the 16-byte header framing payload under magic.
-func frameHeader(magic string, payload []byte) [16]byte {
+// writeFramed atomically replaces path with payload framed under magic. A nil
+// error means the new file and its name are both durable.
+func writeFramed(fsys FS, path, magic, kind string, payload []byte) error {
 	var hdr [16]byte
 	copy(hdr[:], magic)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(payload))
-	return hdr
-}
-
-// writeFramed atomically replaces path with payload framed under magic.
-func writeFramed(path, magic, kind string, payload []byte) error {
-	hdr := frameHeader(magic, payload)
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("durable: %s: %w", kind, err)
 	}
@@ -43,13 +38,15 @@ func writeFramed(path, magic, kind string, payload []byte) error {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(tmp) //nolint:errcheck
+		fsys.Remove(tmp) //nolint:errcheck
 		return fmt.Errorf("durable: %s: %w", kind, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := fsys.Rename(tmp, path); err != nil {
 		return fmt.Errorf("durable: %s: %w", kind, err)
 	}
-	syncDir(filepath.Dir(path))
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("durable: %s: %w", kind, err)
+	}
 	return nil
 }
 
@@ -75,13 +72,4 @@ func readFramed(path, magic, kind string) ([]byte, error) {
 		return nil, fmt.Errorf("durable: %s: %s CRC mismatch", name, kind)
 	}
 	return payload, nil
-}
-
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()  //nolint:errcheck // best effort; rename durability
-	d.Close() //nolint:errcheck
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"testing"
 )
 
@@ -33,7 +34,7 @@ func windowPayload(stream string, idx, start int64, dec Decision, charge float64
 	b = binary.AppendUvarint(b, uint64(idx))
 	b = binary.AppendVarint(b, start)
 	b = append(b, byte(dec))
-	b = appendU64(b, bitsOf(charge))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(charge))
 	b = append(b, stream...)
 	return b
 }

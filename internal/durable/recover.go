@@ -50,7 +50,10 @@ func (r *Recovery) MaxRotationEpoch() (budget, ctl uint64) {
 // past it, and positions appenders to continue after the highest committed
 // LSNs. A restarted log never appends to a pre-crash segment — each appender
 // lazily starts a fresh segment on its first commit, so a torn pre-crash
-// tail is left behind for the reader to skip and the pruner to collect.
+// tail is left behind for the reader to skip and the pruner to collect. A
+// segment that holds no record is removed, since the fresh one takes its
+// name. An LSN hole is an error: records are missing while later ones
+// survived, so any spend recovered from the directory could under-count.
 //
 // The returned Log is ready for appends; Log.Recovery reports what was
 // recovered (nil for a fresh directory).
@@ -67,41 +70,31 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 
-	var segPaths []string
-	var ckpts []struct {
-		id   uint64
-		path string
-	}
+	var segPaths, ckpts []string
 	for _, e := range entries {
 		name := e.Name()
 		if _, _, ok := parseSegmentName(name); ok {
 			segPaths = append(segPaths, filepath.Join(dir, name))
-		} else if id, ok := parseCkptName(name); ok {
-			ckpts = append(ckpts, struct {
-				id   uint64
-				path string
-			}{id, filepath.Join(dir, name)})
+		} else if _, ok := parseCkptName(name); ok {
+			ckpts = append(ckpts, filepath.Join(dir, name))
 		} else if filepath.Ext(name) == ".tmp" {
-			os.Remove(filepath.Join(dir, name)) //nolint:errcheck // crash leftover
+			opts.FS.Remove(filepath.Join(dir, name)) //nolint:errcheck // crash leftover
 		}
 	}
 
+	// Newest first: the fixed-width hex IDs sort by name.
 	rec := &Recovery{}
 	var ck *Checkpoint
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i].id > ckpts[j].id })
-	maxCkptID := uint64(0)
-	for _, c := range ckpts {
-		if c.id > maxCkptID {
-			maxCkptID = c.id
+	var maxCkptID uint64
+	sort.Sort(sort.Reverse(sort.StringSlice(ckpts)))
+	if len(ckpts) > 0 {
+		maxCkptID, _ = parseCkptName(filepath.Base(ckpts[0]))
+	}
+	for _, p := range ckpts {
+		if ck, err = readCheckpoint(p); err == nil {
+			break
 		}
-		if ck == nil {
-			loaded, err := readCheckpoint(c.path)
-			if err != nil {
-				rec.SkippedCheckpoints++
-				continue
-			}
-			ck = loaded
-		}
+		rec.SkippedCheckpoints++
 	}
 	rec.Checkpoint = ck
 	consumed := map[int]uint64{}
@@ -117,9 +110,21 @@ func Open(dir string, opts Options) (*Log, error) {
 	// sequence.
 	var segs []segmentData
 	for _, p := range segPaths {
-		sd, err := readSegment(p)
+		data, err := os.ReadFile(p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("durable: %w", err)
+		}
+		var sd segmentData
+		if len(data) >= segmentHeaderSize {
+			if sd, err = parseSegment(p, data); err != nil {
+				return nil, err
+			}
+		}
+		if len(sd.records) == 0 {
+			// A crash cut the segment's creation or its first record.
+			rec.Truncated = rec.Truncated || len(data) != segmentHeaderSize
+			opts.FS.Remove(p) //nolint:errcheck // a later Open retries
+			continue
 		}
 		segs = append(segs, sd)
 	}
@@ -129,6 +134,9 @@ func Open(dir string, opts Options) (*Log, error) {
 		}
 		return segs[i].firstLSN < segs[j].firstLSN
 	})
+	if err := checkContiguous(segs, ck, consumed); err != nil {
+		return nil, err
+	}
 	maxLSN := map[int]uint64{}
 	for _, sd := range segs {
 		if sd.truncated {
@@ -154,7 +162,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	empty := ck == nil && len(rec.Tail) == 0 && len(rec.ControlTail) == 0 &&
 		!rec.Truncated && rec.SkippedCheckpoints == 0
 
-	l := &Log{dir: dir, opts: opts, ckptSeq: maxCkptID}
+	l := &Log{dir: dir, opts: opts, fs: opts.FS, ckptSeq: maxCkptID, consumed: map[int]uint64{}}
 	if reg := opts.Metrics; reg != nil {
 		l.commitH = reg.Histogram("ppm_wal_commit_seconds", "WAL group-commit write latency (staged records to write(2) return).")
 		l.fsyncH = reg.Histogram("ppm_wal_fsync_seconds", "WAL fsync latency (flusher ticks and FsyncAlways commits).")
@@ -167,20 +175,34 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l.shards = make([]*Appender, opts.Shards)
 	for i := range l.shards {
-		l.shards[i] = &Appender{log: l, shard: i, lsn: startLSN(i, consumed, maxLSN)}
+		l.shards[i] = &Appender{log: l, shard: i, lsn: max(maxLSN[i], consumed[i])}
 	}
-	l.ctl = &Appender{log: l, shard: ControlShard, lsn: startLSN(ControlShard, consumed, maxLSN)}
+	l.ctl = &Appender{log: l, shard: ControlShard, lsn: max(maxLSN[ControlShard], consumed[ControlShard])}
 	l.startFlusher()
 	return l, nil
 }
 
-// startLSN picks where a restarted appender continues: past everything read
-// back from segments, and never below the checkpoint's consumed LSN (whose
-// segments may already be pruned).
-func startLSN(shard int, consumed, maxLSN map[int]uint64) uint64 {
-	lsn := maxLSN[shard]
-	if c := consumed[shard]; c > lsn {
-		lsn = c
+// checkContiguous refuses an LSN hole in segs (sorted by shard, then first
+// LSN): each segment must start at or before the record after the
+// checkpoint's consumed LSN or its predecessor's last. Shards absent from the
+// checkpoint are a previous run's larger shard set, which it covers whole
+// (pruneLocked keeps only their last segment), so their run starts anywhere.
+func checkContiguous(segs []segmentData, ck *Checkpoint, consumed map[int]uint64) error {
+	next := map[int]uint64{}
+	for _, sd := range segs {
+		want, seen := next[sd.shard]
+		if !seen {
+			c, covered := consumed[sd.shard]
+			want = c + 1
+			if ck != nil && !covered {
+				want = sd.firstLSN
+			}
+		}
+		if sd.firstLSN > want {
+			return fmt.Errorf("durable: %s: WAL records %d..%d of appender %d are missing",
+				filepath.Base(sd.path), want, sd.firstLSN-1, sd.shard)
+		}
+		next[sd.shard] = max(want, sd.firstLSN+uint64(len(sd.records)))
 	}
-	return lsn
+	return nil
 }

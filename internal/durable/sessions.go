@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 )
 
@@ -66,14 +65,14 @@ type SessionSub struct {
 	Ring      [][]byte `json:"ring,omitempty"`
 }
 
-// WriteSessions persists sp as dir's session spill, replacing any previous
-// spill.
-func WriteSessions(dir string, sp *SessionSpill) error {
+// WriteSessions persists sp through fsys as dir's session spill, replacing
+// any previous spill.
+func WriteSessions(fsys FS, dir string, sp *SessionSpill) error {
 	payload, err := json.Marshal(sp)
 	if err != nil {
 		return fmt.Errorf("durable: marshal session spill: %w", err)
 	}
-	return writeFramed(filepath.Join(dir, SessionSpillFile), sessMagic, "session spill", payload)
+	return writeFramed(fsys, filepath.Join(dir, SessionSpillFile), sessMagic, "session spill", payload)
 }
 
 // ReadSessions loads dir's session spill. A missing spill is (nil, nil) —
@@ -96,7 +95,7 @@ func ReadSessions(dir string) (*SessionSpill, error) {
 // RemoveSessions deletes dir's session spill once its sessions have been
 // adopted (missing is fine).
 func RemoveSessions(dir string) error {
-	err := os.Remove(filepath.Join(dir, SessionSpillFile))
+	err := OS.Remove(filepath.Join(dir, SessionSpillFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"patterndp/internal/metrics"
@@ -44,16 +43,10 @@ const (
 type Log struct {
 	dir  string
 	opts Options
+	fs   FS
 
 	shards []*Appender
 	ctl    *Appender
-
-	// Injected-crash state (tests only). crashPoint holds a CrashPoint;
-	// crashLeft counts committed records until it fires; crashed flips once
-	// and every subsequent operation returns ErrCrashed.
-	crashPoint atomic.Int32
-	crashLeft  atomic.Int64
-	crashed    atomic.Bool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -83,23 +76,9 @@ func (l *Log) Control() *Appender { return l.ctl }
 // Recovery returns what Open recovered, or nil for a fresh directory.
 func (l *Log) Recovery() *Recovery { return l.recovery }
 
-// InjectCrash arms an injected crash: after the next afterRecords committed
-// records (across all appenders), the given point fires and the Log behaves
-// as if the process died — every further operation returns ErrCrashed.
-// Tests only.
-func (l *Log) InjectCrash(point CrashPoint, afterRecords int) {
-	l.crashLeft.Store(int64(afterRecords))
-	l.crashPoint.Store(int32(point))
-}
-
-// Crashed reports whether an injected crash has fired.
-func (l *Log) Crashed() bool { return l.crashed.Load() }
-
-// SyncAll fsyncs every appender's current segment.
+// SyncAll fsyncs every appender's current segment. A nil return makes every
+// record committed before the call durable.
 func (l *Log) SyncAll() error {
-	if l.crashed.Load() {
-		return ErrCrashed
-	}
 	for _, a := range append(l.shards[:len(l.shards):len(l.shards)], l.ctl) {
 		if err := a.sync(); err != nil {
 			return err
@@ -151,22 +130,6 @@ func (l *Log) startFlusher() {
 	}()
 }
 
-// tripBeforeCommit decrements the injected-crash countdown by n about-to-be
-// committed records and reports which point (if any) fires on this commit.
-func (l *Log) tripBeforeCommit(n int) CrashPoint {
-	p := CrashPoint(l.crashPoint.Load())
-	if p == CrashNone || n == 0 {
-		return CrashNone
-	}
-	if l.crashLeft.Add(-int64(n)) > 0 {
-		return CrashNone
-	}
-	if p == CrashMidCheckpoint {
-		return CrashNone // fires in writeCheckpoint instead
-	}
-	return p
-}
-
 // Appender is a single-writer WAL appender: one per serving shard plus one
 // for the control plane. The owner stages records into a reusable buffer and
 // Commit writes them all with one write(2), assigning consecutive LSNs.
@@ -185,7 +148,7 @@ type Appender struct {
 	stageMu sync.Mutex
 
 	mu     sync.Mutex // guards f, size, lsn and closed against the flusher, LSN readers and Close
-	f      *os.File
+	f      File
 	size   int64
 	lsn    uint64 // committed records so far; next record gets lsn+1
 	closed bool   // set by Close: a later commit must not open a segment
@@ -207,7 +170,7 @@ func (a *Appender) StageWindow(stream string, windowIdx, windowStart int64, dec 
 	a.buf = binary.AppendUvarint(a.buf, uint64(windowIdx))
 	a.buf = binary.AppendVarint(a.buf, windowStart)
 	a.buf = append(a.buf, byte(dec))
-	a.buf = appendU64(a.buf, bitsOf(charge))
+	a.buf = binary.LittleEndian.AppendUint64(a.buf, math.Float64bits(charge))
 	a.buf = append(a.buf, stream...)
 	a.endFrame(start)
 }
@@ -261,29 +224,13 @@ func (a *Appender) endFrame(start int) {
 }
 
 // Commit writes every staged record with one write(2) — strictly before the
-// caller may publish the answers those records cover — and fsyncs first under
-// FsyncAlways. On error (including an injected crash) the staged records are
-// discarded and the caller must treat the emit as failed: not publishing is
-// exactly what keeps the recovery invariant one-sided.
+// caller may publish the answers those records cover — and fsyncs it before
+// returning under FsyncAlways. On error the staged records are discarded and
+// the caller must treat the emit as failed: not publishing is exactly what
+// keeps the recovery invariant one-sided.
 func (a *Appender) Commit() error {
-	if a.log.crashed.Load() {
-		a.discard()
-		return ErrCrashed
-	}
 	if a.staged == 0 {
 		return nil
-	}
-	switch a.log.tripBeforeCommit(a.staged) {
-	case CrashBeforeCommit:
-		a.discard()
-		a.log.crashed.Store(true)
-		return ErrCrashed
-	case CrashAfterCommit:
-		if err := a.write(); err != nil {
-			return err
-		}
-		a.log.crashed.Store(true)
-		return ErrCrashed
 	}
 	return a.write()
 }
@@ -305,12 +252,11 @@ func (a *Appender) write() error {
 			return err
 		}
 	}
-	n, err := a.f.Write(a.buf)
-	if err != nil {
+	if _, err := a.f.Write(a.buf); err != nil {
 		// A partial write leaves a torn tail the reader will skip; the
 		// records are treated as never committed.
-		a.size += int64(n)
 		a.discard()
+		a.abandonLocked()
 		return fmt.Errorf("durable: append shard %d: %w", a.shard, err)
 	}
 	a.size += int64(len(a.buf))
@@ -326,6 +272,7 @@ func (a *Appender) write() error {
 			start = time.Now()
 		}
 		if err := a.f.Sync(); err != nil {
+			a.abandonLocked()
 			return fmt.Errorf("durable: fsync shard %d: %w", a.shard, err)
 		}
 		if a.log.fsyncH != nil {
@@ -340,20 +287,39 @@ func (a *Appender) discard() {
 	a.staged = 0
 }
 
+// abandonLocked makes the next commit start a fresh segment at lsn+1 rather
+// than write behind a failed write or fsync. A segment holding committed
+// records is marked full, so rotateLocked still fsyncs it before closing it;
+// one holding none is removed, because the fresh segment takes its name.
+func (a *Appender) abandonLocked() {
+	if a.size > int64(segmentHeaderSize) {
+		a.size = a.log.opts.segmentBytes
+		return
+	}
+	a.f.Close()                                                              //nolint:errcheck // nothing committed in it
+	a.log.fs.Remove(filepath.Join(a.log.dir, segmentName(a.shard, a.lsn+1))) //nolint:errcheck // Open removes it if this fails
+	a.f = nil
+}
+
 // rotateLocked starts a fresh segment whose first record will be a.lsn+1.
 // Also used lazily for the very first commit after Open: a restarted log
 // never appends to a pre-crash segment (whose tail may be torn) — it always
-// starts a new one.
+// starts a new one. The old segment is fsynced first, and the new one's name
+// is made durable before any record is written into it.
 func (a *Appender) rotateLocked() error {
 	if a.f != nil {
-		a.f.Sync() //nolint:errcheck // best effort; the data is already written
-		if err := a.f.Close(); err != nil {
+		if err := a.f.Sync(); err != nil {
+			// Keep the segment: the next sync or rotation retries it.
+			return fmt.Errorf("durable: fsync shard %d: %w", a.shard, err)
+		}
+		err := a.f.Close()
+		a.f = nil
+		if err != nil {
 			return err
 		}
-		a.f = nil
 	}
-	name := segmentName(a.shard, a.lsn+1)
-	f, err := os.OpenFile(filepath.Join(a.log.dir, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	path := filepath.Join(a.log.dir, segmentName(a.shard, a.lsn+1))
+	f, err := a.log.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return fmt.Errorf("durable: create segment: %w", err)
 	}
@@ -361,9 +327,13 @@ func (a *Appender) rotateLocked() error {
 	copy(hdr[:], segmentMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], a.lsn+1)
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(a.shard+1))
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: segment header: %w", err)
+	if _, err = f.Write(hdr[:]); err == nil {
+		err = a.log.fs.SyncDir(a.log.dir)
+	}
+	if err != nil {
+		f.Close()             //nolint:errcheck
+		a.log.fs.Remove(path) //nolint:errcheck // Open removes it if this fails
+		return fmt.Errorf("durable: create segment: %w", err)
 	}
 	a.f = f
 	a.size = int64(segmentHeaderSize)
@@ -393,8 +363,10 @@ func (a *Appender) close() error {
 	if a.f == nil {
 		return nil
 	}
-	a.f.Sync() //nolint:errcheck
-	err := a.f.Close()
+	err := a.f.Sync()
+	if cerr := a.f.Close(); err == nil {
+		err = cerr
+	}
 	a.f = nil
 	return err
 }
@@ -417,18 +389,10 @@ type segmentData struct {
 	truncated bool
 }
 
-// readSegment parses a segment file, stopping cleanly at the first torn or
-// corrupted frame. A file too short for its header, or with a bad magic, is
-// rejected with an error; frame-level damage is not an error — it is the
-// expected shape of a crash-cut tail.
-func readSegment(path string) (segmentData, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return segmentData{}, err
-	}
-	return parseSegment(path, data)
-}
-
+// parseSegment parses a segment file's bytes, stopping cleanly at the first
+// torn or corrupted frame. A file too short for its header, or with a bad
+// magic, is rejected with an error; frame-level damage is not an error — it
+// is the expected shape of a crash-cut tail.
 func parseSegment(path string, data []byte) (segmentData, error) {
 	if len(data) < segmentHeaderSize || string(data[:len(segmentMagic)]) != segmentMagic {
 		return segmentData{}, fmt.Errorf("durable: %s: not a WAL segment", filepath.Base(path))
@@ -496,7 +460,7 @@ func decodeRecord(payload []byte) (Record, error) {
 		if rec.Decision > DecisionSkipped {
 			return Record{}, fmt.Errorf("durable: bad decision %d", rest[0])
 		}
-		rec.Charge = floatOf(binary.LittleEndian.Uint64(rest[1:]))
+		rec.Charge = math.Float64frombits(binary.LittleEndian.Uint64(rest[1:]))
 		rec.Stream = string(rest[9:])
 	case KindEvict:
 		rec.Stream = string(rest)
@@ -548,12 +512,3 @@ func takeVarint(b []byte) (int64, []byte, bool) {
 	}
 	return v, b[n:], true
 }
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func bitsOf(f float64) uint64  { return math.Float64bits(f) }
-func floatOf(b uint64) float64 { return math.Float64frombits(b) }

@@ -308,6 +308,69 @@ func TestCheckpointRecoveryAndPruning(t *testing.T) {
 	l2.Close()
 }
 
+// TestOpenRefusesLSNHole checks that Open refuses a directory whose WAL has
+// lost records while later ones survived — a middle segment or the first one
+// missing — and still accepts a shard that the newest checkpoint does not
+// list, whose earlier segments that checkpoint's pruning removed.
+func TestOpenRefusesLSNHole(t *testing.T) {
+	small := func(o *Options) { o.segmentBytes = int64(segmentHeaderSize) + 64 }
+	// segments commits n records on each of shards appenders and returns
+	// the segment names, in LSN order within each appender.
+	segments := func(t *testing.T, dir string, shards, n int) []string {
+		l := openTest(t, dir, shards, small)
+		for s := 0; s < shards; s++ {
+			a := l.Shard(s)
+			for i := 0; i < n; i++ {
+				a.StageWindow("stream", int64(i), int64(i*10), DecisionAdmitted, 0.5, 0)
+				if err := a.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, n := range dirNames(t, dir) {
+			if _, _, ok := parseSegmentName(n); ok {
+				names = append(names, n)
+			}
+		}
+		return names
+	}
+	for _, middle := range []bool{true, false} {
+		t.Run(fmt.Sprintf("middle=%v", middle), func(t *testing.T) {
+			dir := t.TempDir()
+			names := segments(t, dir, 1, 20)
+			victim := names[0]
+			if middle {
+				victim = names[len(names)/2]
+			}
+			if err := os.Remove(filepath.Join(dir, victim)); err != nil {
+				t.Fatal(err)
+			}
+			if l, err := Open(dir, Options{Shards: 1, Fsync: FsyncOff}); err == nil {
+				l.Close()
+				t.Fatalf("Open accepted the WAL without %s", victim)
+			}
+		})
+	}
+	t.Run("shard absent from checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		segments(t, dir, 2, 20)
+		// A one-shard restart's checkpoint does not list shard 1, so its
+		// pruning keeps only shard 1's last segment, which starts past LSN 1.
+		l := openTest(t, dir, 1, small)
+		if err := l.WriteCheckpoint(&Checkpoint{Shards: []ShardCheckpoint{{Shard: 0, WalLSN: l.Shard(0).LSN()}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		openTest(t, dir, 1, small).Close()
+	})
+}
+
 // TestCheckpointCorruptFallsBack corrupts the newest checkpoint and checks
 // recovery falls back to the previous one, counting the skip.
 func TestCheckpointCorruptFallsBack(t *testing.T) {
@@ -384,84 +447,6 @@ func TestStaleCheckpointSkipped(t *testing.T) {
 	if rec := l2.Recovery(); rec.Checkpoint == nil || rec.Checkpoint.ID != fresh.ID {
 		t.Fatalf("recovered %+v, want the fresh checkpoint %d", rec.Checkpoint, fresh.ID)
 	}
-}
-
-// TestInjectedCrashPoints exercises the three kill points the recovery
-// invariant is stated over, at the Log level.
-func TestInjectedCrashPoints(t *testing.T) {
-	t.Run("before commit", func(t *testing.T) {
-		dir := t.TempDir()
-		l := openTest(t, dir, 1)
-		a := l.Shard(0)
-		a.StageWindow("s", 0, 0, DecisionAdmitted, 1, 0)
-		if err := a.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		l.InjectCrash(CrashBeforeCommit, 1)
-		a.StageWindow("s", 1, 10, DecisionAdmitted, 1, 0)
-		if err := a.Commit(); err != ErrCrashed {
-			t.Fatalf("Commit = %v, want ErrCrashed", err)
-		}
-		if !l.Crashed() {
-			t.Error("Crashed() = false after trip")
-		}
-		if err := a.Commit(); err != ErrCrashed {
-			t.Fatalf("post-crash Commit = %v, want ErrCrashed", err)
-		}
-		l.Close()
-		l2 := openTest(t, dir, 1)
-		defer l2.Close()
-		// The interrupted record was discarded: only the first survives.
-		if tail := l2.Recovery().Tail; len(tail) != 1 {
-			t.Fatalf("tail = %d, want 1", len(tail))
-		}
-	})
-	t.Run("after commit", func(t *testing.T) {
-		dir := t.TempDir()
-		l := openTest(t, dir, 1)
-		a := l.Shard(0)
-		l.InjectCrash(CrashAfterCommit, 1)
-		a.StageWindow("s", 0, 0, DecisionAdmitted, 1, 0)
-		if err := a.Commit(); err != ErrCrashed {
-			t.Fatalf("Commit = %v, want ErrCrashed", err)
-		}
-		l.Close()
-		l2 := openTest(t, dir, 1)
-		defer l2.Close()
-		// The record hit the disk before the "crash": replay sees it even
-		// though the caller never published — the allowed over-count.
-		if tail := l2.Recovery().Tail; len(tail) != 1 {
-			t.Fatalf("tail = %d, want 1", len(tail))
-		}
-	})
-	t.Run("mid checkpoint", func(t *testing.T) {
-		dir := t.TempDir()
-		l := openTest(t, dir, 1)
-		a := l.Shard(0)
-		a.StageWindow("s", 0, 0, DecisionAdmitted, 1, 0)
-		if err := a.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		ck := &Checkpoint{Shards: []ShardCheckpoint{{Shard: 0, WalLSN: a.LSN()}}}
-		if err := l.WriteCheckpoint(ck); err != nil {
-			t.Fatal(err)
-		}
-		l.InjectCrash(CrashMidCheckpoint, 0)
-		torn := &Checkpoint{Shards: []ShardCheckpoint{{Shard: 0, WalLSN: a.LSN()}}}
-		if err := l.WriteCheckpoint(torn); err != ErrCrashed {
-			t.Fatalf("WriteCheckpoint = %v, want ErrCrashed", err)
-		}
-		l.Close()
-		l2 := openTest(t, dir, 1)
-		defer l2.Close()
-		rec := l2.Recovery()
-		if rec.SkippedCheckpoints != 1 {
-			t.Errorf("SkippedCheckpoints = %d, want the torn file detected", rec.SkippedCheckpoints)
-		}
-		if rec.Checkpoint == nil || rec.Checkpoint.ID != 1 {
-			t.Fatalf("recovered %+v, want fallback to checkpoint 1", rec.Checkpoint)
-		}
-	})
 }
 
 // TestOpenFreshDir checks a fresh directory yields no recovery and a usable

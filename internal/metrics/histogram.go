@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -19,8 +20,22 @@ const histBuckets = 64
 // are safe on a nil receiver (no-ops / zero snapshots), so instrumented code
 // never needs a nil check on the fast path.
 type Histogram struct {
-	sum     atomic.Int64 // total nanoseconds
+	sum  atomic.Int64 // total nanoseconds
+	most atomic.Int64 // largest observation
+	// least is math.MaxInt64 minus the smallest: zero holds none, and it rises.
+	least   atomic.Int64
 	buckets [histBuckets]atomic.Int64
+}
+
+// raise sets v to x if x is larger: one load, and a CAS only on a new
+// extreme.
+func raise(v *atomic.Int64, x int64) {
+	for {
+		cur := v.Load()
+		if x <= cur || v.CompareAndSwap(cur, x) {
+			return
+		}
+	}
 }
 
 // bucketIndex maps a non-negative nanosecond duration to its bucket.
@@ -51,6 +66,10 @@ func (h *Histogram) Observe(d time.Duration) {
 	if ns < 0 {
 		ns = 0
 	}
+	// The extremes first: a Snapshot that counts this observation in its
+	// bucket also sees it in them.
+	raise(&h.most, ns)
+	raise(&h.least, math.MaxInt64-ns)
 	h.sum.Add(ns)
 	h.buckets[bucketIndex(ns)].Add(1)
 }
@@ -80,6 +99,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	s.Count = total
 	s.Sum = time.Duration(h.sum.Load())
+	if total > 0 {
+		s.lo = time.Duration(math.MaxInt64 - h.least.Load())
+		s.hi = time.Duration(h.most.Load())
+	}
 	return s
 }
 
@@ -93,10 +116,19 @@ type HistogramSnapshot struct {
 	Sum time.Duration
 	// Buckets[i] counts observations in bucket i (see BucketUpper).
 	Buckets [histBuckets]int64
+	// lo and hi are the smallest and largest observations (0 when empty).
+	lo, hi time.Duration
 }
 
 // Merge folds o into s, returning the combined snapshot.
 func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
+	switch {
+	case o.Count == 0:
+	case s.Count == 0:
+		s.lo, s.hi = o.lo, o.hi
+	default:
+		s.lo, s.hi = min(s.lo, o.lo), max(s.hi, o.hi)
+	}
 	s.Count += o.Count
 	s.Sum += o.Sum
 	for i := range s.Buckets {
@@ -113,30 +145,18 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// Max returns the upper bound of the highest non-empty bucket — a tight
-// (within 2x) bound on the largest observation. It returns 0 when empty.
-func (s HistogramSnapshot) Max() time.Duration {
-	for i := histBuckets - 1; i >= 0; i-- {
-		if s.Buckets[i] != 0 {
-			return BucketUpper(i)
-		}
-	}
-	return 0
-}
+// Max returns the largest observation, or 0 when empty.
+func (s HistogramSnapshot) Max() time.Duration { return s.hi }
 
 // Quantile estimates the q-th quantile (q in [0, 1]) by linear interpolation
-// inside the bucket containing the target rank. It returns 0 when the
-// histogram is empty; q outside [0, 1] is clamped.
+// inside the bucket containing the target rank, clamped to the observed
+// [min, max]. It returns 0 when the histogram is empty; q outside [0, 1] is
+// clamped.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
+	rank := min(max(q, 0), 1) * float64(s.Count)
 	var cum float64
 	for i, n := range s.Buckets {
 		if n == 0 {
@@ -149,13 +169,10 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 				lo = int64(1) << uint(i-1)
 			}
 			hi := int64(BucketUpper(i))
-			frac := 0.0
-			if n > 0 {
-				frac = (rank - cum) / float64(n)
-			}
-			return time.Duration(float64(lo) + frac*float64(hi-lo))
+			frac := (rank - cum) / float64(n)
+			return min(max(time.Duration(float64(lo)+frac*float64(hi-lo)), s.lo), s.hi)
 		}
 		cum = next
 	}
-	return s.Max()
+	return s.hi
 }

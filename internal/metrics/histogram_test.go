@@ -167,6 +167,32 @@ func TestHistogramMeanMax(t *testing.T) {
 	}
 }
 
+// TestHistogramReportsWhatItSaw checks the extremes are exact: one sample's
+// Max and median are that sample, not its bucket's bounds, and a merge keeps
+// the extremes of its non-empty sides.
+func TestHistogramReportsWhatItSaw(t *testing.T) {
+	const d = 2290 * time.Microsecond
+	var h Histogram
+	h.Observe(d)
+	s := h.Snapshot()
+	if got := s.Max(); got != d {
+		t.Errorf("one-sample Max = %v, want %v", got, d)
+	}
+	if got := s.Quantile(0.5); got != d {
+		t.Errorf("one-sample Quantile(0.5) = %v, want %v", got, d)
+	}
+	var g Histogram
+	g.Observe(time.Millisecond)
+	g.Observe(5 * time.Millisecond)
+	m := HistogramSnapshot{}.Merge(g.Snapshot()).Merge(s)
+	if got := m.Max(); got != 5*time.Millisecond {
+		t.Errorf("merged Max = %v, want 5ms", got)
+	}
+	if got := m.Quantile(0); got != time.Millisecond {
+		t.Errorf("merged Quantile(0) = %v, want the 1ms minimum", got)
+	}
+}
+
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()

@@ -24,8 +24,9 @@ const (
 	// nothing (appends bypass user-space buffering), an OS crash loses at
 	// most the last interval.
 	FsyncInterval = durable.FsyncInterval
-	// FsyncAlways syncs before every publish: full durability, and the
-	// publish path inherits the disk's sync latency.
+	// FsyncAlways syncs before every publish: every published window's
+	// charge survives an OS or power crash, and the publish path inherits
+	// the disk's sync latency.
 	FsyncAlways = durable.FsyncAlways
 	// FsyncOff syncs only at checkpoints and on Close.
 	FsyncOff = durable.FsyncOff
@@ -51,6 +52,10 @@ type DurabilityConfig struct {
 	// background. A checkpoint also runs on graceful Close, and Checkpoint
 	// triggers one on demand.
 	CheckpointEvery time.Duration
+
+	// fs is the file system the WAL writes through; nil is durable.OS. Tests
+	// set a crashing one.
+	fs durable.FS
 }
 
 // RecoverySummary reports what New restored from a non-empty WAL directory.

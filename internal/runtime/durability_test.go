@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,6 +19,109 @@ import (
 
 // spendTol is the float comparison slack for accumulated spends.
 func spendTol(x float64) float64 { return math.Abs(x)*1e-9 + 1e-9 }
+
+// crashFS is a process-crash file system: it passes every call to durable.OS
+// until the left-th write, which it may tear to its first tear bytes, and
+// fails every call after that one, as if the process had died there. The
+// files stay exactly as written. left <= 0 never crashes on its own; kill
+// crashes at once.
+type crashFS struct {
+	mu         sync.Mutex
+	left, tear int
+	dead       bool
+}
+
+var errProcessCrash = errors.New("process crash")
+
+// onCrashFS returns cfg with its WAL writing through c.
+func onCrashFS(cfg Config, c *crashFS) Config {
+	d := *cfg.Durability
+	d.fs = c
+	cfg.Durability = &d
+	return cfg
+}
+
+func (c *crashFS) kill() {
+	c.mu.Lock()
+	c.dead = true
+	c.mu.Unlock()
+}
+
+func (c *crashFS) crashed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dead
+}
+
+func (c *crashFS) OpenFile(name string, flag int) (durable.File, error) {
+	if c.crashed() {
+		return nil, errProcessCrash
+	}
+	f, err := durable.OS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return &crashFile{f, c}, nil
+}
+
+func (c *crashFS) Rename(oldpath, newpath string) error {
+	if c.crashed() {
+		return errProcessCrash
+	}
+	return durable.OS.Rename(oldpath, newpath)
+}
+
+func (c *crashFS) Remove(name string) error {
+	if c.crashed() {
+		return errProcessCrash
+	}
+	return durable.OS.Remove(name)
+}
+
+func (c *crashFS) SyncDir(dir string) error {
+	if c.crashed() {
+		return errProcessCrash
+	}
+	return durable.OS.SyncDir(dir)
+}
+
+type crashFile struct {
+	durable.File
+	c *crashFS
+}
+
+func (f *crashFile) Write(p []byte) (int, error) {
+	c := f.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead {
+		return 0, errProcessCrash
+	}
+	if c.left--; c.left != 0 {
+		return f.File.Write(p)
+	}
+	c.dead = true
+	if c.tear > 0 && c.tear < len(p) {
+		n, _ := f.File.Write(p[:c.tear])
+		return n, errProcessCrash
+	}
+	return f.File.Write(p)
+}
+
+func (f *crashFile) Sync() error {
+	if f.c.crashed() {
+		return errProcessCrash
+	}
+	return f.File.Sync()
+}
+
+func (f *crashFile) Close() error {
+	err := f.File.Close()
+	if f.c.crashed() {
+		return errProcessCrash
+	}
+	return err
+}
 
 // durableConfig is testConfig plus a budget ledger and a WAL directory.
 func durableConfig(t *testing.T, dir string, shards int, budget dp.Epsilon) Config {
@@ -164,14 +268,16 @@ func TestRestartResumesBudgetEpoch(t *testing.T) {
 
 // TestControlRecordBeforePublish pins the control plane's write-ahead order:
 // a control change whose WAL record cannot be written fails and publishes
-// nothing, so no shard serves an epoch that recovery could lose. With a crash
-// armed on the next commit, RotateBudget and RegisterQuery return errors and
-// leave the live epochs unchanged, and a runtime reopened on the directory
-// recovers exactly the budget epoch the live one last reported.
+// nothing, so no shard serves an epoch that recovery could lose. With the
+// process crashed before the next write, RotateBudget and RegisterQuery
+// return errors and leave the live epochs unchanged, and a runtime reopened
+// on the directory recovers exactly the budget epoch the live one last
+// reported.
 func TestControlRecordBeforePublish(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(t, dir, 1, 1000)
-	rt1, err := New(cfg)
+	crash := &crashFS{}
+	rt1, err := New(onCrashFS(cfg, crash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +285,7 @@ func TestControlRecordBeforePublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget, ctl := rt1.BudgetEpoch(), rt1.Epoch()
-	rt1.durLog.InjectCrash(durable.CrashBeforeCommit, 1)
+	crash.kill()
 	if ep, err := rt1.RotateBudget(); err == nil {
 		t.Fatalf("RotateBudget with its record lost = (%d, nil), want an error", ep)
 	}
@@ -195,7 +301,7 @@ func TestControlRecordBeforePublish(t *testing.T) {
 	if rt1.HasQuery("extra") {
 		t.Error("a query whose record was lost is registered")
 	}
-	rt1.Close() //nolint:errcheck // the WAL crashed; recovery is what is checked
+	rt1.Close() //nolint:errcheck // the process crashed; recovery is what is checked
 
 	rt2, err := New(cfg)
 	if err != nil {
@@ -233,10 +339,6 @@ func TestCheckpointOnDemand(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Abandon rt1 without a graceful close: simulate a process death by
-	// closing only the WAL (flushing nothing new — FsyncOff writes are
-	// already in the page cache via direct write(2)).
-	rt1.durLog.InjectCrash(durable.CrashBeforeCommit, 1<<30) // never fires; freezes nothing
 	if err := rt1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,26 +376,25 @@ func TestErrDurabilityDisabled(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryNeverUnderCounts is the crash-point property test behind
-// the durability subsystem's one-sided invariant: across randomized
-// workloads and injected crashes at every kill point — after the ledger
-// charge but before the WAL append, after the append but before the publish,
-// and mid-checkpoint — the spend recovered on restart must be at least the
-// spend of every answer that was actually published. Over-counting is
-// allowed (a charge whose answer never left); under-counting never is.
-// Runs under -race in CI.
+// TestCrashRecoveryNeverUnderCounts is the crash property test behind the
+// durability subsystem's one-sided invariant: across randomized workloads
+// and process crashes after a random number of WAL and checkpoint writes —
+// some of them tearing that write, every third trial checkpointing as it
+// serves — the spend recovered on restart must be at least the spend of
+// every answer that was actually published. Over-counting is allowed (a
+// charge whose answer never left); under-counting never is. Runs under
+// -race in CI.
 func TestCrashRecoveryNeverUnderCounts(t *testing.T) {
-	points := []durable.CrashPoint{durable.CrashBeforeCommit, durable.CrashAfterCommit, durable.CrashMidCheckpoint}
 	const trials = 18
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial=%02d", trial), func(t *testing.T) {
-			runCrashTrial(t, rand.New(rand.NewSource(int64(7000+trial))), points[trial%len(points)])
+			runCrashTrial(t, rand.New(rand.NewSource(int64(7000+trial))), trial%3 == 2)
 		})
 	}
 }
 
-func runCrashTrial(t *testing.T, rng *rand.Rand, point durable.CrashPoint) {
+func runCrashTrial(t *testing.T, rng *rand.Rand, checkpoints bool) {
 	t.Helper()
 	pt, err := core.NewPatternType("priv", "a", "b")
 	if err != nil {
@@ -315,7 +416,12 @@ func runCrashTrial(t *testing.T, rng *rand.Rand, point durable.CrashPoint) {
 		BudgetPolicy: []BudgetPolicy{BudgetDeny, BudgetSuppress, BudgetThrottle}[rng.Intn(3)],
 		Durability:   &DurabilityConfig{Dir: dir, Fsync: FsyncOff},
 	}
-	rt, err := New(cfg)
+	cut := 1 + rng.Intn(30)
+	crash := &crashFS{left: cut}
+	if rng.Intn(2) == 0 {
+		crash.tear = 1 + rng.Intn(40)
+	}
+	rt, err := New(onCrashFS(cfg, crash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +452,6 @@ func runCrashTrial(t *testing.T, rng *rand.Rand, point durable.CrashPoint) {
 		}
 	}()
 
-	rt.durLog.InjectCrash(point, 1+rng.Intn(25))
 	streams := 1 + rng.Intn(4)
 	clocks := make([]event.Timestamp, streams)
 	events := 100 + rng.Intn(200)
@@ -362,14 +467,14 @@ func runCrashTrial(t *testing.T, rng *rand.Rand, point durable.CrashPoint) {
 		if err := rt.Ingest(e); err != nil {
 			break // the crash fired and the shard failed
 		}
-		if point == durable.CrashMidCheckpoint && i%ckptEvery == ckptEvery-1 {
-			rt.Checkpoint(context.Background()) //nolint:errcheck // ErrCrashed once tripped
+		if checkpoints && i%ckptEvery == ckptEvery-1 {
+			rt.Checkpoint(context.Background()) //nolint:errcheck // fails once crashed
 		}
 	}
-	rt.Close() //nolint:errcheck // a crashed run reports the injected crash
+	rt.Close() //nolint:errcheck // a crashed run reports the crash
 	consumer.Wait()
 
-	crashed := rt.durLog.Crashed()
+	crashed := crash.crashed()
 	mu.Lock()
 	publishedSpend := float64(len(published)) * float64(charge)
 	mu.Unlock()
@@ -381,8 +486,8 @@ func runCrashTrial(t *testing.T, rng *rand.Rand, point durable.CrashPoint) {
 	snap := rt2.Snapshot()
 	recovered := float64(snap.Budget.Spent) + float64(snap.Budget.Retired)
 	if recovered+spendTol(publishedSpend) < publishedSpend {
-		t.Fatalf("crash=%v (fired=%t): recovered spend %v under-counts published spend %v (%d admitted windows x %v)",
-			point, crashed, recovered, publishedSpend, len(published), charge)
+		t.Fatalf("crash after write %d torn at %d, checkpoints=%t (fired=%t): recovered spend %v under-counts published spend %v (%d admitted windows x %v)",
+			cut, crash.tear, checkpoints, crashed, recovered, publishedSpend, len(published), charge)
 	}
 	// And the recovered runtime still serves.
 	e := event.New("a", clocks[0]+100).WithSource("stream-0")

@@ -322,6 +322,7 @@ func New(cfg Config) (*Runtime, error) {
 			Shards:  cfg.Shards,
 			Fsync:   d.Fsync,
 			Metrics: cfg.Metrics,
+			FS:      d.fs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("runtime: durability: %w", err)
@@ -745,10 +746,10 @@ func (rt *Runtime) closeSequence() {
 	if rt.durLog != nil {
 		// Graceful drains end with a synchronous final checkpoint (the
 		// shard goroutines have exited, so the export sees the complete
-		// flushed state); a failed or crash-injected run skips it — its
-		// durable state is exactly what recovery should see.
-		if rt.closeErr == nil && !rt.durLog.Crashed() {
-			if err := rt.finalCheckpoint(); err != nil && err != durable.ErrCrashed {
+		// flushed state); a failed run skips it — its durable state is
+		// exactly what recovery should see.
+		if rt.closeErr == nil {
+			if err := rt.finalCheckpoint(); err != nil {
 				rt.closeErr = fmt.Errorf("runtime: final checkpoint: %w", err)
 			}
 		}

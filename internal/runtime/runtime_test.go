@@ -11,7 +11,6 @@ import (
 
 	"patterndp/internal/cep"
 	"patterndp/internal/core"
-	"patterndp/internal/durable"
 	"patterndp/internal/event"
 )
 
@@ -840,7 +839,7 @@ var errRebuild = errors.New("test: mechanism rebuild failed")
 // that failed must publish nothing, not even the windows it served before the
 // error. Two failures remain deterministic: a MechanismFor rebuild that fails
 // after a RegisterPrivate (before the failing message serves anything, with
-// and without a WAL), and, with a WAL, a crash injected before the group
+// and without a WAL), and, with a WAL, a process crash before the group
 // commit of a message that has already served two windows.
 func TestRuntimeShardFailureSurfaces(t *testing.T) {
 	for _, wal := range []bool{false, true} {
@@ -854,11 +853,11 @@ func TestRuntimeShardFailureSurfaces(t *testing.T) {
 }
 
 // checkShardFailure runs one TestRuntimeShardFailureSurfaces case: a failing
-// rebuild, or with crash an injected crash before message 2's commit.
+// rebuild, or with crash a process crash before message 2's commit.
 func checkShardFailure(t *testing.T, wal, crash bool) {
 	cause := errRebuild
 	if crash {
-		cause = durable.ErrCrashed
+		cause = errProcessCrash
 	}
 	cfg := testConfig(t, 1)
 	cfg.Mechanism = nil
@@ -869,8 +868,9 @@ func checkShardFailure(t *testing.T, wal, crash bool) {
 		}
 		return core.NewUniformPPM(50, private...)
 	}
+	proc := &crashFS{}
 	if wal {
-		cfg.Durability = &DurabilityConfig{Dir: t.TempDir()}
+		cfg.Durability = &DurabilityConfig{Dir: t.TempDir(), fs: proc}
 	}
 	rt, err := New(cfg)
 	if err != nil {
@@ -884,7 +884,7 @@ func checkShardFailure(t *testing.T, wal, crash bool) {
 	settle(t, rt)
 	if crash {
 		// The next commit carrying a record dies before writing.
-		rt.durLog.InjectCrash(durable.CrashBeforeCommit, 1)
+		proc.kill()
 	} else {
 		pt, err := core.NewPatternType("priv2", "c")
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"patterndp/internal/durable"
 	"patterndp/internal/faultnet"
 	"patterndp/internal/runtime"
 )
@@ -198,7 +199,7 @@ func TestChaosSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sendErr, _, recvErr := transferHandoff(t, dirA, dirB, spilled, frozen, HandoffCrashNone)
+		sendErr, _, recvErr := transferHandoff(t, durable.OS, dirA, dirB, spilled, frozen, HandoffCrashNone)
 		if sendErr != nil || recvErr != nil {
 			t.Fatalf("handoff: send %v recv %v", sendErr, recvErr)
 		}

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"patterndp/internal/durable"
 	"patterndp/internal/wire"
 )
 
@@ -20,16 +21,18 @@ import (
 // takeover peer over Handoff frames. The sender walks the directory after
 // Runtime.Freeze (nothing mutates it anymore), announces a manifest with
 // per-file CRCs, streams bounded chunks, and commits with tallies plus the
-// frozen ledger total. The receiver stages every file as a ".part" temp,
-// verifies sizes and CRCs at commit, renames the whole set into place, and
-// only then acks — so a connection lost mid-stream (or a source that dies
-// before commit) leaves the target directory empty and the source directory
-// authoritative, while a source that dies after commit leaves the target
-// complete. There is no state of the world in which both sides believe they
-// own the partition with half the bytes.
+// frozen ledger total. The receiver stages every file as a ".part" temp
+// through durable.FS, verifies sizes and CRCs at commit, fsyncs each file,
+// renames the set into place, fsyncs the directory, and only then acks — so a
+// connection lost mid-stream (or a source that dies before commit, or a
+// receiver that dies before its renames are durable) leaves the target
+// without durable state and the source authoritative, while a source that
+// dies after commit leaves the target complete. There is no state of the
+// world in which both sides believe they own the partition with half the
+// bytes.
 
-// HandoffCrash injects a source-side crash at a handoff boundary, mirroring
-// durable.CrashPoint for the transfer itself. Used by fault-injection tests.
+// HandoffCrash injects a source-side crash at a handoff boundary: the source
+// dying between protocol steps. Used by fault-injection tests.
 type HandoffCrash int
 
 const (
@@ -200,21 +203,22 @@ func sendFile(conn net.Conn, dir string, idx uint64, mf wire.HandoffFile, buf []
 // size and CRC at commit, renames the set into place, and acks. On any
 // failure the staged temps are removed and dir is left without durable
 // state; the error tells the operator the source is still authoritative.
-// expectToken, when non-empty, must match HandoffBegin.Token (compared in
-// constant time); ppmserve refuses to hand off or take over without one.
+// HandoffBegin.Token must match expectToken (compared in constant time); an
+// empty expectToken refuses every handoff.
 func ReceiveHandoff(conn net.Conn, dir, expectToken string) (HandoffSummary, error) {
-	sum, err := receiveHandoff(conn, dir, expectToken)
-	if err != nil {
-		// Best-effort refusal so the source logs the reason, then clean up.
-		ack := wire.HandoffAck{Detail: err.Error()}
-		wire.WriteFrame(conn, wire.THandoffAck, wire.AppendHandoffAck(nil, ack)) //nolint:errcheck
-		removeStaged(dir)
-	}
-	return sum, err
+	return receiveHandoff(durable.OS, conn, dir, expectToken)
 }
 
-func receiveHandoff(conn net.Conn, dir, expectToken string) (HandoffSummary, error) {
-	var sum HandoffSummary
+// receiveHandoff is ReceiveHandoff writing through fsys.
+func receiveHandoff(fsys durable.FS, conn net.Conn, dir, expectToken string) (sum HandoffSummary, err error) {
+	defer func() {
+		if err != nil {
+			// Best-effort refusal so the source logs the reason, then clean up.
+			ack := wire.HandoffAck{Detail: err.Error()}
+			wire.WriteFrame(conn, wire.THandoffAck, wire.AppendHandoffAck(nil, ack)) //nolint:errcheck
+			removeStaged(fsys, dir)
+		}
+	}()
 	r := wire.NewReader(conn)
 	fr, err := r.Next()
 	if err != nil {
@@ -227,7 +231,7 @@ func receiveHandoff(conn net.Conn, dir, expectToken string) (HandoffSummary, err
 	if err != nil {
 		return sum, fmt.Errorf("server: takeover: %w", err)
 	}
-	if expectToken != "" && subtle.ConstantTimeCompare([]byte(begin.Token), []byte(expectToken)) != 1 {
+	if expectToken == "" || subtle.ConstantTimeCompare([]byte(begin.Token), []byte(expectToken)) != 1 {
 		return sum, fmt.Errorf("server: takeover: bad handoff token")
 	}
 	sum.Source = begin.Source
@@ -238,7 +242,7 @@ func receiveHandoff(conn net.Conn, dir, expectToken string) (HandoffSummary, err
 		return sum, err
 	}
 	type staged struct {
-		f       *os.File
+		f       durable.File
 		written uint64
 		crc     uint32
 	}
@@ -251,7 +255,7 @@ func receiveHandoff(conn net.Conn, dir, expectToken string) (HandoffSummary, err
 		}
 	}()
 	for i, mf := range begin.Files {
-		f, err := os.OpenFile(filepath.Join(dir, mf.Name+".part"), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		f, err := fsys.OpenFile(filepath.Join(dir, mf.Name+".part"), os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 		if err != nil {
 			return sum, fmt.Errorf("server: takeover: %w", err)
 		}
@@ -319,11 +323,21 @@ func receiveHandoff(conn net.Conn, dir, expectToken string) (HandoffSummary, err
 	sum.Sessions, sum.Spend = commit.Sessions, commit.Spend
 	for _, mf := range begin.Files {
 		final := filepath.Join(dir, mf.Name)
-		if err := os.Rename(final+".part", final); err != nil {
-			return sum, fmt.Errorf("server: takeover: %w", err)
+		if err = fsys.Rename(final+".part", final); err != nil {
+			break
 		}
 	}
-	syncDir(dir)
+	if err == nil {
+		err = fsys.SyncDir(dir)
+	}
+	if err != nil {
+		// A set whose renames are not all durable is not adopted: unwind
+		// them (prepareDir found dir empty, so every name is ours).
+		for _, mf := range begin.Files {
+			fsys.Remove(filepath.Join(dir, mf.Name)) //nolint:errcheck
+		}
+		return sum, fmt.Errorf("server: takeover: %w", err)
+	}
 	ack := wire.HandoffAck{OK: true, Files: uint64(sum.Files), Bytes: sum.Bytes}
 	if err := wire.WriteFrame(conn, wire.THandoffAck, wire.AppendHandoffAck(nil, ack)); err != nil {
 		// The set is complete and durable either way; the source merely
@@ -373,24 +387,14 @@ func prepareDir(dir string) error {
 }
 
 // removeStaged clears ".part" staging temps after a failed takeover.
-func removeStaged(dir string) {
+func removeStaged(fsys durable.FS, dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".part") {
-			os.Remove(filepath.Join(dir, e.Name())) //nolint:errcheck
+			fsys.Remove(filepath.Join(dir, e.Name())) //nolint:errcheck
 		}
 	}
-}
-
-// syncDir fsyncs a directory so staged renames survive power loss.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	d.Sync() //nolint:errcheck
 }

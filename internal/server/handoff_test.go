@@ -15,6 +15,7 @@ import (
 	"patterndp/internal/cep"
 	"patterndp/internal/core"
 	"patterndp/internal/dp"
+	"patterndp/internal/durable"
 	"patterndp/internal/faultnet"
 	"patterndp/internal/runtime"
 )
@@ -66,9 +67,9 @@ func recoveredSpend(rt *runtime.Runtime) float64 {
 	return float64(rec.RestoredSpend) + float64(rec.ReplayedSpend)
 }
 
-// transferHandoff runs one in-process handoff over a pipe, returning both
-// sides' results.
-func transferHandoff(t testing.TB, srcDir, dstDir string, sessions int, spend float64, crash HandoffCrash) (sendErr error, recvSum HandoffSummary, recvErr error) {
+// transferHandoff runs one in-process handoff over a pipe, the receiver
+// writing through fsys, returning both sides' results.
+func transferHandoff(t testing.TB, fsys durable.FS, srcDir, dstDir string, sessions int, spend float64, crash HandoffCrash) (sendErr error, recvSum HandoffSummary, recvErr error) {
 	t.Helper()
 	sc, rc := net.Pipe()
 	defer sc.Close()
@@ -76,7 +77,7 @@ func transferHandoff(t testing.TB, srcDir, dstDir string, sessions int, spend fl
 	recvDone := make(chan struct{})
 	go func() {
 		defer close(recvDone)
-		recvSum, recvErr = ReceiveHandoff(rc, dstDir, "secret")
+		recvSum, recvErr = receiveHandoff(fsys, rc, dstDir, "secret")
 	}()
 	_, sendErr = SendHandoff(sc, srcDir, "secret", "test-source", sessions, spend, crash)
 	sc.Close()
@@ -221,7 +222,7 @@ func TestRollingRestartHandoff(t *testing.T) {
 	if spilled == 0 {
 		t.Fatal("no sessions exported")
 	}
-	sendErr, recvSum, recvErr := transferHandoff(t, dirA, dirB, spilled, frozen, HandoffCrashNone)
+	sendErr, recvSum, recvErr := transferHandoff(t, durable.OS, dirA, dirB, spilled, frozen, HandoffCrashNone)
 	if sendErr != nil || recvErr != nil {
 		t.Fatalf("handoff: send %v recv %v", sendErr, recvErr)
 	}
@@ -293,19 +294,94 @@ func TestRollingRestartHandoff(t *testing.T) {
 		recvSum.Files, recvSum.Bytes, frozen, client.Reconnects(), answers.Load(), maxSeq)
 }
 
+// diesAtSync is a process-crash file system for the handoff receiver: its
+// writes reach the files, and every call from its first fsync on fails, as
+// if the process died right after its last write.
+type diesAtSync struct{ dead atomic.Bool }
+
+type diesAtSyncFile struct {
+	durable.File
+	fs *diesAtSync
+}
+
+var errReceiverCrash = errors.New("receiver process crash")
+
+func (d *diesAtSync) check() error {
+	if d.dead.Load() {
+		return errReceiverCrash
+	}
+	return nil
+}
+
+func (d *diesAtSync) OpenFile(name string, flag int) (durable.File, error) {
+	if err := d.check(); err != nil {
+		return nil, err
+	}
+	f, err := durable.OS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return diesAtSyncFile{f, d}, nil
+}
+
+func (d *diesAtSync) Rename(oldpath, newpath string) error {
+	if err := d.check(); err != nil {
+		return err
+	}
+	return durable.OS.Rename(oldpath, newpath)
+}
+
+func (d *diesAtSync) Remove(name string) error {
+	if err := d.check(); err != nil {
+		return err
+	}
+	return durable.OS.Remove(name)
+}
+
+func (d *diesAtSync) SyncDir(dir string) error {
+	if err := d.check(); err != nil {
+		return err
+	}
+	return durable.OS.SyncDir(dir)
+}
+
+func (f diesAtSyncFile) Write(p []byte) (int, error) {
+	if err := f.fs.check(); err != nil {
+		return 0, err
+	}
+	return f.File.Write(p)
+}
+
+func (f diesAtSyncFile) Sync() error {
+	f.fs.dead.Store(true)
+	return errReceiverCrash
+}
+
+func (f diesAtSyncFile) Close() error {
+	err := f.File.Close()
+	if cerr := f.fs.check(); cerr != nil {
+		return cerr
+	}
+	return err
+}
+
 // TestHandoffCrashPoints mirrors TestCrashRecoveryNeverUnderCounts at the
 // handoff boundaries: a source that dies before HandoffCommit leaves the
 // target empty and its own directory authoritative; one that dies after
-// HandoffCommit leaves the target complete and adoptable. In both worlds
+// HandoffCommit leaves the target complete and adoptable — unless the
+// receiver's process dies too, after its last write and before any fsync or
+// rename, which leaves the target without durable state. In every world
 // exactly one side can be restarted, and its recovered spend covers the
 // frozen (≥ published) spend.
 func TestHandoffCrashPoints(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		crash HandoffCrash
+		name         string
+		crash        HandoffCrash
+		receiverDies bool
 	}{
-		{"BeforeCommit", HandoffCrashBeforeCommit},
-		{"AfterCommit", HandoffCrashAfterCommit},
+		{"BeforeCommit", HandoffCrashBeforeCommit, false},
+		{"AfterCommit", HandoffCrashAfterCommit, false},
+		{"ReceiverDiesAfterCommit", HandoffCrashAfterCommit, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dirA, dirB := t.TempDir(), filepath.Join(t.TempDir(), "b")
@@ -327,14 +403,18 @@ func TestHandoffCrashPoints(t *testing.T) {
 				t.Fatal("no spend accrued")
 			}
 
-			sendErr, _, recvErr := transferHandoff(t, dirA, dirB, 0, frozen, tc.crash)
+			var fsys durable.FS = durable.OS
+			if tc.receiverDies {
+				fsys = &diesAtSync{}
+			}
+			sendErr, _, recvErr := transferHandoff(t, fsys, dirA, dirB, 0, frozen, tc.crash)
 			if !IsHandoffCrash(sendErr) {
 				t.Fatalf("send error = %v, want injected crash", sendErr)
 			}
 
 			var authoritative string
-			switch tc.crash {
-			case HandoffCrashBeforeCommit:
+			switch {
+			case tc.crash == HandoffCrashBeforeCommit || tc.receiverDies:
 				// The receiver must refuse and stage nothing durable.
 				if recvErr == nil {
 					t.Fatal("receiver adopted an uncommitted handoff")
@@ -343,7 +423,7 @@ func TestHandoffCrashPoints(t *testing.T) {
 					t.Fatalf("uncommitted handoff left files %v in target", files)
 				}
 				authoritative = dirA
-			case HandoffCrashAfterCommit:
+			case tc.crash == HandoffCrashAfterCommit:
 				// The receiver has the complete committed set even though the
 				// source never saw an ack.
 				if recvErr != nil {
@@ -398,6 +478,39 @@ func TestHandoffTransferFaults(t *testing.T) {
 	}
 	frozen := frozenSpend(rtA)
 
+	// A receiver without a token refuses every handoff. Over loopback TCP the
+	// socket buffers take the whole transfer, so the refusal cannot deadlock
+	// against the sender's writes.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirNoToken := filepath.Join(t.TempDir(), "b")
+	noToken := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			noToken <- err
+			return
+		}
+		defer conn.Close()
+		_, err = ReceiveHandoff(conn, dirNoToken, "")
+		noToken <- err
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sendErr := SendHandoff(conn, dirA, "secret", "no-token", 0, frozen, HandoffCrashNone)
+	conn.Close()
+	ln.Close()
+	if err := <-noToken; err == nil || sendErr == nil {
+		t.Fatalf("handoff to a receiver without a token: recv %v, send %v; want both refused", err, sendErr)
+	}
+	if files := durableFiles(t, dirNoToken); len(files) != 0 {
+		t.Fatalf("refused handoff left files %v in target", files)
+	}
+
 	var cut, completed, lostAcks int
 	for trial := 0; trial < 12; trial++ {
 		dirB := filepath.Join(t.TempDir(), "b")
@@ -414,14 +527,14 @@ func TestHandoffTransferFaults(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			_, err = ReceiveHandoff(conn, dirB, "")
+			_, err = ReceiveHandoff(conn, dirB, "secret")
 			recvDone <- recvResult{err}
 		}()
 		conn, err := mem.Dial()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sent, sendErr := SendHandoff(conn, dirA, "", fmt.Sprintf("trial-%d", trial), 0, frozen, HandoffCrashNone)
+		sent, sendErr := SendHandoff(conn, dirA, "secret", fmt.Sprintf("trial-%d", trial), 0, frozen, HandoffCrashNone)
 		conn.Close()
 		recv := <-recvDone
 		fl.Close()

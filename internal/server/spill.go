@@ -45,7 +45,7 @@ func (st *subState) export() durable.SessionSub {
 // them, so they are quiescent by construction.
 func (s *Server) Spill(dir string) (int, error) {
 	sp := s.exportSessions()
-	return len(sp.Sessions), durable.WriteSessions(dir, sp)
+	return len(sp.Sessions), durable.WriteSessions(durable.OS, dir, sp)
 }
 
 // Adopt reads dir's session spill, adopts its sessions (importSessions) and
